@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check figures bench allocgate sim-smoke
+.PHONY: build test race vet check figures bench benchpair allocgate sim-smoke
 
 build:
 	$(GO) build ./...
@@ -35,12 +35,12 @@ figures:
 # allocs/op in the kecho and hotpath files is the zero-allocation data-plane
 # regression gate (DESIGN.md §8); BENCH_hotpath.json carries both dispatch
 # variants (polled and event-driven — the latency-floor comparison of
-# DESIGN.md §13); BENCH_connscale.json tracks the publisher's goroutine
-# count and per-peer fan-out cost from 8 to 4096 peers, the reactor writer
-# pool's flat-scaling gate; BENCH_obs.json compares the hot path with
-# observability off vs sampled 1/1024 (DESIGN.md §9); BENCH_query.json
-# tracks scatter-gather coordinator latency vs node count (4/16/64) with
-# the network held at zero (DESIGN.md §12).
+# DESIGN.md §13); BENCH_connscale.json tracks what a peer costs the
+# publisher from 8 to 4096 peers — fan-out time, goroutines (one reader per
+# connection over a fixed writer pool) and live memory; BENCH_obs.json
+# compares the hot path with observability off vs sampled 1/1024 (DESIGN.md
+# §9); BENCH_query.json tracks scatter-gather coordinator latency vs node
+# count (4/16/64) with the network held at zero (DESIGN.md §12).
 bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkTSDB' -benchmem -benchtime 100x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_tsdb.json
@@ -57,6 +57,16 @@ bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkRelayFanout$$' -benchmem -benchtime 50x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_relay.json
 	$(GO) run ./cmd/dprocsim -quiet examples/scenarios/scaling.toml
+
+# benchpair measures the working tree against the git ref BASE with the
+# repository's benchmark (BENCHMARK.json, bench/): N alternating pairs of
+# runs per workload, always including the never-tuned seed 20030623, judged
+# by `bench -compare` plus a count of pairs won. It is the procedure behind
+# every before/after table in CHANGES.md; a full N=10 takes about 40 minutes.
+BASE ?= HEAD
+N ?= 10
+benchpair:
+	bash scripts/benchpair.sh $(BASE) $(N)
 
 # sim-smoke runs the fast scenario-harness smoke runfiles (virtual time,
 # each finishes in well under a second) through the full pipeline: parse,

@@ -550,11 +550,12 @@ func BenchmarkAblationP2PvsCentral(b *testing.B) {
 }
 
 // BenchmarkAblationPollVsImmediate compares the paper's poll-driven handler
-// dispatch with immediate dispatch on the receive path.
+// dispatch with in-place (event-driven, formerly "immediate") dispatch on
+// the receive path.
 func BenchmarkAblationPollVsImmediate(b *testing.B) {
-	for _, mode := range []kecho.DispatchMode{kecho.Polled, kecho.Immediate} {
+	for _, mode := range []kecho.DispatchMode{kecho.Polled, kecho.EventDriven} {
 		name := "polled"
-		if mode == kecho.Immediate {
+		if mode == kecho.EventDriven {
 			name = "immediate"
 		}
 		b.Run(name, func(b *testing.B) {
@@ -1022,8 +1023,8 @@ func BenchmarkSubmitFanout(b *testing.B) {
 // frame receive, recycled payload buffers). The "polled" variant drives the
 // subscriber's Poll loop — the paper-fidelity default, whose floor is the
 // poll/sleep quantum — while "event" uses Dispatch: EventDriven, where the
-// read reactor hands the frame straight to the dispatcher and the round-trip
-// is bounded by scheduler wake-ups, not polling. With the pooling in wire,
+// connection's reader runs the handler in place on the frame it just read
+// and the round-trip is bounded by scheduler wake-ups, not polling. With the pooling in wire,
 // kecho and ecode both variants should run without steady-state allocation;
 // allocs/op is the number to watch in BENCH_hotpath.json.
 func BenchmarkHotPath(b *testing.B) {
@@ -1185,12 +1186,13 @@ func runHotPath(b *testing.B, mode kecho.DispatchMode, pubObs, subObs *obs.Obser
 	b.ReportMetric(float64(seen.Load()-seenBase)/float64(b.N), "payloadB/op")
 }
 
-// BenchmarkWriterScale pins the two scaling claims of the reactor refactor:
-// the publisher's goroutine count stays flat as the peer count grows from 8
-// to 4096 (the pre-reactor design spent a writer plus a reader goroutine per
-// peer), and 8-peer fan-out cost stays on par with the per-peer-goroutine
-// baseline recorded by BenchmarkSubmitFanout/healthy. Each "peer" is a
-// registry entry pointing at one shared drain listener, so the benchmark
+// BenchmarkWriterScale tracks what a peer costs the publisher as the peer
+// count grows from 8 to 4096: per-peer fan-out time (ns/peer-op; the write
+// side is a fixed reactor pool, so only the enqueue scales), and the read
+// side's honest price — one reader goroutine parked in the netpoller per
+// live connection, reported as goroutines/peer (→ 1 as the fixed
+// writers + accept loop amortize) with its memory as B/peer. Each "peer" is
+// a registry entry pointing at one shared drain listener, so the benchmark
 // isolates publisher-side cost instead of measuring 4096 full channels.
 func BenchmarkWriterScale(b *testing.B) {
 	for _, peers := range []int{8, 256, 4096} {
@@ -1240,6 +1242,8 @@ func benchWriterScale(b *testing.B, peers int) {
 
 	runtime.GC()
 	before := runtime.NumGoroutine()
+	var memBefore, memAfter runtime.MemStats
+	runtime.ReadMemStats(&memBefore)
 	pubCli := registry.NewClient(reg.Addr())
 	b.Cleanup(func() { pubCli.Close() })
 	pub, err := kecho.Join(pubCli, "scale", "pub", &kecho.Options{
@@ -1263,11 +1267,14 @@ func benchWriterScale(b *testing.B, peers int) {
 	}
 	time.Sleep(50 * time.Millisecond)
 	// Everything beyond the drain goroutines (one per accepted conn, counted
-	// exactly) was added by the publisher's Join: its writer pool, accept
-	// loop and read reactor. The reactor design makes this independent of
-	// peers — that flatness from 8 to 4096 is the number BENCH_connscale.json
-	// tracks.
+	// exactly) was added by the publisher's Join: its writer pool and accept
+	// loop, fixed, and one reader per peer connection. The memory figure is
+	// what the process holds live after the Join (heap and goroutine
+	// stacks), drain side included — an upper bound on the publisher's share.
 	pubCost := runtime.NumGoroutine() - before - int(accepted.Load())
+	runtime.GC()
+	runtime.ReadMemStats(&memAfter)
+	memCost := float64(memAfter.HeapAlloc+memAfter.StackInuse) - float64(memBefore.HeapAlloc+memBefore.StackInuse)
 
 	payload := make([]byte, 64)
 	for i := 0; i < 512; i++ {
@@ -1285,7 +1292,8 @@ func benchWriterScale(b *testing.B, peers int) {
 	elapsed := b.Elapsed()
 	b.StopTimer()
 	// ReportMetric must run after ResetTimer, which clears custom metrics.
-	b.ReportMetric(float64(pubCost), "goroutines")
+	b.ReportMetric(float64(pubCost)/float64(peers), "goroutines/peer")
+	b.ReportMetric(memCost/float64(peers), "B/peer")
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N)/float64(peers), "ns/peer-op")
 }
 
@@ -1343,8 +1351,9 @@ func benchRelayFanout(b *testing.B, nsubs int) {
 	// already listening and one dial per member builds the whole tree —
 	// correct under DisableReconnect, with no supervisor passes needed. The
 	// goroutine census brackets the publisher's Join: everything it adds
-	// (writer pool, accept loop, read reactor) is independent of the
-	// subscriber count, and accepted child connections add none.
+	// there (writer pool, accept loop) is independent of the subscriber
+	// count; each child connection accepted later adds one reader, so the
+	// root's total is bounded by the branching factor.
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	pubObs := obs.New("pub", nil, 1) // trace every event so receivers observe depth

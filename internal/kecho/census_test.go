@@ -1,137 +1,91 @@
 package kecho
 
 import (
-	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dproc/internal/faultnet"
+	"dproc/internal/registry"
 )
 
-// listenOnlyTransport listens normally but refuses every outbound dial. The
-// census subs use it so they accept the publisher's connection without
-// forming the N² sub-to-sub mesh (which would exhaust fds at N=256 and
-// measure mesh cost, not publisher cost).
-type listenOnlyTransport struct{}
-
-func (listenOnlyTransport) Listen(network, address string) (net.Listener, error) {
-	return net.Listen(network, address)
-}
-
-func (listenOnlyTransport) DialTimeout(string, string, time.Duration) (net.Conn, error) {
-	return nil, errors.New("census: outbound dial refused")
-}
-
-// waitGoroutines polls until the process goroutine count drops to at most
-// want, failing after 10s. GC runs between polls so finalizer-held
-// goroutines cannot produce false leaks.
-func waitGoroutines(t *testing.T, want int) {
+// waitGoroutines polls until the process goroutine count is exactly want,
+// failing after 10s. GC runs between polls so finalizer-held goroutines
+// cannot produce false leaks.
+func waitGoroutines(t *testing.T, what string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= want {
+		n := runtime.NumGoroutine()
+		if n == want {
 			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines stuck at %d, want <= %d\n%s",
-				runtime.NumGoroutine(), want, buf[:n])
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%s: %d goroutines, want %d\n%s", what, n, want, buf)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestGoroutineCensus is the connection-scale regression gate: a publisher
-// with N subscribed peers must cost O(writers + fallback readers) goroutines
-// — not O(N) — and Close must release every one of them. The same bound is
-// asserted at N=8 and N=256, which is what makes it a flat-scaling test
-// rather than a constant-factor one.
+// TestGoroutineCensus pins what the single receive pipeline costs: a Join
+// adds exactly writers + accept loop + supervisor, every live peer
+// connection adds exactly one reader at each end, and Close gives all of
+// them back — the same on plain TCP and behind faultnet, since there is one
+// reader implementation.
 func TestGoroutineCensus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spins 256 peers")
-	}
-	for _, n := range []int{8, 256} {
-		t.Run(fmt.Sprintf("peers_%d", n), func(t *testing.T) {
+	const writers, members = 3, 6
+	fab := faultnet.NewFabric(1)
+	for _, tc := range []struct {
+		name      string
+		transport func(id string) Transport
+	}{
+		{"tcp", func(string) Transport { return nil }},
+		{"faultnet", func(id string) Transport { return fab.Host(id) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			reg := newRegistry(t)
-			subOpts := &Options{
-				Writers:          1,
-				DisableReconnect: true,
-				Transport:        listenOnlyTransport{},
+			// Connect the registry clients first: the in-process registry
+			// server's goroutine per client belongs in the baseline.
+			clients := make([]*registry.Client, members)
+			for i := range clients {
+				clients[i] = registry.NewClient(reg.Addr())
+				defer clients[i].Close()
+				if _, err := clients[i].List(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			subs := make([]*Channel, n)
-			for i := 0; i < n; i++ {
-				subs[i] = join(t, reg, "census", fmt.Sprintf("sub%d", i), subOpts)
-			}
-			// Settle, then baseline. Everything the publisher adds from here
-			// on — its accept loop, read reactor, writer pool, and any
-			// fallback readers on either side (peer conns accepted by the
-			// subs register with the subs' read reactors, or spawn fallback
-			// readers counted below) — is attributed to the join.
-			time.Sleep(50 * time.Millisecond)
 			runtime.GC()
-			before := runtime.NumGoroutine()
+			want := runtime.NumGoroutine()
 
-			const writers = 4
-			pub := join(t, reg, "census", "pub", &Options{
-				Writers:          writers,
-				DisableReconnect: true,
-			})
-			if !pub.WaitForPeers(n, 10*time.Second) {
-				t.Fatalf("publisher connected %d peers, want %d", len(pub.Peers()), n)
-			}
-			var got atomic.Int64
-			for _, s := range subs {
-				s.Subscribe(func(Event) { got.Add(1) })
-			}
-			if _, err := pub.Submit([]byte("census")); err != nil {
-				t.Fatal(err)
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			for got.Load() < int64(n) {
-				for _, s := range subs {
-					s.Poll()
+			chans := make([]*Channel, members)
+			for i := range chans {
+				id := fmt.Sprintf("m%d", i)
+				ch, err := Join(clients[i], "census", id, &Options{Writers: writers, Transport: tc.transport(id)})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if time.Now().After(deadline) {
-					t.Fatalf("delivered %d/%d", got.Load(), n)
-				}
-				time.Sleep(time.Millisecond)
+				defer ch.Close()
+				chans[i] = ch
+				// The joiner dials the i members already there.
+				want += writers + 2 + 2*i
+				waitGoroutines(t, "after join of "+id, want)
 			}
-
-			// Sub-side channels (custom transport, so no read reactor) spawn
-			// one fallback reader per accepted publisher conn during the
-			// join; they are the subs' cost, measured and subtracted so the
-			// assertion isolates the publisher.
-			subFallback := 0
-			for _, s := range subs {
-				subFallback += int(s.fallbackReaders.Load())
+			for i := members - 1; i >= 0; i-- {
+				chans[i].Close()
+				want -= writers + 2 + 2*i
+				waitGoroutines(t, fmt.Sprintf("after close of m%d", i), want)
 			}
-			pubFallback := int(pub.fallbackReaders.Load())
-			after := runtime.NumGoroutine()
-			pubCost := after - before - subFallback
-			// writers + accept loop + read reactor + the publisher's own
-			// fallback readers, plus slack for runtime helpers. Crucially
-			// independent of n.
-			limit := writers + 2 + pubFallback + 4
-			if pubCost > limit {
-				t.Fatalf("publisher join cost %d goroutines (pub fallback %d, sub fallback %d), want <= %d — O(N) readers/writers are back",
-					pubCost, pubFallback, subFallback, limit)
-			}
-
-			pub.Close()
-			// Sub-side teardown of the publisher's conns is asynchronous;
-			// allow the baseline plus slack.
-			waitGoroutines(t, before+2)
 		})
 	}
 }
 
 // TestEventDrivenDispatch pins the latency-floor mode: handlers run on frame
-// receipt with no Poll, and Poll is a no-op that cannot steal the
-// dispatcher's events.
+// receipt with no Poll, and Poll is a no-op.
 func TestEventDrivenDispatch(t *testing.T) {
 	reg := newRegistry(t)
 	a := join(t, reg, "mon", "a", nil)
@@ -157,10 +111,10 @@ func TestEventDrivenDispatch(t *testing.T) {
 	}
 }
 
-// TestEventDrivenSerializedAndBackpressured pins the two properties that
-// distinguish EventDriven from Immediate: handler calls never overlap even
-// with many submitting peers, and a slow handler queues events (bounded by
-// the inbox) instead of dropping them locally.
+// TestEventDrivenSerializedAndBackpressured pins the two properties in-place
+// dispatch must keep: handler calls never overlap even with many submitting
+// peers, and a slow handler holds events back (in the sockets and the
+// publishers' outboxes) instead of dropping them locally.
 func TestEventDrivenSerializedAndBackpressured(t *testing.T) {
 	reg := newRegistry(t)
 	b := join(t, reg, "mon", "b", &Options{Dispatch: EventDriven, InboxSize: 8})

@@ -5,28 +5,28 @@
 // from publisher to every subscriber with no central collection point — the
 // property the paper contrasts with Supermon's central data concentrator.
 //
-// Delivery is poll-driven by default: received events queue in a bounded
-// inbox and are dispatched to handlers when the owner calls Poll, matching
-// d-mon's one-second polling of its listening sockets. Two alternatives
-// exist: Immediate (handler runs on the receiving goroutine, for the
-// poll-versus-immediate ablation) and EventDriven (handlers run on frame
-// receipt on a dedicated per-channel dispatcher goroutine, serialized and
-// backpressured — the latency-floor mode; see DESIGN.md §13).
+// There is one receive pipeline: every peer connection is read by one
+// goroutine parked in the runtime netpoller (readLoop), which decodes each
+// frame in its receive buffer and runs the relay gate. Delivery is
+// poll-driven by default: received events are copied into a bounded inbox
+// and dispatched to handlers when the owner calls Poll, matching d-mon's
+// one-second polling of its listening sockets. EventDriven is the
+// alternative: the reader runs the handlers in place on frame receipt,
+// serialized across connections by a per-channel mutex and backpressured —
+// the latency-floor mode; see DESIGN.md §13.
 //
 // Publishing is asynchronous: Submit enqueues the event on each peer's
 // bounded outbound queue and returns. A small fixed pool of reactor writer
 // goroutines (Options.Writers) drains every outbox through a ready-ring —
 // coalescing bursts into batch frames — so a stalled subscriber costs the
 // publisher an enqueue (and eventually a counted queue-overflow drop)
-// rather than a write deadline, and an idle peer costs zero goroutines. On
-// Linux the default transport's read side is likewise multiplexed onto one
-// epoll reactor goroutine per channel. The channel is also self-healing:
-// joins tolerate unreachable peers, writers bound frame writes with a
-// deadline and drop peers that exceed it, and a per-channel reconnect
-// supervisor heartbeats the registry and re-dials missing peers with
-// exponential backoff and jitter, so the mesh converges again after peer
-// crashes, partitions, or a registry restart without any manual
-// RefreshPeers call.
+// rather than a write deadline, and an idle peer costs no writer goroutine.
+// The channel is also self-healing: joins tolerate unreachable peers,
+// writers bound frame writes with a deadline and drop peers that exceed it,
+// and a per-channel reconnect supervisor heartbeats the registry and
+// re-dials missing peers with exponential backoff and jitter, so the mesh
+// converges again after peer crashes, partitions, or a registry restart
+// without any manual RefreshPeers call.
 //
 // Channels are flat full meshes by default: every member connects to every
 // other and a publish touches every peer directly. Options.Topology replaces
@@ -95,15 +95,15 @@ type DispatchMode int
 const (
 	// Polled queues events until Poll is called (the paper's d-mon model).
 	Polled DispatchMode = iota
-	// Immediate invokes handlers on the receiving goroutine.
-	Immediate
-	// EventDriven invokes handlers on frame receipt, on a dedicated
-	// per-channel dispatcher goroutine. Unlike Immediate, dispatch is
-	// serialized (one handler call at a time regardless of how many peer
-	// connections feed the channel) and backpressured: a slow handler fills
-	// the inbox, which blocks the receiving goroutine, which stops reading
-	// from the socket — so pressure propagates to the publisher's outbox and
-	// surfaces as publisher-side QueueDrops instead of silent local drops.
+	// EventDriven invokes handlers on frame receipt, in place on the
+	// connection's reader goroutine. Dispatch is serialized (one handler
+	// call at a time regardless of how many peer connections feed the
+	// channel) and backpressured: a slow handler stops its connection's
+	// reads, so pressure propagates through the socket to the publisher's
+	// outbox and surfaces as publisher-side QueueDrops instead of local
+	// drops. On an interior relay that reader also forwards: a record is
+	// forwarded before its handlers run, but the records behind it wait out
+	// the handler — keep relay handlers short, or the relay Polled.
 	EventDriven
 )
 
@@ -112,8 +112,6 @@ func (m DispatchMode) String() string {
 	switch m {
 	case Polled:
 		return "poll"
-	case Immediate:
-		return "immediate"
 	case EventDriven:
 		return "event"
 	}
@@ -125,23 +123,21 @@ func ParseDispatchMode(s string) (DispatchMode, error) {
 	switch s {
 	case "", "poll", "polled":
 		return Polled, nil
-	case "immediate":
-		return Immediate, nil
-	case "event", "event-driven", "eventdriven":
+	case "event", "event-driven", "eventdriven", "immediate":
 		return EventDriven, nil
 	}
-	return 0, fmt.Errorf("kecho: unknown dispatch mode %q (want poll, event, or immediate)", s)
+	return 0, fmt.Errorf("kecho: unknown dispatch mode %q (want poll or event)", s)
 }
 
 // Event is one message delivered on a channel.
 //
 // Ownership: Payload is loaned to handlers for the duration of the handler
 // call. In Polled mode it points into a pooled buffer the channel recycles
-// as soon as every handler for the event has returned; in Immediate mode it
-// aliases the connection's receive buffer, reused by the next frame. Either
-// way, a handler that needs the bytes past its own return must copy them
-// (CopyPayload); retaining Payload itself observes whatever event recycles
-// the buffer next. See DESIGN.md §8.
+// as soon as every handler for the event has returned; in EventDriven mode
+// it aliases the connection's receive buffer, reused by the next frame.
+// Either way, a handler that needs the bytes past its own return must copy
+// them (CopyPayload); retaining Payload itself observes whatever event
+// recycles the buffer next. See DESIGN.md §8.
 type Event struct {
 	// Channel is the channel name the event arrived on.
 	Channel string
@@ -219,14 +215,18 @@ type Stats struct {
 	// copies arriving over redundant transient paths during re-parenting.
 	// Suppressed records are neither delivered nor forwarded.
 	RelayDups uint64
+	// Malformed counts peer connections dropped because a batch frame or an
+	// event record on them failed to decode (the supervisor re-dials).
+	Malformed uint64
 }
 
 // Options tunes channel behaviour; the zero value gives a polled channel
 // with the default inbox size and self-healing enabled.
 type Options struct {
-	// Dispatch selects polled (default) or immediate handler dispatch.
+	// Dispatch selects polled (default) or event-driven handler dispatch.
 	Dispatch DispatchMode
-	// InboxSize bounds the polled-event queue; 0 means 4096.
+	// InboxSize bounds the polled-event queue; 0 means 4096. EventDriven
+	// channels have no inbox.
 	InboxSize int
 	// Transport provides listen/dial; nil uses plain TCP.
 	Transport Transport
@@ -344,13 +344,6 @@ type Channel struct {
 	// ring schedules peers with non-empty outboxes onto the reactor writer
 	// pool; see writer.go for the queue-ownership protocol.
 	ring *readyRing
-	// rr multiplexes the read side of default-transport conns onto one
-	// epoll goroutine (Linux); nil means every conn gets a fallback reader.
-	rr *readReactor
-	// fallbackReaders counts live per-conn reader goroutines — conns the
-	// read reactor could not adopt (wrapped transports, non-Linux). The
-	// goroutine-census test bounds total goroutines by writers + this.
-	fallbackReaders atomic.Int32
 
 	// topo, maxHops and role configure the overlay (Options.Topology /
 	// Options.Role); topo == nil is the flat mesh and every relay branch on
@@ -368,10 +361,16 @@ type Channel struct {
 	peers    map[string]*peer
 	handlers []Handler
 	closed   bool
+	// greeting holds accepted connections whose hello frame has not arrived
+	// yet — owned by a reader but not yet a peer — so Close can reach them.
+	greeting map[net.Conn]struct{}
 
-	inbox chan Event
-	seq   atomic.Uint64
-	stop  chan struct{}
+	// inbox queues received events for Poll; nil in EventDriven mode, where
+	// readers run the handlers in place under dispatchMu instead.
+	inbox      chan Event
+	dispatchMu sync.Mutex
+	seq        atomic.Uint64
+	stop       chan struct{}
 
 	// payloadFree recycles inbox payload buffers: receiveEvent copies a
 	// polled event's body into a buffer popped from here, and Poll pushes it
@@ -400,6 +399,7 @@ type Channel struct {
 	batchesSent   *atomic.Uint64
 	relayed       *atomic.Uint64
 	relayDups     *atomic.Uint64
+	malformed     *atomic.Uint64
 
 	// obs collects latency histograms and trace spans; nil disables
 	// observation (Options.Observer).
@@ -468,7 +468,10 @@ func (r *outRecord) release() {
 type peer struct {
 	id   string
 	conn net.Conn
-	wmu  sync.Mutex
+	// dialed is true when this member opened conn, false when it accepted it;
+	// addPeerLocked settles a cross-dial on it.
+	dialed bool
+	wmu    sync.Mutex
 	// outbox queues encoded event records for the peer's writer goroutine;
 	// Submit enqueues without blocking and never closes it. Records are
 	// refcounted: the writer releases its reference once the record is
@@ -490,9 +493,6 @@ type peer struct {
 	// carry holds a record that would have overflowed the previous batch
 	// frame; it opens the next batch. Owned by whoever holds scheduled.
 	carry *outRecord
-	// rfd is the conn's file descriptor while registered with the read
-	// reactor (written once at registration, before any concurrent reader).
-	rfd int
 }
 
 // close tears the peer down: closes the connection and wakes the writer.
@@ -541,10 +541,6 @@ func Join(reg *registry.Client, channelName, memberID string, opts *Options) (*C
 	if opts == nil {
 		opts = &Options{}
 	}
-	inboxSize := opts.InboxSize
-	if inboxSize == 0 {
-		inboxSize = defaultInboxSize
-	}
 	transport := opts.Transport
 	if transport == nil {
 		transport = tcpTransport{}
@@ -568,8 +564,15 @@ func Join(reg *registry.Client, channelName, memberID string, opts *Options) (*C
 		dialTimeout:   opts.DialTimeout,
 		writeDeadline: opts.WriteDeadline,
 		peers:         make(map[string]*peer),
-		inbox:         make(chan Event, inboxSize),
+		greeting:      make(map[net.Conn]struct{}),
 		stop:          make(chan struct{}),
+	}
+	if opts.Dispatch == Polled {
+		inboxSize := opts.InboxSize
+		if inboxSize == 0 {
+			inboxSize = defaultInboxSize
+		}
+		c.inbox = make(chan Event, inboxSize)
 	}
 	if c.dialTimeout == 0 {
 		c.dialTimeout = defaultDialTimeout
@@ -609,22 +612,11 @@ func Join(reg *registry.Client, channelName, memberID string, opts *Options) (*C
 		roster := append(peers, registry.Member{ID: memberID, Addr: ln.Addr().String(), Role: c.role})
 		peers = c.topo.Neighbors(memberID, roster)
 	}
-	// The machinery must be running before the first peer attaches: the
-	// read reactor adopts conns as dialPeer/acceptLoop add them, and the
-	// writer pool drains outboxes the moment a producer schedules a peer.
-	// Only the default transport's conns expose raw fds the reactor may
-	// read; wrapped transports (faultnet) intercept Read on their own conn
-	// types, so their peers keep per-conn reader goroutines.
-	if opts.Transport == nil {
-		c.rr = startReadReactor(c)
-	}
+	// The writer pool must be running before the first peer attaches: it
+	// drains outboxes the moment a producer schedules a peer.
 	for i := 0; i < c.writers; i++ {
 		c.wg.Add(1)
 		go c.writerLoop()
-	}
-	if opts.Dispatch == EventDriven {
-		c.wg.Add(1)
-		go c.dispatchLoop()
 	}
 	for _, m := range peers {
 		if err := c.dialPeer(m); err != nil {
@@ -667,6 +659,7 @@ func (c *Channel) registerMetrics(mreg *metrics.Registry) {
 	c.batchesSent = mreg.Counter("channel", c.name, "batches_sent")
 	c.relayed = mreg.Counter("channel", c.name, "relayed")
 	c.relayDups = mreg.Counter("channel", c.name, "relay_dups")
+	c.malformed = mreg.Counter("channel", c.name, "malformed")
 }
 
 // Name returns the channel name.
@@ -691,8 +684,10 @@ func (c *Channel) Peers() []string {
 }
 
 // Subscribe registers a handler for incoming events. Handlers run on the
-// Poll caller's goroutine (Polled mode) or the receiver goroutine
-// (Immediate mode).
+// Poll caller's goroutine (Polled mode) or, one at a time, on the receiving
+// connection's reader goroutine (EventDriven mode). An EventDriven handler
+// may Publish on its own channel, but blocking in it stops that connection's
+// reads, and Close waits for it to return.
 func (c *Channel) Subscribe(h Handler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -720,6 +715,7 @@ func (c *Channel) Stats() Stats {
 		BatchesSent:   c.batchesSent.Load(),
 		Relayed:       c.relayed.Load(),
 		RelayDups:     c.relayDups.Load(),
+		Malformed:     c.malformed.Load(),
 	}
 }
 
@@ -772,6 +768,7 @@ func (c *Channel) dialPeer(m registry.Member) error {
 		return err
 	}
 	p := c.newPeer(m.ID, conn)
+	p.dialed = true
 	hello := wire.NewEncoder(64)
 	hello.String(c.name)
 	hello.String(c.id)
@@ -779,47 +776,44 @@ func (c *Channel) dialPeer(m registry.Member) error {
 		conn.Close()
 		return err
 	}
-	c.addPeer(p)
+	c.mu.Lock()
+	added := c.addPeerLocked(p)
+	if added {
+		c.wg.Add(1) // the reader's; under c.mu so Close's wait cannot miss it
+	}
+	c.mu.Unlock()
+	if added {
+		go c.readLoop(conn, p)
+	}
 	return nil
 }
 
-// addPeer registers p and starts its read side, replacing (and closing) any
-// previous connection with the same peer ID. The write side needs no
-// per-peer start: the shared writer pool services p once a producer
-// schedules it.
-func (c *Channel) addPeer(p *peer) {
-	c.mu.Lock()
+// addPeerLocked registers p as the connection to member p.id and reports
+// whether it did; if not — the channel has closed, or p lost a cross-dial —
+// p is closed. The caller holds c.mu. The write side needs no per-peer
+// start: the shared writer pool services p once a producer schedules it.
+//
+// A member already connected is normally replaced: the end that opened the
+// old connection has opened a new one, so it has given up on the old. But
+// when each end opened one of the two (both dialed at once), "newest wins"
+// has each end keep the connection the other closes; both ends then keep
+// the one the lower member ID dialed. The cost: a restarted higher-ID member
+// is refused until this end has seen its old connection to it die, and the
+// supervisor's next round gets through (DESIGN.md §13).
+func (c *Channel) addPeerLocked(p *peer) bool {
 	if c.closed {
-		c.mu.Unlock()
 		p.close()
-		return
+		return false
 	}
-	old, hadOld := c.peers[p.id]
-	if hadOld {
+	if old, ok := c.peers[p.id]; ok {
+		if old.dialed != p.dialed && old.dialed == (c.id < p.id) {
+			p.close()
+			return false
+		}
 		old.close()
 	}
 	c.peers[p.id] = p
-	c.mu.Unlock()
-	if hadOld && c.rr != nil {
-		// Unregister the replaced conn promptly; its fd is closed and may be
-		// reused by the very conn being added.
-		c.rr.forget(old)
-	}
-	c.startReader(p)
-}
-
-// startReader hands p's conn to the read reactor, or falls back to a
-// dedicated reader goroutine when the reactor cannot adopt it.
-func (c *Channel) startReader(p *peer) {
-	if c.rr != nil && c.rr.register(p) {
-		return
-	}
-	c.fallbackReaders.Add(1)
-	c.wg.Add(1)
-	go func() {
-		defer c.fallbackReaders.Add(-1)
-		c.readLoop(p)
-	}()
+	return true
 }
 
 // dropRecord discards one event that was accepted for peer p but will never
@@ -838,9 +832,6 @@ func (c *Channel) removePeer(p *peer) {
 	}
 	c.mu.Unlock()
 	p.close()
-	if c.rr != nil {
-		c.rr.forget(p)
-	}
 	// Account everything still queued as dropped. The scheduled token
 	// arbitrates: if a writer holds it, that writer's own exit path drains;
 	// otherwise this CAS adopts the peer (permanently — the token is never
@@ -852,6 +843,9 @@ func (c *Channel) removePeer(p *peer) {
 	}
 }
 
+// acceptLoop hands every accepted connection to a reader at once: the
+// reader owns the conn from its first byte, so a dialer that never sends its
+// hello holds up one goroutine for DialTimeout, not the accepts behind it.
 func (c *Channel) acceptLoop() {
 	defer c.wg.Done()
 	for {
@@ -859,40 +853,70 @@ func (c *Channel) acceptLoop() {
 		if err != nil {
 			return
 		}
-		// The hello frame identifies the dialing member.
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil || typ != frameHello {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
 			conn.Close()
-			continue
+			return
 		}
-		d := wire.NewDecoder(payload)
-		chName := d.String()
-		peerID := d.String()
-		if d.Finish() != nil || chName != c.name || peerID == "" {
-			conn.Close()
-			continue
-		}
-		c.addPeer(c.newPeer(peerID, conn))
+		c.greeting[conn] = struct{}{}
+		c.wg.Add(1)
+		c.mu.Unlock()
+		go c.readLoop(conn, nil)
 	}
 }
 
-// readLoop is the fallback reader for conns the read reactor cannot adopt:
-// it drains peer p's connection with a blocking FrameReader. It owns a
-// single receive buffer reused across frames, and a batch scratch reused
-// across batch frames, so the steady-state receive path — read frame,
-// unpack batch, decode records, dispatch — performs no allocation.
-func (c *Channel) readLoop(p *peer) {
+// readLoop is the one reader of peer connections — dialed or accepted, on
+// every transport: a goroutine parked in the runtime netpoller, draining
+// conn with a FrameReader. It owns a single receive buffer reused across
+// frames, and a batch scratch reused across batch frames, so the
+// steady-state receive path — read frame, unpack batch, decode records,
+// dispatch — performs no allocation. p is nil for an accepted conn, whose
+// first frame must be the dialer's hello, within DialTimeout. A frame or
+// record that fails to decode tears the peer down (the supervisor re-dials).
+func (c *Channel) readLoop(conn net.Conn, p *peer) {
 	defer c.wg.Done()
+	fr := wire.NewFrameReader(conn)
+	if p == nil {
+		// Best effort: a conn that cannot take a deadline still ends at Close.
+		_ = conn.SetReadDeadline(time.Now().Add(c.dialTimeout))
+		if typ, payload, err := fr.Next(); err == nil {
+			p = c.acceptHello(conn, typ, payload)
+		}
+		_ = conn.SetReadDeadline(time.Time{})
+		c.mu.Lock()
+		delete(c.greeting, conn) // from here on p, or nobody, answers for conn
+		added := p != nil && c.addPeerLocked(p)
+		c.mu.Unlock()
+		if !added {
+			conn.Close() // again, if addPeerLocked refused p: harmless
+			return
+		}
+	}
 	defer c.removePeer(p)
-	fr := wire.NewFrameReader(p.conn)
 	var batch [][]byte // zero-copy views into the frame reader's buffer
 	for {
 		typ, payload, err := fr.Next()
 		if err != nil {
 			return
 		}
-		batch = c.handleFrame(p, typ, payload, batch)
+		if batch, err = c.handleFrame(p, typ, payload, batch); err != nil {
+			c.malformed.Add(1)
+			return
+		}
 	}
+}
+
+// acceptHello decodes the hello frame that identifies the dialing member,
+// returning nil if the frame is not a hello for this channel.
+func (c *Channel) acceptHello(conn net.Conn, typ uint8, payload []byte) *peer {
+	d := wire.NewDecoder(payload)
+	chName := d.String()
+	peerID := d.String()
+	if typ != frameHello || d.Finish() != nil || chName != c.name || peerID == "" {
+		return nil
+	}
+	return c.newPeer(peerID, conn)
 }
 
 // handleFrame delivers one received frame: a single event directly, a batch
@@ -900,22 +924,26 @@ func (c *Channel) readLoop(p *peer) {
 // or not the sender's writer coalesced. The decoded records are subslices of
 // payload; they are consumed (dispatched or copied into pooled inbox
 // buffers) before the caller reuses its receive buffer. batch is the
-// caller's decode scratch, returned (possibly grown) for reuse.
-func (c *Channel) handleFrame(p *peer, typ uint8, payload []byte, batch [][]byte) [][]byte {
+// caller's decode scratch, returned (possibly grown) for reuse. An error
+// means the batch or a record in it was malformed; records ahead of the bad
+// one have been delivered.
+func (c *Channel) handleFrame(p *peer, typ uint8, payload []byte, batch [][]byte) ([][]byte, error) {
 	switch typ {
 	case frameEvent:
-		c.receiveEvent(p, payload)
+		return batch, c.receiveEvent(p, payload)
 	case frameBatch:
-		dec, derr := wire.DecodeBatchInto(batch[:0], payload)
-		if derr != nil {
-			return batch
+		dec, err := wire.DecodeBatchInto(batch[:0], payload)
+		if err != nil {
+			return batch, err
 		}
 		for _, rec := range dec {
-			c.receiveEvent(p, rec)
+			if err := c.receiveEvent(p, rec); err != nil {
+				return dec, err
+			}
 		}
-		return dec
+		return dec, nil
 	}
-	return batch
+	return batch, nil
 }
 
 // internFrom returns the publisher ID for a decoded from field without
@@ -929,12 +957,13 @@ func (c *Channel) internFrom(p *peer, from []byte) string {
 	return string(from)
 }
 
-// receiveEvent decodes one event record and delivers it (inbox or immediate
-// dispatch, per the channel's mode). record aliases the connection's receive
-// buffer: immediate dispatch hands the view straight to handlers (valid for
-// the handler call only), while polled delivery copies the body into a
-// recycled buffer that Poll returns to the freelist after dispatch.
-func (c *Channel) receiveEvent(p *peer, record []byte) {
+// receiveEvent decodes one event record and delivers it (inbox or in-place
+// dispatch, per the channel's mode), reporting a record that does not
+// decode. record aliases the connection's receive buffer: event-driven
+// dispatch hands the view straight to handlers (valid for the handler call
+// only), while polled delivery copies the body into a recycled buffer that
+// Poll returns to the freelist after dispatch.
+func (c *Channel) receiveEvent(p *peer, record []byte) error {
 	recv := c.clk.Now()
 	d := wire.NewDecoder(record)
 	from := d.StringBytes()
@@ -953,8 +982,8 @@ func (c *Channel) receiveEvent(p *peer, record []byte) {
 		hops, hopped = d.HopExt()
 		tid, sendNs, traced = d.TraceExt()
 	}
-	if d.Finish() != nil {
-		return
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	fromID := ""
 	if c.topo != nil && hopped {
@@ -964,12 +993,12 @@ func (c *Channel) receiveEvent(p *peer, record []byte) {
 		// precede delivery and the receive counters — the overlay's
 		// contract is each record delivered at most once per member.
 		if string(from) == c.id {
-			return
+			return nil
 		}
 		origin, admit := c.relayAdmit(from, seq)
 		if !admit {
 			c.relayDups.Add(1)
-			return
+			return nil
 		}
 		fromID = origin
 		if int(hops)+1 <= c.maxHops {
@@ -1000,32 +1029,27 @@ func (c *Channel) receiveEvent(p *peer, record []byte) {
 		Recv:    recv,
 		TraceID: tid,
 	}
-	if c.opts.Dispatch == Immediate {
+	if c.inbox == nil {
+		// EventDriven: run the handlers here, one reader at a time. A slow
+		// handler is never dropped on: it stops this goroutine's socket
+		// reads, which fills the kernel buffers, stalls the publisher's
+		// writer, and backs its outbox up into QueueDrops — backpressure
+		// instead of local loss.
+		c.dispatchMu.Lock()
 		c.dispatch(ev)
-		return
+		c.dispatchMu.Unlock()
+		return nil
 	}
 	buf := c.getPayloadBuf(len(body))
 	ev.Payload = append(buf, body...)
 	ev.pooled = true
-	if c.opts.Dispatch == EventDriven {
-		// Queued-not-dropped: when the dispatcher falls behind, block the
-		// receiving goroutine. That stops socket reads, fills the kernel
-		// buffers, stalls the publisher's writer, and backs its outbox up
-		// into QueueDrops — backpressure instead of local loss.
-		select {
-		case c.inbox <- ev:
-		case <-c.stop:
-			c.dropped.Add(1)
-			c.putPayloadBuf(ev.Payload)
-		}
-		return
-	}
 	select {
 	case c.inbox <- ev:
 	default:
 		c.dropped.Add(1)
 		c.putPayloadBuf(ev.Payload)
 	}
+	return nil
 }
 
 // relayAdmit is the overlay dedup gate: it interns the record's origin ID
@@ -1142,13 +1166,10 @@ func (c *Channel) dispatch(ev Event) {
 // by a snapshot of the queue length, so a producer that keeps pace with the
 // consumer cannot live-lock the caller's poll tick: events arriving during
 // the drain wait for the next Poll. It mirrors d-mon's per-second socket
-// poll; meaningful only in Polled mode. In EventDriven mode the dispatcher
-// goroutine owns the inbox and Poll reports zero — callers may keep a poll
-// tick running unchanged when they flip modes.
+// poll; meaningful only in Polled mode. In EventDriven mode there is no
+// inbox and Poll reports zero — callers may keep a poll tick running
+// unchanged when they flip modes.
 func (c *Channel) Poll() int {
-	if c.opts.Dispatch == EventDriven {
-		return 0
-	}
 	n := 0
 	for max := len(c.inbox); n < max; {
 		select {
@@ -1167,38 +1188,9 @@ func (c *Channel) Poll() int {
 	return n
 }
 
-// Pending reports how many events are queued awaiting Poll (or, in
-// EventDriven mode, awaiting the dispatcher).
+// Pending reports how many events are queued awaiting Poll; always zero in
+// EventDriven mode.
 func (c *Channel) Pending() int { return len(c.inbox) }
-
-// dispatchLoop is the EventDriven dispatcher: one goroutine per channel
-// drains the inbox and runs the handlers, so dispatch is serialized by
-// construction no matter how many peer connections feed the channel. On
-// Close it finishes whatever is already queued, then exits.
-func (c *Channel) dispatchLoop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case ev := <-c.inbox:
-			c.dispatch(ev)
-			if ev.pooled {
-				c.putPayloadBuf(ev.Payload)
-			}
-		case <-c.stop:
-			for {
-				select {
-				case ev := <-c.inbox:
-					c.dispatch(ev)
-					if ev.pooled {
-						c.putPayloadBuf(ev.Payload)
-					}
-				default:
-					return
-				}
-			}
-		}
-	}
-}
 
 // encodeRecord encodes payload as one event record (publisher ID, sequence
 // number, body) into a pooled record holding a single reference — the
@@ -1565,6 +1557,9 @@ func (c *Channel) Close() error {
 	for _, p := range c.peers {
 		peers = append(peers, p)
 	}
+	for conn := range c.greeting {
+		conn.Close() // its reader fails the hello read and exits
+	}
 	c.mu.Unlock()
 
 	close(c.stop)
@@ -1575,16 +1570,9 @@ func (c *Channel) Close() error {
 	}
 	// Closing the ring lets the writers finish whatever is still queued
 	// (writes against just-closed conns fail fast and drain into QueueDrops)
-	// and exit; the read reactor is woken to exit, and its fds are closed
-	// only after wg.Wait proves nothing can still touch them.
+	// and exit; the readers exit on their closed conns.
 	c.ring.close()
-	if c.rr != nil {
-		c.rr.shutdown()
-	}
 	c.wg.Wait()
-	if c.rr != nil {
-		c.rr.closeFDs()
-	}
 	_ = c.reg.Leave(c.name, c.id)
 	return err
 }

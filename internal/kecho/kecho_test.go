@@ -142,28 +142,6 @@ func TestPolledEventsWaitForPoll(t *testing.T) {
 	}
 }
 
-func TestImmediateDispatch(t *testing.T) {
-	reg := newRegistry(t)
-	a := join(t, reg, "mon", "a", nil)
-	b := join(t, reg, "mon", "b", &Options{Dispatch: Immediate})
-	a.WaitForPeers(1, time.Second)
-	b.WaitForPeers(1, time.Second)
-
-	done := make(chan Event, 1)
-	b.Subscribe(func(ev Event) { done <- ev })
-	if _, err := a.Submit([]byte("now")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-done:
-		if string(ev.Payload) != "now" {
-			t.Fatalf("payload = %q", ev.Payload)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("immediate dispatch did not deliver without Poll")
-	}
-}
-
 func TestSubmitTo(t *testing.T) {
 	reg := newRegistry(t)
 	a := join(t, reg, "ctl", "a", nil)

@@ -76,7 +76,7 @@ func (l *deliveryLog) count(origin string, seq uint64) int {
 // supervisor rounds plus immediate dispatch so deliveries need no polling.
 func treeOpts(seed int64, branching int) *Options {
 	o := fastHeal(seed)
-	o.Dispatch = Immediate
+	o.Dispatch = EventDriven
 	o.Topology = overlay.RelayTree{Branching: branching}
 	o.Role = overlay.RoleRelay
 	return o
@@ -181,6 +181,67 @@ func TestRelayTreeFloodDelivery(t *testing.T) {
 	// most hops were relayed.
 	if relayedTotal == 0 {
 		t.Fatal("no member relayed anything; events cannot have traversed the tree")
+	}
+}
+
+// TestRelaySlowHandlerOnInterior pins what an EventDriven handler on an
+// interior relay costs its subtree, now that it runs in place on the reader
+// that also forwards: a record is forwarded before the relay's own handlers
+// see it, so a handler stuck on record k does not keep k from the children;
+// the records behind k wait in the socket — delayed by the handler, not
+// lost — and reach the children in order once it returns.
+func TestRelaySlowHandlerOnInterior(t *testing.T) {
+	reg := newRegistry(t)
+	// Sorted branching-2 tree: node0 is the root, node1 the interior relay
+	// under test, node3 its only child.
+	chans := make([]*Channel, 4)
+	for i := range chans {
+		chans[i] = join(t, reg, "mon", fmt.Sprintf("node%d", i), treeOpts(int64(i+1), 2))
+	}
+	root, interior, leaf := chans[0], chans[1], chans[3]
+	release := make(chan struct{})
+	var stuck sync.Once
+	interior.Subscribe(func(Event) {
+		stuck.Do(func() { <-release }) // the first event's handler hangs
+	})
+	var next atomic.Uint64 // highest seq the leaf has seen; must arrive in order
+	leaf.Subscribe(func(ev Event) {
+		if ev.From == "node0" && !next.CompareAndSwap(ev.Seq-1, ev.Seq) {
+			t.Errorf("leaf got seq %d after %d", ev.Seq, next.Load())
+		}
+	})
+	waitTreeConverged(t, chans, 5*time.Second)
+	waitSeq := func(want uint64, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for next.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: leaf at seq %d, want %d", what, next.Load(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	const n = 500 // fewer than an outbox holds: nothing may be dropped
+	if _, err := root.Submit([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	waitSeq(1, "interior's handler is stuck on the record it already forwarded")
+	for i := 1; i < n; i++ {
+		if _, err := root.Submit([]byte("behind")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := next.Load(); got != 1 {
+		t.Fatalf("leaf at seq %d while the interior's reader is stuck in a handler, want 1", got)
+	}
+	close(release)
+	waitSeq(n, "after the handler returned")
+	for _, c := range chans {
+		if s := c.Stats(); s.QueueDrops != 0 || s.Dropped != 0 || s.RelayDups != 0 {
+			t.Fatalf("%s: drops %d, inbox drops %d, relay dups %d; want none", c.id, s.QueueDrops, s.Dropped, s.RelayDups)
+		}
 	}
 }
 
@@ -402,7 +463,7 @@ func BenchmarkRelayForward(b *testing.B) {
 	mk := func(id string) *Channel {
 		cli := registry.NewClient(reg.Addr())
 		o := &Options{
-			Dispatch:         Immediate,
+			Dispatch:         EventDriven,
 			DisableReconnect: true,
 			Topology:         overlay.RelayTree{Branching: 2},
 			Role:             overlay.RoleRelay,

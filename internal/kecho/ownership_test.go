@@ -62,14 +62,11 @@ func TestRetainedPayloadObservesRecycling(t *testing.T) {
 
 // TestPayloadValidDuringHandlerCall pins the other half of the contract:
 // within the handler call the payload is always intact, for both dispatch
-// modes.
+// modes — a copy in a pooled buffer (Polled) or a view of the connection's
+// receive buffer (EventDriven).
 func TestPayloadValidDuringHandlerCall(t *testing.T) {
-	for _, mode := range []DispatchMode{Polled, Immediate} {
-		name := "polled"
-		if mode == Immediate {
-			name = "immediate"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range []DispatchMode{Polled, EventDriven} {
+		t.Run(mode.String(), func(t *testing.T) {
 			reg := newRegistry(t)
 			pub := join(t, reg, "own2", "pub", nil)
 			sub := join(t, reg, "own2", "sub", &Options{Dispatch: mode})

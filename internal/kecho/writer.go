@@ -8,8 +8,8 @@ import (
 
 // Reactor writers. A small fixed pool of writer goroutines (Options.Writers)
 // drains every peer's outbox, replacing the writer-goroutine-per-peer model:
-// an idle peer costs zero goroutines, and a busy relay drains many outboxes
-// per wake-up.
+// an idle peer costs zero writer goroutines, and a busy relay drains many
+// outboxes per wake-up.
 //
 // Queue ownership: peer.scheduled is the single token. A producer that
 // enqueues CASes it false→true and, on success, pushes the peer onto the

@@ -219,7 +219,12 @@ func (s *Series) Append(t int64, v float64) bool {
 	if s.head.summary.Count >= s.opts.ChunkSize {
 		sealed := s.head
 		s.sealed = append(s.sealed, sealed)
-		s.head = &Chunk{}
+		// Successive chunks of one series compress to about the same size:
+		// sizing the new head from the one just sealed (plus 1/16) spares
+		// the append-doubling that otherwise leaves twice the chunk's final
+		// size in garbage and up to half its capacity unused.
+		n := sealed.Bytes()
+		s.head = &Chunk{w: bitWriter{buf: make([]byte, 0, n+n/16)}}
 		if s.onSeal != nil {
 			s.onSeal(sealed)
 		}
@@ -302,7 +307,11 @@ func (s *Series) evict(now int64) {
 		i++
 	}
 	if i > 0 {
-		s.sealed = append(s.sealed[:0:0], s.sealed[i:]...)
+		// Shift down in place: in steady state every seal evicts, and a
+		// fresh slice per eviction would be a fresh slice per chunk.
+		n := copy(s.sealed, s.sealed[i:])
+		clear(s.sealed[n:])
+		s.sealed = s.sealed[:n]
 	}
 }
 

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,6 +83,39 @@ func TestSeriesRetentionEvictsSealedChunks(t *testing.T) {
 	// Count must agree with what Tail sees.
 	if len(pts) != s.Count() {
 		t.Fatalf("Tail(0) = %d points, Count = %d", len(pts), s.Count())
+	}
+}
+
+// TestSeriesSteadyStateGarbage pins what a sealed chunk costs once retention
+// is evicting: the Chunk and its buffer, sized from its predecessor — no
+// append-doubling of the head, no fresh sealed slice per eviction — and a
+// buffer that fits what it holds.
+func TestSeriesSteadyStateGarbage(t *testing.T) {
+	const chunk = DefaultChunkSize
+	s := NewSeries(Options{Retention: 4 * chunk * time.Second})
+	rng := rand.New(rand.NewSource(1))
+	next := int64(0)
+	appendChunk := func() {
+		for i := 0; i < chunk; i++ {
+			// A load average hovering around 2: a stationary signal, so
+			// successive chunks compress to within a few percent.
+			s.Append(next*sec, 2+float64(rng.Intn(17)-8)/8)
+			next++
+		}
+	}
+	for i := 0; i < 16; i++ {
+		appendChunk()
+	}
+	if got := testing.AllocsPerRun(32, appendChunk); got > 2 {
+		t.Fatalf("%.1f allocations per sealed chunk in steady state, want <= 2 (Chunk + buffer)", got)
+	}
+	if len(s.sealed) == 0 || len(s.sealed) > 5 {
+		t.Fatalf("%d sealed chunks retained, want 1..5", len(s.sealed))
+	}
+	for i, c := range s.sealed {
+		if n, m := len(c.w.buf), cap(c.w.buf); (m-n)*8 > m {
+			t.Fatalf("sealed chunk %d: len %d cap %d, more than 1/8 slack", i, n, m)
+		}
 	}
 }
 
