@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check figures bench benchpair allocgate sim-smoke
+.PHONY: build test race vet check figures bench benchpair allocgate fuzz sim-smoke
 
 build:
 	$(GO) build ./...
@@ -87,15 +87,29 @@ sim-smoke:
 	$(GO) run ./cmd/dprocsim examples/scenarios/relay-tree.toml
 
 # allocgate asserts the tracing-off hot path is still allocation-free: every
-# allocs/op figure from the baseline hot path, the observability-off variant
-# and the relay re-publish path (receive → dedup-admit → in-place hop rewrite
-# → downstream enqueue) must be exactly 0. This is the CI guard that neither
-# the self-observability layer nor the overlay can regress PR 4's
-# zero-allocation steady state.
+# allocs/op figure from the baseline hot path, the observability-off variant,
+# the relay re-publish path (receive → dedup-admit → in-place hop rewrite
+# → downstream enqueue) and the durable history ingest (Store.Update of a
+# 20-sample report: latest values, one WAL write, head chunks, full tiers)
+# must be exactly 0. This is the CI guard that neither the
+# self-observability layer nor the overlay can regress PR 4's
+# zero-allocation steady state, and that nothing on the report path goes
+# back to allocating per sample.
 allocgate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkHotPathObs$$/^off$$' -benchmem -benchtime 1000x . && \
-		$(GO) test -run '^$$' -bench '^BenchmarkRelayForward$$' -benchmem -benchtime 20000x ./internal/kecho/ ); \
+		$(GO) test -run '^$$' -bench '^BenchmarkRelayForward$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
+		$(GO) test -run '^$$' -bench '^BenchmarkStoreUpdateDurable$$' -benchmem -benchtime 20000x ./internal/dmon/ ); \
 	echo "$$out"; \
 	bad=$$(echo "$$out" | grep 'allocs/op' | awk '$$(NF-1) != 0'); \
 	if [ -n "$$bad" ]; then echo "allocgate: nonzero allocs/op:"; echo "$$bad"; exit 1; fi
+
+# fuzz gives each native fuzz target of the tsdb recovery scanners
+# (FuzzScanWALSegment, FuzzScanChunkFile: never panic, a tear only costs the
+# tail, what replays re-encodes to the bytes it was read from) a short
+# budget on top of its seed corpus — enough for CI to catch a scanner that
+# stopped tolerating garbage. go test takes one -fuzz target per run.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzScanWALSegment$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
+	$(GO) test -run '^$$' -fuzz '^FuzzScanChunkFile$$' -fuzztime $(FUZZTIME) ./internal/tsdb/

@@ -318,6 +318,7 @@ func TestFlushVerbDurableNode(t *testing.T) {
 	}
 	for _, want := range []string{
 		"tsdb wal_appends",
+		"tsdb wal_writes",
 		"tsdb wal_errors",
 		"tsdb recovery_records_replayed",
 		"tsdb recovery_records_truncated",

@@ -290,6 +290,8 @@ func (n *Node) registerPersistGauges() {
 	// Steady state: the WAL and chunk-file write side.
 	gauge("wal_appends", func(s dmon.PersistStats) uint64 { return s.WALAppends })
 	gauge("wal_bytes", func(s dmon.PersistStats) uint64 { return s.WALBytes })
+	// wal_appends / wal_writes is records per write: the report batching.
+	gauge("wal_writes", func(s dmon.PersistStats) uint64 { return s.WALWrites })
 	gauge("wal_errors", func(s dmon.PersistStats) uint64 { return s.WALErrors })
 	gauge("fsyncs", func(s dmon.PersistStats) uint64 { return s.Fsyncs })
 	gauge("wal_segments_sealed", func(s dmon.PersistStats) uint64 { return s.SegmentsSealed })

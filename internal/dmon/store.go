@@ -2,6 +2,7 @@ package dmon
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -38,8 +39,9 @@ type StoreOptions struct {
 	// write-ahead logged and sealed chunks persisted under this directory,
 	// and OpenStore recovers both on restart (see tsdb.Options.DataDir).
 	DataDir string
-	// FsyncEvery is the WAL fsync cadence in records (tsdb convention:
-	// 0 = every record, negative = never explicitly).
+	// FsyncEvery is the WAL fsync cadence in records, decided once per
+	// report (tsdb convention: 0 = every report, negative = never
+	// explicitly).
 	FsyncEvery int
 	// FS overrides the filesystem the persistence layer runs on (nil =
 	// the real one); tests inject faultnet's disk-fault injector here.
@@ -65,13 +67,28 @@ func (o StoreOptions) withDefaults() StoreOptions {
 // downsampling tiers and windowed aggregate queries, keyed
 // "<node>/<metric>".
 type Store struct {
-	mu      sync.RWMutex
-	opts    StoreOptions
-	data    map[string]map[metrics.ID]metrics.Sample
-	db      *tsdb.DB
-	lastRpt map[string]time.Time
-	reports map[string]uint64
+	mu    sync.RWMutex
+	opts  StoreOptions
+	nodes map[string]*nodeState
+	db    *tsdb.DB
 }
+
+// nodeState is everything the store holds for one reporting node outside
+// the tsdb: the latest sample per metric — an array indexed by metrics.ID
+// with a presence mask, not a map, because every report rewrites most of it
+// — the report bookkeeping, and the tsdb handle of each of the node's
+// series, resolved from "<node>/<metric>" once rather than per sample.
+// Forget drops the whole struct, handles included.
+type nodeState struct {
+	latest  [metrics.NumIDs]metrics.Sample
+	present uint32 // bit id: latest[id] is set
+	series  [metrics.NumIDs]tsdb.Ref
+	lastRpt time.Time
+	reports uint64
+}
+
+// Compile-time check that the presence mask has a bit per metric.
+var _ [32 - metrics.NumIDs]struct{}
 
 // NewStore returns an empty store with default options.
 func NewStore() *Store { return NewStoreWith(StoreOptions{}) }
@@ -104,13 +121,7 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{
-		opts:    opts,
-		data:    map[string]map[metrics.ID]metrics.Sample{},
-		db:      db,
-		lastRpt: map[string]time.Time{},
-		reports: map[string]uint64{},
-	}, nil
+	return &Store{opts: opts, nodes: map[string]*nodeState{}, db: db}, nil
 }
 
 // PersistStats re-exports the tsdb persistence counters so store users
@@ -150,29 +161,41 @@ func (s *Store) Options() StoreOptions { return s.opts }
 // queries).
 func (s *Store) TSDB() *tsdb.DB { return s.db }
 
-// Update folds one received report into the store. Samples whose
-// timestamps do not advance a series (replayed or reordered reports) keep
-// the latest-value map current but are not duplicated into history.
+// Update folds one received report into the store: the latest-value view
+// under the store's lock, then the history as one tsdb batch — one hold of
+// the tsdb lock and, on a durable store, one WAL write per report. Samples
+// whose timestamps do not advance a series (replayed or reordered reports)
+// keep the latest-value view current but are not duplicated into history.
 func (s *Store) Update(r *metrics.Report) {
+	var stack [metrics.NumIDs]tsdb.Entry // a report rarely carries an ID twice
+	batch := stack[:0]
 	s.mu.Lock()
-	nodeData, ok := s.data[r.Node]
+	n, ok := s.nodes[r.Node]
 	if !ok {
-		nodeData = map[metrics.ID]metrics.Sample{}
-		s.data[r.Node] = nodeData
+		n = &nodeState{}
+		s.nodes[r.Node] = n
 	}
-	for _, sample := range r.Samples {
-		nodeData[sample.ID] = sample
+	for i := range r.Samples {
+		sample := &r.Samples[i]
+		id := sample.ID
+		if !id.Valid() {
+			continue // DecodeReport refuses these; a hand-built report may not
+		}
+		if n.present&(1<<id) == 0 {
+			n.present |= 1 << id
+			n.series[id] = s.db.Ref(seriesKey(r.Node, id))
+		}
+		n.latest[id] = *sample
+		batch = append(batch, tsdb.Entry{Ref: n.series[id], T: sample.Time.UnixNano(), V: sample.Value})
 	}
-	if r.Time.After(s.lastRpt[r.Node]) {
-		s.lastRpt[r.Node] = r.Time
+	if r.Time.After(n.lastRpt) {
+		n.lastRpt = r.Time
 	}
-	s.reports[r.Node]++
+	n.reports++
 	s.mu.Unlock()
 	// The tsdb has its own lock; appending outside s.mu keeps readers of
-	// the latest-value map unblocked during chunk work.
-	for _, sample := range r.Samples {
-		s.db.Append(seriesKey(r.Node, sample.ID), sample.Time.UnixNano(), sample.Value)
-	}
+	// the latest-value view unblocked during chunk work.
+	s.db.AppendBatch(batch)
 }
 
 // History returns up to n retained samples for (node, metric), oldest
@@ -216,8 +239,11 @@ func (s *Store) Query(node, text string) (string, error) {
 func (s *Store) Get(node string, id metrics.ID) (metrics.Sample, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sample, ok := s.data[node][id]
-	return sample, ok
+	n := s.nodes[node]
+	if n == nil || !id.Valid() || n.present&(1<<id) == 0 {
+		return metrics.Sample{}, false
+	}
+	return n.latest[id], true
 }
 
 // Value returns just the value for (node, metric), with ok=false if absent.
@@ -230,23 +256,28 @@ func (s *Store) Value(node string, id metrics.ID) (float64, bool) {
 func (s *Store) Nodes() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.data))
-	for n := range s.data {
+	out := make([]string, 0, len(s.nodes))
+	for n := range s.nodes {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Metrics lists the metric IDs known for a node, sorted.
+// Metrics lists the metric IDs known for a node, ascending.
 func (s *Store) Metrics(node string) []metrics.ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]metrics.ID, 0, len(s.data[node]))
-	for id := range s.data[node] {
-		out = append(out, id)
+	var present uint32
+	if n := s.nodes[node]; n != nil {
+		present = n.present
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]metrics.ID, 0, bits.OnesCount32(present))
+	for id := metrics.ID(0); id < metrics.NumIDs; id++ {
+		if present&(1<<id) != 0 {
+			out = append(out, id)
+		}
+	}
 	return out
 }
 
@@ -255,15 +286,20 @@ func (s *Store) Metrics(node string) []metrics.ID {
 func (s *Store) LastReport(node string) (time.Time, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.lastRpt[node], s.reports[node]
+	if n := s.nodes[node]; n != nil {
+		return n.lastRpt, n.reports
+	}
+	return time.Time{}, 0
 }
 
-// Forget drops all state for a node (e.g. after it leaves the cluster).
+// Forget drops all state for a node (e.g. after it leaves the cluster):
+// its latest values, its series handles and, in the tsdb, its series. A
+// later Update for the same node starts from fresh series.
 func (s *Store) Forget(node string) {
 	s.mu.Lock()
-	delete(s.data, node)
-	delete(s.lastRpt, node)
-	delete(s.reports, node)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	delete(s.nodes, node)
+	// Under s.mu, so that no Update can take a handle on a series between
+	// the two and be left holding a dropped one.
 	s.db.DropPrefix(node + "/")
 }

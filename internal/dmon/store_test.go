@@ -1,7 +1,9 @@
 package dmon
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -254,5 +256,183 @@ func TestDurableStoreCrashRecovery(t *testing.T) {
 	}
 	if h := re.History("alan", metrics.LOADAVG, 0); len(h) != 7 {
 		t.Fatalf("recovered history length = %d, want 7", len(h))
+	}
+}
+
+// fullReport is a report carrying every metric, all stamped at seq seconds
+// past the epoch — what the history benchmark's origins send.
+func fullReport(node string, seq uint64, value float64) *metrics.Report {
+	r := reportAt(node, seq, value)
+	r.Samples = make([]metrics.Sample, metrics.NumIDs)
+	for id := range r.Samples {
+		r.Samples[id] = metrics.Sample{ID: metrics.ID(id), Value: value, Time: r.Time}
+	}
+	return r
+}
+
+// TestForgetThenUpdateRecreatesSeries: the store caches a tsdb handle per
+// (node, metric); Forget must not leave one behind that points at a dropped
+// series.
+func TestForgetThenUpdateRecreatesSeries(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		opts := StoreOptions{}
+		if durable {
+			opts.DataDir = t.TempDir()
+		}
+		s, err := OpenStore(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 10; i <= 15; i++ {
+			s.Update(fullReport("alan", uint64(i), float64(i)))
+		}
+		s.Forget("alan")
+		if _, ok := s.Get("alan", metrics.LOADAVG); ok || len(s.Metrics("alan")) != 0 || len(s.TSDB().Names()) != 0 {
+			t.Fatalf("durable=%v: state survived Forget: %v %v", durable, s.Metrics("alan"), s.TSDB().Names())
+		}
+		if last, n := s.LastReport("alan"); !last.IsZero() || n != 0 {
+			t.Fatalf("durable=%v: LastReport after Forget = %v, %d", durable, last, n)
+		}
+		// The node comes back, its clock behind where it left: a fresh series
+		// accepts what the old one would have rejected as stale.
+		s.Update(fullReport("alan", 3, 3))
+		s.Update(fullReport("alan", 4, 4))
+		for _, id := range []metrics.ID{metrics.LOADAVG, metrics.POWERDRAW} {
+			h := s.History("alan", id, 0)
+			if len(h) != 2 || h[0].Value != 3 || h[1].Value != 4 {
+				t.Fatalf("durable=%v: %s history after Forget+Update = %v, want the two new samples", durable, id, h)
+			}
+		}
+		if got := len(s.TSDB().Names()); got != int(metrics.NumIDs) {
+			t.Fatalf("durable=%v: %d series after Forget+Update, want %d", durable, got, metrics.NumIDs)
+		}
+		if st := s.TSDB().Stats(); st.Dropped != 0 {
+			t.Fatalf("durable=%v: %d samples rejected", durable, st.Dropped)
+		}
+		if v, ok := s.Value("alan", metrics.FREEMEM); !ok || v != 4 {
+			t.Fatalf("durable=%v: latest value = %v, %v", durable, v, ok)
+		}
+		if _, n := s.LastReport("alan"); n != 2 {
+			t.Fatalf("durable=%v: report count = %d, want 2", durable, n)
+		}
+		// A series dropped behind the store's back is recreated too.
+		s.TSDB().Drop("alan/loadavg")
+		s.Update(fullReport("alan", 5, 5))
+		if h := s.History("alan", metrics.LOADAVG, 0); len(h) != 1 || h[0].Value != 5 {
+			t.Fatalf("durable=%v: history after tsdb Drop = %v, want the one new sample", durable, h)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentUpdates runs Update for several nodes from several
+// goroutines beside readers and a Forget loop, for the race detector
+// (`make check`); the assertions are only what must hold however they
+// interleave.
+func TestConcurrentUpdates(t *testing.T) {
+	const writers, rounds = 4, 300
+	s, err := OpenStore(StoreOptions{DataDir: t.TempDir(), FsyncEvery: -1, ChunkSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			own, shared := fmt.Sprintf("node%d", w), "shared"
+			for i := 1; i <= rounds; i++ {
+				s.Update(fullReport(own, uint64(i), float64(i)))
+				s.Update(fullReport(shared, uint64(w*rounds+i), 1))
+				s.Update(fullReport("flapping", uint64(i), 1))
+			}
+		}(w)
+	}
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Forget("flapping")
+			s.Get("shared", metrics.LOADAVG)
+			s.Metrics("node0")
+			s.Nodes()
+			s.LastReport("node1")
+			s.History("node2", metrics.NETBW, 8)
+			_, _ = s.Query("shared", "max loadavg last 1m")
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	for w := 0; w < writers; w++ {
+		node := fmt.Sprintf("node%d", w)
+		for id := metrics.ID(0); id < metrics.NumIDs; id++ {
+			if h := s.History(node, id, rounds); len(h) != rounds || h[rounds-1].Value != rounds {
+				t.Fatalf("%s/%s: %d samples, want %d in order", node, id, len(h), rounds)
+			}
+		}
+		if _, n := s.LastReport(node); n != rounds {
+			t.Fatalf("%s: %d reports counted, want %d", node, n, rounds)
+		}
+	}
+	if _, n := s.LastReport("shared"); n != writers*rounds {
+		t.Fatalf("shared: %d reports counted, want %d", n, writers*rounds)
+	}
+	if e := s.PersistStats().WALErrors; e != 0 {
+		t.Fatalf("%d WAL errors", e)
+	}
+}
+
+// BenchmarkStoreUpdateDurable is the history ingest path of one node at
+// steady state: 16 origins in turn hand a durable store a report of every
+// metric, with both downsampling tiers full (the retention is short, so the
+// warm-up fills them) and sealed chunks evicted as fast as they are made.
+// `make allocgate` holds it at 0 allocs/op: what allocates is a head seal (a
+// chunk and its buffer per 256 samples per series) and a WAL segment's pin
+// list, a fraction of an allocation per report and nothing per sample.
+func BenchmarkStoreUpdateDurable(b *testing.B) {
+	const origins = 16
+	s, err := OpenStore(StoreOptions{DataDir: b.TempDir(), FsyncEvery: -1, Retention: 10 * time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	reports := make([]*metrics.Report, origins)
+	for o := range reports {
+		reports[o] = fullReport(fmt.Sprintf("origin%02d", o), 0, 0)
+	}
+	n := 0
+	update := func() {
+		r := reports[n%origins]
+		n++
+		r.Seq = uint64(n/origins + 1)
+		r.Time = clock.Epoch.Add(time.Duration(r.Seq) * time.Second)
+		for i := range r.Samples {
+			r.Samples[i].Value, r.Samples[i].Time = float64(n%97), r.Time
+		}
+		s.Update(r)
+	}
+	for i := 0; i < 600*origins; i++ { // ten minutes: 2.5x the 60s tier's retention
+		update()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update()
+	}
+	b.StopTimer()
+	if st := s.PersistStats(); st.WALErrors != 0 || st.WALAppends/st.WALWrites < uint64(metrics.NumIDs)-1 {
+		b.Fatalf("not one write per report: %+v", st)
 	}
 }

@@ -55,59 +55,107 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
+// Ref is a handle on one series of a DB: what a writer that appends to the
+// same series again and again (dmon.Store, per node and metric) holds
+// instead of the name, so the append path neither builds nor hashes a
+// string. The zero Ref is not valid; get one from DB.Ref. A Ref outlives a
+// Drop of its series: the next append through it finds — or recreates — the
+// series by name.
+type Ref struct{ s *Series }
+
+// Entry is one sample of a batch.
+type Entry struct {
+	Ref Ref
+	T   int64
+	V   float64
+}
+
+// Ref returns the handle of the named series, creating the series if
+// needed.
+func (db *DB) Ref(name string) Ref {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return Ref{db.getOrCreate(name)}
+}
+
 // Append adds a sample to the named series, creating it if needed. It
 // reports whether the sample was retained (false for non-increasing
-// timestamps, or after Close).
-//
-// On a durable DB the sample is WAL-logged before it reaches the head
-// chunk; with FsyncEvery == 1 (the default) it is fsync-durable before
-// Append returns. WAL write failures (disk full, torn device) are counted
-// in PersistStats.WALErrors and the sample is still retained in memory —
-// the store degrades to memory-only rather than dropping live monitoring
-// data.
+// timestamps, or after Close). It is AppendBatch for a batch of one.
 func (db *DB) Append(name string, t int64, v float64) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return false
 	}
-	s := db.getOrCreate(name)
-	if !s.accepts(t) {
-		s.dropped++
-		return false
-	}
-	if db.persist != nil {
-		db.persist.logAppend(name, t, floatBits(v))
-	}
-	return s.Append(t, v)
+	one := [1]Entry{{Ref{db.getOrCreate(name)}, t, v}}
+	return db.appendLocked(one[:]) == 1
 }
 
-// getOrCreate returns the named series, creating and (for a durable DB)
-// binding its seal hook. Caller holds db.mu.
+// AppendBatch adds the batch's samples in order, under one hold of the
+// lock, and returns how many were retained (a non-increasing timestamp is
+// rejected and counted in Stats.Dropped; after Close nothing is retained).
+//
+// On a durable DB the batch is the unit of logging: every sample that will
+// be retained is WAL-logged — all of them in one write — before any reaches
+// its head chunk, and with FsyncEvery == 1 (the default) the batch is
+// fsync-durable before AppendBatch returns. WAL write failures (disk full,
+// torn device) are counted in PersistStats.WALErrors and the samples are
+// still retained in memory — the store degrades to memory-only rather than
+// dropping live monitoring data.
+func (db *DB) AppendBatch(batch []Entry) int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return 0
+	}
+	return db.appendLocked(batch)
+}
+
+func (db *DB) appendLocked(batch []Entry) int {
+	p := db.persist
+	var persisted uint64
+	if p != nil {
+		persisted = p.stats.ChunksPersisted
+		for i := range batch {
+			e := &batch[i]
+			p.wal.stage(db.live(e.Ref), e.T, floatBits(e.V))
+		}
+		p.wal.commit()
+	}
+	retained := 0
+	for i := range batch {
+		e := &batch[i]
+		if db.live(e.Ref).Append(e.T, e.V) {
+			retained++
+		}
+	}
+	// Heads that sealed in this batch moved their series' watermarks: one
+	// pass retires whatever that unpinned.
+	if p != nil && p.stats.ChunksPersisted != persisted {
+		p.retire()
+	}
+	return retained
+}
+
+// live resolves a handle to its series, by name if it was dropped since the
+// handle was taken. Caller holds db.mu.
+func (db *DB) live(r Ref) *Series {
+	if r.s.gone {
+		return db.getOrCreate(r.s.name)
+	}
+	return r.s
+}
+
+// getOrCreate returns the named series, creating it (bound to the DB's
+// persister, if any) when needed. Caller holds db.mu.
 func (db *DB) getOrCreate(name string) *Series {
 	s, ok := db.series[name]
 	if !ok {
 		s = NewSeries(db.opts)
-		if db.persist != nil {
-			p := db.persist
-			s.onSeal = func(c *Chunk) { p.persistChunk(name, c) }
-		}
+		s.name, s.persist = name, db.persist
 		db.series[name] = s
 	}
 	return s
-}
-
-// replayAppend applies one recovered WAL record: no re-logging, and
-// already-covered records (chunk/WAL overlap) are skipped without counting
-// as drops. Called by recover with db.mu effectively exclusive (the DB is
-// not yet published).
-func (db *DB) replayAppend(name string, t int64, v uint64) bool {
-	return db.getOrCreate(name).appendReplay(t, floatFromBits(v))
-}
-
-// loadChunk restores one persisted chunk into the named series.
-func (db *DB) loadChunk(name string, sum Summary, data []byte) bool {
-	return db.getOrCreate(name).loadSealed(sum, data)
 }
 
 // Flush seals the active WAL segment — fsync, close, open the next — so
@@ -128,8 +176,7 @@ func (db *DB) Flush() error {
 			return err
 		}
 	}
-	w.dropSafe(db.persist.safeT)
-	db.persist.evictFiles()
+	db.persist.retire()
 	return nil
 }
 
@@ -212,7 +259,18 @@ func (db *DB) Scan(name string, from, to int64, fn func(Point)) {
 func (db *DB) Drop(name string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.series, name)
+	db.drop(name)
+}
+
+// drop removes the named series and voids what referred to it: handles
+// re-resolve by name, and the files its samples pinned are released. Handles
+// and pins may outlive the series by long, so what they keep reachable is
+// cut down to a tombstone.
+func (db *DB) drop(name string) {
+	if s, ok := db.series[name]; ok {
+		*s = Series{name: name, gone: true}
+		delete(db.series, name)
+	}
 }
 
 // DropPrefix removes every series whose name starts with prefix (how
@@ -222,7 +280,7 @@ func (db *DB) DropPrefix(prefix string) {
 	defer db.mu.Unlock()
 	for name := range db.series {
 		if strings.HasPrefix(name, prefix) {
-			delete(db.series, name)
+			db.drop(name)
 		}
 	}
 }

@@ -65,8 +65,9 @@ type PersistStats struct {
 	ChunksSkipped    uint64 // chunk records ignored (out of order)
 
 	// Steady state.
-	WALAppends        uint64
-	WALBytes          uint64
+	WALAppends        uint64 // sample records logged
+	WALBytes          uint64 // bytes of those records
+	WALWrites         uint64 // writes that carried them (one per batch)
 	WALErrors         uint64 // failed WAL/chunk writes (sample stays in memory)
 	Fsyncs            uint64
 	SegmentsSealed    uint64
@@ -80,9 +81,29 @@ type PersistStats struct {
 // chunkFileMeta is the in-memory handle on one sealed chunk file, enough
 // to decide retention deletion without re-reading it.
 type chunkFileMeta struct {
-	seq       uint64
-	name      string
-	seriesMax map[string]int64 // newest TMax per series in the file
+	seq  uint64
+	name string
+	pins []pin // newest TMax per series in the file
+}
+
+// durableState is what a durable DB keeps per series to decide which files
+// are still load-bearing. It lives on the Series, reached through the
+// handle the append already holds, so the write path looks nothing up by
+// name.
+type durableState struct {
+	seen      bool   // seenT is set
+	seenT     int64  // newest timestamp accepted: logged, or recovered
+	persisted int64  // newest chunk-persisted timestamp
+	walSeq    uint64 // newest WAL segment that lists the series in its pins
+	cwSeq     uint64 // chunk file that lists it, and at which index
+	cwPin     int
+}
+
+// sawT advances the newest accepted timestamp.
+func (d *durableState) sawT(t int64) {
+	if !d.seen || t > d.seenT {
+		d.seen, d.seenT = true, t
+	}
 }
 
 // persister owns a DB's on-disk state: the WAL and the chunk files. Like
@@ -101,16 +122,10 @@ type persister struct {
 	cwCount   uint32
 	cwMin     int64
 	cwMax     int64
-	cwSeries  map[string]int64
+	cwPins    []pin
 	cwScratch []byte
 
 	files []chunkFileMeta // sealed chunk files, ascending seq
-
-	// persisted is the newest chunk-persisted timestamp per series;
-	// lastSeen the newest appended timestamp. Together they bound which WAL
-	// segments are still load-bearing.
-	persisted map[string]int64
-	lastSeen  map[string]int64
 
 	stats PersistStats
 }
@@ -125,8 +140,6 @@ func newPersister(opts Options) *persister {
 		dir:            opts.DataDir,
 		retention:      opts.Retention.Nanoseconds(),
 		chunkFileBytes: opts.ChunkFileBytes,
-		persisted:      map[string]int64{},
-		lastSeen:       map[string]int64{},
 	}
 	p.wal = &wal{
 		fs:         opts.FS,
@@ -138,22 +151,12 @@ func newPersister(opts Options) *persister {
 	return p
 }
 
-// logAppend records one accepted sample in the WAL before it reaches the
-// head chunk. Write failures are counted, not propagated: the sample still
-// lands in memory and the store keeps serving, merely less durable.
-func (p *persister) logAppend(name string, t int64, vbits uint64) {
-	p.lastSeen[name] = t
-	if err := p.wal.append(name, t, vbits); err != nil {
-		p.stats.WALErrors++
-	}
-}
-
 // safeT is the watermark under which a series' samples no longer need the
 // WAL: persisted into a chunk file, or past the retention horizon.
-func (p *persister) safeT(series string) int64 {
-	safe := p.persisted[series]
+func (p *persister) safeT(s *Series) int64 {
+	safe := s.durable.persisted
 	if p.retention > 0 {
-		if cut := p.lastSeen[series] - p.retention; cut > safe {
+		if cut := s.durable.seenT - p.retention; cut > safe {
 			safe = cut
 		}
 	}
@@ -161,45 +164,74 @@ func (p *persister) safeT(series string) int64 {
 }
 
 // persistChunk appends one sealed chunk to the active chunk file and
-// advances the series watermark, then retires WAL segments and expired
-// chunk files that the new watermark unpins.
-func (p *persister) persistChunk(name string, c *Chunk) {
-	if err := p.writeChunkRecord(name, c); err != nil {
+// advances the series watermark. What the new watermark unpins is retired
+// by the caller's retire pass — one per batch, however many series sealed
+// in it.
+func (p *persister) persistChunk(s *Series, c *Chunk) {
+	if err := p.writeChunkRecord(s, c); err != nil {
 		p.stats.WALErrors++
 		return
 	}
-	sum := c.Summary()
-	if sum.TMax > p.persisted[name] {
-		p.persisted[name] = sum.TMax
+	if tmax := c.Summary().TMax; tmax > s.durable.persisted {
+		s.durable.persisted = tmax
 	}
-	p.wal.dropSafe(p.safeT)
-	p.evictFiles()
 	if p.chunkFileBytes > 0 && p.cwSize >= p.chunkFileBytes {
 		_ = p.sealChunkFile()
 	}
 }
 
+// retire deletes the WAL segments and expired chunk files that nothing
+// pins any more.
+func (p *persister) retire() {
+	p.wal.dropSafe(p.safeT)
+	for p.sealQuiet() {
+		p.wal.dropSafe(p.safeT)
+	}
+	p.evictFiles()
+}
+
+// sealQuiet is the quiet-series rule. Segments go oldest-first, and a series
+// pins a segment until its head seals or its own newest sample moves a
+// retention ahead — neither of which happens to a series that stopped
+// reporting (a node that left), so one such series would hold the oldest
+// segment, and with it the whole WAL, forever. Once the WAL has grown past
+// walQuietSegments closed segments and every series still pinning the oldest
+// has logged nothing in the newest walQuietSegments segments, those series'
+// heads are sealed early — in memory and, as short chunk records, on disk —
+// exactly what a clean close does to every head. A series that is merely
+// slower than its neighbours keeps its head: it shows up in a recent segment.
+// Reports whether any head was sealed.
+func (p *persister) sealQuiet() bool {
+	w := p.wal
+	if len(w.segments) <= walQuietSegments {
+		return false
+	}
+	oldest := w.segments[0].pins
+	for _, pn := range oldest {
+		if pn.holds(p.safeT) && pn.s.durable.walSeq+walQuietSegments > w.seq {
+			return false
+		}
+	}
+	sealed := false
+	for _, pn := range oldest {
+		if pn.holds(p.safeT) && pn.s.head.summary.Count > 0 {
+			pn.s.sealHead()
+			sealed = true
+		}
+	}
+	return sealed
+}
+
 // writeChunkRecord frames and writes one chunk record, opening the active
 // chunk file first if needed.
-func (p *persister) writeChunkRecord(name string, c *Chunk) error {
+func (p *persister) writeChunkRecord(s *Series, c *Chunk) error {
 	if p.cw == nil {
 		if err := p.openChunkFile(); err != nil {
 			return err
 		}
 	}
 	sum := c.Summary()
-	data := c.Data()
-	payload := 1 + 2 + len(name) + summaryEncLen + 4 + len(data)
-	buf := p.cwScratch[:0]
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
-	buf = append(buf, 0, 0, 0, 0)
-	buf = append(buf, recChunk)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	buf = appendSummary(buf, sum)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
-	buf = append(buf, data...)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
+	buf := appendChunkRecord(p.cwScratch[:0], s.name, sum, c.Data())
 	p.cwScratch = buf[:0]
 	n, err := p.cw.Write(buf)
 	p.cwSize += n
@@ -213,8 +245,11 @@ func (p *persister) writeChunkRecord(name string, c *Chunk) error {
 	if sum.TMax > p.cwMax {
 		p.cwMax = sum.TMax
 	}
-	if sum.TMax > p.cwSeries[name] {
-		p.cwSeries[name] = sum.TMax
+	if d := &s.durable; d.cwSeq != p.cwSeq {
+		d.cwSeq, d.cwPin = p.cwSeq, len(p.cwPins)
+		p.cwPins = append(p.cwPins, pin{s: s, maxT: sum.TMax})
+	} else if sum.TMax > p.cwPins[d.cwPin].maxT {
+		p.cwPins[d.cwPin].maxT = sum.TMax
 	}
 	p.stats.ChunksPersisted++
 	p.stats.ChunkBytes += uint64(len(buf))
@@ -237,7 +272,6 @@ func (p *persister) openChunkFile() error {
 	p.cwSize = chunkHdrLen
 	p.cwCount = 0
 	p.cwMin, p.cwMax = 0, 0
-	p.cwSeries = map[string]int64{}
 	return nil
 }
 
@@ -262,9 +296,9 @@ func (p *persister) sealChunkFile() error {
 	cerr := p.cw.Close()
 	p.cw = nil
 	p.files = append(p.files, chunkFileMeta{
-		seq: p.cwSeq, name: chunkFileName(p.dir, p.cwSeq), seriesMax: p.cwSeries,
+		seq: p.cwSeq, name: chunkFileName(p.dir, p.cwSeq), pins: p.cwPins,
 	})
-	p.cwSeries = nil
+	p.cwPins = nil
 	p.stats.ChunkFilesSealed++
 	for _, err := range []error{werr, serr, cerr} {
 		if err != nil {
@@ -280,31 +314,38 @@ func (p *persister) evictFiles() {
 	if p.retention <= 0 {
 		return
 	}
+	// A file is held while seenT-retention <= maxT; holds tests "< maxT".
+	horizon := func(s *Series) int64 { return s.durable.seenT - p.retention - 1 }
 	kept := p.files[:0]
 	blocked := false
 	for _, f := range p.files {
-		expired := !blocked
-		if expired {
-			for series, maxT := range f.seriesMax {
-				if p.lastSeen[series]-p.retention <= maxT {
-					expired = false
-					break
-				}
-			}
-		}
-		if !expired {
-			blocked = true // delete oldest-first only, keep the set contiguous
-			kept = append(kept, f)
+		// Delete oldest-first only, keep the set contiguous.
+		if !blocked && !pinned(f.pins, horizon) && p.fs.Remove(f.name) == nil {
+			p.stats.ChunkFilesDeleted++
 			continue
 		}
-		if err := p.fs.Remove(f.name); err == nil {
-			p.stats.ChunkFilesDeleted++
-		} else {
-			blocked = true
-			kept = append(kept, f)
-		}
+		blocked = true
+		kept = append(kept, f)
 	}
+	clear(p.files[len(kept):])
 	p.files = kept
+}
+
+// appendChunkRecord frames one chunk record onto buf — the only encoder of
+// the chunk payload above.
+func appendChunkRecord(buf []byte, name string, sum Summary, data []byte) []byte {
+	start := len(buf)
+	payload := 1 + 2 + len(name) + summaryEncLen + 4 + len(data)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
+	buf = append(buf, 0, 0, 0, 0) // CRC placeholder
+	buf = append(buf, recChunk)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
+	buf = append(buf, name...)
+	buf = appendSummary(buf, sum)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
+	buf = append(buf, data...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+recOverhead:]))
+	return buf
 }
 
 func appendSummary(buf []byte, s Summary) []byte {
@@ -425,21 +466,24 @@ func (p *persister) recover(db *DB) error {
 			return fmt.Errorf("tsdb: reading %s: %w", fname, err)
 		}
 		seriesMax := scanChunkFile(buf, &p.stats, func(r chunkRecord) {
-			if db.loadChunk(r.name, r.sum, r.data) {
+			s := db.getOrCreate(r.name)
+			if s.loadSealed(r.sum, r.data) {
 				p.stats.ChunksLoaded++
-				if r.sum.TMax > p.persisted[r.name] {
-					p.persisted[r.name] = r.sum.TMax
+				if r.sum.TMax > s.durable.persisted {
+					s.durable.persisted = r.sum.TMax
 				}
-				if r.sum.TMax > p.lastSeen[r.name] {
-					p.lastSeen[r.name] = r.sum.TMax
-				}
+				s.durable.sawT(r.sum.TMax)
 			} else {
 				p.stats.ChunksSkipped++
 			}
 		})
 		p.stats.ChunkFilesLoaded++
 		seq := fileSeq(fname)
-		p.files = append(p.files, chunkFileMeta{seq: seq, name: full, seriesMax: seriesMax})
+		pins := make([]pin, 0, len(seriesMax))
+		for name, maxT := range seriesMax {
+			pins = append(pins, pin{s: db.series[name], maxT: maxT}) // the scan created it
+		}
+		p.files = append(p.files, chunkFileMeta{seq: seq, name: full, pins: pins})
 		if seq > p.cwSeq {
 			p.cwSeq = seq
 		}
@@ -452,21 +496,22 @@ func (p *persister) recover(db *DB) error {
 		if err != nil {
 			return fmt.Errorf("tsdb: reading %s: %w", fname, err)
 		}
-		meta := walSegmentMeta{seq: fileSeq(fname), name: full, seriesMax: map[string]int64{}}
+		// Replay goes through the wal's own pin bookkeeping, as if the
+		// segment were the active one being closed.
+		p.wal.seq = fileSeq(fname)
 		scanWALSegment(buf, &p.stats, func(r walRecord) {
-			if db.replayAppend(r.name, r.t, r.v) {
-				if r.t > meta.seriesMax[r.name] {
-					meta.seriesMax[r.name] = r.t
-				}
-				if r.t > p.lastSeen[r.name] {
-					p.lastSeen[r.name] = r.t
-				}
+			// No re-logging, and already-covered records (chunk/WAL
+			// overlap) are skipped without counting as drops.
+			s := db.getOrCreate(r.name)
+			if s.appendReplay(r.t, floatFromBits(r.v)) {
+				s.durable.sawT(r.t)
+				p.wal.touch(s)
 			}
 		})
 		p.stats.SegmentsReplayed++
-		p.wal.segments = append(p.wal.segments, meta)
-		if meta.seq > walSeq {
-			walSeq = meta.seq
+		p.wal.closeSegment(full)
+		if p.wal.seq > walSeq {
+			walSeq = p.wal.seq
 		}
 	}
 
@@ -479,8 +524,7 @@ func (p *persister) recover(db *DB) error {
 	}
 	// Replay may have sealed chunks into the active chunk file; segments
 	// and expired files those seals unpinned can go now.
-	p.wal.dropSafe(p.safeT)
-	p.evictFiles()
+	p.retire()
 	return nil
 }
 
@@ -501,7 +545,7 @@ func (p *persister) close(series map[string]*Series) error {
 		if s.head.summary.Count == 0 {
 			continue
 		}
-		if err := p.writeChunkRecord(name, s.head); err != nil && firstErr == nil {
+		if err := p.writeChunkRecord(s, s.head); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

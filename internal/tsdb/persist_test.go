@@ -412,14 +412,16 @@ func TestFlushSealsActiveSegment(t *testing.T) {
 }
 
 // TestPersistenceAddsNoSteadyStateAllocs pins the PR 4 discipline on the
-// new write path: WAL append runs on pooled scratch, so a durable store
-// allocates no more per append than the memory-only store (whose only
-// allocations are the amortized chunk-buffer growth both share).
+// write path: the WAL stages batches in a reused buffer and keeps its
+// bookkeeping on the series, so a durable store allocates no more per
+// append than the memory-only store (whose only allocations are the
+// amortized chunk-buffer growth both share) — one sample at a time, and a
+// report's worth of series per batch with the default tiers full.
 func TestPersistenceAddsNoSteadyStateAllocs(t *testing.T) {
 	const warm = 2000
-	run := func(db *tsdb.DB) float64 {
+	step := int64(time.Second)
+	single := func(db *tsdb.DB) float64 {
 		ts := int64(0)
-		step := int64(time.Second)
 		for i := 0; i < warm; i++ {
 			db.Append(testSeries, ts, 1.5)
 			ts += step
@@ -429,9 +431,50 @@ func TestPersistenceAddsNoSteadyStateAllocs(t *testing.T) {
 			ts += step
 		})
 	}
-	mem := run(tsdb.NewDB(tsdb.Options{}))
-	durable := run(mustOpen(t, tsdb.Options{DataDir: t.TempDir(), FsyncEvery: 64}))
+	mem := single(tsdb.NewDB(tsdb.Options{}))
+	durable := single(mustOpen(t, tsdb.Options{DataDir: t.TempDir(), FsyncEvery: 64}))
 	if durable > mem+0.01 {
 		t.Fatalf("durable append allocates: %.3f allocs/op vs %.3f memory-only", durable, mem)
+	}
+
+	// Batches of 20 series. The retention is short so that both tiers fill
+	// and wrap inside the warm-up; every batch closes buckets, and sealed
+	// chunks are evicted as fast as they are made.
+	const width = 20
+	tiers := tsdb.DefaultTiers(10 * time.Second)
+	batched := func(db *tsdb.DB) float64 {
+		batch := reportBatch(db, width, 0, 1.5)
+		ts := int64(0)
+		round := func() {
+			ts += step
+			for i := range batch {
+				batch[i].T = ts
+			}
+			db.AppendBatch(batch)
+		}
+		for i := 0; i < warm; i++ {
+			round()
+		}
+		// AllocsPerRun rounds down to whole allocations per run: count over
+		// one run of many batches to see fractions.
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < 2000; i++ {
+				round()
+			}
+		}) / 2000
+	}
+	mem = batched(tsdb.NewDB(tsdb.Options{Retention: 10 * time.Second, Tiers: tiers}))
+	durable = batched(mustOpen(t, tsdb.Options{
+		DataDir: t.TempDir(), FsyncEvery: -1, Retention: 10 * time.Second, Tiers: tiers,
+	}))
+	// Memory-only, a batch allocates only where a head seals (a chunk and
+	// its buffer per 256 samples per series); a durable one adds a pin list
+	// per WAL segment and nothing per sample.
+	t.Logf("allocs per batch of %d: memory-only %.3f, durable %.3f", width, mem, durable)
+	if mem > 2.0*width/256+0.01 {
+		t.Fatalf("memory-only batch of %d allocates %.3f times: something besides chunk seals", width, mem)
+	}
+	if durable > mem+0.05 {
+		t.Fatalf("durable batch allocates: %.3f allocs/op vs %.3f memory-only", durable, mem)
 	}
 }

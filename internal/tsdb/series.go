@@ -55,10 +55,13 @@ type Options struct {
 	// restart. Empty keeps the store memory-only. Only Open honors this;
 	// NewDB is always memory-only.
 	DataDir string
-	// FsyncEvery is the WAL fsync cadence in records: 1 (the default)
-	// makes every accepted append durable before it returns, N>1 trades a
-	// crash window of up to N-1 records for fewer fsyncs, and a negative
-	// value never fsyncs explicitly (durability at the OS's leisure).
+	// FsyncEvery is the WAL fsync cadence in records, decided once per
+	// batch (a batch is one Append, or one AppendBatch — for dmon.Store, one
+	// report): 1 (the default) makes every batch durable before it returns,
+	// N>1 fsyncs after the batch that brings the unsynced records to N or
+	// more — a crash window of up to N-1 acknowledged records for fewer
+	// fsyncs — and a negative value never fsyncs explicitly (durability at
+	// the OS's leisure).
 	FsyncEvery int
 	// WALSegmentBytes is the WAL segment rotation threshold
 	// (DefaultWALSegmentBytes when zero).
@@ -119,10 +122,18 @@ func (b *Bucket) observe(v float64) {
 // tier maintains one downsampling resolution. Buckets close when an
 // append crosses the bucket boundary — purely timestamp-driven, so tier
 // contents are a deterministic function of the appended samples.
+//
+// Closed buckets live in a ring: ring[(head+i)%len(ring)] for i < n,
+// oldest first. With a retention the ring has a hard capacity of
+// retention/interval + 2 slots — the most closed buckets the window can
+// hold — reached by geometric growth and never exceeded, so a full tier
+// closes a bucket by overwriting the slot of the one it evicts: no
+// allocation and no copy, whatever the tier's length.
 type tier struct {
 	interval  int64 // ns
 	retention int64 // ns; 0 = unbounded
-	buckets   []Bucket
+	ring      []Bucket
+	head, n   int
 	cur       Bucket
 	curSet    bool
 }
@@ -141,32 +152,72 @@ func (tr *tier) observe(t int64, v float64) {
 		tr.cur.observe(v)
 		return
 	}
-	if tr.curSet {
-		tr.buckets = append(tr.buckets, tr.cur)
+	// Evict before the closing bucket goes in: what is left then fits the
+	// ring's capacity by construction.
+	tr.evict(t)
+	if tr.curSet && !tr.expired(tr.cur.Start, t) {
+		tr.push(tr.cur)
 	}
 	tr.cur = newBucket(start, v)
 	tr.curSet = true
-	tr.evict(t)
 }
 
+// expired reports whether a closed bucket starting at start lies wholly
+// outside the retention window ending at now.
+func (tr *tier) expired(start, now int64) bool {
+	return tr.retention > 0 && start+tr.interval <= now-tr.retention
+}
+
+// evict drops the closed buckets outside the retention window ending at
+// now: O(evicted), the survivors do not move.
 func (tr *tier) evict(now int64) {
-	if tr.retention <= 0 {
-		return
+	for tr.n > 0 && tr.expired(tr.ring[tr.head].Start, now) {
+		tr.head++
+		if tr.head == len(tr.ring) {
+			tr.head = 0
+		}
+		tr.n--
 	}
-	cutoff := now - tr.retention
-	i := 0
-	for i < len(tr.buckets) && tr.buckets[i].Start+tr.interval <= cutoff {
-		i++
+}
+
+func (tr *tier) push(b Bucket) {
+	if tr.n == len(tr.ring) {
+		tr.grow()
 	}
-	if i > 0 {
-		tr.buckets = append(tr.buckets[:0:0], tr.buckets[i:]...)
+	i := tr.head + tr.n
+	if i >= len(tr.ring) {
+		i -= len(tr.ring)
 	}
+	tr.ring[i] = b
+	tr.n++
+}
+
+// grow doubles the ring, up to the retention's capacity.
+func (tr *tier) grow() {
+	size := 2 * len(tr.ring)
+	if size < 8 {
+		size = 8
+	}
+	if tr.retention > 0 {
+		if max := int(tr.retention/tr.interval) + 2; size > max {
+			size = max
+		}
+	}
+	ring := make([]Bucket, size)
+	tr.copyTo(ring)
+	tr.ring, tr.head = ring, 0
+}
+
+// copyTo copies the closed buckets, oldest first, into dst.
+func (tr *tier) copyTo(dst []Bucket) {
+	k := copy(dst, tr.ring[tr.head:min(tr.head+tr.n, len(tr.ring))])
+	copy(dst[k:], tr.ring[:tr.n-k])
 }
 
 // all returns closed buckets plus the in-progress one, ascending by Start.
 func (tr *tier) all() []Bucket {
-	out := make([]Bucket, 0, len(tr.buckets)+1)
-	out = append(out, tr.buckets...)
+	out := make([]Bucket, tr.n, tr.n+1)
+	tr.copyTo(out)
 	if tr.curSet {
 		out = append(out, tr.cur)
 	}
@@ -183,13 +234,17 @@ type Series struct {
 	head   *Chunk
 	tiers  []*tier
 
-	// onSeal, when set (by a persistent DB), receives each chunk the
-	// moment the head seals behind a fresh one, so the compressed bytes
-	// hit the chunk file while they are still hot.
-	onSeal func(c *Chunk)
-
 	count   int    // retained raw samples across all chunks
 	dropped uint64 // appends rejected for non-increasing timestamps
+
+	// Set by the owning DB and guarded by its lock; unused on a bare Series.
+	name string
+	gone bool // dropped from the DB: handles re-resolve, pins are void
+	// persist, set by a durable DB, receives each chunk the moment the head
+	// seals behind a fresh one, so the compressed bytes hit the chunk file
+	// while they are still hot; durable is its per-series bookkeeping.
+	persist *persister
+	durable durableState
 }
 
 // NewSeries returns an empty series with the given options.
@@ -217,17 +272,7 @@ func (s *Series) Append(t int64, v float64) bool {
 		return false
 	}
 	if s.head.summary.Count >= s.opts.ChunkSize {
-		sealed := s.head
-		s.sealed = append(s.sealed, sealed)
-		// Successive chunks of one series compress to about the same size:
-		// sizing the new head from the one just sealed (plus 1/16) spares
-		// the append-doubling that otherwise leaves twice the chunk's final
-		// size in garbage and up to half its capacity unused.
-		n := sealed.Bytes()
-		s.head = &Chunk{w: bitWriter{buf: make([]byte, 0, n+n/16)}}
-		if s.onSeal != nil {
-			s.onSeal(sealed)
-		}
+		s.sealHead()
 	}
 	s.head.Append(t, v)
 	s.count++
@@ -238,18 +283,27 @@ func (s *Series) Append(t int64, v float64) bool {
 	return true
 }
 
-// accepts reports whether a sample at t would be retained (strictly
-// increasing timestamps). The persistent append path checks this before
-// writing the WAL record, so rejected duplicates are never logged.
-func (s *Series) accepts(t int64) bool {
-	return s.count == 0 || t > s.lastT()
+// sealHead moves the head chunk behind a fresh one and, on a durable DB,
+// persists it.
+func (s *Series) sealHead() {
+	sealed := s.head
+	s.sealed = append(s.sealed, sealed)
+	// Successive chunks of one series compress to about the same size:
+	// sizing the new head from the one just sealed (plus 1/16) spares
+	// the append-doubling that otherwise leaves twice the chunk's final
+	// size in garbage and up to half its capacity unused.
+	n := sealed.Bytes()
+	s.head = &Chunk{w: bitWriter{buf: make([]byte, 0, n+n/16)}}
+	if s.persist != nil {
+		s.persist.persistChunk(s, sealed)
+	}
 }
 
 // appendReplay is Append for WAL replay: rejected (already-covered)
 // records are skipped without inflating the Dropped counter, since
 // chunk/WAL overlap is expected, not an anomaly.
 func (s *Series) appendReplay(t int64, v float64) bool {
-	if !s.accepts(t) {
+	if s.count > 0 && t <= s.lastT() {
 		return false
 	}
 	return s.Append(t, v)

@@ -151,6 +151,124 @@ func TestTierRetention(t *testing.T) {
 	}
 }
 
+// naiveTier is the tier as first written — a slice of closed buckets,
+// pushed on close and then cut from the front — kept as the reference the
+// ring is checked against.
+type naiveTier struct {
+	interval, retention int64
+	closed              []Bucket
+	cur                 Bucket
+	curSet              bool
+}
+
+func (nt *naiveTier) observe(t int64, v float64) {
+	start := bucketStart(t, nt.interval)
+	if nt.curSet && start == nt.cur.Start {
+		nt.cur.observe(v)
+		return
+	}
+	if nt.curSet {
+		nt.closed = append(nt.closed, nt.cur)
+	}
+	nt.cur, nt.curSet = newBucket(start, v), true
+	if nt.retention > 0 {
+		i := 0
+		for i < len(nt.closed) && nt.closed[i].Start+nt.interval <= t-nt.retention {
+			i++
+		}
+		nt.closed = nt.closed[i:]
+	}
+}
+
+func (nt *naiveTier) all() []Bucket {
+	return append(append([]Bucket{}, nt.closed...), nt.cur)
+}
+
+// TestTierRingMatchesNaiveReference drives the ring and the reference with
+// the same seeded schedules — steady appends, gaps within and far beyond the
+// retention, retentions shorter than a bucket and not a multiple of it —
+// and compares the full bucket list along the way, across many wrap-arounds.
+func TestTierRingMatchesNaiveReference(t *testing.T) {
+	retentions := []time.Duration{0, 3 * time.Second, 10 * time.Second, 95 * time.Second, 10 * time.Minute}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spec := TierSpec{Interval: 10 * time.Second, Retention: retentions[rng.Intn(len(retentions))]}
+		s := NewSeries(Options{Tiers: []TierSpec{spec}})
+		ref := &naiveTier{interval: spec.Interval.Nanoseconds(), retention: spec.Retention.Nanoseconds()}
+		ts := int64(rng.Intn(100)) * sec
+		for i := 0; i < 5000; i++ {
+			switch r := rng.Intn(100); {
+			case r < 90:
+				ts += int64(1+rng.Intn(4)) * sec
+			case r < 98:
+				ts += int64(rng.Intn(120)) * sec // skips buckets
+			default:
+				ts += int64(rng.Intn(3000)) * sec // may outrun the whole retention
+			}
+			v := float64(rng.Intn(100))
+			if s.Append(ts, v) { // a zero gap repeats a timestamp: rejected
+				ref.observe(ts, v)
+			}
+			if i%37 == 0 || i == 4999 {
+				got, want := s.Buckets(spec.Interval), ref.all()
+				if len(got) != len(want) {
+					t.Fatalf("seed %d (retention %s) append %d: %d buckets, reference has %d", seed, spec.Retention, i, len(got), len(want))
+				}
+				for k := range got {
+					if got[k] != want[k] {
+						t.Fatalf("seed %d (retention %s) append %d: bucket %d = %+v, reference %+v", seed, spec.Retention, i, k, got[k], want[k])
+					}
+				}
+			}
+		}
+		if tr := s.tiers[0]; tr.retention > 0 && len(tr.ring) > int(tr.retention/tr.interval)+2 {
+			t.Fatalf("seed %d: ring grew to %d slots for retention %s", seed, len(tr.ring), spec.Retention)
+		}
+	}
+}
+
+// TestFullTierClosesBucketsInPlace: once a tier holds a full retention of
+// buckets, closing one more neither allocates nor moves the others — it
+// takes the slot of the bucket it evicts.
+func TestFullTierClosesBucketsInPlace(t *testing.T) {
+	tr := &tier{interval: 10 * sec, retention: 900 * 6 * sec} // the default 10s tier at 15 min raw retention
+	ts := int64(0)
+	closeBucket := func() {
+		ts += tr.interval
+		tr.observe(ts, 1)
+	}
+	for i := 0; i < 2000; i++ {
+		closeBucket()
+	}
+	if want := int(tr.retention/tr.interval) + 2; len(tr.ring) != want || tr.n < want-2 {
+		t.Fatalf("full tier: %d slots holding %d buckets, want %d slots", len(tr.ring), tr.n, want)
+	}
+	// One close: the oldest bucket goes, and the second-oldest is now the
+	// oldest without having moved.
+	second := (tr.head + 1) % len(tr.ring)
+	slot, kept := &tr.ring[second], tr.ring[second]
+	closeBucket()
+	if &tr.ring[tr.head] != slot || tr.ring[tr.head] != kept {
+		t.Fatalf("closing a bucket moved the survivors: oldest is %+v, want %+v in place", tr.ring[tr.head], kept)
+	}
+	ring := &tr.ring[0]
+	if allocs := testing.AllocsPerRun(1000, closeBucket); allocs != 0 {
+		t.Fatalf("closing a bucket on a full tier allocates %.1f times", allocs)
+	}
+	if &tr.ring[0] != ring {
+		t.Fatal("the ring was reallocated")
+	}
+	all := tr.all()
+	if len(all) != tr.n+1 || all[len(all)-1].Start != ts {
+		t.Fatalf("after wrap-around: %d buckets, newest starts at %ds, want %ds", len(all), all[len(all)-1].Start/sec, ts/sec)
+	}
+	for k := 1; k < len(all); k++ {
+		if all[k].Start != all[k-1].Start+tr.interval {
+			t.Fatalf("after wrap-around: bucket %d starts at %ds after %ds", k, all[k].Start/sec, all[k-1].Start/sec)
+		}
+	}
+}
+
 func TestDefaultTiersScaleWithRetention(t *testing.T) {
 	tiers := DefaultTiers(time.Hour)
 	if len(tiers) != 2 || tiers[0].Interval != 10*time.Second || tiers[1].Interval != time.Minute {
