@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check figures bench benchpair allocgate fuzz sim-smoke
+.PHONY: build test race vet fmt check loc figures bench benchpair allocgate fuzz sim-smoke
 
 build:
 	$(GO) build ./...
@@ -14,28 +14,40 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the pre-merge gate: static analysis plus the full suite under the
-# race detector (the fault-injection tests exercise concurrent heal paths,
-# so -race is not optional here). The suite includes the tsdb crash-recovery
-# tests — torn writes, kill-9 replay, ENOSPC degradation — and the
-# append/query/flush concurrency hammer.
-check: vet race
+# fmt fails if any Go file is not gofmt-formatted, naming the files.
+fmt:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then echo "gofmt needed on:"; echo "$$bad"; exit 1; fi
+
+# check is the pre-merge gate: formatting, static analysis, and the full
+# suite under the race detector (the fault-injection tests exercise
+# concurrent heal paths, so -race is not optional here). The suite includes
+# the tsdb crash-recovery tests — torn writes, kill-9 replay, ENOSPC
+# degradation — and the append/query/flush concurrency hammer.
+check: fmt vet race
+
+# loc prints non-test Go lines per package and in total — the size figure
+# ROADMAP tracks for internal/kecho. Informational, never a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 figures:
 	$(GO) run ./cmd/figures
 
-# bench runs the tsdb, kecho fan-out, cluster-query fan-out and end-to-end
-# hot-path benchmarks (bounded so the target stays quick) and records
-# machine-readable results in BENCH_tsdb.json, BENCH_kecho.json,
-# BENCH_query.json, BENCH_hotpath.json, BENCH_obs.json and
-# BENCH_connscale.json via cmd/benchjson, plus BENCH_scenario_scaling.json
-# from the 1000-node scaling sweep run by cmd/dprocsim (same JSON schema, so
-# the files sit side by side). The tsdb group covers the persistence paths
-# too: durable WAL append, kill-9 WAL replay and clean-restart chunk load.
-# allocs/op in the kecho and hotpath files is the zero-allocation data-plane
-# regression gate (DESIGN.md §8); BENCH_hotpath.json carries both dispatch
-# variants (polled and event-driven — the latency-floor comparison of
-# DESIGN.md §13); BENCH_connscale.json tracks what a peer costs the
+# bench runs the tsdb, cluster-query fan-out and end-to-end hot-path
+# benchmarks (bounded so the target stays quick) and records
+# machine-readable results in BENCH_tsdb.json, BENCH_query.json,
+# BENCH_hotpath.json, BENCH_obs.json and BENCH_connscale.json via
+# cmd/benchjson, plus BENCH_scenario_scaling.json from the 1000-node scaling
+# sweep run by cmd/dprocsim (same JSON schema, so the files sit side by
+# side). The tsdb group covers the persistence paths too: durable WAL
+# append, kill-9 WAL replay and clean-restart chunk load. allocs/op in the
+# hotpath file is the zero-allocation data-plane regression gate (DESIGN.md
+# §8; the kecho fan-out and relay numbers are bench/'s fanout-small and
+# relay-large workloads); BENCH_hotpath.json carries both dispatch variants
+# (polled and event-driven — the latency-floor comparison of DESIGN.md §13); BENCH_connscale.json tracks what a peer costs the
 # publisher from 8 to 4096 peers — fan-out time, goroutines (one reader per
 # connection over a fixed writer pool) and live memory; BENCH_obs.json
 # compares the hot path with observability off vs sampled 1/1024 (DESIGN.md
@@ -44,8 +56,6 @@ figures:
 bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkTSDB' -benchmem -benchtime 100x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_tsdb.json
-	$(GO) test -run '^$$' -bench '^BenchmarkSubmitFanout' -benchmem -benchtime 1000x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_kecho.json
 	$(GO) test -run '^$$' -bench '^BenchmarkQueryFanout' -benchmem -benchtime 100x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_query.json
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . \
@@ -54,8 +64,6 @@ bench:
 		| $(GO) run ./cmd/benchjson -out BENCH_obs.json
 	$(GO) test -run '^$$' -bench '^BenchmarkWriterScale$$' -benchmem -benchtime 100x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_connscale.json
-	$(GO) test -run '^$$' -bench '^BenchmarkRelayFanout$$' -benchmem -benchtime 50x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_relay.json
 	$(GO) run ./cmd/dprocsim -quiet examples/scenarios/scaling.toml
 
 # benchpair measures the working tree against the git ref BASE with the

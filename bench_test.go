@@ -23,13 +23,11 @@ import (
 	"dproc/internal/core"
 	"dproc/internal/dmon"
 	"dproc/internal/ecode"
-	"dproc/internal/faultnet"
 	"dproc/internal/figures"
 	"dproc/internal/kecho"
 	"dproc/internal/metrics"
 	"dproc/internal/netsim"
 	"dproc/internal/obs"
-	"dproc/internal/overlay"
 	"dproc/internal/query"
 	"dproc/internal/registry"
 	"dproc/internal/simres"
@@ -507,7 +505,7 @@ func BenchmarkAblationP2PvsCentral(b *testing.B) {
 		chans := newMesh(b, benchNodes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := chans[0].Submit(payload); err != nil {
+			if _, err := chans[0].Publish(payload, kecho.PublishOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -586,7 +584,7 @@ func BenchmarkAblationPollVsImmediate(b *testing.B) {
 			payload := make([]byte, 100)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := a.Submit(payload); err != nil {
+				if _, err := a.Publish(payload, kecho.PublishOpts{}); err != nil {
 					b.Fatal(err)
 				}
 				for delivered := false; !delivered; {
@@ -916,108 +914,9 @@ func BenchmarkLinpack(b *testing.B) {
 	b.ReportMetric(mflops, "Mflops")
 }
 
-// benchFanoutMesh builds a kecho mesh of one publisher and peers
-// subscribers over the fault fabric, returning the publisher channel and
-// the fabric (for scripting a stall).
-func benchFanoutMesh(b *testing.B, peers int) (*kecho.Channel, *faultnet.Fabric) {
-	b.Helper()
-	f := faultnet.NewFabric(20030623)
-	reg, err := registry.NewServer("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { reg.Close() })
-	join := func(id string) *kecho.Channel {
-		cli := registry.NewClient(reg.Addr())
-		cli.SetTransport(f.Host(id))
-		b.Cleanup(func() { cli.Close() })
-		ch, err := kecho.Join(cli, "bench", id, &kecho.Options{
-			Transport:        f.Host(id),
-			WriteDeadline:    2 * time.Second,
-			DisableReconnect: true,
-			// Small queues so the mesh reaches its recycling steady state
-			// during warm-up instead of absorbing the whole run into fresh
-			// allocations: a bounded outbox caps the publisher's in-flight
-			// record set (released records then feed Submit from the pool),
-			// and a bounded inbox lets the never-polled subscribers recycle
-			// payload buffers through the freelist.
-			InboxSize:  32,
-			OutboxSize: 16,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { ch.Close() })
-		return ch
-	}
-	// Subscribers are never polled: their inboxes overflow and drop, which
-	// is fine — the benchmark measures the publisher side only.
-	subs := make([]*kecho.Channel, peers)
-	for i := range subs {
-		subs[i] = join(fmt.Sprintf("sub%d", i))
-	}
-	pub := join("pub")
-	if !pub.WaitForPeers(peers, 5*time.Second) {
-		b.Fatalf("publisher connected to %d peers, want %d", len(pub.Peers()), peers)
-	}
-	return pub, f
-}
-
-// BenchmarkSubmitFanout measures the publisher-side cost of one Submit to an
-// 8-peer channel — the hot path under the paper's Figs. 6-7 overhead claim.
-// The stalled variant scripts one wedged subscriber through faultnet; with
-// async per-peer fan-out its cost must stay within the same order as the
-// all-healthy case (the pre-fix cost was one write deadline per Submit).
-func BenchmarkSubmitFanout(b *testing.B) {
-	const peers = 8
-	payload := make([]byte, 256)
-	// warm runs Submit until the record pool and per-peer outboxes have been
-	// through a full cycle, so the measured loop reports the steady state the
-	// zero-allocation contract is stated for, not one-time pool growth.
-	warm := func(b *testing.B, pub *kecho.Channel) {
-		b.Helper()
-		for i := 0; i < 512; i++ {
-			if _, err := pub.Submit(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	b.Run("healthy", func(b *testing.B) {
-		pub, _ := benchFanoutMesh(b, peers)
-		warm(b, pub)
-		base := pub.Stats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pub.Submit(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		s := pub.Stats()
-		b.ReportMetric(float64(s.QueueDrops-base.QueueDrops)/float64(b.N), "queuedrops/op")
-	})
-	b.Run("one-stalled", func(b *testing.B) {
-		pub, f := benchFanoutMesh(b, peers)
-		warm(b, pub)
-		f.StallWrites("sub0", true)
-		defer f.StallWrites("sub0", false)
-		base := pub.Stats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pub.Submit(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		s := pub.Stats()
-		b.ReportMetric(float64(s.QueueDrops-base.QueueDrops)/float64(b.N), "queuedrops/op")
-	})
-}
-
 // BenchmarkHotPath measures the complete steady-state event hot path of one
 // monitoring round, end to end: run the paper's Figure 3 E-code filter on a
-// sample (pooled VM, cached compilation), Submit the resulting event to a
+// sample (pooled VM, cached compilation), publish the resulting event to a
 // kecho peer (encode-once pooled records), and wait until the event has
 // crossed the loopback TCP link and been dispatched to a handler (zero-copy
 // frame receive, recycled payload buffers). The "polled" variant drives the
@@ -1144,7 +1043,7 @@ func runHotPath(b *testing.B, mode kecho.DispatchMode, pubObs, subObs *obs.Obser
 			payload = binary.BigEndian.AppendUint64(payload, uint64(rec.ID))
 			payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(rec.Value))
 		}
-		if _, serr := pub.SubmitTraced(payload, tid); serr != nil {
+		if _, serr := pub.Publish(payload, kecho.PublishOpts{TraceID: tid, Traced: true}); serr != nil {
 			b.Fatal(serr)
 		}
 		target++
@@ -1278,14 +1177,14 @@ func benchWriterScale(b *testing.B, peers int) {
 
 	payload := make([]byte, 64)
 	for i := 0; i < 512; i++ {
-		if _, err := pub.Submit(payload); err != nil {
+		if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pub.Submit(payload); err != nil {
+		if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1295,173 +1194,6 @@ func benchWriterScale(b *testing.B, peers int) {
 	b.ReportMetric(float64(pubCost)/float64(peers), "goroutines/peer")
 	b.ReportMetric(memCost/float64(peers), "B/peer")
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N)/float64(peers), "ns/peer-op")
-}
-
-// BenchmarkRelayFanout pins the overlay's scaling claim: with a branching-8
-// relay tree the publisher's per-event fan-out and goroutine count stay flat
-// as the subscriber count grows 64 → 1000, because the root only ever feeds
-// its branching-factor children and interior subscribers re-publish records
-// down their subtrees (the flat mesh this replaces would send one copy per
-// subscriber). Every member is relay-capable; "pub" sorts first in the tree
-// layout and takes the root. Subscribers carry observers and the publisher
-// traces every event, so the per-depth propagation histograms report the
-// store-and-forward price of each tree level as p99-d<k>-ns metrics.
-// BENCH_relay.json tracks sent/op (≈ branching at every scale), the
-// publisher goroutine census, the delivery ratio and the per-depth tail.
-func BenchmarkRelayFanout(b *testing.B) {
-	for _, subs := range []int{64, 256, 1000} {
-		b.Run(fmt.Sprintf("subs_%d", subs), func(b *testing.B) {
-			benchRelayFanout(b, subs)
-		})
-	}
-}
-
-func benchRelayFanout(b *testing.B, nsubs int) {
-	const branching = 8
-	topo := overlay.RelayTree{Branching: branching}
-	reg, err := registry.NewServer("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { reg.Close() })
-
-	join := func(id string, o *obs.Observer) *kecho.Channel {
-		cli := registry.NewClient(reg.Addr())
-		b.Cleanup(func() { cli.Close() })
-		ch, err := kecho.Join(cli, "relay", id, &kecho.Options{
-			WriteDeadline:    2 * time.Second,
-			DisableReconnect: true,
-			Writers:          2,
-			InboxSize:        64,
-			OutboxSize:       256,
-			Observer:         o,
-			Topology:         topo,
-			Role:             overlay.RoleRelay,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { ch.Close() })
-		return ch
-	}
-
-	// The publisher joins first and sorts first ("pub" < "sub…"), taking the
-	// root position. Each subscriber then joins in tree order, so at every
-	// join the roster is a prefix of the final layout: the joiner's parent is
-	// already listening and one dial per member builds the whole tree —
-	// correct under DisableReconnect, with no supervisor passes needed. The
-	// goroutine census brackets the publisher's Join: everything it adds
-	// there (writer pool, accept loop) is independent of the subscriber
-	// count; each child connection accepted later adds one reader, so the
-	// root's total is bounded by the branching factor.
-	runtime.GC()
-	before := runtime.NumGoroutine()
-	pubObs := obs.New("pub", nil, 1) // trace every event so receivers observe depth
-	pub := join("pub", pubObs)
-	pubCost := runtime.NumGoroutine() - before
-
-	ids := []string{"pub"}
-	subObs := make([]*obs.Observer, nsubs)
-	subs := make([]*kecho.Channel, nsubs)
-	for i := range subs {
-		id := fmt.Sprintf("sub%04d", i)
-		ids = append(ids, id)
-		subObs[i] = obs.New(id, nil, 0) // histograms live, no publisher sampling
-		subs[i] = join(id, subObs[i])
-	}
-
-	// Wait until every member holds exactly its tree degree, computed locally
-	// from the same pure function the channels use.
-	roster := make([]registry.Member, len(ids))
-	for i, id := range ids {
-		roster[i] = registry.Member{ID: id, Role: overlay.RoleRelay}
-	}
-	want := make([]int, len(ids))
-	for i, id := range ids {
-		want[i] = len(topo.Neighbors(id, roster))
-	}
-	all := append([]*kecho.Channel{pub}, subs...)
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		converged := true
-		for i, ch := range all {
-			if len(ch.Peers()) != want[i] {
-				converged = false
-				break
-			}
-		}
-		if converged {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("relay tree did not converge (%d members)", len(all))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// quiesce polls the cluster-wide delivery count until it stops moving (or
-	// reaches target, when nonzero), so a measurement window never starts or
-	// ends with another window's traffic still in flight.
-	quiesce := func(target uint64) uint64 {
-		var recv, last uint64
-		still := 0
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			recv = 0
-			for _, ch := range subs {
-				recv += ch.Stats().EventsRecv
-			}
-			if (target > 0 && recv >= target) || still >= 12 || time.Now().After(deadline) {
-				return recv
-			}
-			if recv == last {
-				still++
-			} else {
-				still, last = 0, recv
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-	}
-
-	payload := make([]byte, 128)
-	for i := 0; i < 64; i++ {
-		if _, err := pub.Submit(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	warmRecv := quiesce(0)
-
-	base := pub.Stats()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pub.Submit(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-
-	// Drain: wait until every subscriber saw every measured event, or until
-	// deliveries go quiet (queue drops under load make the target soft).
-	recv := quiesce(warmRecv+uint64(nsubs)*uint64(b.N)) - warmRecv
-	runtime.GC()
-	total := runtime.NumGoroutine() - before
-
-	s := pub.Stats()
-	b.ReportMetric(float64(pubCost), "pub-goroutines")
-	b.ReportMetric(float64(total)/float64(nsubs+1), "goroutines/node")
-	b.ReportMetric(float64(s.EventsSent-base.EventsSent)/float64(b.N), "sent/op")
-	b.ReportMetric(float64(recv)/float64(b.N)/float64(nsubs), "deliv-ratio")
-
-	for d := range pubObs.PropDelayDepth {
-		var snap obs.Snapshot
-		for _, o := range subObs {
-			snap.Merge(o.PropDelayDepth[d].Snapshot())
-		}
-		if snap.Count > 0 {
-			b.ReportMetric(float64(snap.Quantile(0.99)), fmt.Sprintf("p99-d%d-ns", d))
-		}
-	}
 }
 
 // BenchmarkQueryFanout measures one cluster-wide scatter-gather query —

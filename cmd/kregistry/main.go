@@ -44,4 +44,3 @@ func main() {
 		os.Exit(1)
 	}
 }
-

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dproc/internal/clock"
+	"dproc/internal/kecho"
 	"dproc/internal/registry"
 	"dproc/internal/simres"
 )
@@ -63,32 +65,70 @@ func NewSimClusterWith(n int, clk clock.Clock, seed int64, padding int, customiz
 	}
 	// Wait for connectivity on both channels before returning. The control
 	// channel is always a full mesh (n-1 peers); the monitoring channel's
-	// target is whatever its topology derives from the roster — n-1 when
-	// flat, the tree neighbor count under a relay overlay. Nodes join in
+	// target is whatever its topology derives from the roster — everyone
+	// when flat, the tree neighbours under a relay overlay. Nodes join in
 	// creation order, which is not the overlay's sorted tree order, so each
-	// Join-time dial pass built a tree over a partial roster; on a virtual
-	// clock the reconnect supervisor (which would re-derive it) never fires
-	// during this real-time wait, so force one full-roster refresh per node
-	// to dial every final tree edge deterministically. Stale non-tree edges
-	// are harmless meanwhile — the relay dedup gate suppresses the redundant
-	// paths — and the supervisor prunes them once the clock advances.
+	// Join built its edges over a partial roster; on a virtual clock the
+	// reconnect supervisor (which would re-derive them) never fires during
+	// this real-time wait, so run one full-roster reconcile per node:
+	// RefreshPeers dials every final tree edge and drops every edge the
+	// final tree does not have, and formation ends on exactly the tree.
+	//
+	// A connection exists at its dialer when the dial returns, at its
+	// acceptor only once a reader has seen the hello. In between the acceptor
+	// believes the edge missing, and a reconcile there dials it a second
+	// time — a cross-dial, which the tie-break settles by closing one of the
+	// two together with whatever was already queued on it (the first report
+	// after formation, about 1 formation in 200). So every hello lands
+	// before the node at the other end reconciles.
+	mons := make(map[string]*kecho.Channel, n)
 	for _, node := range c.Nodes {
-		if node.MonitoringChannel() != nil {
-			_, _ = node.MonitoringChannel().RefreshPeers()
+		mons[node.Name()] = node.MonitoringChannel()
+	}
+	formed := func(node *Node, cond func(mon *kecho.Channel) bool) error {
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond(node.MonitoringChannel()) {
+			if time.Now().After(deadline) {
+				c.Close()
+				return fmt.Errorf("core: channel mesh did not form for %s", node.Name())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+	heard := func(mon *kecho.Channel) bool {
+		for _, id := range mon.Peers() {
+			if !slices.Contains(mons[id].Peers(), mon.MemberID()) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, node := range c.Nodes {
+		if err := formed(node, heard); err != nil {
+			return nil, err
 		}
 	}
 	for _, node := range c.Nodes {
-		if node.MonitoringChannel() == nil {
-			continue
+		if dialed, _ := node.MonitoringChannel().RefreshPeers(); dialed > 0 {
+			if err := formed(node, heard); err != nil {
+				return nil, err
+			}
 		}
-		want := n - 1
-		if desired, err := node.MonitoringChannel().DesiredPeers(); err == nil {
-			want = len(desired)
+	}
+	for _, node := range c.Nodes {
+		// Exactly the desired set, not merely that many peers: an edge this
+		// node's neighbour pruned is gone here only once the reader has seen
+		// the connection close.
+		desired, err := node.MonitoringChannel().DesiredPeers()
+		if err == nil {
+			err = formed(node, func(mon *kecho.Channel) bool {
+				return slices.Equal(mon.Peers(), desired) && len(node.ControlChannel().Peers()) >= n-1
+			})
 		}
-		if !node.MonitoringChannel().WaitForPeers(want, 5*time.Second) ||
-			!node.ControlChannel().WaitForPeers(n-1, 5*time.Second) {
+		if err != nil {
 			c.Close()
-			return nil, fmt.Errorf("core: channel mesh did not form for %s", node.Name())
+			return nil, err
 		}
 	}
 	return c, nil

@@ -162,14 +162,12 @@ func NewNode(cfg Config) (*Node, error) {
 	n.d.SetPadding(cfg.Padding)
 	n.registerPersistGauges()
 	if cfg.RegistryAddr != "" {
-		// The channels inherit the node clock (unless overridden) so the
-		// reconnect supervisor paces itself on virtual time in simulations,
-		// and share the node's registry and observer so their counters and
-		// per-stage spans land in the unified stats surface.
+		// The channels run on the node clock so the reconnect supervisor
+		// paces itself on virtual time in simulations, and share the node's
+		// registry and observer so their counters and per-stage spans land in
+		// the unified stats surface.
 		chOpts := cfg.Channel
-		if chOpts.Clock == nil {
-			chOpts.Clock = clk
-		}
+		chOpts.Clock = clk
 		chOpts.Metrics = n.metrics
 		chOpts.Observer = n.obs
 		n.regCli = registry.NewClient(cfg.RegistryAddr)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"dproc/internal/clock"
 	"dproc/internal/metrics"
+	"dproc/internal/overlay"
 	"dproc/internal/simres"
 )
 
@@ -521,5 +523,40 @@ func TestQueryControlFile(t *testing.T) {
 	}
 	if again, _ := n.FS().ReadFile("cluster/maui/query"); again != out {
 		t.Fatal("failed query clobbered the last result")
+	}
+}
+
+// TestRelayTreeClusterFormsExactlyTheTree pins formation on a clock that
+// never advances, where no supervisor round will ever tidy up: nodes join in
+// creation order, not tree order, so every Join dials edges the final tree
+// does not have, and NewSimClusterWith must return with each monitoring
+// channel holding its tree neighbours and nothing else.
+func TestRelayTreeClusterFormsExactlyTheTree(t *testing.T) {
+	const n = 16
+	c, err := NewSimClusterWith(n, clock.NewVirtual(clock.Epoch), 1, 0, func(_ int, cfg *Config) {
+		cfg.RelayBranching = 2
+		cfg.RelayRole = overlay.RoleRelay
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	extra := 0
+	for _, node := range c.Nodes {
+		want, err := node.MonitoringChannel().DesiredPeers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := node.MonitoringChannel().Peers()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: monitoring peers %v, want the tree neighbours %v", node.Name(), got, want)
+			extra += len(got) - len(want)
+		}
+		if ctl := node.ControlChannel().Peers(); len(ctl) != n-1 {
+			t.Errorf("%s: %d control peers, want the full mesh of %d", node.Name(), len(ctl), n-1)
+		}
+	}
+	if extra != 0 {
+		t.Errorf("%d edge-ends beyond the tree", extra)
 	}
 }

@@ -629,7 +629,7 @@ func (d *DMon) PollOnce() (*metrics.Report, int, error) {
 	if mon == nil {
 		return report, 0, nil
 	}
-	n, err := mon.SubmitTraced(report.Encode(), tid)
+	n, err := mon.Publish(report.Encode(), kecho.PublishOpts{TraceID: tid, Traced: true})
 	return report, n, err
 }
 
@@ -694,7 +694,7 @@ func (d *DMon) SendControl(target, text string) error {
 	}
 	payload := EncodeControl(target, text)
 	if target == "" {
-		_, err := ctl.Submit(payload)
+		_, err := ctl.Publish(payload, kecho.PublishOpts{})
 		return err
 	}
 	return ctl.SubmitTo(target, payload)

@@ -167,10 +167,10 @@ func TestSendControlWithoutChannel(t *testing.T) {
 func TestMalformedEventsIgnored(t *testing.T) {
 	nodes := newLiveCluster(t, "alan", "maui")
 	// Raw garbage on both channels must not disturb the receiver.
-	if _, err := nodes[0].mon.Submit([]byte("not a report")); err != nil {
+	if _, err := nodes[0].mon.Publish([]byte("not a report"), kecho.PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nodes[0].ctl.Submit([]byte{0xFF}); err != nil {
+	if _, err := nodes[0].ctl.Publish([]byte{0xFF}, kecho.PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Second)

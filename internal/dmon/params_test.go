@@ -139,22 +139,22 @@ func TestParseControlCommentsAndBlanks(t *testing.T) {
 
 func TestParseControlErrors(t *testing.T) {
 	bad := []string{
-		"period cpu",          // missing value
-		"period cpu zero",     // non-numeric
-		"period cpu -1",       // non-positive
-		"period gpu 1",        // unknown resource
-		"diff cpu",            // missing pct
-		"diff cpu -3",         // negative pct
-		"threshold bogus above 1",      // unknown metric
-		"threshold loadavg sideways 1", // unknown kind
-		"threshold loadavg above",      // missing value
-		"threshold loadavg above x",    // bad value
-		"threshold loadavg inrange 5 1",// inverted range
-		"threshold loadavg inrange 1",  // missing hi
-		"clear",               // missing resource
-		"clear gpu",           // unknown resource
-		"filter all",          // no code follows
-		"launch missiles",     // unknown command
+		"period cpu",                    // missing value
+		"period cpu zero",               // non-numeric
+		"period cpu -1",                 // non-positive
+		"period gpu 1",                  // unknown resource
+		"diff cpu",                      // missing pct
+		"diff cpu -3",                   // negative pct
+		"threshold bogus above 1",       // unknown metric
+		"threshold loadavg sideways 1",  // unknown kind
+		"threshold loadavg above",       // missing value
+		"threshold loadavg above x",     // bad value
+		"threshold loadavg inrange 5 1", // inverted range
+		"threshold loadavg inrange 1",   // missing hi
+		"clear",                         // missing resource
+		"clear gpu",                     // unknown resource
+		"filter all",                    // no code follows
+		"launch missiles",               // unknown command
 	}
 	for _, text := range bad {
 		if _, err := ParseControl(text); err == nil {

@@ -102,9 +102,9 @@ func TestComparisonsAndLogic(t *testing.T) {
 		{"return 1 && 0;", 0},
 		{"return 0 || 0;", 0},
 		{"return 0 || 3;", 1},
-		{"return 1.5 > 1;", 1},       // mixed int/double comparison
-		{"return 1 == 1.0;", 1},      // int converts to double
-		{"return 0.0 || 0.5;", 1},    // double truth values
+		{"return 1.5 > 1;", 1},    // mixed int/double comparison
+		{"return 1 == 1.0;", 1},   // int converts to double
+		{"return 0.0 || 0.5;", 1}, // double truth values
 		{"return 2 > 1 && 3 > 2;", 1},
 	}
 	for _, c := range cases {

@@ -53,10 +53,10 @@ func TestLexOperators(t *testing.T) {
 
 func TestLexNumbers(t *testing.T) {
 	cases := []struct {
-		src   string
-		kind  Kind
-		ival  int64
-		fval  float64
+		src  string
+		kind Kind
+		ival int64
+		fval float64
 	}{
 		{"0", INTLIT, 0, 0},
 		{"12345", INTLIT, 12345, 0},

@@ -31,10 +31,10 @@ func TestOperatorPrecedenceTable(t *testing.T) {
 		{"1 < 2 == 2 < 3", 1},
 		{"1 > 2 == 2 > 3", 1},
 		// Bitwise AND < XOR < OR, all looser than equality.
-		{"1 & 2 == 2", 1},        // 1 & (2==2) = 1
-		{"4 ^ 1 & 1", 5},         // 4 ^ (1&1)
-		{"4 | 1 ^ 1", 4},         // 4 | (1^1)
-		{"1 | 2 & 2", 3},         // 1 | (2&2)
+		{"1 & 2 == 2", 1}, // 1 & (2==2) = 1
+		{"4 ^ 1 & 1", 5},  // 4 ^ (1&1)
+		{"4 | 1 ^ 1", 4},  // 4 | (1^1)
+		{"1 | 2 & 2", 3},  // 1 | (2&2)
 		// Logical AND over OR.
 		{"1 || 0 && 0", 1}, // 1 || (0&&0)
 		{"0 && 0 || 1", 1}, // (0&&0) || 1

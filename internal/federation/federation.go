@@ -143,7 +143,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 			}
 			payload := dmon.EncodeControl(node, text)
 			if node == "" {
-				_, _ = g.localCtl.Submit(payload)
+				_, _ = g.localCtl.Publish(payload, kecho.PublishOpts{})
 			} else if err := g.localCtl.SubmitTo(node, payload); err != nil {
 				return
 			}
@@ -207,7 +207,7 @@ func (g *Gateway) PushOnce() (int, error) {
 			if len(report.Samples) == 0 {
 				continue
 			}
-			if _, err := g.upMon.Submit(report.Encode()); err != nil {
+			if _, err := g.upMon.Publish(report.Encode(), kecho.PublishOpts{}); err != nil {
 				return sent, err
 			}
 			sent++
@@ -215,7 +215,7 @@ func (g *Gateway) PushOnce() (int, error) {
 	} else {
 		report := g.aggregate(now, nodes)
 		if len(report.Samples) > 0 {
-			if _, err := g.upMon.Submit(report.Encode()); err != nil {
+			if _, err := g.upMon.Publish(report.Encode(), kecho.PublishOpts{}); err != nil {
 				return sent, err
 			}
 			sent++

@@ -95,7 +95,7 @@ func TestEventDrivenDispatch(t *testing.T) {
 
 	done := make(chan Event, 1)
 	b.Subscribe(func(ev Event) { done <- Event{From: ev.From, Payload: ev.CopyPayload(), Seq: ev.Seq} })
-	if _, err := a.Submit([]byte("now")); err != nil {
+	if _, err := a.Publish([]byte("now"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -140,7 +140,7 @@ func TestEventDrivenSerializedAndBackpressured(t *testing.T) {
 	const per = 20
 	for i := 0; i < per; i++ {
 		for _, c := range chans {
-			if _, err := c.Submit([]byte("x")); err != nil {
+			if _, err := c.Publish([]byte("x"), PublishOpts{}); err != nil {
 				t.Fatal(err)
 			}
 		}

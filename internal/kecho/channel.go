@@ -1,0 +1,490 @@
+package kecho
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dproc/internal/wire"
+)
+
+// outRecord is one encoded event record (publisher ID, seq, payload). It is
+// encoded once per Publish and shared by every peer outbox — the fan-out
+// enqueues the same record N times instead of copying it N times. refs
+// counts the holders (each enqueued outbox plus the publishing goroutine);
+// the last release returns the buffer to the pool, so the steady-state
+// publish path allocates nothing.
+type outRecord struct {
+	buf  []byte
+	refs atomic.Int32
+	// traceID and enq carry the observability stamps through the outbox:
+	// enq is set (on the channel clock) whenever an observer is attached,
+	// so every written record yields a queue-residency sample; traceID is
+	// non-zero only for sampled events. Read-only once enqueued.
+	traceID uint64
+	enq     time.Time
+}
+
+var outRecordPool = sync.Pool{New: func() any { return new(outRecord) }}
+
+// maxPooledRecord caps the buffer capacity a recycled record may retain, so
+// one oversized event cannot pin megabytes in the pool.
+const maxPooledRecord = 64 << 10
+
+// newOutRecord returns a pooled record with an empty buffer and one
+// reference (the caller's).
+func newOutRecord() *outRecord {
+	r := outRecordPool.Get().(*outRecord)
+	r.buf = r.buf[:0]
+	r.refs.Store(1)
+	r.traceID = 0
+	r.enq = time.Time{}
+	return r
+}
+
+// release drops one reference; the last one recycles the record. The buffer
+// must not be touched after the caller's release.
+func (r *outRecord) release() {
+	if r.refs.Add(-1) == 0 {
+		if cap(r.buf) > maxPooledRecord {
+			r.buf = nil
+		}
+		outRecordPool.Put(r)
+	}
+}
+
+// ErrOutboxFull reports an enqueue that found the peer's bounded outbound
+// queue full — transient backpressure from a slow-but-alive subscriber,
+// distinct from a missing peer or a closed channel. Callers that fan out
+// per-peer (e.g. a streaming server) should treat it as a skipped event,
+// not a dead peer.
+var ErrOutboxFull = errors.New("kecho: peer outbox full")
+
+// Subscribe registers a handler for incoming events. Handlers run on the
+// Poll caller's goroutine (Polled mode) or, one at a time, on the receiving
+// connection's reader goroutine (EventDriven mode). An EventDriven handler
+// may Publish on its own channel, but blocking in it stops that connection's
+// reads, and Close waits for it to return.
+func (c *Channel) Subscribe(h Handler) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Copy-on-write: the slice is never appended to in place, so dispatch
+	// can iterate a snapshot without copying (or allocating) per event.
+	next := make([]Handler, len(c.handlers)+1)
+	copy(next, c.handlers)
+	next[len(c.handlers)] = h
+	c.handlers = next
+}
+
+// encodeRecord encodes payload as one event record (publisher ID, sequence
+// number, body) into a pooled record holding a single reference — the
+// caller's. The wire layout matches Encoder.String + Encoder.Uint64 +
+// Encoder.BytesField, decoded by receiveEvent. A broadcast record on a
+// forwarding topology carries the hop trailer (hops = 0: fresh from its
+// publisher) — it is what marks a record as relayable, and relays rewrite
+// the count in place. Targeted SubmitTo records stay trailer-free so
+// receivers deliver them point-to-point and never re-publish them. A sampled
+// event (tid != 0) additionally carries the trace trailer, after the hop
+// trailer, so subscribers can measure cross-node propagation against the
+// send stamp.
+func (c *Channel) encodeRecord(payload []byte, tid uint64, broadcast bool) *outRecord {
+	rec := newOutRecord()
+	rec.buf = wire.AppendString(rec.buf, c.id)
+	rec.buf = binary.BigEndian.AppendUint64(rec.buf, c.seq.Add(1))
+	rec.buf = wire.AppendBytesField(rec.buf, payload)
+	if broadcast && c.maxHops > 0 {
+		rec.buf = wire.AppendHopExt(rec.buf, 0)
+	}
+	if c.obs != nil {
+		rec.enq = c.clk.Now()
+		if tid != 0 {
+			rec.traceID = tid
+			rec.buf = wire.AppendTraceExt(rec.buf, tid, rec.enq.UnixNano())
+		}
+	}
+	return rec
+}
+
+// enqueue offers rec to p's outbox without blocking and reports whether it
+// was accepted; a full outbox costs the event for this peer, counted in
+// QueueDrops. It is the only producer of any outbox. The caller holds c.mu
+// — removePeer's adopt-and-drain relies on every producer serializing
+// against the map delete, so a record can never land on an outbox after the
+// dead peer was drained — and its own reference on rec.
+//
+// The event is counted pending before the enqueue so the graceful drain in
+// Close can never observe it queued but uncounted, and the outbox's
+// reference is taken before the enqueue for the same reason: a writer may
+// pull the record off the outbox, write it and release it immediately.
+func (c *Channel) enqueue(p *peer, rec *outRecord) bool {
+	p.pending.Add(1)
+	rec.refs.Add(1)
+	select {
+	case p.outbox <- rec:
+		c.schedule(p)
+		return true
+	default:
+		p.pending.Add(-1)
+		rec.refs.Add(-1) // cannot hit zero: the caller's reference is live
+		c.queueDrops.Add(1)
+		return false
+	}
+}
+
+// fanOut enqueues rec on every peer except skip and the member named origin
+// (nil and "" skip nobody: a member ID is never empty) and returns how many
+// accepted it. The caller holds c.mu; the loop never blocks, allocates
+// nothing and spares a per-publish copy of the peer set.
+func (c *Channel) fanOut(rec *outRecord, skip *peer, origin string) int {
+	sent := 0
+	for id, p := range c.peers {
+		if p == skip || id == origin {
+			continue
+		}
+		if c.enqueue(p, rec) {
+			sent++
+		}
+	}
+	return sent
+}
+
+// PublishOpts carries the per-publish options of Publish. The zero value is
+// the common case: an untraced event, sampled at publish time when an
+// observer is attached.
+type PublishOpts struct {
+	// TraceID attributes the event to an existing trace span chain (0 with
+	// Traced unset means "decide here by sampling"). The ID rides a trailing
+	// wire-frame extension so every downstream stage — queue, propagation,
+	// decode, dispatch — attributes its span to the same trace.
+	TraceID uint64
+	// Traced marks the trace decision as already made — set it to publish
+	// with an explicit TraceID, including an explicit 0 for "this event was
+	// considered and not sampled" (d-mon decides at sample time). When
+	// unset and TraceID is 0, Publish samples via the channel's observer.
+	Traced bool
+}
+
+// Publish publishes payload to every connected peer and returns how many
+// peers accepted it into their outbound queue. Publish never writes to the
+// network itself: it enqueues the encoded event on each peer's bounded
+// outbox and returns, so a stalled subscriber costs the publisher one
+// enqueue — never a write deadline. The reactor writer pool drains the
+// queues (coalescing bursts into batch frames) and drops peers whose writes
+// fail or time out (the reconnect supervisor re-dials them if they come
+// back). A peer whose outbox is full misses this event, counted in
+// Stats.QueueDrops.
+//
+// On a relay tree the connected peers are this member's tree neighbours and
+// the record carries a hop trailer; interior members re-publish it down
+// their subtrees, so every live member still sees the event once.
+func (c *Channel) Publish(payload []byte, opts PublishOpts) (int, error) {
+	tid := opts.TraceID
+	if !opts.Traced && tid == 0 {
+		tid = c.obs.SampleTrace()
+	}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return 0, errClosed
+	}
+	// Encode once; every outbox shares the same record. Encoding under c.mu
+	// makes sequence order and enqueue order the same on every outbox, which
+	// the relay dedup gate's high-water mark depends on.
+	rec := c.encodeRecord(payload, tid, true)
+	sent := c.fanOut(rec, nil, "")
+	c.mu.Unlock()
+	c.eventsSent.Add(uint64(sent))
+	c.bytesSent.Add(uint64(sent * len(payload)))
+	rec.release()
+	return sent, nil
+}
+
+// SubmitTo publishes payload to a single peer, used for targeted control
+// messages (e.g. deploying a filter on one node). Like Publish it only
+// enqueues; an overflowing outbox drops the event and returns an error
+// wrapping ErrOutboxFull, so callers can tell transient backpressure (skip
+// and retry later) from a peer that is not connected at all.
+func (c *Channel) SubmitTo(peerID string, payload []byte) error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return errClosed
+	}
+	p, ok := c.peers[peerID]
+	if !ok {
+		c.mu.Unlock()
+		return fmt.Errorf("kecho: no peer %q on channel %q", peerID, c.name)
+	}
+	rec := c.encodeRecord(payload, 0, false)
+	ok = c.enqueue(p, rec)
+	c.mu.Unlock()
+	rec.release()
+	if !ok {
+		return fmt.Errorf("%w: peer %q on channel %q", ErrOutboxFull, peerID, c.name)
+	}
+	c.eventsSent.Add(1)
+	c.bytesSent.Add(uint64(len(payload)))
+	return nil
+}
+
+// relayOrigin is the relay dedup state for one record origin: the interned
+// origin ID (so relayed events carry it without a per-event allocation) and
+// the highest sequence number admitted from it. Sequence numbers from one
+// origin arrive in order along any single overlay path, so a monotonic
+// high-water mark suppresses every duplicate a redundant transient path can
+// produce; a straggler reordered below the mark is suppressed too (counted
+// in RelayDups) rather than delivered twice.
+type relayOrigin struct {
+	id   string
+	last uint64
+}
+
+// internFrom returns the publisher ID for a decoded from field without
+// allocating in the common case. Events arrive one hop from their publisher,
+// so the sender ID almost always equals the peer's ID; fall back to a fresh
+// string for test-injected traffic.
+func (c *Channel) internFrom(p *peer, from []byte) string {
+	if string(from) == p.id { // compiles to an alloc-free comparison
+		return p.id
+	}
+	return string(from)
+}
+
+// receiveEvent decodes one event record and delivers it (inbox or in-place
+// dispatch, per the channel's mode), reporting a record that does not
+// decode. record aliases the connection's receive buffer: event-driven
+// dispatch hands the view straight to handlers (valid for the handler call
+// only), while polled delivery copies the body into a recycled buffer that
+// Poll returns to the freelist after dispatch.
+func (c *Channel) receiveEvent(p *peer, record []byte) error {
+	recv := c.clk.Now()
+	d := wire.NewDecoder(record)
+	from := d.StringBytes()
+	seq := d.Uint64()
+	body := d.BytesFieldView()
+	// A relayed record carries the hop trailer, a sampled one the trace
+	// trailer (hop first — the relay fast path rewrites the hop byte at a
+	// fixed offset from the end); for everything else this is a single
+	// length check per extension. Both must be consumed before Finish,
+	// which still rejects any other trailing bytes.
+	var hops uint8
+	var hopped, traced bool
+	var tid uint64
+	var sendNs int64
+	if d.Remaining() > 0 {
+		hops, hopped = d.HopExt()
+		tid, sendNs, traced = d.TraceExt()
+	}
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	fromID := ""
+	if hopped {
+		// Overlay traffic — the record says so, whatever this member's own
+		// topology: suppress records that looped back to their origin and
+		// duplicates arriving over redundant transient paths, then
+		// re-publish what remains while it is inside this member's
+		// forwarding radius (never, on a full-mesh member). Suppression
+		// must precede delivery and the receive counters — the overlay's
+		// contract is each record delivered at most once per member — and
+		// the forward precedes dispatch so that a slow handler here delays
+		// only the records behind this one, not this one's subtree.
+		if string(from) == c.id {
+			return nil
+		}
+		origin, admit := c.relayAdmit(from, seq)
+		if !admit {
+			c.relayDups.Add(1)
+			return nil
+		}
+		fromID = origin
+		if int(hops)+1 <= c.maxHops {
+			c.relayForward(p, origin, record, hops, traced, len(body), tid)
+		}
+	}
+	c.eventsRecv.Add(1)
+	c.bytesRecv.Add(uint64(len(body)))
+	if tid != 0 {
+		// Cross-node propagation delay: publisher send stamp → local
+		// receive, both on internal/clock time. Skew clamps to zero in the
+		// observer. The decode span closes here — decode work is behind us.
+		delay := time.Duration(recv.UnixNano() - sendNs)
+		c.obs.ObservePropagation(delay, tid)
+		if hopped {
+			c.obs.ObservePropagationDepth(int(hops), delay)
+		}
+		c.obs.ObserveDecode(c.clk.Now().Sub(recv), tid)
+	}
+	if fromID == "" {
+		fromID = c.internFrom(p, from)
+	}
+	ev := Event{
+		Channel: c.name,
+		From:    fromID,
+		Seq:     seq,
+		Payload: body,
+		Recv:    recv,
+		TraceID: tid,
+	}
+	if c.inbox == nil {
+		// EventDriven: run the handlers here, one reader at a time. A slow
+		// handler is never dropped on: it stops this goroutine's socket
+		// reads, which fills the kernel buffers, stalls the publisher's
+		// writer, and backs its outbox up into QueueDrops — backpressure
+		// instead of local loss.
+		c.dispatchMu.Lock()
+		c.dispatch(ev)
+		c.dispatchMu.Unlock()
+		return nil
+	}
+	buf := c.getPayloadBuf(len(body))
+	ev.Payload = append(buf, body...)
+	ev.pooled = true
+	select {
+	case c.inbox <- ev:
+	default:
+		c.dropped.Add(1)
+		c.putPayloadBuf(ev.Payload)
+	}
+	return nil
+}
+
+// relayAdmit is the overlay dedup gate: it interns the record's origin ID
+// and admits the record only if its sequence number advances that origin's
+// high-water mark. The common case — known origin, fresh sequence — costs
+// one alloc-free map lookup and a pointer store under relayMu.
+func (c *Channel) relayAdmit(from []byte, seq uint64) (origin string, admit bool) {
+	c.relayMu.Lock()
+	o, ok := c.relaySeen[string(from)] // compiles to an alloc-free lookup
+	if !ok {
+		o = &relayOrigin{id: string(from)}
+		c.relaySeen[o.id] = o
+	}
+	// Publisher sequence numbers start at 1, so the zero-valued mark admits
+	// the first record from a new origin.
+	admit = seq > o.last
+	if admit {
+		o.last = seq
+	}
+	c.relayMu.Unlock()
+	return o.id, admit
+}
+
+// relayForward re-publishes a received record down the overlay: every
+// current peer except the one it arrived from and its origin gets the same
+// pooled copy with the hop count incremented in place. On a converged relay
+// tree the peer set is exactly parent+children, so this floods the record
+// to the rest of the tree with no routing state; the hop bound and the
+// dedup gate make transient non-tree peerings (mid-re-parenting) safe. Like
+// Publish, the re-fan-out is encode-free and enqueue-only: one buffer copy,
+// shared by reference across the outboxes.
+func (c *Channel) relayForward(src *peer, origin string, record []byte, hops uint8, traced bool, bodyLen int, tid uint64) {
+	rec := newOutRecord()
+	rec.buf = append(rec.buf, record...)
+	pos := len(rec.buf) - 1
+	if traced {
+		pos -= wire.TraceExtSize
+	}
+	rec.buf[pos] = hops + 1
+	if c.obs != nil {
+		rec.enq = c.clk.Now()
+		rec.traceID = tid
+	}
+	sent := 0
+	c.mu.Lock()
+	if !c.closed {
+		sent = c.fanOut(rec, src, origin)
+	}
+	c.mu.Unlock()
+	c.eventsSent.Add(uint64(sent))
+	c.relayed.Add(uint64(sent))
+	c.bytesSent.Add(uint64(sent * bodyLen))
+	rec.release()
+}
+
+// getPayloadBuf pops a recycled payload buffer with capacity for n bytes, or
+// allocates one. The buffer comes back via putPayloadBuf after dispatch.
+func (c *Channel) getPayloadBuf(n int) []byte {
+	c.payloadFree.Lock()
+	for len(c.payloadFree.bufs) > 0 {
+		last := len(c.payloadFree.bufs) - 1
+		buf := c.payloadFree.bufs[last]
+		c.payloadFree.bufs = c.payloadFree.bufs[:last]
+		if cap(buf) >= n {
+			c.payloadFree.Unlock()
+			return buf[:0]
+		}
+		// Too small for this event; drop it rather than shuffling — the
+		// freelist re-grows at the new high-water size.
+	}
+	c.payloadFree.Unlock()
+	return make([]byte, 0, n)
+}
+
+// putPayloadBuf recycles an inbox payload buffer once its event has been
+// dispatched. The freelist is bounded by the inbox size (there can never be
+// more loaned buffers than queued events) and refuses oversized buffers.
+func (c *Channel) putPayloadBuf(buf []byte) {
+	if cap(buf) == 0 || cap(buf) > maxPooledRecord {
+		return
+	}
+	c.payloadFree.Lock()
+	if len(c.payloadFree.bufs) < cap(c.inbox) {
+		c.payloadFree.bufs = append(c.payloadFree.bufs, buf)
+	}
+	c.payloadFree.Unlock()
+}
+
+func (c *Channel) dispatch(ev Event) {
+	// Subscribe builds a fresh slice on every registration, so the snapshot
+	// taken here stays immutable after the lock is released — no per-event
+	// copy needed on the hot path.
+	c.mu.Lock()
+	handlers := c.handlers
+	c.mu.Unlock()
+	if c.obs != nil && ev.TraceID != 0 {
+		start := c.clk.Now()
+		for _, h := range handlers {
+			h(ev)
+		}
+		c.obs.ObserveDispatch(c.clk.Now().Sub(start), ev.TraceID)
+		return
+	}
+	for _, h := range handlers {
+		h(ev)
+	}
+}
+
+// Poll dispatches the events queued at the moment of the call to the
+// subscribed handlers, returning the number processed. The drain is bounded
+// by a snapshot of the queue length, so a producer that keeps pace with the
+// consumer cannot live-lock the caller's poll tick: events arriving during
+// the drain wait for the next Poll. It mirrors d-mon's per-second socket
+// poll; meaningful only in Polled mode. In EventDriven mode there is no
+// inbox and Poll reports zero — callers may keep a poll tick running
+// unchanged when they flip modes.
+func (c *Channel) Poll() int {
+	n := 0
+	for max := len(c.inbox); n < max; {
+		select {
+		case ev := <-c.inbox:
+			c.dispatch(ev)
+			if ev.pooled {
+				// Every handler has returned; the loaned buffer goes back to
+				// the freelist for the next received event.
+				c.putPayloadBuf(ev.Payload)
+			}
+			n++
+		default:
+			return n
+		}
+	}
+	return n
+}
+
+// Pending reports how many events are queued awaiting Poll; always zero in
+// EventDriven mode.
+func (c *Channel) Pending() int { return len(c.inbox) }

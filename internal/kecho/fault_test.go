@@ -44,7 +44,7 @@ func joinFault(t *testing.T, f *faultnet.Fabric, regAddr, channel, id string, op
 // TestMeshSelfHealsAfterConnKill is the headline acceptance scenario: a live
 // peer connection is killed through the fault fabric and, with no manual
 // RefreshPeers call, the supervisor re-forms the mesh and a subsequent
-// Submit reaches the recovered peer.
+// Publish reaches the recovered peer.
 func TestMeshSelfHealsAfterConnKill(t *testing.T) {
 	f := faultnet.NewFabric(7)
 	reg := newRegistry(t)
@@ -55,7 +55,7 @@ func TestMeshSelfHealsAfterConnKill(t *testing.T) {
 	}
 	var got atomic.Int64
 	b.Subscribe(func(Event) { got.Add(1) })
-	if _, err := a.Submit([]byte("before")); err != nil {
+	if _, err := a.Publish([]byte("before"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, b, &got, 1)
@@ -72,7 +72,7 @@ func TestMeshSelfHealsAfterConnKill(t *testing.T) {
 			t.Fatalf("mesh did not self-heal: a peers=%v reconnects=%d",
 				a.Peers(), a.Stats().Reconnects+b.Stats().Reconnects)
 		}
-		if _, err := a.Submit([]byte("after")); err == nil {
+		if _, err := a.Publish([]byte("after"), PublishOpts{}); err == nil {
 			b.Poll()
 			if got.Load() >= 2 {
 				break
@@ -86,8 +86,8 @@ func TestMeshSelfHealsAfterConnKill(t *testing.T) {
 }
 
 // TestSubmitWriteDeadlineUnblocksHealthyPeers proves the head-of-line fix:
-// Submit only enqueues, so a stalled peer costs the publisher nothing; the
-// stalled peer's writer pays the deadline off the Submit path and drops the
+// Publish only enqueues, so a stalled peer costs the publisher nothing; the
+// stalled peer's writer pays the deadline off the Publish path and drops the
 // peer, while the healthy peer still receives the event.
 func TestSubmitWriteDeadlineUnblocksHealthyPeers(t *testing.T) {
 	f := faultnet.NewFabric(3)
@@ -108,16 +108,16 @@ func TestSubmitWriteDeadlineUnblocksHealthyPeers(t *testing.T) {
 
 	f.StallWrites("maui", true)
 	start := time.Now()
-	n, err := a.Submit([]byte("head-of-line"))
+	n, err := a.Publish([]byte("head-of-line"), PublishOpts{})
 	elapsed := time.Since(start)
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("Publish: %v", err)
 	}
 	if n != 2 {
-		t.Fatalf("Submit enqueued to %d peers, want 2", n)
+		t.Fatalf("Publish enqueued to %d peers, want 2", n)
 	}
 	if elapsed > 100*time.Millisecond {
-		t.Fatalf("Submit blocked %v on the stalled peer", elapsed)
+		t.Fatalf("Publish blocked %v on the stalled peer", elapsed)
 	}
 	waitForEvents(t, c, &gotC, 1)
 	// The stalled peer's writer hits the deadline and drops the peer.
@@ -131,7 +131,7 @@ func TestSubmitWriteDeadlineUnblocksHealthyPeers(t *testing.T) {
 }
 
 // TestStalledPeerSubmitLatencyBounded is the headline publisher-side bound:
-// with one of 8 peers stalled, 100 Submit calls complete in a small fraction
+// with one of 8 peers stalled, 100 Publish calls complete in a small fraction
 // of one write deadline (the pre-fix worst case was ~100 deadlines) and the
 // healthy peers still receive every event. The default outbox (1024) absorbs
 // the whole burst, so delivery to healthy peers is deterministic.
@@ -159,15 +159,15 @@ func TestStalledPeerSubmitLatencyBounded(t *testing.T) {
 	f.StallWrites("maui0", true)
 	start := time.Now()
 	for i := 0; i < events; i++ {
-		if n, err := a.Submit([]byte("fanout")); err != nil || n != peers {
-			t.Fatalf("Submit #%d = (%d, %v), want (%d, nil)", i, n, err, peers)
+		if n, err := a.Publish([]byte("fanout"), PublishOpts{}); err != nil || n != peers {
+			t.Fatalf("Publish #%d = (%d, %v), want (%d, nil)", i, n, err, peers)
 		}
 	}
 	elapsed := time.Since(start)
 	// Well under one WriteDeadline total — the pre-fix cost was up to
 	// events x deadline.
 	if elapsed > time.Second {
-		t.Fatalf("100 Submits took %v with a stalled peer, want << 2s", elapsed)
+		t.Fatalf("100 publishes took %v with a stalled peer, want << 2s", elapsed)
 	}
 	// Every healthy peer receives the full stream.
 	for i := 1; i < peers; i++ {
@@ -199,7 +199,7 @@ func TestStalledPeerOutboxOverflowCounts(t *testing.T) {
 	f.StallWrites("maui", true)
 	sawOverflow := false
 	for i := 0; i < 16+4+2; i++ {
-		n, err := a.Submit([]byte("overflow"))
+		n, err := a.Publish([]byte("overflow"), PublishOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestStalledPeerOutboxOverflowCounts(t *testing.T) {
 		}
 	}
 	if !sawOverflow {
-		t.Fatal("every Submit was accepted despite a 16-slot outbox and a stalled writer")
+		t.Fatal("every Publish was accepted despite a 16-slot outbox and a stalled writer")
 	}
 	if d := a.Stats().QueueDrops; d < 1 {
 		t.Fatalf("QueueDrops = %d, want >= 1", d)
@@ -245,7 +245,7 @@ func TestWriterCoalescesBatches(t *testing.T) {
 	// Stall the writer mid-write; the remaining events pile into the outbox.
 	f.StallWrites("maui", true)
 	for i := 0; i < events; i++ {
-		if _, err := a.Submit([]byte{byte(i)}); err != nil {
+		if _, err := a.Publish([]byte{byte(i)}, PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestPartitionHealRoundTrip(t *testing.T) {
 	}
 	var got atomic.Int64
 	b.Subscribe(func(Event) { got.Add(1) })
-	if _, err := a.Submit([]byte("pre-partition")); err != nil {
+	if _, err := a.Publish([]byte("pre-partition"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, b, &got, 1)
@@ -303,7 +303,7 @@ func TestPartitionHealRoundTrip(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("mesh did not re-form after Heal: a peers=%v", a.Peers())
 		}
-		if _, err := a.Submit([]byte("post-heal")); err == nil {
+		if _, err := a.Publish([]byte("post-heal"), PublishOpts{}); err == nil {
 			b.Poll()
 			if got.Load() >= 2 {
 				break
@@ -344,7 +344,7 @@ func TestJoinSkipsUnreachablePeer(t *testing.T) {
 	}
 	var got atomic.Int64
 	b.Subscribe(func(Event) { got.Add(1) })
-	if _, err := a.Submit([]byte("partial join ok")); err != nil {
+	if _, err := a.Publish([]byte("partial join ok"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, b, &got, 1)
@@ -412,7 +412,7 @@ func TestRegistryRestartMembersReRegister(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no delivery after registry restart")
 		}
-		if n, err := a.Submit([]byte("post-restart")); err == nil && n >= 1 {
+		if n, err := a.Publish([]byte("post-restart"), PublishOpts{}); err == nil && n >= 1 {
 			sent = true
 		}
 		b.Poll()
@@ -455,8 +455,8 @@ func TestLargeEventBurstSplitsBatches(t *testing.T) {
 	f.StallWrites("maui", true)
 	payload := make([]byte, eventSize)
 	for i := 0; i < events; i++ {
-		if n, err := a.Submit(payload); err != nil || n != 1 {
-			t.Fatalf("Submit #%d = (%d, %v), want (1, nil)", i, n, err)
+		if n, err := a.Publish(payload, PublishOpts{}); err != nil || n != 1 {
+			t.Fatalf("Publish #%d = (%d, %v), want (1, nil)", i, n, err)
 		}
 	}
 	f.StallWrites("maui", false)
@@ -497,10 +497,10 @@ func TestOversizeEventDroppedPeerSurvives(t *testing.T) {
 
 	// The payload alone fills MaxFrameSize; the event envelope (member ID,
 	// seq, length prefixes) pushes the record past it.
-	if _, err := a.Submit(make([]byte, wire.MaxFrameSize)); err != nil {
+	if _, err := a.Publish(make([]byte, wire.MaxFrameSize), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Submit([]byte("small follows oversize")); err != nil {
+	if _, err := a.Publish([]byte("small follows oversize"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, b, &got, 1)
@@ -517,7 +517,7 @@ func TestOversizeEventDroppedPeerSurvives(t *testing.T) {
 }
 
 // TestCloseDrainsAcceptedEvents pins Close's graceful drain: events already
-// accepted by Submit are flushed (bounded by one write deadline) before the
+// accepted by Publish are flushed (bounded by one write deadline) before the
 // peer connections are torn down, so a clean shutdown does not silently
 // discard the tail of the stream.
 func TestCloseDrainsAcceptedEvents(t *testing.T) {
@@ -539,8 +539,8 @@ func TestCloseDrainsAcceptedEvents(t *testing.T) {
 	// (or is about to start) draining: every accepted event must arrive.
 	f.StallWrites("maui", true)
 	for i := 0; i < events; i++ {
-		if n, err := a.Submit([]byte{byte(i)}); err != nil || n != 1 {
-			t.Fatalf("Submit #%d = (%d, %v), want (1, nil)", i, n, err)
+		if n, err := a.Publish([]byte{byte(i)}, PublishOpts{}); err != nil || n != 1 {
+			t.Fatalf("Publish #%d = (%d, %v), want (1, nil)", i, n, err)
 		}
 	}
 	go func() {
@@ -579,8 +579,8 @@ func TestReactorStallIsolation(t *testing.T) {
 	f.StallWrites("maui", true)
 	defer f.StallWrites("maui", false)
 	start := time.Now()
-	if n, err := a.Submit([]byte("shared-reactor")); err != nil || n != 3 {
-		t.Fatalf("Submit = (%d, %v), want (3, nil)", n, err)
+	if n, err := a.Publish([]byte("shared-reactor"), PublishOpts{}); err != nil || n != 3 {
+		t.Fatalf("Publish = (%d, %v), want (3, nil)", n, err)
 	}
 	for got1.Load() < 1 || got2.Load() < 1 {
 		h1.Poll()
@@ -623,8 +623,8 @@ func TestKillReviveMidDrainAccounting(t *testing.T) {
 	// from under the draining writer.
 	f.StallWrites("maui", true)
 	for i := 0; i < events; i++ {
-		if n, err := a.Submit([]byte{byte(i)}); err != nil || n != 1 {
-			t.Fatalf("Submit #%d = (%d, %v), want (1, nil)", i, n, err)
+		if n, err := a.Publish([]byte{byte(i)}, PublishOpts{}); err != nil || n != 1 {
+			t.Fatalf("Publish #%d = (%d, %v), want (1, nil)", i, n, err)
 		}
 	}
 	if n := f.Sever("alan", "maui"); n < 1 {
@@ -636,7 +636,7 @@ func TestKillReviveMidDrainAccounting(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for got.Load() == 0 {
 		if len(a.Peers()) > 0 {
-			a.Submit([]byte("probe"))
+			a.Publish([]byte("probe"), PublishOpts{})
 		}
 		b.Poll()
 		if time.Now().After(deadline) {

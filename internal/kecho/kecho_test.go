@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dproc/internal/overlay"
 	"dproc/internal/registry"
 )
 
@@ -64,9 +65,9 @@ func TestTwoMemberDelivery(t *testing.T) {
 		mu.Unlock()
 		got.Add(1)
 	})
-	n, err := a.Submit([]byte("loadavg 2.5"))
+	n, err := a.Publish([]byte("loadavg 2.5"), PublishOpts{})
 	if err != nil || n != 1 {
-		t.Fatalf("Submit = (%d, %v)", n, err)
+		t.Fatalf("Publish = (%d, %v)", n, err)
 	}
 	waitForEvents(t, b, &got, 1)
 	mu.Lock()
@@ -93,9 +94,9 @@ func TestPeerToPeerMeshFanout(t *testing.T) {
 	}
 	// Each member submits one event; every other member must receive it.
 	for i := 0; i < n; i++ {
-		sent, err := chans[i].Submit([]byte{byte(i)})
+		sent, err := chans[i].Publish([]byte{byte(i)}, PublishOpts{})
 		if err != nil || sent != n-1 {
-			t.Fatalf("node%d Submit = (%d, %v), want %d", i, sent, err, n-1)
+			t.Fatalf("node%d Publish = (%d, %v), want %d", i, sent, err, n-1)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -120,7 +121,7 @@ func TestPolledEventsWaitForPoll(t *testing.T) {
 
 	var got atomic.Int64
 	b.Subscribe(func(Event) { got.Add(1) })
-	if _, err := a.Submit([]byte("x")); err != nil {
+	if _, err := a.Publish([]byte("x"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until queued, but unpolled events must not dispatch.
@@ -185,7 +186,7 @@ func TestEventSequenceNumbers(t *testing.T) {
 		got.Add(1)
 	})
 	for i := 0; i < 5; i++ {
-		if _, err := a.Submit([]byte{byte(i)}); err != nil {
+		if _, err := a.Publish([]byte{byte(i)}, PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +211,7 @@ func TestStatsCounters(t *testing.T) {
 	b.Subscribe(func(Event) { got.Add(1) })
 	payload := make([]byte, 100)
 	for i := 0; i < 3; i++ {
-		if _, err := a.Submit(payload); err != nil {
+		if _, err := a.Publish(payload, PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +245,7 @@ func TestByteAccountingSymmetric(t *testing.T) {
 	b.Subscribe(func(Event) { got.Add(1) })
 	var want uint64
 	for _, size := range []int{0, 1, 37, 4096} {
-		if _, err := a.Submit(make([]byte, size)); err != nil {
+		if _, err := a.Publish(make([]byte, size), PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		want += uint64(size)
@@ -293,7 +294,7 @@ func TestInboxOverflowDropsAndCounts(t *testing.T) {
 	b.WaitForPeers(1, time.Second)
 
 	for i := 0; i < 50; i++ {
-		if _, err := a.Submit([]byte{byte(i)}); err != nil {
+		if _, err := a.Publish([]byte{byte(i)}, PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +329,7 @@ func TestPeerDisconnectPrunesMesh(t *testing.T) {
 	// After b closes, a's submit discovers the dead peer and prunes it.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		n, err := a.Submit([]byte("ping"))
+		n, err := a.Publish([]byte("ping"), PublishOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +353,7 @@ func TestRefreshPeersHealsMesh(t *testing.T) {
 	bOld.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for len(a.Peers()) != 0 {
-		a.Submit([]byte("probe")) // prune the dead peer
+		a.Publish([]byte("probe"), PublishOpts{}) // prune the dead peer
 		if time.Now().After(deadline) {
 			t.Fatal("dead peer never pruned")
 		}
@@ -392,8 +393,8 @@ func TestSubmitOnClosedChannel(t *testing.T) {
 	reg := newRegistry(t)
 	a := join(t, reg, "mon", "a", nil)
 	a.Close()
-	if _, err := a.Submit([]byte("x")); err == nil {
-		t.Fatal("Submit on closed channel succeeded")
+	if _, err := a.Publish([]byte("x"), PublishOpts{}); err == nil {
+		t.Fatal("Publish on closed channel succeeded")
 	}
 	if err := a.SubmitTo("b", nil); err == nil {
 		t.Fatal("SubmitTo on closed channel succeeded")
@@ -428,7 +429,7 @@ func TestMonitoringAndControlChannelPair(t *testing.T) {
 	var monGot, ctlGot atomic.Int64
 	monB.Subscribe(func(Event) { monGot.Add(1) })
 	ctlB.Subscribe(func(Event) { ctlGot.Add(1) })
-	if _, err := monA.Submit([]byte("data")); err != nil {
+	if _, err := monA.Publish([]byte("data"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, monB, &monGot, 1)
@@ -455,7 +456,7 @@ func TestLargeEventPayload(t *testing.T) {
 		recvLen.Store(int64(len(ev.Payload)))
 		got.Add(1)
 	})
-	if _, err := a.Submit(payload); err != nil {
+	if _, err := a.Publish(payload, PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, b, &got, 1)
@@ -480,7 +481,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := a.Submit([]byte("c")); err != nil {
+				if _, err := a.Publish([]byte("c"), PublishOpts{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -489,4 +490,41 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 	wg.Wait()
 	waitForEvents(t, b, &got, goroutines*per)
+}
+
+// TestOptionDefaults pins the one defaults function: the zero Options and
+// DefaultOptions() resolve to the same effective value in every field that
+// has a default, and resolving twice changes nothing.
+func TestOptionDefaults(t *testing.T) {
+	zero, def := Options{}.withDefaults(), DefaultOptions().withDefaults()
+	for _, f := range []struct {
+		name string
+		get  func(Options) any
+		want any
+	}{
+		{"InboxSize", func(o Options) any { return o.InboxSize }, 4096},
+		{"Transport", func(o Options) any { return o.Transport }, tcpTransport{}},
+		{"WriteDeadline", func(o Options) any { return o.WriteDeadline }, 5 * time.Second},
+		{"OutboxSize", func(o Options) any { return o.OutboxSize }, 1024},
+		{"MaxBatch", func(o Options) any { return o.MaxBatch }, 64},
+		{"Writers", func(o Options) any { return o.Writers >= 2 && o.Writers <= 8 }, true},
+		{"ReconnectInterval", func(o Options) any { return o.ReconnectInterval }, 250 * time.Millisecond},
+		{"ReconnectMax", func(o Options) any { return o.ReconnectMax }, 5 * time.Second},
+		{"Clock", func(o Options) any { return fmt.Sprintf("%T", o.Clock) }, "*clock.Real"},
+		{"Topology", func(o Options) any { return o.Topology }, overlay.FullMesh{}},
+	} {
+		if z, d := f.get(zero), f.get(def); z != f.want || d != f.want {
+			t.Errorf("%s: Options{} resolves to %v, DefaultOptions() to %v, want %v", f.name, z, d, f.want)
+		}
+	}
+	if zero.Writers != def.Writers {
+		t.Errorf("Writers: Options{} resolves to %d, DefaultOptions() to %d", zero.Writers, def.Writers)
+	}
+	// What a caller set survives, including the two values with a meaning of
+	// their own: a negative WriteDeadline (disabled) and a ReconnectMax below
+	// the interval (raised to it).
+	set := Options{WriteDeadline: -1, ReconnectInterval: time.Second, ReconnectMax: time.Millisecond, OutboxSize: 7}.withDefaults()
+	if set.WriteDeadline != -1 || set.ReconnectMax != time.Second || set.OutboxSize != 7 {
+		t.Errorf("caller's values: WriteDeadline %v, ReconnectMax %v, OutboxSize %d", set.WriteDeadline, set.ReconnectMax, set.OutboxSize)
+	}
 }

@@ -147,9 +147,9 @@ func TestRelayTreeFloodDelivery(t *testing.T) {
 		}
 		// Publisher-side flatness: accepted count is the neighbor count
 		// (at most branching+1), not n-1.
-		sent, err := chans[i].Submit([]byte{byte(i)})
+		sent, err := chans[i].Publish([]byte{byte(i)}, PublishOpts{})
 		if err != nil || sent != len(want) {
-			t.Fatalf("node%d Submit = (%d, %v), want %d neighbors", i, sent, err, len(want))
+			t.Fatalf("node%d Publish = (%d, %v), want %d neighbors", i, sent, err, len(want))
 		}
 		if sent > 3 {
 			t.Fatalf("node%d accepted %d direct sends, want <= branching+1 = 3", i, sent)
@@ -223,12 +223,12 @@ func TestRelaySlowHandlerOnInterior(t *testing.T) {
 	}
 
 	const n = 500 // fewer than an outbox holds: nothing may be dropped
-	if _, err := root.Submit([]byte("first")); err != nil {
+	if _, err := root.Publish([]byte("first"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitSeq(1, "interior's handler is stuck on the record it already forwarded")
 	for i := 1; i < n; i++ {
-		if _, err := root.Submit([]byte("behind")); err != nil {
+		if _, err := root.Publish([]byte("behind"), PublishOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func TestRelayInteriorKillReparent(t *testing.T) {
 				return
 			default:
 			}
-			sent, err := pub.Submit([]byte{byte(i)})
+			sent, err := pub.Publish([]byte{byte(i)}, PublishOpts{})
 			if err != nil {
 				return
 			}
@@ -507,4 +507,142 @@ func BenchmarkRelayForward(b *testing.B) {
 		relay.receiveEvent(src, record)
 	}
 	b.StopTimer()
+}
+
+// TestRelayTreeSteadyState pins the overlay at rest, at a size where an
+// interior member has interior children: 16 members on a branching-2 tree
+// with the supervisors running. Once the tree has formed, every member holds
+// exactly its tree edges, and a stream from the root reaches every other
+// member exactly once with nothing suppressed and nothing dropped.
+func TestRelayTreeSteadyState(t *testing.T) {
+	reg := newRegistry(t)
+	const n, events, burst = 16, 3000, 200
+	chans := make([]*Channel, n)
+	logs := make([]*deliveryLog, n)
+	for i := range chans {
+		logs[i] = newDeliveryLog()
+		chans[i] = join(t, reg, "mon", fmt.Sprintf("node%02d", i), treeOpts(int64(i+1), 2))
+		chans[i].Subscribe(logs[i].handler)
+	}
+	waitTreeConverged(t, chans, 10*time.Second)
+
+	// Closed loop, a burst at a time, so that no outbox (1024 deep) can
+	// overflow however the scheduler treats the relays.
+	root := chans[0]
+	for sent := 0; sent < events; {
+		for i := 0; i < burst; i, sent = i+1, sent+1 {
+			if _, err := root.Publish([]byte{byte(sent)}, PublishOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for i := 1; i < n; i++ {
+			for logs[i].total.Load() < int64(sent) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s saw %d of %d events", chans[i].id, logs[i].total.Load(), sent)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // let any stray duplicate land
+	for i, c := range chans {
+		want := int64(events)
+		if i == 0 {
+			want = 0 // nothing loops back to the publisher
+		}
+		if got := logs[i].total.Load(); got != want || len(logs[i].dups()) != 0 {
+			t.Fatalf("%s delivered %d events (%d more than once), want %d exactly once",
+				c.id, got, len(logs[i].dups()), want)
+		}
+		if s := c.Stats(); s.RelayDups != 0 || s.QueueDrops != 0 {
+			t.Fatalf("%s: relay dups %d, queue drops %d on a converged tree; want none", c.id, s.RelayDups, s.QueueDrops)
+		}
+	}
+	waitTreeConverged(t, chans, time.Second) // and the tree is still the tree
+}
+
+// TestMixedTopologies pins the receive gate keying on the record, not on the
+// receiver's configuration. A full-mesh member on a channel with relay-tree
+// members treats a hop-stamped record as overlay traffic — deduplicated,
+// never forwarded — and a tree member treats a trailer-free SubmitTo record
+// as point-to-point: delivered, never re-published.
+func TestMixedTopologies(t *testing.T) {
+	reg := newRegistry(t)
+	event := func() *Options { return &Options{DisableReconnect: true, Dispatch: EventDriven} }
+	tree := func() *Options {
+		o := treeOpts(1, 2)
+		o.DisableReconnect = true
+		return o
+	}
+	waitTotal := func(l *deliveryLog, want int64, what string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for l.total.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d deliveries, want %d", what, l.total.Load(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// aa-flat and cc-flat are full-mesh members, bb-tree publishes with a hop
+	// trailer. Join-time dials connect all three pairwise.
+	flatLog, otherLog := newDeliveryLog(), newDeliveryLog()
+	flat := join(t, reg, "mixed", "aa-flat", event())
+	flat.Subscribe(flatLog.handler)
+	pub := join(t, reg, "mixed", "bb-tree", tree())
+	other := join(t, reg, "mixed", "cc-flat", event())
+	other.Subscribe(otherLog.handler)
+	if !flat.WaitForPeers(2, 2*time.Second) || !pub.WaitForPeers(2, 2*time.Second) {
+		t.Fatalf("mixed mesh did not form: flat %v, tree %v", flat.Peers(), pub.Peers())
+	}
+	if _, err := pub.Publish([]byte("stamped"), PublishOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	waitTotal(flatLog, 1, "hop-stamped record at the full-mesh member")
+	waitTotal(otherLog, 1, "hop-stamped record at the other full-mesh member")
+	// The same record again, as a redundant path would deliver it.
+	record := wire.AppendString(nil, "bb-tree")
+	record = binary.BigEndian.AppendUint64(record, 1)
+	record = wire.AppendBytesField(record, []byte("stamped"))
+	record = wire.AppendHopExt(record, 0)
+	flat.mu.Lock()
+	src := flat.peers["bb-tree"]
+	flat.mu.Unlock()
+	if err := flat.receiveEvent(src, record); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if s := flat.Stats(); flatLog.count("bb-tree", 1) != 1 || s.RelayDups != 1 || s.Relayed != 0 || s.EventsSent != 0 {
+		t.Fatalf("full-mesh member: delivered %d times, relay dups %d, relayed %d, sent %d; want 1, 1, 0, 0",
+			flatLog.count("bb-tree", 1), s.RelayDups, s.Relayed, s.EventsSent)
+	}
+	if got := otherLog.total.Load(); got != 1 {
+		t.Fatalf("cc-flat saw %d events, want 1: the full-mesh member forwarded", got)
+	}
+
+	// A tree of three: a SubmitTo from one leaf stops at the root; a Publish
+	// from the same leaf is forwarded to the other.
+	rootLog, leafLog := newDeliveryLog(), newDeliveryLog()
+	root := join(t, reg, "tree", "aa-root", tree())
+	root.Subscribe(rootLog.handler)
+	from := join(t, reg, "tree", "bb-leaf", tree())
+	leaf := join(t, reg, "tree", "cc-leaf", tree())
+	leaf.Subscribe(leafLog.handler)
+	if !root.WaitForPeers(2, 2*time.Second) {
+		t.Fatal("tree did not form")
+	}
+	if err := from.SubmitTo("aa-root", []byte("targeted")); err != nil {
+		t.Fatal(err)
+	}
+	waitTotal(rootLog, 1, "SubmitTo record at the root")
+	if _, err := from.Publish([]byte("broadcast"), PublishOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	waitTotal(leafLog, 1, "published record at the other leaf")
+	time.Sleep(50 * time.Millisecond)
+	if got, relayed := leafLog.total.Load(), root.Stats().Relayed; got != 1 || relayed != 1 {
+		t.Fatalf("other leaf saw %d events, root relayed %d; want 1 and 1 (the Publish only)", got, relayed)
+	}
 }

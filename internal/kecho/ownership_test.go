@@ -33,7 +33,7 @@ func TestRetainedPayloadObservesRecycling(t *testing.T) {
 		}
 	})
 
-	if _, err := pub.Submit([]byte("first-payload!")); err != nil {
+	if _, err := pub.Publish([]byte("first-payload!"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, sub, &got, 1)
@@ -44,7 +44,7 @@ func TestRetainedPayloadObservesRecycling(t *testing.T) {
 	// would race with the incoming copy — under -race, exactly the bug the
 	// contract describes. The handler's in-call copy already proved the
 	// bytes were intact pre-recycling.
-	if _, err := pub.Submit([]byte("second-event!!")); err != nil {
+	if _, err := pub.Publish([]byte("second-event!!"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, sub, &got, 2)
@@ -82,7 +82,7 @@ func TestPayloadValidDuringHandlerCall(t *testing.T) {
 				got.Add(1)
 			})
 			for i := 0; i < 50; i++ {
-				if _, err := pub.Submit([]byte("in-call-bytes")); err != nil {
+				if _, err := pub.Publish([]byte("in-call-bytes"), PublishOpts{}); err != nil {
 					t.Fatal(err)
 				}
 			}

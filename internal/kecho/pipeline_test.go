@@ -164,7 +164,7 @@ func TestCloseWaitsForBlockedHandler(t *testing.T) {
 		close(entered)
 		<-release
 	})
-	if _, err := a.Submit([]byte("block")); err != nil {
+	if _, err := a.Publish([]byte("block"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
@@ -200,14 +200,47 @@ func TestDispatchImmediateStillParses(t *testing.T) {
 	}
 }
 
+// readCountTransport is plain TCP that counts the dialed connections which
+// were ever read from. The dialing end reads a connection only in the reader
+// the peer set starts for a connection it keeps, so the count is the number
+// of dialed connections actually installed.
+type readCountTransport struct {
+	tcpTransport
+	read atomic.Int64
+}
+
+func (t *readCountTransport) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
+	conn, err := t.tcpTransport.DialTimeout(network, address, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &readCountConn{Conn: conn, t: t}, nil
+}
+
+type readCountConn struct {
+	net.Conn
+	t     *readCountTransport
+	first sync.Once
+}
+
+func (c *readCountConn) Read(b []byte) (int, error) {
+	c.first.Do(func() { c.t.read.Add(1) })
+	return c.Conn.Read(b)
+}
+
 // TestCrossDialKeepsOneConnection pins the duplicate-connection tie-break:
 // when two members dial each other at the same moment (a RefreshPeers that
 // overtakes the accept of a connection already on its way), both ends must
 // settle on the same connection. With no supervisor to re-dial, a pair in
-// which each end kept the connection the other one closed stays apart.
+// which each end kept the connection the other one closed stays apart. It
+// also pins the accounting of those dials: dialPeer's kept result — the one
+// figure Stats.Reconnects and RefreshPeers' count are summed from — is true
+// exactly for the connections the peer set installed, not for the ones the
+// tie-break refused.
 func TestCrossDialKeepsOneConnection(t *testing.T) {
 	reg := newRegistry(t)
-	opts := Options{DisableReconnect: true, Dispatch: EventDriven}
+	tr := &readCountTransport{}
+	opts := Options{DisableReconnect: true, Dispatch: EventDriven, Transport: tr}
 	a := join(t, reg, "mon", "a", &opts)
 	b := join(t, reg, "mon", "b", &opts)
 	var atA, atB atomic.Int64
@@ -215,12 +248,20 @@ func TestCrossDialKeepsOneConnection(t *testing.T) {
 	b.Subscribe(func(Event) { atB.Add(1) })
 	ma := registry.Member{ID: "a", Addr: a.Addr()}
 	mb := registry.Member{ID: "b", Addr: b.Addr()}
+	var kept atomic.Int64
+	kept.Add(1) // b's Join dialed a
 
 	for round := 0; round < 100; round++ {
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); _ = a.dialPeer(mb) }()
-		go func() { defer wg.Done(); _ = b.dialPeer(ma) }()
+		dial := func(c *Channel, m registry.Member) {
+			defer wg.Done()
+			if ok, _ := c.dialPeer(m); ok {
+				kept.Add(1)
+			}
+		}
+		go dial(a, mb)
+		go dial(b, ma)
 		wg.Wait()
 		// However the two dials and their accepts interleaved, an event gets
 		// through each way once they have settled (one sent while a loser is
@@ -232,12 +273,21 @@ func TestCrossDialKeepsOneConnection(t *testing.T) {
 				t.Fatalf("round %d: pair apart after a cross-dial: a sees %v, b sees %v",
 					round, a.Peers(), b.Peers())
 			}
-			_, _ = a.Submit([]byte("a"))
-			_, _ = b.Submit([]byte("b"))
+			_, _ = a.Publish([]byte("a"), PublishOpts{})
+			_, _ = b.Publish([]byte("b"), PublishOpts{})
 			time.Sleep(time.Millisecond)
 		}
 	}
 	if pa, pb := a.Peers(), b.Peers(); len(pa) != 1 || len(pb) != 1 {
 		t.Fatalf("peers after cross-dials: a %v, b %v; want one each", pa, pb)
+	}
+	// Every kept connection got a reader, every refused one was closed
+	// unread; the readers of the last round may still be starting.
+	deadline := time.Now().Add(2 * time.Second)
+	for tr.read.Load() != kept.Load() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if installed := tr.read.Load(); installed != kept.Load() {
+		t.Fatalf("200 cross-dials reported %d connections kept, %d were installed", kept.Load()-1, installed-1)
 	}
 }

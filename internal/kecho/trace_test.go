@@ -43,7 +43,7 @@ func TestTraceContinuityAcrossReconnect(t *testing.T) {
 		got.Add(1)
 	})
 
-	if _, err := a.Submit([]byte("before")); err != nil {
+	if _, err := a.Publish([]byte("before"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitForEvents(t, b, &got, 1)
@@ -62,7 +62,7 @@ func TestTraceContinuityAcrossReconnect(t *testing.T) {
 			t.Fatalf("mesh did not self-heal: reconnects=%d",
 				a.Stats().Reconnects+b.Stats().Reconnects)
 		}
-		if _, err := a.Submit([]byte("after")); err == nil {
+		if _, err := a.Publish([]byte("after"), PublishOpts{}); err == nil {
 			b.Poll()
 			if got.Load() >= 2 {
 				break
@@ -105,5 +105,43 @@ func TestTraceContinuityAcrossReconnect(t *testing.T) {
 	}
 	if propSpans < 2 {
 		t.Fatalf("subscriber recorded %d propagate spans with the publisher prefix, want >= 2", propSpans)
+	}
+}
+
+// TestPublishTraceDecision pins the one entry point's trace decision: with
+// nothing decided Publish samples through the observer, a decision already
+// made is honoured — including "considered and not sampled" — and an
+// explicit ID reaches the subscriber's Event.TraceID.
+func TestPublishTraceDecision(t *testing.T) {
+	reg := newRegistry(t)
+	pubObs := obs.New("alan", nil, 1) // sample every event
+	a := join(t, reg, "mon", "alan", &Options{Observer: pubObs})
+	b := join(t, reg, "mon", "maui", &Options{Dispatch: EventDriven})
+	if !a.WaitForPeers(1, time.Second) || !b.WaitForPeers(1, time.Second) {
+		t.Fatal("mesh did not form")
+	}
+	got := make(chan uint64, 1)
+	b.Subscribe(func(ev Event) { got <- ev.TraceID })
+	for _, tc := range []struct {
+		name  string
+		opts  PublishOpts
+		check func(tid uint64) bool
+	}{
+		{"zero opts samples via the observer", PublishOpts{}, func(tid uint64) bool { return tid != 0 }},
+		{"Traced with ID 0 stays untraced", PublishOpts{Traced: true}, func(tid uint64) bool { return tid == 0 }},
+		{"Traced with an ID carries it", PublishOpts{TraceID: 0xabcdef, Traced: true}, func(tid uint64) bool { return tid == 0xabcdef }},
+		{"an ID alone carries it too", PublishOpts{TraceID: 0x1234}, func(tid uint64) bool { return tid == 0x1234 }},
+	} {
+		if _, err := a.Publish([]byte("x"), tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case tid := <-got:
+			if !tc.check(tid) {
+				t.Errorf("%s: subscriber saw trace ID %#x", tc.name, tid)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: event not delivered", tc.name)
+		}
 	}
 }

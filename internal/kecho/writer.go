@@ -7,9 +7,8 @@ import (
 )
 
 // Reactor writers. A small fixed pool of writer goroutines (Options.Writers)
-// drains every peer's outbox, replacing the writer-goroutine-per-peer model:
-// an idle peer costs zero writer goroutines, and a busy relay drains many
-// outboxes per wake-up.
+// drains every peer's outbox: an idle peer costs zero writer goroutines, and
+// a busy relay drains many outboxes per wake-up.
 //
 // Queue ownership: peer.scheduled is the single token. A producer that
 // enqueues CASes it false→true and, on success, pushes the peer onto the
@@ -43,8 +42,8 @@ func (c *Channel) schedule(p *peer) {
 func (c *Channel) writerLoop() {
 	defer c.wg.Done()
 	ws := writerScratch{
-		batch: make([]*outRecord, 0, c.maxBatch),
-		views: make([][]byte, 0, c.maxBatch),
+		batch: make([]*outRecord, 0, c.opts.MaxBatch),
+		views: make([][]byte, 0, c.opts.MaxBatch),
 	}
 	for {
 		p, ok := c.ring.pop()
@@ -60,7 +59,7 @@ func (c *Channel) writerLoop() {
 // tail (more queued: fairness demands other ready peers go first) or
 // releases the scheduled token. On a write failure the peer is torn down and
 // everything still queued is counted in QueueDrops; the deadline is paid
-// here, off the Submit path, exactly as in the per-peer-writer design.
+// here, off the Publish path.
 func (c *Channel) servicePeer(p *peer, ws *writerScratch) {
 	// carry holds a record pulled in a previous round that would have pushed
 	// that batch past the frame limit; it opens this batch instead,
@@ -90,7 +89,7 @@ func (c *Channel) servicePeer(p *peer, ws *writerScratch) {
 	// producing one oversized frame the wire layer rejects.
 	bytes := 4 + 4 + len(first.buf)
 coalesce:
-	for len(batch) < c.maxBatch {
+	for len(batch) < c.opts.MaxBatch {
 		select {
 		case rec := <-p.outbox:
 			if bytes+4+len(rec.buf) > wire.MaxFrameSize {
@@ -104,36 +103,33 @@ coalesce:
 		}
 	}
 	var err error
-	// done counts events resolved this round — written or deliberately
-	// dropped, their references released — so the error path can account for
-	// the remainder.
-	done := 0
 	if len(batch) == 1 {
-		if err = p.send(frameEvent, first.buf, c.writeDeadline); err == nil {
-			c.observeWritten(batch)
-			p.pending.Add(-1)
-			first.release()
-			done = 1
-		}
+		err = p.send(frameEvent, first.buf, c.opts.WriteDeadline)
 	} else {
 		ws.views = ws.views[:0]
 		for _, rec := range batch {
 			ws.views = append(ws.views, rec.buf)
 		}
 		ws.enc = wire.AppendBatch(ws.enc[:0], ws.views)
-		if err = p.send(frameBatch, ws.enc, c.writeDeadline); err == nil {
+		if err = p.send(frameBatch, ws.enc, c.opts.WriteDeadline); err == nil {
 			c.batchesSent.Add(1)
-			c.observeWritten(batch)
-			p.pending.Add(-int64(len(batch)))
-			for _, rec := range batch {
-				rec.release()
-			}
-			done = len(batch)
 		}
 		if cap(ws.enc) > maxPooledRecord {
 			// Don't let one giant burst pin a frame-sized buffer forever.
 			ws.enc = nil
 		}
+	}
+	// done counts events resolved this round — written or deliberately
+	// dropped, their references released — so the error path can account for
+	// the remainder.
+	done := 0
+	if err == nil {
+		c.observeWritten(batch)
+		p.pending.Add(-int64(len(batch)))
+		for _, rec := range batch {
+			rec.release()
+		}
+		done = len(batch)
 	}
 	if err != nil && errors.Is(err, wire.ErrFrameSize) {
 		// ErrFrameSize means WriteFrame wrote nothing — the connection is
@@ -147,7 +143,7 @@ coalesce:
 				done++
 				continue
 			}
-			if err = p.send(frameEvent, rec.buf, c.writeDeadline); err != nil {
+			if err = p.send(frameEvent, rec.buf, c.opts.WriteDeadline); err != nil {
 				break
 			}
 			if c.obs != nil && !rec.enq.IsZero() {
@@ -186,6 +182,32 @@ coalesce:
 		// CAS; reclaim the token on its behalf.
 		c.schedule(p)
 	}
+}
+
+// dropRecord discards one event that was accepted for peer p but will never
+// be written, keeping the drop counter, the peer's pending count, and the
+// record's refcount in step.
+func (c *Channel) dropRecord(p *peer, rec *outRecord) {
+	c.queueDrops.Add(1)
+	p.pending.Add(-1)
+	rec.release()
+}
+
+// observeWritten records outbox residency for every record in a just-written
+// frame plus the frame's batch size. It must run before the records are
+// released: release can hand a record back to the pool, where a concurrent
+// Publish would reset enq and traceID under us.
+func (c *Channel) observeWritten(batch []*outRecord) {
+	if c.obs == nil {
+		return
+	}
+	now := c.clk.Now()
+	for _, rec := range batch {
+		if !rec.enq.IsZero() {
+			c.obs.ObserveQueue(now.Sub(rec.enq), rec.traceID)
+		}
+	}
+	c.obs.ObserveBatch(len(batch))
 }
 
 // drainDeadPeer discards everything still queued for a torn-down peer,

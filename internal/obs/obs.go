@@ -38,7 +38,7 @@ type Stage uint8
 const (
 	// StageFilter is E-code filter execution at the publishing node.
 	StageFilter Stage = iota
-	// StageQueue is outbox residency: Submit enqueue to completed write.
+	// StageQueue is outbox residency: Publish enqueue to completed write.
 	StageQueue
 	// StagePropagate is cross-node propagation: publisher send stamp to
 	// subscriber receive stamp (clamped at zero under clock skew).
@@ -190,7 +190,7 @@ func (o *Observer) SamplingEvery() uint64 {
 }
 
 // SampleTrace makes the per-event sampling decision at the moment the event
-// is born (d-mon stamps at sample time; kecho.Submit stamps at publish
+// is born (d-mon stamps at sample time; kecho.Publish stamps at publish
 // time). It returns a non-zero trace ID for one event in every `every`, 0
 // otherwise. One atomic add and a mask test; a nil observer or disabled
 // sampling costs a branch.

@@ -249,7 +249,7 @@ func runSockets(s *Scenario, n int, branching int) (PointResult, error) {
 				if size < 1 {
 					size = 1
 				}
-				_, _ = mon.Submit(make([]byte, size))
+				_, _ = mon.Publish(make([]byte, size), kecho.PublishOpts{})
 			}
 		}
 		// Yield to the writer goroutines so the wire keeps pace with the

@@ -41,20 +41,20 @@ type Host struct {
 	clk  clock.Clock
 	link *netsim.Link
 
-	mu           sync.Mutex
-	rng          *rand.Rand
-	noise        float64 // relative noise amplitude, e.g. 0.02
-	baseLoad     float64
-	nextTaskID   int
-	tasks        map[int]float64 // task id -> run-queue contribution
-	memTotal     uint64
-	memBase      uint64
-	memPerTask   uint64
-	memExtra     uint64  // extra allocation set by the application model
-	diskBase     float64 // idle sectors/s
-	diskExtra    float64 // workload-driven sectors/s
-	pmcBasePerS  float64 // idle cache misses/s
-	monitorCost  float64 // CPU fraction consumed by monitoring itself
+	mu          sync.Mutex
+	rng         *rand.Rand
+	noise       float64 // relative noise amplitude, e.g. 0.02
+	baseLoad    float64
+	nextTaskID  int
+	tasks       map[int]float64 // task id -> run-queue contribution
+	memTotal    uint64
+	memBase     uint64
+	memPerTask  uint64
+	memExtra    uint64  // extra allocation set by the application model
+	diskBase    float64 // idle sectors/s
+	diskExtra   float64 // workload-driven sectors/s
+	pmcBasePerS float64 // idle cache misses/s
+	monitorCost float64 // CPU fraction consumed by monitoring itself
 
 	// Battery model (mobile hosts): percentage remaining, drained over
 	// simulated time by a load-dependent power draw.

@@ -35,8 +35,8 @@ type Client struct {
 	latencies   []time.Duration
 
 	// recent byte-rate tracking for the disk-activity metric.
-	lastRecv  time.Time
-	byteRate  float64
+	lastRecv time.Time
+	byteRate float64
 }
 
 // NewClient builds a client on the given simulated host.

@@ -263,10 +263,10 @@ type RateTracker struct {
 
 // Rates holds per-second rates derived from two snapshots.
 type Rates struct {
-	DiskReadsPerSec, DiskWritesPerSec         float64
-	SectorsReadPerSec, SectorsWrittenPerSec   float64
-	NetRxBitsPerSec, NetTxBitsPerSec          float64
-	CPUUtilization                            float64 // 0..1
+	DiskReadsPerSec, DiskWritesPerSec       float64
+	SectorsReadPerSec, SectorsWrittenPerSec float64
+	NetRxBitsPerSec, NetTxBitsPerSec        float64
+	CPUUtilization                          float64 // 0..1
 }
 
 // Update ingests a snapshot taken at time t (seconds) and returns rates
