@@ -27,26 +27,25 @@ fmt:
 check: fmt vet race
 
 # loc prints non-test Go lines per package and in total — the size figure
-# ROADMAP tracks for internal/kecho. Informational, never a gate.
+# every simplicity PR reports. With BASE=<git ref> it prints the same counts
+# at that ref beside them (read with git ls-tree / git show, no checkout) and
+# the delta. Informational, never a gate.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' \
-		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+	@bash scripts/loc.sh $(if $(filter-out file,$(origin BASE)),$(BASE))
 
 figures:
 	$(GO) run ./cmd/figures
 
-# bench runs the tsdb, cluster-query fan-out and end-to-end hot-path
-# benchmarks (bounded so the target stays quick) and records
-# machine-readable results in BENCH_tsdb.json, BENCH_query.json,
-# BENCH_hotpath.json, BENCH_obs.json and BENCH_connscale.json via
-# cmd/benchjson, plus BENCH_scenario_scaling.json from the 1000-node scaling
-# sweep run by cmd/dprocsim (same JSON schema, so the files sit side by
-# side). The tsdb group covers the persistence paths too: durable WAL
-# append, kill-9 WAL replay and clean-restart chunk load. allocs/op in the
-# hotpath file is the zero-allocation data-plane regression gate (DESIGN.md
-# §8; the kecho fan-out and relay numbers are bench/'s fanout-small and
-# relay-large workloads); BENCH_hotpath.json carries both dispatch variants
+# bench runs the cluster-query fan-out and end-to-end hot-path benchmarks
+# (bounded so the target stays quick) and records machine-readable results in
+# BENCH_query.json, BENCH_hotpath.json, BENCH_obs.json and
+# BENCH_connscale.json via cmd/benchjson, plus BENCH_scenario_scaling.json
+# from the 1000-node scaling sweep run by cmd/dprocsim (same JSON schema, so
+# the files sit side by side). allocs/op in the hotpath file is the
+# zero-allocation data-plane regression gate (DESIGN.md §8; the kecho fan-out
+# and relay numbers are bench/'s fanout-small and relay-large workloads, the
+# tsdb ones its history-rw workload and tsdb.* layer metrics);
+# BENCH_hotpath.json carries both dispatch variants
 # (polled and event-driven — the latency-floor comparison of DESIGN.md §13); BENCH_connscale.json tracks what a peer costs the
 # publisher from 8 to 4096 peers — fan-out time, goroutines (one reader per
 # connection over a fixed writer pool) and live memory; BENCH_obs.json
@@ -54,8 +53,6 @@ figures:
 # §9); BENCH_query.json tracks scatter-gather coordinator latency vs node
 # count (4/16/64) with the network held at zero (DESIGN.md §12).
 bench:
-	$(GO) test -run '^$$' -bench '^BenchmarkTSDB' -benchmem -benchtime 100x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_tsdb.json
 	$(GO) test -run '^$$' -bench '^BenchmarkQueryFanout' -benchmem -benchtime 100x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_query.json
 	$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . \

@@ -12,8 +12,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -712,192 +710,6 @@ func BenchmarkWireFrame(b *testing.B) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// --- tsdb (compressed history store) ---
-
-// loadavgSample returns the i-th sample of a deterministic slowly-varying
-// loadavg-like series: piecewise constant (the value changes every 8
-// samples), quantized to 0.01, one sample per second — the shape monitoring
-// history actually has, and the shape the ≤4 bytes/sample target in
-// DESIGN.md is stated for.
-func loadavgSample(i int) (int64, float64) {
-	t := clock.Epoch.UnixNano() + int64(i)*int64(time.Second)
-	step := float64(i / 8)
-	v := math.Round((2+1.5*math.Sin(step/40)+0.25*math.Sin(step/7))*100) / 100
-	return t, v
-}
-
-// BenchmarkTSDBAppend measures the history store's compressed append path
-// (delta-of-delta timestamp + XOR value encoding, tier updates, eviction
-// checks).
-func BenchmarkTSDBAppend(b *testing.B) {
-	s := tsdb.NewSeries(tsdb.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, v := loadavgSample(i)
-		s.Append(t, v)
-	}
-}
-
-// BenchmarkTSDBQuery measures a windowed average over a prebuilt 1M-sample
-// series — the DESIGN.md "single-digit milliseconds" target. Chunk
-// summaries let fully-covered chunks fold without decompression.
-func BenchmarkTSDBQuery(b *testing.B) {
-	const n = 1_000_000
-	s := tsdb.NewSeries(tsdb.Options{})
-	for i := 0; i < n; i++ {
-		t, v := loadavgSample(i)
-		s.Append(t, v)
-	}
-	from := clock.Epoch.UnixNano()
-	to := from + n*int64(time.Second)
-	q := tsdb.Query{Agg: tsdb.AggAvg, From: from, To: to}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := s.Query(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Count != n {
-			b.Fatalf("query covered %d samples, want %d", res.Count, n)
-		}
-	}
-}
-
-// BenchmarkTSDBCompression reports the storage cost per sample of the
-// compressed chunks against the 16-byte raw (int64, float64) encoding.
-func BenchmarkTSDBCompression(b *testing.B) {
-	const n = 100_000
-	b.ResetTimer()
-	var perSample float64
-	for i := 0; i < b.N; i++ {
-		s := tsdb.NewSeries(tsdb.Options{})
-		for j := 0; j < n; j++ {
-			t, v := loadavgSample(j)
-			s.Append(t, v)
-		}
-		perSample = float64(s.Bytes()) / n
-	}
-	b.ReportMetric(perSample, "bytes/sample")
-	b.ReportMetric(16/perSample, "compression-x")
-}
-
-// BenchmarkTSDBWALAppend measures the durable append path: the in-memory
-// Gorilla append plus one CRC-framed WAL record write, fsyncing every 64
-// records (the cadence a deployment trading latency for bounded loss picks).
-func BenchmarkTSDBWALAppend(b *testing.B) {
-	db, err := tsdb.Open(tsdb.Options{DataDir: b.TempDir(), FsyncEvery: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, v := loadavgSample(i)
-		db.Append("bench/loadavg", t, v)
-	}
-	b.StopTimer()
-	if st := db.PersistStats(); st.WALErrors > 0 {
-		b.Fatalf("WAL errors during benchmark: %+v", st)
-	}
-}
-
-// copyDataDir clones a tsdb data directory (flat: WAL segments and chunk
-// files) so each benchmark iteration recovers from identical on-disk state.
-func copyDataDir(b *testing.B, src string) string {
-	b.Helper()
-	dst := b.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return dst
-}
-
-// BenchmarkTSDBReplay measures kill-9 recovery: opening a store whose 50k
-// samples sit only in the WAL (never sealed) replays every record through
-// CRC verification and the compressed append path.
-func BenchmarkTSDBReplay(b *testing.B) {
-	const n = 50_000
-	src := b.TempDir()
-	// One oversized segment keeps every record in the active WAL (rotated
-	// segments are retired once their chunks persist, which would shrink
-	// the replay under measurement).
-	crashed, err := tsdb.Open(tsdb.Options{DataDir: src, FsyncEvery: -1, WALSegmentBytes: 8 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		t, v := loadavgSample(i)
-		crashed.Append("bench/loadavg", t, v)
-	}
-	// No Close: the WAL stays unsealed on disk, exactly the kill-9 shape.
-	// The handle leaks for the benchmark's lifetime, which is fine.
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := copyDataDir(b, src)
-		b.StartTimer()
-		db, err := tsdb.Open(tsdb.Options{DataDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if st := db.PersistStats(); st.RecordsReplayed < n {
-			b.Fatalf("replayed %d records, want >= %d", st.RecordsReplayed, n)
-		}
-		db.Close()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkTSDBChunkLoad measures clean restart: opening a store that was
-// closed properly loads sealed compressed chunks from chunk files and
-// replays nothing.
-func BenchmarkTSDBChunkLoad(b *testing.B) {
-	const n = 50_000
-	src := b.TempDir()
-	db, err := tsdb.Open(tsdb.Options{DataDir: src, FsyncEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		t, v := loadavgSample(i)
-		db.Append("bench/loadavg", t, v)
-	}
-	if err := db.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := copyDataDir(b, src)
-		b.StartTimer()
-		db, err := tsdb.Open(tsdb.Options{DataDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		st := db.PersistStats()
-		if st.RecordsReplayed != 0 {
-			b.Fatalf("clean restart replayed %d WAL records", st.RecordsReplayed)
-		}
-		if st.ChunksLoaded == 0 {
-			b.Fatal("clean restart loaded no chunks")
-		}
-		db.Close()
-		b.StartTimer()
-	}
-}
 
 // BenchmarkLinpack measures the real linpack kernel used by the workload
 // generator (reported Mflops on this host appear as ns/op scale).

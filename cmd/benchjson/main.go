@@ -1,12 +1,12 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
 // array of results, echoing the raw text through to stdout so it still reads
 // like a normal benchmark run. Each "BenchmarkName  N  X ns/op [extra unit]…"
-// line becomes one entry; custom b.ReportMetric units (bytes/sample,
-// compression-x, …) land in the metrics map.
+// line becomes one entry; custom b.ReportMetric units (wire-bytes/iter,
+// events/sim-sec, …) land in the metrics map.
 //
 // Usage:
 //
-//	go test -run '^$' -bench '^BenchmarkTSDB' . | benchjson -out BENCH_tsdb.json
+//	go test -run '^$' -bench '^BenchmarkQueryFanout' . | benchjson -out BENCH_query.json
 package main
 
 import (

@@ -310,11 +310,12 @@ func TestFsyncCadenceAtBatchBoundaries(t *testing.T) {
 	}
 }
 
-func walSegmentsOnDisk(t *testing.T, dir string) int {
+// filesOnDisk counts dir's files of one kind ("wal-" or "chunks-").
+func filesOnDisk(t *testing.T, dir, prefix string) int {
 	t.Helper()
 	n := 0
 	for name := range dirImage(t, dir) {
-		if strings.HasPrefix(name, "wal-") {
+		if strings.HasPrefix(name, prefix) {
 			n++
 		}
 	}
@@ -323,41 +324,57 @@ func walSegmentsOnDisk(t *testing.T, dir string) int {
 
 // TestQuietSeriesDoesNotPinTheWAL is the regression for the wedge: a series
 // that stops appending never seals its head and its retention horizon never
-// moves, so it used to hold the segment with its last samples — and, since
-// deletion is oldest-first, every later segment — forever.
+// moves, so it holds the segment with its last samples forever — and, while
+// segments were deleted oldest-first, every later one with it. A segment now
+// goes as soon as nothing pins it, which leaves one stranded segment per
+// quiet series: the staggered case has sixteen series go quiet in sixteen
+// different segments, and the quiet-series rule must still bound the WAL.
 func TestQuietSeriesDoesNotPinTheWAL(t *testing.T) {
-	for _, drop := range []bool{false, true} {
+	for _, tc := range []struct {
+		quiet int
+		drop  bool
+	}{{1, false}, {1, true}, {16, false}} {
 		dir := t.TempDir()
 		opts := tsdb.Options{DataDir: dir, Retention: time.Minute, WALSegmentBytes: 4096, FsyncEvery: -1}
 		db := mustOpen(t, opts)
-		fill(t, db, "quiet", 0, 10)
-		if drop {
-			db.Drop("quiet")
+		want := map[string][]tsdb.Point{}
+		ts := int64(0)
+		for q := 0; q < tc.quiet; q++ {
+			name := fmt.Sprintf("quiet%02d", q)
+			fill(t, db, name, 0, 10)
+			want[name] = db.Tail(name, 0)
+			if tc.drop {
+				db.Drop(name)
+			}
+			ts = fill(t, db, "busy", ts, 200) // more than a segment's worth
 		}
-		fill(t, db, "busy", 0, 20000)
+		fill(t, db, "busy", ts, 20000-200*tc.quiet)
+		want["busy"] = db.Tail("busy", 0)
 		st := db.PersistStats()
 		if st.SegmentsDeleted == 0 {
-			t.Fatalf("drop=%v: no segment deleted of %d sealed: the quiet series pins the WAL", drop, st.SegmentsSealed)
+			t.Fatalf("%+v: no segment deleted of %d sealed: the quiet series pins the WAL", tc, st.SegmentsSealed)
 		}
 		// One seal interval of the busy series is about two segments; the
 		// quiet-series rule allows eight closed ones on top.
-		if n := walSegmentsOnDisk(t, dir); n > 12 {
-			t.Fatalf("drop=%v: %d WAL segments on disk after %d sealed", drop, n, st.SegmentsSealed)
+		if n := filesOnDisk(t, dir, "wal-"); n > 12 {
+			t.Fatalf("%+v: %d WAL segments on disk after %d sealed", tc, n, st.SegmentsSealed)
 		}
-		want := map[string][]tsdb.Point{"busy": db.Tail("busy", 0), "quiet": db.Tail("quiet", 0)}
-		if !drop && len(want["quiet"]) != 10 {
-			t.Fatalf("quiet series holds %d samples in memory, want 10", len(want["quiet"]))
-		}
-		if drop {
+		if tc.drop {
 			continue // what a reopen makes of a dropped series' files is not this test's business
+		}
+		// A lone quiet series strands its one segment and keeps its head; of
+		// sixteen, all but the eight segments' worth the rule tolerates had
+		// theirs sealed early, on top of busy's full chunks.
+		if early := int(st.ChunksPersisted) - 20000/256; early < tc.quiet-8 {
+			t.Fatalf("%+v: %d heads sealed early, want at least %d", tc, early, tc.quiet-8)
 		}
 		re := mustOpen(t, opts) // kill -9
 		if rst := re.PersistStats(); rst.SegmentsReplayed > 12 {
-			t.Fatalf("reopen replayed %d segments", rst.SegmentsReplayed)
+			t.Fatalf("%+v: reopen replayed %d segments", tc, rst.SegmentsReplayed)
 		}
 		for name, pts := range want {
-			if got := re.Tail(name, 0); !reflect.DeepEqual(got, pts) {
-				t.Fatalf("%s: reopen returned %d samples, want the %d retained", name, len(got), len(pts))
+			if got := re.Tail(name, 0); !reflect.DeepEqual(got, pts) || len(pts) == 0 {
+				t.Fatalf("%+v: %s: reopen returned %d samples, want the %d retained", tc, name, len(got), len(pts))
 			}
 		}
 	}

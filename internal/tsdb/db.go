@@ -12,8 +12,9 @@ import (
 // With Options.DataDir set (via Open), the DB is durable: accepted appends
 // are write-ahead logged before they reach the head chunk, sealed chunks
 // are persisted verbatim to chunk files, and Open replays both on restart,
-// truncating at the first torn record instead of failing. See persist.go
-// and wal.go for the on-disk format; DESIGN.md §10 for the invariants.
+// truncating at the first torn record instead of failing. See seglog.go,
+// wal.go and persist.go for the on-disk format; DESIGN.md §10 for the
+// invariants.
 type DB struct {
 	mu      sync.RWMutex
 	opts    Options
@@ -168,10 +169,10 @@ func (db *DB) Flush() error {
 	if db.persist == nil || db.closed {
 		return nil
 	}
-	w := db.persist.wal
+	w := &db.persist.wal
 	// Only an active segment holding records needs sealing; rotating an
 	// empty segment would just churn files (and fsyncs) for nothing.
-	if w.size > walHeaderLen {
+	if w.size > headerLen {
 		if err := w.rotate(); err != nil {
 			return err
 		}
@@ -181,7 +182,7 @@ func (db *DB) Flush() error {
 }
 
 // Close makes the store durable and terminal: head chunks are persisted
-// as chunk records, the active chunk file is sealed with its index footer,
+// as chunk records, the active chunk file is sealed with its footer,
 // and the WAL is deleted — a cleanly closed store replays nothing on the
 // next Open. Further appends return false.
 func (db *DB) Close() error {

@@ -3,11 +3,8 @@ package tsdb
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"path"
 	"sort"
-	"strings"
 )
 
 func floatBits(v float64) uint64     { return math.Float64bits(v) }
@@ -20,29 +17,28 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 // replays the WAL on top; the strictly-increasing-timestamp rule makes
 // replay idempotent, so chunk/WAL overlap is harmless.
 //
-// Chunk file layout (chunks-<seq>.dat, little-endian throughout):
+// They are a segmented record log (seglog.go: chunks-<seq>.dat, magic
+// "dprocchk") with two payloads:
 //
-//	header:  8-byte magic "dprocchk", 1-byte version
-//	record:  u32 payload length, u32 CRC-32 (IEEE) of payload, payload
-//	chunk payload (type 2): u8 type, u16 series-name length, name bytes,
+//	chunk (type 2): u8 type, u16 series-name length, name bytes,
 //	         i64 TMin, i64 TMax, u64 First, u64 Last, u64 Min, u64 Max,
 //	         u64 Sum (float bits), u32 Count, u32 data length, data
-//	footer payload (type 3): u8 type, u32 chunk-record count,
+//	footer (type 3): u8 type, u32 chunk-record count,
 //	         i64 file TMin, i64 file TMax
 //
-// The footer is the index: it is written only when a file is sealed
-// cleanly (rotation or close), so its presence attests that every record
-// before it is intact, and it carries the file's time range so retention
-// can delete expired files without rescanning them. A file without a
-// footer (crash while it was active) is scanned record by record and
-// truncated at the first torn or corrupt record.
+// The footer is written only when a file is sealed cleanly (rotation or
+// close): it marks the seal and ends the scan of the file. Its count and
+// time range are written because format v1 has them; nothing reads them —
+// recovery reads every file whole and rebuilds the pins from the chunk
+// records — and a frame v2 should drop them. A file without a footer (crash
+// while it was active) is scanned to the first torn or corrupt record like
+// any other.
 
 const (
 	chunkMagic    = "dprocchk"
 	chunkVersion  = 1
 	recChunk      = 2
 	recFooter     = 3
-	chunkHdrLen   = len(chunkMagic) + 1
 	summaryEncLen = 8*7 + 4 // TMin..Sum + Count
 )
 
@@ -78,14 +74,6 @@ type PersistStats struct {
 	ChunkFilesDeleted uint64 // expired whole files removed by retention
 }
 
-// chunkFileMeta is the in-memory handle on one sealed chunk file, enough
-// to decide retention deletion without re-reading it.
-type chunkFileMeta struct {
-	seq  uint64
-	name string
-	pins []pin // newest TMax per series in the file
-}
-
 // durableState is what a durable DB keeps per series to decide which files
 // are still load-bearing. It lives on the Series, reached through the
 // handle the append already holds, so the write path looks nothing up by
@@ -95,8 +83,7 @@ type durableState struct {
 	seenT     int64  // newest timestamp accepted: logged, or recovered
 	persisted int64  // newest chunk-persisted timestamp
 	walSeq    uint64 // newest WAL segment that lists the series in its pins
-	cwSeq     uint64 // chunk file that lists it, and at which index
-	cwPin     int
+	cwSeq     uint64 // newest chunk file that does
 }
 
 // sawT advances the newest accepted timestamp.
@@ -107,46 +94,37 @@ func (d *durableState) sawT(t int64) {
 }
 
 // persister owns a DB's on-disk state: the WAL and the chunk files. Like
-// the wal, it is serialized entirely by db.mu.
+// the two logs, it is serialized entirely by db.mu.
 type persister struct {
-	fs             FS
-	dir            string
-	retention      int64 // ns; 0 = unbounded
-	chunkFileBytes int   // rotation threshold for chunk files
+	fs        FS
+	dir       string
+	retention int64 // ns; 0 = unbounded
 
-	wal *wal
+	wal    wal
+	chunks seglog
 
-	cw        FileWriter // active chunk file (created lazily)
-	cwSeq     uint64
-	cwSize    int
-	cwCount   uint32
-	cwMin     int64
-	cwMax     int64
-	cwPins    []pin
-	cwScratch []byte
-
-	files []chunkFileMeta // sealed chunk files, ascending seq
+	// The active chunk file's footer fields, and the chunk encoder's buffer.
+	cwCount      uint32
+	cwMin, cwMax int64
+	scratch      []byte
 
 	stats PersistStats
 }
 
-func chunkFileName(dir string, seq uint64) string {
-	return path.Join(dir, fmt.Sprintf("chunks-%08d.dat", seq))
-}
-
 func newPersister(opts Options) *persister {
-	p := &persister{
-		fs:             opts.FS,
-		dir:            opts.DataDir,
-		retention:      opts.Retention.Nanoseconds(),
-		chunkFileBytes: opts.ChunkFileBytes,
-	}
-	p.wal = &wal{
-		fs:         opts.FS,
-		dir:        opts.DataDir,
-		fsyncEvery: opts.FsyncEvery,
-		segBytes:   opts.WALSegmentBytes,
-		stats:      &p.stats,
+	p := &persister{fs: opts.FS, dir: opts.DataDir, retention: opts.Retention.Nanoseconds()}
+	st := &p.stats
+	p.wal = wal{fsyncEvery: opts.FsyncEvery, seglog: seglog{
+		fs: p.fs, dir: p.dir, prefix: "wal-", ext: ".log",
+		header: append([]byte(walMagic), walVersion), rotateBytes: opts.WALSegmentBytes,
+		newest: func(s *Series) int64 { return s.durable.seenT },
+		stats:  st, loaded: &st.SegmentsReplayed, sealed: &st.SegmentsSealed, removed: &st.SegmentsDeleted, fsyncs: &st.Fsyncs,
+	}}
+	p.chunks = seglog{
+		fs: p.fs, dir: p.dir, prefix: "chunks-", ext: ".dat",
+		header: append([]byte(chunkMagic), chunkVersion), rotateBytes: opts.ChunkFileBytes,
+		newest: func(s *Series) int64 { return s.durable.persisted },
+		stats:  st, loaded: &st.ChunkFilesLoaded, sealed: &st.ChunkFilesSealed, removed: &st.ChunkFilesDeleted,
 	}
 	return p
 }
@@ -163,6 +141,11 @@ func (p *persister) safeT(s *Series) int64 {
 	return safe
 }
 
+// expiredT is the watermark under which a series' chunks are past its
+// retention horizon (a chunk is kept while seenT-retention <= its TMax; a pin
+// holds while the watermark is below its maxT).
+func (p *persister) expiredT(s *Series) int64 { return s.durable.seenT - p.retention - 1 }
+
 // persistChunk appends one sealed chunk to the active chunk file and
 // advances the series watermark. What the new watermark unpins is retired
 // by the caller's retire pass — one per batch, however many series sealed
@@ -175,38 +158,45 @@ func (p *persister) persistChunk(s *Series, c *Chunk) {
 	if tmax := c.Summary().TMax; tmax > s.durable.persisted {
 		s.durable.persisted = tmax
 	}
-	if p.chunkFileBytes > 0 && p.cwSize >= p.chunkFileBytes {
+	if p.chunks.full(0) {
 		_ = p.sealChunkFile()
 	}
 }
 
-// retire deletes the WAL segments and expired chunk files that nothing
-// pins any more.
+// retire deletes the WAL segments nothing pins any more and the chunk files
+// whose every record is past its series' retention horizon — the on-disk twin
+// of Series.evict. A file that could not be removed is tried again on the
+// next pass.
 func (p *persister) retire() {
-	p.wal.dropSafe(p.safeT)
+	_ = p.wal.retire(p.safeT)
 	for p.sealQuiet() {
-		p.wal.dropSafe(p.safeT)
+		_ = p.wal.retire(p.safeT)
 	}
-	p.evictFiles()
+	if p.retention > 0 {
+		_ = p.chunks.retire(p.expiredT)
+	}
 }
 
-// sealQuiet is the quiet-series rule. Segments go oldest-first, and a series
-// pins a segment until its head seals or its own newest sample moves a
-// retention ahead — neither of which happens to a series that stopped
-// reporting (a node that left), so one such series would hold the oldest
-// segment, and with it the whole WAL, forever. Once the WAL has grown past
-// walQuietSegments closed segments and every series still pinning the oldest
-// has logged nothing in the newest walQuietSegments segments, those series'
-// heads are sealed early — in memory and, as short chunk records, on disk —
-// exactly what a clean close does to every head. A series that is merely
-// slower than its neighbours keeps its head: it shows up in a recent segment.
-// Reports whether any head was sealed.
+// sealQuiet is the quiet-series rule. A series pins a segment until its head
+// seals or its own newest sample moves a retention ahead — neither of which
+// happens to a series that stopped reporting (a node that left), so each such
+// series strands the segment with its last samples, replayed whole on every
+// open, forever. Once the WAL has grown past walQuietSegments closed segments
+// and every series still pinning the oldest has logged nothing in the newest
+// walQuietSegments segments, those series' heads are sealed early — in memory
+// and, as short chunk records, on disk — exactly what a clean close does to
+// every head. A series that is merely slower than its neighbours keeps its
+// head: it shows up in a recent segment. Reports whether any head was sealed.
+//
+// Chunk files have no such rule and need none: the chunks a quiet series
+// leaves behind are within its retention and rightly kept, in the one or two
+// files that hold them.
 func (p *persister) sealQuiet() bool {
-	w := p.wal
-	if len(w.segments) <= walQuietSegments {
+	w := &p.wal
+	if len(w.closed) <= walQuietSegments {
 		return false
 	}
-	oldest := w.segments[0].pins
+	oldest := w.closed[0].pins
 	for _, pn := range oldest {
 		if pn.holds(p.safeT) && pn.s.durable.walSeq+walQuietSegments > w.seq {
 			return false
@@ -223,21 +213,22 @@ func (p *persister) sealQuiet() bool {
 }
 
 // writeChunkRecord frames and writes one chunk record, opening the active
-// chunk file first if needed.
+// chunk file first if needed (chunk files are created lazily, so a store
+// that seals nothing leaves none).
 func (p *persister) writeChunkRecord(s *Series, c *Chunk) error {
-	if p.cw == nil {
-		if err := p.openChunkFile(); err != nil {
+	l := &p.chunks
+	if l.w == nil {
+		if err := l.open(); err != nil {
 			return err
 		}
 	}
 	sum := c.Summary()
-	buf := appendChunkRecord(p.cwScratch[:0], s.name, sum, c.Data())
-	p.cwScratch = buf[:0]
-	n, err := p.cw.Write(buf)
-	p.cwSize += n
-	if err != nil {
+	buf := appendChunkRecord(p.scratch[:0], s.name, sum, c.Data())
+	p.scratch = buf[:0]
+	if _, err := l.write(buf); err != nil {
 		return err
 	}
+	l.touch(s, &s.durable.cwSeq)
 	p.cwCount++
 	if p.cwCount == 1 || sum.TMin < p.cwMin {
 		p.cwMin = sum.TMin
@@ -245,107 +236,44 @@ func (p *persister) writeChunkRecord(s *Series, c *Chunk) error {
 	if sum.TMax > p.cwMax {
 		p.cwMax = sum.TMax
 	}
-	if d := &s.durable; d.cwSeq != p.cwSeq {
-		d.cwSeq, d.cwPin = p.cwSeq, len(p.cwPins)
-		p.cwPins = append(p.cwPins, pin{s: s, maxT: sum.TMax})
-	} else if sum.TMax > p.cwPins[d.cwPin].maxT {
-		p.cwPins[d.cwPin].maxT = sum.TMax
-	}
 	p.stats.ChunksPersisted++
 	p.stats.ChunkBytes += uint64(len(buf))
 	return nil
 }
 
-func (p *persister) openChunkFile() error {
-	p.cwSeq++
-	fw, err := p.fs.Create(chunkFileName(p.dir, p.cwSeq))
-	if err != nil {
-		return err
-	}
-	hdr := append(p.cwScratch[:0], chunkMagic...)
-	hdr = append(hdr, chunkVersion)
-	if _, err := fw.Write(hdr); err != nil {
-		_ = fw.Close()
-		return err
-	}
-	p.cw = fw
-	p.cwSize = chunkHdrLen
-	p.cwCount = 0
-	p.cwMin, p.cwMax = 0, 0
-	return nil
-}
-
-// sealChunkFile writes the index footer, fsyncs and closes the active
-// chunk file, making it immutable and retention-deletable.
+// sealChunkFile writes the footer and seals the active chunk file, making it
+// immutable and retention-deletable.
 func (p *persister) sealChunkFile() error {
-	if p.cw == nil {
+	l := &p.chunks
+	if l.w == nil {
 		return nil
 	}
-	buf := p.cwScratch[:0]
-	payload := 1 + 4 + 8 + 8
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
-	buf = append(buf, 0, 0, 0, 0)
+	buf := append(p.scratch[:0], recordPrefix[:]...)
 	buf = append(buf, recFooter)
 	buf = binary.LittleEndian.AppendUint32(buf, p.cwCount)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.cwMin))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.cwMax))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
-	p.cwScratch = buf[:0]
-	_, werr := p.cw.Write(buf)
-	serr := p.cw.Sync()
-	cerr := p.cw.Close()
-	p.cw = nil
-	p.files = append(p.files, chunkFileMeta{
-		seq: p.cwSeq, name: chunkFileName(p.dir, p.cwSeq), pins: p.cwPins,
-	})
-	p.cwPins = nil
-	p.stats.ChunkFilesSealed++
-	for _, err := range []error{werr, serr, cerr} {
-		if err != nil {
-			return err
-		}
+	p.scratch = buf[:0]
+	p.cwCount, p.cwMin, p.cwMax = 0, 0, 0
+	_, err := l.write(frameRecord(buf, 0))
+	if sealErr := l.seal(); err == nil {
+		err = sealErr
 	}
-	return nil
-}
-
-// evictFiles deletes sealed chunk files whose every record is past its
-// series' retention horizon — the on-disk twin of Series.evict.
-func (p *persister) evictFiles() {
-	if p.retention <= 0 {
-		return
-	}
-	// A file is held while seenT-retention <= maxT; holds tests "< maxT".
-	horizon := func(s *Series) int64 { return s.durable.seenT - p.retention - 1 }
-	kept := p.files[:0]
-	blocked := false
-	for _, f := range p.files {
-		// Delete oldest-first only, keep the set contiguous.
-		if !blocked && !pinned(f.pins, horizon) && p.fs.Remove(f.name) == nil {
-			p.stats.ChunkFilesDeleted++
-			continue
-		}
-		blocked = true
-		kept = append(kept, f)
-	}
-	clear(p.files[len(kept):])
-	p.files = kept
+	return err
 }
 
 // appendChunkRecord frames one chunk record onto buf — the only encoder of
 // the chunk payload above.
 func appendChunkRecord(buf []byte, name string, sum Summary, data []byte) []byte {
 	start := len(buf)
-	payload := 1 + 2 + len(name) + summaryEncLen + 4 + len(data)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
-	buf = append(buf, 0, 0, 0, 0) // CRC placeholder
+	buf = append(buf, recordPrefix[:]...)
 	buf = append(buf, recChunk)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)
 	buf = appendSummary(buf, sum)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
 	buf = append(buf, data...)
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+recOverhead:]))
-	return buf
+	return frameRecord(buf, start)
 }
 
 func appendSummary(buf []byte, s Summary) []byte {
@@ -367,78 +295,42 @@ type chunkRecord struct {
 	data []byte
 }
 
-// scanChunkFile parses one chunk file, calling fn per intact chunk record.
-// A torn or corrupt record truncates the scan (counted in stats); a valid
-// footer ends it cleanly. Returns the per-series newest TMax map for
-// retention bookkeeping.
-func scanChunkFile(buf []byte, stats *PersistStats, fn func(r chunkRecord)) map[string]int64 {
-	seriesMax := map[string]int64{}
-	if len(buf) < chunkHdrLen || string(buf[:len(chunkMagic)]) != chunkMagic {
-		if len(buf) > 0 {
-			stats.RecordsTruncated++
-			stats.BytesTruncated += uint64(len(buf))
-		}
-		return seriesMax
+// decodeChunk parses a chunk-file payload: a chunk record (ok), the footer
+// (end: the file was sealed cleanly, nothing follows), or neither — a
+// foreign or malformed record, skipped, not a tear: its CRC was good.
+func decodeChunk(payload []byte) (r chunkRecord, ok, end bool) {
+	if payload[0] == recFooter {
+		return r, false, true
 	}
-	off := chunkHdrLen
-	for off < len(buf) {
-		rest := buf[off:]
-		if len(rest) < recOverhead {
-			break
-		}
-		plen := int(binary.LittleEndian.Uint32(rest[:4]))
-		want := binary.LittleEndian.Uint32(rest[4:8])
-		if plen < 1 || plen > len(rest)-recOverhead {
-			break
-		}
-		payload := rest[recOverhead : recOverhead+plen]
-		if crc32.ChecksumIEEE(payload) != want {
-			break
-		}
-		off += recOverhead + plen
-		if payload[0] == recFooter {
-			return seriesMax // clean seal: nothing follows the footer
-		}
-		if payload[0] != recChunk || plen < 1+2+summaryEncLen+4 {
-			continue
-		}
-		nameLen := int(binary.LittleEndian.Uint16(payload[1:3]))
-		if 3+nameLen+summaryEncLen+4 > plen {
-			continue
-		}
-		name := string(payload[3 : 3+nameLen])
-		s := payload[3+nameLen:]
-		var sum Summary
-		sum.TMin = int64(binary.LittleEndian.Uint64(s[0:]))
-		sum.TMax = int64(binary.LittleEndian.Uint64(s[8:]))
-		sum.First = floatFromBits(binary.LittleEndian.Uint64(s[16:]))
-		sum.Last = floatFromBits(binary.LittleEndian.Uint64(s[24:]))
-		sum.Min = floatFromBits(binary.LittleEndian.Uint64(s[32:]))
-		sum.Max = floatFromBits(binary.LittleEndian.Uint64(s[40:]))
-		sum.Sum = floatFromBits(binary.LittleEndian.Uint64(s[48:]))
-		sum.Count = int(binary.LittleEndian.Uint32(s[56:]))
-		dataLen := int(binary.LittleEndian.Uint32(s[summaryEncLen:]))
-		if 3+nameLen+summaryEncLen+4+dataLen != plen || sum.Count <= 0 {
-			continue
-		}
-		data := make([]byte, dataLen)
-		copy(data, s[summaryEncLen+4:])
-		if sum.TMax > seriesMax[name] {
-			seriesMax[name] = sum.TMax
-		}
-		fn(chunkRecord{name: name, sum: sum, data: data})
+	if payload[0] != recChunk || len(payload) < 1+2+summaryEncLen+4 {
+		return r, false, false
 	}
-	if off < len(buf) {
-		stats.RecordsTruncated++
-		stats.BytesTruncated += uint64(len(buf) - off)
+	nameLen := int(binary.LittleEndian.Uint16(payload[1:3]))
+	if 3+nameLen+summaryEncLen+4 > len(payload) {
+		return r, false, false
 	}
-	return seriesMax
+	s := payload[3+nameLen:]
+	r.name = string(payload[3 : 3+nameLen])
+	r.sum.TMin = int64(binary.LittleEndian.Uint64(s[0:]))
+	r.sum.TMax = int64(binary.LittleEndian.Uint64(s[8:]))
+	r.sum.First = floatFromBits(binary.LittleEndian.Uint64(s[16:]))
+	r.sum.Last = floatFromBits(binary.LittleEndian.Uint64(s[24:]))
+	r.sum.Min = floatFromBits(binary.LittleEndian.Uint64(s[32:]))
+	r.sum.Max = floatFromBits(binary.LittleEndian.Uint64(s[40:]))
+	r.sum.Sum = floatFromBits(binary.LittleEndian.Uint64(s[48:]))
+	r.sum.Count = int(binary.LittleEndian.Uint32(s[56:]))
+	dataLen := int(binary.LittleEndian.Uint32(s[summaryEncLen:]))
+	if 3+nameLen+summaryEncLen+4+dataLen != len(payload) || r.sum.Count <= 0 {
+		return r, false, false
+	}
+	r.data = append([]byte(nil), s[summaryEncLen+4:]...)
+	return r, true, false
 }
 
-// recover rebuilds db's in-memory state from dir: chunk files in sequence
-// order, then WAL segments replayed on top (idempotent thanks to the
-// strictly-increasing-timestamp rule), truncating at the first torn record
-// of each file. It then arms a fresh WAL segment for new appends.
+// recover rebuilds db's in-memory state from dir: chunk files in name order,
+// then WAL segments replayed on top (idempotent thanks to the
+// strictly-increasing-timestamp rule), each file truncated at its first torn
+// record. It then arms a fresh WAL segment for new appends.
 func (p *persister) recover(db *DB) error {
 	if err := p.fs.MkdirAll(p.dir); err != nil {
 		return fmt.Errorf("tsdb: data dir: %w", err)
@@ -447,26 +339,12 @@ func (p *persister) recover(db *DB) error {
 	if err != nil {
 		return fmt.Errorf("tsdb: data dir: %w", err)
 	}
-	var chunkFiles, walFiles []string
-	for _, n := range names {
-		switch {
-		case strings.HasPrefix(n, "chunks-") && strings.HasSuffix(n, ".dat"):
-			chunkFiles = append(chunkFiles, n)
-		case strings.HasPrefix(n, "wal-") && strings.HasSuffix(n, ".log"):
-			walFiles = append(walFiles, n)
-		}
-	}
-	sort.Strings(chunkFiles)
-	sort.Strings(walFiles)
-
-	for _, fname := range chunkFiles {
-		full := path.Join(p.dir, fname)
-		buf, err := p.fs.ReadFile(full)
-		if err != nil {
-			return fmt.Errorf("tsdb: reading %s: %w", fname, err)
-		}
-		seriesMax := scanChunkFile(buf, &p.stats, func(r chunkRecord) {
+	sort.Strings(names)
+	err = p.chunks.load(names, func(payload []byte) bool {
+		r, ok, end := decodeChunk(payload)
+		if ok {
 			s := db.getOrCreate(r.name)
+			p.chunks.touch(s, &s.durable.cwSeq)
 			if s.loadSealed(r.sum, r.data) {
 				p.stats.ChunksLoaded++
 				if r.sum.TMax > s.durable.persisted {
@@ -476,50 +354,32 @@ func (p *persister) recover(db *DB) error {
 			} else {
 				p.stats.ChunksSkipped++
 			}
-		})
-		p.stats.ChunkFilesLoaded++
-		seq := fileSeq(fname)
-		pins := make([]pin, 0, len(seriesMax))
-		for name, maxT := range seriesMax {
-			pins = append(pins, pin{s: db.series[name], maxT: maxT}) // the scan created it
 		}
-		p.files = append(p.files, chunkFileMeta{seq: seq, name: full, pins: pins})
-		if seq > p.cwSeq {
-			p.cwSeq = seq
-		}
+		return !end
+	})
+	if err != nil {
+		return err
 	}
-
-	var walSeq uint64
-	for _, fname := range walFiles {
-		full := path.Join(p.dir, fname)
-		buf, err := p.fs.ReadFile(full)
-		if err != nil {
-			return fmt.Errorf("tsdb: reading %s: %w", fname, err)
-		}
-		// Replay goes through the wal's own pin bookkeeping, as if the
-		// segment were the active one being closed.
-		p.wal.seq = fileSeq(fname)
-		scanWALSegment(buf, &p.stats, func(r walRecord) {
+	err = p.wal.load(names, func(payload []byte) bool {
+		if r, ok := decodeSample(payload); ok {
+			p.stats.RecordsReplayed++
 			// No re-logging, and already-covered records (chunk/WAL
 			// overlap) are skipped without counting as drops.
 			s := db.getOrCreate(r.name)
 			if s.appendReplay(r.t, floatFromBits(r.v)) {
 				s.durable.sawT(r.t)
-				p.wal.touch(s)
+				p.wal.touch(s, &s.durable.walSeq)
 			}
-		})
-		p.stats.SegmentsReplayed++
-		p.wal.closeSegment(full)
-		if p.wal.seq > walSeq {
-			walSeq = p.wal.seq
 		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
-
-	p.wal.seq = walSeq + 1
 	// A dir that cannot be read fails the open (above); a dir that cannot
 	// be written does not — the store comes up memory-only with the failure
 	// counted, the same degradation a device dying mid-run produces.
-	if err := p.wal.openSegment(); err != nil {
+	if err := p.wal.open(); err != nil {
 		p.stats.WALErrors++
 	}
 	// Replay may have sealed chunks into the active chunk file; segments
@@ -545,6 +405,8 @@ func (p *persister) close(series map[string]*Series) error {
 		if s.head.summary.Count == 0 {
 			continue
 		}
+		// The watermark stays: should a later step fail, the WAL is kept
+		// and still covers the heads.
 		if err := p.writeChunkRecord(s, s.head); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -558,23 +420,5 @@ func (p *persister) close(series map[string]*Series) error {
 	if firstErr != nil {
 		return firstErr // keep the WAL: replay still covers the heads
 	}
-	return p.wal.dropAll()
-}
-
-// fileSeq extracts the numeric sequence from "wal-00000001.log" /
-// "chunks-00000001.dat"; 0 for malformed names.
-func fileSeq(name string) uint64 {
-	dash := strings.IndexByte(name, '-')
-	dot := strings.LastIndexByte(name, '.')
-	if dash < 0 || dot <= dash {
-		return 0
-	}
-	var seq uint64
-	for _, c := range name[dash+1 : dot] {
-		if c < '0' || c > '9' {
-			return 0
-		}
-		seq = seq*10 + uint64(c-'0')
-	}
-	return seq
+	return p.wal.retire(func(*Series) int64 { return math.MaxInt64 })
 }

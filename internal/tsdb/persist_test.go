@@ -9,6 +9,8 @@ package tsdb_test
 import (
 	"math"
 	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -346,46 +348,96 @@ func TestRestartThenDownsampleTierBoundary(t *testing.T) {
 	}
 }
 
+// TestRetentionEvictsSegmentsAndChunkFiles runs 2000 s of history through a
+// 20 s retention, alone and beside a series that wrote 40 samples and
+// stopped. The quiet series' retention horizon never moves, so the files with
+// its chunks are rightly kept — and, while files were deleted oldest-first,
+// so was every chunk file sealed after them.
 func TestRetentionEvictsSegmentsAndChunkFiles(t *testing.T) {
-	dir := t.TempDir()
-	opts := tsdb.Options{
-		DataDir:         dir,
-		ChunkSize:       16,
-		Retention:       20 * time.Second,
-		WALSegmentBytes: 512,
-		ChunkFileBytes:  1024,
-		FsyncEvery:      8,
-	}
-	db := mustOpen(t, opts)
-	fill(t, db, testSeries, 0, 2000) // 2000s of 1s samples, 20s retained
-	st := db.PersistStats()
-	if st.SegmentsDeleted == 0 {
-		t.Fatalf("no WAL segments retired: %+v", st)
-	}
-	if st.ChunkFilesDeleted == 0 {
-		t.Fatalf("no chunk files retired: %+v", st)
-	}
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The on-disk footprint is bounded: far fewer files than the ~120
-	// segments and ~35 chunk files the run produced.
-	if len(names) > 20 {
-		t.Fatalf("data dir holds %d files; retention is not deleting", len(names))
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := mustOpen(t, opts)
-	got := countOf(t, re, testSeries)
-	// In-memory retention keeps whole chunks covering the last 20s.
-	if got < 20 || got > 64 {
-		t.Fatalf("recovered %d samples, want a retention-bounded tail", got)
-	}
-	tail := re.Tail(testSeries, 1)
-	if len(tail) != 1 || tail[0].V != 1999 {
-		t.Fatalf("newest sample = %+v, want 1999", tail)
+	for _, quiet := range []bool{false, true} {
+		dir := t.TempDir()
+		opts := tsdb.Options{
+			DataDir:         dir,
+			ChunkSize:       16,
+			Retention:       20 * time.Second,
+			WALSegmentBytes: 512,
+			ChunkFileBytes:  1024,
+			FsyncEvery:      8,
+		}
+		db := mustOpen(t, opts)
+		if quiet {
+			fill(t, db, "quiet", 0, 40)
+		}
+		fill(t, db, testSeries, 0, 2000) // 2000s of 1s samples, 20s retained
+		st := db.PersistStats()
+		if st.SegmentsDeleted == 0 {
+			t.Fatalf("quiet=%v: no WAL segments retired: %+v", quiet, st)
+		}
+		if st.ChunkFilesDeleted == 0 {
+			t.Fatalf("quiet=%v: no chunk files retired of %d sealed: %+v", quiet, st.ChunkFilesSealed, st)
+		}
+		// The on-disk footprint is bounded: far fewer files than the ~120
+		// segments and ~14 chunk files the run produced.
+		if n := len(dirImage(t, dir)); n > 20 {
+			t.Fatalf("quiet=%v: data dir holds %d files; retention is not deleting", quiet, n)
+		}
+		// Only the active chunk file, the newest sealed one (still inside the
+		// busy series' 20 s) and the one with the quiet series' two full
+		// chunks may remain (its head stays in the one WAL segment it strands).
+		held := 2
+		if quiet {
+			held++
+		}
+		if n := filesOnDisk(t, dir, "chunks-"); n > held {
+			t.Fatalf("quiet=%v: %d chunk files on disk of %d sealed, want at most %d", quiet, n, st.ChunkFilesSealed, held)
+		}
+		want := map[string][]tsdb.Point{testSeries: db.Tail(testSeries, 0)}
+		if quiet {
+			want["quiet"] = db.Tail("quiet", 0)
+			if n := len(want["quiet"]); n == 0 || want["quiet"][n-1].V != 39 {
+				t.Fatalf("the quiet series holds %d samples in memory", n)
+			}
+		}
+		crashed := t.TempDir() // kill -9: the directory as it is now
+		for name, buf := range dirImage(t, dir) {
+			if err := os.WriteFile(filepath.Join(crashed, name), buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var re *tsdb.DB
+		for _, d := range []string{crashed, dir} {
+			opts.DataDir = d
+			re = mustOpen(t, opts)
+			for name, pts := range want {
+				if got := re.Tail(name, 0); !reflect.DeepEqual(got, pts) {
+					t.Fatalf("quiet=%v: %s reopened with %d samples, want the %d retained", quiet, name, len(got), len(pts))
+				}
+			}
+		}
+		got := countOf(t, re, testSeries)
+		// In-memory retention keeps whole chunks covering the last 20s.
+		if got < 20 || got > 64 {
+			t.Fatalf("quiet=%v: recovered %d samples, want a retention-bounded tail", quiet, got)
+		}
+		tail := re.Tail(testSeries, 1)
+		if len(tail) != 1 || tail[0].V != 1999 {
+			t.Fatalf("quiet=%v: newest sample = %+v, want 1999", quiet, tail)
+		}
+		if !quiet {
+			continue
+		}
+		// Forgetting the quiet series releases its files on the next retire.
+		before := filesOnDisk(t, dir, "chunks-")
+		re.DropPrefix("qui")
+		if err := re.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if after := filesOnDisk(t, dir, "chunks-"); after > 2 || after >= before {
+			t.Fatalf("%d chunk files on disk after dropping the quiet series, %d before", after, before)
+		}
 	}
 }
 
