@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check loc figures bench benchpair allocgate fuzz sim-smoke
+.PHONY: build test race vet fmt check loc figures benchpair allocgate fuzz sim-smoke
 
 build:
 	$(GO) build ./...
@@ -36,33 +36,6 @@ loc:
 figures:
 	$(GO) run ./cmd/figures
 
-# bench runs the cluster-query fan-out and end-to-end hot-path benchmarks
-# (bounded so the target stays quick) and records machine-readable results in
-# BENCH_query.json, BENCH_hotpath.json, BENCH_obs.json and
-# BENCH_connscale.json via cmd/benchjson, plus BENCH_scenario_scaling.json
-# from the 1000-node scaling sweep run by cmd/dprocsim (same JSON schema, so
-# the files sit side by side). allocs/op in the hotpath file is the
-# zero-allocation data-plane regression gate (DESIGN.md §8; the kecho fan-out
-# and relay numbers are bench/'s fanout-small and relay-large workloads, the
-# tsdb ones its history-rw workload and tsdb.* layer metrics);
-# BENCH_hotpath.json carries both dispatch variants
-# (polled and event-driven — the latency-floor comparison of DESIGN.md §13); BENCH_connscale.json tracks what a peer costs the
-# publisher from 8 to 4096 peers — fan-out time, goroutines (one reader per
-# connection over a fixed writer pool) and live memory; BENCH_obs.json
-# compares the hot path with observability off vs sampled 1/1024 (DESIGN.md
-# §9); BENCH_query.json tracks scatter-gather coordinator latency vs node
-# count (4/16/64) with the network held at zero (DESIGN.md §12).
-bench:
-	$(GO) test -run '^$$' -bench '^BenchmarkQueryFanout' -benchmem -benchtime 100x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_query.json
-	$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
-	$(GO) test -run '^$$' -bench '^BenchmarkHotPathObs$$' -benchmem -benchtime 1000x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_obs.json
-	$(GO) test -run '^$$' -bench '^BenchmarkWriterScale$$' -benchmem -benchtime 100x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_connscale.json
-	$(GO) run ./cmd/dprocsim -quiet examples/scenarios/scaling.toml
-
 # benchpair measures the working tree against the git ref BASE with the
 # repository's benchmark (BENCHMARK.json, bench/): N alternating pairs of
 # runs per workload, always including the never-tuned seed 20030623, judged
@@ -82,9 +55,10 @@ benchpair:
 # count over the sockets engine with a fixed reactor writer pool and
 # event-driven dispatch, firing a queryall mid-sweep; relay-tree runs the
 # same 16-node cluster flat and with branching-2/4 relay overlays, so the
-# flat-vs-tree propagation and fan-out numbers land in CI too. CI runs
-# this and uploads the BENCH_scenario_*.json files so scenario numbers
-# are inspectable per commit.
+# flat-vs-tree delivery and relay counters land in CI too. Artifacts go to
+# the untracked scenario-out/ (nothing a gate runs writes into a tracked
+# path); CI uploads that directory so the counters are inspectable per
+# commit.
 sim-smoke:
 	$(GO) run ./cmd/dprocsim examples/scenarios/smoke.toml
 	$(GO) run ./cmd/dprocsim examples/scenarios/query-fault.toml

@@ -6,13 +6,9 @@
 package dproc
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"net"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,12 +22,10 @@ import (
 	"dproc/internal/metrics"
 	"dproc/internal/netsim"
 	"dproc/internal/obs"
-	"dproc/internal/query"
 	"dproc/internal/registry"
 	"dproc/internal/simres"
 	"dproc/internal/smartpointer"
 	"dproc/internal/supermon"
-	"dproc/internal/tsdb"
 	"dproc/internal/wire"
 	"dproc/internal/workload"
 )
@@ -736,8 +730,8 @@ func BenchmarkLinpack(b *testing.B) {
 // poll/sleep quantum — while "event" uses Dispatch: EventDriven, where the
 // connection's reader runs the handler in place on the frame it just read
 // and the round-trip is bounded by scheduler wake-ups, not polling. With the pooling in wire,
-// kecho and ecode both variants should run without steady-state allocation;
-// allocs/op is the number to watch in BENCH_hotpath.json.
+// kecho and ecode both variants run without steady-state allocation:
+// `make allocgate` holds their allocs/op at exactly 0.
 func BenchmarkHotPath(b *testing.B) {
 	b.Run("polled", func(b *testing.B) {
 		runHotPath(b, kecho.Polled, nil, nil)
@@ -748,16 +742,12 @@ func BenchmarkHotPath(b *testing.B) {
 }
 
 // BenchmarkHotPathObs is the same end-to-end round with the observability
-// layer attached: "off" has histograms live but tracing disabled — the
-// configuration CI pins at 0 allocs/op — and "sampled_1_1024" traces one
-// event in 1024, the default production rate, whose throughput BENCH_obs.json
-// tracks against the untraced baseline.
+// layer attached: histograms live but tracing disabled — the configuration
+// `make allocgate` pins at 0 allocs/op. What sampled tracing costs is
+// bench/'s obs.trace_overhead_ratio.
 func BenchmarkHotPathObs(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		runHotPath(b, kecho.Polled, obs.New("pub", nil, 0), obs.New("sub", nil, 0))
-	})
-	b.Run("sampled_1_1024", func(b *testing.B) {
-		runHotPath(b, kecho.Polled, obs.New("pub", nil, 1024), obs.New("sub", nil, 1024))
 	})
 }
 
@@ -895,159 +885,4 @@ func runHotPath(b *testing.B, mode kecho.DispatchMode, pubObs, subObs *obs.Obser
 		b.Fatal("subscriber saw no payload bytes")
 	}
 	b.ReportMetric(float64(seen.Load()-seenBase)/float64(b.N), "payloadB/op")
-}
-
-// BenchmarkWriterScale tracks what a peer costs the publisher as the peer
-// count grows from 8 to 4096: per-peer fan-out time (ns/peer-op; the write
-// side is a fixed reactor pool, so only the enqueue scales), and the read
-// side's honest price — one reader goroutine parked in the netpoller per
-// live connection, reported as goroutines/peer (→ 1 as the fixed
-// writers + accept loop amortize) with its memory as B/peer. Each "peer" is
-// a registry entry pointing at one shared drain listener, so the benchmark
-// isolates publisher-side cost instead of measuring 4096 full channels.
-func BenchmarkWriterScale(b *testing.B) {
-	for _, peers := range []int{8, 256, 4096} {
-		b.Run(fmt.Sprintf("peers_%d", peers), func(b *testing.B) {
-			benchWriterScale(b, peers)
-		})
-	}
-}
-
-func benchWriterScale(b *testing.B, peers int) {
-	reg, err := registry.NewServer("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { reg.Close() })
-
-	// One listener plays every peer: each accepted conn gets a goroutine that
-	// drains bytes to /dev/null, which is all the publisher-side benchmark
-	// needs from the far end.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { ln.Close() })
-	var accepted atomic.Int64
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepted.Add(1)
-			go func() {
-				_, _ = io.Copy(io.Discard, conn)
-				conn.Close()
-			}()
-		}
-	}()
-
-	cli := registry.NewClient(reg.Addr())
-	b.Cleanup(func() { cli.Close() })
-	for i := 0; i < peers; i++ {
-		if _, err := cli.Join("scale", fmt.Sprintf("peer%d", i), ln.Addr().String()); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	runtime.GC()
-	before := runtime.NumGoroutine()
-	var memBefore, memAfter runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	pubCli := registry.NewClient(reg.Addr())
-	b.Cleanup(func() { pubCli.Close() })
-	pub, err := kecho.Join(pubCli, "scale", "pub", &kecho.Options{
-		WriteDeadline:    2 * time.Second,
-		DisableReconnect: true,
-		OutboxSize:       256,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { pub.Close() })
-	if !pub.WaitForPeers(peers, 30*time.Second) {
-		b.Fatalf("publisher connected %d peers, want %d", len(pub.Peers()), peers)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for accepted.Load() < int64(peers) {
-		if time.Now().After(deadline) {
-			b.Fatalf("drain side accepted %d/%d conns", accepted.Load(), peers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond)
-	// Everything beyond the drain goroutines (one per accepted conn, counted
-	// exactly) was added by the publisher's Join: its writer pool and accept
-	// loop, fixed, and one reader per peer connection. The memory figure is
-	// what the process holds live after the Join (heap and goroutine
-	// stacks), drain side included — an upper bound on the publisher's share.
-	pubCost := runtime.NumGoroutine() - before - int(accepted.Load())
-	runtime.GC()
-	runtime.ReadMemStats(&memAfter)
-	memCost := float64(memAfter.HeapAlloc+memAfter.StackInuse) - float64(memBefore.HeapAlloc+memBefore.StackInuse)
-
-	payload := make([]byte, 64)
-	for i := 0; i < 512; i++ {
-		if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	time.Sleep(50 * time.Millisecond)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pub.Publish(payload, kecho.PublishOpts{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := b.Elapsed()
-	b.StopTimer()
-	// ReportMetric must run after ResetTimer, which clears custom metrics.
-	b.ReportMetric(float64(pubCost)/float64(peers), "goroutines/peer")
-	b.ReportMetric(memCost/float64(peers), "B/peer")
-	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N)/float64(peers), "ns/peer-op")
-}
-
-// BenchmarkQueryFanout measures one cluster-wide scatter-gather query —
-// normalize, bounded fan-out, histogram-merge of per-node percentile parts —
-// against cluster size. The fetch is in-process (each "node" is a local tsdb
-// answering ComputePart), so the numbers isolate the coordinator's own cost:
-// BENCH_query.json tracks how fan-out latency grows from 4 to 64 nodes with
-// the network held at zero.
-func BenchmarkQueryFanout(b *testing.B) {
-	const samplesPerNode = 256
-	for _, nodes := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("nodes_%d", nodes), func(b *testing.B) {
-			dbs := make(map[string]*tsdb.DB, nodes)
-			targets := make([]query.Target, 0, nodes)
-			for i := 0; i < nodes; i++ {
-				name := fmt.Sprintf("node%d", i)
-				db := tsdb.NewDB(tsdb.Options{})
-				for j := 0; j < samplesPerNode; j++ {
-					t := clock.Epoch.Add(time.Duration(j) * 100 * time.Millisecond)
-					db.Append(name+"/loadavg", t.UnixNano(), float64(i*samplesPerNode+j))
-				}
-				dbs[name] = db
-				targets = append(targets, query.Target{Node: name, Addr: name})
-			}
-			fetch := func(ctx context.Context, t query.Target, q tsdb.Query) (query.Part, error) {
-				return query.ComputePart(dbs[t.Node], t.Node+"/loadavg", q)
-			}
-			now := clock.Epoch.Add(time.Duration(samplesPerNode) * 100 * time.Millisecond)
-			q, err := tsdb.ParseQuery("p99 loadavg last 1m")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := query.Run(context.Background(), targets, q, now, fetch, query.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Failed != 0 || res.Count == 0 {
-					b.Fatalf("fan-out degraded: %+v", res)
-				}
-			}
-		})
-	}
 }

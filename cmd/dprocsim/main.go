@@ -1,8 +1,9 @@
 // Command dprocsim executes scenario runfiles: declarative large-scale
 // dproc experiments (topology sweeps, load profiles, churn and fault
-// schedules) that emit a benchjson-compatible JSON file and a markdown
-// report per run. See internal/scenario for the runfile format and
-// examples/scenarios/ for runnable experiments.
+// schedules) that emit <name>.json and <name>.md per run, under
+// scenario-out/ unless the runfile or -out says otherwise. See
+// internal/scenario for the runfile format and examples/scenarios/ for
+// runnable experiments.
 //
 // Usage:
 //

@@ -15,6 +15,7 @@ import (
 	"dproc/internal/core"
 	"dproc/internal/dmon"
 	"dproc/internal/faultnet"
+	"dproc/internal/leakcheck"
 	"dproc/internal/tsdb"
 )
 
@@ -230,13 +231,7 @@ func TestQueryAllPartialUnderFaults(t *testing.T) {
 	}
 
 	// No fan-out goroutines left behind by the failed fetches.
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked under faults: %d before, %d after", before, n)
-	}
+	leakcheck.Goroutines(t, "after the fault sequence", 0, before)
 }
 
 // querypart refuses relative windows: window normalization is the

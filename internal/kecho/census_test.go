@@ -8,29 +8,9 @@ import (
 	"time"
 
 	"dproc/internal/faultnet"
+	"dproc/internal/leakcheck"
 	"dproc/internal/registry"
 )
-
-// waitGoroutines polls until the process goroutine count is exactly want,
-// failing after 10s. GC runs between polls so finalizer-held goroutines
-// cannot produce false leaks.
-func waitGoroutines(t *testing.T, what string, want int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("%s: %d goroutines, want %d\n%s", what, n, want, buf)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // TestGoroutineCensus pins what the single receive pipeline costs: a Join
 // adds exactly writers + accept loop + supervisor, every live peer
@@ -73,12 +53,12 @@ func TestGoroutineCensus(t *testing.T) {
 				chans[i] = ch
 				// The joiner dials the i members already there.
 				want += writers + 2 + 2*i
-				waitGoroutines(t, "after join of "+id, want)
+				leakcheck.Goroutines(t, "after join of "+id, want, want)
 			}
 			for i := members - 1; i >= 0; i-- {
 				chans[i].Close()
 				want -= writers + 2 + 2*i
-				waitGoroutines(t, fmt.Sprintf("after close of m%d", i), want)
+				leakcheck.Goroutines(t, fmt.Sprintf("after close of m%d", i), want, want)
 			}
 		})
 	}

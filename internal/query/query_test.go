@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dproc/internal/leakcheck"
 	"dproc/internal/tsdb"
 )
 
@@ -311,13 +312,7 @@ func TestStragglerBoundedByTimeout(t *testing.T) {
 	if !res.Partial || res.OK != 2 || res.Failed != 1 || res.Value != 3 {
 		t.Fatalf("straggler result: %+v", res)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
-	}
+	leakcheck.Goroutines(t, "after the straggler was cut off", 0, before)
 }
 
 func TestFanOutConcurrencyIsBounded(t *testing.T) {

@@ -1,4 +1,4 @@
-// The model engine: single-threaded virtual-time execution that scales to
+// The model backend: single-threaded virtual-time execution that scales to
 // thousands of nodes. Each node runs the real d-mon pipeline (modules over a
 // simres host, thresholds, deployed E-code) but the network is a fluid
 // model: every publisher owns a netsim uplink, fan-out is serialized
@@ -12,7 +12,6 @@ package scenario
 
 import (
 	"math/rand"
-	"time"
 
 	"dproc/internal/clock"
 	"dproc/internal/dmon"
@@ -20,243 +19,132 @@ import (
 	"dproc/internal/netsim"
 	"dproc/internal/obs"
 	"dproc/internal/simres"
-	"dproc/internal/workload"
 )
 
 // wireOverhead approximates per-event framing cost (header, member ID,
 // length prefixes) added to every modeled send.
 const wireOverhead = 32
 
-// modelNode is one simulated participant: publisher state (d-mon + load
-// generator + uplink) and subscriber state (fluid inbox).
+// modelNode is one simulated participant: publisher state (d-mon + uplink)
+// and subscriber state (fluid inbox).
 type modelNode struct {
-	host *simres.Host
 	dm   *dmon.DMon
-	gen  *workload.EventGen
 	link *netsim.Link
 
-	// Subscriber side.
 	queue     float64
 	drainRate float64
-	downUntil time.Time
-	dead      bool
-
-	// Federation cluster index (0 when gateways are off).
-	cluster int
 }
 
-func runModel(s *Scenario, n int) (PointResult, error) {
-	clk := clock.NewVirtual(clock.Epoch)
-	start := clk.Now()
+type modelBackend struct {
+	s     *Scenario
+	down  downSet
+	nodes []modelNode
 
-	// Seeded streams: node jitter follows the SimCluster convention; the
-	// harness streams (load, churn, slow-subscriber choice) get their own
-	// offsets so adding one never perturbs another.
-	churnRng := rand.New(rand.NewSource(s.Seed*1_000_003 + int64(n)))
+	// partitionK > 0 splits the nodes with index < partitionK from the rest.
+	partitionK int
+
+	prop                                           obs.Histogram
+	deliveries, drops, skips, processed, bytesSent uint64
+}
+
+func newModelBackend(s *Scenario, n, _ int, clk *clock.Virtual, down downSet) (backend, error) {
+	// The slow-subscriber choice has its own stream (seed·999983 + n),
+	// consumed here once per node and by this backend only.
 	slowRng := rand.New(rand.NewSource(s.Seed*999_983 + int64(n)))
-
-	nodes := make([]*modelNode, n)
-	for i := 0; i < n; i++ {
+	m := &modelBackend{s: s, down: down, nodes: make([]modelNode, n)}
+	for i := range m.nodes {
 		host := simres.NewHost(NodeName(i), clk, s.Seed+int64(i)*7919)
 		dm := dmon.New(NodeName(i), clk, host)
 		if err := applyFilters(dm, s); err != nil {
-			return PointResult{}, err
+			return nil, err
 		}
 		drain := s.Subscribers.Rate
 		if s.Subscribers.SlowFraction > 0 && slowRng.Float64() < s.Subscribers.SlowFraction {
 			drain = s.Subscribers.SlowRate
 		}
-		nodes[i] = &modelNode{
-			host: host,
-			dm:   dm,
-			gen: workload.NewEventGen(workload.EventProfile{
-				Rate:          s.Load.Rate,
-				Payload:       s.Load.Payload,
-				PayloadJitter: s.Load.PayloadJitter,
-				BurstEvery:    s.Load.BurstEvery,
-				BurstLen:      s.Load.BurstLen,
-				BurstFactor:   s.Load.BurstFactor,
-			}, s.Seed+int64(i)*104_729, start),
-			link:      host.Link(),
-			drainRate: drain,
-		}
+		m.nodes[i] = modelNode{dm: dm, link: host.Link(), drainRate: drain}
 	}
-
-	// Federation clusters: contiguous blocks, gateway = first node of each
-	// block. Cross-cluster deliveries pay a second hop through the
-	// publisher's gateway uplink.
-	blockSize := n
-	if g := s.Topology.Gateways; g > 0 {
-		blockSize = (n + g - 1) / g
-		for i, nd := range nodes {
-			nd.cluster = i / blockSize
-		}
-	}
-	gatewayOf := func(cluster int) *modelNode { return nodes[cluster*blockSize] }
-
-	pt := PointResult{Nodes: n, Duration: s.Duration}
-	var prop obs.Histogram
-	var kills, revives, churnLeaves, churnRejoins, partitions, heals uint64
-
-	// Partition state: when active, nodes with index < partitionK are in
-	// one group, the rest in the other.
-	partitioned := false
-	partitionK := 0
-
-	schedule := sortSchedule(s.Schedule)
-	fired := 0
-
-	// deliver fans one event of size bytes from publisher pi to its
-	// subscriber set through the fluid links, charging each target's inbox.
-	deliver := func(pi int, bytes int, now time.Time) {
-		pub := nodes[pi]
-		wb := bytes + wireOverhead
-		fan := func(ti int) {
-			if ti == pi {
-				return
-			}
-			target := nodes[ti]
-			if target.dead || now.Before(target.downUntil) {
-				pt.Skips++
-				return
-			}
-			if partitioned && (pi < partitionK) != (ti < partitionK) {
-				pt.Skips++
-				return
-			}
-			delay := pub.link.Send(wb)
-			if s.Topology.Gateways > 0 && target.cluster != pub.cluster {
-				delay += gatewayOf(pub.cluster).link.Send(wb)
-			}
-			prop.Record(int64(delay))
-			pt.Deliveries++
-			pt.BytesSent += uint64(wb)
-			if target.queue+1 > float64(s.Subscribers.Inbox) {
-				pt.Drops++
-			} else {
-				target.queue++
-			}
-		}
-		if f := s.Topology.Fanout; f > 0 && f < n-1 {
-			for k := 1; k <= f; k++ {
-				fan((pi + k) % n)
-			}
-		} else {
-			for ti := range nodes {
-				fan(ti)
-			}
-		}
-	}
-
-	steps := int(s.Duration / s.Tick)
-	pt.Steps = steps
-	churnEvery := 0
-	if s.Churn.Fraction > 0 && s.Churn.Interval > 0 {
-		churnEvery = int(s.Churn.Interval / s.Tick)
-		if churnEvery < 1 {
-			churnEvery = 1
-		}
-	}
-
-	for step := 1; step <= steps; step++ {
-		clk.Advance(s.Tick)
-		now := clk.Now()
-		elapsed := time.Duration(step) * s.Tick
-
-		// Fire schedule actions due at this tick boundary.
-		for fired < len(schedule) && schedule[fired].At <= elapsed {
-			a := schedule[fired]
-			fired++
-			switch a.Verb {
-			case "kill":
-				nodes[nodeIndex(a.Node)].dead = true
-				kills++
-			case "revive":
-				nodes[nodeIndex(a.Node)].dead = false
-				revives++
-			case "partition":
-				partitioned = true
-				partitionK = int(a.Value)
-				partitions++
-			case "heal":
-				partitioned = false
-				heals++
-			case "perturb":
-				for _, nd := range nodes {
-					nd.link.SetPerturbation(netsim.Mbps(a.Value))
-				}
-			}
-		}
-
-		// Churn boundary: each live subscriber leaves with the configured
-		// probability. The rng is consumed for every node regardless so the
-		// stream stays aligned whatever the current up/down set is.
-		if churnEvery > 0 && step%churnEvery == 0 {
-			for _, nd := range nodes {
-				r := churnRng.Float64()
-				if nd.dead {
-					continue
-				}
-				if r < s.Churn.Fraction && !now.Before(nd.downUntil) {
-					nd.downUntil = now.Add(s.Churn.Down)
-					churnLeaves++
-					// A churned-out subscriber loses its queue; it rejoins
-					// empty, like a fresh channel join.
-					nd.queue = 0
-				}
-			}
-		}
-		// Count rejoins (down window expired this tick).
-		for _, nd := range nodes {
-			if !nd.dead && !nd.downUntil.IsZero() && !now.Before(nd.downUntil) {
-				nd.downUntil = time.Time{}
-				churnRejoins++
-			}
-		}
-
-		// Publish: monitoring reports through the real d-mon pipeline, then
-		// the synthetic workload events.
-		for pi, nd := range nodes {
-			if nd.dead {
-				continue
-			}
-			report, _, _ := nd.dm.PollOnce()
-			if report != nil {
-				pt.Reports++
-				deliver(pi, len(report.Encode()), now)
-			}
-			for _, size := range nd.gen.Tick(now, s.Tick) {
-				pt.Events++
-				deliver(pi, size, now)
-			}
-		}
-
-		// Drain subscriber inboxes at their per-node rates.
-		dt := s.Tick.Seconds()
-		for _, nd := range nodes {
-			if nd.dead || now.Before(nd.downUntil) {
-				continue
-			}
-			drained := nd.drainRate * dt
-			if drained > nd.queue {
-				drained = nd.queue
-			}
-			nd.queue -= drained
-			pt.Processed += uint64(drained)
-		}
-	}
-
-	pt.Prop = prop.Snapshot()
-	pt.Recovery = []RecoveryCounter{
-		{"kills", kills},
-		{"revives", revives},
-		{"churn_leaves", churnLeaves},
-		{"churn_rejoins", churnRejoins},
-		{"partitions", partitions},
-		{"heals", heals},
-	}
-	return pt, nil
+	return m, nil
 }
+
+func (m *modelBackend) apply(a Action) {
+	switch a.Verb {
+	case "partition":
+		m.partitionK = int(a.Value)
+	case "heal":
+		m.partitionK = 0
+	case "perturb":
+		for i := range m.nodes {
+			m.nodes[i].link.SetPerturbation(netsim.Mbps(a.Value))
+		}
+	}
+}
+
+// setDown: a node that leaves loses its queue; it comes back empty, like a
+// fresh channel join. Who is down is read from the down-set.
+func (m *modelBackend) setDown(i int, down bool) {
+	if down {
+		m.nodes[i].queue = 0
+	}
+}
+
+func (m *modelBackend) publish(i int, sizes []int) bool {
+	report, _, _ := m.nodes[i].dm.PollOnce()
+	if report != nil {
+		m.deliver(i, len(report.Encode()))
+	}
+	for _, size := range sizes {
+		m.deliver(i, size)
+	}
+	return report != nil
+}
+
+// deliver fans one event of size bytes from publisher pi to every other node
+// through pi's fluid uplink, charging each target's inbox.
+func (m *modelBackend) deliver(pi, bytes int) {
+	link := m.nodes[pi].link
+	wb := bytes + wireOverhead
+	inbox := float64(m.s.Subscribers.Inbox)
+	for ti := range m.nodes {
+		if ti == pi {
+			continue
+		}
+		if !m.down.up(ti) || (m.partitionK > 0 && (pi < m.partitionK) != (ti < m.partitionK)) {
+			m.skips++
+			continue
+		}
+		m.prop.Record(int64(link.Send(wb)))
+		m.deliveries++
+		m.bytesSent += uint64(wb)
+		if target := &m.nodes[ti]; target.queue+1 > inbox {
+			m.drops++
+		} else {
+			target.queue++
+		}
+	}
+}
+
+// endTick drains the subscriber inboxes at their per-node rates.
+func (m *modelBackend) endTick() {
+	dt := m.s.Tick.Seconds()
+	for i := range m.nodes {
+		if !m.down.up(i) {
+			continue
+		}
+		nd := &m.nodes[i]
+		drained := min(nd.drainRate*dt, nd.queue)
+		nd.queue -= drained
+		m.processed += uint64(drained)
+	}
+}
+
+func (m *modelBackend) harvest(pt *PointResult) {
+	pt.Deliveries, pt.Drops, pt.Skips = m.deliveries, m.drops, m.skips
+	pt.Processed, pt.BytesSent = m.processed, m.bytesSent
+	pt.Prop = m.prop.Snapshot()
+}
+
+func (m *modelBackend) close() {}
 
 // applyFilters configures one d-mon per the runfile's [filters] section.
 // Collection cadence is the scenario tick except in period mode, where the
@@ -280,13 +168,4 @@ func applyFilters(dm *dmon.DMon, s *Scenario) error {
 		}
 	}
 	return nil
-}
-
-// nodeIndex converts a validated nodeN name back to its index.
-func nodeIndex(name string) int {
-	idx := 0
-	for _, c := range name[len("node"):] {
-		idx = idx*10 + int(c-'0')
-	}
-	return idx
 }

@@ -1,14 +1,21 @@
-// Report emission. Every run produces two artifacts:
+// Report emission. Every run produces two artifacts, named after the
+// scenario and written under [output] dir (scenario-out by default, which
+// is untracked — no artifact is committed):
 //
-//   - BENCH_scenario_<name>.json — one benchjson-schema Result per sweep
-//     point (name "scenario/<name>/nodes=<n>"), so the scenario numbers sit
-//     next to the micro-benchmark BENCH_*.json files and feed the same
-//     tooling.
-//   - REPORT_scenario_<name>.md — a human-readable markdown report with a
-//     per-sweep-point table of throughput, drops and propagation
-//     p50/p95/p99, plus the recovery counters and the runfile echo.
+//   - <name>.json — an array with one object per sweep point: its name
+//     ("scenario/<name>/nodes=<n>[/branching=<b>]") and a metrics map of
+//     volume, throughput and recovery_* counters.
+//   - <name>.md — a human-readable markdown report with a per-sweep-point
+//     table of throughput, drops and skips, plus the recovery counters.
 //
-// Neither artifact contains wall-clock input: virtual-time runs of the same
+// Propagation p50/p95/p99 appear — as metrics, table columns and a sample
+// count — only for points that carry propagation samples: the model
+// backend's analytic distribution does, the sockets backend's points do not
+// (its virtual clock is quantised to the tick, so bench/ is where latency on
+// real sockets is measured). The decision is read from the point, not from
+// the engine's name.
+//
+// Neither artifact contains wall-clock input: model-engine runs of the same
 // runfile are byte-identical, which the determinism test asserts.
 package scenario
 
@@ -16,24 +23,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 )
 
-// jsonResult mirrors cmd/benchjson's Result schema.
-type jsonResult struct {
+// jsonPoint is one sweep point of the JSON artifact.
+type jsonPoint struct {
 	Name    string             `json:"name"`
-	Iters   int64              `json:"iters"`
-	NsPerOp float64            `json:"ns_per_op"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
-// EncodeJSON renders the run as a benchjson-compatible JSON array. iters is
-// the delivery count and ns_per_op the median propagation delay — the two
-// axes the paper's scaling figures plot.
+// EncodeJSON renders the run as the JSON artifact.
 func (r *RunResult) EncodeJSON() ([]byte, error) {
-	out := make([]jsonResult, 0, len(r.Points))
+	out := make([]jsonPoint, 0, len(r.Points))
 	for i := range r.Points {
 		p := &r.Points[i]
 		m := map[string]float64{
@@ -48,9 +50,11 @@ func (r *RunResult) EncodeJSON() ([]byte, error) {
 			"bytes_sent":     float64(p.BytesSent),
 			"throughput_eps": p.Throughput(),
 			"publish_eps":    p.PublishRate(),
-			"prop_p50_ns":    float64(p.Prop.Quantile(0.50)),
-			"prop_p95_ns":    float64(p.Prop.Quantile(0.95)),
-			"prop_p99_ns":    float64(p.Prop.Quantile(0.99)),
+		}
+		if p.Prop.Count > 0 {
+			m["prop_p50_ns"] = float64(p.Prop.Quantile(0.50))
+			m["prop_p95_ns"] = float64(p.Prop.Quantile(0.95))
+			m["prop_p99_ns"] = float64(p.Prop.Quantile(0.99))
 		}
 		for _, rc := range p.Recovery {
 			m["recovery_"+rc.Name] = float64(rc.Value)
@@ -63,12 +67,7 @@ func (r *RunResult) EncodeJSON() ([]byte, error) {
 			name += fmt.Sprintf("/branching=%d", p.Branching)
 			m["branching"] = float64(p.Branching)
 		}
-		out = append(out, jsonResult{
-			Name:    name,
-			Iters:   int64(p.Deliveries),
-			NsPerOp: float64(p.Prop.Quantile(0.50)),
-			Metrics: m,
-		})
+		out = append(out, jsonPoint{Name: name, Metrics: m})
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -82,8 +81,8 @@ func (r *RunResult) EncodeReport() []byte {
 	s := r.Scenario
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# Scenario report: %s\n\n", s.Name)
-	fmt.Fprintf(&sb, "Runfile `%s` — engine **%s**, clock **%s**, seed %d, %s per sweep point (tick %s).\n\n",
-		s.Path, s.Engine, s.Clock, s.Seed, fmtDuration(s.Duration), fmtDuration(s.Tick))
+	fmt.Fprintf(&sb, "Runfile `%s` — engine **%s**, seed %d, %s virtual per sweep point (tick %s).\n\n",
+		s.Path, s.Engine, s.Seed, fmtDuration(s.Duration), fmtDuration(s.Tick))
 
 	fmt.Fprintf(&sb, "Load: %.4g events/s per node × %d B payload", s.Load.Rate, s.Load.Payload)
 	if s.Load.BurstEvery > 0 {
@@ -102,38 +101,49 @@ func (r *RunResult) EncodeReport() []byte {
 	sb.WriteString(".\n\n")
 
 	// The headline table: one row per sweep point. The overlay column only
-	// appears when the run sweeps branching factors.
-	hasBranching := false
+	// appears when the run sweeps branching factors, the propagation columns
+	// only when the points carry propagation samples.
+	hasBranching, hasProp := false, false
 	for i := range r.Points {
-		if r.Points[i].Branching > 0 {
-			hasBranching = true
-		}
+		hasBranching = hasBranching || r.Points[i].Branching > 0
+		hasProp = hasProp || r.Points[i].Prop.Count > 0
 	}
-	overlayLabel := func(p *PointResult) string {
-		if p.Branching == 0 {
-			return "flat"
-		}
-		return fmt.Sprintf("tree-b%d", p.Branching)
+	cols := []string{"nodes"}
+	if hasBranching {
+		cols = append(cols, "overlay")
+	}
+	cols = append(cols, "published", "deliveries", "throughput (ev/s)", "drops", "skips")
+	if hasProp {
+		cols = append(cols, "prop p50", "prop p95", "prop p99")
 	}
 	sb.WriteString("## Results\n\n")
-	if hasBranching {
-		sb.WriteString("| nodes | overlay | published | deliveries | throughput (ev/s) | drops | skips | prop p50 | prop p95 | prop p99 |\n")
-		sb.WriteString("|------:|--------:|----------:|-----------:|------------------:|------:|------:|---------:|---------:|---------:|\n")
-	} else {
-		sb.WriteString("| nodes | published | deliveries | throughput (ev/s) | drops | skips | prop p50 | prop p95 | prop p99 |\n")
-		sb.WriteString("|------:|----------:|-----------:|------------------:|------:|------:|---------:|---------:|---------:|\n")
+	for _, c := range cols {
+		fmt.Fprintf(&sb, "| %s ", c)
 	}
+	sb.WriteString("|\n")
+	for _, c := range cols {
+		fmt.Fprintf(&sb, "|%s:", strings.Repeat("-", len(c)+1))
+	}
+	sb.WriteString("|\n")
 	for i := range r.Points {
 		p := &r.Points[i]
 		fmt.Fprintf(&sb, "| %d ", p.Nodes)
 		if hasBranching {
-			fmt.Fprintf(&sb, "| %s ", overlayLabel(p))
+			overlay := "flat"
+			if p.Branching > 0 {
+				overlay = fmt.Sprintf("tree-b%d", p.Branching)
+			}
+			fmt.Fprintf(&sb, "| %s ", overlay)
 		}
-		fmt.Fprintf(&sb, "| %d | %d | %.1f | %d | %d | %s | %s | %s |\n",
-			p.Reports+p.Events, p.Deliveries, p.Throughput(), p.Drops, p.Skips,
-			fmtDuration(time.Duration(p.Prop.Quantile(0.50))),
-			fmtDuration(time.Duration(p.Prop.Quantile(0.95))),
-			fmtDuration(time.Duration(p.Prop.Quantile(0.99))))
+		fmt.Fprintf(&sb, "| %d | %d | %.1f | %d | %d |",
+			p.Reports+p.Events, p.Deliveries, p.Throughput(), p.Drops, p.Skips)
+		if hasProp {
+			fmt.Fprintf(&sb, " %s | %s | %s |",
+				fmtDuration(time.Duration(p.Prop.Quantile(0.50))),
+				fmtDuration(time.Duration(p.Prop.Quantile(0.95))),
+				fmtDuration(time.Duration(p.Prop.Quantile(0.99))))
+		}
+		sb.WriteString("\n")
 	}
 	sb.WriteString("\n")
 
@@ -151,7 +161,9 @@ func (r *RunResult) EncodeReport() []byte {
 		fmt.Fprintf(&sb, "- deliveries: %d (%d processed by subscribers)\n", p.Deliveries, p.Processed)
 		fmt.Fprintf(&sb, "- drops (inbox overflow): %d, skips (down/partitioned targets): %d\n", p.Drops, p.Skips)
 		fmt.Fprintf(&sb, "- bytes on the wire: %d\n", p.BytesSent)
-		fmt.Fprintf(&sb, "- propagation samples: %d\n", p.Prop.Count)
+		if p.Prop.Count > 0 {
+			fmt.Fprintf(&sb, "- propagation samples: %d\n", p.Prop.Count)
+		}
 		interesting := false
 		for _, rc := range p.Recovery {
 			if rc.Value > 0 {
@@ -178,13 +190,8 @@ func (r *RunResult) EncodeReport() []byte {
 func (r *RunResult) WriteArtifacts() (jsonPath, reportPath string, err error) {
 	s := r.Scenario
 	jsonPath, reportPath = s.JSONPath(), s.ReportPath()
-	if dir := filepath.Dir(jsonPath); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return "", "", fmt.Errorf("scenario: output dir: %w", err)
-		}
-	}
-	if dir := filepath.Dir(reportPath); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+	if s.Output.Dir != "" {
+		if err := os.MkdirAll(s.Output.Dir, 0o755); err != nil {
 			return "", "", fmt.Errorf("scenario: output dir: %w", err)
 		}
 	}

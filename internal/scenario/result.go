@@ -1,15 +1,17 @@
 package scenario
 
 import (
+	"fmt"
 	"time"
 
 	"dproc/internal/obs"
 )
 
-// PointResult is the harvest of one sweep point: the counters every engine
-// fills plus the merged propagation-delay distribution. All values derive
-// from the run itself (virtual-time runs contain no wall-clock input), which
-// is what makes reports byte-reproducible under a fixed seed.
+// PointResult is the harvest of one sweep point: the counters the loop and
+// every backend fill, plus the propagation-delay distribution of a backend
+// that can stand behind one. All values derive from the run itself (no
+// wall-clock input), which is what makes the model backend's reports
+// byte-reproducible under a fixed seed.
 type PointResult struct {
 	// Nodes is the sweep-point node count.
 	Nodes int
@@ -18,7 +20,7 @@ type PointResult struct {
 	Branching int
 	// Steps is how many poll ticks ran.
 	Steps int
-	// Duration is the run length (virtual for the model engine).
+	// Duration is the virtual run length.
 	Duration time.Duration
 
 	// Reports counts monitoring reports published by d-mons (post-filter).
@@ -37,12 +39,14 @@ type PointResult struct {
 	// BytesSent counts payload bytes pushed onto the network.
 	BytesSent uint64
 
-	// Prop is the merged cross-node propagation-delay distribution in
-	// nanoseconds.
+	// Prop is the propagation-delay distribution in nanoseconds — the model
+	// backend's analytic one; the sockets backend takes no samples (see
+	// report.go for what that does to the artifacts).
 	Prop obs.Snapshot
 
-	// Recovery holds engine-specific fault/recovery counters in a fixed
-	// order (slice, not map, so report rendering is deterministic).
+	// Recovery holds the fault/recovery counters in a fixed order — the
+	// loop's six, then the backend's own (slice, not map, so report rendering
+	// is deterministic).
 	Recovery []RecoveryCounter
 }
 
@@ -75,11 +79,21 @@ type RunResult struct {
 	Points   []PointResult
 }
 
-// Run executes every sweep point of the scenario with the engine it names.
-// logf (may be nil) receives one progress line per sweep point.
+// Run executes every sweep point of the scenario on the backend its engine
+// names. logf (may be nil) receives one progress line per sweep point.
 func Run(s *Scenario, logf func(format string, args ...any)) (*RunResult, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
+	}
+	var open openBackend
+	switch s.Engine {
+	case EngineModel:
+		open = newModelBackend
+	case EngineSockets:
+		open = newSocketsBackend
+	default:
+		// Validate rejects this; keep the error for direct callers.
+		return nil, &ParseError{File: s.Path, Section: "scenario", Key: "engine", Msg: "unknown engine " + s.Engine}
 	}
 	res := &RunResult{Scenario: s}
 	// The sweep is the cross-product of the node axis and the branching axis
@@ -91,25 +105,15 @@ func Run(s *Scenario, logf func(format string, args ...any)) (*RunResult, error)
 	for _, n := range s.Topology.Nodes {
 		for _, b := range branchings {
 			logf("scenario %s: engine=%s nodes=%d branching=%d duration=%s", s.Name, s.Engine, n, b, s.Duration)
-			var (
-				pt  PointResult
-				err error
-			)
-			switch s.Engine {
-			case EngineModel:
-				pt, err = runModel(s, n)
-			case EngineSockets:
-				pt, err = runSockets(s, n, b)
-			default:
-				// Validate rejects this; keep the error for direct callers.
-				err = &ParseError{File: s.Path, Section: "scenario", Key: "engine", Msg: "unknown engine " + s.Engine}
-			}
+			pt, err := runPoint(s, n, b, open)
 			if err != nil {
 				return nil, err
 			}
-			pt.Branching = b
-			logf("  done: %d reports, %d deliveries, %d drops, prop p99 %s",
-				pt.Reports, pt.Deliveries, pt.Drops, time.Duration(pt.Prop.Quantile(0.99)))
+			done := fmt.Sprintf("  done: %d reports, %d deliveries, %d drops", pt.Reports, pt.Deliveries, pt.Drops)
+			if pt.Prop.Count > 0 {
+				done += fmt.Sprintf(", prop p99 %s", time.Duration(pt.Prop.Quantile(0.99)))
+			}
+			logf("%s", done)
 			res.Points = append(res.Points, pt)
 		}
 	}

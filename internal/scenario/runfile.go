@@ -214,15 +214,10 @@ func (p *parser) assign(key, val string, line int) error {
 		case "engine":
 			s.Engine = unquote(val)
 			return nil
-		case "clock":
-			s.Clock = unquote(val)
-			return nil
 		case "duration":
 			return p.setDuration(&s.Duration, val, line, key)
 		case "tick":
 			return p.setDuration(&s.Tick, val, line, key)
-		case "trace_sample":
-			return p.setInt(&s.TraceSample, val, line, key)
 		case "data_dir":
 			s.DataDir = unquote(val)
 			return nil
@@ -242,10 +237,6 @@ func (p *parser) assign(key, val string, line int) error {
 			s.Topology.Nodes = list
 			p.seenNodes = true
 			return nil
-		case "fanout":
-			return p.setInt(&s.Topology.Fanout, val, line, key)
-		case "gateways":
-			return p.setInt(&s.Topology.Gateways, val, line, key)
 		case "branching":
 			list, err := parseIntList(val)
 			if err != nil {
@@ -314,15 +305,8 @@ func (p *parser) assign(key, val string, line int) error {
 		s.Schedule = append(s.Schedule, act)
 		return nil
 	case "output":
-		switch key {
-		case "dir":
+		if key == "dir" {
 			s.Output.Dir = unquote(val)
-			return nil
-		case "json":
-			s.Output.JSON = unquote(val)
-			return nil
-		case "report":
-			s.Output.Report = unquote(val)
 			return nil
 		}
 	}

@@ -15,15 +15,12 @@ const golden = `
 [scenario]
 name     = "golden"
 seed     = 99
-engine   = "model"
-clock    = "virtual"          # the model engine requires this
+engine   = "model"            # the default, spelled out
 duration = "20s"
 tick     = "500ms"
 
 [topology]
-nodes    = 4, 8, 16
-fanout   = 3
-gateways = 2
+nodes = 4, 8, 16
 
 [load]
 rate           = 2.5
@@ -62,9 +59,7 @@ at = "12s heal"
 at = "15s perturb 50"
 
 [output]
-dir    = "out"
-json   = "custom.json"
-report = "custom.md"
+dir = "out"
 `
 
 func TestParseGolden(t *testing.T) {
@@ -75,7 +70,7 @@ func TestParseGolden(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "golden" || s.Seed != 99 || s.Engine != EngineModel || s.Clock != ClockVirtual {
+	if s.Name != "golden" || s.Seed != 99 || s.Engine != EngineModel {
 		t.Fatalf("scenario section: %+v", s)
 	}
 	if s.Duration != 20*time.Second || s.Tick != 500*time.Millisecond {
@@ -83,9 +78,6 @@ func TestParseGolden(t *testing.T) {
 	}
 	if want := []int{4, 8, 16}; len(s.Topology.Nodes) != 3 || s.Topology.Nodes[0] != want[0] || s.Topology.Nodes[2] != want[2] {
 		t.Fatalf("nodes sweep: %v", s.Topology.Nodes)
-	}
-	if s.Topology.Fanout != 3 || s.Topology.Gateways != 2 {
-		t.Fatalf("topology: %+v", s.Topology)
 	}
 	if s.Load.Rate != 2.5 || s.Load.Payload != 128 || s.Load.BurstFactor != 4.0 {
 		t.Fatalf("load: %+v", s.Load)
@@ -109,10 +101,10 @@ func TestParseGolden(t *testing.T) {
 	if s.Schedule[0].Line == 0 {
 		t.Fatal("schedule action lost its line number")
 	}
-	if got := s.JSONPath(); got != "out/custom.json" {
+	if got := s.JSONPath(); got != "out/golden.json" {
 		t.Fatalf("JSONPath = %q", got)
 	}
-	if got := s.ReportPath(); got != "out/custom.md" {
+	if got := s.ReportPath(); got != "out/golden.md" {
 		t.Fatalf("ReportPath = %q", got)
 	}
 }
@@ -173,7 +165,7 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestValidateErrors covers cross-field rules: contradictory engine/clock
+// TestValidateErrors covers cross-field rules: contradictory engine/key
 // and engine/verb combos, sweep bounds, node targets and filter compilation.
 func TestValidateErrors(t *testing.T) {
 	base := func() *Scenario {
@@ -187,9 +179,8 @@ func TestValidateErrors(t *testing.T) {
 		mutate func(*Scenario)
 		want   []string
 	}{
-		{"model needs virtual", func(s *Scenario) { s.Clock = ClockReal }, []string{"model engine", "virtual"}},
 		{"unknown engine", func(s *Scenario) { s.Engine = "quantum" }, []string{"engine", "quantum"}},
-		{"sockets node cap", func(s *Scenario) { s.Engine = EngineSockets; s.Clock = ClockReal; s.Topology.Nodes = []int{128} }, []string{"128", "cap"}},
+		{"sockets node cap", func(s *Scenario) { s.Engine = EngineSockets; s.Topology.Nodes = []int{128} }, []string{"128", "cap"}},
 		{"model node cap", func(s *Scenario) { s.Topology.Nodes = []int{9000} }, []string{"9000", "cap"}},
 		{"too many sweep points", func(s *Scenario) {
 			s.Topology.Nodes = make([]int, 17)
@@ -200,20 +191,17 @@ func TestValidateErrors(t *testing.T) {
 		{"one-node point", func(s *Scenario) { s.Topology.Nodes = []int{1} }, []string{"at least 2"}},
 		{"tick beyond duration", func(s *Scenario) { s.Tick = time.Minute }, []string{"tick", "duration"}},
 		{"data_dir on model", func(s *Scenario) { s.DataDir = "auto" }, []string{"data_dir", "sockets"}},
-		{"gateways on sockets", func(s *Scenario) { s.Engine = EngineSockets; s.Topology.Gateways = 2 }, []string{"gateways", "model"}},
 		{"churn without down", func(s *Scenario) { s.Churn.Fraction = 0.5; s.Churn.Interval = time.Second }, []string{"down"}},
 		{"burst mismatch", func(s *Scenario) { s.Load.BurstEvery = time.Second }, []string{"burst_len", "together"}},
 		{"jitter range", func(s *Scenario) { s.Load.PayloadJitter = 2 }, []string{"payload_jitter", "[0,1]"}},
 		{"ecode must compile", func(s *Scenario) { s.Filters.Mode = FilterEcode; s.Filters.Source = "$$$ garbage" }, []string{"source", "compile"}},
 		{"slow fraction sockets", func(s *Scenario) {
 			s.Engine = EngineSockets
-			s.Clock = ClockReal
 			s.Topology.Nodes = []int{4}
 			s.Subscribers.SlowFraction = 0.5
 		}, []string{"slow_fraction", "model"}},
 		{"perturb on sockets", func(s *Scenario) {
 			s.Engine = EngineSockets
-			s.Clock = ClockReal
 			s.Topology.Nodes = []int{4}
 			s.Schedule = []Action{{At: time.Second, Verb: "perturb", Value: 50, Line: 7}}
 		}, []string{"perturb", "model"}},

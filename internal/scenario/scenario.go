@@ -1,22 +1,23 @@
 // Package scenario is the experiment harness: declarative runfiles
 // describing a dproc cluster (topology, filters, load profile, churn and
-// fault schedule, clock mode, sweep axes) that cmd/dprocsim parses,
-// validates and executes, emitting a benchjson-compatible JSON file and a
-// markdown report per run. It follows onet's simul design (one runfile per
-// experiment family, a host-count sweep axis) so that every large-scale
-// question — the paper's Figure 6 scaling shape at 100×, churn soaks,
-// partition storms, slow-subscriber herds — is a committed text file
+// fault schedule, sweep axes) that cmd/dprocsim parses, validates and
+// executes, emitting a JSON file and a markdown report per run. It follows
+// onet's simul design (one runfile per experiment family, a host-count sweep
+// axis, one simulation definition over several platforms) so that every
+// large-scale question — the paper's Figure 6 scaling shape at 100×, churn
+// soaks, partition storms, slow-subscriber herds — is a committed text file
 // instead of a hand-written test.
 //
-// Two engines execute a scenario:
+// One step loop (loop.go) executes a scenario on virtual time over one of
+// two backends, selected by the runfile's engine key:
 //
-//   - "model": single-threaded virtual time. Every node runs the real
-//     d-mon machinery (modules, thresholds, deployed E-code filters) over
-//     a simulated simres host, and fan-out travels through netsim's fluid
-//     link model, which yields propagation-delay distributions that grow
-//     with fan-out burst size exactly like a serialized unicast mesh.
-//     Deterministic bit-for-bit under a fixed seed; scales to thousands
-//     of nodes on one machine.
+//   - "model": single-threaded. Every node runs the real d-mon machinery
+//     (modules, thresholds, deployed E-code filters) over a simulated
+//     simres host, and fan-out travels through netsim's fluid link model,
+//     which yields propagation-delay distributions that grow with fan-out
+//     burst size exactly like a serialized unicast mesh. Deterministic
+//     bit-for-bit under a fixed seed; scales to thousands of nodes on one
+//     machine.
 //   - "sockets": a real in-process cluster (core.SimCluster) over loopback
 //     TCP wrapped in faultnet, so kill/stall/partition/disk verbs exercise
 //     the actual transport, reconnect supervisor and WAL recovery paths.
@@ -25,6 +26,7 @@ package scenario
 
 import (
 	"fmt"
+	"path/filepath"
 	"time"
 )
 
@@ -32,12 +34,6 @@ import (
 const (
 	EngineModel   = "model"
 	EngineSockets = "sockets"
-)
-
-// Clock mode names.
-const (
-	ClockVirtual = "virtual"
-	ClockReal    = "real"
 )
 
 // Filter modes.
@@ -50,27 +46,20 @@ const (
 
 // Scenario is one parsed and validated runfile.
 type Scenario struct {
-	// Name labels the run; output files default to
-	// BENCH_scenario_<name>.json and REPORT_scenario_<name>.md.
+	// Name labels the run and names its artifacts, <name>.json and
+	// <name>.md.
 	Name string
 	// Seed drives every random stream in the run: simres host jitter,
 	// workload payload jitter, churn and slow-subscriber selection, and
 	// faultnet latency jitter. Identical runfiles (same seed) reproduce
-	// identical virtual-time runs byte-for-byte.
+	// identical model-engine runs byte-for-byte.
 	Seed int64
-	// Engine selects the execution engine: EngineModel or EngineSockets.
+	// Engine selects the backend: EngineModel or EngineSockets.
 	Engine string
-	// Clock selects virtual or real time. The model engine is
-	// virtual-only; the sockets engine accepts both.
-	Clock string
-	// Duration is the (virtual or real) length of each sweep point.
+	// Duration is the virtual length of each sweep point.
 	Duration time.Duration
 	// Tick is the poll-loop step; every node polls once per tick.
 	Tick time.Duration
-	// TraceSample traces one event in N on the sockets engine (power of
-	// two rounding applies); <=0 disables tracing. The model engine
-	// computes propagation delay analytically and ignores it.
-	TraceSample int
 	// DataDir, sockets engine only: non-empty gives every node a durable
 	// history store under DataDir/<node>. The literal "auto" uses a
 	// temporary directory removed after the run.
@@ -97,15 +86,9 @@ type Scenario struct {
 
 // Topology describes the cluster shape.
 type Topology struct {
-	// Nodes is the sweep axis: one run per entry.
+	// Nodes is the sweep axis: one run per entry. Every publisher's
+	// subscriber set is the full mesh (n-1 subscribers).
 	Nodes []int
-	// Fanout caps each publisher's subscriber set to the next Fanout
-	// nodes on the ring; 0 means full mesh (n-1 subscribers).
-	Fanout int
-	// Gateways, when > 0, splits the nodes into that many federated
-	// clusters; cross-cluster events relay through the cluster's gateway
-	// (its first node) and pay the extra link hop. Model engine only.
-	Gateways int
 	// Branchings is a second sweep axis (sockets engine only): each entry
 	// configures the monitoring channel's relay-tree branching factor, 0
 	// meaning the flat full mesh. Every node-count point runs once per
@@ -164,14 +147,14 @@ type Churn struct {
 	Down     time.Duration
 }
 
-// Action is one scheduled fault/perturbation verb at a virtual (or real)
-// offset from the run start.
+// Action is one scheduled fault/perturbation verb at a virtual offset from
+// the run start.
 type Action struct {
 	// At is the offset from run start; the action fires at the first tick
 	// boundary >= At.
 	At time.Duration
 	// Verb is one of: kill, revive, stall, unstall, partition, heal,
-	// perturb, disk.
+	// perturb, disk, queryall.
 	Verb string
 	// Node is the target node name for node-directed verbs.
 	Node string
@@ -185,14 +168,11 @@ type Action struct {
 	Line int
 }
 
-// Output names the run's artifacts.
+// Output says where the run's artifacts go.
 type Output struct {
-	// Dir is the directory artifacts are written into ("." by default).
+	// Dir is the directory artifacts are written into; the default,
+	// scenario-out, is untracked.
 	Dir string
-	// JSON is the benchjson-compatible results file name.
-	JSON string
-	// Report is the markdown report file name.
-	Report string
 }
 
 // Defaults returns a scenario with every knob at its built-in default;
@@ -201,42 +181,21 @@ func Defaults() Scenario {
 	return Scenario{
 		Seed:        1,
 		Engine:      EngineModel,
-		Clock:       ClockVirtual,
 		Duration:    30 * time.Second,
 		Tick:        time.Second,
-		TraceSample: 1,
 		Topology:    Topology{Nodes: []int{8}},
 		Load:        Load{Rate: 1, Payload: 64, BurstFactor: 1},
 		Filters:     Filters{Mode: FilterPeriod, Period: time.Second, DiffPct: 15},
 		Subscribers: Subscribers{Rate: 10000, Inbox: 4096, SlowRate: 50},
-		Output:      Output{Dir: "."},
+		Output:      Output{Dir: "scenario-out"},
 	}
 }
 
-// JSONPath returns the resolved JSON artifact path.
-func (s *Scenario) JSONPath() string {
-	name := s.Output.JSON
-	if name == "" {
-		name = fmt.Sprintf("BENCH_scenario_%s.json", s.Name)
-	}
-	return joinDir(s.Output.Dir, name)
-}
+// JSONPath returns the JSON artifact path, <dir>/<name>.json.
+func (s *Scenario) JSONPath() string { return filepath.Join(s.Output.Dir, s.Name+".json") }
 
-// ReportPath returns the resolved markdown report path.
-func (s *Scenario) ReportPath() string {
-	name := s.Output.Report
-	if name == "" {
-		name = fmt.Sprintf("REPORT_scenario_%s.md", s.Name)
-	}
-	return joinDir(s.Output.Dir, name)
-}
-
-func joinDir(dir, name string) string {
-	if dir == "" || dir == "." {
-		return name
-	}
-	return dir + "/" + name
-}
+// ReportPath returns the markdown report path, <dir>/<name>.md.
+func (s *Scenario) ReportPath() string { return filepath.Join(s.Output.Dir, s.Name+".md") }
 
 // NodeName returns the canonical name of node i, matching
 // core.SimCluster's naming.

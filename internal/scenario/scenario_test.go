@@ -247,10 +247,10 @@ func TestWriteArtifacts(t *testing.T) {
 			t.Fatalf("%s is empty", p)
 		}
 	}
-	if !strings.HasSuffix(jsonPath, "BENCH_scenario_artifacts.json") {
+	if !strings.HasSuffix(jsonPath, "artifacts.json") {
 		t.Fatalf("jsonPath = %q", jsonPath)
 	}
-	if !strings.HasSuffix(reportPath, "REPORT_scenario_artifacts.md") {
+	if !strings.HasSuffix(reportPath, "artifacts.md") {
 		t.Fatalf("reportPath = %q", reportPath)
 	}
 }

@@ -13,16 +13,16 @@ import (
 	"dproc/internal/tsdb"
 )
 
-// Limits the validator enforces. The sockets engine runs real goroutines and
-// file descriptors per node; the model engine is single-threaded but still
-// O(nodes²) per tick at full mesh.
+// Limits the validator enforces. The sockets backend runs real goroutines
+// and file descriptors per node; the model backend is single-threaded but
+// still O(nodes²) per tick at full mesh.
 const (
 	maxSocketNodes = 64
 	maxModelNodes  = 5000
 	maxSweepPoints = 16
 )
 
-// Validate checks cross-field consistency: engine/clock combos, verb
+// Validate checks cross-field consistency: engine/key combos, verb
 // applicability, sweep-axis bounds, node-name targets, and that any E-code
 // filter source actually compiles. Errors carry the runfile line where the
 // offending value was declared when one is known.
@@ -42,14 +42,6 @@ func (s *Scenario) Validate() error {
 	case EngineModel, EngineSockets:
 	default:
 		return fail("scenario", "engine", "unknown engine %q (want %q or %q)", s.Engine, EngineModel, EngineSockets)
-	}
-	switch s.Clock {
-	case ClockVirtual, ClockReal:
-	default:
-		return fail("scenario", "clock", "unknown clock %q (want %q or %q)", s.Clock, ClockVirtual, ClockReal)
-	}
-	if s.Engine == EngineModel && s.Clock != ClockVirtual {
-		return fail("scenario", "clock", "the model engine is virtual-time only; use clock = \"virtual\" or engine = \"sockets\"")
 	}
 
 	if s.Duration <= 0 {
@@ -104,20 +96,6 @@ func (s *Scenario) Validate() error {
 		}
 		if n < minN {
 			minN = n
-		}
-	}
-	if s.Topology.Fanout < 0 {
-		return fail("topology", "fanout", "must be >= 0 (0 = full mesh), got %d", s.Topology.Fanout)
-	}
-	if s.Topology.Gateways < 0 {
-		return fail("topology", "gateways", "must be >= 0, got %d", s.Topology.Gateways)
-	}
-	if s.Topology.Gateways > 0 {
-		if s.Engine != EngineModel {
-			return fail("topology", "gateways", "federation gateways are model-engine only")
-		}
-		if s.Topology.Gateways > minN {
-			return fail("topology", "gateways", "%d gateways but the smallest sweep point has only %d nodes", s.Topology.Gateways, minN)
 		}
 	}
 	if len(s.Topology.Branchings) > maxSweepPoints {
@@ -246,7 +224,7 @@ func (s *Scenario) Validate() error {
 			if err != nil {
 				return afail("bad queryall query: %v", err)
 			}
-			// Normalize against the virtual epoch the engines start from, so a
+			// Normalize against the virtual epoch the step loop starts from, so a
 			// query the coordinator would reject fails validation, not the run.
 			if _, err := query.Normalize(q, clock.Epoch.Add(a.At)); err != nil {
 				return afail("bad queryall query: %v", err)
@@ -262,10 +240,6 @@ func (s *Scenario) Validate() error {
 				return afail("%v", err)
 			}
 		}
-	}
-
-	if s.TraceSample < 0 {
-		return fail("scenario", "trace_sample", "must be >= 0, got %d", s.TraceSample)
 	}
 	return nil
 }
@@ -287,7 +261,7 @@ func checkNodeTarget(name string, minNodes int) error {
 }
 
 // sortSchedule orders actions by offset, preserving runfile order for ties.
-// Engines rely on this ordering to fire actions at tick boundaries.
+// The step loop relies on this ordering to fire actions at tick boundaries.
 func sortSchedule(actions []Action) []Action {
 	out := make([]Action, len(actions))
 	copy(out, actions)

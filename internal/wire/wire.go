@@ -100,25 +100,19 @@ func WriteFrame(w io.Writer, msgType uint8, payload []byte) error {
 
 // ReadFrame reads one frame from r, returning its type and a freshly
 // allocated payload the caller owns. Hot paths that read many frames from
-// one connection should use a FrameReader (or ReadFrameInto) to reuse a
-// per-connection receive buffer instead.
+// one connection should use a FrameReader to reuse a per-connection receive
+// buffer instead.
 func ReadFrame(r io.Reader) (msgType uint8, payload []byte, err error) {
-	return ReadFrameInto(r, nil)
-}
-
-// ReadFrameInto reads one frame from r, filling the payload into buf when it
-// fits buf's capacity (the returned payload then aliases buf) and allocating
-// a fresh slice only when the frame is larger. Callers maintaining a
-// per-connection receive buffer pass the previous returned payload's backing
-// buffer back in; FrameReader packages that pattern.
-func ReadFrameInto(r io.Reader, buf []byte) (msgType uint8, payload []byte, err error) {
 	var hdr [HeaderSize]byte
-	return readFrameInto(r, buf, hdr[:])
+	return readFrameInto(r, nil, hdr[:])
 }
 
-// readFrameInto is ReadFrameInto with a caller-owned header scratch, so a
-// FrameReader's steady state avoids the per-call header allocation (the
-// array would otherwise escape into the io.ReadFull interface call).
+// readFrameInto reads one frame from r, filling the payload into buf when it
+// fits buf's capacity (the returned payload then aliases buf) and allocating
+// a fresh slice only when the frame is larger. The header scratch is the
+// caller's, so a FrameReader's steady state avoids the per-call header
+// allocation (the array would otherwise escape into the io.ReadFull
+// interface call).
 func readFrameInto(r io.Reader, buf, hdr []byte) (msgType uint8, payload []byte, err error) {
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -202,24 +196,9 @@ func AppendBatch(dst []byte, events [][]byte) []byte {
 	return dst
 }
 
-// DecodeBatch unpacks a batch frame payload into its event payloads, in the
-// order they were encoded. Each returned slice is an independent copy; for
-// the zero-copy variant see DecodeBatchInto.
-func DecodeBatch(buf []byte) ([][]byte, error) {
-	events, err := DecodeBatchInto(nil, buf)
-	if err != nil {
-		return nil, err
-	}
-	for i, ev := range events {
-		out := make([]byte, len(ev))
-		copy(out, ev)
-		events[i] = out
-	}
-	return events, nil
-}
-
-// DecodeBatchInto unpacks a batch frame payload, appending each event to dst
-// (reusing dst's backing array) and returning the extended slice.
+// DecodeBatchInto unpacks a batch frame payload into its event payloads, in
+// the order they were encoded, appending each event to dst (reusing dst's
+// backing array) and returning the extended slice.
 //
 // Zero-copy ownership contract: the appended event slices are subslices of
 // buf — no bytes are copied. They are valid only while the caller owns buf;
@@ -257,27 +236,6 @@ type Encoder struct {
 
 // NewEncoder returns an Encoder with capacity preallocated for n bytes.
 func NewEncoder(n int) *Encoder { return &Encoder{buf: make([]byte, 0, n)} }
-
-var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
-
-// GetEncoder returns a pooled Encoder, empty and ready to use. Release it
-// with Release once the encoded bytes have been consumed; the bytes returned
-// by Bytes are owned by the encoder and die with the Release.
-func GetEncoder() *Encoder {
-	e := encoderPool.Get().(*Encoder)
-	e.buf = e.buf[:0]
-	return e
-}
-
-// Release returns a pooled encoder for reuse. The encoder and any slice
-// obtained from Bytes must not be used afterwards. Oversized scratch
-// (beyond 64 KiB) is dropped so the pool cannot pin large frames.
-func (e *Encoder) Release() {
-	if cap(e.buf) > maxPooledBuf {
-		e.buf = nil
-	}
-	encoderPool.Put(e)
-}
 
 // Bytes returns the encoded buffer. The buffer is owned by the encoder and
 // valid until the next mutating call.

@@ -62,20 +62,6 @@ func TestFrameReaderGrowsForLargeFrames(t *testing.T) {
 	}
 }
 
-// TestReadFrameIntoReusesCapacity pins that a sufficiently large caller
-// buffer is reused rather than reallocated.
-func TestReadFrameIntoReusesCapacity(t *testing.T) {
-	stream := frames(t, []byte("hello"))
-	buf := make([]byte, 0, 32)
-	_, payload, err := ReadFrameInto(stream, buf)
-	if err != nil || string(payload) != "hello" {
-		t.Fatalf("ReadFrameInto = %q, %v", payload, err)
-	}
-	if &payload[0] != &buf[:1][0] {
-		t.Fatal("payload does not alias the caller's buffer")
-	}
-}
-
 // TestDecodeBatchIntoViewsAliasBuffer pins the zero-copy batch contract:
 // decoded events are subslices of the batch buffer, not copies.
 func TestDecodeBatchIntoViewsAliasBuffer(t *testing.T) {
