@@ -85,10 +85,13 @@ allocgate:
 
 # fuzz gives each native fuzz target of the tsdb recovery scanners
 # (FuzzScanWALSegment, FuzzScanChunkFile: never panic, a tear only costs the
-# tail, what replays re-encodes to the bytes it was read from) a short
-# budget on top of its seed corpus — enough for CI to catch a scanner that
-# stopped tolerating garbage. go test takes one -fuzz target per run.
+# tail, what replays re-encodes to the bytes it was read from) and of the
+# chunk decoder (FuzzChunkIter: never panic on any bytes, whose bounds the
+# word-at-a-time bit reader checks by hand) a short budget on top of its
+# seed corpus — enough for CI to catch a reader that stopped tolerating
+# garbage. go test takes one -fuzz target per run.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanWALSegment$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanChunkFile$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkIter$$' -fuzztime $(FUZZTIME) ./internal/tsdb/

@@ -93,7 +93,7 @@ func BindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.HistoryDepth, "history-depth", cfg.HistoryDepth, "default history view size in samples")
 	fs.DurationVar(&cfg.HistoryRetention, "retention", cfg.HistoryRetention, "raw history retention per metric (<0 = unbounded)")
 	fs.StringVar(&cfg.DataDir, "data-dir", cfg.DataDir, "directory for durable history (WAL + chunk files; empty = memory-only)")
-	fs.IntVar(&cfg.FsyncEvery, "fsync", cfg.FsyncEvery, "WAL fsync cadence in records (1 = every append, <0 = never explicitly)")
+	fs.IntVar(&cfg.FsyncEvery, "fsync", cfg.FsyncEvery, "WAL fsync cadence in records, decided per report (1 = every report, N = once N or more are unsynced, <0 = never on its own, not even at a file rotation: only at flush and close)")
 	fs.DurationVar(&cfg.Channel.WriteDeadline, "write-deadline", cfg.Channel.WriteDeadline, "per-peer send deadline (<0 disables)")
 	fs.IntVar(&cfg.Channel.OutboxSize, "outbox", cfg.Channel.OutboxSize, "per-peer outbound queue size in events")
 	fs.IntVar(&cfg.Channel.MaxBatch, "max-batch", cfg.Channel.MaxBatch, "max events coalesced per frame by peer writers (1 disables)")

@@ -72,10 +72,12 @@ type Config struct {
 	// directory, and NewNode recovers existing history on startup (torn
 	// records truncate replay, they never fail the start).
 	DataDir string
-	// FsyncEvery is the WAL fsync cadence in records: 1 (the default)
-	// makes every accepted sample durable immediately, N>1 trades a crash
-	// window of up to N-1 samples for fewer fsyncs, negative never fsyncs
-	// explicitly. Ignored without DataDir.
+	// FsyncEvery is the WAL fsync cadence in records, decided once per
+	// report (tsdb.Options.FsyncEvery): 1 (the default) fsyncs every report
+	// before it is acknowledged, N>1 after the report that brings the
+	// unsynced records to N or more, negative never on its own — not even
+	// when a file rotates — only at a flush and at Close. Ignored without
+	// DataDir.
 	FsyncEvery int
 	// StoreFS, when non-nil, replaces the OS filesystem behind the durable
 	// history store — the hook fault-injection harnesses (faultnet.Disk)

@@ -40,8 +40,10 @@ type StoreOptions struct {
 	// and OpenStore recovers both on restart (see tsdb.Options.DataDir).
 	DataDir string
 	// FsyncEvery is the WAL fsync cadence in records, decided once per
-	// report (tsdb convention: 0 = every report, negative = never
-	// explicitly).
+	// report (tsdb.Options.FsyncEvery): 0 or 1 fsyncs every report before
+	// Update returns, N>1 after the report that brings the unsynced records
+	// to N or more, negative never on its own — not even when a file
+	// rotates — only at Flush and Close.
 	FsyncEvery int
 	// FS overrides the filesystem the persistence layer runs on (nil =
 	// the real one); tests inject faultnet's disk-fault injector here.

@@ -3,7 +3,8 @@
 // runs on (tsdb.FS) and applies a scripted fault plan to it — a torn write
 // at a chosen byte offset (the on-disk image a kill -9 mid-append leaves
 // behind), short reads (a truncated file surfacing on recovery), running
-// out of space, and fsync failures. As with the network fabric, nothing
+// out of space, fsync failures, and a power cut that keeps of every file only
+// what its last fsync covered. As with the network fabric, nothing
 // fires spontaneously: every fault is armed by an explicit call, so
 // recovery tests replay the same failure byte-for-byte every run.
 
@@ -53,6 +54,7 @@ type Disk struct {
 	failSync   bool
 
 	written map[string]int // per-file bytes written, for tear offset accounting
+	synced  map[string]int // per-file bytes the last successful Sync covered
 	stats   DiskStats
 }
 
@@ -62,7 +64,7 @@ func NewDisk(base tsdb.FS) *Disk {
 	if base == nil {
 		base = tsdb.OSFS{}
 	}
-	return &Disk{base: base, tornAt: -1, spaceLeft: -1, shortAt: -1, written: map[string]int{}}
+	return &Disk{base: base, tornAt: -1, spaceLeft: -1, shortAt: -1, written: map[string]int{}, synced: map[string]int{}}
 }
 
 // TearWriteAt arms the torn-write rule: the first write to a file whose
@@ -101,6 +103,40 @@ func (d *Disk) FailSyncs(on bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.failSync = on
+}
+
+// PowerCut is the machine losing power: every file created through the
+// injector that is still on disk is cut back to the length its last
+// successful Sync covered — zero for one never synced — which is what the
+// device is guaranteed to hold. Directory entries are taken as durable (a
+// removed file stays removed, a created one stays). Whatever wrote the files
+// must not touch them afterwards; reopen the directory instead.
+func (d *Disk) PowerCut() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name, n := range d.written {
+		keep := d.synced[name]
+		if n <= keep {
+			continue
+		}
+		buf, err := d.base.ReadFile(name)
+		if err != nil {
+			continue // removed since: nothing to cut back
+		}
+		fw, err := d.base.Create(name)
+		if err != nil {
+			return err
+		}
+		_, err = fw.Write(buf[:min(keep, len(buf))])
+		if cerr := fw.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		d.written[name] = keep
+	}
+	return nil
 }
 
 // Stats returns the current fault counters.
@@ -144,7 +180,7 @@ func (d *Disk) Create(name string) (tsdb.FileWriter, error) {
 		return nil, err
 	}
 	d.mu.Lock()
-	d.written[name] = 0
+	d.written[name], d.synced[name] = 0, 0
 	d.mu.Unlock()
 	return &diskFile{disk: d, name: name, fw: fw}, nil
 }
@@ -208,11 +244,18 @@ func (f *diskFile) Sync() error {
 	if fail {
 		d.stats.SyncFailures++
 	}
+	covered := d.written[f.name]
 	d.mu.Unlock()
 	if fail {
 		return ErrSyncFailed
 	}
-	return f.fw.Sync()
+	if err := f.fw.Sync(); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.synced[f.name] = covered
+	d.mu.Unlock()
+	return nil
 }
 
 func (f *diskFile) Close() error { return f.fw.Close() }

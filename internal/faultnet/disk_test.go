@@ -119,3 +119,45 @@ func TestDiskShortReads(t *testing.T) {
 		t.Fatalf("disarmed short read: len=%d", len(buf))
 	}
 }
+
+func TestDiskPowerCutKeepsWhatWasSynced(t *testing.T) {
+	base := newMemFS()
+	d := NewDisk(base)
+	write := func(name string, chunks ...int) tsdb.FileWriter {
+		fw, err := d.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range chunks {
+			if i > 0 {
+				if err := fw.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := fw.Write(make([]byte, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fw
+	}
+	write("never", 30)
+	write("partly", 10, 20, 5) // synced after 10 and after 30
+	if err := write("whole", 12).Sync(); err != nil {
+		t.Fatal(err)
+	}
+	write("gone", 7)
+	if err := d.Remove("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PowerCut(); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{"never": 0, "partly": 30, "whole": 12} {
+		if got := len(base.files[name].buf); got != want {
+			t.Fatalf("%s holds %d bytes after the power cut, want %d", name, got, want)
+		}
+	}
+	if _, ok := base.files["gone"]; ok {
+		t.Fatal("a removed file came back")
+	}
+}

@@ -271,42 +271,62 @@ func TestNoSpaceInsideBatchDegradesToMemory(t *testing.T) {
 
 // TestFsyncCadenceAtBatchBoundaries: the fsync decision is taken once per
 // batch, so with FsyncEvery n a returned batch leaves at most n-1 samples
-// unsynced, and the default cadence syncs every batch.
+// unsynced — a power cut after any batch loses exactly those — and the
+// default cadence syncs every batch.
 func TestFsyncCadenceAtBatchBoundaries(t *testing.T) {
 	const width, every = 20, 50
-	db := mustOpen(t, tsdb.Options{DataDir: t.TempDir(), FsyncEvery: every})
-	unsynced, fsyncs := 0, uint64(0)
-	for round := 1; round <= 12; round++ {
-		db.AppendBatch(reportBatch(db, width, int64(round)*int64(time.Second), 1))
-		unsynced += width
-		if now := db.PersistStats().Fsyncs; now != fsyncs {
-			if now != fsyncs+1 {
-				t.Fatalf("round %d: %d fsyncs for one batch", round, now-fsyncs)
-			}
-			fsyncs, unsynced = now, 0
+	recovered := func(dir string) (n int) {
+		re := mustOpen(t, tsdb.Options{DataDir: dir})
+		for i := 0; i < width; i++ {
+			n += countOf(t, re, reportSeries(i))
 		}
-		if unsynced > every-1 {
-			t.Fatalf("round %d: %d acknowledged samples unsynced, bound is %d", round, unsynced, every-1)
-		}
+		return n
 	}
-	if want := uint64(12 * width / 60); fsyncs != want { // a sync every third batch
-		t.Fatalf("Fsyncs = %d, want %d", fsyncs, want)
+	for cut := 1; cut <= 12; cut++ {
+		dir, disk := t.TempDir(), faultnet.NewDisk(nil)
+		db := mustOpen(t, tsdb.Options{DataDir: dir, FsyncEvery: every, FS: disk})
+		unsynced, fsyncs := 0, uint64(0)
+		for round := 1; round <= cut; round++ {
+			db.AppendBatch(reportBatch(db, width, int64(round)*int64(time.Second), 1))
+			unsynced += width
+			if now := db.PersistStats().Fsyncs; now != fsyncs {
+				if now != fsyncs+1 {
+					t.Fatalf("round %d: %d fsyncs for one batch", round, now-fsyncs)
+				}
+				fsyncs, unsynced = now, 0
+			}
+			if unsynced > every-1 {
+				t.Fatalf("round %d: %d acknowledged samples unsynced, bound is %d", round, unsynced, every-1)
+			}
+		}
+		if want := uint64(cut * width / 60); fsyncs != want { // a sync every third batch
+			t.Fatalf("after %d batches: Fsyncs = %d, want %d", cut, fsyncs, want)
+		}
+		if err := disk.PowerCut(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := recovered(dir), cut*width-unsynced; got != want {
+			t.Fatalf("power cut after %d batches: recovered %d samples, want the %d synced", cut, got, want)
+		}
 	}
 
-	dir := t.TempDir()
-	def := mustOpen(t, tsdb.Options{DataDir: dir})
+	dir, disk := t.TempDir(), faultnet.NewDisk(nil)
+	def := mustOpen(t, tsdb.Options{DataDir: dir, FS: disk})
 	for round := 1; round <= 5; round++ {
 		def.AppendBatch(reportBatch(def, width, int64(round)*int64(time.Second), 1))
 		if got := def.PersistStats().Fsyncs; got != uint64(round) {
 			t.Fatalf("default cadence: %d fsyncs after %d batches", got, round)
 		}
 	}
-	// kill -9: every returned batch is there.
-	re := mustOpen(t, tsdb.Options{DataDir: dir})
-	for i := 0; i < width; i++ {
-		if got := countOf(t, re, reportSeries(i)); got != 5 {
-			t.Fatalf("series %d recovered %d samples, want 5", i, got)
-		}
+	// kill -9, or even a power cut: every returned batch is there.
+	if got := recovered(dir); got != 5*width {
+		t.Fatalf("default cadence: kill -9 recovered %d samples, want %d", got, 5*width)
+	}
+	if err := disk.PowerCut(); err != nil {
+		t.Fatal(err)
+	}
+	if got := recovered(dir); got != 5*width {
+		t.Fatalf("default cadence: power cut recovered %d samples, want %d", got, 5*width)
 	}
 }
 

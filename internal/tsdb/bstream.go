@@ -13,9 +13,20 @@
 // so every behavior is deterministic under internal/clock's virtual time.
 package tsdb
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // bitWriter appends bits to a byte buffer, most-significant bit first.
+//
+// It works a word at a time: a write stores the bits as one big-endian
+// 64-bit word past the end of buf and keeps only the bytes it used. Two
+// invariants make that produce the same bytes as a bit-at-a-time loop:
+// the unused low bits of the final byte are always zero, because the next
+// write ORs into them; and buf's capacity past its length is scratch
+// (callers sizing a buffer leave 8 spare bytes so the word store does not
+// grow it).
 type bitWriter struct {
 	buf  []byte
 	free uint // unused low-order bits in the final byte
@@ -23,22 +34,26 @@ type bitWriter struct {
 
 func (w *bitWriter) writeBit(bit uint64) { w.writeBits(bit, 1) }
 
-// writeBits appends the n low-order bits of v, most-significant first.
+// writeBits appends the n low-order bits of v (n <= 64), most-significant
+// first.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n > 0 {
-		if w.free == 0 {
-			w.buf = append(w.buf, 0)
-			w.free = 8
-		}
-		take := w.free
-		if take > n {
-			take = n
-		}
-		chunk := byte(v >> (n - take) & (1<<take - 1))
-		w.buf[len(w.buf)-1] |= chunk << (w.free - take)
-		w.free -= take
-		n -= take
+	if n == 0 {
+		return
 	}
+	v <<= 64 - n // left-aligned: the n bits lead, zeros follow
+	if w.free > 0 {
+		w.buf[len(w.buf)-1] |= byte(v >> (64 - w.free))
+		if n <= w.free {
+			w.free -= n
+			return
+		}
+		v <<= w.free
+		n -= w.free
+	}
+	used := (n + 7) / 8
+	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
+	w.buf = w.buf[:len(w.buf)-8+int(used)]
+	w.free = used*8 - n
 }
 
 // bytes returns the packed buffer (the final byte may be partially used).
@@ -55,8 +70,19 @@ func newBitReader(buf []byte) bitReader { return bitReader{buf: buf} }
 
 func (r *bitReader) readBit() (uint64, error) { return r.readBits(1) }
 
-// readBits returns the next n bits as the low-order bits of a uint64.
+// readBits returns the next n bits (n <= 64) as the low-order bits of a
+// uint64. While 8 bytes remain and the bits lie within them, that is one
+// word load; the last 8 bytes of a stream, and the rare read that spans 9,
+// take the bit-at-a-time loop, which is also what reports a stream cut
+// short.
 func (r *bitReader) readBits(n uint) (uint64, error) {
+	if n <= 64-r.used && len(r.buf)-r.idx >= 8 {
+		v := binary.BigEndian.Uint64(r.buf[r.idx:]) << r.used >> (64 - n)
+		r.used += n
+		r.idx += int(r.used / 8)
+		r.used %= 8
+		return v, nil
+	}
 	var v uint64
 	for n > 0 {
 		if r.idx >= len(r.buf) {

@@ -145,3 +145,76 @@ func TestChunkCompressionSlowlyVarying(t *testing.T) {
 	}
 	t.Logf("compression: %.2f bytes/sample over %d samples", bps, n)
 }
+
+// mixValue is a sample of the history-rw workload's value mix (bench/): of
+// each report's 20 metrics, one a skewed load average, one a free-memory
+// byte count and the rest integer counters, every one a fresh draw each
+// round — the XOR window moves on most samples.
+func mixValue(metric int, round uint64) float64 {
+	x := uint64(metric)<<40 ^ round
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	u := float64(x>>11) / (1 << 53)
+	switch metric {
+	case 0:
+		return 0.25 + 7.75*u*u
+	case 1:
+		return math.Floor(32e6 + 400e6*u)
+	}
+	return math.Floor(1 + 1e4*u)
+}
+
+const mixMetrics = 20
+
+// mixChunk is n samples of one metric of the mix at 1 s spacing.
+func mixChunk(metric, n int) *Chunk {
+	var c Chunk
+	for i := 0; i < n; i++ {
+		c.Append(int64(i+1)*1e9, mixValue(metric, uint64(i)))
+	}
+	return &c
+}
+
+// BenchmarkChunkAppend encodes one full chunk (DefaultChunkSize samples)
+// per op, cycling through the mix's metrics, into a buffer sized as
+// Series.sealHead sizes a new head.
+func BenchmarkChunkAppend(b *testing.B) {
+	vals := make([][]float64, mixMetrics)
+	size := 0
+	for m := range vals {
+		for i := 0; i < DefaultChunkSize; i++ {
+			vals[m] = append(vals[m], mixValue(m, uint64(i)))
+		}
+		size = max(size, mixChunk(m, DefaultChunkSize).Bytes())
+	}
+	buf := make([]byte, 0, size+size/16+8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := Chunk{w: bitWriter{buf: buf[:0]}}
+		for k, v := range vals[i%mixMetrics] {
+			c.Append(int64(k+1)*1e9, v)
+		}
+	}
+}
+
+// BenchmarkChunkIter decodes one full chunk of the mix per op.
+func BenchmarkChunkIter(b *testing.B) {
+	chunks := make([]*Chunk, mixMetrics)
+	for m := range chunks {
+		chunks[m] = mixChunk(m, DefaultChunkSize)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := chunks[i%mixMetrics].Iter()
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+		}
+		if it.Err() != nil {
+			b.Fatal(it.Err())
+		}
+	}
+}

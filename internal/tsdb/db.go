@@ -154,37 +154,33 @@ func (db *DB) getOrCreate(name string) *Series {
 	if !ok {
 		s = NewSeries(db.opts)
 		s.name, s.persist = name, db.persist
+		if db.persist != nil {
+			s.durable.crcPrefix = samplePrefixCRC(name)
+		}
 		db.series[name] = s
 	}
 	return s
 }
 
-// Flush seals the active WAL segment — fsync, close, open the next — so
-// everything appended so far is durable regardless of the fsync cadence,
-// then retires WAL segments and chunk files that are no longer
-// load-bearing. A no-op on a memory-only store.
+// Flush makes everything appended so far durable, at every cadence: the
+// active WAL segment is sealed — fsync, close, open the next — and the files
+// a size rotation sealed without an fsync (at a negative cadence) are synced
+// now; WAL segments and chunk files that are no longer load-bearing are
+// retired. A no-op on a memory-only store.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.persist == nil || db.closed {
 		return nil
 	}
-	w := &db.persist.wal
-	// Only an active segment holding records needs sealing; rotating an
-	// empty segment would just churn files (and fsyncs) for nothing.
-	if w.size > headerLen {
-		if err := w.rotate(); err != nil {
-			return err
-		}
-	}
-	db.persist.retire()
-	return nil
+	return db.persist.flush()
 }
 
 // Close makes the store durable and terminal: head chunks are persisted
-// as chunk records, the active chunk file is sealed with its footer,
-// and the WAL is deleted — a cleanly closed store replays nothing on the
-// next Open. Further appends return false.
+// as chunk records, the chunk files are sealed with their footers and
+// fsynced at every cadence, and the WAL is deleted — a cleanly closed store
+// replays nothing on the next Open, and loses nothing to a power cut after
+// it. Further appends return false.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

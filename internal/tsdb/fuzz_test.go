@@ -114,7 +114,8 @@ func FuzzScanWALSegment(f *testing.F) {
 			// The scan checks the magic and takes any version byte.
 			enc := bytes.Clone(data[:headerLen])
 			for _, r := range recs {
-				enc = appendSampleRecord(enc, r.name, r.t, r.v)
+				name := string(r.name)
+				enc = appendSampleRecord(enc, name, samplePrefixCRC(name), r.t, r.v)
 			}
 			switch intact := len(data) - int(st.BytesTruncated); {
 			case len(enc) > intact:
@@ -192,6 +193,36 @@ func FuzzScanChunkFile(f *testing.F) {
 			if torn[i].name != recs[i].name || !bytes.Equal(torn[i].data, recs[i].data) {
 				t.Fatalf("a tear at %d loads a record %d that differs from the whole file's", cut, i)
 			}
+		}
+	})
+}
+
+// FuzzChunkIter feeds arbitrary bytes and a sample count to the chunk
+// decoder, whose reads past the end of its buffer are bounds the bitReader
+// checks by hand: it must never panic, never yield more than the count, and
+// stop short of it only with an error. Seeds are real chunks of the
+// history-rw value mix and of the timestamp classes, with their counts.
+func FuzzChunkIter(f *testing.F) {
+	for m := 0; m < 3; m++ {
+		c := mixChunk(m, 40)
+		f.Add(c.Data(), uint16(c.Summary().Count))
+	}
+	var c Chunk
+	ts := int64(0)
+	for i, d := range []int64{1e9, 1e9, 1e9 + 1<<12, 1e9 - 1<<22, 1e9 + 1<<34, 1e9 + 1<<40} {
+		ts += d
+		c.Append(ts, float64(i)/3)
+	}
+	f.Add(c.Data(), uint16(c.Summary().Count))
+	f.Add([]byte{}, uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, count uint16) {
+		it := newSealedChunk(Summary{Count: int(count)}, data).Iter()
+		n := 0
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+			n++
+		}
+		if n > int(count) || (n < int(count)) != (it.Err() != nil) {
+			t.Fatalf("%d of %d samples decoded, err %v", n, count, it.Err())
 		}
 	})
 }

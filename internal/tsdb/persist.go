@@ -3,6 +3,7 @@ package tsdb
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"sort"
 )
@@ -84,6 +85,7 @@ type durableState struct {
 	persisted int64  // newest chunk-persisted timestamp
 	walSeq    uint64 // newest WAL segment that lists the series in its pins
 	cwSeq     uint64 // newest chunk file that does
+	crcPrefix uint32 // samplePrefixCRC(name): where its sample records' CRCs start
 }
 
 // sawT advances the newest accepted timestamp.
@@ -103,9 +105,11 @@ type persister struct {
 	wal    wal
 	chunks seglog
 
-	// The active chunk file's footer fields, and the chunk encoder's buffer.
+	// The active chunk file's footer fields, whether it holds records not
+	// yet synced, and the chunk encoder's buffer.
 	cwCount      uint32
 	cwMin, cwMax int64
+	cwUnsynced   bool
 	scratch      []byte
 
 	stats PersistStats
@@ -159,7 +163,9 @@ func (p *persister) persistChunk(s *Series, c *Chunk) {
 		s.durable.persisted = tmax
 	}
 	if p.chunks.full(0) {
-		_ = p.sealChunkFile()
+		if err := p.sealChunkFile(p.wal.fsyncEvery > 0); err != nil {
+			p.stats.WALErrors++
+		}
 	}
 }
 
@@ -168,13 +174,78 @@ func (p *persister) persistChunk(s *Series, c *Chunk) {
 // of Series.evict. A file that could not be removed is tried again on the
 // next pass.
 func (p *persister) retire() {
-	_ = p.wal.retire(p.safeT)
+	p.retireWAL()
 	for p.sealQuiet() {
-		_ = p.wal.retire(p.safeT)
+		p.retireWAL()
 	}
 	if p.retention > 0 {
-		_ = p.chunks.retire(p.expiredT)
+		_ = p.chunks.retire(p.expiredT, nil)
 	}
+}
+
+// retireWAL deletes the WAL segments nothing pins any more. At a cadence
+// their records were acknowledged as fsynced, so the chunk records that
+// released them must be on the device before they go: before the first
+// deletion of a pass the chunk files are synced — nothing to do unless
+// records were written since the last sync or a rotation's fsync failed —
+// and if that fails no segment goes this pass. Without a cadence nothing is
+// synced on its own, and a deletion waits for no device.
+func (p *persister) retireWAL() {
+	_ = p.wal.retire(p.safeT, p.chunksBeforeRetire)
+}
+
+// chunksBeforeRetire is retireWAL's hook: syncChunks at a cadence, a
+// failure counted.
+func (p *persister) chunksBeforeRetire() error {
+	if p.wal.fsyncEvery <= 0 {
+		return nil
+	}
+	err := p.syncChunks()
+	if err != nil {
+		p.stats.WALErrors++
+	}
+	return err
+}
+
+// syncChunks puts every chunk record written so far on the device: the
+// chunk files sealed without a successful fsync, then the active one if it
+// was written since its last sync.
+func (p *persister) syncChunks() error {
+	if err := p.chunks.syncSealed(); err != nil {
+		return err
+	}
+	if p.cwUnsynced {
+		if err := p.chunks.sync(p.chunks.w); err != nil {
+			return err
+		}
+		p.cwUnsynced = false
+	}
+	return nil
+}
+
+// flush makes everything appended so far durable, at every cadence: the
+// active WAL segment is sealed with an fsync when it holds records, and
+// every file a rotation left without one is synced. The chunk files go
+// first, since the retirement pass then deletes the segments their records
+// released; the segments still on disk after it are synced next, then the
+// chunk records the pass itself wrote (heads of quiet series), if any.
+func (p *persister) flush() error {
+	w := &p.wal
+	// Only an active segment holding records needs sealing; rotating an
+	// empty segment would just churn files (and fsyncs) for nothing.
+	if w.size > headerLen {
+		if err := w.rotate(true); err != nil {
+			return err
+		}
+	}
+	if err := p.syncChunks(); err != nil {
+		return err
+	}
+	p.retire()
+	if err := w.syncSealed(); err != nil {
+		return err
+	}
+	return p.syncChunks()
 }
 
 // sealQuiet is the quiet-series rule. A series pins a segment until its head
@@ -229,6 +300,7 @@ func (p *persister) writeChunkRecord(s *Series, c *Chunk) error {
 		return err
 	}
 	l.touch(s, &s.durable.cwSeq)
+	p.cwUnsynced = true
 	p.cwCount++
 	if p.cwCount == 1 || sum.TMin < p.cwMin {
 		p.cwMin = sum.TMin
@@ -241,9 +313,12 @@ func (p *persister) writeChunkRecord(s *Series, c *Chunk) error {
 	return nil
 }
 
-// sealChunkFile writes the footer and seals the active chunk file, making it
-// immutable and retention-deletable.
-func (p *persister) sealChunkFile() error {
+// sealChunkFile writes the footer and seals the active chunk file (synced
+// when sync is set), making it immutable and retention-deletable. Its
+// records stop counting as the active file's unsynced ones: one sealed
+// without a successful fsync is still open on the closed list, where
+// syncChunks finds it.
+func (p *persister) sealChunkFile(sync bool) error {
 	l := &p.chunks
 	if l.w == nil {
 		return nil
@@ -254,9 +329,9 @@ func (p *persister) sealChunkFile() error {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.cwMin))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.cwMax))
 	p.scratch = buf[:0]
-	p.cwCount, p.cwMin, p.cwMax = 0, 0, 0
-	_, err := l.write(frameRecord(buf, 0))
-	if sealErr := l.seal(); err == nil {
+	p.cwCount, p.cwMin, p.cwMax, p.cwUnsynced = 0, 0, 0, false
+	_, err := l.write(frameRecord(buf, 0, crc32.ChecksumIEEE(buf[recOverhead:])))
+	if sealErr := l.seal(sync); err == nil {
 		err = sealErr
 	}
 	return err
@@ -273,7 +348,7 @@ func appendChunkRecord(buf []byte, name string, sum Summary, data []byte) []byte
 	buf = appendSummary(buf, sum)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
 	buf = append(buf, data...)
-	return frameRecord(buf, start)
+	return frameRecord(buf, start, crc32.ChecksumIEEE(buf[start+recOverhead:]))
 }
 
 func appendSummary(buf []byte, s Summary) []byte {
@@ -364,8 +439,12 @@ func (p *persister) recover(db *DB) error {
 		if r, ok := decodeSample(payload); ok {
 			p.stats.RecordsReplayed++
 			// No re-logging, and already-covered records (chunk/WAL
-			// overlap) are skipped without counting as drops.
-			s := db.getOrCreate(r.name)
+			// overlap) are skipped without counting as drops. The lookup
+			// by a converted view does not copy the name.
+			s := db.series[string(r.name)]
+			if s == nil {
+				s = db.getOrCreate(string(r.name))
+			}
 			if s.appendReplay(r.t, floatFromBits(r.v)) {
 				s.durable.sawT(r.t)
 				p.wal.touch(s, &s.durable.walSeq)
@@ -390,7 +469,8 @@ func (p *persister) recover(db *DB) error {
 
 // close flushes everything for a clean shutdown: the still-open head
 // chunks are persisted as (small) chunk records, the active chunk file is
-// sealed with its footer, and — when all of that succeeded — every WAL
+// sealed with its footer and, with every chunk file a rotation left
+// unsynced, put on the device, and — when all of that succeeded — every WAL
 // segment is deleted, so the next open loads chunk files only and replays
 // nothing.
 func (p *persister) close(series map[string]*Series) error {
@@ -411,14 +491,19 @@ func (p *persister) close(series map[string]*Series) error {
 			firstErr = err
 		}
 	}
-	if err := p.sealChunkFile(); err != nil && firstErr == nil {
+	if err := p.sealChunkFile(true); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if err := p.wal.seal(); err != nil && firstErr == nil {
+	if err := p.chunks.syncSealed(); err != nil && firstErr == nil {
+		firstErr = err
+	}
+	if err := p.wal.seal(true); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	if firstErr != nil {
-		return firstErr // keep the WAL: replay still covers the heads
+		// Keep the WAL, on the device: replay still covers the heads.
+		_ = p.wal.syncSealed()
+		return firstErr
 	}
-	return p.wal.retire(func(*Series) int64 { return math.MaxInt64 })
+	return p.wal.retire(func(*Series) int64 { return math.MaxInt64 }, nil)
 }

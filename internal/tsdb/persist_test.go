@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -441,25 +442,108 @@ func TestRetentionEvictsSegmentsAndChunkFiles(t *testing.T) {
 	}
 }
 
+// TestFlushSealsActiveSegment: at a negative cadence nothing is synced on
+// its own — not at a size rotation either — and Flush syncs the segment it
+// seals and every one a rotation left unsynced, so a power cut after it
+// loses nothing.
 func TestFlushSealsActiveSegment(t *testing.T) {
-	dir := t.TempDir()
-	opts := tsdb.Options{DataDir: dir, FsyncEvery: -1} // never fsync on its own
-	db := mustOpen(t, opts)
-	fill(t, db, testSeries, 0, 10)
-	if st := db.PersistStats(); st.Fsyncs != 0 {
-		t.Fatalf("fsyncs before flush = %d", st.Fsyncs)
+	for _, tc := range []struct {
+		segmentBytes int
+		rotations    uint64 // size rotations before the Flush
+	}{{0, 0}, {256, 4}} {
+		dir := t.TempDir()
+		disk := faultnet.NewDisk(nil)
+		opts := tsdb.Options{DataDir: dir, FsyncEvery: -1, WALSegmentBytes: tc.segmentBytes, FS: disk}
+		db := mustOpen(t, opts)
+		fill(t, db, testSeries, 0, 40)
+		if st := db.PersistStats(); st.Fsyncs != 0 || st.SegmentsSealed != tc.rotations {
+			t.Fatalf("%+v: %d fsyncs and %d rotations before flush, want 0 and %d", tc, st.Fsyncs, st.SegmentsSealed, tc.rotations)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := db.PersistStats(); st.Fsyncs != tc.rotations+1 || st.SegmentsSealed != tc.rotations+1 {
+			t.Fatalf("%+v: flush did not sync every segment once: %+v", tc, st)
+		}
+		// kill -9 after flush: every segment replays in full.
+		opts.FS = nil
+		if got := countOf(t, mustOpen(t, opts), testSeries); got != 40 {
+			t.Fatalf("%+v: kill -9 recovered %d, want 40", tc, got)
+		}
+		// Power cut after flush: every segment is on the device.
+		if err := disk.PowerCut(); err != nil {
+			t.Fatal(err)
+		}
+		if got := countOf(t, mustOpen(t, opts), testSeries); got != 40 {
+			t.Fatalf("%+v: power cut after flush recovered %d, want 40", tc, got)
+		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := db.PersistStats()
-	if st.Fsyncs == 0 || st.SegmentsSealed == 0 {
-		t.Fatalf("flush did not seal: %+v", st)
-	}
-	// kill -9 after flush: the sealed segment replays in full.
-	re := mustOpen(t, opts)
-	if got := countOf(t, re, testSeries); got != 10 {
-		t.Fatalf("recovered %d, want 10", got)
+}
+
+// TestPowerCutAfterWALRetirement: a WAL segment is deleted once the chunks
+// its samples sealed into are persisted — and at a cadence those chunk
+// records must be on the device by then, although the chunk file they sit in
+// is nowhere near its rotation size, or its rotation's fsync failed. Every
+// acknowledged sample survives a power cut. At a negative cadence nothing is
+// acknowledged as synced until Flush or Close, which must then cover the
+// chunk files that rotated at their size unsynced.
+func TestPowerCutAfterWALRetirement(t *testing.T) {
+	const n = 200
+	for _, tc := range []struct {
+		name           string
+		fsyncEvery     int
+		chunkFileBytes int
+		failFrom       int                     // appends from here to failTo run with every fsync failing
+		failTo         int                     //
+		end            func(db *tsdb.DB) error // before the power cut
+	}{
+		{name: "cadence 1", fsyncEvery: 1, chunkFileBytes: 1 << 20},
+		// Five chunk records to a file: a rotation falls inside the window,
+		// its fsync fails, and so do those of the WAL (acknowledged as
+		// unsynced, WALErrors) — the samples before the window were not.
+		{name: "cadence 1, a rotation's fsync fails", fsyncEvery: 1, chunkFileBytes: 512, failFrom: 60, failTo: 100},
+		{name: "cadence -1, Flush", fsyncEvery: -1, chunkFileBytes: 512, end: (*tsdb.DB).Flush},
+		{name: "cadence -1, Close", fsyncEvery: -1, chunkFileBytes: 512, end: (*tsdb.DB).Close},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			disk := faultnet.NewDisk(nil)
+			opts := tsdb.Options{DataDir: dir, FsyncEvery: tc.fsyncEvery, ChunkSize: 8, WALSegmentBytes: 256, ChunkFileBytes: tc.chunkFileBytes, FS: disk}
+			db := mustOpen(t, opts)
+			for i := 0; i < n; i++ {
+				disk.FailSyncs(i >= tc.failFrom && i < tc.failTo)
+				if !db.Append(testSeries, int64(i)*int64(time.Second), float64(i)) {
+					t.Fatalf("append %d rejected", i)
+				}
+			}
+			disk.FailSyncs(false)
+			st := db.PersistStats()
+			if st.SegmentsDeleted < 5 {
+				t.Fatalf("want many segments retired: %+v", st)
+			}
+			if (tc.chunkFileBytes < 1<<20) != (st.ChunkFilesSealed > 0) || (tc.failTo > 0) != (st.WALErrors > 0) {
+				t.Fatalf("chunk-file rotations or errors not as set up: %+v", st)
+			}
+			if tc.end != nil {
+				if err := tc.end(db); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := disk.PowerCut(); err != nil {
+				t.Fatal(err)
+			}
+			opts.FS = nil
+			re := mustOpen(t, opts)
+			got := map[int64]bool{}
+			for _, p := range re.Tail(testSeries, 2*n) {
+				got[p.T] = true
+			}
+			for i := 0; i < n; i++ {
+				if !got[int64(i)*int64(time.Second)] && (i < tc.failFrom || tc.failTo == 0) {
+					t.Fatalf("sample %d lost to a power cut (%d of %d recovered)", i, len(got), n)
+				}
+			}
+		})
 	}
 }
 
@@ -528,5 +612,37 @@ func TestPersistenceAddsNoSteadyStateAllocs(t *testing.T) {
 	}
 	if durable > mem+0.05 {
 		t.Fatalf("durable batch allocates: %.3f allocs/op vs %.3f memory-only", durable, mem)
+	}
+}
+
+// TestReplayAllocatesPerSeriesNotPerRecord pins what a WAL replay allocates:
+// the series it creates and the heads it seals (a chunk, its buffer, the
+// chunk record's pin) plus a buffer per segment read — nothing per record.
+// The writer seals nothing, so all 80 000 records replay, and the reader's
+// chunk size seals 15 heads per series on the way.
+func TestReplayAllocatesPerSeriesNotPerRecord(t *testing.T) {
+	const width, rounds = 20, 4000
+	opts := tsdb.Options{DataDir: t.TempDir(), FsyncEvery: -1, ChunkSize: 1 << 20}
+	db := mustOpen(t, opts)
+	batch := reportBatch(db, width, 0, 0)
+	for r := 1; r <= rounds; r++ {
+		for i := range batch {
+			batch[i].T, batch[i].V = int64(r)*int64(time.Second), float64(r%7+i)
+		}
+		db.AppendBatch(batch)
+	}
+	opts.ChunkSize = 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	re := mustOpen(t, opts)
+	runtime.ReadMemStats(&after)
+	st := re.PersistStats()
+	if st.RecordsReplayed != width*rounds || st.ChunksPersisted != width*(rounds/256) {
+		t.Fatalf("replayed %d records sealing %d heads, want %d and %d", st.RecordsReplayed, st.ChunksPersisted, width*rounds, width*(rounds/256))
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("replay of %d records: %d allocations (%.4f per record)", st.RecordsReplayed, allocs, float64(allocs)/float64(st.RecordsReplayed))
+	if ceiling := 20*width + 4*st.ChunksPersisted + 8*st.SegmentsReplayed; allocs > ceiling {
+		t.Fatalf("replay allocated %d times, ceiling %d (20 per series, 4 per seal, 8 per segment)", allocs, ceiling)
 	}
 }

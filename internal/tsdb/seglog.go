@@ -18,14 +18,16 @@ import (
 //	record:  u32 payload length, u32 CRC-32 (IEEE) of payload, payload
 //
 // The first payload byte is the record type; the two kinds differ in their
-// magic and their payloads, nothing else. The active file is sealed — fsync,
-// close — when it passes the rotation threshold, and stays on disk as a
-// closed file with a pin list: each series with records in it and the newest
-// timestamp of those. A closed file is removed as soon as no pin holds it,
-// in whatever order that happens: recovery replays the files it finds in
-// name order and the strictly-increasing-timestamp rule makes that
-// idempotent, so a gap in the sequence is harmless — what a removed file
-// held was, by the pin rule, persisted elsewhere or past retention.
+// magic and their payloads, nothing else. The active file is sealed when it
+// passes the rotation threshold — fsynced and closed when the DB's policy
+// asks for an fsync, otherwise kept open until a later sync writes it out or
+// its removal closes it — and stays on disk as a closed file with a pin list:
+// each series with records in it and the newest timestamp of those. A
+// closed file is removed as soon as no pin holds it, in whatever order that
+// happens: recovery replays the files it finds in name order and the
+// strictly-increasing-timestamp rule makes that idempotent, so a gap in the
+// sequence is harmless — what a removed file held was, by the pin rule,
+// persisted elsewhere or past retention.
 //
 // On open every file is scanned record by record; the first torn or corrupt
 // record ends that file's scan and is counted, never an error, because a
@@ -53,6 +55,10 @@ type pin struct {
 type closedFile struct {
 	name string // file path
 	pins []pin
+	// w is the file, still open, while it may hold bytes the device does
+	// not: it was sealed without an fsync, or its fsync failed. nil once
+	// synced and closed, and for a recovered file.
+	w FileWriter
 }
 
 // seglog is one such log: what tells its kind from the other, the active
@@ -107,11 +113,10 @@ func (l *seglog) open() error {
 var recordPrefix [recOverhead]byte
 
 // frameRecord completes the record whose prefix starts at buf[start] and
-// whose payload runs to the end of buf.
-func frameRecord(buf []byte, start int) []byte {
-	payload := buf[start+recOverhead:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+// whose payload runs to the end of buf; crc is the payload's CRC-32.
+func frameRecord(buf []byte, start int, crc uint32) []byte {
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-recOverhead))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc)
 	return buf
 }
 
@@ -138,45 +143,95 @@ func (l *seglog) touch(s *Series, mark *uint64) {
 	}
 }
 
-// seal makes the active file durable and closes it; it stays on disk until
-// nothing pins it. There is no active file until open runs again.
-func (l *seglog) seal() error {
+// seal ends the active file, which stays on disk until nothing pins it.
+// With sync it is fsynced and closed; without — or when the fsync fails — it
+// stays open on the closed list until syncSealed writes it out or retire
+// removes it. There is no active file until open runs again. Whether a seal
+// syncs is the owning DB's policy (DESIGN §10): a size rotation only at an
+// fsync cadence, Flush and Close always.
+func (l *seglog) seal(sync bool) error {
 	if l.w == nil {
 		return nil
 	}
-	syncErr := l.w.Sync()
-	if syncErr == nil && l.fsyncs != nil {
+	fw := l.w
+	l.w = nil
+	var err error
+	if sync {
+		if err = l.sync(fw); err == nil {
+			err = fw.Close()
+			fw = nil
+		}
+	}
+	l.adopt(l.name(), fw)
+	*l.sealed++
+	return err
+}
+
+// sync fsyncs one of this log's files, counting it.
+func (l *seglog) sync(fw FileWriter) error {
+	if err := fw.Sync(); err != nil {
+		return err
+	}
+	if l.fsyncs != nil {
 		*l.fsyncs++
 	}
-	closeErr := l.w.Close()
-	l.w = nil
-	l.adopt(l.name())
-	*l.sealed++
-	if syncErr != nil {
-		return syncErr
+	return nil
+}
+
+// syncSealed fsyncs and closes the closed files still open, oldest first.
+// One whose fsync fails stays open for the next call; the first error is
+// returned.
+func (l *seglog) syncSealed() error {
+	var firstErr error
+	for i := range l.closed {
+		f := &l.closed[i]
+		if f.w == nil {
+			continue
+		}
+		err := l.sync(f.w)
+		if err == nil {
+			err = f.w.Close() // the bytes are on the device: nothing left to retry
+			f.w = nil
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
-	return closeErr
+	return firstErr
 }
 
 // adopt moves file l.seq, stored at name, to the closed list, with the
-// series touched while it was the current one as its pins.
-func (l *seglog) adopt(name string) {
+// series touched while it was the current one as its pins; fw is the file
+// if it is still open.
+func (l *seglog) adopt(name string, fw FileWriter) {
 	for i := range l.touched {
 		l.touched[i].maxT = l.newest(l.touched[i].s)
 	}
-	l.closed = append(l.closed, closedFile{name: name, pins: l.touched})
+	l.closed = append(l.closed, closedFile{name: name, pins: l.touched, w: fw})
 	l.touched = make([]pin, 0, len(l.touched))
 }
 
 // retire removes every closed file no pin holds any more: for each series
 // with records in it, safeT(series) has reached the newest of them. A file
-// that cannot be removed stays listed for the next pass; the first such
-// error is returned.
-func (l *seglog) retire(safeT func(s *Series) int64) error {
+// still open is closed first, unsynced: what it held is no longer needed.
+// beforeRemove, if set, runs once, before the first removal; when it fails
+// nothing is removed and its error is returned. A file that cannot be
+// removed stays listed for the next pass; the first such error is returned.
+func (l *seglog) retire(safeT func(s *Series) int64, beforeRemove func() error) error {
 	var firstErr error
 	kept := l.closed[:0]
 	for _, f := range l.closed {
 		if !pinned(f.pins, safeT) {
+			if beforeRemove != nil {
+				if err := beforeRemove(); err != nil {
+					return err // nothing removed yet: kept is still l.closed's prefix
+				}
+				beforeRemove = nil
+			}
+			if f.w != nil {
+				_ = f.w.Close()
+				f.w = nil
+			}
 			err := l.fs.Remove(f.name)
 			if err == nil {
 				*l.removed++
@@ -268,7 +323,7 @@ func (l *seglog) load(names []string, apply func(payload []byte) bool) error {
 		}
 		l.seq = fileSeq(fname)
 		scanFile(buf, l.header[:magicLen], l.stats, apply)
-		l.adopt(full)
+		l.adopt(full, nil)
 		*l.loaded++
 		last = max(last, l.seq)
 	}

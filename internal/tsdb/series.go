@@ -59,9 +59,11 @@ type Options struct {
 	// batch (a batch is one Append, or one AppendBatch — for dmon.Store, one
 	// report): 1 (the default) makes every batch durable before it returns,
 	// N>1 fsyncs after the batch that brings the unsynced records to N or
-	// more — a crash window of up to N-1 acknowledged records for fewer
-	// fsyncs — and a negative value never fsyncs explicitly (durability at
-	// the OS's leisure).
+	// more — a power-loss window of up to N-1 acknowledged records for
+	// fewer fsyncs — and a negative value never fsyncs on its own, not even
+	// when a file rotates: only Flush and Close do (durability otherwise at
+	// the OS's leisure). Every cadence survives a kill -9: a batch reaches
+	// the kernel before it returns.
 	FsyncEvery int
 	// WALSegmentBytes is the WAL segment rotation threshold
 	// (DefaultWALSegmentBytes when zero).
@@ -291,9 +293,10 @@ func (s *Series) sealHead() {
 	// Successive chunks of one series compress to about the same size:
 	// sizing the new head from the one just sealed (plus 1/16) spares
 	// the append-doubling that otherwise leaves twice the chunk's final
-	// size in garbage and up to half its capacity unused.
+	// size in garbage and up to half its capacity unused. The 8 spare
+	// bytes are the bitWriter's word store at the very end.
 	n := sealed.Bytes()
-	s.head = &Chunk{w: bitWriter{buf: make([]byte, 0, n+n/16)}}
+	s.head = &Chunk{w: bitWriter{buf: make([]byte, 0, n+n/16+8)}}
 	if s.persist != nil {
 		s.persist.persistChunk(s, sealed)
 	}

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 )
 
 // The write-ahead log: every accepted raw append is framed, CRC'd and
@@ -66,8 +67,11 @@ type wal struct {
 var errWALUnavailable = errors.New("tsdb: wal segment unavailable")
 
 // appendSampleRecord frames one sample record onto buf — the only encoder
-// of the payload above.
-func appendSampleRecord(buf []byte, name string, t int64, v uint64) []byte {
+// of the payload above. prefix is samplePrefixCRC(name): the CRC-32 of the
+// payload up to the timestamp, which every record of the series shares, so
+// the record's CRC is that one continued over t and v (CRC-32 chains: the
+// sum of a‖b is the sum of a carried on over b).
+func appendSampleRecord(buf []byte, name string, prefix uint32, t int64, v uint64) []byte {
 	start := len(buf)
 	buf = append(buf, recordPrefix[:]...)
 	buf = append(buf, recSample)
@@ -75,12 +79,22 @@ func appendSampleRecord(buf []byte, name string, t int64, v uint64) []byte {
 	buf = append(buf, name...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
 	buf = binary.LittleEndian.AppendUint64(buf, v)
-	return frameRecord(buf, start)
+	return frameRecord(buf, start, crc32.Update(prefix, crc32.IEEETable, buf[len(buf)-16:]))
 }
 
-// walRecord is one decoded sample record.
+// samplePrefixCRC is the CRC-32 of name's sample-record payload up to the
+// timestamp, read off a record the encoder frames: a durable DB takes it
+// once per series, when the series is created.
+func samplePrefixCRC(name string) uint32 {
+	rec := appendSampleRecord(nil, name, 0, 0, 0)
+	return crc32.ChecksumIEEE(rec[recOverhead : len(rec)-16])
+}
+
+// walRecord is one decoded sample record. name is a view into the payload
+// it was decoded from: replay looks the series up without a copy and makes
+// one only for a series it creates.
 type walRecord struct {
-	name string
+	name []byte
 	t    int64
 	v    uint64
 }
@@ -96,7 +110,7 @@ func decodeSample(payload []byte) (r walRecord, ok bool) {
 		return r, false
 	}
 	return walRecord{
-		name: string(payload[3 : 3+nameLen]),
+		name: payload[3 : 3+nameLen],
 		t:    int64(binary.LittleEndian.Uint64(payload[3+nameLen:])),
 		v:    binary.LittleEndian.Uint64(payload[3+nameLen+8:]),
 	}, true
@@ -117,11 +131,11 @@ func (w *wal) stage(s *Series, t int64, v uint64) {
 	if w.err != nil {
 		return // the batch has failed: bookkeeping only, the sample stays in memory
 	}
-	w.buf = appendSampleRecord(w.buf, s.name, t, v)
+	w.buf = appendSampleRecord(w.buf, s.name, d.crcPrefix, t, v)
 	w.recs++
 	if w.full(len(w.buf)) {
 		if w.writeStaged(); w.err == nil {
-			w.err = w.rotate()
+			w.err = w.rotate(w.fsyncEvery > 0)
 		}
 	}
 }
@@ -172,9 +186,11 @@ func (w *wal) writeStaged() {
 	w.sinceSync += recs
 }
 
-// rotate seals the active segment (fsync + close) and opens the next one.
-func (w *wal) rotate() error {
-	if err := w.seal(); err != nil {
+// rotate seals the active segment and opens the next one. A rotation at the
+// segment's size syncs only at a cadence, where the cadence's count starts
+// over on the new segment; without one, nothing is synced on its own.
+func (w *wal) rotate(sync bool) error {
+	if err := w.seal(sync); err != nil {
 		return err
 	}
 	w.sinceSync = 0
