@@ -255,10 +255,29 @@ func (p phasedReader) Read(b []byte) (int, error) {
 	return p.conn.Read(b)
 }
 
+// readerPool recycles the 4 KiB buffered readers of admin connections: a
+// connection carries one request, so without it every request allocates
+// one on each side. A reader goes back with its source reset to nil once
+// the request is done — handlers read the body synchronously, so nothing
+// holds it past that.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+func getReader(src io.Reader) *bufio.Reader {
+	r := readerPool.Get().(*bufio.Reader)
+	r.Reset(src)
+	return r
+}
+
+func putReader(r *bufio.Reader) {
+	r.Reset(nil)
+	readerPool.Put(r)
+}
+
 func (s *Server) serve(conn net.Conn) {
 	timeout := s.opts.Timeout
 	phase := func() time.Time { return time.Now().Add(timeout) }
-	r := bufio.NewReader(phasedReader{conn: conn, phase: phase})
+	r := getReader(phasedReader{conn: conn, phase: phase})
+	defer putReader(r)
 	line, err := r.ReadString('\n')
 	// A complete line (newline- or EOF-terminated) is a request; a read
 	// error with a partial line is a stalled or dead client — drop it
@@ -465,7 +484,8 @@ func (c *Client) roundTrip(header string, body []byte) (string, error) {
 			return "", err
 		}
 	}
-	r := bufio.NewReader(phasedReader{conn: conn, phase: c.phase})
+	r := getReader(phasedReader{conn: conn, phase: c.phase})
+	defer putReader(r)
 	status, err := r.ReadString('\n')
 	if err != nil {
 		return "", err

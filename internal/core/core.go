@@ -162,7 +162,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.obs = obs.New(cfg.Name, n.metrics, cfg.TraceSample)
 	n.d.SetObserver(n.obs)
 	n.d.SetPadding(cfg.Padding)
-	n.registerPersistGauges()
+	n.registerHistoryGauges()
 	if cfg.RegistryAddr != "" {
 		// The channels run on the node clock so the reconnect supervisor
 		// paces itself on virtual time in simulations, and share the node's
@@ -268,12 +268,18 @@ func (n *Node) buildSelfTree(src dmon.Source) {
 	}, nil)
 }
 
-// registerPersistGauges surfaces the history store's persistence counters
-// in the unified registry — and thereby in cluster/<node>/stats, the admin
-// stats verb and the Prometheus endpoint. Registered only for a durable
-// store, so their presence doubles as the durability-on signal.
-func (n *Node) registerPersistGauges() {
+// registerHistoryGauges surfaces the history store in the unified registry
+// — and thereby in cluster/<node>/stats, the admin stats verb and the
+// Prometheus endpoint. Every node gets its footprint: series held, raw
+// chunk bytes, and the bytes the downsampling tiers take (the store's
+// largest share of memory). A durable store adds its persistence counters,
+// so their presence doubles as the durability-on signal.
+func (n *Node) registerHistoryGauges() {
 	store := n.d.Store()
+	db := store.TSDB()
+	n.metrics.Gauge("tsdb", "", "series", func() uint64 { return uint64(db.Stats().Series) })
+	n.metrics.Gauge("tsdb", "", "raw_bytes", func() uint64 { return uint64(db.Stats().Bytes) })
+	n.metrics.Gauge("tsdb", "", "tier_bytes", func() uint64 { return uint64(db.Stats().TierBytes) })
 	if !store.Persistent() {
 		return
 	}

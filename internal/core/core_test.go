@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -444,6 +445,36 @@ func feedRemote(t *testing.T, n *Node, remote string, count int) {
 		})
 	}
 	n.Refresh()
+}
+
+// TestStatsCarryHistoryFootprint: every node's stats report what its
+// history store holds — series, raw chunk bytes, tier bytes — durable or
+// not; only a durable store adds the persistence counters.
+func TestStatsCarryHistoryFootprint(t *testing.T) {
+	clk := clock.NewVirtual(clock.Epoch)
+	n, err := NewNode(Config{Name: "alan", Clock: clk, Source: simres.NewHost("alan", clk, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	feedRemote(t, n, "maui", 60)
+	st := n.DMon().Store().TSDB().Stats()
+	if st.Series != 1 || st.Bytes == 0 || st.TierBuckets == 0 || st.TierBytes == 0 {
+		t.Fatalf("store stats after 60 reports: %+v", st)
+	}
+	stats := n.StatsText()
+	for _, want := range []string{
+		fmt.Sprintf("tsdb series %d\n", st.Series),
+		fmt.Sprintf("tsdb raw_bytes %d\n", st.Bytes),
+		fmt.Sprintf("tsdb tier_bytes %d\n", st.TierBytes),
+	} {
+		if !strings.Contains(stats, want) {
+			t.Fatalf("stats missing %q:\n%s", want, stats)
+		}
+	}
+	if strings.Contains(stats, "tsdb wal_") {
+		t.Fatalf("memory-only node reports WAL counters:\n%s", stats)
+	}
 }
 
 func TestHistoryFileTimestampFormat(t *testing.T) {

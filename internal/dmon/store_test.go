@@ -397,10 +397,12 @@ func TestConcurrentUpdates(t *testing.T) {
 // BenchmarkStoreUpdateDurable is the history ingest path of one node at
 // steady state: 16 origins in turn hand a durable store a report of every
 // metric, with both downsampling tiers full (the retention is short, so the
-// warm-up fills them) and sealed chunks evicted as fast as they are made.
+// warm-up fills them, and runs until each tier has sealed and evicted a
+// bucket chunk) and sealed chunks evicted as fast as they are made.
 // `make allocgate` holds it at 0 allocs/op: what allocates is a head seal (a
-// chunk and its buffer per 256 samples per series) and a WAL segment's pin
-// list, a fraction of an allocation per report and nothing per sample.
+// chunk and its buffer per 256 samples per series), a WAL segment's pin
+// list and a tier chunk's copy when the evicted chunk's buffer does not fit
+// it, a fraction of an allocation per report and nothing per sample.
 func BenchmarkStoreUpdateDurable(b *testing.B) {
 	const origins = 16
 	s, err := OpenStore(StoreOptions{DataDir: b.TempDir(), FsyncEvery: -1, Retention: 10 * time.Second})
@@ -423,7 +425,7 @@ func BenchmarkStoreUpdateDurable(b *testing.B) {
 		}
 		s.Update(r)
 	}
-	for i := 0; i < 600*origins; i++ { // ten minutes: 2.5x the 60s tier's retention
+	for i := 0; i < 4500*origins; i++ { // 75 minutes: the 60s tier has sealed a chunk and evicted it
 		update()
 	}
 	b.ReportAllocs()

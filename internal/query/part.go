@@ -17,9 +17,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dproc/internal/obs"
@@ -65,7 +66,14 @@ type Part struct {
 	From, To int64
 	Count    int64
 	Value    float64
-	Buckets  map[int]uint64 // bucket index → count; nil for arithmetic parts
+	Buckets  []BucketCount // ascending by Index; nil for arithmetic parts
+}
+
+// BucketCount is one non-empty bucket of a percentile part: how many of
+// the window's samples fell in obs bucket Index.
+type BucketCount struct {
+	Index int
+	Count uint64
 }
 
 // Normalize resolves q into the absolute form every leaf must answer
@@ -95,6 +103,10 @@ func Normalize(q tsdb.Query, now time.Time) (tsdb.Query, error) {
 	return q, nil
 }
 
+// indexPool recycles ComputePart's per-sample bucket indices: a part sorts
+// them once and keeps only the runs.
+var indexPool = sync.Pool{New: func() any { return new([]int) }}
+
 // ComputePart answers one node's share of a normalized query from its local
 // store, with the given tsdb series name. Arithmetic aggregations reuse the
 // summary-folding tsdb query; percentiles scan the raw window once, folding
@@ -103,15 +115,32 @@ func Normalize(q tsdb.Query, now time.Time) (tsdb.Query, error) {
 func ComputePart(db *tsdb.DB, series string, q tsdb.Query) (Part, error) {
 	p := Part{From: q.From, To: q.To}
 	if _, isQuantile := q.Agg.Quantile(); isQuantile {
-		var buckets map[int]uint64
+		scratch := indexPool.Get().(*[]int)
+		defer indexPool.Put(scratch)
+		idx := (*scratch)[:0]
 		db.Scan(series, q.From, q.To, func(pt tsdb.Point) {
-			if buckets == nil {
-				buckets = make(map[int]uint64)
-			}
-			p.Count++
-			buckets[obs.BucketOf(scaleValue(pt.V))]++
+			idx = append(idx, obs.BucketOf(scaleValue(pt.V)))
 		})
-		p.Buckets = buckets
+		*scratch = idx
+		p.Count = int64(len(idx))
+		if len(idx) == 0 {
+			return p, nil
+		}
+		// Sorted, equal indices are runs: one pair per run.
+		slices.Sort(idx)
+		runs := 1
+		for i := 1; i < len(idx); i++ {
+			if idx[i] != idx[i-1] {
+				runs++
+			}
+		}
+		p.Buckets = make([]BucketCount, 0, runs)
+		for i, b := range idx {
+			if i == 0 || b != idx[i-1] {
+				p.Buckets = append(p.Buckets, BucketCount{Index: b})
+			}
+			p.Buckets[len(p.Buckets)-1].Count++
+		}
 		return p, nil
 	}
 	r, err := db.Query(series, q)
@@ -130,10 +159,10 @@ func ComputePart(db *tsdb.DB, series string, q tsdb.Query) (Part, error) {
 // rather than panicking the coordinator.
 func (p Part) Snapshot() obs.Snapshot {
 	var s obs.Snapshot
-	for i, c := range p.Buckets {
-		if i >= 0 && i < obs.NumBuckets {
-			s.Buckets[i] += c
-			s.Count += c
+	for _, b := range p.Buckets {
+		if b.Index >= 0 && b.Index < obs.NumBuckets {
+			s.Buckets[b.Index] += b.Count
+			s.Count += b.Count
 		}
 	}
 	return s
@@ -147,30 +176,35 @@ func (p Part) Snapshot() obs.Snapshot {
 //	value <g>                  (arithmetic parts)
 //	buckets <i>:<c> <i>:<c> …  (percentile parts with data)
 func (p Part) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "from %dns\nto %dns\ncount %d\n", p.From, p.To, p.Count)
+	b := make([]byte, 0, 64+16*len(p.Buckets))
+	b = append(b, "from "...)
+	b = strconv.AppendInt(b, p.From, 10)
+	b = append(b, "ns\nto "...)
+	b = strconv.AppendInt(b, p.To, 10)
+	b = append(b, "ns\ncount "...)
+	b = strconv.AppendInt(b, p.Count, 10)
 	if p.Buckets == nil {
-		fmt.Fprintf(&sb, "value %s\n", strconv.FormatFloat(p.Value, 'g', -1, 64))
-		return sb.String()
+		b = append(b, "\nvalue "...)
+		b = strconv.AppendFloat(b, p.Value, 'g', -1, 64)
+		return string(append(b, '\n'))
 	}
-	sb.WriteString("buckets")
-	idx := make([]int, 0, len(p.Buckets))
-	for i := range p.Buckets {
-		idx = append(idx, i)
+	b = append(b, "\nbuckets"...)
+	for _, bc := range p.Buckets {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(bc.Index), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, bc.Count, 10)
 	}
-	sort.Ints(idx)
-	for _, i := range idx {
-		fmt.Fprintf(&sb, " %d:%d", i, p.Buckets[i])
-	}
-	sb.WriteString("\n")
-	return sb.String()
+	return string(append(b, '\n'))
 }
 
 // ParsePart parses Render's wire form.
 func ParsePart(text string) (Part, error) {
 	var p Part
 	sawFrom, sawTo := false, false
-	for _, line := range strings.Split(text, "\n") {
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
@@ -189,8 +223,13 @@ func ParsePart(text string) (Part, error) {
 		case "value":
 			p.Value, err = strconv.ParseFloat(rest, 64)
 		case "buckets":
-			p.Buckets = make(map[int]uint64)
-			for _, pair := range strings.Fields(rest) {
+			p.Buckets = make([]BucketCount, 0, strings.Count(rest, ":"))
+			for rest != "" {
+				var pair string
+				pair, rest, _ = strings.Cut(rest, " ")
+				if pair == "" {
+					continue
+				}
 				is, cs, ok := strings.Cut(pair, ":")
 				if !ok {
 					return p, fmt.Errorf("query: bad bucket pair %q", pair)
@@ -200,7 +239,7 @@ func ParsePart(text string) (Part, error) {
 				if err1 != nil || err2 != nil {
 					return p, fmt.Errorf("query: bad bucket pair %q", pair)
 				}
-				p.Buckets[i] = c
+				p.Buckets = append(p.Buckets, BucketCount{Index: i, Count: c})
 			}
 		default:
 			// Unknown keys are ignored for forward compatibility.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,9 +27,20 @@ func TestPartWireRoundTrip(t *testing.T) {
 	parts := []Part{
 		{From: 100, To: 200, Count: 7, Value: 3.25},
 		{From: 1056326400123456789, To: 1056326400123456790, Count: 0, Value: 0},
-		{From: 5, To: 9, Count: 4, Buckets: map[int]uint64{0: 1, 17: 2, 1500: 1}},
+		{From: 5, To: 9, Count: 4, Buckets: []BucketCount{{0, 1}, {17, 2}, {1500, 1}}},
+		{From: 5, To: 9, Count: 0, Buckets: []BucketCount{}},
 	}
-	for _, p := range parts {
+	// The wire text, byte for byte as the map-based renderer wrote it.
+	golden := []string{
+		"from 100ns\nto 200ns\ncount 7\nvalue 3.25\n",
+		"from 1056326400123456789ns\nto 1056326400123456790ns\ncount 0\nvalue 0\n",
+		"from 5ns\nto 9ns\ncount 4\nbuckets 0:1 17:2 1500:1\n",
+		"from 5ns\nto 9ns\ncount 0\nbuckets\n",
+	}
+	for k, p := range parts {
+		if got := p.Render(); got != golden[k] {
+			t.Fatalf("Render() = %q, want %q", got, golden[k])
+		}
 		got, err := ParsePart(p.Render())
 		if err != nil {
 			t.Fatalf("ParsePart(%q): %v", p.Render(), err)
@@ -36,13 +48,8 @@ func TestPartWireRoundTrip(t *testing.T) {
 		if got.From != p.From || got.To != p.To || got.Count != p.Count || got.Value != p.Value {
 			t.Fatalf("round trip %+v → %+v", p, got)
 		}
-		if len(got.Buckets) != len(p.Buckets) {
+		if (got.Buckets == nil) != (p.Buckets == nil) || !slices.Equal(got.Buckets, p.Buckets) {
 			t.Fatalf("buckets %v → %v", p.Buckets, got.Buckets)
-		}
-		for i, c := range p.Buckets {
-			if got.Buckets[i] != c {
-				t.Fatalf("bucket %d: %d → %d", i, c, got.Buckets[i])
-			}
 		}
 	}
 	// Unknown keys are tolerated; a missing window is not.
@@ -380,5 +387,26 @@ func TestScaleValueEdgeCases(t *testing.T) {
 	}
 	if got := UnscaleValue(scaleValue(3.5)); math.Abs(got-3.5) > 1e-6 {
 		t.Fatalf("unscale(scale(3.5)) = %g", got)
+	}
+}
+
+// BenchmarkComputePart answers one node's part of a p99 over 300 samples of
+// a load-average-like series: the scan, the bucketing and the sparse counts
+// the part carries.
+func BenchmarkComputePart(b *testing.B) {
+	db := tsdb.NewDB(tsdb.Options{})
+	rng := rand.New(rand.NewSource(1))
+	for i := 1; i <= 1000; i++ {
+		u := rng.Float64()
+		db.Append("n/loadavg", int64(i)*int64(time.Second), 0.25+7.75*u*u)
+	}
+	q := tsdb.Query{Agg: tsdb.AggP99, Metric: "loadavg", From: 601 * int64(time.Second), To: 901 * int64(time.Second)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := ComputePart(db, "n/loadavg", q)
+		if err != nil || p.Count != 300 {
+			b.Fatalf("part %+v, %v", p, err)
+		}
 	}
 }

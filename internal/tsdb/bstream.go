@@ -15,7 +15,7 @@ package tsdb
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 )
 
 // bitWriter appends bits to a byte buffer, most-significant bit first.
@@ -32,7 +32,16 @@ type bitWriter struct {
 	free uint // unused low-order bits in the final byte
 }
 
-func (w *bitWriter) writeBit(bit uint64) { w.writeBits(bit, 1) }
+// writeZero appends one 0 bit — the one-bit code of an unchanged field, the
+// commonest write there is. It inlines, and within the last byte it only
+// counts the bit: the unused bits there are already zero.
+func (w *bitWriter) writeZero() {
+	if w.free > 0 {
+		w.free--
+		return
+	}
+	w.writeBits(0, 1)
+}
 
 // writeBits appends the n low-order bits of v (n <= 64), most-significant
 // first.
@@ -68,7 +77,20 @@ type bitReader struct {
 
 func newBitReader(buf []byte) bitReader { return bitReader{buf: buf} }
 
-func (r *bitReader) readBit() (uint64, error) { return r.readBits(1) }
+// readBit returns the next bit. It inlines: a bit is a shift of the
+// current byte.
+func (r *bitReader) readBit() (uint64, error) {
+	if r.idx >= len(r.buf) {
+		return 0, errExhausted
+	}
+	bit := uint64(r.buf[r.idx]>>(7-r.used)) & 1
+	r.used++
+	r.idx += int(r.used >> 3)
+	r.used &= 7
+	return bit, nil
+}
+
+var errExhausted = errors.New("tsdb: bitstream exhausted")
 
 // readBits returns the next n bits (n <= 64) as the low-order bits of a
 // uint64. While 8 bytes remain and the bits lie within them, that is one
@@ -86,7 +108,7 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 	var v uint64
 	for n > 0 {
 		if r.idx >= len(r.buf) {
-			return 0, fmt.Errorf("tsdb: bitstream exhausted")
+			return 0, errExhausted
 		}
 		avail := 8 - r.used
 		take := avail

@@ -69,17 +69,7 @@ func (s *Summary) observe(t int64, v float64) {
 // Bit layout, per sample:
 //
 //	sample 0:  64-bit timestamp, 64-bit value
-//	sample i:  dod class + payload, then value XOR block
-//	  dod = 0                     → '0'
-//	  dod in ±2¹³ ns              → '10'   + 14-bit two's complement
-//	  dod in ±2²³ ns              → '110'  + 24-bit two's complement
-//	  dod in ±2³⁵ ns              → '1110' + 36-bit two's complement
-//	  else                        → '1111' + 64-bit raw
-//	  xor = 0                     → '0'
-//	  xor fits previous window    → '10' + meaningful bits
-//	  else                        → '11' + 6-bit leading-zero count
-//	                                     + 6-bit (significant bits - 1)
-//	                                     + significant bits
+//	sample i:  dod class + payload (dodCodec), then value XOR block (xorCodec)
 //
 // Samples appended at a fixed period (the common monitoring case) cost one
 // bit of timestamp, and unchanged values one bit of value: two bits per
@@ -87,13 +77,8 @@ func (s *Summary) observe(t int64, v float64) {
 type Chunk struct {
 	w       bitWriter
 	summary Summary
-
-	prevT     int64
-	prevDelta int64
-	prevV     uint64
-	leading   uint
-	trailing  uint
-	haveWin   bool
+	t       dodCodec
+	v       xorCodec
 }
 
 // Append adds a point. Timestamps must be strictly increasing; the caller
@@ -103,52 +88,159 @@ func (c *Chunk) Append(t int64, v float64) {
 	if c.summary.Count == 0 {
 		c.w.writeBits(uint64(t), 64)
 		c.w.writeBits(vb, 64)
+		c.t, c.v = dodCodec{prev: t}, xorCodec{prev: vb}
 	} else {
-		delta := t - c.prevT
-		dod := delta - c.prevDelta
-		switch {
-		case dod == 0:
-			c.w.writeBit(0)
-		case dod >= -(1<<13) && dod < 1<<13:
-			c.w.writeBits(0b10, 2)
-			c.w.writeBits(uint64(dod)&(1<<14-1), 14)
-		case dod >= -(1<<23) && dod < 1<<23:
-			c.w.writeBits(0b110, 3)
-			c.w.writeBits(uint64(dod)&(1<<24-1), 24)
-		case dod >= -(1<<35) && dod < 1<<35:
-			c.w.writeBits(0b1110, 4)
-			c.w.writeBits(uint64(dod)&(1<<36-1), 36)
-		default:
-			c.w.writeBits(0b1111, 4)
-			c.w.writeBits(uint64(dod), 64)
-		}
-		c.prevDelta = delta
-
-		xor := vb ^ c.prevV
-		if xor == 0 {
-			c.w.writeBit(0)
-		} else {
-			lead := uint(bits.LeadingZeros64(xor))
-			if lead > 63 {
-				lead = 63
-			}
-			trail := uint(bits.TrailingZeros64(xor))
-			if c.haveWin && lead >= c.leading && trail >= c.trailing {
-				c.w.writeBits(0b10, 2)
-				c.w.writeBits(xor>>c.trailing, 64-c.leading-c.trailing)
-			} else {
-				sig := 64 - lead - trail
-				c.w.writeBits(0b11, 2)
-				c.w.writeBits(uint64(lead), 6)
-				c.w.writeBits(uint64(sig-1), 6)
-				c.w.writeBits(xor>>trail, sig)
-				c.leading, c.trailing, c.haveWin = lead, trail, true
-			}
-		}
+		c.t.write(&c.w, t)
+		c.v.write(&c.w, vb)
 	}
-	c.prevT = t
-	c.prevV = vb
 	c.summary.observe(t, v)
+}
+
+// dodCodec is the timestamp half of the Gorilla codec: each value is stored
+// as its delta-of-delta against the two before it,
+//
+//	dod = 0                     → '0'
+//	dod in ±2¹³                 → '10'   + 14-bit two's complement
+//	dod in ±2²³                 → '110'  + 24-bit two's complement
+//	dod in ±2³⁵                 → '1110' + 36-bit two's complement
+//	else                        → '1111' + 64-bit raw
+//
+// so a value that keeps its predecessor's spacing costs one bit. Arithmetic
+// wraps, so any int64 sequence round-trips. The writer and the reader start
+// from the same state and stay in step.
+type dodCodec struct {
+	prev, delta int64
+}
+
+func (s *dodCodec) write(w *bitWriter, t int64) {
+	delta := t - s.prev
+	dod := delta - s.delta
+	s.prev, s.delta = t, delta
+	// Class prefix and payload go out as one write where they fit 64 bits.
+	switch {
+	case dod == 0:
+		w.writeZero()
+	case dod >= -(1<<13) && dod < 1<<13:
+		w.writeBits(0b10<<14|uint64(dod)&(1<<14-1), 2+14)
+	case dod >= -(1<<23) && dod < 1<<23:
+		w.writeBits(0b110<<24|uint64(dod)&(1<<24-1), 3+24)
+	case dod >= -(1<<35) && dod < 1<<35:
+		w.writeBits(0b1110<<36|uint64(dod)&(1<<36-1), 4+36)
+	default:
+		w.writeBits(0b1111, 4)
+		w.writeBits(uint64(dod), 64)
+	}
+}
+
+func (s *dodCodec) read(r *bitReader) (int64, error) {
+	n := uint(0) // the class: leading 1 bits, at most 4
+	for n < 4 {
+		bit, err := r.readBit()
+		if err != nil {
+			return 0, err
+		}
+		if bit == 0 {
+			break
+		}
+		n++
+	}
+	var dod int64
+	widths := [5]uint{0, 14, 24, 36, 64}
+	if w := widths[n]; w > 0 {
+		raw, err := r.readBits(w)
+		if err != nil {
+			return 0, err
+		}
+		if w < 64 && raw&(1<<(w-1)) != 0 { // sign-extend
+			raw |= ^uint64(0) << w
+		}
+		dod = int64(raw)
+	}
+	s.delta += dod
+	s.prev += s.delta
+	return s.prev, nil
+}
+
+// xorCodec is the value half of the Gorilla codec: each 64-bit word is
+// XORed with its predecessor and stored as
+//
+//	xor = 0                     → '0'
+//	xor fits previous window    → '10' + meaningful bits
+//	else                        → '11' + 6-bit leading-zero count
+//	                                   + 6-bit (significant bits - 1)
+//	                                   + significant bits
+//
+// so an unchanged word costs one bit. The writer and the reader start from
+// the same state and stay in step.
+type xorCodec struct {
+	prev              uint64
+	leading, trailing uint8 // the window of the last '11' block
+	haveWin           bool
+}
+
+func (s *xorCodec) write(w *bitWriter, vb uint64) {
+	xor := vb ^ s.prev
+	s.prev = vb
+	if xor == 0 {
+		w.writeZero()
+		return
+	}
+	lead := uint(bits.LeadingZeros64(xor))
+	if lead > 63 {
+		lead = 63
+	}
+	trail := uint(bits.TrailingZeros64(xor))
+	// Control bits, header and meaningful bits go out as one write where
+	// they fit 64 bits.
+	if s.haveWin && lead >= uint(s.leading) && trail >= uint(s.trailing) {
+		n := 64 - uint(s.leading) - uint(s.trailing)
+		if n > 62 {
+			w.writeBits(0b10, 2)
+			w.writeBits(xor>>s.trailing, n)
+		} else {
+			w.writeBits(0b10<<n|xor>>s.trailing, 2+n)
+		}
+		return
+	}
+	sig := 64 - lead - trail
+	head := 0b11<<12 | uint64(lead)<<6 | uint64(sig-1)
+	if sig > 50 {
+		w.writeBits(head, 2+6+6)
+		w.writeBits(xor>>trail, sig)
+	} else {
+		w.writeBits(head<<sig|xor>>trail, 2+6+6+sig)
+	}
+	s.leading, s.trailing, s.haveWin = uint8(lead), uint8(trail), true
+}
+
+func (s *xorCodec) read(r *bitReader) (uint64, error) {
+	bit, err := r.readBit()
+	if err != nil || bit == 0 {
+		return s.prev, err
+	}
+	ctrl, err := r.readBit()
+	if err != nil {
+		return 0, err
+	}
+	if ctrl == 1 {
+		head, err := r.readBits(6 + 6)
+		if err != nil {
+			return 0, err
+		}
+		lead, sigm1 := head>>6, head&(1<<6-1)
+		if lead+sigm1+1 > 64 {
+			return 0, fmt.Errorf("tsdb: corrupt xor window")
+		}
+		s.leading, s.trailing, s.haveWin = uint8(lead), uint8(64-lead-sigm1-1), true
+	} else if !s.haveWin {
+		return 0, fmt.Errorf("tsdb: xor reuse before window")
+	}
+	mbits, err := r.readBits(64 - uint(s.leading) - uint(s.trailing))
+	if err != nil {
+		return 0, err
+	}
+	s.prev ^= mbits << s.trailing
+	return s.prev, nil
 }
 
 // Summary returns the chunk's running digest.
@@ -180,14 +272,9 @@ type ChunkIter struct {
 	r     bitReader
 	total int
 	count int
-
-	t        int64
-	delta    int64
-	v        uint64
-	leading  uint
-	trailing uint
-	haveWin  bool
-	err      error
+	t     dodCodec
+	v     xorCodec
+	err   error
 }
 
 // Next returns the next point; ok is false once the chunk is exhausted or
@@ -196,88 +283,25 @@ func (it *ChunkIter) Next() (Point, bool) {
 	if it.err != nil || it.count >= it.total {
 		return Point{}, false
 	}
-	fail := func(err error) (Point, bool) { it.err = err; return Point{}, false }
+	var t int64
+	var vb uint64
+	var err error
 	if it.count == 0 {
-		tb, err := it.r.readBits(64)
-		if err != nil {
-			return fail(err)
+		var tb uint64
+		if tb, err = it.r.readBits(64); err == nil {
+			vb, err = it.r.readBits(64)
 		}
-		vb, err := it.r.readBits(64)
-		if err != nil {
-			return fail(err)
-		}
-		it.t, it.v = int64(tb), vb
-		it.count++
-		return Point{T: it.t, V: math.Float64frombits(it.v)}, true
+		t = int64(tb)
+		it.t, it.v = dodCodec{prev: t}, xorCodec{prev: vb}
+	} else if t, err = it.t.read(&it.r); err == nil {
+		vb, err = it.v.read(&it.r)
 	}
-	// Timestamp: read the dod class prefix.
-	var dod int64
-	n := uint(0)
-	for {
-		bit, err := it.r.readBit()
-		if err != nil {
-			return fail(err)
-		}
-		if bit == 0 {
-			break
-		}
-		n++
-		if n == 4 {
-			break
-		}
-	}
-	widths := [5]uint{0, 14, 24, 36, 64}
-	if w := widths[n]; w > 0 {
-		raw, err := it.r.readBits(w)
-		if err != nil {
-			return fail(err)
-		}
-		if w < 64 && raw&(1<<(w-1)) != 0 { // sign-extend
-			raw |= ^uint64(0) << w
-		}
-		dod = int64(raw)
-	}
-	it.delta += dod
-	it.t += it.delta
-
-	// Value: XOR block.
-	bit, err := it.r.readBit()
 	if err != nil {
-		return fail(err)
-	}
-	if bit == 1 {
-		ctrl, err := it.r.readBit()
-		if err != nil {
-			return fail(err)
-		}
-		if ctrl == 1 {
-			lead, err := it.r.readBits(6)
-			if err != nil {
-				return fail(err)
-			}
-			sigm1, err := it.r.readBits(6)
-			if err != nil {
-				return fail(err)
-			}
-			it.leading = uint(lead)
-			sig := uint(sigm1) + 1
-			if it.leading+sig > 64 {
-				return fail(fmt.Errorf("tsdb: corrupt xor window"))
-			}
-			it.trailing = 64 - it.leading - sig
-			it.haveWin = true
-		} else if !it.haveWin {
-			return fail(fmt.Errorf("tsdb: xor reuse before window"))
-		}
-		sig := 64 - it.leading - it.trailing
-		mbits, err := it.r.readBits(sig)
-		if err != nil {
-			return fail(err)
-		}
-		it.v ^= mbits << it.trailing
+		it.err = err
+		return Point{}, false
 	}
 	it.count++
-	return Point{T: it.t, V: math.Float64frombits(it.v)}, true
+	return Point{T: t, V: math.Float64frombits(vb)}, true
 }
 
 // Err returns the first decode error, if any.

@@ -300,6 +300,11 @@ type Stats struct {
 	Samples int // retained raw samples
 	Bytes   int // compressed raw bytes across all series
 	Dropped uint64
+	// TierBuckets counts the closed downsample buckets the tiers hold, and
+	// TierBytes the memory they take: buffers at capacity, chunk headers
+	// and codec state — what the heap holds for them.
+	TierBuckets int
+	TierBytes   int
 }
 
 // Stats returns the current footprint; Bytes/Samples is the achieved
@@ -313,6 +318,11 @@ func (db *DB) Stats() Stats {
 		st.Samples += s.Count()
 		st.Bytes += s.Bytes()
 		st.Dropped += s.Dropped()
+		for _, tr := range s.tiers {
+			buckets, bytes := tr.footprint()
+			st.TierBuckets += buckets
+			st.TierBytes += bytes
+		}
 	}
 	return st
 }

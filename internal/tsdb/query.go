@@ -392,10 +392,12 @@ func (s *Series) queryQuantile(quant float64, r Result) (Result, error) {
 // [Start, Start+Res) overlaps [from, to) — both edges are treated
 // symmetrically: a bucket straddling either edge is counted entirely. The
 // resolved window reported in the Result is the widened one, so callers see
-// exactly the range that was aggregated.
+// exactly the range that was aggregated. Every aggregate is the raw one over
+// that window's samples: a rate runs from the first sample of the first
+// bucket to the last sample of the last, by their times.
 func (s *Series) queryTier(q Query, r Result) (Result, error) {
-	buckets := s.Buckets(q.Res)
-	if buckets == nil {
+	tr := s.tier(q.Res)
+	if tr == nil {
 		avail := make([]string, 0, len(s.tiers))
 		for _, d := range s.TierIntervals() {
 			avail = append(avail, d.String())
@@ -407,31 +409,26 @@ func (s *Series) queryTier(q Query, r Result) (Result, error) {
 		return r, fmt.Errorf("tsdb: percentiles require raw resolution")
 	}
 	r.From, r.To = WidenWindow(r.From, r.To, q.Res)
+	// agg folds the window's buckets into one: the first's First and
+	// TFirst, the last's Last and TLast.
 	var agg Bucket
-	var firstB, lastB *Bucket
-	for i := range buckets {
-		b := &buckets[i]
-		if b.Start < r.From || b.Start >= r.To {
-			continue
+	tr.each(r.From, r.To, func(b Bucket) {
+		if agg.Count == 0 {
+			agg = b
+			return
 		}
-		if firstB == nil {
-			firstB = b
-			agg = *b
-		} else {
-			lastB = b
-			agg.Count += b.Count
-			agg.Sum += b.Sum
-			agg.Last = b.Last
-			if b.Min < agg.Min {
-				agg.Min = b.Min
-			}
-			if b.Max > agg.Max {
-				agg.Max = b.Max
-			}
+		agg.Count += b.Count
+		agg.Sum += b.Sum
+		agg.Last, agg.TLast = b.Last, b.TLast
+		if b.Min < agg.Min {
+			agg.Min = b.Min
 		}
-	}
+		if b.Max > agg.Max {
+			agg.Max = b.Max
+		}
+	})
 	r.Count = agg.Count
-	if firstB == nil {
+	if agg.Count == 0 {
 		return r, noDataError("tsdb: no buckets in window")
 	}
 	switch q.Agg {
@@ -446,11 +443,10 @@ func (s *Series) queryTier(q Query, r Result) (Result, error) {
 	case AggAvg:
 		r.Value = agg.Sum / float64(agg.Count)
 	case AggRate:
-		if lastB == nil {
-			return r, noDataError("tsdb: rate needs at least two buckets in window")
+		if agg.Count < 2 || agg.TLast == agg.TFirst {
+			return r, noDataError("tsdb: rate needs at least two samples in window")
 		}
-		elapsed := float64(lastB.Start-firstB.Start) / 1e9
-		r.Value = (lastB.Last - firstB.First) / elapsed
+		r.Value = (agg.Last - agg.First) / (float64(agg.TLast-agg.TFirst) / 1e9)
 	default:
 		return r, fmt.Errorf("tsdb: unsupported aggregation %s", q.Agg)
 	}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -303,6 +304,65 @@ func TestQueryTierWindowEdges(t *testing.T) {
 	}
 	if right.Count != 20 || right.To != 30*sec {
 		t.Fatalf("to-straddling window kept %d samples to %d, want 20 to %d", right.Count, right.To, 30*sec)
+	}
+}
+
+// TestTierAggregatesEqualRaw: while the raw samples are still retained, a
+// tier query answers exactly what a raw query over the widened window does,
+// for every aggregate a tier serves. For rate that took the bucket's sample
+// times: from bucket starts alone, a counter rising 1/s sampled at 1 Hz for
+// 60 s gave 1.18 over the minute @10s and 1.3 over its last 30 s. Values
+// are integers, so sums are exact in either order and results compare by
+// their bits.
+func TestTierAggregatesEqualRaw(t *testing.T) {
+	tiers := DefaultTiers(0)
+	counter := NewSeries(Options{Tiers: tiers})
+	fill(counter, 0, 60)
+	for _, q := range []Query{
+		{Agg: AggRate, From: 0, To: 60 * sec, Res: 10 * time.Second},
+		{Agg: AggRate, Last: 30 * time.Second, Res: 10 * time.Second},
+	} {
+		if res, err := counter.Query(q); err != nil || res.Value != 1 {
+			t.Fatalf("%+v: rate %g (%v), want 1", q, res.Value, err)
+		}
+	}
+
+	aggs := []Agg{AggMin, AggMax, AggSum, AggCount, AggAvg, AggRate}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewSeries(Options{ChunkSize: 32, Tiers: tiers})
+		t0 := rng.Int63n(100 * sec)
+		ts := t0
+		for i := 0; i < 3000; i++ {
+			if rng.Intn(50) == 0 {
+				ts += rng.Int63n(300 * sec) // skips buckets
+			}
+			ts += 1 + rng.Int63n(4*sec)
+			s.Append(ts, float64(rng.Intn(1000)))
+		}
+		span := ts - t0
+		for k := 0; k < 300; k++ {
+			q := Query{Agg: aggs[rng.Intn(len(aggs))], Res: tiers[rng.Intn(len(tiers))].Interval}
+			if rng.Intn(4) == 0 {
+				q.Last = time.Duration(1 + rng.Int63n(span/8))
+			} else {
+				q.From = t0 - 20*sec + rng.Int63n(span)
+				q.To = q.From + 1 + rng.Int63n(span/8)
+			}
+			got, gotErr := s.Query(q)
+			raw := Query{Agg: q.Agg, From: got.From, To: got.To}
+			if q.Last > 0 {
+				raw.From, raw.To = WidenWindow(ts+1-q.Last.Nanoseconds(), ts+1, q.Res)
+			}
+			want, wantErr := s.Query(raw)
+			if errors.Is(gotErr, ErrNoData) != errors.Is(wantErr, ErrNoData) || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("seed %d %+v: tier error %v, raw error %v", seed, q, gotErr, wantErr)
+			}
+			if gotErr == nil && (got.Count != want.Count || math.Float64bits(got.Value) != math.Float64bits(want.Value) ||
+				got.From != want.From || got.To != want.To) {
+				t.Fatalf("seed %d %+v: tier %+v, raw %+v", seed, q, got, want)
+			}
+		}
 	}
 }
 

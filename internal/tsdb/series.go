@@ -95,137 +95,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Bucket is one closed (or in-progress) downsample bucket covering
-// [Start, Start+Interval).
-type Bucket struct {
-	Start       int64
-	Count       int64
-	First, Last float64
-	Min, Max    float64
-	Sum         float64
-}
-
-func newBucket(start int64, v float64) Bucket {
-	return Bucket{Start: start, Count: 1, First: v, Last: v, Min: v, Max: v, Sum: v}
-}
-
-func (b *Bucket) observe(v float64) {
-	b.Count++
-	b.Last = v
-	if v < b.Min {
-		b.Min = v
-	}
-	if v > b.Max {
-		b.Max = v
-	}
-	b.Sum += v
-}
-
-// tier maintains one downsampling resolution. Buckets close when an
-// append crosses the bucket boundary — purely timestamp-driven, so tier
-// contents are a deterministic function of the appended samples.
-//
-// Closed buckets live in a ring: ring[(head+i)%len(ring)] for i < n,
-// oldest first. With a retention the ring has a hard capacity of
-// retention/interval + 2 slots — the most closed buckets the window can
-// hold — reached by geometric growth and never exceeded, so a full tier
-// closes a bucket by overwriting the slot of the one it evicts: no
-// allocation and no copy, whatever the tier's length.
-type tier struct {
-	interval  int64 // ns
-	retention int64 // ns; 0 = unbounded
-	ring      []Bucket
-	head, n   int
-	cur       Bucket
-	curSet    bool
-}
-
-func bucketStart(t, interval int64) int64 {
-	r := t % interval
-	if r < 0 {
-		r += interval
-	}
-	return t - r
-}
-
-func (tr *tier) observe(t int64, v float64) {
-	start := bucketStart(t, tr.interval)
-	if tr.curSet && start == tr.cur.Start {
-		tr.cur.observe(v)
-		return
-	}
-	// Evict before the closing bucket goes in: what is left then fits the
-	// ring's capacity by construction.
-	tr.evict(t)
-	if tr.curSet && !tr.expired(tr.cur.Start, t) {
-		tr.push(tr.cur)
-	}
-	tr.cur = newBucket(start, v)
-	tr.curSet = true
-}
-
-// expired reports whether a closed bucket starting at start lies wholly
-// outside the retention window ending at now.
-func (tr *tier) expired(start, now int64) bool {
-	return tr.retention > 0 && start+tr.interval <= now-tr.retention
-}
-
-// evict drops the closed buckets outside the retention window ending at
-// now: O(evicted), the survivors do not move.
-func (tr *tier) evict(now int64) {
-	for tr.n > 0 && tr.expired(tr.ring[tr.head].Start, now) {
-		tr.head++
-		if tr.head == len(tr.ring) {
-			tr.head = 0
-		}
-		tr.n--
-	}
-}
-
-func (tr *tier) push(b Bucket) {
-	if tr.n == len(tr.ring) {
-		tr.grow()
-	}
-	i := tr.head + tr.n
-	if i >= len(tr.ring) {
-		i -= len(tr.ring)
-	}
-	tr.ring[i] = b
-	tr.n++
-}
-
-// grow doubles the ring, up to the retention's capacity.
-func (tr *tier) grow() {
-	size := 2 * len(tr.ring)
-	if size < 8 {
-		size = 8
-	}
-	if tr.retention > 0 {
-		if max := int(tr.retention/tr.interval) + 2; size > max {
-			size = max
-		}
-	}
-	ring := make([]Bucket, size)
-	tr.copyTo(ring)
-	tr.ring, tr.head = ring, 0
-}
-
-// copyTo copies the closed buckets, oldest first, into dst.
-func (tr *tier) copyTo(dst []Bucket) {
-	k := copy(dst, tr.ring[tr.head:min(tr.head+tr.n, len(tr.ring))])
-	copy(dst[k:], tr.ring[:tr.n-k])
-}
-
-// all returns closed buckets plus the in-progress one, ascending by Start.
-func (tr *tier) all() []Bucket {
-	out := make([]Bucket, tr.n, tr.n+1)
-	tr.copyTo(out)
-	if tr.curSet {
-		out = append(out, tr.cur)
-	}
-	return out
-}
-
 // Series is the compressed history of one metric: sealed chunks in time
 // order behind a mutable head chunk, plus the downsampling tiers. A Series
 // is not safe for concurrent use on its own; DB (and dmon.Store) serialize
@@ -452,9 +321,17 @@ func (s *Series) Scan(from, to int64, fn func(p Point)) {
 // interval (closed buckets plus the in-progress one), or nil if no such
 // tier is configured.
 func (s *Series) Buckets(interval time.Duration) []Bucket {
+	if tr := s.tier(interval); tr != nil {
+		return tr.all()
+	}
+	return nil
+}
+
+// tier returns the tier with the given interval, or nil.
+func (s *Series) tier(interval time.Duration) *tier {
 	for _, tr := range s.tiers {
 		if tr.interval == interval.Nanoseconds() {
-			return tr.all()
+			return tr
 		}
 	}
 	return nil

@@ -153,7 +153,7 @@ func TestTierRetention(t *testing.T) {
 
 // naiveTier is the tier as first written — a slice of closed buckets,
 // pushed on close and then cut from the front — kept as the reference the
-// ring is checked against.
+// bucket chunks are checked against.
 type naiveTier struct {
 	interval, retention int64
 	closed              []Bucket
@@ -164,13 +164,13 @@ type naiveTier struct {
 func (nt *naiveTier) observe(t int64, v float64) {
 	start := bucketStart(t, nt.interval)
 	if nt.curSet && start == nt.cur.Start {
-		nt.cur.observe(v)
+		nt.cur.observe(t, v)
 		return
 	}
 	if nt.curSet {
 		nt.closed = append(nt.closed, nt.cur)
 	}
-	nt.cur, nt.curSet = newBucket(start, v), true
+	nt.cur, nt.curSet = newBucket(start, t, v), true
 	if nt.retention > 0 {
 		i := 0
 		for i < len(nt.closed) && nt.closed[i].Start+nt.interval <= t-nt.retention {
@@ -184,28 +184,65 @@ func (nt *naiveTier) all() []Bucket {
 	return append(append([]Bucket{}, nt.closed...), nt.cur)
 }
 
-// TestTierRingMatchesNaiveReference drives the ring and the reference with
+// sameBucket compares two buckets field by field, floats by their bits, so
+// NaN payloads and −0 count.
+func sameBucket(a, b Bucket) bool {
+	f := math.Float64bits
+	return a.Start == b.Start && a.Count == b.Count && a.TFirst == b.TFirst && a.TLast == b.TLast &&
+		f(a.First) == f(b.First) && f(a.Last) == f(b.Last) && f(a.Min) == f(b.Min) &&
+		f(a.Max) == f(b.Max) && f(a.Sum) == f(b.Sum)
+}
+
+// chunks counts the bucket chunks a tier holds.
+func (tr *tier) chunks() int {
+	if tr.open.n > 0 {
+		return len(tr.sealed) + 1
+	}
+	return len(tr.sealed)
+}
+
+// TestTierRingMatchesNaiveReference drives the tier and the reference with
 // the same seeded schedules — steady appends, gaps within and far beyond the
 // retention, retentions shorter than a bucket and not a multiple of it —
-// and compares the full bucket list along the way, across many wrap-arounds.
+// and compares the full bucket list along the way, across many chunk seals
+// and evictions, and the chunk count against what the retention can need.
+// Seeds 21–25 mix in NaN, ±Inf and −0; seeds 26–30 run a 1 ms tier from
+// negative time across zero with gaps of 2³² buckets and more.
 func TestTierRingMatchesNaiveReference(t *testing.T) {
 	retentions := []time.Duration{0, 3 * time.Second, 10 * time.Second, 95 * time.Second, 10 * time.Minute}
-	for seed := int64(1); seed <= 20; seed++ {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	for seed := int64(1); seed <= 30; seed++ {
+		special, far := seed > 20 && seed <= 25, seed > 25
 		rng := rand.New(rand.NewSource(seed))
-		spec := TierSpec{Interval: 10 * time.Second, Retention: retentions[rng.Intn(len(retentions))]}
+		// The schedule is drawn in units of a tenth of the interval.
+		interval, unit := 10*time.Second, sec
+		if far {
+			interval, unit = time.Millisecond, int64(100*time.Microsecond)
+		}
+		spec := TierSpec{Interval: interval, Retention: retentions[rng.Intn(len(retentions))] / time.Second * time.Duration(unit)}
 		s := NewSeries(Options{Tiers: []TierSpec{spec}})
+		tr := s.tiers[0]
 		ref := &naiveTier{interval: spec.Interval.Nanoseconds(), retention: spec.Retention.Nanoseconds()}
-		ts := int64(rng.Intn(100)) * sec
+		maxChunks := (int(tr.retention/tr.interval)+2+bucketsPerChunk-1)/bucketsPerChunk + 1
+		ts := int64(rng.Intn(100)) * unit
+		if far {
+			ts -= 1 << 58
+		}
 		for i := 0; i < 5000; i++ {
 			switch r := rng.Intn(100); {
 			case r < 90:
-				ts += int64(1+rng.Intn(4)) * sec
+				ts += int64(1+rng.Intn(4)) * unit
 			case r < 98:
-				ts += int64(rng.Intn(120)) * sec // skips buckets
+				ts += int64(rng.Intn(120)) * unit // skips buckets
+			case far:
+				ts += (1<<32 + int64(rng.Intn(3))) * tr.interval
 			default:
-				ts += int64(rng.Intn(3000)) * sec // may outrun the whole retention
+				ts += int64(rng.Intn(3000)) * unit // may outrun the whole retention
 			}
 			v := float64(rng.Intn(100))
+			if special && rng.Intn(4) == 0 {
+				v = specials[rng.Intn(len(specials))]
+			}
 			if s.Append(ts, v) { // a zero gap repeats a timestamp: rejected
 				ref.observe(ts, v)
 			}
@@ -215,22 +252,22 @@ func TestTierRingMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("seed %d (retention %s) append %d: %d buckets, reference has %d", seed, spec.Retention, i, len(got), len(want))
 				}
 				for k := range got {
-					if got[k] != want[k] {
+					if !sameBucket(got[k], want[k]) {
 						t.Fatalf("seed %d (retention %s) append %d: bucket %d = %+v, reference %+v", seed, spec.Retention, i, k, got[k], want[k])
 					}
 				}
+				if tr.retention > 0 && tr.chunks() > maxChunks {
+					t.Fatalf("seed %d (retention %s) append %d: %d chunks retained, want at most %d", seed, spec.Retention, i, tr.chunks(), maxChunks)
+				}
 			}
-		}
-		if tr := s.tiers[0]; tr.retention > 0 && len(tr.ring) > int(tr.retention/tr.interval)+2 {
-			t.Fatalf("seed %d: ring grew to %d slots for retention %s", seed, len(tr.ring), spec.Retention)
 		}
 	}
 }
 
-// TestFullTierClosesBucketsInPlace: once a tier holds a full retention of
-// buckets, closing one more neither allocates nor moves the others — it
-// takes the slot of the bucket it evicts.
-func TestFullTierClosesBucketsInPlace(t *testing.T) {
+// TestFullTierStaysBounded: once a tier holds a full retention of buckets,
+// closing more neither allocates — a seal recycles the chunk eviction freed
+// and the encode buffer — nor grows the tier.
+func TestFullTierStaysBounded(t *testing.T) {
 	tr := &tier{interval: 10 * sec, retention: 900 * 6 * sec} // the default 10s tier at 15 min raw retention
 	ts := int64(0)
 	closeBucket := func() {
@@ -240,32 +277,99 @@ func TestFullTierClosesBucketsInPlace(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		closeBucket()
 	}
-	if want := int(tr.retention/tr.interval) + 2; len(tr.ring) != want || tr.n < want-2 {
-		t.Fatalf("full tier: %d slots holding %d buckets, want %d slots", len(tr.ring), tr.n, want)
+	_, full := tr.footprint()
+	closeChunks := func() {
+		for i := 0; i < 4*bucketsPerChunk; i++ {
+			closeBucket()
+		}
 	}
-	// One close: the oldest bucket goes, and the second-oldest is now the
-	// oldest without having moved.
-	second := (tr.head + 1) % len(tr.ring)
-	slot, kept := &tr.ring[second], tr.ring[second]
-	closeBucket()
-	if &tr.ring[tr.head] != slot || tr.ring[tr.head] != kept {
-		t.Fatalf("closing a bucket moved the survivors: oldest is %+v, want %+v in place", tr.ring[tr.head], kept)
-	}
-	ring := &tr.ring[0]
-	if allocs := testing.AllocsPerRun(1000, closeBucket); allocs != 0 {
-		t.Fatalf("closing a bucket on a full tier allocates %.1f times", allocs)
-	}
-	if &tr.ring[0] != ring {
-		t.Fatal("the ring was reallocated")
+	for round := 0; round < 4; round++ {
+		if allocs := testing.AllocsPerRun(1, closeChunks); allocs != 0 {
+			t.Fatalf("closing %d buckets on a full tier allocates %.0f times", 4*bucketsPerChunk, allocs)
+		}
+		if _, bytes := tr.footprint(); bytes != full {
+			t.Fatalf("a full tier grew from %d to %d bytes", full, bytes)
+		}
 	}
 	all := tr.all()
-	if len(all) != tr.n+1 || all[len(all)-1].Start != ts {
-		t.Fatalf("after wrap-around: %d buckets, newest starts at %ds, want %ds", len(all), all[len(all)-1].Start/sec, ts/sec)
+	if want := int(tr.retention/tr.interval) + 1; len(all) != want || all[len(all)-1].Start != ts {
+		t.Fatalf("%d buckets, newest starts at %ds; want %d, newest at %ds", len(all), all[len(all)-1].Start/sec, want, ts/sec)
 	}
 	for k := 1; k < len(all); k++ {
 		if all[k].Start != all[k-1].Start+tr.interval {
-			t.Fatalf("after wrap-around: bucket %d starts at %ds after %ds", k, all[k].Start/sec, all[k-1].Start/sec)
+			t.Fatalf("bucket %d starts at %ds after %ds", k, all[k].Start/sec, all[k-1].Start/sec)
 		}
+	}
+}
+
+// historyValue is the history-rw workload's generator (bench/history.go,
+// sampleValue), copied: the value of (node, origin, metric) in a round.
+func historyValue(seed int64, node, origin, metric int, round uint64) float64 {
+	x := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(node)<<56 ^ uint64(origin)<<48 ^ uint64(metric)<<40 ^ round
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	u := float64(x>>11) / (1 << 53)
+	switch metric {
+	case 0: // loadavg
+		return 0.25 + 7.75*u*u
+	case 2: // freemem
+		return math.Floor(32e6 + 400e6*u)
+	}
+	return math.Floor(1 + 1e4*u)
+}
+
+// TestTierFootprint is the tiers' memory gate. One history-rw node — 320
+// series, 16 origins × 20 metrics, at 15 min raw retention with the default
+// tiers — is fed at 1 Hz until both tiers have run a full retention. It
+// must then hold its buckets in at most 20 bytes each, counting buffers at
+// capacity: the sealed chunks, the encode buffers, the evicted chunks kept
+// for the next seal. Everything the tiers take — chunk headers and codec
+// state besides — must stay within 0.4× the ring slots this replaced, 904
+// slots of 56 bytes per series.
+func TestTierFootprint(t *testing.T) {
+	const origins, metrics = 16, 20
+	retention := 15 * time.Minute
+	tiers := DefaultTiers(retention)
+	// Only the tiers are measured, so only the tiers are fed.
+	series := make([]*Series, origins*metrics)
+	for i := range series {
+		series[i] = NewSeries(Options{Retention: retention, Tiers: tiers})
+	}
+	rounds := uint64((tiers[1].Retention + tiers[1].Interval*bucketsPerChunk) / time.Second)
+	for r := uint64(1); r <= rounds; r++ {
+		for i, s := range series {
+			v := historyValue(20030623, 0, i/metrics, i%metrics, r)
+			for _, tr := range s.tiers {
+				tr.observe(int64(r)*sec, v)
+			}
+		}
+	}
+	var buckets, bytes, buffers int
+	for _, s := range series {
+		for _, tr := range s.tiers {
+			n, b := tr.footprint()
+			buckets, bytes = buckets+n, bytes+b
+			buffers += cap(tr.w.buf)
+			for _, c := range tr.sealed {
+				buffers += cap(c.buf)
+			}
+			if tr.spare != nil {
+				buffers += cap(tr.spare.buf)
+			}
+		}
+	}
+	perBucket := float64(buffers) / float64(buckets)
+	perSeries, ring := float64(bytes)/float64(len(series)), 0.4*904*56
+	t.Logf("%d series: %d tier buckets in %d bytes of buffers (%.1f per bucket), %d in all (%.0f per series)",
+		len(series), buckets, buffers, perBucket, bytes, perSeries)
+	if perBucket > 20 {
+		t.Errorf("tier buffers take %.1f bytes per bucket, want at most 20", perBucket)
+	}
+	if perSeries > ring {
+		t.Errorf("tiers take %.0f bytes per series, want at most %.0f", perSeries, ring)
 	}
 }
 
@@ -346,5 +450,53 @@ func TestSeriesBytesAccountsEviction(t *testing.T) {
 	}
 	if math.Abs(float64(bounded.Count())-30) > 10 {
 		t.Fatalf("bounded retained %d samples, want ~30", bounded.Count())
+	}
+}
+
+// fullTierSeries is one series of the history-rw mix at its options, fed at
+// 1 Hz until the 60s tier has run a full retention.
+func fullTierSeries() *Series {
+	retention := 15 * time.Minute
+	tiers := DefaultTiers(retention)
+	s := NewSeries(Options{Retention: retention, Tiers: tiers})
+	for r := int64(1); r <= int64((tiers[1].Retention+tiers[1].Interval*bucketsPerChunk)/time.Second); r++ {
+		s.Append(r*sec, mixValue(0, uint64(r)))
+	}
+	return s
+}
+
+// BenchmarkTierClose closes one bucket of a full 10s tier per op: the
+// evict check, the encode of the closed bucket into the open chunk, and a
+// seal with its copy every 64th op.
+func BenchmarkTierClose(b *testing.B) {
+	tr := fullTierSeries().tiers[0]
+	ts := tr.cur.Start
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts += tr.interval
+		tr.observe(ts, mixValue(0, uint64(i)))
+	}
+}
+
+// BenchmarkTierQuery answers an average from a full series' tiers: the last
+// five minutes at 10 s, and the 60s tier's whole retention.
+func BenchmarkTierQuery(b *testing.B) {
+	s := fullTierSeries()
+	for _, q := range []struct {
+		name string
+		q    Query
+	}{
+		{"last5m@10s", Query{Agg: AggAvg, Last: 5 * time.Minute, Res: 10 * time.Second}},
+		{"all@60s", Query{Agg: AggAvg, Last: 6 * time.Hour, Res: time.Minute}},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Query(q.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
