@@ -32,6 +32,22 @@ import (
 
 const benchNodes = 8
 
+// fig3Filter is the paper's Figure 3 E-code filter: forward the load average
+// when it is high, disk usage and free memory when both are bad, and the
+// cache-miss rate when it rose since it was last sent.
+const fig3Filter = `
+{
+  int i = 0;
+  if(input[LOADAVG].value > 2){ output[i] = input[LOADAVG]; i = i + 1; }
+  if(input[DISKUSAGE].value > 10000 && input[FREEMEM].value < 50e6){
+    output[i] = input[DISKUSAGE]; i = i + 1;
+    output[i] = input[FREEMEM]; i = i + 1;
+  }
+  if(input[CACHE_MISS].value > input[CACHE_MISS].last_value_sent){
+    output[i] = input[CACHE_MISS]; i = i + 1;
+  }
+}`
+
 // newBenchCluster builds an 8-node cluster on a virtual clock with the
 // given monitoring variant and per-event padding.
 func newBenchCluster(b *testing.B, v figures.Variant, padding int) (*core.SimCluster, *clock.Virtual) {
@@ -367,19 +383,7 @@ func BenchmarkAblationParamsVsFilter(b *testing.B) {
 // tree-walking interpretation of the paper's Figure 3 filter — the value of
 // E-code's dynamic code generation.
 func BenchmarkAblationVMvsInterp(b *testing.B) {
-	src := `
-{
-  int i = 0;
-  if(input[LOADAVG].value > 2){ output[i] = input[LOADAVG]; i = i + 1; }
-  if(input[DISKUSAGE].value > 10000 && input[FREEMEM].value < 50e6){
-    output[i] = input[DISKUSAGE]; i = i + 1;
-    output[i] = input[FREEMEM]; i = i + 1;
-  }
-  if(input[CACHE_MISS].value > input[CACHE_MISS].last_value_sent){
-    output[i] = input[CACHE_MISS]; i = i + 1;
-  }
-}`
-	filter, err := ecode.Compile(src, dmon.FilterSpec())
+	filter, err := ecode.Compile(fig3Filter, dmon.FilterSpec())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -720,6 +724,122 @@ func BenchmarkLinpack(b *testing.B) {
 	b.ReportMetric(mflops, "Mflops")
 }
 
+// BenchmarkPollRound is the round a real node runs, the cost the paper's
+// Figures 4 and 6–8 measure: node A's core.Node.PollOnce — its d-mon
+// collects from a busy simulated host, thresholds, runs the Figure 3 filter,
+// builds and encodes the report, records it in its own history and publishes
+// it — until node B's d-mon handler has decoded the report into B's store
+// and B holds the load average A sampled. Two full core.Nodes over loopback
+// TCP, tracing off; "polled" drives B's PollChannels, "event" lets B's
+// connection reader run the handlers. `make allocgate` holds both at 0
+// allocs/op: what remains is a tsdb chunk seal per few hundred samples of a
+// series, ≈ 0.05 per round.
+func BenchmarkPollRound(b *testing.B) {
+	b.Run("polled", func(b *testing.B) { runPollRound(b, kecho.Polled) })
+	b.Run("event", func(b *testing.B) { runPollRound(b, kecho.EventDriven) })
+}
+
+// loadRecorder is a simulated host that remembers the last load average it
+// handed out, so a round can check B stored exactly what A sampled.
+type loadRecorder struct {
+	*simres.Host
+	last atomic.Uint64 // float bits
+}
+
+func (s *loadRecorder) Sample(id metrics.ID) float64 {
+	v := s.Host.Sample(id)
+	if id == metrics.LOADAVG {
+		s.last.Store(math.Float64bits(v))
+	}
+	return v
+}
+
+func runPollRound(b *testing.B, mode kecho.DispatchMode) {
+	reg, err := registry.NewServer("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { reg.Close() })
+	clk := clock.NewReal()
+	start := func(name string, src dmon.Source) *core.Node {
+		cfg := core.Defaults()
+		cfg.Name = name
+		cfg.RegistryAddr = reg.Addr()
+		cfg.Source = src
+		cfg.Channel.Dispatch = mode
+		cfg.Channel.DisableReconnect = true
+		cfg.TraceSample = 0
+		n, err := core.NewNode(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { n.Close() })
+		return n
+	}
+	// Every clause of the Figure 3 filter fires on A's host.
+	host := simres.NewHost("alan", clk, 20030623)
+	host.SetBaseLoad(4)
+	host.SetDiskActivity(20000)
+	host.SetMemExtra(380 << 20)
+	src := &loadRecorder{Host: host}
+	nodeB := start("maui", simres.NewHost("maui", clk, 20030624))
+	nodeA := start("alan", src)
+	d := nodeA.DMon()
+	if err := d.DeployFilter(0, true, fig3Filter); err != nil {
+		b.Fatal(err)
+	}
+	// Every resource is due on every poll.
+	for r := metrics.Resource(0); r < metrics.NumResources; r++ {
+		if err := d.SetPeriod(r, time.Nanosecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, n := range []*core.Node{nodeA, nodeB} {
+		if !n.MonitoringChannel().WaitForPeers(1, 5*time.Second) {
+			b.Fatal("monitoring channel did not connect")
+		}
+	}
+	// Subscribed after d-mon's own handler, so it runs once the report is in
+	// B's store.
+	var got atomic.Int64
+	sig := make(chan struct{}, 1)
+	nodeB.MonitoringChannel().Subscribe(func(kecho.Event) {
+		got.Add(1)
+		if mode == kecho.EventDriven {
+			sig <- struct{}{} // cap 1 never blocks: one report in flight per round
+		}
+	})
+	store := nodeB.DMon().Store()
+	var target int64
+	round := func() {
+		if _, published, err := nodeA.PollOnce(); err != nil || !published {
+			b.Fatalf("A's poll published %v, err %v", published, err)
+		}
+		target++
+		if mode == kecho.EventDriven {
+			<-sig
+		} else {
+			for got.Load() < target {
+				if nodeB.DMon().PollChannels() == 0 {
+					time.Sleep(10 * time.Microsecond)
+				}
+			}
+		}
+		if v, ok := store.Value("alan", metrics.LOADAVG); !ok || math.Float64bits(v) != src.last.Load() {
+			b.Fatalf("B holds loadavg %g (present %v), not A's sample", v, ok)
+		}
+	}
+	// Warm-up, as for the hot path: pools, scratch and both stores' series
+	// reach steady state untimed.
+	for i := 0; i < 512; i++ {
+		round()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
 // BenchmarkHotPath measures the complete steady-state event hot path of one
 // monitoring round, end to end: run the paper's Figure 3 E-code filter on a
 // sample (pooled VM, cached compilation), publish the resulting event to a
@@ -752,19 +872,7 @@ func BenchmarkHotPathObs(b *testing.B) {
 }
 
 func runHotPath(b *testing.B, mode kecho.DispatchMode, pubObs, subObs *obs.Observer) {
-	src := `
-{
-  int i = 0;
-  if(input[LOADAVG].value > 2){ output[i] = input[LOADAVG]; i = i + 1; }
-  if(input[DISKUSAGE].value > 10000 && input[FREEMEM].value < 50e6){
-    output[i] = input[DISKUSAGE]; i = i + 1;
-    output[i] = input[FREEMEM]; i = i + 1;
-  }
-  if(input[CACHE_MISS].value > input[CACHE_MISS].last_value_sent){
-    output[i] = input[CACHE_MISS]; i = i + 1;
-  }
-}`
-	filter, err := ecode.CompileCached(src, dmon.FilterSpec())
+	filter, err := ecode.CompileCached(fig3Filter, dmon.FilterSpec())
 	if err != nil {
 		b.Fatal(err)
 	}

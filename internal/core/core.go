@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dproc/internal/clock"
@@ -119,6 +120,8 @@ type Node struct {
 	mu      sync.Mutex
 	tracked map[string]bool // remote nodes with VFS entries
 	closed  bool
+	// listedGen is the store generation Refresh last listed nodes at.
+	listedGen atomic.Uint64
 
 	stopPoll chan struct{}
 	pollDone chan struct{}
@@ -436,11 +439,21 @@ func (q *queryFile) set(s string) {
 	q.mu.Unlock()
 }
 
-// Refresh materializes VFS entries for any newly seen remote nodes.
+// Refresh materializes VFS entries for any newly seen remote nodes. It
+// lists the store's nodes only when the set has changed since the last
+// listing, so a poll with the same reporters costs one atomic load.
 func (n *Node) Refresh() {
-	for _, remote := range n.d.Store().Nodes() {
+	store := n.d.Store()
+	gen := store.Generation()
+	if gen == n.listedGen.Load() {
+		return
+	}
+	for _, remote := range store.Nodes() {
 		n.trackRemote(remote)
 	}
+	// A node added after gen was read is in the listing or moves the
+	// generation again; either way no node is missed.
+	n.listedGen.Store(gen)
 }
 
 // PollOnce runs one complete node iteration: drain incoming channel events,

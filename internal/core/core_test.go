@@ -447,6 +447,45 @@ func feedRemote(t *testing.T, n *Node, remote string, count int) {
 	n.Refresh()
 }
 
+// TestRefreshListsNodesOnlyWhenTheSetChanges: Refresh lists the store's
+// nodes only after the store's generation moves. A node first seen after
+// many unchanged polls, and a node forgotten and heard from again, both get
+// their cluster/<node>/ entries on the next Refresh; with the node set
+// unchanged, Refresh does not list (Store.Nodes allocates, Refresh must not).
+func TestRefreshListsNodesOnlyWhenTheSetChanges(t *testing.T) {
+	clk := clock.NewVirtual(clock.Epoch)
+	n, err := NewNode(Config{Name: "alan", Clock: clk, Source: simres.NewHost("alan", clk, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for i := 0; i < 50; i++ {
+		clk.Advance(time.Second)
+		if _, published, err := n.PollOnce(); err != nil || !published {
+			t.Fatalf("poll %d: published %v, err %v", i, published, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, n.Refresh); allocs != 0 {
+		t.Fatalf("Refresh with an unchanged node set allocated %.0f times: it listed the nodes", allocs)
+	}
+	if _, err := n.FS().ReadFile("cluster/maui/loadavg"); err == nil {
+		t.Fatal("cluster/maui exists before maui reported")
+	}
+	feedRemote(t, n, "maui", 1)
+	if got, err := n.FS().ReadFile("cluster/maui/loadavg"); err != nil || got != "1.00\n" {
+		t.Fatalf("new node's loadavg = %q, %v", got, err)
+	}
+	n.DMon().Store().Forget("maui")
+	n.Refresh()
+	feedRemote(t, n, "maui", 2)
+	if got, err := n.FS().ReadFile("cluster/maui/loadavg"); err != nil || got != "2.00\n" {
+		t.Fatalf("re-reporting node's loadavg = %q, %v", got, err)
+	}
+	if allocs := testing.AllocsPerRun(100, n.Refresh); allocs != 0 {
+		t.Fatalf("Refresh after catching up allocated %.0f times", allocs)
+	}
+}
+
 // TestStatsCarryHistoryFootprint: every node's stats report what its
 // history store holds — series, raw chunk bytes, tier bytes — durable or
 // not; only a durable store adds the persistence counters.

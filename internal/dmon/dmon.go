@@ -38,9 +38,21 @@ type DMon struct {
 	padding  int
 	seq      uint64
 
-	vms   *ecode.VMPool
-	env   *ecode.Env
 	store *Store
+
+	// poll serialises the paths that use the scratch below — PollOnce from
+	// collect to publish, and FilterSamples — so no two of them ever share
+	// the E-code environment or a buffer. It is taken before mu, never
+	// after.
+	poll       sync.Mutex
+	vm         *ecode.VM
+	env        *ecode.Env
+	collected  []metrics.Sample // CollectDue output of the current poll
+	candidates []metrics.Sample // samples that passed the thresholds
+	filtered   []metrics.Sample // filter output
+	report     metrics.Report   // what PollOnce returns, valid until the next PollOnce
+	padBuf     []byte           // zeroes; report.Padding is a prefix of it
+	enc        []byte           // report's encoding, copied by Publish
 
 	monCh *kecho.Channel
 	ctlCh *kecho.Channel
@@ -85,7 +97,6 @@ func OpenWith(node string, clk clock.Clock, src Source, opts StoreOptions) (*DMo
 	d := &DMon{
 		node:  node,
 		clk:   clk,
-		vms:   ecode.NewVMPool(),
 		store: store,
 	}
 	for r := range d.config {
@@ -96,6 +107,7 @@ func OpenWith(node string, clk clock.Clock, src Source, opts StoreOptions) (*DMo
 			d.Register(m)
 		}
 	}
+	d.vm = ecode.NewVM()
 	d.env = ecode.NewEnv(FilterSpec(), int(metrics.NumIDs))
 	d.env.Input = make([]ecode.Record, metrics.NumIDs)
 	return d, nil
@@ -142,7 +154,10 @@ func (d *DMon) FilterErrors() uint64 {
 func (d *DMon) Register(m *Module) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.modules = append(d.modules, m)
+	// Copy-on-write: a poll reads the slice header under mu and walks the
+	// modules outside it, so an append must never write into an array a
+	// poll may be reading.
+	d.modules = append(d.modules[:len(d.modules):len(d.modules)], m)
 }
 
 // Modules returns the registered module names, in registration order.
@@ -377,59 +392,73 @@ func (d *DMon) ApplyControlText(text string) error {
 
 // CollectDue runs every module whose resource period has elapsed and
 // returns the collected samples annotated with last-sent values. It also
-// refreshes the lastSeen cache for all collected metrics.
+// refreshes the lastSeen cache for all collected metrics. The slice is the
+// caller's.
 func (d *DMon) CollectDue(now time.Time) []metrics.Sample {
+	return d.collectDue(now, nil)
+}
+
+// The due set is a bitmask with one bit per resource.
+var _ [32 - metrics.NumResources]struct{}
+
+// collectDue is CollectDue appending to dst.
+func (d *DMon) collectDue(now time.Time, dst []metrics.Sample) []metrics.Sample {
 	d.mu.Lock()
-	due := make([]bool, metrics.NumResources)
-	anyDue := false
+	var due uint32
 	for r := range d.config {
 		if !now.Before(d.nextDue[r]) {
-			due[r] = true
-			anyDue = true
+			due |= 1 << r
 			d.nextDue[r] = now.Add(d.config[r].Period)
 		}
 	}
-	mods := make([]*Module, len(d.modules))
-	copy(mods, d.modules)
+	mods := d.modules // Register never writes into this array
 	d.mu.Unlock()
-	if !anyDue {
-		return nil
+	if due == 0 {
+		return dst
 	}
-	var samples []metrics.Sample
+	start := len(dst)
 	for _, m := range mods {
-		if m.Resource >= 0 && m.Resource < metrics.NumResources && !due[m.Resource] {
+		if m.Resource >= 0 && m.Resource < metrics.NumResources && due&(1<<m.Resource) == 0 {
 			continue
 		}
-		samples = append(samples, m.Collect(now)...)
+		dst = m.Collect(now, dst)
 	}
 	d.mu.Lock()
-	for i := range samples {
-		id := samples[i].ID
+	for i := start; i < len(dst); i++ {
+		id := dst[i].ID
 		if id.Valid() {
-			samples[i].LastSent = d.lastSent[id]
-			d.lastSeen[id] = samples[i].Value
+			dst[i].LastSent = d.lastSent[id]
+			d.lastSeen[id] = dst[i].Value
 		}
 	}
 	d.mu.Unlock()
-	return samples
+	return dst
 }
 
 // FilterSamples applies thresholds and any deployed filters to the
 // collected samples, returning the samples to send. It updates last-sent
-// bookkeeping for survivors.
+// bookkeeping for survivors. The returned slice is the caller's.
 func (d *DMon) FilterSamples(now time.Time, samples []metrics.Sample) []metrics.Sample {
-	return d.filterSamples(now, samples, 0)
+	d.poll.Lock()
+	defer d.poll.Unlock()
+	out := d.filterSamples(now, samples, 0)
+	if len(out) == 0 {
+		return nil
+	}
+	return append([]metrics.Sample(nil), out...)
 }
 
 // filterSamples is FilterSamples carrying the report's trace ID (0 when
-// unsampled) so filter-execution spans attribute to the right trace.
+// unsampled) so filter-execution spans attribute to the right trace. The
+// result is d-mon scratch — d.candidates or d.filtered — valid until the
+// next call; the caller holds d.poll.
 func (d *DMon) filterSamples(now time.Time, samples []metrics.Sample, tid uint64) []metrics.Sample {
 	if len(samples) == 0 {
 		return nil
 	}
 	d.mu.Lock()
 	// Threshold pass.
-	candidates := samples[:0:0]
+	candidates := d.candidates[:0]
 	for _, s := range samples {
 		if !s.ID.Valid() {
 			continue
@@ -448,6 +477,7 @@ func (d *DMon) filterSamples(now time.Time, samples []metrics.Sample, tid uint64
 			candidates = append(candidates, s)
 		}
 	}
+	d.candidates = candidates
 	global := d.global
 	perRes := d.filters
 	d.mu.Unlock()
@@ -478,12 +508,12 @@ func (d *DMon) filterSamples(now time.Time, samples []metrics.Sample, tid uint64
 // filter sees the full metric array (input[LOADAVG] etc., with current
 // values for everything observed so far) and its output determines what is
 // sent. Samples belonging to resources without any filter pass through
-// untouched.
+// untouched. The result is candidates itself when a global filter fails,
+// d.filtered otherwise; the caller holds d.poll, which owns d.env.
 func (d *DMon) runFilters(now time.Time, candidates []metrics.Sample, global *ecode.Filter, perRes [metrics.NumResources]*ecode.Filter, tid uint64) []metrics.Sample {
+	env := d.env
 	d.mu.Lock()
 	o := d.obs
-	env := d.env
-	env.Reset()
 	for id := metrics.ID(0); id < metrics.NumIDs; id++ {
 		env.Input[id] = ecode.Record{
 			Value:     d.lastSeen[id],
@@ -492,6 +522,7 @@ func (d *DMon) runFilters(now time.Time, candidates []metrics.Sample, global *ec
 			Timestamp: float64(now.UnixNano()) / 1e9,
 		}
 	}
+	d.mu.Unlock()
 	// Candidates carry this poll's fresh values.
 	for _, s := range candidates {
 		env.Input[s.ID] = ecode.Record{
@@ -501,20 +532,10 @@ func (d *DMon) runFilters(now time.Time, candidates []metrics.Sample, global *ec
 			Timestamp: float64(s.Time.UnixNano()) / 1e9,
 		}
 	}
-	d.mu.Unlock()
-	vm := d.vms.Get()
-	defer d.vms.Put(vm)
-
-	inCandidates := func(id metrics.ID) (metrics.Sample, bool) {
-		for _, s := range candidates {
-			if s.ID == id {
-				return s, true
-			}
-		}
-		return metrics.Sample{}, false
-	}
-
-	runOne := func(f *ecode.Filter, scope func(metrics.ID) bool) ([]metrics.Sample, bool) {
+	vm := d.vm
+	// runOne runs f and appends its output records whose metric belongs to
+	// scope (every resource when scope is NumResources) to out.
+	runOne := func(f *ecode.Filter, scope metrics.Resource, out []metrics.Sample) ([]metrics.Sample, bool) {
 		env.Reset()
 		var err error
 		if o != nil {
@@ -528,18 +549,20 @@ func (d *DMon) runFilters(now time.Time, candidates []metrics.Sample, global *ec
 			d.mu.Lock()
 			d.filterErrors++
 			d.mu.Unlock()
-			return nil, false
+			return out, false
 		}
-		var out []metrics.Sample
 		for i := 0; i < env.OutCount(); i++ {
 			rec := env.Output[i]
 			id := metrics.ID(rec.ID)
-			if !id.Valid() || !scope(id) {
+			if !id.Valid() || (scope != metrics.NumResources && id.Resource() != scope) {
 				continue
 			}
 			s := metrics.Sample{ID: id, Value: rec.Value, LastSent: rec.LastSent, Time: now}
-			if orig, ok := inCandidates(id); ok {
-				s.Time = orig.Time
+			for _, c := range candidates {
+				if c.ID == id {
+					s.Time = c.Time
+					break
+				}
 			}
 			out = append(out, s)
 		}
@@ -547,15 +570,15 @@ func (d *DMon) runFilters(now time.Time, candidates []metrics.Sample, global *ec
 	}
 
 	if global != nil {
-		out, ok := runOne(global, func(metrics.ID) bool { return true })
-		if !ok {
+		var ok bool
+		if d.filtered, ok = runOne(global, metrics.NumResources, d.filtered[:0]); !ok {
 			return candidates // fall back to unfiltered on filter failure
 		}
-		return out
+		return d.filtered
 	}
+	out := d.filtered[:0]
 	// Per-resource filters: filtered resources are replaced by their filter
 	// output; unfiltered resources pass through.
-	var out []metrics.Sample
 	for _, s := range candidates {
 		if perRes[s.ID.Resource()] == nil {
 			out = append(out, s)
@@ -566,44 +589,61 @@ func (d *DMon) runFilters(now time.Time, candidates []metrics.Sample, global *ec
 		if f == nil {
 			continue
 		}
-		res := r
-		filtered, ok := runOne(f, func(id metrics.ID) bool { return id.Resource() == res })
-		if !ok {
-			// Fall back to this resource's unfiltered candidates.
-			for _, s := range candidates {
-				if s.ID.Resource() == res {
-					out = append(out, s)
-				}
-			}
+		mark := len(out)
+		var ok bool
+		if out, ok = runOne(f, r, out); ok {
 			continue
 		}
-		out = append(out, filtered...)
+		// Fall back to this resource's unfiltered candidates.
+		out = out[:mark]
+		for _, s := range candidates {
+			if s.ID.Resource() == r {
+				out = append(out, s)
+			}
+		}
 	}
+	d.filtered = out
 	return out
 }
 
-// BuildReport wraps samples in a report ready for submission.
+// BuildReport wraps samples in a report ready for submission. The report is
+// the caller's; it holds samples, not a copy.
 func (d *DMon) BuildReport(now time.Time, samples []metrics.Sample) *metrics.Report {
-	d.mu.Lock()
-	d.seq++
-	seq := d.seq
-	pad := d.padding
-	d.mu.Unlock()
-	r := &metrics.Report{Node: d.node, Seq: seq, Time: now, Samples: samples}
-	if pad > 0 {
+	r := &metrics.Report{}
+	if pad := d.stamp(r, now, samples); pad > 0 {
 		r.Padding = make([]byte, pad)
 	}
 	return r
+}
+
+// stamp fills r's header and samples under the next sequence number and
+// returns the configured padding length; the padding itself is the
+// caller's to attach.
+func (d *DMon) stamp(r *metrics.Report, now time.Time, samples []metrics.Sample) (pad int) {
+	d.mu.Lock()
+	d.seq++
+	r.Seq = d.seq
+	pad = d.padding
+	d.mu.Unlock()
+	r.Node, r.Time, r.Samples, r.Padding = d.node, now, samples, nil
+	return pad
 }
 
 // PollOnce performs one complete d-mon polling iteration: collect due
 // samples, apply parameters and filters, and submit the surviving report to
 // the monitoring channel. It returns the report (nil if nothing was due or
 // everything was filtered) and the number of peers it was sent to.
+//
+// The report, its samples and its padding are d-mon's scratch: they are
+// valid until the next PollOnce and must be copied to be kept. In steady
+// state a poll allocates nothing — every stage writes into buffers the
+// d-mon owns, under the poll mutex.
 func (d *DMon) PollOnce() (*metrics.Report, int, error) {
+	d.poll.Lock()
+	defer d.poll.Unlock()
 	now := d.clk.Now()
-	samples := d.CollectDue(now)
-	if len(samples) == 0 {
+	d.collected = d.collectDue(now, d.collected[:0])
+	if len(d.collected) == 0 {
 		return nil, 0, nil
 	}
 	// The trace decision is made here, when the report is born, so the
@@ -613,11 +653,17 @@ func (d *DMon) PollOnce() (*metrics.Report, int, error) {
 	o := d.obs
 	d.mu.Unlock()
 	tid := o.SampleTrace()
-	send := d.filterSamples(now, samples, tid)
+	send := d.filterSamples(now, d.collected, tid)
 	if len(send) == 0 {
 		return nil, 0, nil
 	}
-	report := d.BuildReport(now, send)
+	report := &d.report
+	if pad := d.stamp(report, now, send); pad > 0 {
+		if len(d.padBuf) < pad {
+			d.padBuf = make([]byte, pad)
+		}
+		report.Padding = d.padBuf[:pad]
+	}
 	// The node's own report lands in its own store before submission: the
 	// channels deliver only to peers, and cluster-wide history queries need
 	// every node to answer for its own series — self history cannot live
@@ -629,7 +675,10 @@ func (d *DMon) PollOnce() (*metrics.Report, int, error) {
 	if mon == nil {
 		return report, 0, nil
 	}
-	n, err := mon.Publish(report.Encode(), kecho.PublishOpts{TraceID: tid, Traced: true})
+	// Publish copies the payload into its own pooled record, so the
+	// encoding buffer is free again when it returns.
+	d.enc = report.AppendEncode(d.enc[:0])
+	n, err := mon.Publish(d.enc, kecho.PublishOpts{TraceID: tid, Traced: true})
 	return report, n, err
 }
 
@@ -645,11 +694,12 @@ func (d *DMon) Attach(mon, ctl *kecho.Channel) {
 	d.mu.Unlock()
 	if mon != nil {
 		mon.Subscribe(func(ev kecho.Event) {
-			report, err := metrics.DecodeReport(ev.Payload)
-			if err != nil {
-				return
+			r := received.Get().(*metrics.Report)
+			if metrics.DecodeReportInto(r, ev.Payload) == nil {
+				d.store.Update(r)
 			}
-			d.store.Update(report)
+			r.Padding = nil // a view of the loaned payload
+			received.Put(r)
 		})
 	}
 	if ctl != nil {
@@ -665,6 +715,12 @@ func (d *DMon) Attach(mon, ctl *kecho.Channel) {
 		})
 	}
 }
+
+// received recycles the reports monitoring events are decoded into. The
+// store copies what it keeps, so a report is free again once Update
+// returns. A sync.Pool, not one report per d-mon: in EventDriven mode each
+// peer connection's reader runs the handler, so handlers run concurrently.
+var received = sync.Pool{New: func() any { return new(metrics.Report) }}
 
 // PollChannels drains both channels' inboxes, dispatching handlers. Returns
 // the number of events handled. This is the receive half of d-mon's

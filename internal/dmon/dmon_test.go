@@ -1,7 +1,10 @@
 package dmon
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -541,8 +544,8 @@ func TestDynamicModuleRegistration(t *testing.T) {
 	n.d.Register(&Module{
 		Name:     "BATTERY_MON",
 		Resource: metrics.PMC, // piggybacks on an existing resource class
-		Collect: func(now time.Time) []metrics.Sample {
-			return []metrics.Sample{{ID: metrics.CYCLES, Value: battery, Time: now}}
+		Collect: func(now time.Time, dst []metrics.Sample) []metrics.Sample {
+			return append(dst, metrics.Sample{ID: metrics.CYCLES, Value: battery, Time: now})
 		},
 	})
 	if len(n.d.Modules()) != 6 {
@@ -557,5 +560,104 @@ func TestDynamicModuleRegistration(t *testing.T) {
 	}
 	if count != 2 { // one from PMC, one from BATTERY_MON
 		t.Fatalf("CYCLES sampled %d times, want 2", count)
+	}
+}
+
+// TestConcurrentPollsDoNotRace: PollOnce and FilterSamples share the E-code
+// environment and d-mon's scratch; concurrent callers must take turns, not
+// reset and fill each other's filter inputs and outputs mid-run.
+func TestConcurrentPollsDoNotRace(t *testing.T) {
+	clk := clock.NewReal()
+	host := simres.NewHost("alan", clk, 1)
+	host.SetNoise(0)
+	host.AddTask(3)
+	d := New("alan", clk, host)
+	if err := d.DeployFilter(0, true, "output[0] = input[LOADAVG]; output[1] = input[FREEMEM];"); err != nil {
+		t.Fatal(err)
+	}
+	for r := metrics.Resource(0); r < metrics.NumResources; r++ {
+		if err := d.SetPeriod(r, time.Nanosecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const polls = 2000
+	var published atomic.Int64
+	errs := make(chan string, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < polls; i++ {
+				// The report is only valid until the next PollOnce, which
+				// the other goroutine may be running: count it, no more. A
+				// poll can also find nothing due when the other goroutine
+				// collected at the same instant.
+				report, _, err := d.PollOnce()
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if report != nil {
+					published.Add(1)
+				}
+				now := clk.Now()
+				samples := d.CollectDue(now)
+				if len(samples) == 0 {
+					continue
+				}
+				sent := d.FilterSamples(now, samples)
+				if len(sent) != 2 || sent[0].ID != metrics.LOADAVG || sent[1].ID != metrics.FREEMEM {
+					errs <- fmt.Sprintf("FilterSamples returned %d samples, not the filter's [loadavg freemem]", len(sent))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if published.Load() == 0 {
+		t.Fatal("no poll published")
+	}
+	if n := d.FilterErrors(); n != 0 {
+		t.Fatalf("%d filter runs failed", n)
+	}
+}
+
+// TestPollOnceAllocatesNothing: in steady state a whole poll — collect,
+// thresholds, filter, report, own-store update — writes only into buffers
+// the d-mon and its store already own. What remains is a tsdb chunk seal
+// every few hundred samples per series, well under one per poll.
+func TestPollOnceAllocatesNothing(t *testing.T) {
+	n := newSimNode(t, "alan")
+	n.host.AddTask(3)
+	if err := n.d.DeployFilter(0, true, `
+{
+  int i = 0;
+  if(input[LOADAVG].value > 2){ output[i] = input[LOADAVG]; i = i + 1; }
+  if(input[CACHE_MISS].value > input[CACHE_MISS].last_value_sent){ output[i] = input[CACHE_MISS]; i = i + 1; }
+  output[i] = input[FREEMEM];
+}`); err != nil {
+		t.Fatal(err)
+	}
+	for r := metrics.Resource(0); r < metrics.NumResources; r++ {
+		if err := n.d.SetPeriod(r, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll := func() {
+		n.clk.Advance(time.Millisecond)
+		if report, _, err := n.d.PollOnce(); err != nil || report == nil {
+			t.Fatalf("poll published nothing (err %v)", err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		poll()
+	}
+	if allocs := testing.AllocsPerRun(10000, poll); allocs != 0 {
+		t.Fatalf("PollOnce allocated %.0f times per poll in steady state", allocs)
 	}
 }

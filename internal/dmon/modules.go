@@ -14,8 +14,11 @@ type Source interface {
 
 // CollectFunc is the callback a monitoring module registers with d-mon (the
 // paper's register service call). d-mon invokes it at the module's period
-// to retrieve current samples.
-type CollectFunc func(now time.Time) []metrics.Sample
+// to retrieve current samples: it appends them to dst and returns the
+// extended slice, never keeping dst — d-mon reuses the array every poll. It
+// runs under d-mon's poll mutex, so it must not call back into PollOnce or
+// FilterSamples.
+type CollectFunc func(now time.Time, dst []metrics.Sample) []metrics.Sample
 
 // Module is one registered monitoring module.
 type Module struct {
@@ -34,12 +37,11 @@ func sourceModule(name string, resource metrics.Resource, src Source, ids []metr
 	return &Module{
 		Name:     name,
 		Resource: resource,
-		Collect: func(now time.Time) []metrics.Sample {
-			out := make([]metrics.Sample, 0, len(ids))
+		Collect: func(now time.Time, dst []metrics.Sample) []metrics.Sample {
 			for _, id := range ids {
-				out = append(out, metrics.Sample{ID: id, Value: src.Sample(id), Time: now})
+				dst = append(dst, metrics.Sample{ID: id, Value: src.Sample(id), Time: now})
 			}
-			return out
+			return dst
 		},
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dproc/internal/metrics"
@@ -73,6 +74,9 @@ type Store struct {
 	opts  StoreOptions
 	nodes map[string]*nodeState
 	db    *tsdb.DB
+	// gen counts changes to the set of reporting nodes: bumped, under mu,
+	// when Update creates a node and when Forget drops one.
+	gen atomic.Uint64
 }
 
 // nodeState is everything the store holds for one reporting node outside
@@ -176,6 +180,7 @@ func (s *Store) Update(r *metrics.Report) {
 	if !ok {
 		n = &nodeState{}
 		s.nodes[r.Node] = n
+		s.gen.Add(1)
 	}
 	for i := range r.Samples {
 		sample := &r.Samples[i]
@@ -254,6 +259,11 @@ func (s *Store) Value(node string, id metrics.ID) (float64, bool) {
 	return sample.Value, ok
 }
 
+// Generation changes whenever the set of nodes Nodes lists does: a caller
+// that remembers the generation it last listed at can skip listing again
+// until it moves.
+func (s *Store) Generation() uint64 { return s.gen.Load() }
+
 // Nodes lists the nodes that have reported, sorted.
 func (s *Store) Nodes() []string {
 	s.mu.RLock()
@@ -300,7 +310,10 @@ func (s *Store) LastReport(node string) (time.Time, uint64) {
 func (s *Store) Forget(node string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.nodes, node)
+	if _, ok := s.nodes[node]; ok {
+		delete(s.nodes, node)
+		s.gen.Add(1)
+	}
 	// Under s.mu, so that no Update can take a handle on a series between
 	// the two and be left holding a dropped one.
 	s.db.DropPrefix(node + "/")

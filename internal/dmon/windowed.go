@@ -134,11 +134,10 @@ func (w *WindowedCPU) Module() *Module {
 	return &Module{
 		Name:     "CPU_MON",
 		Resource: metrics.CPU,
-		Collect: func(now time.Time) []metrics.Sample {
-			return []metrics.Sample{
-				{ID: metrics.LOADAVG, Value: w.Average(), Time: now},
-				{ID: metrics.RUNQUEUE, Value: w.src.Sample(metrics.RUNQUEUE), Time: now},
-			}
+		Collect: func(now time.Time, dst []metrics.Sample) []metrics.Sample {
+			return append(dst,
+				metrics.Sample{ID: metrics.LOADAVG, Value: w.Average(), Time: now},
+				metrics.Sample{ID: metrics.RUNQUEUE, Value: w.src.Sample(metrics.RUNQUEUE), Time: now})
 		},
 	}
 }

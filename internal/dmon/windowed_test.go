@@ -77,7 +77,7 @@ func TestWindowedModuleReportsAverageAsLoadavg(t *testing.T) {
 	if m.Name != "CPU_MON" || m.Resource != metrics.CPU {
 		t.Fatalf("module = %+v", m)
 	}
-	samples := m.Collect(clk.Now())
+	samples := m.Collect(clk.Now(), nil)
 	if len(samples) != 2 {
 		t.Fatalf("samples = %v", samples)
 	}

@@ -121,7 +121,10 @@ func TestVMPoolRunIsAllocationFree(t *testing.T) {
 		}
 	}
 	run() // warm the pool and the VM scratch
-	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+	// Under the race detector sync.Pool drops a quarter of Puts at random,
+	// each costing a fresh VM; over 1000 runs those stay far below one
+	// allocation per run, where over 100 they crossed it about once in 50.
+	if avg := testing.AllocsPerRun(1000, run); avg != 0 {
 		t.Fatalf("pooled filter run allocates %.1f times per run, want 0", avg)
 	}
 }

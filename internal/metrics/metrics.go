@@ -5,7 +5,10 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -250,39 +253,71 @@ type Report struct {
 	Padding []byte
 }
 
-// Size returns the encoded size of the report in bytes.
-func (r *Report) Size() int { return len(r.Encode()) }
+// sampleWireSize is the encoded size of one Sample: a 2-byte ID, then
+// Value, LastSent and Time at 8 bytes each.
+const sampleWireSize = 2 + 8 + 8 + 8
 
-// Encode serializes the report with the wire codec.
-func (r *Report) Encode() []byte {
-	e := wire.NewEncoder(64 + 32*len(r.Samples) + len(r.Padding))
-	e.String(r.Node)
-	e.Uint64(r.Seq)
-	e.Time(r.Time)
-	e.Uint32(uint32(len(r.Samples)))
-	for _, s := range r.Samples {
-		e.Uint16(uint16(s.ID))
-		e.Float64(s.Value)
-		e.Float64(s.LastSent)
-		e.Time(s.Time)
-	}
-	e.BytesField(r.Padding)
-	return e.Bytes()
+// Size returns the encoded size of the report in bytes.
+func (r *Report) Size() int {
+	return 4 + len(r.Node) + 8 + 8 + 4 + sampleWireSize*len(r.Samples) + 4 + len(r.Padding)
 }
 
-// DecodeReport parses a report previously produced by Encode.
+// Encode serializes the report with the wire codec into a new buffer.
+func (r *Report) Encode() []byte {
+	return r.AppendEncode(make([]byte, 0, 64+32*len(r.Samples)+len(r.Padding)))
+}
+
+// AppendEncode appends the report's encoding (the bytes Encode returns) to
+// dst and returns the extended buffer, so a caller that keeps its own
+// scratch encodes without allocating.
+func (r *Report) AppendEncode(dst []byte) []byte {
+	dst = wire.AppendString(dst, r.Node)
+	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Time.UnixNano()))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Samples)))
+	for i := range r.Samples {
+		s := &r.Samples[i]
+		dst = binary.BigEndian.AppendUint16(dst, uint16(s.ID))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.Value))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.LastSent))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(s.Time.UnixNano()))
+	}
+	return wire.AppendBytesField(dst, r.Padding)
+}
+
+// DecodeReport parses a report previously produced by Encode into a new
+// Report that shares nothing with buf.
 func DecodeReport(buf []byte) (*Report, error) {
+	r := &Report{}
+	if err := DecodeReportInto(r, buf); err != nil {
+		return nil, err
+	}
+	r.Padding = bytes.Clone(r.Padding)
+	return r, nil
+}
+
+// DecodeReportInto parses a report into r, reusing what r already holds: the
+// Samples array when its capacity suffices, and the Node string when the
+// encoded name is unchanged. r.Padding aliases buf, so it is valid only as
+// long as buf is. A sample count the remaining bytes cannot hold is refused
+// before anything is sized by it. On error r's contents are unspecified.
+func DecodeReportInto(r *Report, buf []byte) error {
 	d := wire.NewDecoder(buf)
-	r := &Report{
-		Node: d.String(),
-		Seq:  d.Uint64(),
-		Time: d.Time(),
-	}
+	node := d.StringBytes()
+	r.Seq = d.Uint64()
+	r.Time = d.Time()
 	n := d.Uint32()
-	if int(n) > d.Remaining()/10 { // each sample is at least 26 bytes; 10 is a safe floor
-		return nil, fmt.Errorf("metrics: implausible sample count %d for %d remaining bytes", n, d.Remaining())
+	// Each sample takes sampleWireSize bytes and the padding's length 4 more.
+	if d.Err() == nil && uint64(n)*sampleWireSize+4 > uint64(d.Remaining()) {
+		return fmt.Errorf("metrics: implausible sample count %d for %d remaining bytes", n, d.Remaining())
 	}
-	r.Samples = make([]Sample, n)
+	if string(node) != r.Node {
+		r.Node = string(node)
+	}
+	if r.Samples == nil || cap(r.Samples) < int(n) {
+		r.Samples = make([]Sample, n) // never nil, even for no samples
+	}
+	r.Samples = r.Samples[:n]
 	for i := range r.Samples {
 		r.Samples[i] = Sample{
 			ID:       ID(d.Uint16()),
@@ -291,16 +326,16 @@ func DecodeReport(buf []byte) (*Report, error) {
 			Time:     d.Time(),
 		}
 	}
-	r.Padding = d.BytesField()
+	r.Padding = d.BytesFieldView()
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("metrics: decoding report: %w", err)
+		return fmt.Errorf("metrics: decoding report: %w", err)
 	}
-	for _, s := range r.Samples {
-		if !s.ID.Valid() {
-			return nil, fmt.Errorf("metrics: invalid metric id %d in report", int(s.ID))
+	for i := range r.Samples {
+		if id := r.Samples[i].ID; !id.Valid() {
+			return fmt.Errorf("metrics: invalid metric id %d in report", int(id))
 		}
 	}
-	return r, nil
+	return nil
 }
 
 // ByID returns the sample for id, if present.

@@ -1,10 +1,14 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestIDStringAndParseRoundTrip(t *testing.T) {
@@ -242,4 +246,126 @@ func TestQuickReportRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestAppendEncodeMatchesEncode(t *testing.T) {
+	for _, r := range []*Report{sampleReport(), {Node: "x"}, {Node: "pad", Padding: make([]byte, 5000)}} {
+		want := r.Encode()
+		prefix := []byte("prefix")
+		got := r.AppendEncode(prefix)
+		if !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("AppendEncode after a prefix differs from Encode for %+v", r)
+		}
+		if r.Size() != len(want) {
+			t.Fatalf("Size() = %d, len(Encode()) = %d", r.Size(), len(want))
+		}
+	}
+}
+
+// TestDecodeReportIntoReusesReport: decoding the same node's reports into one
+// Report keeps its name and sample array, so the receive path allocates
+// nothing per report; the padding is a view of the buffer.
+func TestDecodeReportIntoReusesReport(t *testing.T) {
+	raw := sampleReport().Encode()
+	var r Report
+	if err := DecodeReportInto(&r, raw); err != nil {
+		t.Fatal(err)
+	}
+	name, samples := unsafe.StringData(r.Node), &r.Samples[0]
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := DecodeReportInto(&r, raw); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DecodeReportInto allocated %.1f times per report", allocs)
+	}
+	if unsafe.StringData(r.Node) != name || &r.Samples[0] != samples {
+		t.Fatal("DecodeReportInto replaced the node name or the sample array")
+	}
+	if &r.Padding[0] != &raw[len(raw)-2] {
+		t.Fatal("DecodeReportInto's padding is not a view of the buffer")
+	}
+	// DecodeReport's result shares nothing with its buffer.
+	dec, err := DecodeReport(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] = 0
+	if dec.Padding[1] != 0xBB {
+		t.Fatal("DecodeReport's padding aliases the buffer")
+	}
+}
+
+// TestDecodeReportRejectsOversizedCountCheaply: a payload that declares more
+// samples than its bytes can hold is refused before the count sizes
+// anything — a 1 MiB payload must not cost more than 1 MiB to reject.
+func TestDecodeReportRejectsOversizedCountCheaply(t *testing.T) {
+	const countAt = 4 + 1 + 8 + 8 // after the name "x", the seq and the time
+	raw := make([]byte, 1<<20)
+	copy(raw, (&Report{Node: "x"}).Encode()[:countAt])
+	remaining := len(raw) - countAt - 4
+	// remaining/10 is what the old 10-bytes-per-sample floor let through.
+	for _, n := range []int{remaining / 10, (remaining-4)/sampleWireSize + 1} {
+		binary.BigEndian.PutUint32(raw[countAt:], uint32(n))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeReport(raw)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("count %d accepted for %d remaining bytes", n, remaining)
+		}
+		if spent := after.TotalAlloc - before.TotalAlloc; spent >= uint64(len(raw)) {
+			t.Fatalf("rejecting count %d allocated %d bytes for a %d-byte payload", n, spent, len(raw))
+		}
+	}
+	// The largest count the bytes can hold is not refused for its size.
+	n := (remaining - 4) / sampleWireSize
+	binary.BigEndian.PutUint32(raw[countAt:], uint32(n))
+	if _, err := DecodeReport(raw); err == nil || strings.Contains(err.Error(), "implausible") {
+		t.Fatalf("count %d: err = %v, want a decoding error past the count check", n, err)
+	}
+}
+
+// fuzzSeeds are real encodings: the codec's own reports and a d-mon-shaped
+// one with padding.
+func fuzzSeeds() [][]byte {
+	ts := time.Date(2003, 6, 23, 0, 0, 0, 0, time.UTC)
+	full := &Report{Node: "maui", Seq: 7, Time: ts, Padding: make([]byte, 64)}
+	for _, id := range AllIDs() {
+		full.Samples = append(full.Samples, Sample{ID: id, Value: float64(id) * 1.5, LastSent: 1, Time: ts})
+	}
+	return [][]byte{sampleReport().Encode(), (&Report{Node: "x"}).Encode(), full.Encode()}
+}
+
+// FuzzDecodeReport: on any bytes the decoder never panics; what it accepts
+// re-encodes through AppendEncode to exactly the input; and decoding into a
+// dirty, reused Report gives what decoding into a fresh one gives.
+func FuzzDecodeReport(f *testing.F) {
+	seeds := fuzzSeeds()
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		var fresh Report
+		errFresh := DecodeReportInto(&fresh, buf)
+		dirty, err := DecodeReport(seeds[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		errDirty := DecodeReportInto(dirty, buf)
+		if (errFresh == nil) != (errDirty == nil) {
+			t.Fatalf("fresh decode err = %v, reused decode err = %v", errFresh, errDirty)
+		}
+		if errFresh != nil {
+			return
+		}
+		// Equal encodings are equal reports, bit for bit: NaN values and
+		// all (which == and reflect.DeepEqual would call unequal).
+		if got := fresh.AppendEncode(nil); !bytes.Equal(got, buf) {
+			t.Fatalf("re-encoding differs:\n in  %x\n out %x", buf, got)
+		}
+		if got := dirty.AppendEncode(nil); !bytes.Equal(got, buf) {
+			t.Fatalf("reused decode %+v differs from fresh %+v", dirty, &fresh)
+		}
+	})
 }

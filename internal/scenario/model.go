@@ -91,7 +91,7 @@ func (m *modelBackend) setDown(i int, down bool) {
 func (m *modelBackend) publish(i int, sizes []int) bool {
 	report, _, _ := m.nodes[i].dm.PollOnce()
 	if report != nil {
-		m.deliver(i, len(report.Encode()))
+		m.deliver(i, report.Size())
 	}
 	for _, size := range sizes {
 		m.deliver(i, size)
