@@ -78,7 +78,12 @@ sim-smoke:
 # zero-allocation steady state, and that nothing on the report path goes
 # back to allocating per report or per sample. A tsdb chunk seal every
 # few hundred samples of a series still allocates: ≈ 0.05 per round, which
-# Go's integer allocs/op reports as 0.
+# Go's integer allocs/op reports as 0. The same rounding hides a regression
+# on large records: a frame-sized buffer regrown once per batch of 5 KiB
+# records shows in B/op (thousands), not allocs/op (0), because the batch
+# spans many operations. The gate for the large-record write is therefore
+# the tier-1 AllocsPerRun test TestBatchWriterAllocatesNothing
+# (internal/wire), not this target.
 allocgate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkPollRound$$' -benchmem -benchtime 20000x . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . && \
@@ -93,9 +98,11 @@ allocgate:
 # (FuzzScanWALSegment, FuzzScanChunkFile: never panic, a tear only costs the
 # tail, what replays re-encodes to the bytes it was read from), of the
 # chunk decoder (FuzzChunkIter: never panic on any bytes, whose bounds the
-# word-at-a-time bit reader checks by hand) and of the monitoring report
+# word-at-a-time bit reader checks by hand), of the monitoring report
 # decoder (FuzzDecodeReport: never panic, what decodes re-encodes through
-# AppendEncode to the input, a reused Report decodes as a fresh one) a short
+# AppendEncode to the input, a reused Report decodes as a fresh one) and of
+# the kecho batch-frame decoder (FuzzDecodeBatch: never panic, what decodes
+# re-encodes byte for byte through AppendBatch and the BatchWriter) a short
 # budget on top of its seed corpus — enough for CI to catch a reader that
 # stopped tolerating garbage. go test takes one -fuzz target per run.
 FUZZTIME ?= 10s
@@ -104,3 +111,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanChunkFile$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkIter$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire/

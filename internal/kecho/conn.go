@@ -34,7 +34,7 @@ const (
 	frameHello uint8 = iota + 1
 	frameEvent
 	// frameBatch carries several coalesced event records in one frame
-	// (wire.EncodeBatch); receivers unpack it transparently, so batching is
+	// (wire.BatchWriter); receivers unpack it transparently, so batching is
 	// invisible above the transport.
 	frameBatch
 )
@@ -89,13 +89,33 @@ func (p *peer) close() {
 
 // send writes one frame to the peer, bounded by deadline (<= 0 disables).
 func (p *peer) send(typ uint8, payload []byte, deadline time.Duration) error {
+	p.beginWrite(deadline)
+	defer p.endWrite(deadline)
+	return wire.WriteFrame(p.conn, typ, payload)
+}
+
+// sendBatch writes records to the peer as one batch frame through the
+// writer's bw, bounded by deadline like send.
+func (p *peer) sendBatch(bw *wire.BatchWriter, records [][]byte, deadline time.Duration) error {
+	p.beginWrite(deadline)
+	defer p.endWrite(deadline)
+	return bw.WriteFrame(p.conn, frameBatch, records)
+}
+
+// beginWrite takes the peer's write lock and arms the write deadline
+// (<= 0 disables); endWrite, with the same deadline, disarms and unlocks.
+func (p *peer) beginWrite(deadline time.Duration) {
 	p.wmu.Lock()
-	defer p.wmu.Unlock()
 	if deadline > 0 {
 		_ = p.conn.SetWriteDeadline(time.Now().Add(deadline))
-		defer p.conn.SetWriteDeadline(time.Time{})
 	}
-	return wire.WriteFrame(p.conn, typ, payload)
+}
+
+func (p *peer) endWrite(deadline time.Duration) {
+	if deadline > 0 {
+		_ = p.conn.SetWriteDeadline(time.Time{})
+	}
+	p.wmu.Unlock()
 }
 
 // isTimeout reports whether err is a deadline expiry rather than a dead

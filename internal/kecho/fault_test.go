@@ -1,7 +1,10 @@
 package kecho
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,8 +91,12 @@ func TestMeshSelfHealsAfterConnKill(t *testing.T) {
 // TestSubmitWriteDeadlineUnblocksHealthyPeers proves the head-of-line fix:
 // Publish only enqueues, so a stalled peer costs the publisher nothing; the
 // stalled peer's writer pays the deadline off the Publish path and drops the
-// peer, while the healthy peer still receives the event.
+// peer, while the healthy peer still receives the event. A burst of 5 KiB
+// events behind it reaches the healthy peer in full, in batch frames copied
+// whole (faultnet is not a *net.TCPConn), and lands in QueueDrops, every
+// record of it, for the stalled one.
 func TestSubmitWriteDeadlineUnblocksHealthyPeers(t *testing.T) {
+	const burst = 40
 	f := faultnet.NewFabric(3)
 	reg := newRegistry(t)
 	opts := func() *Options {
@@ -119,12 +126,140 @@ func TestSubmitWriteDeadlineUnblocksHealthyPeers(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Fatalf("Publish blocked %v on the stalled peer", elapsed)
 	}
-	waitForEvents(t, c, &gotC, 1)
-	// The stalled peer's writer hits the deadline and drops the peer.
+	large := make([]byte, 5<<10)
+	for i := 0; i < burst; i++ {
+		if n, err := a.Publish(large, PublishOpts{}); err != nil || n != 2 {
+			t.Fatalf("Publish #%d = (%d, %v), want (2, nil)", i, n, err)
+		}
+	}
+	waitForEvents(t, c, &gotC, 1+burst)
+	// The stalled peer's writer hits the deadline and drops the peer, and
+	// everything accepted for it is counted as dropped.
 	deadline := time.Now().Add(2 * time.Second)
-	for a.Stats().DeadlineDrops < 1 {
+	for s := a.Stats(); s.DeadlineDrops < 1 || s.QueueDrops != 1+burst; s = a.Stats() {
 		if time.Now().After(deadline) {
-			t.Fatalf("DeadlineDrops = %d, want >= 1", a.Stats().DeadlineDrops)
+			t.Fatalf("DeadlineDrops = %d, QueueDrops = %d; want >= 1 and %d", s.DeadlineDrops, s.QueueDrops, 1+burst)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// smallSendBuffers is the plain TCP transport with the dialing side's send
+// buffer cut to 16 KiB, so a subscriber that stops reading fills the path
+// within a few 5 KiB records. Its connections stay *net.TCPConn: batch
+// frames to them are gathered writes.
+type smallSendBuffers struct{ tcpTransport }
+
+func (smallSendBuffers) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
+	conn, err := net.DialTimeout(network, address, timeout)
+	if err == nil {
+		err = conn.(*net.TCPConn).SetWriteBuffer(16 << 10)
+	}
+	return conn, err
+}
+
+// TestBatchDeadlineMidFrameCountsEveryRecord: a subscriber that stops
+// reading makes a gathered batch write of 5 KiB records block part-way
+// through its frame; the write deadline tears the peer down, and every
+// record accepted for it is in exactly one of the frames that reached the
+// socket whole or QueueDrops — the records of the frame cut short in
+// QueueDrops.
+func TestBatchDeadlineMidFrameCountsEveryRecord(t *testing.T) {
+	const early, burst = 8, 200
+	reg := newRegistry(t)
+	// The subscriber is a bare listener registered as a member: it accepts
+	// the publisher's dial and reads nothing until the peer is gone.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, _ := ln.Accept()
+		accepted <- conn
+	}()
+	rc := registry.NewClient(reg.Addr())
+	defer rc.Close()
+	if _, err := rc.Join("mon", "sink", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	a := join(t, reg, "mon", "alan", &Options{
+		WriteDeadline:    200 * time.Millisecond,
+		DisableReconnect: true,
+		Transport:        smallSendBuffers{},
+	})
+	sink := <-accepted
+	if sink == nil {
+		t.Fatal("sink accepted no connection")
+	}
+	defer sink.Close()
+	if !a.WaitForPeers(1, 2*time.Second) {
+		t.Fatal("publisher did not connect to the sink")
+	}
+
+	a.mu.Lock()
+	p := a.peers["sink"]
+	a.mu.Unlock()
+	large := make([]byte, 5<<10)
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			if got, err := a.Publish(large, PublishOpts{}); err != nil || got != 1 {
+				t.Fatalf("Publish = (%d, %v), want (1, nil)", got, err)
+			}
+		}
+	}
+	// First a few records the socket buffers take whole, then a burst they
+	// cannot. Holding the write lock while the burst is queued keeps the
+	// writer from trickling it out a record at a time: at most its first
+	// frame can be short, the next takes 64 records (330 KB) and blocks
+	// part-way through.
+	deadline := time.Now().Add(5 * time.Second)
+	publish(early)
+	for p.pending.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the first %d records still unwritten", p.pending.Load(), early)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.wmu.Lock()
+	publish(burst)
+	p.wmu.Unlock()
+	for a.Stats().DeadlineDrops < 1 || len(a.Peers()) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("DeadlineDrops = %d, peers %v; want the sink torn down by the deadline", a.Stats().DeadlineDrops, a.Peers())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The publisher closed the connection: what it wrote drains to EOF.
+	stream, err := io.ReadAll(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, off := uint64(0), 0
+	for off+wire.HeaderSize <= len(stream) {
+		n := int(binary.BigEndian.Uint32(stream[off+4:]))
+		if off+wire.HeaderSize+n > len(stream) {
+			break
+		}
+		switch payload := stream[off+wire.HeaderSize : off+wire.HeaderSize+n]; stream[off+3] {
+		case frameEvent:
+			written++
+		case frameBatch:
+			written += uint64(binary.BigEndian.Uint32(payload))
+		}
+		off += wire.HeaderSize + n
+	}
+	if tail := stream[off:]; len(tail) < wire.HeaderSize || tail[3] != frameBatch {
+		t.Fatalf("stream ends with %d bytes after its last whole frame; want part of a batch frame", len(tail))
+	}
+	if written < early || written >= early+burst {
+		t.Fatalf("%d records arrived in whole frames, want the first %d and less than the whole burst", written, early)
+	}
+	for s := a.Stats(); s.EventsSent != early+burst || s.QueueDrops != early+burst-written; s = a.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("EventsSent = %d, written whole = %d, QueueDrops = %d; books do not balance at %d", s.EventsSent, written, s.QueueDrops, early+burst)
 		}
 		time.Sleep(time.Millisecond)
 	}

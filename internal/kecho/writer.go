@@ -23,10 +23,12 @@ import (
 
 // writerScratch is one reactor writer's reusable encode state, persisting
 // across peers and wake-ups so steady-state coalescing allocates nothing.
+// bw gathers each batch frame from the records' own buffers, copying only
+// headers, length prefixes and short records (DESIGN §8).
 type writerScratch struct {
 	batch []*outRecord
 	views [][]byte
-	enc   []byte
+	bw    wire.BatchWriter
 }
 
 // schedule hands p to the writer pool if it is not already scheduled.
@@ -110,14 +112,10 @@ coalesce:
 		for _, rec := range batch {
 			ws.views = append(ws.views, rec.buf)
 		}
-		ws.enc = wire.AppendBatch(ws.enc[:0], ws.views)
-		if err = p.send(frameBatch, ws.enc, c.opts.WriteDeadline); err == nil {
+		if err = p.sendBatch(&ws.bw, ws.views, c.opts.WriteDeadline); err == nil {
 			c.batchesSent.Add(1)
 		}
-		if cap(ws.enc) > maxPooledRecord {
-			// Don't let one giant burst pin a frame-sized buffer forever.
-			ws.enc = nil
-		}
+		clear(ws.views) // the records are released below; don't pin their buffers
 	}
 	// done counts events resolved this round — written or deliberately
 	// dropped, their references released — so the error path can account for
