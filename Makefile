@@ -100,11 +100,13 @@ allocgate:
 # chunk decoder (FuzzChunkIter: never panic on any bytes, whose bounds the
 # word-at-a-time bit reader checks by hand), of the monitoring report
 # decoder (FuzzDecodeReport: never panic, what decodes re-encodes through
-# AppendEncode to the input, a reused Report decodes as a fresh one) and of
+# AppendEncode to the input, a reused Report decodes as a fresh one), of
 # the kecho batch-frame decoder (FuzzDecodeBatch: never panic, what decodes
-# re-encodes byte for byte through AppendBatch and the BatchWriter) a short
-# budget on top of its seed corpus — enough for CI to catch a reader that
-# stopped tolerating garbage. go test takes one -fuzz target per run.
+# re-encodes byte for byte through AppendBatch and the BatchWriter) and of
+# the cluster-query part parser (FuzzParsePart: never panic on what a
+# querypart peer sends, what parses comes back equal through Render) a
+# short budget on top of its seed corpus — enough for CI to catch a reader
+# that stopped tolerating garbage. go test takes one -fuzz target per run.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanWALSegment$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
@@ -112,3 +114,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkIter$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePart$$' -fuzztime $(FUZZTIME) ./internal/query/

@@ -1,6 +1,7 @@
 // Package adminproto implements the dprocd admin protocol: a line-oriented
 // TCP interface through which dprocctl (or any tool) reads and writes a
-// node's /proc/cluster pseudo-filesystem. One request per connection:
+// node's /proc/cluster pseudo-filesystem. One request per connection, with
+// one exception — querypart, below:
 //
 //	ls <path>\n              → OK\n<entry per line, dirs suffixed with "/">
 //	cat <path>\n             → OK\n<file contents>
@@ -20,6 +21,13 @@
 // the coordinator fans out, answering over an absolute pre-normalized
 // window only.
 //
+// querypart is the one verb a connection outlives: its OK reply ends with
+// a blank line, and the server then reads the next request on the same
+// connection, so a coordinator keeps its fan-out connections open across
+// queries. Every operator verb is answered once and the connection closed,
+// so scripts that read to EOF (dprocctl, nc) see no change; a client that
+// half-closes after a querypart gets EOF after its reply the same way.
+//
 // Every verb is an entry in one table (Verbs) carrying its name, argument
 // schema and handler; the server dispatch, its usage errors and dprocctl's
 // usage text all derive from that table, so adding a verb is one entry, not
@@ -33,6 +41,7 @@ package adminproto
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -103,6 +112,13 @@ type Server struct {
 
 	mu     sync.Mutex
 	closed bool
+	// clients holds one fan-out client per peer admin address, each with
+	// its kept querypart connections; entries go when the peer leaves the
+	// target set, all of them at Close.
+	clients map[string]*Client
+	// idle holds the kept querypart connections parked between requests,
+	// which Close shuts rather than waiting out their phase timeout.
+	idle map[net.Conn]struct{}
 }
 
 // NewServer starts an admin server for node on addr (e.g. "127.0.0.1:0")
@@ -127,7 +143,8 @@ func NewServerWith(node *core.Node, addr string, opts ServerOptions) (*Server, e
 	if err != nil {
 		return nil, fmt.Errorf("adminproto: listen: %w", err)
 	}
-	s := &Server{ln: ln, node: node, opts: opts}
+	s := &Server{ln: ln, node: node, opts: opts,
+		clients: map[string]*Client{}, idle: map[net.Conn]struct{}{}}
 	s.advertise()
 	node.SetClusterQuerier(s.QueryAll)
 	s.wg.Add(1)
@@ -138,7 +155,9 @@ func NewServerWith(node *core.Node, addr string, opts ServerOptions) (*Server, e
 // Addr returns the address clients should dial.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and waits for in-flight requests.
+// Close stops the server and waits for in-flight requests. Kept querypart
+// connections waiting for their next request are closed, not waited for,
+// and so are this node's own kept fan-out connections.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -146,7 +165,15 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	for conn := range s.idle {
+		_ = conn.Close()
+	}
+	clients := s.clients
+	s.clients = nil
 	s.mu.Unlock()
+	for _, c := range clients {
+		c.Close()
+	}
 	if s.hbStop != nil {
 		close(s.hbStop)
 	}
@@ -193,6 +220,9 @@ type Verb struct {
 	Body bool
 
 	run func(s *Server, args []string, body *bufio.Reader, reply func(string))
+	// keep leaves the connection open for another request once the reply
+	// is written; only querypart, whose OK reply ends with a blank line.
+	keep bool
 }
 
 // verbs is the protocol definition, in listing order.
@@ -212,7 +242,7 @@ var verbs = []Verb{
 		CLIArgs: "<agg> <metric> [from <t> to <t> | last <dur>] [@<res>]",
 		MinArgs: 2, Help: "scatter-gather a windowed aggregate across every registered node", run: runQueryAll},
 	{Name: "querypart", Args: "<agg> <metric> from <t> to <t>",
-		MinArgs: 2, Help: "answer this node's share of a cluster query (internal)", run: runQueryPart},
+		MinArgs: 2, Help: "answer this node's share of a cluster query (internal)", run: runQueryPart, keep: true},
 }
 
 // Verbs returns the protocol's verb table in listing order.
@@ -255,10 +285,10 @@ func (p phasedReader) Read(b []byte) (int, error) {
 	return p.conn.Read(b)
 }
 
-// readerPool recycles the 4 KiB buffered readers of admin connections: a
-// connection carries one request, so without it every request allocates
-// one on each side. A reader goes back with its source reset to nil once
-// the request is done — handlers read the body synchronously, so nothing
+// readerPool recycles the 4 KiB buffered readers of admin connections: most
+// connections carry one request, so without it every request allocates one
+// on each side. A reader goes back with its source reset to nil once the
+// connection is done — handlers read the body synchronously, so nothing
 // holds it past that.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
@@ -278,14 +308,6 @@ func (s *Server) serve(conn net.Conn) {
 	phase := func() time.Time { return time.Now().Add(timeout) }
 	r := getReader(phasedReader{conn: conn, phase: phase})
 	defer putReader(r)
-	line, err := r.ReadString('\n')
-	// A complete line (newline- or EOF-terminated) is a request; a read
-	// error with a partial line is a stalled or dead client — drop it
-	// rather than interpreting half a command.
-	if err != nil && (line == "" || !errors.Is(err, io.EOF)) {
-		return
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
 	// Each write gets a fresh deadline too: a long-running handler (flush
 	// against a slow disk, a cluster fan-out) may exhaust an earlier
 	// deadline purely computing, which must not poison the response writes.
@@ -293,21 +315,57 @@ func (s *Server) serve(conn net.Conn) {
 		_ = conn.SetWriteDeadline(phase())
 		_, _ = io.WriteString(conn, str)
 	}
+	for s.serveOne(r, reply) && s.awaitRequest(conn, r) {
+	}
+}
+
+// serveOne reads and answers one request, reporting whether the connection
+// stays open for another: only after a keep verb whose request line ended
+// in a newline (one that ended at EOF had its writer half-close).
+func (s *Server) serveOne(r *bufio.Reader, reply func(string)) bool {
+	line, err := r.ReadString('\n')
+	// A complete line (newline- or EOF-terminated) is a request; a read
+	// error with a partial line is a stalled or dead client — drop it
+	// rather than interpreting half a command.
+	if err != nil && (line == "" || !errors.Is(err, io.EOF)) {
+		return false
+	}
+	fields := strings.Fields(strings.TrimSpace(line))
 	if len(fields) == 0 {
 		reply("ERR empty command\n")
-		return
+		return false
 	}
 	v, ok := LookupVerb(fields[0])
 	if !ok {
 		reply("ERR unknown command " + fields[0] + " (have " + verbNames() + ")\n")
-		return
+		return false
 	}
 	args := fields[1:]
 	if len(args) < v.MinArgs {
 		reply("ERR usage: " + v.Name + " " + v.Args + "\n")
-		return
+		return false
 	}
 	v.run(s, args, r, reply)
+	return v.keep && err == nil
+}
+
+// awaitRequest parks a kept connection until its next request starts to
+// arrive, reporting false on EOF, on the phase timeout, or when the server
+// closes — Close shuts parked connections, so a coordinator's idle one
+// cannot hold shutdown for a whole phase timeout.
+func (s *Server) awaitRequest(conn net.Conn, r *bufio.Reader) bool {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	s.idle[conn] = struct{}{}
+	s.mu.Unlock()
+	_, err := r.Peek(1)
+	s.mu.Lock()
+	delete(s.idle, conn)
+	s.mu.Unlock()
+	return err == nil
 }
 
 func runLs(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
@@ -418,12 +476,17 @@ func runQuery(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
 // timeout succeeds as long as no single gap exceeds it.
 const DefaultClientTimeout = 10 * time.Second
 
-// Client issues admin protocol requests.
+// Client issues admin protocol requests. It is safe for concurrent use once
+// configured: querypart calls share its kept connections.
 type Client struct {
 	addr      string
 	timeout   time.Duration // per-phase; DefaultClientTimeout when 0
 	deadline  time.Time     // optional absolute cap across all phases
 	transport Transport     // nil = plain TCP
+
+	mu     sync.Mutex
+	idle   []*partConn // kept querypart connections, most recent last
+	closed bool        // Close ran: connections close after their call
 }
 
 // NewClient returns a client for the admin server at addr.
@@ -440,25 +503,54 @@ func (c *Client) SetDeadline(t time.Time) { c.deadline = t }
 // SetTransport routes dials through tr (fault-injection fabrics).
 func (c *Client) SetTransport(tr Transport) { c.transport = tr }
 
+// Close closes the client's kept querypart connections; a call in flight
+// finishes and then closes its own. Operator verbs keep nothing, so a client
+// that issues only those needs no Close.
+func (c *Client) Close() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	for _, pc := range idle {
+		pc.close()
+	}
+}
+
+// budget is one request's time allowance: every I/O phase gets timeout,
+// and all of them end by deadline when it is set.
+type budget struct {
+	timeout  time.Duration
+	deadline time.Time
+}
+
 // phase returns the deadline for the next I/O phase: now+timeout, capped
 // by the absolute deadline when one is set.
-func (c *Client) phase() time.Time {
-	timeout := c.timeout
-	if timeout <= 0 {
-		timeout = DefaultClientTimeout
-	}
-	d := time.Now().Add(timeout)
-	if !c.deadline.IsZero() && c.deadline.Before(d) {
-		d = c.deadline
+func (b budget) phase() time.Time {
+	d := time.Now().Add(b.timeout)
+	if !b.deadline.IsZero() && b.deadline.Before(d) {
+		d = b.deadline
 	}
 	return d
 }
 
-// roundTrip performs one request; body may be nil.
-func (c *Client) roundTrip(header string, body []byte) (string, error) {
-	dialBudget := time.Until(c.phase())
+// budget returns the allowance for one request: the client's per-phase
+// timeout and absolute deadline, the latter capped by ctx's deadline.
+func (c *Client) budget(ctx context.Context) budget {
+	b := budget{timeout: c.timeout, deadline: c.deadline}
+	if b.timeout <= 0 {
+		b.timeout = DefaultClientTimeout
+	}
+	if d, ok := ctx.Deadline(); ok && (b.deadline.IsZero() || d.Before(b.deadline)) {
+		b.deadline = d
+	}
+	return b
+}
+
+// dial opens a connection to the server within b's next phase.
+func (c *Client) dial(b budget) (net.Conn, error) {
+	dialBudget := time.Until(b.phase())
 	if dialBudget <= 0 {
-		return "", fmt.Errorf("adminproto: dial %s: deadline exceeded", c.addr)
+		return nil, fmt.Errorf("adminproto: dial %s: deadline exceeded", c.addr)
 	}
 	tr := c.transport
 	if tr == nil {
@@ -466,15 +558,26 @@ func (c *Client) roundTrip(header string, body []byte) (string, error) {
 	}
 	conn, err := tr.DialTimeout("tcp", c.addr, dialBudget)
 	if err != nil {
-		return "", fmt.Errorf("adminproto: dial %s: %w", c.addr, err)
+		return nil, fmt.Errorf("adminproto: dial %s: %w", c.addr, err)
+	}
+	return conn, nil
+}
+
+// roundTrip performs one request on a connection of its own, half-closing
+// after the request and reading the reply to EOF; body may be nil.
+func (c *Client) roundTrip(header string, body []byte) (string, error) {
+	b := c.budget(context.Background())
+	conn, err := c.dial(b)
+	if err != nil {
+		return "", err
 	}
 	defer conn.Close()
-	_ = conn.SetWriteDeadline(c.phase())
+	_ = conn.SetWriteDeadline(b.phase())
 	if _, err := io.WriteString(conn, header); err != nil {
 		return "", err
 	}
 	if body != nil {
-		_ = conn.SetWriteDeadline(c.phase())
+		_ = conn.SetWriteDeadline(b.phase())
 		if _, err := conn.Write(body); err != nil {
 			return "", err
 		}
@@ -484,7 +587,7 @@ func (c *Client) roundTrip(header string, body []byte) (string, error) {
 			return "", err
 		}
 	}
-	r := getReader(phasedReader{conn: conn, phase: c.phase})
+	r := getReader(phasedReader{conn: conn, phase: b.phase})
 	defer putReader(r)
 	status, err := r.ReadString('\n')
 	if err != nil {

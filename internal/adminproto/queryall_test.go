@@ -23,7 +23,7 @@ import (
 // through `steps` one-second ticks so every node accumulates history, and
 // starts one admin server per node with the given options (all servers share
 // opts; the transport may be a faultnet host per node via mkOpts).
-func queryCluster(t *testing.T, n, steps int, mkOpts func(name string) ServerOptions) (*core.SimCluster, *clock.Virtual, []*Server) {
+func queryCluster(t testing.TB, n, steps int, mkOpts func(name string) ServerOptions) (*core.SimCluster, *clock.Virtual, []*Server) {
 	t.Helper()
 	vclk := clock.NewVirtual(clock.Epoch)
 	cluster, err := core.NewSimCluster(n, vclk, 7, 0)
@@ -204,6 +204,13 @@ func TestQueryAllPartialUnderFaults(t *testing.T) {
 		resultValue(t, out) // the survivors still merge to a value
 	}
 
+	// A whole query first, so the coordinator's kept querypart connections
+	// (and each leaf's goroutine parked on one) are in both goroutine counts:
+	// what the check below catches is a failed fetch leaving something
+	// behind, not the one kept connection per peer that healthy ones leave.
+	if out, err := c.QueryAll("p99 loadavg last 30s"); err != nil || !strings.Contains(out, "partial false") {
+		t.Fatalf("warm-up query: %v\n%s", err, out)
+	}
 	before := runtime.NumGoroutine()
 
 	fabric.Crash("node2")

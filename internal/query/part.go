@@ -168,6 +168,38 @@ func (p Part) Snapshot() obs.Snapshot {
 	return s
 }
 
+// check reports whether p can answer the normalized query q: the same
+// window, and for a percentile query bucket counts that sum to Count within
+// the obs layout, none for an arithmetic one. A part failing it — a reply
+// cut short after its count line, a hostile or version-skewed peer — would
+// add samples to the total that the merged histogram never saw, so Run
+// fails that node instead.
+func (p Part) check(q tsdb.Query) error {
+	if p.From != q.From || p.To != q.To {
+		return fmt.Errorf("query: part window [%d, %d) is not the query's [%d, %d)", p.From, p.To, q.From, q.To)
+	}
+	if _, isQuantile := q.Agg.Quantile(); !isQuantile {
+		if p.Buckets != nil {
+			return fmt.Errorf("query: %s part carries buckets", q.Agg)
+		}
+		return nil
+	}
+	var sum uint64
+	for _, b := range p.Buckets {
+		if b.Index < 0 || b.Index >= obs.NumBuckets {
+			return fmt.Errorf("query: part bucket %d outside the layout", b.Index)
+		}
+		if sum+b.Count < sum {
+			return fmt.Errorf("query: part bucket counts overflow")
+		}
+		sum += b.Count
+	}
+	if p.Count < 0 || uint64(p.Count) != sum {
+		return fmt.Errorf("query: part counts %d samples but its buckets hold %d", p.Count, sum)
+	}
+	return nil
+}
+
 // Render formats the part as line-oriented "key value" wire text:
 //
 //	from <ns>
@@ -198,10 +230,11 @@ func (p Part) Render() string {
 	return string(append(b, '\n'))
 }
 
-// ParsePart parses Render's wire form.
+// ParsePart parses Render's wire form. A part carrying both a value and
+// buckets is refused: Render writes one or the other, so no peer sends it.
 func ParsePart(text string) (Part, error) {
 	var p Part
-	sawFrom, sawTo := false, false
+	sawFrom, sawTo, sawValue := false, false, false
 	for text != "" {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
@@ -222,6 +255,7 @@ func ParsePart(text string) (Part, error) {
 			p.Count, err = strconv.ParseInt(rest, 10, 64)
 		case "value":
 			p.Value, err = strconv.ParseFloat(rest, 64)
+			sawValue = true
 		case "buckets":
 			p.Buckets = make([]BucketCount, 0, strings.Count(rest, ":"))
 			for rest != "" {
@@ -250,6 +284,9 @@ func ParsePart(text string) (Part, error) {
 	}
 	if !sawFrom || !sawTo {
 		return p, fmt.Errorf("query: part missing window")
+	}
+	if sawValue && p.Buckets != nil {
+		return p, fmt.Errorf("query: part has both a value and buckets")
 	}
 	return p, nil
 }

@@ -20,7 +20,8 @@ type Target struct {
 
 // Fetch asks one node for its part of a normalized query. Implementations
 // must honor ctx (its deadline is the per-node timeout): a fetch that
-// ignores cancellation turns a dead node back into a coordinator hang.
+// ignores cancellation turns a dead node back into a coordinator hang. Run
+// fails a node whose part contradicts the query it was asked (Part.check).
 type Fetch func(ctx context.Context, t Target, q tsdb.Query) (Part, error)
 
 // Fan-out defaults.
@@ -120,6 +121,9 @@ func Run(ctx context.Context, targets []Target, q tsdb.Query, now time.Time, fet
 			fstart := time.Now()
 			parts[i], errs[i] = fetch(fctx, t, nq)
 			elapsed[i] = time.Since(fstart)
+			if errs[i] == nil {
+				errs[i] = parts[i].check(nq)
+			}
 		}(i, t)
 	}
 	wg.Wait()

@@ -293,6 +293,38 @@ func TestFailedNodeYieldsAnnotatedPartial(t *testing.T) {
 	}
 }
 
+// A part that cannot answer the query it was asked fails its node instead
+// of skewing the merge: a percentile part whose buckets do not hold its
+// count (a reply cut short after "count 5" parsed as one), a part for
+// another window, an arithmetic part with buckets.
+func TestRunFailsContradictoryParts(t *testing.T) {
+	targets, fetch, _ := clusterFixture(t, [][]float64{{1, 2, 3}, {10, 20, 30}})
+	w := fixtureQueryWindow
+	for _, c := range []struct {
+		name string
+		agg  tsdb.Agg
+		bad  Part
+	}{
+		{"count without buckets", tsdb.AggP99, Part{From: w.From, To: w.To, Count: 5}},
+		{"buckets short of count", tsdb.AggP99, Part{From: w.From, To: w.To, Count: 5, Buckets: []BucketCount{{3, 4}}}},
+		{"bucket outside layout", tsdb.AggP99, Part{From: w.From, To: w.To, Count: 1, Buckets: []BucketCount{{-1, 1}}}},
+		{"overflowing buckets", tsdb.AggP99, Part{From: w.From, To: w.To, Count: 1, Buckets: []BucketCount{{1, 1 << 63}, {2, 1<<63 + 1}}}},
+		{"other window", tsdb.AggSum, Part{From: w.From, To: w.To - 1, Count: 5, Value: 7}},
+		{"arithmetic with buckets", tsdb.AggSum, Part{From: w.From, To: w.To, Count: 1, Value: 7, Buckets: []BucketCount{{3, 1}}}},
+	} {
+		bad := func(ctx context.Context, tg Target, q tsdb.Query) (Part, error) {
+			if tg.Node == "node1" {
+				return c.bad, nil
+			}
+			return fetch(ctx, tg, q)
+		}
+		res := runFixture(t, targets, bad, c.agg)
+		if !res.Partial || res.OK != 1 || res.Nodes[1].OK() || res.Count != 3 {
+			t.Fatalf("%s: want node1 failed and 3 samples merged:\n%s", c.name, res.Render())
+		}
+	}
+}
+
 // A straggler that honors its context is cut off at the per-node timeout:
 // the fan-out returns an annotated partial well before the straggler's own
 // schedule, and no goroutine is left behind.
@@ -390,17 +422,65 @@ func TestScaleValueEdgeCases(t *testing.T) {
 	}
 }
 
-// BenchmarkComputePart answers one node's part of a p99 over 300 samples of
-// a load-average-like series: the scan, the bucketing and the sparse counts
-// the part carries.
-func BenchmarkComputePart(b *testing.B) {
+// loadDB holds 1000 one-second samples of a load-average-like series, and
+// loadWindow selects 300 of them.
+func loadDB() *tsdb.DB {
 	db := tsdb.NewDB(tsdb.Options{})
 	rng := rand.New(rand.NewSource(1))
 	for i := 1; i <= 1000; i++ {
 		u := rng.Float64()
 		db.Append("n/loadavg", int64(i)*int64(time.Second), 0.25+7.75*u*u)
 	}
-	q := tsdb.Query{Agg: tsdb.AggP99, Metric: "loadavg", From: 601 * int64(time.Second), To: 901 * int64(time.Second)}
+	return db
+}
+
+var loadWindow = tsdb.Query{Agg: tsdb.AggP99, Metric: "loadavg", From: 601 * int64(time.Second), To: 901 * int64(time.Second)}
+
+// FuzzParsePart feeds the querypart reply parser arbitrary text, which is
+// what a peer can send: it must never panic, and whatever it accepts must
+// come back equal through Render and ParsePart again. Seeded with real
+// parts: an empty one, an arithmetic one, a 300-sample percentile.
+func FuzzParsePart(f *testing.F) {
+	db := loadDB()
+	pct, err := ComputePart(db, "n/loadavg", loadWindow)
+	if err != nil || pct.Count != 300 {
+		f.Fatalf("seed part %+v, %v", pct, err)
+	}
+	avg := loadWindow
+	avg.Agg = tsdb.AggAvg
+	arith, err := ComputePart(db, "n/loadavg", avg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, err := ComputePart(db, "n/loadavg", tsdb.Query{Agg: tsdb.AggP99, Metric: "loadavg", From: 5e12, To: 6e12})
+	if err != nil || empty.Count != 0 {
+		f.Fatalf("seed part %+v, %v", empty, err)
+	}
+	for _, p := range []Part{empty, arith, pct} {
+		f.Add(p.Render())
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParsePart(text)
+		if err != nil {
+			return
+		}
+		again, err := ParsePart(p.Render())
+		if err != nil {
+			t.Fatalf("Render of an accepted part does not parse: %v\n%q", err, p.Render())
+		}
+		if again.From != p.From || again.To != p.To || again.Count != p.Count ||
+			math.Float64bits(again.Value) != math.Float64bits(p.Value) ||
+			(again.Buckets == nil) != (p.Buckets == nil) || !slices.Equal(again.Buckets, p.Buckets) {
+			t.Fatalf("round trip %+v → %+v", p, again)
+		}
+	})
+}
+
+// BenchmarkComputePart answers one node's part of a p99 over 300 samples of
+// a load-average-like series: the scan, the bucketing and the sparse counts
+// the part carries.
+func BenchmarkComputePart(b *testing.B) {
+	db, q := loadDB(), loadWindow
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
