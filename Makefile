@@ -71,7 +71,9 @@ sim-smoke:
 # update, publish — until B's d-mon handler has decoded the report into B's
 # store; polled and event dispatch), the baseline hot path, the
 # observability-off variant, the relay re-publish path (receive →
-# dedup-admit → in-place hop rewrite → downstream enqueue) and the durable
+# dedup-admit → in-place hop rewrite → downstream enqueue), the polled
+# receive path (a 64-record batch frame of 64 B and of 5 KiB records through
+# handleFrame into its inbox arena, and the Poll that dispatches it) and the durable
 # history ingest (Store.Update of a 20-sample report: latest values, one WAL
 # write, head chunks, full tiers) must be exactly 0. This is the CI guard
 # that neither the self-observability layer nor the overlay can regress the
@@ -89,6 +91,7 @@ allocgate:
 		$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkHotPathObs$$/^off$$' -benchmem -benchtime 1000x . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkRelayForward$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
+		$(GO) test -run '^$$' -bench '^BenchmarkPolledReceive$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
 		$(GO) test -run '^$$' -bench '^BenchmarkStoreUpdateDurable$$' -benchmem -benchtime 20000x ./internal/dmon/ ); \
 	echo "$$out"; \
 	bad=$$(echo "$$out" | grep 'allocs/op' | awk '$$(NF-1) != 0'); \
@@ -102,7 +105,11 @@ allocgate:
 # decoder (FuzzDecodeReport: never panic, what decodes re-encodes through
 # AppendEncode to the input, a reused Report decodes as a fresh one), of
 # the kecho batch-frame decoder (FuzzDecodeBatch: never panic, what decodes
-# re-encodes byte for byte through AppendBatch and the BatchWriter) and of
+# re-encodes byte for byte through AppendBatch and the BatchWriter), of the
+# kecho receive path (FuzzHandleFrame: any bytes as an event or batch frame,
+# polled and event-driven — never panic, deliver exactly the bodies an
+# independent decode finds, hop and trace trailers included, and on a bad
+# record everything ahead of it and nothing after) and of
 # the cluster-query part parser (FuzzParsePart: never panic on what a
 # querypart peer sends, what parses comes back equal through Render) a
 # short budget on top of its seed corpus — enough for CI to catch a reader
@@ -114,4 +121,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkIter$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleFrame$$' -fuzztime $(FUZZTIME) ./internal/kecho/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePart$$' -fuzztime $(FUZZTIME) ./internal/query/

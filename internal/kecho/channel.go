@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dproc/internal/wire"
 )
@@ -71,18 +73,22 @@ var ErrOutboxFull = errors.New("kecho: peer outbox full")
 func (c *Channel) Subscribe(h Handler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Copy-on-write: the slice is never appended to in place, so dispatch
-	// can iterate a snapshot without copying (or allocating) per event.
-	next := make([]Handler, len(c.handlers)+1)
-	copy(next, c.handlers)
-	next[len(c.handlers)] = h
-	c.handlers = next
+	// Copy-on-write: a published slice is never written again, so dispatch
+	// can iterate the one it loads without a lock, a copy or an allocation.
+	var cur []Handler
+	if p := c.handlers.Load(); p != nil {
+		cur = *p
+	}
+	next := make([]Handler, len(cur)+1)
+	copy(next, cur)
+	next[len(cur)] = h
+	c.handlers.Store(&next)
 }
 
 // encodeRecord encodes payload as one event record (publisher ID, sequence
 // number, body) into a pooled record holding a single reference — the
 // caller's. The wire layout matches Encoder.String + Encoder.Uint64 +
-// Encoder.BytesField, decoded by receiveEvent. A broadcast record on a
+// Encoder.BytesField, decoded by decodeRecord. A broadcast record on a
 // forwarding topology carries the hop trailer (hops = 0: fresh from its
 // publisher) — it is what marks a record as relayable, and relays rewrite
 // the count in place. Targeted SubmitTo records stay trailer-free so
@@ -253,14 +259,85 @@ func (c *Channel) internFrom(p *peer, from []byte) string {
 	return string(from)
 }
 
-// receiveEvent decodes one event record and delivers it (inbox or in-place
-// dispatch, per the channel's mode), reporting a record that does not
-// decode. record aliases the connection's receive buffer: event-driven
-// dispatch hands the view straight to handlers (valid for the handler call
-// only), while polled delivery copies the body into a recycled buffer that
-// Poll returns to the freelist after dispatch.
-func (c *Channel) receiveEvent(p *peer, record []byte) error {
+// receiveFrame delivers one received frame's records, in order: through the
+// receive gate, then to the handlers in place (EventDriven) or to the inbox
+// as one queued frame (Polled). The frame is stamped once — every record's
+// Event.Recv is the time the frame was read. records alias the connection's
+// receive buffer, size is the frame's length. A record that does not decode
+// ends the frame with its error; the records ahead of it have been delivered.
+func (c *Channel) receiveFrame(p *peer, records [][]byte, size int) error {
+	if len(records) == 0 {
+		return nil
+	}
 	recv := c.clk.Now()
+	if c.opts.Dispatch == EventDriven {
+		// Run the handlers here, on the receive buffer, one reader at a time.
+		// A slow handler is never dropped on: it stops this goroutine's
+		// socket reads, which fills the kernel buffers, stalls the
+		// publisher's writer, and backs its outbox up into QueueDrops —
+		// backpressure instead of local loss.
+		var ev Event
+		for _, rec := range records {
+			ok, err := c.decodeRecord(p, rec, recv, &ev)
+			if err != nil {
+				return err
+			}
+			if ok {
+				c.countRecv(1, len(ev.Payload))
+				c.dispatchMu.Lock()
+				c.dispatch(&ev)
+				c.dispatchMu.Unlock()
+			}
+		}
+		return nil
+	}
+	// Polled: the events outlive the receive buffer, so each admitted body
+	// is copied into the frame's arena, and the frame is queued whole.
+	a := c.getArena()
+	hint := min(size, maxPooledRecord)
+	n, bytes := 0, 0
+	var err error
+	for _, rec := range records {
+		a.evs = append(a.evs, Event{})
+		ev := &a.evs[len(a.evs)-1]
+		var ok bool
+		if ok, err = c.decodeRecord(p, rec, recv, ev); ok {
+			n++
+			bytes += len(ev.Payload)
+			if len(a.evs) <= c.opts.InboxSize {
+				ev.Payload = a.copyBody(ev.Payload, hint)
+				continue
+			}
+			// More records than the inbox could ever hold: drop the tail
+			// here rather than copy it only for queueFrame to drop it.
+			c.dropped.Add(1)
+		}
+		*ev = Event{}
+		a.evs = a.evs[:len(a.evs)-1]
+		if err != nil {
+			break
+		}
+	}
+	// Counted before the frame is queued, so that no Poll can dispatch an
+	// event the counters do not include yet.
+	c.countRecv(n, bytes)
+	c.queueFrame(a)
+	return err
+}
+
+// countRecv adds n admitted records carrying bytes of payload to the
+// receive counters.
+func (c *Channel) countRecv(n, bytes int) {
+	c.eventsRecv.Add(uint64(n))
+	c.bytesRecv.Add(uint64(bytes))
+}
+
+// decodeRecord decodes one event record into ev and runs it through the
+// receive gate: relay suppression and forwarding, and the trace
+// observations. ok is false for a record the gate suppressed, err non-nil
+// for one that does not decode; ev is filled only when ok, and the caller
+// counts it received. ev.Payload is a view of record.
+func (c *Channel) decodeRecord(p *peer, record []byte, recv time.Time, ev *Event) (ok bool, err error) {
 	d := wire.NewDecoder(record)
 	from := d.StringBytes()
 	seq := d.Uint64()
@@ -279,7 +356,7 @@ func (c *Channel) receiveEvent(p *peer, record []byte) error {
 		tid, sendNs, traced = d.TraceExt()
 	}
 	if err := d.Finish(); err != nil {
-		return err
+		return false, err
 	}
 	fromID := ""
 	if hopped {
@@ -293,24 +370,23 @@ func (c *Channel) receiveEvent(p *peer, record []byte) error {
 		// the forward precedes dispatch so that a slow handler here delays
 		// only the records behind this one, not this one's subtree.
 		if string(from) == c.id {
-			return nil
+			return false, nil
 		}
 		origin, admit := c.relayAdmit(from, seq)
 		if !admit {
 			c.relayDups.Add(1)
-			return nil
+			return false, nil
 		}
 		fromID = origin
 		if int(hops)+1 <= c.maxHops {
 			c.relayForward(p, origin, record, hops, traced, len(body), tid)
 		}
 	}
-	c.eventsRecv.Add(1)
-	c.bytesRecv.Add(uint64(len(body)))
 	if tid != 0 {
 		// Cross-node propagation delay: publisher send stamp → local
 		// receive, both on internal/clock time. Skew clamps to zero in the
-		// observer. The decode span closes here — decode work is behind us.
+		// observer. The decode span closes here, on the record's own stamp
+		// — decode work is behind us.
 		delay := time.Duration(recv.UnixNano() - sendNs)
 		c.obs.ObservePropagation(delay, tid)
 		if hopped {
@@ -321,7 +397,7 @@ func (c *Channel) receiveEvent(p *peer, record []byte) error {
 	if fromID == "" {
 		fromID = c.internFrom(p, from)
 	}
-	ev := Event{
+	*ev = Event{
 		Channel: c.name,
 		From:    fromID,
 		Seq:     seq,
@@ -329,27 +405,7 @@ func (c *Channel) receiveEvent(p *peer, record []byte) error {
 		Recv:    recv,
 		TraceID: tid,
 	}
-	if c.inbox == nil {
-		// EventDriven: run the handlers here, one reader at a time. A slow
-		// handler is never dropped on: it stops this goroutine's socket
-		// reads, which fills the kernel buffers, stalls the publisher's
-		// writer, and backs its outbox up into QueueDrops — backpressure
-		// instead of local loss.
-		c.dispatchMu.Lock()
-		c.dispatch(ev)
-		c.dispatchMu.Unlock()
-		return nil
-	}
-	buf := c.getPayloadBuf(len(body))
-	ev.Payload = append(buf, body...)
-	ev.pooled = true
-	select {
-	case c.inbox <- ev:
-	default:
-		c.dropped.Add(1)
-		c.putPayloadBuf(ev.Payload)
-	}
-	return nil
+	return true, nil
 }
 
 // relayAdmit is the overlay dedup gate: it interns the record's origin ID
@@ -405,86 +461,174 @@ func (c *Channel) relayForward(src *peer, origin string, record []byte, hops uin
 	rec.release()
 }
 
-// getPayloadBuf pops a recycled payload buffer with capacity for n bytes, or
-// allocates one. The buffer comes back via putPayloadBuf after dispatch.
-func (c *Channel) getPayloadBuf(n int) []byte {
-	c.payloadFree.Lock()
-	for len(c.payloadFree.bufs) > 0 {
-		last := len(c.payloadFree.bufs) - 1
-		buf := c.payloadFree.bufs[last]
-		c.payloadFree.bufs = c.payloadFree.bufs[:last]
-		if cap(buf) >= n {
-			c.payloadFree.Unlock()
-			return buf[:0]
-		}
-		// Too small for this event; drop it rather than shuffling — the
-		// freelist re-grows at the new high-water size.
-	}
-	c.payloadFree.Unlock()
-	return make([]byte, 0, n)
+// arena is one received frame on its way through the polled inbox: the
+// frame's events and the memory their payloads were copied into. A reader
+// fills it off the lock, queueFrame hands it to the inbox whole, and Poll
+// dispatches it and returns it to the channel's freelist — so a payload
+// stays valid until the Poll that dispatched it returns, and is overwritten
+// when its arena carries a later frame.
+type arena struct {
+	evs []Event
+	// chunks hold the copied bodies in arrival order; chunks[used-1] is
+	// being filled. A chunk is at most maxPooledRecord bytes unless a single
+	// body is larger, and such a chunk is not kept when the arena is reset.
+	chunks [][]byte
+	used   int
 }
 
-// putPayloadBuf recycles an inbox payload buffer once its event has been
-// dispatched. The freelist is bounded by the inbox size (there can never be
-// more loaned buffers than queued events) and refuses oversized buffers.
-func (c *Channel) putPayloadBuf(buf []byte) {
-	if cap(buf) == 0 || cap(buf) > maxPooledRecord {
+// maxPooledEvents caps the event capacity a recycled arena keeps, at the
+// same byte bound as its chunks.
+const maxPooledEvents = maxPooledRecord / int(unsafe.Sizeof(Event{}))
+
+// copyBody copies body into the arena and returns the copy, capped at its
+// length so a handler's append cannot run into the next body. hint sizes a
+// new chunk — the frame's length, at most maxPooledRecord — so a frame's
+// bodies normally share one.
+func (a *arena) copyBody(body []byte, hint int) []byte {
+	if a.used == 0 || cap(a.chunks[a.used-1])-len(a.chunks[a.used-1]) < len(body) {
+		if a.used == len(a.chunks) {
+			a.chunks = append(a.chunks, nil)
+		}
+		if need := max(len(body), hint); cap(a.chunks[a.used]) < need {
+			if need <= maxPooledRecord {
+				need = 1 << bits.Len(uint(need-1)) // steady frame sizes stop regrowing
+			}
+			a.chunks[a.used] = make([]byte, 0, need)
+		}
+		a.used++
+	}
+	chunk := a.chunks[a.used-1]
+	off := len(chunk)
+	chunk = append(chunk, body...)
+	a.chunks[a.used-1] = chunk
+	return chunk[off:len(chunk):len(chunk)]
+}
+
+// reset empties the arena for its next frame, dropping what the events
+// referenced and any chunk or event array above the pooling bounds.
+func (a *arena) reset() {
+	clear(a.evs)
+	a.evs = a.evs[:0]
+	if cap(a.evs) > maxPooledEvents {
+		a.evs = nil
+	}
+	for i, chunk := range a.chunks[:a.used] {
+		if cap(chunk) > maxPooledRecord {
+			chunk = nil
+		}
+		a.chunks[i] = chunk[:0]
+	}
+	a.used = 0
+}
+
+// getArena pops the most recently freed arena, or makes one.
+func (c *Channel) getArena() *arena {
+	c.inboxMu.Lock()
+	n := len(c.free)
+	if n == 0 {
+		c.inboxMu.Unlock()
+		return new(arena)
+	}
+	a := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	c.inboxMu.Unlock()
+	return a
+}
+
+// freeArenaLocked pushes a reset arena onto the freelist, which keeps at
+// most InboxSize of them — as many as one Poll can hand back, since every
+// queued arena holds at least one event. The caller holds inboxMu.
+func (c *Channel) freeArenaLocked(a *arena) {
+	if len(c.free) < c.opts.InboxSize {
+		c.free = append(c.free, a)
+	}
+}
+
+// queueFrame appends a received frame to the inbox under one lock. What
+// does not fit under InboxSize is dropped from the frame's tail, counted in
+// Stats.Dropped, so the events kept are an in-order prefix.
+func (c *Channel) queueFrame(a *arena) {
+	c.inboxMu.Lock()
+	if room := c.opts.InboxSize - int(c.queued.Load()); len(a.evs) > room {
+		c.dropped.Add(uint64(len(a.evs) - room))
+		clear(a.evs[room:])
+		a.evs = a.evs[:room]
+	}
+	if len(a.evs) == 0 {
+		a.reset()
+		c.freeArenaLocked(a)
+	} else {
+		c.frames = append(c.frames, a)
+		c.queued.Add(int64(len(a.evs)))
+	}
+	c.inboxMu.Unlock()
+}
+
+func (c *Channel) dispatch(ev *Event) {
+	// Subscribe publishes a fresh slice on every registration, so the one
+	// loaded here is immutable — no lock and no per-event copy.
+	hp := c.handlers.Load()
+	if hp == nil {
 		return
 	}
-	c.payloadFree.Lock()
-	if len(c.payloadFree.bufs) < cap(c.inbox) {
-		c.payloadFree.bufs = append(c.payloadFree.bufs, buf)
-	}
-	c.payloadFree.Unlock()
-}
-
-func (c *Channel) dispatch(ev Event) {
-	// Subscribe builds a fresh slice on every registration, so the snapshot
-	// taken here stays immutable after the lock is released — no per-event
-	// copy needed on the hot path.
-	c.mu.Lock()
-	handlers := c.handlers
-	c.mu.Unlock()
 	if c.obs != nil && ev.TraceID != 0 {
 		start := c.clk.Now()
-		for _, h := range handlers {
-			h(ev)
+		for _, h := range *hp {
+			h(*ev)
 		}
 		c.obs.ObserveDispatch(c.clk.Now().Sub(start), ev.TraceID)
 		return
 	}
-	for _, h := range handlers {
-		h(ev)
+	for _, h := range *hp {
+		h(*ev)
 	}
 }
 
 // Poll dispatches the events queued at the moment of the call to the
-// subscribed handlers, returning the number processed. The drain is bounded
-// by a snapshot of the queue length, so a producer that keeps pace with the
-// consumer cannot live-lock the caller's poll tick: events arriving during
-// the drain wait for the next Poll. It mirrors d-mon's per-second socket
-// poll; meaningful only in Polled mode. In EventDriven mode there is no
-// inbox and Poll reports zero — callers may keep a poll tick running
-// unchanged when they flip modes.
+// subscribed handlers, returning the number processed. It takes the whole
+// queue in one swap, so a producer that keeps pace with the consumer cannot
+// live-lock the caller's poll tick: frames arriving during the drain wait
+// for the next Poll. A handler may call Poll itself; that call takes only
+// what arrived since. It mirrors d-mon's per-second socket poll; meaningful
+// only in Polled mode. In EventDriven mode there is no inbox and Poll
+// reports zero — callers may keep a poll tick running unchanged when they
+// flip modes.
 func (c *Channel) Poll() int {
-	n := 0
-	for max := len(c.inbox); n < max; {
-		select {
-		case ev := <-c.inbox:
-			c.dispatch(ev)
-			if ev.pooled {
-				// Every handler has returned; the loaned buffer goes back to
-				// the freelist for the next received event.
-				c.putPayloadBuf(ev.Payload)
-			}
-			n++
-		default:
-			return n
-		}
+	if c.queued.Load() == 0 {
+		return 0 // the idle poll tick: one atomic load, inlined into the caller
 	}
+	return c.drain()
+}
+
+// drain is Poll with something queued.
+func (c *Channel) drain() int {
+	c.inboxMu.Lock()
+	frames := c.frames
+	c.frames, c.spare = c.spare, nil
+	c.queued.Store(0)
+	c.inboxMu.Unlock()
+	n := 0
+	for _, a := range frames {
+		for i := range a.evs {
+			c.dispatch(&a.evs[i])
+		}
+		n += len(a.evs)
+		// Every handler for the frame has returned: its payloads' loan ends.
+		a.reset()
+	}
+	c.inboxMu.Lock()
+	for i, a := range frames {
+		c.freeArenaLocked(a)
+		frames[i] = nil
+	}
+	if c.spare == nil {
+		c.spare = frames[:0]
+	}
+	c.inboxMu.Unlock()
 	return n
 }
 
 // Pending reports how many events are queued awaiting Poll; always zero in
 // EventDriven mode.
-func (c *Channel) Pending() int { return len(c.inbox) }
+func (c *Channel) Pending() int { return int(c.queued.Load()) }

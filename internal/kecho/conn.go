@@ -234,26 +234,21 @@ func (c *Channel) acceptHello(conn net.Conn, typ uint8, payload []byte) *peer {
 // handleFrame delivers one received frame: a single event directly, a batch
 // frame unpacked transparently — consumers see the same event stream whether
 // or not the sender's writer coalesced. The decoded records are subslices of
-// payload; they are consumed (dispatched or copied into pooled inbox
-// buffers) before the caller reuses its receive buffer. batch is the
-// caller's decode scratch, returned (possibly grown) for reuse. An error
-// means the batch or a record in it was malformed; records ahead of the bad
-// one have been delivered.
+// payload; they are consumed (dispatched, or copied into the frame's inbox
+// arena) before the caller reuses its receive buffer. batch is the caller's
+// decode scratch, returned (possibly grown) for reuse. An error means the
+// batch or a record in it was malformed; records ahead of the bad one have
+// been delivered.
 func (c *Channel) handleFrame(p *peer, typ uint8, payload []byte, batch [][]byte) ([][]byte, error) {
 	switch typ {
 	case frameEvent:
-		return batch, c.receiveEvent(p, payload)
+		return batch, c.receiveFrame(p, [][]byte{payload}, len(payload))
 	case frameBatch:
 		dec, err := wire.DecodeBatchInto(batch[:0], payload)
 		if err != nil {
 			return batch, err
 		}
-		for _, rec := range dec {
-			if err := c.receiveEvent(p, rec); err != nil {
-				return dec, err
-			}
-		}
-		return dec, nil
+		return dec, c.receiveFrame(p, dec, len(payload))
 	}
 	return batch, nil
 }

@@ -19,9 +19,9 @@
 //     channel heals after peer crashes, partitions or a registry restart.
 //   - channel (channel.go): Publish, the receive gate and handler dispatch.
 //     Publishing only enqueues. Delivery is poll-driven by default —
-//     received events wait in a bounded inbox for Poll, matching d-mon's
-//     one-second polling of its sockets — or EventDriven: the reader runs
-//     the handlers in place on frame receipt.
+//     received frames wait whole in a bounded inbox for Poll, matching
+//     d-mon's one-second polling of its sockets — or EventDriven: the reader
+//     runs the handlers in place on frame receipt.
 //
 // The topology is overlay.FullMesh unless Options.Topology says otherwise:
 // every member connects to every other and nothing is forwarded. On an
@@ -90,12 +90,12 @@ func ParseDispatchMode(s string) (DispatchMode, error) {
 // Event is one message delivered on a channel.
 //
 // Ownership: Payload is loaned to handlers for the duration of the handler
-// call. In Polled mode it points into a pooled buffer the channel recycles
-// as soon as every handler for the event has returned; in EventDriven mode
-// it aliases the connection's receive buffer, reused by the next frame.
-// Either way, a handler that needs the bytes past its own return must copy
-// them (CopyPayload); retaining Payload itself observes whatever event
-// recycles the buffer next. See DESIGN.md §8.
+// call. In Polled mode it points into the arena of the frame the event
+// arrived in, which the channel recycles once the Poll that dispatched the
+// frame returns; in EventDriven mode it aliases the connection's receive
+// buffer, reused by the next frame. Either way, a handler that needs the
+// bytes past its own return must copy them (CopyPayload); retaining Payload
+// itself observes whatever frame reuses the memory next. See DESIGN.md §8.
 type Event struct {
 	// Channel is the channel name the event arrived on.
 	Channel string
@@ -105,16 +105,13 @@ type Event struct {
 	Seq uint64
 	// Payload is the opaque event body, valid only during handler dispatch.
 	Payload []byte
-	// Recv is the local receive time (on the channel clock).
+	// Recv is when the frame carrying the event was read (on the channel
+	// clock): every event of one batch frame carries the same stamp.
 	Recv time.Time
 	// TraceID is non-zero when the publisher sampled this event for
 	// tracing (see internal/obs); it rides a trailing wire-frame extension
 	// and lets a subscriber continue the event's span chain.
 	TraceID uint64
-
-	// pooled marks Payload as drawn from the channel's recycled buffers;
-	// Poll returns it to the freelist after the handlers run.
-	pooled bool
 }
 
 // CopyPayload returns an independent copy of the event body, for handlers
@@ -184,7 +181,10 @@ type Stats struct {
 type Options struct {
 	// Dispatch selects polled (default) or event-driven handler dispatch.
 	Dispatch DispatchMode
-	// InboxSize bounds the polled-event queue; 0 means 4096. EventDriven
+	// InboxSize bounds the polled-event queue, in events; 0 means 4096. A
+	// frame that arrives with less room keeps its first records and drops
+	// the rest (Stats.Dropped). The bound is not preallocated: the inbox
+	// holds only the frames queued since the last Poll. EventDriven
 	// channels have no inbox.
 	InboxSize int
 	// Transport provides listen/dial; nil uses plain TCP.
@@ -323,29 +323,33 @@ type Channel struct {
 	relayMu   sync.Mutex
 	relaySeen map[string]*relayOrigin
 
-	mu       sync.Mutex
-	peers    map[string]*peer
-	handlers []Handler
-	closed   bool
+	mu     sync.Mutex
+	peers  map[string]*peer
+	closed bool
 	// greeting holds accepted connections whose hello frame has not arrived
 	// yet — owned by a reader but not yet a peer — so Close can reach them.
 	greeting map[net.Conn]struct{}
+	// handlers is copy-on-write: Subscribe publishes a fresh slice (under
+	// mu, which serializes subscribers), and dispatch loads it lock-free.
+	handlers atomic.Pointer[[]Handler]
 
-	// inbox queues received events for Poll; nil in EventDriven mode, where
-	// readers run the handlers in place under dispatchMu instead.
-	inbox      chan Event
+	// The polled inbox: received frames, one arena each, queued for Poll.
+	// EventDriven channels leave it empty — their readers run the handlers
+	// in place under dispatchMu. inboxMu guards frames, spare and free;
+	// queued counts the events in frames, written under inboxMu and read
+	// without it, so Pending and an empty Poll cost one atomic load.
+	inboxMu sync.Mutex
+	frames  []*arena
+	// spare is a drained queue's array, kept for the next Poll's swap.
+	spare []*arena
+	// free recycles drained arenas. LIFO so the hot path stays cache-warm
+	// and reuse is deterministic (the ownership tests rely on that).
+	free   []*arena
+	queued atomic.Int64
+
 	dispatchMu sync.Mutex
 	seq        atomic.Uint64
 	stop       chan struct{}
-
-	// payloadFree recycles inbox payload buffers: receiveEvent copies a
-	// polled event's body into a buffer popped from here, and Poll pushes it
-	// back after the handlers run. LIFO so the hot path stays cache-warm and
-	// buffer reuse is deterministic (the ownership tests rely on that).
-	payloadFree struct {
-		sync.Mutex
-		bufs [][]byte
-	}
 
 	// Traffic counters live in the unified metric registry (Options.Metrics
 	// or a private one), registered once at Join under subsystem "channel";
@@ -390,25 +394,8 @@ func Join(reg *registry.Client, channelName, memberID string, opts *Options) (*C
 	if err != nil {
 		return nil, fmt.Errorf("kecho: listen: %w", err)
 	}
-	c := &Channel{
-		name:      channelName,
-		id:        memberID,
-		reg:       reg,
-		ln:        ln,
-		opts:      o,
-		clk:       o.Clock,
-		obs:       o.Observer,
-		maxHops:   o.Topology.MaxHops(),
-		ring:      newReadyRing(),
-		relaySeen: make(map[string]*relayOrigin),
-		peers:     make(map[string]*peer),
-		greeting:  make(map[net.Conn]struct{}),
-		stop:      make(chan struct{}),
-	}
-	if o.Dispatch == Polled {
-		c.inbox = make(chan Event, o.InboxSize)
-	}
-	c.registerMetrics(o.Metrics)
+	c := newChannel(channelName, memberID, o)
+	c.reg, c.ln = reg, ln
 	self := registry.Member{ID: memberID, Addr: ln.Addr().String(), Role: o.Role}
 	others, err := reg.JoinAs(channelName, memberID, self.Addr, self.Role)
 	if err != nil {
@@ -432,6 +419,26 @@ func Join(reg *registry.Client, channelName, memberID string, opts *Options) (*C
 		go c.supervise()
 	}
 	return c, nil
+}
+
+// newChannel builds the channel state for o (defaults applied) with its
+// counters registered, not yet listening, registered or connected.
+func newChannel(channelName, memberID string, o Options) *Channel {
+	c := &Channel{
+		name:      channelName,
+		id:        memberID,
+		opts:      o,
+		clk:       o.Clock,
+		obs:       o.Observer,
+		maxHops:   o.Topology.MaxHops(),
+		ring:      newReadyRing(),
+		relaySeen: make(map[string]*relayOrigin),
+		peers:     make(map[string]*peer),
+		greeting:  make(map[net.Conn]struct{}),
+		stop:      make(chan struct{}),
+	}
+	c.registerMetrics(o.Metrics)
+	return c
 }
 
 // registerMetrics obtains the channel's counter cells from the unified

@@ -264,19 +264,22 @@ func TestByteAccountingSymmetric(t *testing.T) {
 // events queued at call time, so a handler that keeps refilling the inbox
 // (a producer keeping pace with the consumer) cannot trap the poll tick.
 func TestPollBoundedDrain(t *testing.T) {
-	reg := newRegistry(t)
-	b := join(t, reg, "mon", "b", nil)
-	// A pathological consumer: every dispatched event enqueues another, so
-	// an unbounded drain would never see an empty inbox.
-	b.Subscribe(func(ev Event) {
-		select {
-		case b.inbox <- Event{Channel: ev.Channel, From: "self", Payload: ev.Payload}:
-		default:
+	b := newTestChannel(Options{})
+	src := &peer{id: "pub"}
+	const preload = 5
+	// A pathological consumer: every dispatched event queues another frame,
+	// so an unbounded drain would never see an empty inbox.
+	seq := uint64(preload)
+	b.Subscribe(func(Event) {
+		seq++
+		if _, err := b.handleFrame(src, frameEvent, testRecord("pub", seq, []byte{1}), nil); err != nil {
+			t.Error(err)
 		}
 	})
-	const preload = 5
-	for i := 0; i < preload; i++ {
-		b.inbox <- Event{Channel: "mon", From: "seed", Payload: []byte{byte(i)}}
+	for i := uint64(1); i <= preload; i++ {
+		if _, err := b.handleFrame(src, frameEvent, testRecord("pub", i, []byte{0}), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := b.Poll(); n != preload {
 		t.Fatalf("Poll = %d, want exactly the %d events queued at call time", n, preload)

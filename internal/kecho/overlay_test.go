@@ -425,7 +425,7 @@ func TestRelayHopBoundStopsLoops(t *testing.T) {
 		t.Fatal("root has no cc-leaf peer")
 	}
 	before := root.Stats().Relayed
-	root.receiveEvent(src, record)
+	root.handleFrame(src, frameEvent, record, nil)
 	if got := root.Stats().Relayed - before; got != 0 {
 		t.Fatalf("root relayed %d copies of a hop-capped record, want 0", got)
 	}
@@ -440,7 +440,7 @@ func TestRelayHopBoundStopsLoops(t *testing.T) {
 	record2 = binary.BigEndian.AppendUint64(record2, 2)
 	record2 = wire.AppendBytesField(record2, []byte("fresh"))
 	record2 = wire.AppendHopExt(record2, 0)
-	root.receiveEvent(src, record2)
+	root.handleFrame(src, frameEvent, record2, nil)
 	deadline := time.Now().Add(2 * time.Second)
 	for leafLog.count("zz-origin", 2) == 0 {
 		if time.Now().After(deadline) {
@@ -504,7 +504,7 @@ func BenchmarkRelayForward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		binary.BigEndian.PutUint64(record[seqOff:], uint64(i+1))
 		record[len(record)-1] = 0 // reset the in-place hop rewrite
-		relay.receiveEvent(src, record)
+		relay.handleFrame(src, frameEvent, record, nil)
 	}
 	b.StopTimer()
 }
@@ -610,7 +610,7 @@ func TestMixedTopologies(t *testing.T) {
 	flat.mu.Lock()
 	src := flat.peers["bb-tree"]
 	flat.mu.Unlock()
-	if err := flat.receiveEvent(src, record); err != nil {
+	if _, err := flat.handleFrame(src, frameEvent, record, nil); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)

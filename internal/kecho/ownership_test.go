@@ -1,7 +1,6 @@
 package kecho
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,54 +8,50 @@ import (
 
 // TestRetainedPayloadObservesRecycling pins the Event.Payload ownership
 // contract (DESIGN.md §8): a handler that keeps the slice past its own
-// return holds a loaned pooled buffer, and the deterministic LIFO freelist
-// guarantees the very next same-size event overwrites it — so the violation
-// is caught, not silently tolerated. CopyPayload is the sanctioned escape
-// hatch and must survive unscathed.
+// return holds a loan on its frame's arena, and the deterministic LIFO
+// freelist guarantees the very next frame reuses that arena and overwrites
+// it — so the violation is caught, not silently tolerated. Until the Poll
+// that dispatched the frame returns, the arena is not reused, even by a
+// frame queued meanwhile. CopyPayload is the sanctioned escape hatch and
+// must survive unscathed.
 func TestRetainedPayloadObservesRecycling(t *testing.T) {
-	reg := newRegistry(t)
-	pub := join(t, reg, "own", "pub", nil)
-	sub := join(t, reg, "own", "sub", nil)
-	if !pub.WaitForPeers(1, time.Second) || !sub.WaitForPeers(1, time.Second) {
-		t.Fatal("mesh did not form")
+	sub := newTestChannel(Options{})
+	src := &peer{id: "pub"}
+	receive := func(seq uint64, body string) {
+		t.Helper()
+		if _, err := sub.handleFrame(src, frameEvent, testRecord("pub", seq, []byte(body)), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	var got atomic.Int64
-	var mu sync.Mutex
 	var retained, copied []byte
 	sub.Subscribe(func(ev Event) {
-		if got.Add(1) == 1 {
-			mu.Lock()
+		if ev.Seq == 1 {
 			retained = ev.Payload     // contract violation: kept past return
 			copied = ev.CopyPayload() // the documented way to keep the bytes
-			mu.Unlock()
+			// A frame arriving mid-Poll draws a fresh arena.
+			receive(2, "while-loaned!!")
 		}
 	})
 
-	if _, err := pub.Publish([]byte("first-payload!"), PublishOpts{}); err != nil {
-		t.Fatal(err)
+	receive(1, "first-payload!")
+	if n := sub.Poll(); n != 1 {
+		t.Fatalf("Poll = %d, want 1", n)
 	}
-	waitForEvents(t, sub, &got, 1)
-
-	// Poll returned the buffer to the freelist; an equal-size follow-up event
-	// must reuse it (LIFO), clobbering the retained slice. Note the retained
-	// bytes are deliberately not inspected before this point: a read here
-	// would race with the incoming copy — under -race, exactly the bug the
-	// contract describes. The handler's in-call copy already proved the
-	// bytes were intact pre-recycling.
-	if _, err := pub.Publish([]byte("second-event!!"), PublishOpts{}); err != nil {
-		t.Fatal(err)
+	if string(retained) != "first-payload!" {
+		t.Fatalf("retained slice reads %q while its arena was still loaned", retained)
 	}
-	waitForEvents(t, sub, &got, 2)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if string(retained) != "second-event!!" {
+	// Poll returned frame 1's arena to the freelist; the next frame pops it
+	// (LIFO) and its body lands where the retained one was.
+	receive(3, "third-event!!!")
+	if string(retained) != "third-event!!!" {
 		t.Fatalf("retained slice reads %q; recycling contract not enforced — "+
 			"a leaked reference would go unnoticed", retained)
 	}
 	if string(copied) != "first-payload!" {
 		t.Fatalf("CopyPayload corrupted: %q", copied)
+	}
+	if n := sub.Poll(); n != 2 {
+		t.Fatalf("Poll = %d, want the 2 frames queued since", n)
 	}
 }
 
