@@ -111,8 +111,11 @@ allocgate:
 # independent decode finds, hop and trace trailers included, and on a bad
 # record everything ahead of it and nothing after) and of
 # the cluster-query part parser (FuzzParsePart: never panic on what a
-# querypart peer sends, what parses comes back equal through Render) a
-# short budget on top of its seed corpus — enough for CI to catch a reader
+# querypart peer sends, what parses comes back equal through Render) and of
+# the E-code compiler (FuzzCompile: any bytes as filter source never panic,
+# source over the 64 KiB cap is an error; FuzzFilterParity: a program that
+# compiles gives one result, output and error kind on the fused VM, the
+# unfused VM and the interpreter oracle) a short budget on top of its seed corpus — enough for CI to catch a reader
 # that stopped tolerating garbage. go test takes one -fuzz target per run.
 FUZZTIME ?= 10s
 fuzz:
@@ -123,3 +126,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleFrame$$' -fuzztime $(FUZZTIME) ./internal/kecho/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePart$$' -fuzztime $(FUZZTIME) ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/ecode/
+	$(GO) test -run '^$$' -fuzz '^FuzzFilterParity$$' -fuzztime $(FUZZTIME) ./internal/ecode/

@@ -1,5 +1,5 @@
-// Command figures regenerates the paper's evaluation figures (4–11) and
-// prints them as aligned tables (or CSV). Each figure's experiment runs on
+// Command figures regenerates the paper's evaluation figures (4–11) and two
+// ablation rows (diff, p2p) and prints them as aligned tables (or CSV). Each figure's experiment runs on
 // the reproduction's real channel mesh or the deterministic stream
 // simulator; see DESIGN.md for the per-experiment index and EXPERIMENTS.md
 // for the recorded paper-versus-measured comparison.
@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		fig   = flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9a,9b,10,11 or all")
+		fig   = flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9a,9b,10,11, the ablation rows diff,p2p, or all")
 		csv   = flag.Bool("csv", false, "emit CSV instead of tables")
 		nodes = flag.Int("nodes", 8, "max cluster size for figures 4-8")
 		iters = flag.Int("iters", 100, "poll iterations per measurement (figures 4-8)")
@@ -63,6 +63,8 @@ func main() {
 		{"9b", func() (*figures.Figure, error) { return figures.Figure9b(9, pointDur), nil }},
 		{"10", func() (*figures.Figure, error) { return figures.Figure10(pointDur), nil }},
 		{"11", func() (*figures.Figure, error) { return figures.Figure11(pointDur), nil }},
+		{"diff", func() (*figures.Figure, error) { return figures.FigureDiffThreshold(*nodes, *iters/3+1) }},
+		{"p2p", func() (*figures.Figure, error) { return figures.FigureP2PvsCentral(*nodes, 10) }},
 	}
 
 	ran := false
@@ -88,7 +90,7 @@ func main() {
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (have 4,5,6,7,8,9a,9b,10,11,all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "unknown figure %q (have 4,5,6,7,8,9a,9b,10,11,diff,p2p,all)\n", *fig)
 		os.Exit(2)
 	}
 }

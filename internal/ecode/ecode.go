@@ -1,35 +1,33 @@
 package ecode
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
-// Filter is a compiled E-code filter: the bytecode program for the VM, plus
-// the checked AST retained for the tree-walking interpreter used by the
-// compiled-versus-interpreted ablation.
+// maxSourceBytes caps the filter source Compile accepts. Filter source
+// arrives from control-channel peers; the parser and checker recurse once
+// per nesting level, and a megabyte of nested parentheses or of one long
+// operator chain overflows the goroutine stack, a fatal error no recover
+// catches. The cap also bounds compile time and what the filter cache can
+// hold. The paper's Figure 3 filter is about 400 bytes.
+const maxSourceBytes = 64 << 10
+
+// Filter is a compiled E-code filter: the bytecode program for the VM and
+// the environment spec it was compiled against.
 type Filter struct {
-	prog  *Program
-	stmts []Stmt
-	spec  *EnvSpec
-}
-
-// Options tunes compilation; the zero value gives the default pipeline.
-type Options struct {
-	// DisableFold skips the constant-folding pass — only for the ablation
-	// that measures what folding buys.
-	DisableFold bool
-	// DisableFuse skips the compare-and-branch superinstruction fusion pass
-	// — for the ablation and the fused-versus-unfused parity tests.
-	DisableFuse bool
+	prog *Program
+	spec *EnvSpec
 }
 
 // Compile parses, type-checks, folds and compiles E-code source against the
 // symbol environment described by spec. It is the user-space analogue of
 // the paper's dynamic code generation step performed at the publishing host.
+// Source longer than 64 KiB is rejected before lexing.
 func Compile(source string, spec *EnvSpec) (*Filter, error) {
-	return CompileWithOptions(source, spec, Options{})
-}
-
-// CompileWithOptions is Compile with explicit pipeline options.
-func CompileWithOptions(source string, spec *EnvSpec, opts Options) (*Filter, error) {
+	if len(source) > maxSourceBytes {
+		return nil, fmt.Errorf("ecode: filter source is %d bytes, limit %d", len(source), maxSourceBytes)
+	}
 	stmts, err := parse(source)
 	if err != nil {
 		return nil, err
@@ -38,20 +36,15 @@ func CompileWithOptions(source string, spec *EnvSpec, opts Options) (*Filter, er
 	if err != nil {
 		return nil, err
 	}
-	if !opts.DisableFold {
-		stmts = foldStmts(stmts)
-	}
-	prog, err := compileProgram(stmts, frame, source)
+	prog, err := compileProgram(foldStmts(stmts), frame, source)
 	if err != nil {
 		return nil, err
 	}
-	if !opts.DisableFuse {
-		prog.Code = fuseProgram(prog.Code)
-	}
+	prog.Code = fuseProgram(prog.Code)
 	if spec == nil {
 		spec = &EnvSpec{}
 	}
-	return &Filter{prog: prog, stmts: stmts, spec: spec}, nil
+	return &Filter{prog: prog, spec: spec}, nil
 }
 
 // MustCompile is Compile that panics on error; for tests and fixed builtin
@@ -80,13 +73,6 @@ func (f *Filter) RunTimed(vm *VM, env *Env) (Result, time.Duration, error) {
 	start := time.Now()
 	res, err := f.Run(vm, env)
 	return res, time.Since(start), err
-}
-
-// Interpret executes the filter by walking the typed AST instead of running
-// bytecode. Functionally identical to Run; exists so the cost of dynamic
-// compilation can be measured against interpretation.
-func (f *Filter) Interpret(env *Env) (Result, error) {
-	return interpret(f.stmts, env)
 }
 
 // Source returns the original filter source, as redistributed over the

@@ -21,7 +21,7 @@ func runInt(t *testing.T, src string) int64 {
 		t.Fatalf("run %q: %v", src, err)
 	}
 	env2 := f.NewEnv(0)
-	res2, err := f.Interpret(env2)
+	res2, err := oracle(f, env2)
 	if err != nil {
 		t.Fatalf("interpret %q: %v", src, err)
 	}
@@ -44,7 +44,7 @@ func runFloat(t *testing.T, src string) float64 {
 	if err != nil {
 		t.Fatalf("run %q: %v", src, err)
 	}
-	res2, err := f.Interpret(f.NewEnv(0))
+	res2, err := oracle(f, f.NewEnv(0))
 	if err != nil {
 		t.Fatalf("interpret %q: %v", src, err)
 	}
@@ -351,7 +351,7 @@ func TestDivisionByZeroError(t *testing.T) {
 	if _, err := f.Run(nil, f.NewEnv(0)); !errors.Is(err, ErrDivZero) {
 		t.Fatalf("VM err = %v, want ErrDivZero", err)
 	}
-	if _, err := f.Interpret(f.NewEnv(0)); !errors.Is(err, ErrDivZero) {
+	if _, err := oracle(f, f.NewEnv(0)); !errors.Is(err, ErrDivZero) {
 		t.Fatalf("interp err = %v, want ErrDivZero", err)
 	}
 	f2 := MustCompile("int zero = 0; return 1 % zero;", nil)
@@ -365,7 +365,7 @@ func TestInfiniteLoopHitsStepLimit(t *testing.T) {
 	if _, err := f.Run(nil, f.NewEnv(0)); !errors.Is(err, ErrSteps) {
 		t.Fatalf("VM err = %v, want ErrSteps", err)
 	}
-	if _, err := f.Interpret(f.NewEnv(0)); !errors.Is(err, ErrSteps) {
+	if _, err := oracle(f, f.NewEnv(0)); !errors.Is(err, ErrSteps) {
 		t.Fatalf("interp err = %v, want ErrSteps", err)
 	}
 }

@@ -1,80 +1,32 @@
 package ecode
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// --- VMPool ---
+// --- VM reuse ---
 
-// TestVMPoolConcurrentRuns drives shared filters through one VMPool from many
-// goroutines; run under -race (make check) it pins that pooled execution
-// never shares VM state between concurrent runs.
-func TestVMPoolConcurrentRuns(t *testing.T) {
-	filters := []*Filter{
-		MustCompile("return 2 + 3;", nil),
-		MustCompile(paperFigure3, testSpec()),
-		MustCompile("int s = 0; for (int i = 0; i < 50; i++) { s += i; } return s;", nil),
-	}
-	// Four input records satisfy every filter's indexing (figure3Env shape).
-	mkEnv := func(f *Filter) *Env {
-		env := f.NewEnv(8)
-		env.Input = []Record{
-			{ID: 0, Value: 3.0, LastSent: 3.0},
-			{ID: 1, Value: 20000, LastSent: 20000},
-			{ID: 2, Value: 40e6, LastSent: 40e6},
-			{ID: 3, Value: 9000, LastSent: 8000},
-		}
-		return env
-	}
-	want := make([]Result, len(filters))
-	for i, f := range filters {
-		res, err := f.Run(nil, mkEnv(f))
-		if err != nil {
-			t.Fatalf("filter %d: %v", i, err)
-		}
-		want[i] = res
-	}
-	pool := NewVMPool()
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for iter := 0; iter < 200; iter++ {
-				i := (g + iter) % len(filters)
-				f := filters[i]
-				res, err := pool.Run(f, mkEnv(f))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if res != want[i] {
-					t.Errorf("goroutine %d iter %d: filter %d returned %+v, want %+v", g, iter, i, res, want[i])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("pooled run failed: %v", err)
-	}
-}
-
-// TestPooledVMMatchesFreshVM runs the random-program torture corpus twice —
-// once on fresh VMs, once through a shared pool that recycles a handful of
-// VMs across all trials — and demands identical results, errors and outputs.
-// A VM that leaked stack or locals state across runs would diverge here.
-func TestPooledVMMatchesFreshVM(t *testing.T) {
+// TestReusedVMMatchesFreshVM runs the random-program torture corpus twice —
+// once on a fresh VM per run, once on one VM reused for every trial, the way
+// d-mon reuses the VM it owns across polls — and demands identical results,
+// errors and outputs. Every tenth trial the reused VM first runs a filter
+// that fails mid-expression with values on its stack. A VM that leaked stack
+// or locals state from one run into the next would diverge here.
+func TestReusedVMMatchesFreshVM(t *testing.T) {
 	rng := rand.New(rand.NewSource(7421))
 	g := &progGen{rng: rng}
-	pool := NewVMPool()
+	reused := NewVM()
+	failing := MustCompile("int zero = 0; int k = 7; return k + k * (k / zero);", nil)
 	for trial := 0; trial < 200; trial++ {
+		if trial%10 == 0 {
+			if _, err := failing.Run(reused, failing.NewEnv(0)); !errors.Is(err, ErrDivZero) {
+				t.Fatalf("trial %d: failing filter returned %v, want ErrDivZero", trial, err)
+			}
+		}
 		src := g.program(rng.Intn(8) + 1)
 		f, err := Compile(src, nil)
 		if err != nil {
@@ -85,61 +37,80 @@ func TestPooledVMMatchesFreshVM(t *testing.T) {
 			env.Input = []Record{{ID: 5, Value: 1.25, LastSent: 1.0, Timestamp: 10}}
 			return env
 		}
-		envFresh, envPool := mkEnv(), mkEnv()
+		envFresh, envReused := mkEnv(), mkEnv()
 		resFresh, errFresh := f.Run(NewVM(), envFresh)
-		resPool, errPool := pool.Run(f, envPool)
-		if (errFresh == nil) != (errPool == nil) {
-			t.Fatalf("trial %d: error mismatch fresh=%v pooled=%v\n%s", trial, errFresh, errPool, src)
+		resReused, errReused := f.Run(reused, envReused)
+		if (errFresh == nil) != (errReused == nil) {
+			t.Fatalf("trial %d: error mismatch fresh=%v reused=%v\n%s", trial, errFresh, errReused, src)
 		}
 		if errFresh != nil {
 			continue
 		}
-		if resFresh != resPool {
-			t.Fatalf("trial %d: result mismatch fresh=%+v pooled=%+v\n%s", trial, resFresh, resPool, src)
+		if resFresh != resReused {
+			t.Fatalf("trial %d: result mismatch fresh=%+v reused=%+v\n%s", trial, resFresh, resReused, src)
 		}
-		if envFresh.OutCount() != envPool.OutCount() {
-			t.Fatalf("trial %d: OutCount mismatch %d vs %d\n%s", trial, envFresh.OutCount(), envPool.OutCount(), src)
+		if envFresh.OutCount() != envReused.OutCount() {
+			t.Fatalf("trial %d: OutCount mismatch %d vs %d\n%s", trial, envFresh.OutCount(), envReused.OutCount(), src)
 		}
 		for i := 0; i < envFresh.OutCount(); i++ {
-			if envFresh.Output[i] != envPool.Output[i] {
+			if envFresh.Output[i] != envReused.Output[i] {
 				t.Fatalf("trial %d: output[%d] mismatch\n%s", trial, i, src)
 			}
 		}
 	}
 }
 
-// TestVMPoolRunIsAllocationFree pins the steady-state cost of a pooled
-// filter run: after warm-up, Run allocates nothing.
-func TestVMPoolRunIsAllocationFree(t *testing.T) {
+// TestReusedVMRunIsAllocationFree pins the steady-state cost of a filter run
+// on a VM the caller owns: once its stack and locals have grown, Run
+// allocates nothing.
+func TestReusedVMRunIsAllocationFree(t *testing.T) {
 	f := MustCompile(paperFigure3, testSpec())
-	pool := NewVMPool()
+	vm := NewVM()
 	env := figure3Env(f, 3.0, 20000, 40e6, 9000, 8000)
 	run := func() {
 		env.Reset()
-		if _, err := pool.Run(f, env); err != nil {
+		if _, err := f.Run(vm, env); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pool and the VM scratch
-	// Under the race detector sync.Pool drops a quarter of Puts at random,
-	// each costing a fresh VM; over 1000 runs those stay far below one
-	// allocation per run, where over 100 they crossed it about once in 50.
-	if avg := testing.AllocsPerRun(1000, run); avg != 0 {
-		t.Fatalf("pooled filter run allocates %.1f times per run, want 0", avg)
+	run() // grow the VM's stack and locals
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("filter run on a reused VM allocates %.1f times per run, want 0", avg)
 	}
 }
 
 // --- superinstruction fusion ---
 
-// fusionAblation compiles src twice — default pipeline and fusion disabled —
-// and asserts identical behaviour.
+// compileUnfused is Compile without the fusion pass — the same parse, check,
+// fold and code generation — for the fused-versus-unfused parity checks.
+func compileUnfused(src string, spec *EnvSpec) (*Filter, error) {
+	stmts, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := check(stmts, spec)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := compileProgram(foldStmts(stmts), frame, src)
+	if err != nil {
+		return nil, err
+	}
+	if spec == nil {
+		spec = &EnvSpec{}
+	}
+	return &Filter{prog: prog, spec: spec}, nil
+}
+
+// fusionAblation compiles src with and without fusion and asserts identical
+// behaviour.
 func fusionAblation(t *testing.T, src string, spec *EnvSpec) {
 	t.Helper()
-	fused, err := CompileWithOptions(src, spec, Options{})
+	fused, err := Compile(src, spec)
 	if err != nil {
 		t.Fatalf("compile fused: %v\n%s", err, src)
 	}
-	plain, err := CompileWithOptions(src, spec, Options{DisableFuse: true})
+	plain, err := compileUnfused(src, spec)
 	if err != nil {
 		t.Fatalf("compile unfused: %v\n%s", err, src)
 	}
@@ -385,5 +356,21 @@ func TestCompileCachedConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := FilterCacheStats(); st.Size != len(srcs) {
 		t.Fatalf("cache holds %d entries, want %d", st.Size, len(srcs))
+	}
+}
+
+// BenchmarkCompile times the whole front end and code generator on a
+// two-clause threshold filter: the cost a deployment pays once, and what
+// CompileCached saves on every redeployment.
+func BenchmarkCompile(b *testing.B) {
+	spec := testSpec()
+	src := `
+int i = 0;
+if(input[LOADAVG].value > 2){ output[i] = input[LOADAVG]; i = i + 1; }
+if(input[CACHE_MISS].value > input[CACHE_MISS].last_value_sent){ output[i] = input[CACHE_MISS]; i = i + 1; }`
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(src, spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -99,7 +99,7 @@ func TestPaperFigure3InterpreterAgreesWithVM(t *testing.T) {
 	if _, err := f.Run(nil, envVM); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Interpret(envIn); err != nil {
+	if _, err := oracle(f, envIn); err != nil {
 		t.Fatal(err)
 	}
 	if envVM.OutCount() != envIn.OutCount() {
@@ -227,7 +227,7 @@ func TestInputIndexOutOfRange(t *testing.T) {
 	if _, err := f.Run(nil, env); !errors.Is(err, ErrBounds) {
 		t.Fatalf("VM err = %v, want ErrBounds", err)
 	}
-	if _, err := f.Interpret(env); !errors.Is(err, ErrBounds) {
+	if _, err := oracle(f, env); !errors.Is(err, ErrBounds) {
 		t.Fatalf("interp err = %v, want ErrBounds", err)
 	}
 }
@@ -295,6 +295,54 @@ func TestParserErrors(t *testing.T) {
 	compileErr(t, "return 1 +;", "expected expression")
 	compileErr(t, "{ int x = 1;", "unterminated block")
 	compileErr(t, "(1 + 2) [0];", "only the input/output arrays can be indexed")
+}
+
+// TestCompileRejectsOversizeSource feeds Compile the two filter bombs a
+// control-channel peer could send. Two megabytes of nested parentheses drive
+// the parser's expression recursion; a two-megabyte operator chain parses
+// iteratively into a left-deep tree that drives the checker's. Without the
+// source cap either one overflows the goroutine stack, a fatal error that
+// takes the process down.
+func TestCompileRejectsOversizeSource(t *testing.T) {
+	const n = 1_000_000
+	for name, src := range map[string]string{
+		"nesting": "return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";",
+		"chain":   "int a = 1; return a" + strings.Repeat("+a", n) + ";",
+	} {
+		if _, err := Compile(src, nil); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: %d bytes of source gave err %v, want the size limit", name, len(src), err)
+		}
+	}
+}
+
+// TestCompileAcceptsSourceUpToTheCap pins the other side of the cap: the
+// deepest parenthesis nesting, the longest operator chain and the deepest
+// unary stack that fit in maxSourceBytes compile and run to the right answer.
+func TestCompileAcceptsSourceUpToTheCap(t *testing.T) {
+	parens := (maxSourceBytes - len("return 1;")) / 2
+	chain := (maxSourceBytes - len("int a = 1; return a;")) / 2
+	nots := (maxSourceBytes - len("return 1;")) &^ 1 // an even count: !!1 is 1
+	for _, c := range []struct {
+		name string
+		src  string
+		want int64
+	}{
+		{"nesting", "return " + strings.Repeat("(", parens) + "1" + strings.Repeat(")", parens) + ";", 1},
+		{"chain", "int a = 1; return a" + strings.Repeat("+a", chain) + ";", int64(chain) + 1},
+		{"unary", "return " + strings.Repeat("!", nots) + "1;", 1},
+	} {
+		if len(c.src) > maxSourceBytes {
+			t.Fatalf("%s: %d bytes, over the cap", c.name, len(c.src))
+		}
+		f, err := Compile(c.src, nil)
+		if err != nil {
+			t.Errorf("%s (%d bytes): %v", c.name, len(c.src), err)
+			continue
+		}
+		if res, err := f.Run(nil, f.NewEnv(0)); err != nil || res.Int != c.want {
+			t.Errorf("%s: got %+v, %v; want %d", c.name, res, err, c.want)
+		}
+	}
 }
 
 func TestEnvSpecValidation(t *testing.T) {

@@ -1,0 +1,203 @@
+package ecode
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"dproc/internal/metrics"
+)
+
+// filterSpec is d-mon's filter environment (dmon.FilterSpec), rebuilt here
+// because dmon imports this package.
+func filterSpec() *EnvSpec {
+	consts := map[string]int64{}
+	for name, idx := range metrics.FilterSymbols() {
+		consts[name] = int64(idx)
+	}
+	return &EnvSpec{Consts: consts}
+}
+
+// FuzzCompile takes any bytes as filter source, as a control-channel peer
+// may send them: Compile never panics, refuses source over the size cap,
+// and a filter that compiles runs on a step-limited VM without panicking.
+func FuzzCompile(f *testing.F) {
+	for _, seed := range []string{
+		paperFigure3,
+		"return 1;",
+		"for (;;) {}",
+		"return " + strings.Repeat("(", 64) + "1" + strings.Repeat(")", 64) + ";",
+		"int a = 1; return a" + strings.Repeat("+a", 64) + ";",
+		strings.Repeat(" ", maxSourceBytes) + "return 1;",
+	} {
+		f.Add(seed)
+	}
+	spec := filterSpec()
+	f.Fuzz(func(t *testing.T, src string) {
+		filter, err := Compile(src, spec)
+		if len(src) > maxSourceBytes {
+			if err == nil {
+				t.Fatalf("compiled %d bytes of source, over the %d-byte cap", len(src), maxSourceBytes)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		env := filter.NewEnv(int(metrics.NumIDs))
+		env.Input = make([]Record, metrics.NumIDs)
+		// Any result or runtime error will do; only a panic fails.
+		_, _ = (&VM{MaxSteps: 1 << 14}).Run(filter.Program(), env)
+	})
+}
+
+// FuzzFilterParity holds three executors of one program to one answer: the
+// VM on Compile's bytecode, the VM on the same program compiled without
+// superinstruction fusion, and the interpreter walking the unfolded AST
+// (oracle). Every source that compiles against testSpec is a case; the seeds
+// are programs of the parity tests' generator and programs that end in each
+// runtime error. The error kind must agree and, on success, the result, the
+// output and input records and the globals.
+//
+// The VM charges a step per instruction and the interpreter one per
+// statement and expression, and fusion removes instructions, so the three
+// exhaust their budgets on different computations: a program that runs out
+// of some budgets but not all is skipped. ErrSteps parity is asserted only
+// where every executor runs out, as on any loop that never terminates.
+func FuzzFilterParity(f *testing.F) {
+	rng := rand.New(rand.NewSource(20030625))
+	g := &progGen{rng: rng}
+	for i := 0; i < 32; i++ {
+		f.Add(g.program(rng.Intn(8) + 1))
+	}
+	for _, seed := range []string{
+		paperFigure3,
+		"int zero = 0; return 1 / zero;",
+		"int zero = 0; int k = 5; k %= zero; return k;",
+		"output[0] = input[10];",
+		"int i = 9; output[i] = input[0];",
+		"for (;;) {}",
+		"int n = 0; while (1) { n++; }",
+		"nclients = nclients + 1; cpu_load = cpu_load * 2.0; return nclients;",
+		"double x = 1.0 / 0.0; return x - x;",
+	} {
+		f.Add(seed)
+	}
+	spec := testSpec()
+	f.Fuzz(func(t *testing.T, src string) {
+		fused, err := Compile(src, spec)
+		if err != nil {
+			return
+		}
+		plain, err := compileUnfused(src, spec)
+		if err != nil {
+			t.Fatalf("compiles with fusion but not without: %v\n%s", err, src)
+		}
+		names := [...]string{"fused VM", "unfused VM", "interpreter"}
+		var envs [3]*Env
+		for i := range envs {
+			envs[i] = parityEnv(fused)
+		}
+		var res [3]Result
+		var errs [3]error
+		res[0], errs[0] = fused.Run(nil, envs[0])
+		res[1], errs[1] = plain.Run(nil, envs[1])
+		res[2], errs[2] = oracle(fused, envs[2])
+		outOfSteps := 0
+		for _, err := range errs {
+			if errors.Is(err, ErrSteps) {
+				outOfSteps++
+			}
+		}
+		if outOfSteps > 0 && outOfSteps < len(errs) {
+			t.Skip("the program ends between the executors' step budgets")
+		}
+		for i := 1; i < len(errs); i++ {
+			if errKind(errs[i]) != errKind(errs[0]) {
+				t.Fatalf("%s: %v; %s: %v\n%s", names[0], errs[0], names[i], errs[i], src)
+			}
+			if errs[0] != nil {
+				continue
+			}
+			if !sameResult(res[0], res[i]) {
+				t.Fatalf("%s returned %+v, %s %+v\n%s", names[0], res[0], names[i], res[i], src)
+			}
+			if !sameEnv(envs[0], envs[i]) {
+				t.Fatalf("%s and %s leave different environments\n%s", names[0], names[i], src)
+			}
+		}
+	})
+}
+
+// parityEnv is the environment every executor of a parity case starts from:
+// the four records the paper's Figure 3 filter reads, four output slots and
+// set globals.
+func parityEnv(f *Filter) *Env {
+	env := f.NewEnv(4)
+	env.Input = []Record{
+		{ID: 0, Value: 3, LastSent: 2.5, Timestamp: 10},
+		{ID: 1, Value: 20000, LastSent: 18000, Timestamp: 11},
+		{ID: 2, Value: 40e6, LastSent: 40e6, Timestamp: 12},
+		{ID: 3, Value: 9000, LastSent: 8000, Timestamp: 13},
+	}
+	for i := range env.Ints {
+		env.Ints[i] = int64(3 + i)
+	}
+	for i := range env.Floats {
+		env.Floats[i] = 0.5 + float64(i)
+	}
+	return env
+}
+
+// errKind names the runtime error class of err; an error outside the three
+// runtime classes compares by its message.
+func errKind(err error) string {
+	if err == nil {
+		return "ok"
+	}
+	for _, kind := range []error{ErrSteps, ErrBounds, ErrDivZero} {
+		if errors.Is(err, kind) {
+			return kind.Error()
+		}
+	}
+	return err.Error()
+}
+
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+func sameResult(a, b Result) bool {
+	return a.Type == b.Type && a.Int == b.Int && sameFloat(a.F, b.F)
+}
+
+func sameRecords(a, b []Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || !sameFloat(a[i].Value, b[i].Value) ||
+			!sameFloat(a[i].LastSent, b[i].LastSent) || !sameFloat(a[i].Timestamp, b[i].Timestamp) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameEnv compares what a run leaves in an environment.
+func sameEnv(a, b *Env) bool {
+	if a.OutCount() != b.OutCount() || !sameRecords(a.Input, b.Input) || !sameRecords(a.Output, b.Output) {
+		return false
+	}
+	for i := range a.Ints {
+		if a.Ints[i] != b.Ints[i] {
+			return false
+		}
+	}
+	for i := range a.Floats {
+		if !sameFloat(a.Floats[i], b.Floats[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -146,7 +146,8 @@ func TestFoldMetricConstantConditions(t *testing.T) {
 }
 
 func TestFoldedProgramsStillAgreeWithInterpreter(t *testing.T) {
-	// The interpreter walks the *folded* AST; semantics must be unchanged.
+	// The VM runs the folded program, the interpreter the unfolded AST;
+	// folding must not change what a program computes.
 	srcs := []string{
 		"return (2 + 3) * (10 - 4) / 2;",
 		"int x = 5; if (1 && 2 > 1) { x = x * (1 + 1); } return x;",

@@ -122,7 +122,7 @@ func TestVMInterpreterParityOnRandomPrograms(t *testing.T) {
 		}
 		envVM, envIn := mkEnv(), mkEnv()
 		resVM, errVM := f.Run(nil, envVM)
-		resIn, errIn := f.Interpret(envIn)
+		resIn, errIn := oracle(f, envIn)
 		if (errVM == nil) != (errIn == nil) {
 			t.Fatalf("trial %d: error mismatch vm=%v interp=%v\n%s", trial, errVM, errIn, src)
 		}

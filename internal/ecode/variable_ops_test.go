@@ -119,7 +119,7 @@ output[0].id += 2;
 	if _, err := f.Run(nil, e1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Interpret(e2); err != nil {
+	if _, err := oracle(f, e2); err != nil {
 		t.Fatal(err)
 	}
 	want := Record{ID: 7, Value: 4, LastSent: 3, Timestamp: 110}
@@ -143,7 +143,7 @@ func TestRecordFieldReadsAllFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := f.Interpret(mk())
+	r2, err := oracle(f, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestGlobalVariableStoresBothTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := f.Interpret(e2)
+	r2, err := oracle(f, e2)
 	if err != nil {
 		t.Fatal(err)
 	}

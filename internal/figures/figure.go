@@ -1,9 +1,10 @@
 // Package figures regenerates every figure in the paper's evaluation
 // (Section 4): the microbenchmarks of dproc overhead (Figures 4–8) and the
-// SmartPointer stream-management experiments (Figures 9–11). Each generator
-// returns a Figure holding labelled series that cmd/figures renders as
-// aligned tables or CSV, and that the benchmark suite asserts shape
-// properties over (who wins, where the knees fall).
+// SmartPointer stream-management experiments (Figures 9–11), plus two
+// ablation rows of design decisions the paper argues for (DESIGN.md §4).
+// Each generator returns a Figure holding labelled series that cmd/figures
+// renders as aligned tables or CSV, and that the package's tests assert
+// shape properties over (who wins, where the knees fall).
 package figures
 
 import (

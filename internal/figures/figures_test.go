@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestVariantNames(t *testing.T) {
 }
 
 // small shared sizes keep the real-TCP figures fast in unit tests; the full
-// 8-node/100-iteration runs happen in the benchmarks and cmd/figures.
+// 8-node/100-iteration runs happen in cmd/figures.
 // Timing comparisons use generous slack so the shape assertions hold even
 // on heavily loaded CI machines.
 const (
@@ -144,11 +145,11 @@ func TestFigure7LargerEventsCostMore(t *testing.T) {
 	// medians of 25 polls cannot be ordered on that. The bytes the writers
 	// put on the wire per iteration include the write and do not depend on
 	// timing.
-	_, _, small, err := clusterRates(testNodes, Period1s, 0, testIters)
+	_, _, small, err := clusterRates(testNodes, Period1s.apply, 0, testIters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, large, err := clusterRates(testNodes, Period1s, 5000, testIters)
+	_, _, large, err := clusterRates(testNodes, Period1s.apply, 5000, testIters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,27 +172,36 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestSendFraction(t *testing.T) {
-	frac1, err := SendFraction(2, Period1s, 10)
+	frac1, err := sendFraction(2, Period1s.apply, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if frac1 < 0.9 {
 		t.Fatalf("1s send fraction = %g, want ~1", frac1)
 	}
-	fracD, err := SendFraction(2, Differential, 20)
+	fracD, err := sendFraction(2, Differential.apply, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fracD > 0.3 {
 		t.Fatalf("differential send fraction = %g, want near 0", fracD)
 	}
-	if frac0, err := SendFraction(1, Period1s, 5); err != nil || frac0 != 0 {
+	if frac0, err := sendFraction(1, Period1s.apply, 5); err != nil || frac0 != 0 {
 		t.Fatalf("single-node fraction = (%g, %v)", frac0, err)
 	}
 }
 
+// xs lists a series' X values.
+func xs(s Series) []float64 {
+	out := make([]float64, len(s.Points))
+	for i, p := range s.Points {
+		out[i] = p.X
+	}
+	return out
+}
+
 func TestFigure4LiveRunsRealLinpack(t *testing.T) {
-	f, err := Figure4Live(2, 1, 64) // tiny: 2 nodes max, 1 solve, n=64
+	f, err := Figure4Live(3, 1, 64) // tiny: 3 nodes max, 1 solve, n=64
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +209,10 @@ func TestFigure4LiveRunsRealLinpack(t *testing.T) {
 		t.Fatalf("series = %d", len(f.Series))
 	}
 	for _, s := range f.Series {
-		if len(s.Points) != 4 { // n = 0, 2, 4, maxNodes(2→dedup? points are 0,2,4,2)
-			// Points are {0, 2, 4, maxNodes}; with maxNodes=2 that is 4 points.
-			t.Fatalf("%s: points = %v", s.Label, s.Points)
+		// 0 and 2 fit below maxNodes = 3, 4 does not, and maxNodes closes
+		// the series: strictly increasing, none above maxNodes.
+		if got := fmt.Sprint(xs(s)); got != "[0 2 3]" {
+			t.Fatalf("%s: cluster sizes %s, want [0 2 3]", s.Label, got)
 		}
 		for _, p := range s.Points {
 			if p.Y <= 0 {
@@ -212,11 +223,68 @@ func TestFigure4LiveRunsRealLinpack(t *testing.T) {
 }
 
 func TestFigure4LiveDefaults(t *testing.T) {
-	// Defaults kick in for nonpositive arguments; keep the run tiny by
-	// passing real values except where defaulting is under test.
-	f, err := Figure4Live(2, 1, 32)
-	if err != nil || f.ID != "fig4-live" {
-		t.Fatalf("f=%v err=%v", f, err)
+	// Nonpositive cluster size and solve count take the defaults; only the
+	// matrix is kept small so the run stays short.
+	f, err := Figure4Live(0, 0, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range f.Series {
+		if got := fmt.Sprint(xs(s)); got != "[0 2 4 8]" {
+			t.Errorf("%s: cluster sizes %s, want the default [0 2 4 8]", s.Label, got)
+		}
+	}
+	if !strings.Contains(f.Notes[0], "5 solves per point") {
+		t.Errorf("note %q does not record the default 5 solves", f.Notes[0])
+	}
+}
+
+func TestFigureDiffThresholdShape(t *testing.T) {
+	f, err := FigureDiffThreshold(2, testIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := f.Series[0]
+	if got := fmt.Sprint(xs(s)); got != "[1 5 15 30]" {
+		t.Fatalf("thresholds %s, want [1 5 15 30]", got)
+	}
+	for i := 1; i < len(s.Points); i++ {
+		if s.Points[i].Y > s.Points[i-1].Y {
+			t.Errorf("send fraction rose from %g at %g%% to %g at %g%%",
+				s.Points[i-1].Y, s.Points[i-1].X, s.Points[i].Y, s.Points[i].X)
+		}
+	}
+	if y, _ := s.Y(15); y > 0.3 {
+		t.Errorf("send fraction at the paper's 15%% = %g, want at most 0.3", y)
+	}
+	if first, last := s.Points[0].Y, s.Last().Y; first <= last {
+		t.Errorf("the sweep is flat: %g at 1%%, %g at 30%%", first, last)
+	}
+}
+
+func TestFigureP2PvsCentralShape(t *testing.T) {
+	f, err := FigureP2PvsCentral(testNodes, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2p, hub := f.Find("p2p publisher"), f.Find("central hub")
+	if x := p2p.Last().X; x != testNodes {
+		t.Fatalf("largest cluster %g, want %d", x, testNodes)
+	}
+	// Counted, not timed, so exact: the publisher sends to n−1 peers; the hub
+	// receives n−1 reports and forwards each to the n−2 other members.
+	for i, p := range p2p.Points {
+		n := p.X
+		if p.Y != n-1 || hub.Points[i].Y != (n-1)+(n-1)*(n-2) {
+			t.Errorf("%g nodes: p2p %g, hub %g events per round; want %g and %g",
+				n, p.Y, hub.Points[i].Y, n-1, (n-1)+(n-1)*(n-2))
+		}
+	}
+	for i := 1; i < len(p2p.Points); i++ {
+		prev := hub.Points[i-1].Y / p2p.Points[i-1].Y
+		if r := hub.Points[i].Y / p2p.Points[i].Y; r <= prev {
+			t.Errorf("hub/p2p ratio %g at %g nodes, not above %g", r, p2p.Points[i].X, prev)
+		}
 	}
 }
 

@@ -48,9 +48,17 @@ func Figure4Live(maxNodes, solvesPerPoint, matrixSize int) (*Figure, error) {
 		}
 		return best, nil
 	}
+	// Idle, then 2 and 4 nodes where they fit below maxNodes, then maxNodes.
+	var sizes []int
+	for _, n := range []int{0, 2, 4} {
+		if n < maxNodes {
+			sizes = append(sizes, n)
+		}
+	}
+	sizes = append(sizes, maxNodes)
 	for _, v := range Variants() {
 		series := Series{Label: v.String()}
-		for _, n := range []int{0, 2, 4, maxNodes} {
+		for _, n := range sizes {
 			var mflops float64
 			var err error
 			if n == 0 {
@@ -61,7 +69,7 @@ func Figure4Live(maxNodes, solvesPerPoint, matrixSize int) (*Figure, error) {
 				if err != nil {
 					return nil, err
 				}
-				applyVariant(cluster, v)
+				v.apply(cluster)
 				for _, node := range cluster.Nodes {
 					node.StartPolling(time.Second)
 				}

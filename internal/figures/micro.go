@@ -34,34 +34,41 @@ const (
 	calBaselineMflops = 17.4
 )
 
-// applyVariant configures every node of a cluster for the given monitoring
-// variant.
-func applyVariant(c *core.SimCluster, v Variant) {
-	for _, n := range c.Nodes {
-		switch v {
-		case Period1s:
-			// default
-		case Period2s:
+// apply configures every node of a cluster for the variant.
+func (v Variant) apply(c *core.SimCluster) {
+	switch v {
+	case Period2s:
+		for _, n := range c.Nodes {
 			for r := metrics.Resource(0); r < metrics.NumResources; r++ {
 				_ = n.DMon().SetPeriod(r, 2*time.Second)
 			}
-		case Differential:
-			n.DMon().SetDifferential(15)
+		}
+	case Differential:
+		differentialAt(15)(c)
+	}
+}
+
+// differentialAt returns a cluster setup that installs the differential
+// filter at pct percent on every node.
+func differentialAt(pct float64) func(*core.SimCluster) {
+	return func(c *core.SimCluster) {
+		for _, n := range c.Nodes {
+			n.DMon().SetDifferential(pct)
 		}
 	}
 }
 
-// clusterRates runs a cluster for iters one-second poll iterations and
-// returns node0's average events sent, events received, and bytes
-// sent+received per iteration.
-func clusterRates(n int, v Variant, padding, iters int) (sentPerIter, recvPerIter, bytesPerIter float64, err error) {
+// clusterRates runs an n-node cluster, set up by configure, for iters
+// one-second poll iterations and returns node0's average events sent,
+// events received, and bytes sent+received per iteration.
+func clusterRates(n int, configure func(*core.SimCluster), padding, iters int) (sentPerIter, recvPerIter, bytesPerIter float64, err error) {
 	clk := clock.NewVirtual(clock.Epoch)
 	c, err := core.NewSimCluster(n, clk, 20030623, padding)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer c.Close()
-	applyVariant(c, v)
+	configure(c)
 	for i := 0; i < iters; i++ {
 		for _, node := range c.Nodes {
 			if _, _, err := node.PollOnce(); err != nil {
@@ -106,7 +113,7 @@ func Figure4(maxNodes, iters int) (*Figure, error) {
 			var sent, recv float64
 			if n > 1 {
 				var err error
-				sent, recv, _, err = clusterRates(n, v, 0, iters)
+				sent, recv, _, err = clusterRates(n, v.apply, 0, iters)
 				if err != nil {
 					return nil, err
 				}
@@ -146,7 +153,7 @@ func Figure5(maxNodes, iters int) (*Figure, error) {
 			var bytesPerIter float64
 			if n > 1 {
 				var err error
-				_, _, bytesPerIter, err = clusterRates(n, v, 0, iters)
+				_, _, bytesPerIter, err = clusterRates(n, v.apply, 0, iters)
 				if err != nil {
 					return nil, err
 				}
@@ -169,7 +176,7 @@ func measureSubmission(n int, v Variant, padding, iters int) (float64, error) {
 		return 0, err
 	}
 	defer c.Close()
-	applyVariant(c, v)
+	v.apply(c)
 	d := c.Nodes[0].DMon()
 	// Warm the path once so first-send setup is excluded, as the paper's
 	// 100-iteration average would amortize it.
@@ -284,7 +291,7 @@ func measureReceive(n int, v Variant, iters int) (float64, error) {
 		return 0, err
 	}
 	defer c.Close()
-	applyVariant(c, v)
+	v.apply(c)
 	receiver := c.Nodes[0]
 	samples := make([]time.Duration, 0, iters)
 	for i := 0; i < iters; i++ {
@@ -318,11 +325,11 @@ func waitForPending(ch *kecho.Channel, want int, timeout time.Duration) {
 	}
 }
 
-// SendFraction measures the fraction of polling iterations in which node0
-// actually publishes under the given variant — the quantity the
-// differential filter is designed to crush. Exposed for the ablation bench.
-func SendFraction(n int, v Variant, iters int) (float64, error) {
-	sent, _, _, err := clusterRates(n, v, 0, iters)
+// sendFraction measures the fraction of polling iterations in which node0
+// of an n-node cluster, set up by configure, actually publishes — the
+// quantity the differential filter is designed to crush.
+func sendFraction(n int, configure func(*core.SimCluster), iters int) (float64, error) {
+	sent, _, _, err := clusterRates(n, configure, 0, iters)
 	if err != nil {
 		return 0, err
 	}

@@ -71,6 +71,20 @@ func TestLinpackVariousSizes(t *testing.T) {
 	}
 }
 
+// BenchmarkLinpack times the linpack kernel Figure 4's live mode runs and
+// reports the rate it reached on this host.
+func BenchmarkLinpack(b *testing.B) {
+	var mflops float64
+	for i := 0; i < b.N; i++ {
+		res, err := Linpack(200, int64(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		mflops = res.Mflops
+	}
+	b.ReportMetric(mflops, "Mflops")
+}
+
 func TestLUFactorSingularMatrix(t *testing.T) {
 	n := 3
 	a := make([]float64, n*n) // all zeros: singular
