@@ -73,7 +73,10 @@ sim-smoke:
 # observability-off variant, the relay re-publish path (receive →
 # dedup-admit → in-place hop rewrite → downstream enqueue), the polled
 # receive path (a 64-record batch frame of 64 B and of 5 KiB records through
-# handleFrame into its inbox arena, and the Poll that dispatches it) and the durable
+# handleFrame into its inbox arena, and the Poll that dispatches it), the
+# publish side (BenchmarkPublishFanout: 1 → 8 over loopback TCP, 64 B —
+# Publish onto eight outboxes, the live writer pool taking a frame's records
+# per lock and writing them, a reader draining each socket) and the durable
 # history ingest (Store.Update of a 20-sample report: latest values, one WAL
 # write, head chunks, full tiers) must be exactly 0. This is the CI guard
 # that neither the self-observability layer nor the overlay can regress the
@@ -92,6 +95,7 @@ allocgate:
 		$(GO) test -run '^$$' -bench '^BenchmarkHotPathObs$$/^off$$' -benchmem -benchtime 1000x . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkRelayForward$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
 		$(GO) test -run '^$$' -bench '^BenchmarkPolledReceive$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
+		$(GO) test -run '^$$' -bench '^BenchmarkPublishFanout$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
 		$(GO) test -run '^$$' -bench '^BenchmarkStoreUpdateDurable$$' -benchmem -benchtime 20000x ./internal/dmon/ ); \
 	echo "$$out"; \
 	bad=$$(echo "$$out" | grep 'allocs/op' | awk '$$(NF-1) != 0'); \
@@ -111,7 +115,10 @@ allocgate:
 # independent decode finds, hop and trace trailers included, and on a bad
 # record everything ahead of it and nothing after) and of
 # the cluster-query part parser (FuzzParsePart: never panic on what a
-# querypart peer sends, what parses comes back equal through Render) and of
+# querypart peer sends, what parses comes back equal through Render), of the
+# registry roster decoder (FuzzDecodeMembers: never panic on what a registry
+# sends, what decodes re-encodes through encodeMembers and decodes equal,
+# role extension included) and of
 # the E-code compiler (FuzzCompile: any bytes as filter source never panic,
 # source over the 64 KiB cap is an error; FuzzFilterParity: a program that
 # compiles gives one result, output and error kind on the fused VM, the
@@ -126,5 +133,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleFrame$$' -fuzztime $(FUZZTIME) ./internal/kecho/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePart$$' -fuzztime $(FUZZTIME) ./internal/query/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMembers$$' -fuzztime $(FUZZTIME) ./internal/registry/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/ecode/
 	$(GO) test -run '^$$' -fuzz '^FuzzFilterParity$$' -fuzztime $(FUZZTIME) ./internal/ecode/

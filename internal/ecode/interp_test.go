@@ -229,6 +229,20 @@ func (st *interpState) evalBool(x Expr) (bool, error) {
 
 // evalRef evaluates a record-typed expression to a record pointer.
 func (st *interpState) evalRef(x Expr) (*Record, ArrayRef, int, error) {
+	if a, ok := x.(*Assign2); ok && a.Typ == TypeRecord {
+		// A record assignment's value is a reference to its destination, as
+		// on the VM, so `output[0] = output[1] = input[2]` chains. Its own
+		// evalRef has checked the bounds.
+		v, err := st.eval(a)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		arr, i := refParts(v.i)
+		if arr == ArrInput {
+			return &st.env.Input[i], arr, i, nil
+		}
+		return &st.env.Output[i], arr, i, nil
+	}
 	idx, ok := x.(*Index)
 	if !ok {
 		return nil, 0, 0, fmt.Errorf("ecode: %s is not a record reference", x.exprType())

@@ -116,28 +116,39 @@ func (c *Channel) encodeRecord(payload []byte, tid uint64, broadcast bool) *outR
 
 // enqueue offers rec to p's outbox without blocking and reports whether it
 // was accepted; a full outbox costs the event for this peer, counted in
-// QueueDrops. It is the only producer of any outbox. The caller holds c.mu
-// — removePeer's adopt-and-drain relies on every producer serializing
-// against the map delete, so a record can never land on an outbox after the
-// dead peer was drained — and its own reference on rec.
+// QueueDrops, and touches neither pending nor the refcount. It is the only
+// producer of any outbox. The caller holds c.mu — removePeer's
+// adopt-and-drain relies on every producer serializing against the map
+// delete, so a record can never land on an outbox after the dead peer was
+// drained — and its own reference on rec.
 //
-// The event is counted pending before the enqueue so the graceful drain in
-// Close can never observe it queued but uncounted, and the outbox's
-// reference is taken before the enqueue for the same reason: a writer may
-// pull the record off the outbox, write it and release it immediately.
+// The event is counted pending, and the outbox's reference taken, under the
+// peer lock before the record becomes visible to a writer, which may take
+// it, write it and release it as soon as the lock is dropped. The peer goes
+// onto the ready ring only if this call set the scheduled token, and only
+// after the lock is released (writer.go).
 func (c *Channel) enqueue(p *peer, rec *outRecord) bool {
-	p.pending.Add(1)
-	rec.refs.Add(1)
-	select {
-	case p.outbox <- rec:
-		c.schedule(p)
-		return true
-	default:
-		p.pending.Add(-1)
-		rec.refs.Add(-1) // cannot hit zero: the caller's reference is live
+	p.qmu.Lock()
+	if p.queued == len(p.outbox) {
+		p.qmu.Unlock()
 		c.queueDrops.Add(1)
 		return false
 	}
+	p.pending.Add(1)
+	rec.refs.Add(1)
+	tail := p.head + p.queued
+	if tail >= len(p.outbox) {
+		tail -= len(p.outbox)
+	}
+	p.outbox[tail] = rec
+	p.queued++
+	wake := !p.scheduled
+	p.scheduled = true
+	p.qmu.Unlock()
+	if wake {
+		c.ring.push(p)
+	}
+	return true
 }
 
 // fanOut enqueues rec on every peer except skip and the member named origin

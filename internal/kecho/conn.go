@@ -11,6 +11,13 @@ import (
 	"dproc/internal/wire"
 )
 
+// conn: one connection per peer. Its read side is one goroutine, readLoop,
+// for the life of the connection. Its write side is the peer's outbox — a
+// fixed ring of encoded records under a small per-peer lock that also holds
+// the ring's scheduled token — drained by the shared writer pool
+// (writer.go), a frame's worth of records per lock, and a write lock that
+// keeps frames whole on the wire.
+
 // Transport supplies the listen/dial primitives the channel uses, so tests
 // can route peer traffic through a fault-injection layer (internal/faultnet).
 type Transport interface {
@@ -46,26 +53,30 @@ type peer struct {
 	// addPeerLocked settles a cross-dial on it.
 	dialed bool
 	wmu    sync.Mutex
-	// outbox queues encoded event records for the writer pool; enqueue fills
-	// it without blocking and nothing ever closes it. Records are
-	// refcounted: the writer releases its reference once the record is
-	// written or deliberately dropped.
-	outbox chan *outRecord
+	// qmu guards the outbound queue and its scheduled token, and nothing
+	// else: no syscall, allocation or other lock is taken while it is held.
+	// Lock order is c.mu → qmu. See writer.go for the protocol.
+	qmu sync.Mutex
+	// outbox is a fixed ring of encoded event records for the writer pool:
+	// queued records from head on, wrapping. enqueue is its only producer
+	// and never blocks; whoever holds scheduled is its only consumer.
+	// Records are refcounted: the writer releases its reference once the
+	// record is written or deliberately dropped.
+	outbox []*outRecord
+	head   int
+	queued int
+	// scheduled is the queue-ownership token: true while the peer is on the
+	// ready ring or being serviced by a writer (at most one of either, so
+	// per-peer write order is total). A dead peer's token, once teardown has
+	// it, is held forever.
+	scheduled bool
 	// dead is closed exactly once when the peer is torn down.
 	dead     chan struct{}
 	downOnce sync.Once
-	// pending counts events accepted for this peer (enqueued on outbox or
+	// pending counts events accepted for this peer (queued on outbox or
 	// held by a writer) whose write has neither completed nor been
 	// abandoned; Close's graceful drain waits for it to reach zero.
 	pending atomic.Int64
-	// scheduled is the queue-ownership token: true while the peer is on the
-	// ready ring or being serviced by a writer (at most one of either, so
-	// per-peer write order is total). A dead peer's token is held forever.
-	// See writer.go.
-	scheduled atomic.Bool
-	// carry holds a record that would have overflowed the previous batch
-	// frame; it opens the next batch. Owned by whoever holds scheduled.
-	carry *outRecord
 }
 
 // newPeer wraps conn as a peer with an empty outbound queue.
@@ -73,7 +84,7 @@ func (c *Channel) newPeer(id string, conn net.Conn) *peer {
 	return &peer{
 		id:     id,
 		conn:   conn,
-		outbox: make(chan *outRecord, c.opts.OutboxSize),
+		outbox: make([]*outRecord, c.opts.OutboxSize),
 		dead:   make(chan struct{}),
 	}
 }

@@ -49,12 +49,17 @@ func (c *Channel) removePeer(p *peer) {
 	c.mu.Unlock()
 	p.close()
 	// Account everything still queued as dropped. The scheduled token
-	// arbitrates: if a writer holds it, that writer's own exit path drains;
-	// otherwise this CAS adopts the peer (permanently — the token is never
-	// released, so the dead peer cannot re-enter the ring). Producers cannot
-	// enqueue anymore: the map delete above and every enqueue serialize on
-	// c.mu.
-	if p.scheduled.CompareAndSwap(false, true) {
+	// arbitrates, under the peer lock: if a writer holds it, whatever is
+	// still queued reaches that writer, whose next write fails on the
+	// closed conn and whose exit path drains; otherwise this adopts the
+	// token (permanently — it is never released, so the dead peer cannot
+	// re-enter the ring) and drains here. Producers cannot enqueue anymore:
+	// the map delete above and every enqueue serialize on c.mu.
+	p.qmu.Lock()
+	adopt := !p.scheduled
+	p.scheduled = true
+	p.qmu.Unlock()
+	if adopt {
 		c.drainDeadPeer(p)
 	}
 }

@@ -10,16 +10,19 @@ import (
 // drains every peer's outbox: an idle peer costs zero writer goroutines, and
 // a busy relay drains many outboxes per wake-up.
 //
-// Queue ownership: peer.scheduled is the single token. A producer that
-// enqueues CASes it false→true and, on success, pushes the peer onto the
-// ready ring — so a peer is in the ring (or being serviced) at most once,
-// which both preserves per-peer write ordering and makes the servicing
-// writer the outbox's sole consumer. The writer releases the token only
-// after verifying the outbox is empty (with a re-check to close the race
-// against a producer that observed the token still held). A dead peer's
-// token is never released: whoever holds it — the failing writer, or
-// removePeer via its own CAS — drains the outbox into QueueDrops, and the
-// peer can never re-enter the ring.
+// Queue ownership: peer.scheduled is the single token, and it lives under
+// the same small lock (peer.qmu) as the outbox ring it guards. A producer
+// that enqueues sets it if it was clear and, only then, pushes the peer onto
+// the ready ring — so a peer is in the ring (or being serviced) at most
+// once, which both preserves per-peer write ordering and makes the servicing
+// writer the outbox's sole consumer. The writer takes a whole frame's
+// records per lock, and after the write one more lock decides between
+// requeueing the peer and releasing the token; because producers and the
+// releasing writer serialize on that lock, no record can slip in unseen
+// between the check and the release. Teardown goes through the same token:
+// whoever holds it once the peer is dead — the failing writer, or
+// removePeer adopting it — keeps it forever and drains the outbox into
+// QueueDrops, so the peer can never re-enter the ring.
 
 // writerScratch is one reactor writer's reusable encode state, persisting
 // across peers and wake-ups so steady-state coalescing allocates nothing.
@@ -31,11 +34,11 @@ type writerScratch struct {
 	bw    wire.BatchWriter
 }
 
-// schedule hands p to the writer pool if it is not already scheduled.
-// Callers must have just enqueued on p.outbox (or observed it non-empty).
-func (c *Channel) schedule(p *peer) {
-	if p.scheduled.CompareAndSwap(false, true) {
-		c.ring.push(p)
+// newWriterScratch sizes a writer's scratch for batches of maxBatch records.
+func newWriterScratch(maxBatch int) *writerScratch {
+	return &writerScratch{
+		batch: make([]*outRecord, 0, maxBatch),
+		views: make([][]byte, 0, maxBatch),
 	}
 }
 
@@ -43,16 +46,13 @@ func (c *Channel) schedule(p *peer) {
 // services one batch each, round-robin, until the ring closes and empties.
 func (c *Channel) writerLoop() {
 	defer c.wg.Done()
-	ws := writerScratch{
-		batch: make([]*outRecord, 0, c.opts.MaxBatch),
-		views: make([][]byte, 0, c.opts.MaxBatch),
-	}
+	ws := newWriterScratch(c.opts.MaxBatch)
 	for {
 		p, ok := c.ring.pop()
 		if !ok {
 			return
 		}
-		c.servicePeer(p, &ws)
+		c.servicePeer(p, ws)
 	}
 }
 
@@ -63,50 +63,13 @@ func (c *Channel) writerLoop() {
 // everything still queued is counted in QueueDrops; the deadline is paid
 // here, off the Publish path.
 func (c *Channel) servicePeer(p *peer, ws *writerScratch) {
-	// carry holds a record pulled in a previous round that would have pushed
-	// that batch past the frame limit; it opens this batch instead,
-	// preserving order. It lives on the peer because consecutive rounds may
-	// run on different writers — the scheduled token serializes them.
-	var first *outRecord
-	if p.carry != nil {
-		first, p.carry = p.carry, nil
-	} else {
-		select {
-		case first = <-p.outbox:
-		default:
-			// Nothing queued (a re-check push raced with the drain): release
-			// the token, then re-check for a producer that saw it held.
-			p.scheduled.Store(false)
-			if len(p.outbox) > 0 {
-				c.schedule(p)
-			}
-			return
-		}
-	}
-	batch := append(ws.batch[:0], first)
-	// Batch payload size: 4-byte count, then each record with a 4-byte
-	// length prefix (wire.AppendBatch). Individual events may legally
-	// approach wire.MaxFrameSize, so the coalesce loop bounds bytes, not
-	// just count — a burst of large events splits across frames rather than
-	// producing one oversized frame the wire layer rejects.
-	bytes := 4 + 4 + len(first.buf)
-coalesce:
-	for len(batch) < c.opts.MaxBatch {
-		select {
-		case rec := <-p.outbox:
-			if bytes+4+len(rec.buf) > wire.MaxFrameSize {
-				p.carry = rec
-				break coalesce
-			}
-			batch = append(batch, rec)
-			bytes += 4 + len(rec.buf)
-		default:
-			break coalesce
-		}
+	batch := p.take(ws.batch[:0], c.opts.MaxBatch)
+	if len(batch) == 0 {
+		return // take released the token
 	}
 	var err error
 	if len(batch) == 1 {
-		err = p.send(frameEvent, first.buf, c.opts.WriteDeadline)
+		err = p.send(frameEvent, batch[0].buf, c.opts.WriteDeadline)
 	} else {
 		ws.views = ws.views[:0]
 		for _, rec := range batch {
@@ -158,7 +121,7 @@ coalesce:
 		if isTimeout(err) {
 			c.deadlineDrops.Add(1)
 		}
-		// Events pulled from the outbox for this write die with it, and so
+		// Events taken from the outbox for this write die with it, and so
 		// does everything still queued: removePeer unlinks the peer (so no
 		// producer can enqueue again), then this writer — which still holds
 		// the scheduled token, permanently — drains the remnants into
@@ -170,16 +133,56 @@ coalesce:
 		c.drainDeadPeer(p)
 		return
 	}
-	if p.carry != nil || len(p.outbox) > 0 {
+	p.qmu.Lock()
+	more := p.queued > 0
+	p.scheduled = more
+	p.qmu.Unlock()
+	if more {
 		c.ring.push(p) // keep the token; tail position yields to other peers
-		return
 	}
-	p.scheduled.Store(false)
-	if len(p.outbox) > 0 {
-		// A producer enqueued between our drain and the release and lost its
-		// CAS; reclaim the token on its behalf.
-		c.schedule(p)
+}
+
+// take moves the head of p's outbox into batch — up to max records whose
+// batch payload fits one wire frame — under one acquisition of the peer
+// lock. It peeks at each record before taking it, so a record that would
+// overflow the frame stays at the head and opens the next one. An empty
+// outbox releases the scheduled token instead; the caller must hold it.
+func (p *peer) take(batch []*outRecord, max int) []*outRecord {
+	p.qmu.Lock()
+	if p.queued == 0 {
+		p.scheduled = false
+		p.qmu.Unlock()
+		return batch
 	}
+	// Batch payload size: 4-byte count, then each record with a 4-byte
+	// length prefix (wire.AppendBatch). Individual events may legally
+	// approach wire.MaxFrameSize, so the bound is bytes, not just count — a
+	// burst of large events splits across frames rather than producing one
+	// oversized frame the wire layer rejects. The first record is taken
+	// whatever its size: a lone oversize event is the writer's to drop.
+	size := 4
+	for p.queued > 0 && len(batch) < max {
+		rec := p.outbox[p.head]
+		if len(batch) > 0 && size+4+len(rec.buf) > wire.MaxFrameSize {
+			break
+		}
+		size += 4 + len(rec.buf)
+		batch = append(batch, p.popLocked())
+	}
+	p.qmu.Unlock()
+	return batch
+}
+
+// popLocked removes and returns the head of p's non-empty outbox. The
+// caller holds p.qmu.
+func (p *peer) popLocked() *outRecord {
+	rec := p.outbox[p.head]
+	p.outbox[p.head] = nil
+	if p.head++; p.head == len(p.outbox) {
+		p.head = 0
+	}
+	p.queued--
+	return rec
 }
 
 // dropRecord discards one event that was accepted for peer p but will never
@@ -213,18 +216,19 @@ func (c *Channel) observeWritten(batch []*outRecord) {
 // must hold p's scheduled token (and never release it): producers observe
 // the peer unlinked before this runs — removePeer deletes it from the map
 // under c.mu, and every enqueue happens under c.mu — so the outbox can no
-// longer grow and the drain terminates.
+// longer grow and the drain terminates. Each record is popped under the
+// peer lock and released outside it.
 func (c *Channel) drainDeadPeer(p *peer) {
-	if p.carry != nil {
-		c.dropRecord(p, p.carry)
-		p.carry = nil
-	}
 	for {
-		select {
-		case rec := <-p.outbox:
-			c.dropRecord(p, rec)
-		default:
+		p.qmu.Lock()
+		var rec *outRecord
+		if p.queued > 0 {
+			rec = p.popLocked()
+		}
+		p.qmu.Unlock()
+		if rec == nil {
 			return
 		}
+		c.dropRecord(p, rec)
 	}
 }

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,4 +196,51 @@ func TestJoinRequestRoleOptional(t *testing.T) {
 			t.Fatalf("heartbeat erased role: %+v", m)
 		}
 	}
+}
+
+// FuzzDecodeMembers feeds the member-list decoder arbitrary bytes — what a
+// registry, or anything answering on its port, may send. It must never
+// panic, and a list that decodes must come back equal, role extension
+// included, through encodeMembers and a second decode. Equal, not
+// byte-identical: the decoder skips ext bytes a newer revision added. The
+// seeds are real rosters — empty, 1 and 8 members, with and without roles —
+// and one with a foreign ext field.
+func FuzzDecodeMembers(f *testing.F) {
+	roster := func(n int, role string) []Member {
+		ms := make([]Member, n)
+		for i := range ms {
+			ms[i] = Member{ID: fmt.Sprintf("node%d", i), Addr: fmt.Sprintf("127.0.0.1:%d", 7500+i)}
+			if i%2 == 0 {
+				ms[i].Role = role
+			}
+		}
+		return ms
+	}
+	f.Add(encodeMembers(nil))
+	for _, role := range []string{"", "relay"} {
+		f.Add(encodeMembers(roster(1, role)))
+		f.Add(encodeMembers(roster(8, role)))
+	}
+	foreign := wire.NewEncoder(64)
+	foreign.Uint32(1)
+	foreign.String("a")
+	foreign.String("127.0.0.1:1")
+	foreign.Uint32(4 + 5 + 2)
+	foreign.String("relay")
+	foreign.Uint8(0xbe)
+	foreign.Uint8(0xef)
+	f.Add(foreign.Bytes())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		members, err := decodeMembers(payload)
+		if err != nil {
+			return
+		}
+		again, err := decodeMembers(encodeMembers(members))
+		if err != nil {
+			t.Fatalf("re-encoded roster of %d members does not decode: %v", len(members), err)
+		}
+		if !slices.Equal(again, members) {
+			t.Fatalf("roster changed through encodeMembers:\n got %+v\nwant %+v", again, members)
+		}
+	})
 }
