@@ -118,7 +118,10 @@ allocgate:
 # querypart peer sends, what parses comes back equal through Render), of the
 # registry roster decoder (FuzzDecodeMembers: never panic on what a registry
 # sends, what decodes re-encodes through encodeMembers and decodes equal,
-# role extension included) and of
+# role extension included), of the admin request reader (FuzzServeRequest:
+# any bytes as a connection's requests to a standalone node — never panic,
+# every reply "OK\n…" or exactly one "ERR …\n" line, the connection kept
+# only after a newline-terminated querypart) and of
 # the E-code compiler (FuzzCompile: any bytes as filter source never panic,
 # source over the 64 KiB cap is an error; FuzzFilterParity: a program that
 # compiles gives one result, output and error kind on the fused VM, the
@@ -134,5 +137,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleFrame$$' -fuzztime $(FUZZTIME) ./internal/kecho/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePart$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMembers$$' -fuzztime $(FUZZTIME) ./internal/registry/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/adminproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/ecode/
 	$(GO) test -run '^$$' -fuzz '^FuzzFilterParity$$' -fuzztime $(FUZZTIME) ./internal/ecode/

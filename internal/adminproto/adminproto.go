@@ -46,10 +46,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"dproc/internal/clock"
 	"dproc/internal/core"
 )
 
@@ -60,6 +62,17 @@ import (
 // response) gets a fresh deadline, so slow-but-alive requests complete
 // while a genuinely stalled peer still times out.
 const DefaultTimeout = 30 * time.Second
+
+// Request size caps. A request line longer than maxRequestLine (newline
+// included) and a write body longer than maxWriteBody get one short ERR line
+// and the connection closed, so a hostile or broken client costs a
+// connection at most this much memory, and its reply never echoes it back.
+// The body cap leaves room above ecode's 64 KiB filter-source cap for what a
+// control file wraps around the source.
+const (
+	maxRequestLine = 4096
+	maxWriteBody   = 128 << 10
+)
 
 // Transport supplies the listen/dial primitives, so fault harnesses can
 // route admin traffic through an injected fabric (faultnet.Host satisfies
@@ -106,7 +119,10 @@ type Server struct {
 	ln   net.Listener
 	node *core.Node
 	opts ServerOptions
-	wg   sync.WaitGroup
+	// io is the transport's I/O clock (clock.IO): phase deadlines and the
+	// heartbeat pace run on it.
+	io clock.Clock
+	wg sync.WaitGroup
 
 	hbStop chan struct{} // admin-channel heartbeat loop, nil when off
 
@@ -143,7 +159,7 @@ func NewServerWith(node *core.Node, addr string, opts ServerOptions) (*Server, e
 	if err != nil {
 		return nil, fmt.Errorf("adminproto: listen: %w", err)
 	}
-	s := &Server{ln: ln, node: node, opts: opts,
+	s := &Server{ln: ln, node: node, opts: opts, io: clock.IO(opts.Transport),
 		clients: map[string]*Client{}, idle: map[net.Conn]struct{}{}}
 	s.advertise()
 	node.SetClusterQuerier(s.QueryAll)
@@ -285,12 +301,13 @@ func (p phasedReader) Read(b []byte) (int, error) {
 	return p.conn.Read(b)
 }
 
-// readerPool recycles the 4 KiB buffered readers of admin connections: most
+// readerPool recycles the buffered readers of admin connections: most
 // connections carry one request, so without it every request allocates one
 // on each side. A reader goes back with its source reset to nil once the
 // connection is done — handlers read the body synchronously, so nothing
-// holds it past that.
-var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+// holds it past that. Its buffer is one request line: serveOne reads the
+// line in place and refuses one that does not fit.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, maxRequestLine) }}
 
 func getReader(src io.Reader) *bufio.Reader {
 	r := readerPool.Get().(*bufio.Reader)
@@ -305,7 +322,7 @@ func putReader(r *bufio.Reader) {
 
 func (s *Server) serve(conn net.Conn) {
 	timeout := s.opts.Timeout
-	phase := func() time.Time { return time.Now().Add(timeout) }
+	phase := func() time.Time { return s.io.Now().Add(timeout) }
 	r := getReader(phasedReader{conn: conn, phase: phase})
 	defer putReader(r)
 	// Each write gets a fresh deadline too: a long-running handler (flush
@@ -323,21 +340,29 @@ func (s *Server) serve(conn net.Conn) {
 // stays open for another: only after a keep verb whose request line ended
 // in a newline (one that ended at EOF had its writer half-close).
 func (s *Server) serveOne(r *bufio.Reader, reply func(string)) bool {
-	line, err := r.ReadString('\n')
+	raw, err := r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		reply("ERR request line over " + strconv.Itoa(maxRequestLine) + " bytes\n")
+		return false
+	}
 	// A complete line (newline- or EOF-terminated) is a request; a read
 	// error with a partial line is a stalled or dead client — drop it
 	// rather than interpreting half a command.
-	if err != nil && (line == "" || !errors.Is(err, io.EOF)) {
+	if err != nil && (len(raw) == 0 || !errors.Is(err, io.EOF)) {
 		return false
 	}
-	fields := strings.Fields(strings.TrimSpace(line))
+	fields := strings.Fields(string(raw))
 	if len(fields) == 0 {
 		reply("ERR empty command\n")
 		return false
 	}
 	v, ok := LookupVerb(fields[0])
 	if !ok {
-		reply("ERR unknown command " + fields[0] + " (have " + verbNames() + ")\n")
+		name := fields[0]
+		if len(name) > 32 {
+			name = name[:32] + "..."
+		}
+		reply("ERR unknown command " + name + " (have " + verbNames() + ")\n")
 		return false
 	}
 	args := fields[1:]
@@ -430,9 +455,13 @@ func runStats(s *Server, _ []string, _ *bufio.Reader, reply func(string)) {
 }
 
 func runWrite(s *Server, args []string, body *bufio.Reader, reply func(string)) {
-	data, err := io.ReadAll(body)
+	data, err := io.ReadAll(io.LimitReader(body, maxWriteBody+1))
 	if err != nil {
 		reply("ERR reading body: " + err.Error() + "\n")
+		return
+	}
+	if len(data) > maxWriteBody {
+		reply("ERR write body over " + strconv.Itoa(maxWriteBody) + " bytes\n")
 		return
 	}
 	if err := s.node.FS().WriteFile(args[0], string(data)); err != nil {
@@ -483,6 +512,7 @@ type Client struct {
 	timeout   time.Duration // per-phase; DefaultClientTimeout when 0
 	deadline  time.Time     // optional absolute cap across all phases
 	transport Transport     // nil = plain TCP
+	io        clock.Clock   // the transport's I/O clock (clock.IO)
 
 	mu     sync.Mutex
 	idle   []*partConn // kept querypart connections, most recent last
@@ -490,7 +520,7 @@ type Client struct {
 }
 
 // NewClient returns a client for the admin server at addr.
-func NewClient(addr string) *Client { return &Client{addr: addr} }
+func NewClient(addr string) *Client { return &Client{addr: addr, io: clock.NewReal()} }
 
 // SetTimeout sets the per-phase timeout (dprocctl -timeout).
 func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
@@ -500,8 +530,9 @@ func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 // within its per-node budget no matter how many phases it spans.
 func (c *Client) SetDeadline(t time.Time) { c.deadline = t }
 
-// SetTransport routes dials through tr (fault-injection fabrics).
-func (c *Client) SetTransport(tr Transport) { c.transport = tr }
+// SetTransport routes dials through tr (fault-injection fabrics), and the
+// client's phase deadlines onto tr's I/O clock.
+func (c *Client) SetTransport(tr Transport) { c.transport, c.io = tr, clock.IO(tr) }
 
 // Close closes the client's kept querypart connections; a call in flight
 // finishes and then closes its own. Operator verbs keep nothing, so a client
@@ -517,16 +548,18 @@ func (c *Client) Close() {
 }
 
 // budget is one request's time allowance: every I/O phase gets timeout,
-// and all of them end by deadline when it is set.
+// and all of them end by deadline when it is set. Both are read on clk, the
+// client's I/O clock.
 type budget struct {
 	timeout  time.Duration
 	deadline time.Time
+	clk      clock.Clock
 }
 
 // phase returns the deadline for the next I/O phase: now+timeout, capped
 // by the absolute deadline when one is set.
 func (b budget) phase() time.Time {
-	d := time.Now().Add(b.timeout)
+	d := b.clk.Now().Add(b.timeout)
 	if !b.deadline.IsZero() && b.deadline.Before(d) {
 		d = b.deadline
 	}
@@ -536,7 +569,7 @@ func (b budget) phase() time.Time {
 // budget returns the allowance for one request: the client's per-phase
 // timeout and absolute deadline, the latter capped by ctx's deadline.
 func (c *Client) budget(ctx context.Context) budget {
-	b := budget{timeout: c.timeout, deadline: c.deadline}
+	b := budget{timeout: c.timeout, deadline: c.deadline, clk: c.io}
 	if b.timeout <= 0 {
 		b.timeout = DefaultClientTimeout
 	}
@@ -548,7 +581,7 @@ func (c *Client) budget(ctx context.Context) budget {
 
 // dial opens a connection to the server within b's next phase.
 func (c *Client) dial(b budget) (net.Conn, error) {
-	dialBudget := time.Until(b.phase())
+	dialBudget := b.phase().Sub(b.clk.Now())
 	if dialBudget <= 0 {
 		return nil, fmt.Errorf("adminproto: dial %s: deadline exceeded", c.addr)
 	}

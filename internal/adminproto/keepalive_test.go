@@ -174,6 +174,73 @@ func TestQueryPartRetriesConnectionTheLeafClosed(t *testing.T) {
 	whole("after the leaves closed their idle connections", 4)
 }
 
+// dialCounter is plain TCP that counts dials per address.
+type dialCounter struct {
+	mu    sync.Mutex
+	dials map[string]int
+}
+
+func (d *dialCounter) Listen(network, address string) (net.Listener, error) {
+	return net.Listen(network, address)
+}
+
+func (d *dialCounter) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
+	d.mu.Lock()
+	d.dials[address]++
+	d.mu.Unlock()
+	return net.DialTimeout(network, address, timeout)
+}
+
+func (d *dialCounter) count() (per map[string]int, total int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	per = make(map[string]int, len(d.dials))
+	for addr, n := range d.dials {
+		per[addr] = n
+		total += n
+	}
+	return per, total
+}
+
+// TestQueryAllDialCounts is DESIGN §12's connection count as a gate, on a
+// 4-node cluster: a coordinator never dials itself, dials each peer at most
+// once on its first queryall, and nothing on the ten after — its querypart
+// connections are kept (putPart), not redialed per query.
+func TestQueryAllDialCounts(t *testing.T) {
+	counters := map[string]*dialCounter{}
+	_, _, servers := queryCluster(t, 4, 10, func(name string) ServerOptions {
+		counters[name] = &dialCounter{dials: map[string]int{}}
+		return ServerOptions{Transport: counters[name]}
+	})
+	coord, counter := servers[0], counters[servers[0].node.Name()]
+	query := func(stage string) {
+		t.Helper()
+		res, err := coord.QueryAllResult("p99 loadavg last 30s")
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if res.Partial || res.OK != 4 {
+			t.Fatalf("%s: not whole:\n%s", stage, res.Render())
+		}
+	}
+	query("first queryall")
+	per, first := counter.count()
+	if n := per[coord.Addr()]; n != 0 {
+		t.Fatalf("first queryall: %d dials to self, want 0", n)
+	}
+	for _, peer := range servers[1:] {
+		if n := per[peer.Addr()]; n > 1 {
+			t.Fatalf("first queryall: %d dials to peer %s, want <= 1", n, peer.node.Name())
+		}
+	}
+	for i := 0; i < 10; i++ {
+		query(fmt.Sprintf("queryall %d after the first", i+1))
+	}
+	if _, total := counter.count(); total != first {
+		t.Fatalf("the ten queryalls after the first dialed %d times, want 0", total-first)
+	}
+}
+
 // Overlapping fan-outs share the coordinator's clients: every query is
 // whole, and each client keeps at most maxIdleParts connections after.
 func TestConcurrentQueriesShareKeptConnections(t *testing.T) {

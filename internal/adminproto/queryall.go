@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"dproc/internal/clock"
 	"dproc/internal/dmon"
 	"dproc/internal/query"
 	"dproc/internal/tsdb"
@@ -49,15 +50,10 @@ func (s *Server) advertise() {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.hbStop:
-				return
-			case <-t.C:
-				_, _ = reg.Heartbeat(AdminChannel, s.node.Name(), s.Addr())
-			}
+		// Paced on the I/O clock: the heartbeat refreshes a TTL the registry
+		// ages on its own clock, not on this node's.
+		for clock.Wait(s.io, every, s.hbStop) {
+			_, _ = reg.Heartbeat(AdminChannel, s.node.Name(), s.Addr())
 		}
 	}()
 }

@@ -1,8 +1,14 @@
 // Package clock provides the time source used throughout the dproc
-// reproduction. Components never call time.Now directly; they take a
-// clock.Clock so that experiments can run against a deterministic virtual
-// clock (simulated cluster time, advanced explicitly by the harness) while
-// the daemons run against the real clock.
+// reproduction. Components take a clock.Clock so that experiments can run
+// against a deterministic virtual clock (simulated cluster time, advanced
+// explicitly by the harness) while the daemons run against the real clock.
+//
+// The packages a simulation runs — kecho, core, query, adminproto and
+// registry — read one of two named clocks and never the time package's own
+// (DESIGN.md §5): the node clock (core.Config.Clock) for what is about
+// monitoring time, and the I/O clock (IO) for what is about the sockets.
+// TestNoWallClockCalls in this package walks their source and fails on any
+// other wall-clock call; its allow-list says why each exception stays.
 package clock
 
 import (
@@ -28,6 +34,36 @@ type Clock interface {
 type Timer interface {
 	// Stop cancels the timer. It reports whether the call was prevented.
 	Stop() bool
+}
+
+// IO returns the I/O clock of a transport: the clock its connections read
+// deadlines on, and so the clock every socket deadline, wait guard and
+// settle window over that transport is computed on. That is the transport's
+// own Clock() when it has one — an in-memory transport that evaluates
+// deadlines on simulated time — and the real clock otherwise, whatever clock
+// the node runs on: a kernel socket reads a deadline as wall time, and a
+// virtual now plus five seconds lies decades in its past.
+func IO(transport any) Clock {
+	if t, ok := transport.(interface{ Clock() Clock }); ok {
+		if c := t.Clock(); c != nil {
+			return c
+		}
+	}
+	return NewReal()
+}
+
+// Wait blocks until clk has advanced by d or stop is closed, reporting
+// whether the time passed. A stop cancels the pending timer.
+func Wait(clk Clock, d time.Duration, stop <-chan struct{}) bool {
+	fired := make(chan struct{})
+	t := clk.AfterFunc(d, func() { close(fired) })
+	select {
+	case <-fired:
+		return true
+	case <-stop:
+		t.Stop()
+		return false
+	}
 }
 
 // Real is the wall-clock implementation backed by the time package.

@@ -188,3 +188,44 @@ func TestPendingTimersCount(t *testing.T) {
 		t.Fatalf("PendingTimers after advance = %d, want 2", got)
 	}
 }
+
+type clocked struct{ c Clock }
+
+func (t clocked) Clock() Clock { return t.c }
+
+func TestIOPrefersTheTransportsClock(t *testing.T) {
+	v := NewVirtual(Epoch)
+	if got := IO(clocked{v}); got != Clock(v) {
+		t.Fatalf("IO(transport with a clock) = %v, want its clock", got)
+	}
+	for _, tr := range []any{nil, struct{}{}, clocked{nil}} {
+		if _, ok := IO(tr).(*Real); !ok {
+			t.Fatalf("IO(%#v) = %T, want the real clock", tr, IO(tr))
+		}
+	}
+}
+
+func TestWaitEndsOnTimeOrStop(t *testing.T) {
+	v := NewVirtual(Epoch)
+	done := make(chan bool)
+	go func() { done <- Wait(v, time.Second, nil) }()
+	for v.PendingTimers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	v.Advance(time.Second)
+	if !<-done {
+		t.Fatal("Wait reported a stop when the time passed")
+	}
+	stop := make(chan struct{})
+	go func() { done <- Wait(v, time.Second, stop) }()
+	for v.PendingTimers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	if <-done {
+		t.Fatal("Wait reported the time passed when it was stopped")
+	}
+	if n := v.PendingTimers(); n != 0 {
+		t.Fatalf("a stopped Wait left %d timers pending", n)
+	}
+}

@@ -466,8 +466,11 @@ func (n *Node) PollOnce() (received int, published bool, err error) {
 	return received, report != nil, err
 }
 
-// StartPolling launches a background loop calling PollOnce at the given
-// interval (real-clock nodes only). Stop with StopPolling or Close.
+// StartPolling launches a background loop calling PollOnce every interval
+// on the node clock, on a fixed grid. A tick the loop could not take in time
+// — a slow poll, or a virtual clock advanced past several intervals at once
+// — is dropped, as a ticker drops it. On a virtual clock the loop polls
+// only as the clock is advanced. Stop with StopPolling or Close.
 func (n *Node) StartPolling(interval time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -479,14 +482,11 @@ func (n *Node) StartPolling(interval time.Duration) {
 	n.stopPoll, n.pollDone = stop, done
 	go func() {
 		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				_, _, _ = n.PollOnce()
+		next := n.clk.Now().Add(interval)
+		for clock.Wait(n.clk, next.Sub(n.clk.Now()), stop) {
+			_, _, _ = n.PollOnce()
+			for now := n.clk.Now(); !next.After(now); {
+				next = next.Add(interval) // skip the ticks a slow poll missed
 			}
 		}
 	}()

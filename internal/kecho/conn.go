@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dproc/internal/clock"
 	"dproc/internal/registry"
 	"dproc/internal/wire"
 )
@@ -52,7 +53,9 @@ type peer struct {
 	// dialed is true when this member opened conn, false when it accepted it;
 	// addPeerLocked settles a cross-dial on it.
 	dialed bool
-	wmu    sync.Mutex
+	// io is the channel's I/O clock, which write deadlines are set on.
+	io  clock.Clock
+	wmu sync.Mutex
 	// qmu guards the outbound queue and its scheduled token, and nothing
 	// else: no syscall, allocation or other lock is taken while it is held.
 	// Lock order is c.mu → qmu. See writer.go for the protocol.
@@ -84,6 +87,7 @@ func (c *Channel) newPeer(id string, conn net.Conn) *peer {
 	return &peer{
 		id:     id,
 		conn:   conn,
+		io:     c.io,
 		outbox: make([]*outRecord, c.opts.OutboxSize),
 		dead:   make(chan struct{}),
 	}
@@ -118,7 +122,7 @@ func (p *peer) sendBatch(bw *wire.BatchWriter, records [][]byte, deadline time.D
 func (p *peer) beginWrite(deadline time.Duration) {
 	p.wmu.Lock()
 	if deadline > 0 {
-		_ = p.conn.SetWriteDeadline(time.Now().Add(deadline))
+		_ = p.conn.SetWriteDeadline(p.io.Now().Add(deadline))
 	}
 }
 
@@ -202,7 +206,7 @@ func (c *Channel) readLoop(conn net.Conn, p *peer) {
 	fr := wire.NewFrameReader(conn)
 	if p == nil {
 		// Best effort: a conn that cannot take a deadline still ends at Close.
-		_ = conn.SetReadDeadline(time.Now().Add(dialTimeout))
+		_ = conn.SetReadDeadline(c.io.Now().Add(dialTimeout))
 		if typ, payload, err := fr.Next(); err == nil {
 			p = c.acceptHello(conn, typ, payload)
 		}

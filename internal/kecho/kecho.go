@@ -174,6 +174,9 @@ type Stats struct {
 	// Malformed counts peer connections dropped because a batch frame or an
 	// event record on them failed to decode (the supervisor re-dials).
 	Malformed uint64
+	// PeerChanges counts changes to the peer set — a connection added,
+	// replaced or removed — each of which wakes the WaitPeers waiters once.
+	PeerChanges uint64
 }
 
 // Options tunes channel behaviour; the zero value gives a polled full-mesh
@@ -213,7 +216,9 @@ type Options struct {
 	ReconnectMax time.Duration
 	// DisableReconnect turns the supervisor off (no heartbeats, no healing).
 	DisableReconnect bool
-	// Clock drives supervisor timers; nil uses the real clock.
+	// Clock is the node clock: it stamps received events and paces the
+	// supervisor; nil uses the real clock. Socket deadlines and wait guards
+	// run on the transport's I/O clock instead (clock.IO).
 	Clock clock.Clock
 	// Seed feeds the supervisor's backoff jitter. It is mixed with the
 	// channel name and member ID, so members given the same seed (or none)
@@ -305,7 +310,10 @@ type Channel struct {
 	ln   net.Listener
 	// opts is the caller's Options with every default applied.
 	opts Options
-	clk  clock.Clock
+	// clk is the node clock (Options.Clock); io is the transport's I/O
+	// clock (clock.IO), which socket deadlines and wait guards read.
+	clk clock.Clock
+	io  clock.Clock
 	// obs collects latency histograms and trace spans; nil disables
 	// observation (Options.Observer).
 	obs *obs.Observer
@@ -326,6 +334,9 @@ type Channel struct {
 	mu     sync.Mutex
 	peers  map[string]*peer
 	closed bool
+	// peersChanged is closed and replaced, under mu, on every change to
+	// peers: WaitPeers waits on the one it read with its snapshot.
+	peersChanged chan struct{}
 	// greeting holds accepted connections whose hello frame has not arrived
 	// yet — owned by a reader but not yet a peer — so Close can reach them.
 	greeting map[net.Conn]struct{}
@@ -350,6 +361,11 @@ type Channel struct {
 	dispatchMu sync.Mutex
 	seq        atomic.Uint64
 	stop       chan struct{}
+	// closing is set once Close starts draining; from then on a writer
+	// that resolves a peer's last pending record sends one non-blocking
+	// wake on drained, which Close's drain waits on.
+	closing atomic.Bool
+	drained chan struct{}
 
 	// Traffic counters live in the unified metric registry (Options.Metrics
 	// or a private one), registered once at Join under subsystem "channel";
@@ -370,6 +386,7 @@ type Channel struct {
 	relayed       *atomic.Uint64
 	relayDups     *atomic.Uint64
 	malformed     *atomic.Uint64
+	peerChanges   *atomic.Uint64
 
 	wg sync.WaitGroup
 }
@@ -425,17 +442,20 @@ func Join(reg *registry.Client, channelName, memberID string, opts *Options) (*C
 // counters registered, not yet listening, registered or connected.
 func newChannel(channelName, memberID string, o Options) *Channel {
 	c := &Channel{
-		name:      channelName,
-		id:        memberID,
-		opts:      o,
-		clk:       o.Clock,
-		obs:       o.Observer,
-		maxHops:   o.Topology.MaxHops(),
-		ring:      newReadyRing(),
-		relaySeen: make(map[string]*relayOrigin),
-		peers:     make(map[string]*peer),
-		greeting:  make(map[net.Conn]struct{}),
-		stop:      make(chan struct{}),
+		name:         channelName,
+		id:           memberID,
+		opts:         o,
+		clk:          o.Clock,
+		io:           clock.IO(o.Transport),
+		obs:          o.Observer,
+		maxHops:      o.Topology.MaxHops(),
+		ring:         newReadyRing(),
+		relaySeen:    make(map[string]*relayOrigin),
+		peers:        make(map[string]*peer),
+		peersChanged: make(chan struct{}),
+		greeting:     make(map[net.Conn]struct{}),
+		stop:         make(chan struct{}),
+		drained:      make(chan struct{}, 1),
 	}
 	c.registerMetrics(o.Metrics)
 	return c
@@ -468,6 +488,7 @@ func (c *Channel) registerMetrics(mreg *metrics.Registry) {
 	c.relayed = mreg.Counter("channel", c.name, "relayed")
 	c.relayDups = mreg.Counter("channel", c.name, "relay_dups")
 	c.malformed = mreg.Counter("channel", c.name, "malformed")
+	c.peerChanges = mreg.Counter("channel", c.name, "peer_changes")
 }
 
 // Name returns the channel name.
@@ -496,6 +517,7 @@ func (c *Channel) Stats() Stats {
 		Relayed:       c.relayed.Load(),
 		RelayDups:     c.relayDups.Load(),
 		Malformed:     c.malformed.Load(),
+		PeerChanges:   c.peerChanges.Load(),
 	}
 }
 
@@ -526,6 +548,7 @@ func (c *Channel) Close() error {
 
 	close(c.stop)
 	err := c.ln.Close()
+	c.closing.Store(true)
 	c.drainOutboxes(peers)
 	for _, p := range peers {
 		p.close()
@@ -541,27 +564,39 @@ func (c *Channel) Close() error {
 
 // drainOutboxes waits for the peers' writers to flush every event already
 // accepted by Publish (the per-peer pending count reaching zero), giving up
-// after one write deadline — the bound a single stalled peer could already
-// cost a writer. A peer whose writer has died is skipped: nothing will
-// consume its outbox again, and its remnants are counted in QueueDrops by
-// the writer's exit drain.
-func (c *Channel) drainOutboxes(peers []*peer) {
+// after one write deadline on the I/O clock — the bound a single stalled
+// peer could already cost a writer. A peer whose writer has died is
+// skipped: nothing will consume its outbox again, and its remnants are
+// counted in QueueDrops by the writer's exit drain. It sleeps on nothing: it
+// wakes when a writer resolves a peer's last pending record (the caller set
+// closing first), when the peer it waits for dies, or when the guard fires,
+// and reports how many times it woke.
+func (c *Channel) drainOutboxes(peers []*peer) (wakes int) {
 	bound := c.opts.WriteDeadline
 	if bound < 0 {
 		// Deadlines are disabled, but Close must still not wait on a stalled
 		// peer forever.
 		bound = defaultWriteDeadline
 	}
-	deadline := time.Now().Add(bound)
+	var expired chan struct{}
 	for _, p := range peers {
-		for p.pending.Load() > 0 && time.Now().Before(deadline) {
+		for p.pending.Load() > 0 {
+			if expired == nil {
+				expired = make(chan struct{})
+				guard := c.io.AfterFunc(bound, func() { close(expired) })
+				defer guard.Stop()
+			}
 			select {
-			case <-p.dead:
-			default:
-				time.Sleep(time.Millisecond)
+			case <-c.drained:
+				wakes++
 				continue
+			case <-p.dead:
+				wakes++
+			case <-expired:
+				return wakes + 1
 			}
 			break
 		}
 	}
+	return wakes
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"dproc/internal/clock"
 	"dproc/internal/registry"
 )
 
@@ -38,6 +39,7 @@ func (c *Channel) addPeerLocked(p *peer) bool {
 		old.close()
 	}
 	c.peers[p.id] = p
+	c.peersChangedLocked()
 	return true
 }
 
@@ -45,6 +47,7 @@ func (c *Channel) removePeer(p *peer) {
 	c.mu.Lock()
 	if cur, ok := c.peers[p.id]; ok && cur == p {
 		delete(c.peers, p.id)
+		c.peersChangedLocked()
 	}
 	c.mu.Unlock()
 	p.close()
@@ -64,10 +67,23 @@ func (c *Channel) removePeer(p *peer) {
 	}
 }
 
+// peersChangedLocked wakes every WaitPeers waiter: it closes the channel
+// they hold and puts a fresh one in its place. The caller holds c.mu and
+// has just changed c.peers.
+func (c *Channel) peersChangedLocked() {
+	close(c.peersChanged)
+	c.peersChanged = make(chan struct{})
+	c.peerChanges.Add(1)
+}
+
 // Peers returns the IDs of currently connected peers, sorted.
 func (c *Channel) Peers() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.peerIDsLocked()
+}
+
+func (c *Channel) peerIDsLocked() []string {
 	out := make([]string, 0, len(c.peers))
 	for id := range c.peers {
 		out = append(out, id)
@@ -76,23 +92,41 @@ func (c *Channel) Peers() []string {
 	return out
 }
 
-// WaitForPeers blocks until the channel has at least n connected peers or
-// the timeout elapses, reporting success. Tests and benchmarks use it to
-// avoid racing the mesh construction.
-func (c *Channel) WaitForPeers(n int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+// WaitPeers blocks until ok holds for the channel's peer set — the sorted
+// IDs Peers returns — reporting whether it did before timeout passed on the
+// transport's I/O clock or the channel closed. ok runs outside the channel
+// lock, once up front and then once per change to the peer set: the wait
+// sleeps on that change and on one guard timer, armed on the first miss, and
+// polls nothing.
+func (c *Channel) WaitPeers(timeout time.Duration, ok func(peers []string) bool) bool {
+	var expired chan struct{}
 	for {
 		c.mu.Lock()
-		have := len(c.peers)
+		peers, changed := c.peerIDsLocked(), c.peersChanged
 		c.mu.Unlock()
-		if have >= n {
+		if ok(peers) {
 			return true
 		}
-		if time.Now().After(deadline) {
+		if expired == nil {
+			expired = make(chan struct{})
+			guard := c.io.AfterFunc(timeout, func() { close(expired) })
+			defer guard.Stop()
+		}
+		select {
+		case <-changed:
+		case <-expired:
+			return false
+		case <-c.stop:
 			return false
 		}
-		time.Sleep(time.Millisecond)
 	}
+}
+
+// WaitForPeers blocks until the channel has at least n connected peers or
+// the timeout elapses on the I/O clock, reporting success. Tests, harnesses
+// and benchmarks use it to avoid racing the mesh construction.
+func (c *Channel) WaitForPeers(n int, timeout time.Duration) bool {
+	return c.WaitPeers(timeout, func(peers []string) bool { return len(peers) >= n })
 }
 
 // neighbors is the one derivation of the peer set. Given a roster that
@@ -212,20 +246,6 @@ func (c *Channel) DesiredPeers() ([]string, error) {
 	return out, nil
 }
 
-// sleepInterruptible waits for d on the channel clock, returning false if
-// the channel is closed first.
-func (c *Channel) sleepInterruptible(d time.Duration) bool {
-	fired := make(chan struct{})
-	t := c.clk.AfterFunc(d, func() { close(fired) })
-	select {
-	case <-fired:
-		return true
-	case <-c.stop:
-		t.Stop()
-		return false
-	}
-}
-
 // supervise is the self-healing loop: every interval it heartbeats the
 // registry (keeping this member alive and transparently re-registering
 // after a registry restart) and reconciles the peer set with the roster.
@@ -244,7 +264,7 @@ func (c *Channel) supervise() {
 		// Jitter desynchronizes members so a recovering registry or peer is
 		// not hit by the whole cluster in the same instant.
 		d := backoff + time.Duration(rng.Int63n(int64(backoff)/4+1))
-		if !c.sleepInterruptible(d) {
+		if !clock.Wait(c.clk, d, c.stop) {
 			return
 		}
 		if c.superviseOnce() {

@@ -86,7 +86,7 @@ func (c *Channel) servicePeer(p *peer, ws *writerScratch) {
 	done := 0
 	if err == nil {
 		c.observeWritten(batch)
-		p.pending.Add(-int64(len(batch)))
+		c.resolved(p, len(batch))
 		for _, rec := range batch {
 			rec.release()
 		}
@@ -111,7 +111,7 @@ func (c *Channel) servicePeer(p *peer, ws *writerScratch) {
 				c.obs.ObserveQueue(c.clk.Now().Sub(rec.enq), rec.traceID)
 				c.obs.ObserveBatch(1)
 			}
-			p.pending.Add(-1)
+			c.resolved(p, 1)
 			rec.release()
 			done++
 		}
@@ -190,8 +190,20 @@ func (p *peer) popLocked() *outRecord {
 // record's refcount in step.
 func (c *Channel) dropRecord(p *peer, rec *outRecord) {
 	c.queueDrops.Add(1)
-	p.pending.Add(-1)
+	c.resolved(p, 1)
 	rec.release()
+}
+
+// resolved takes n written or dropped events off p's pending count. The one
+// that takes it to zero while Close is draining wakes the drain; before
+// Close that costs one extra atomic load.
+func (c *Channel) resolved(p *peer, n int) {
+	if p.pending.Add(-int64(n)) == 0 && c.closing.Load() {
+		select {
+		case c.drained <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // observeWritten records outbox residency for every record in a just-written

@@ -25,7 +25,8 @@ type ClusterExport struct {
 	Targets func() []Target
 	// Fetch asks one node for its part.
 	Fetch Fetch
-	// Now anchors the trailing window (time.Now when nil).
+	// Now anchors the trailing window: the node clock's Now, so every node
+	// answers the same absolute window. Required.
 	Now func() time.Time
 	// Options tunes the fan-out (per-node timeout, concurrency).
 	Options Options
@@ -50,10 +51,7 @@ func (e *ClusterExport) Append(w io.Writer) {
 	if len(e.Metrics) == 0 {
 		return
 	}
-	now := time.Now()
-	if e.Now != nil {
-		now = e.Now()
-	}
+	now := e.Now()
 	window := e.Window
 	if window <= 0 {
 		window = DefaultExportWindow

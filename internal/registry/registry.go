@@ -426,9 +426,12 @@ type Client struct {
 	heartbeats atomic.Uint64
 	rejoins    atomic.Uint64
 
-	mu          sync.Mutex
-	conn        net.Conn
-	transport   Transport
+	mu        sync.Mutex
+	conn      net.Conn
+	transport Transport
+	// io is the transport's I/O clock (clock.IO): the retry backoff sleeps
+	// on it.
+	io          clock.Clock
 	attempts    int
 	backoffBase time.Duration
 	backoffMax  time.Duration
@@ -453,17 +456,19 @@ func NewClient(addr string) *Client {
 		backoffBase: defaultBackoffBase,
 		backoffMax:  defaultBackoffMax,
 		dialTimeout: defaultDialTimeout,
+		io:          clock.NewReal(),
 		// Backoff jitter is deterministic: it only desynchronizes herds.
 		rng: rand.New(rand.NewSource(1)),
 	}
 }
 
 // SetTransport routes the client's connections through t (nil restores
-// plain TCP). Call before the first request.
+// plain TCP), and its retry backoff onto t's I/O clock. Call before the
+// first request.
 func (c *Client) SetTransport(t Transport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.transport = t
+	c.transport, c.io = t, clock.IO(t)
 }
 
 // SetRetry tunes the request retry policy: total attempts per request and
@@ -550,7 +555,7 @@ func (c *Client) roundTrip(typ uint8, payload []byte) ([]byte, error) {
 		if attempt > 0 {
 			c.retries.Add(1)
 			d := backoff + time.Duration(c.rng.Int63n(int64(backoff)/2+1))
-			time.Sleep(d)
+			c.io.Sleep(d)
 			if backoff *= 2; backoff > c.backoffMax {
 				backoff = c.backoffMax
 			}
