@@ -121,7 +121,11 @@ allocgate:
 # role extension included), of the admin request reader (FuzzServeRequest:
 # any bytes as a connection's requests to a standalone node — never panic,
 # every reply "OK\n…" or exactly one "ERR …\n" line, the connection kept
-# only after a newline-terminated querypart) and of
+# only after a newline-terminated keep verb, a kept OK reply ending at its
+# one blank line), of the admin client's kept-connection reply reader
+# (FuzzKeptReply: any bytes as a queryall reply over a pipe — never panic,
+# an error or exactly one reply, the connection kept only after a
+# terminated reply, a second call never sees the first reply's bytes) and of
 # the E-code compiler (FuzzCompile: any bytes as filter source never panic,
 # source over the 64 KiB cap is an error; FuzzFilterParity: a program that
 # compiles gives one result, output and error kind on the fused VM, the
@@ -138,5 +142,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePart$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMembers$$' -fuzztime $(FUZZTIME) ./internal/registry/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/adminproto/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeptReply$$' -fuzztime $(FUZZTIME) ./internal/adminproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/ecode/
 	$(GO) test -run '^$$' -fuzz '^FuzzFilterParity$$' -fuzztime $(FUZZTIME) ./internal/ecode/

@@ -155,7 +155,9 @@ func main() {
 	if *timeout > 0 {
 		client.SetTimeout(*timeout)
 	}
-	if err := fn(client, args[1:]); err != nil {
+	err := fn(client, args[1:])
+	client.Close()
+	if err != nil {
 		if err == errUsage {
 			usage()
 		}

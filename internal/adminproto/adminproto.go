@@ -1,7 +1,7 @@
 // Package adminproto implements the dprocd admin protocol: a line-oriented
 // TCP interface through which dprocctl (or any tool) reads and writes a
 // node's /proc/cluster pseudo-filesystem. One request per connection, with
-// one exception — querypart, below:
+// two exceptions — queryall and querypart, below:
 //
 //	ls <path>\n              → OK\n<entry per line, dirs suffixed with "/">
 //	cat <path>\n             → OK\n<file contents>
@@ -10,8 +10,8 @@
 //	stats\n                  → OK\n<self-observability report>
 //	write <path>\n<body EOF> → OK\n
 //	query <node> <query>\n   → OK\n<windowed aggregate result>
-//	queryall <query>\n       → OK\n<cluster-wide merged aggregate>
-//	querypart <query>\n      → OK\n<this node's part, wire form>
+//	queryall <query>\n       → OK\n<cluster-wide merged aggregate>\n
+//	querypart <query>\n      → OK\n<this node's part, wire form>\n
 //
 // query is sugar over the cluster/<node>/query pseudo-file: it writes the
 // query string and reads the result back in one round trip; stats is sugar
@@ -21,12 +21,14 @@
 // the coordinator fans out, answering over an absolute pre-normalized
 // window only.
 //
-// querypart is the one verb a connection outlives: its OK reply ends with
-// a blank line, and the server then reads the next request on the same
-// connection, so a coordinator keeps its fan-out connections open across
-// queries. Every operator verb is answered once and the connection closed,
-// so scripts that read to EOF (dprocctl, nc) see no change; a client that
-// half-closes after a querypart gets EOF after its reply the same way.
+// queryall and querypart are the keep verbs, the ones a connection
+// outlives: an OK reply ends with a blank line, and the server then reads
+// the next request on the same connection, so an operator's client and a
+// coordinator's fan-out keep their connections open across queries. Every
+// other verb is answered once and the connection closed — write's body ends
+// at EOF, and cat's contents may hold blank lines. A script that wants EOF
+// half-closes after its request (dprocctl, nc -N, ncat) and gets EOF after
+// any reply.
 //
 // Every verb is an entry in one table (Verbs) carrying its name, argument
 // schema and handler; the server dispatch, its usage errors and dprocctl's
@@ -132,8 +134,9 @@ type Server struct {
 	// its kept querypart connections; entries go when the peer leaves the
 	// target set, all of them at Close.
 	clients map[string]*Client
-	// idle holds the kept querypart connections parked between requests,
-	// which Close shuts rather than waiting out their phase timeout.
+	// idle holds the kept connections parked between requests, at most
+	// maxParked, which Close shuts rather than waiting out their phase
+	// timeout.
 	idle map[net.Conn]struct{}
 }
 
@@ -171,7 +174,7 @@ func NewServerWith(node *core.Node, addr string, opts ServerOptions) (*Server, e
 // Addr returns the address clients should dial.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server and waits for in-flight requests. Kept querypart
+// Close stops the server and waits for in-flight requests. Kept
 // connections waiting for their next request are closed, not waited for,
 // and so are this node's own kept fan-out connections.
 func (s *Server) Close() error {
@@ -237,7 +240,8 @@ type Verb struct {
 
 	run func(s *Server, args []string, body *bufio.Reader, reply func(string))
 	// keep leaves the connection open for another request once the reply
-	// is written; only querypart, whose OK reply ends with a blank line.
+	// is written; only queryall and querypart, whose OK replies end with a
+	// blank line.
 	keep bool
 }
 
@@ -256,7 +260,7 @@ var verbs = []Verb{
 	{Name: "flush", Help: "seal the active WAL segment, making all history durable", run: runFlush},
 	{Name: "queryall", Args: "<agg> <metric> [window]",
 		CLIArgs: "<agg> <metric> [from <t> to <t> | last <dur>] [@<res>]",
-		MinArgs: 2, Help: "scatter-gather a windowed aggregate across every registered node", run: runQueryAll},
+		MinArgs: 2, Help: "scatter-gather a windowed aggregate across every registered node", run: runQueryAll, keep: true},
 	{Name: "querypart", Args: "<agg> <metric> from <t> to <t>",
 		MinArgs: 2, Help: "answer this node's share of a cluster query (internal)", run: runQueryPart, keep: true},
 }
@@ -374,13 +378,21 @@ func (s *Server) serveOne(r *bufio.Reader, reply func(string)) bool {
 	return v.keep && err == nil
 }
 
+// maxParked caps the kept connections a server parks between requests, each
+// one goroutine for up to a phase timeout. Clients keep at most maxIdleParts
+// connections each, so it allows 64 such clients — a coordinator per peer of
+// a 64-node cluster, or operators — at once; a connection past it closes
+// after its reply, and its client's next call dials afresh.
+const maxParked = 256
+
 // awaitRequest parks a kept connection until its next request starts to
-// arrive, reporting false on EOF, on the phase timeout, or when the server
-// closes — Close shuts parked connections, so a coordinator's idle one
-// cannot hold shutdown for a whole phase timeout.
+// arrive, reporting false on EOF, on the phase timeout, when maxParked
+// connections are already parked, or when the server closes — Close shuts
+// parked connections, so a coordinator's idle one cannot hold shutdown for
+// a whole phase timeout.
 func (s *Server) awaitRequest(conn net.Conn, r *bufio.Reader) bool {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed || len(s.idle) >= maxParked {
 		s.mu.Unlock()
 		return false
 	}
@@ -506,7 +518,7 @@ func runQuery(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
 const DefaultClientTimeout = 10 * time.Second
 
 // Client issues admin protocol requests. It is safe for concurrent use once
-// configured: querypart calls share its kept connections.
+// configured: queryall and querypart calls share its kept connections.
 type Client struct {
 	addr      string
 	timeout   time.Duration // per-phase; DefaultClientTimeout when 0
@@ -515,7 +527,7 @@ type Client struct {
 	io        clock.Clock   // the transport's I/O clock (clock.IO)
 
 	mu     sync.Mutex
-	idle   []*partConn // kept querypart connections, most recent last
+	idle   []*keptConn // kept connections, most recent last
 	closed bool        // Close ran: connections close after their call
 }
 
@@ -534,9 +546,9 @@ func (c *Client) SetDeadline(t time.Time) { c.deadline = t }
 // client's phase deadlines onto tr's I/O clock.
 func (c *Client) SetTransport(tr Transport) { c.transport, c.io = tr, clock.IO(tr) }
 
-// Close closes the client's kept querypart connections; a call in flight
-// finishes and then closes its own. Operator verbs keep nothing, so a client
-// that issues only those needs no Close.
+// Close closes the client's kept connections; a call in flight finishes and
+// then closes its own. A client keeps connections only from queryall and
+// querypart calls.
 func (c *Client) Close() {
 	c.mu.Lock()
 	idle := c.idle
@@ -596,8 +608,9 @@ func (c *Client) dial(b budget) (net.Conn, error) {
 	return conn, nil
 }
 
-// roundTrip performs one request on a connection of its own, half-closing
-// after the request and reading the reply to EOF; body may be nil.
+// roundTrip performs one request of a verb that keeps no connection, on a
+// connection of its own, half-closing after the request and reading the
+// reply to EOF; body may be nil.
 func (c *Client) roundTrip(header string, body []byte) (string, error) {
 	b := c.budget(context.Background())
 	conn, err := c.dial(b)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -203,9 +204,10 @@ func (d *dialCounter) count() (per map[string]int, total int) {
 }
 
 // TestQueryAllDialCounts is DESIGN §12's connection count as a gate, on a
-// 4-node cluster: a coordinator never dials itself, dials each peer at most
-// once on its first queryall, and nothing on the ten after — its querypart
-// connections are kept (putPart), not redialed per query.
+// 4-node cluster driven by an operator Client: a coordinator never dials
+// itself, dials each peer at most once on its first queryall, and nothing on
+// the ten after — its querypart connections are kept (putConn), not redialed
+// per query — and the operator dials the coordinator once for all eleven.
 func TestQueryAllDialCounts(t *testing.T) {
 	counters := map[string]*dialCounter{}
 	_, _, servers := queryCluster(t, 4, 10, func(name string) ServerOptions {
@@ -213,14 +215,18 @@ func TestQueryAllDialCounts(t *testing.T) {
 		return ServerOptions{Transport: counters[name]}
 	})
 	coord, counter := servers[0], counters[servers[0].node.Name()]
+	opCounter := &dialCounter{dials: map[string]int{}}
+	op := NewClient(coord.Addr())
+	op.SetTransport(opCounter)
+	defer op.Close()
 	query := func(stage string) {
 		t.Helper()
-		res, err := coord.QueryAllResult("p99 loadavg last 30s")
+		out, err := op.QueryAll("p99 loadavg last 30s")
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		if res.Partial || res.OK != 4 {
-			t.Fatalf("%s: not whole:\n%s", stage, res.Render())
+		if !strings.Contains(out, "nodes 4 ok 4 failed 0\npartial false\n") {
+			t.Fatalf("%s: not whole:\n%s", stage, out)
 		}
 	}
 	query("first queryall")
@@ -235,6 +241,9 @@ func TestQueryAllDialCounts(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		query(fmt.Sprintf("queryall %d after the first", i+1))
+	}
+	if _, n := opCounter.count(); n != 1 {
+		t.Fatalf("the operator's eleven queryalls dialed the coordinator %d times, want 1 (%d extra)", n, n-1)
 	}
 	if _, total := counter.count(); total != first {
 		t.Fatalf("the ten queryalls after the first dialed %d times, want 0", total-first)
@@ -391,5 +400,210 @@ func BenchmarkQueryAll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		queryAll()
+	}
+}
+
+// A client that half-closes after its request and reads to EOF — dprocctl
+// before queryall kept its connection, nc -N — gets the reply, its blank-line
+// terminator, then EOF.
+func TestQueryAllHalfCloseReadsToEOF(t *testing.T) {
+	_, _, servers := queryCluster(t, 2, 10, nil)
+	conn, err := net.Dial("tcp", servers[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "queryall p99 loadavg last 30s\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	raw, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("no EOF after the reply %q: %v", raw, err)
+	}
+	out := string(raw)
+	if !strings.HasPrefix(out, "OK\nagg p99\n") || strings.Index(out, "\n\n") != len(out)-2 ||
+		!strings.Contains(out, "nodes 2 ok 2 failed 0\npartial false\n") {
+		t.Fatalf("half-closed queryall read to EOF: %q, want OK\\n<result>\\n", out)
+	}
+}
+
+// oldServer answers every connection as a server from before queryall kept
+// its connection: one request, the reply with no terminator, then close.
+func oldServer(t *testing.T, reply string) (addr string, accepted func() int) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	n := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			n++
+			mu.Unlock()
+			_, _ = bufio.NewReader(conn).ReadString('\n')
+			_, _ = io.WriteString(conn, reply)
+			_ = conn.Close()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		<-done
+	})
+	return ln.Addr().String(), func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return n
+	}
+}
+
+// Against an older server, which closes after an OK queryall reply without
+// the blank line, the client takes EOF as the end of the reply, returns it
+// whole and keeps nothing; an ERR reply is still an error.
+func TestQueryAllAgainstOlderServer(t *testing.T) {
+	const result = "agg p99\nvalue 1.5\nsamples 3\nnodes 1 ok 1 failed 0\npartial false\nnode old ok samples=3 in=1µs\n"
+	addr, accepted := oldServer(t, "OK\n"+result)
+	c := NewClient(addr)
+	defer c.Close()
+	for i := 1; i <= 2; i++ {
+		out, err := c.QueryAll("p99 loadavg last 30s")
+		if err != nil || out != result {
+			t.Fatalf("queryall %d against an older server: %q, %v; want %q", i, out, err, result)
+		}
+		c.mu.Lock()
+		kept := len(c.idle)
+		c.mu.Unlock()
+		if kept != 0 {
+			t.Fatalf("queryall %d: client kept %d connections to a server that closed them", i, kept)
+		}
+		if n := accepted(); n != i {
+			t.Fatalf("queryall %d: %d connections, want %d", i, n, i)
+		}
+	}
+
+	errAddr, _ := oldServer(t, "ERR query: no such metric\n")
+	if _, err := NewClient(errAddr).QueryAll("p99 nothing last 30s"); err == nil ||
+		!strings.Contains(err.Error(), "no such metric") {
+		t.Fatalf("ERR reply from an older server: err = %v", err)
+	}
+}
+
+// wholeResult reports whether out is one whole rendered cluster result over
+// nodes targets: the eight lines of the aggregate block, then one line per
+// node.
+func wholeResult(out string, nodes int) bool {
+	lines := strings.Split(out, "\n")
+	if len(lines) != 8+nodes+1 || lines[8+nodes] != "" || !strings.HasPrefix(out, "agg ") {
+		return false
+	}
+	for _, line := range lines[8 : 8+nodes] {
+		if !strings.HasPrefix(line, "node ") {
+			return false
+		}
+	}
+	return true
+}
+
+// Registry member IDs come from remote clients unchecked. One holding blank
+// lines used to split the rendered result, and on a kept connection would
+// end the reply early and leave the rest for the next call. It renders
+// quoted: each of two queryalls on one Client returns one whole reply, with
+// that node annotated as failed.
+func TestQueryAllQuotesHostileNodeName(t *testing.T) {
+	cluster, _, servers := queryCluster(t, 3, 10, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	_ = ln.Close() // dials to it are refused
+	const evil = "evil\n\nnode"
+	reg := registry.NewClient(cluster.Registry.Addr())
+	defer reg.Close()
+	if _, err := reg.Join(AdminChannel, evil, dead); err != nil {
+		t.Fatal(err)
+	}
+
+	c := NewClient(servers[0].Addr())
+	defer c.Close()
+	for i := 1; i <= 2; i++ {
+		out, err := c.QueryAll("p99 loadavg last 30s")
+		if err != nil {
+			t.Fatalf("queryall %d: %v", i, err)
+		}
+		if !wholeResult(out, 4) || !strings.Contains(out, "nodes 4 ok 3 failed 1\npartial true\n") {
+			t.Fatalf("queryall %d is not one whole reply:\n%q", i, out)
+		}
+		if want := "\nnode " + strconv.Quote(evil) + " error "; !strings.Contains(out, want) {
+			t.Fatalf("queryall %d: want %q in:\n%s", i, want, out)
+		}
+	}
+}
+
+// A server parks at most maxParked kept connections. With more clients than
+// that each keeping one, the parked set never passes the cap; the
+// connections past it close after their reply, so exactly those clients
+// dial again on their next call, and every reply is whole.
+func TestServerCapsParkedConnections(t *testing.T) {
+	_, _, servers := queryCluster(t, 1, 10, nil)
+	srv := servers[0]
+	parked := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.idle)
+	}
+	dials := &dialCounter{dials: map[string]int{}}
+	clients := make([]*Client, maxParked+8)
+	for i := range clients {
+		clients[i] = NewClient(srv.Addr())
+		clients[i].SetTransport(dials)
+		defer clients[i].Close()
+	}
+	queryAll := func(stage string, i int) {
+		t.Helper()
+		out, err := clients[i].QueryAll("avg loadavg last 30s")
+		if err != nil || !wholeResult(out, 1) || !strings.Contains(out, "partial false\n") {
+			t.Fatalf("%s, client %d: %q, %v", stage, i, out, err)
+		}
+		if n := parked(); n > maxParked {
+			t.Fatalf("%s, client %d: %d connections parked, cap %d", stage, i, n, maxParked)
+		}
+	}
+	// The server parks a connection just after its reply. Until the cap,
+	// each client's connection is awaited there, so the ones past the cap
+	// are exactly the last eight, which the server closes.
+	for i := range clients {
+		queryAll("first round", i)
+		for deadline := time.Now().Add(5 * time.Second); i < maxParked && parked() <= i; {
+			if time.Now().After(deadline) {
+				t.Fatalf("first round, client %d: %d connections parked, want %d", i, parked(), i+1)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if _, n := dials.count(); n != len(clients) {
+		t.Fatalf("first round: %d dials, want one per client (%d)", n, len(clients))
+	}
+	// The eight go first: had a parked client gone first, the slot it
+	// leaves while served could go to one of the eight still closing.
+	for i := maxParked; i < len(clients); i++ {
+		queryAll("second round", i)
+	}
+	for i := 0; i < maxParked; i++ {
+		queryAll("second round", i)
+	}
+	if _, n := dials.count(); n-len(clients) != len(clients)-maxParked {
+		t.Fatalf("second round: %d dials, want one per connection past the cap (%d)", n-len(clients), len(clients)-maxParked)
 	}
 }

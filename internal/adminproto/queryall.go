@@ -187,13 +187,15 @@ func (s *Server) ClusterExporter(metrics []string, window time.Duration) *query.
 	}
 }
 
+// runQueryAll answers a scatter-gather. Its OK reply ends with a blank line,
+// as querypart's does: an operator's client keeps the connection too.
 func runQueryAll(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
 	out, err := s.QueryAll(strings.Join(args, " "))
 	if err != nil {
 		reply("ERR " + err.Error() + "\n")
 		return
 	}
-	reply("OK\n" + out)
+	reply("OK\n" + out + "\n")
 }
 
 // runQueryPart answers one node's share of a scatter-gather: the local
@@ -223,9 +225,11 @@ func runQueryPart(s *Server, args []string, _ *bufio.Reader, reply func(string))
 
 // QueryAll scatter-gathers a windowed aggregate across every node registered
 // on the coordinator's admin channel and returns the rendered merged result
-// (with per-node provenance lines).
+// (with per-node provenance lines). It reuses a kept connection like
+// QueryPart; an older server closes after its reply instead of ending it with
+// a blank line, and that EOF ends the reply.
 func (c *Client) QueryAll(q string) (string, error) {
-	return c.roundTrip("queryall "+q+"\n", nil)
+	return c.keptRoundTrip(context.Background(), "queryall "+q+"\n", true)
 }
 
 // QueryPart asks one node for its part of a normalized query — what the
@@ -235,45 +239,58 @@ func (c *Client) QueryPart(q tsdb.Query) (query.Part, error) {
 	return c.QueryPartContext(context.Background(), q)
 }
 
-// maxIdleParts caps the querypart connections a Client keeps open: one is
-// enough for one fan-out at a time, and a few cover the coordinator's
-// overlapping queries (a queryall beside a metrics scrape) without
-// redialing; beyond that a call's connection closes after it.
+// QueryPartContext is QueryPart with ctx's deadline capping the whole call.
+// A part cut short by EOF is an error: its first lines parse on their own.
+func (c *Client) QueryPartContext(ctx context.Context, q tsdb.Query) (query.Part, error) {
+	text, err := c.keptRoundTrip(ctx, "querypart "+q.String()+"\n", false)
+	if err != nil {
+		return query.Part{}, err
+	}
+	return query.ParsePart(text)
+}
+
+// maxIdleParts caps the connections a Client keeps open: one is enough for
+// one call at a time, and a few cover the coordinator's overlapping queries
+// (a queryall beside a metrics scrape) without redialing; beyond that a
+// call's connection closes after it.
 const maxIdleParts = 4
 
 // errUnterminated marks a querypart reply cut short: without the blank
 // line that ends it, the part cannot be told from its first few lines.
 var errUnterminated = errors.New("adminproto: querypart reply ended before its terminator")
 
-// QueryPartContext is QueryPart with ctx's deadline capping the whole call.
-// It reuses a kept connection when the client has one, and keeps the
-// connection afterwards. A kept connection can have been closed by the
-// server while idle (its phase timeout, a restart): if it fails before the
-// first reply byte for any reason but a timeout, the request is sent once
-// more on a fresh dial, within the same deadline. A timeout is never
-// retried, so a stalled node costs one deadline, not two.
-func (c *Client) QueryPartContext(ctx context.Context, q tsdb.Query) (query.Part, error) {
+// keptRoundTrip performs one request of a keep verb (Verb.keep) with ctx's
+// deadline capping the whole call, and returns the reply without its status
+// line and terminator. It reuses a kept connection when the client has one,
+// and keeps the connection afterwards if the reply ended at its terminator.
+// eofEnds accepts a reply that ends at EOF instead, as an older server
+// writes one; that connection is not kept.
+//
+// A kept connection can have been closed by the server while idle (its phase
+// timeout, a restart): if it fails before the first reply byte for any
+// reason but a timeout, the request is sent once more on a fresh dial,
+// within the same deadline. A timeout is never retried, so a stalled node
+// costs one deadline, not two.
+func (c *Client) keptRoundTrip(ctx context.Context, header string, eofEnds bool) (string, error) {
 	b := c.budget(ctx)
-	header := "querypart " + q.String() + "\n"
-	pc, reused, err := c.takePart(b)
+	kc, reused, err := c.takeConn(b)
 	if err != nil {
-		return query.Part{}, err
+		return "", err
 	}
-	body, started, err := pc.exchange(header)
+	reply, keep, started, err := kc.exchange(header, eofEnds)
 	if err != nil && reused && !started && !isTimeout(err) {
-		pc.close()
-		if pc, err = c.dialPart(b); err != nil {
-			return query.Part{}, err
+		kc.close()
+		if kc, err = c.dialConn(b); err != nil {
+			return "", err
 		}
-		body, _, err = pc.exchange(header)
+		reply, keep, _, err = kc.exchange(header, eofEnds)
 	}
-	if err != nil {
-		pc.close()
-		return query.Part{}, err
+	if err != nil || !keep {
+		kc.close()
+		return reply, err
 	}
-	p, err := query.ParsePart(string(body))
-	c.putPart(pc)
-	return p, err
+	c.putConn(kc)
+	return reply, nil
 }
 
 // isTimeout reports a deadline error, from net or from a fault fabric.
@@ -282,90 +299,95 @@ func isTimeout(err error) bool {
 	return errors.As(err, &t) && t.Timeout()
 }
 
-// partConn is a querypart connection a Client keeps between calls. Its
+// keptConn is a connection a Client keeps between calls of keep verbs. Its
 // reader reads under the budget of the call holding it; body is the reply
 // scratch that call reads into.
-type partConn struct {
+type keptConn struct {
 	conn net.Conn
 	r    *bufio.Reader
 	b    budget
 	body []byte
 }
 
-// takePart hands out the most recently kept connection, or dials one;
+// takeConn hands out the most recently kept connection, or dials one;
 // reused reports which.
-func (c *Client) takePart(b budget) (pc *partConn, reused bool, err error) {
+func (c *Client) takeConn(b budget) (kc *keptConn, reused bool, err error) {
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
-		pc = c.idle[n-1]
+		kc = c.idle[n-1]
 		c.idle = c.idle[:n-1]
 		c.mu.Unlock()
-		pc.b = b
-		return pc, true, nil
+		kc.b = b
+		return kc, true, nil
 	}
 	c.mu.Unlock()
-	pc, err = c.dialPart(b)
-	return pc, false, err
+	kc, err = c.dialConn(b)
+	return kc, false, err
 }
 
-func (c *Client) dialPart(b budget) (*partConn, error) {
+func (c *Client) dialConn(b budget) (*keptConn, error) {
 	conn, err := c.dial(b)
 	if err != nil {
 		return nil, err
 	}
-	pc := &partConn{conn: conn, b: b}
-	pc.r = getReader(phasedReader{conn: conn, phase: pc.phase})
-	return pc, nil
+	kc := &keptConn{conn: conn, b: b}
+	kc.r = getReader(phasedReader{conn: conn, phase: kc.phase})
+	return kc, nil
 }
 
-// putPart keeps a connection whose reply was read whole, up to the cap.
-func (c *Client) putPart(pc *partConn) {
+// putConn keeps a connection whose reply was read whole, up to the cap.
+func (c *Client) putConn(kc *keptConn) {
 	c.mu.Lock()
 	if !c.closed && len(c.idle) < maxIdleParts {
-		c.idle = append(c.idle, pc)
+		c.idle = append(c.idle, kc)
 		c.mu.Unlock()
 		return
 	}
 	c.mu.Unlock()
-	pc.close()
+	kc.close()
 }
 
-func (pc *partConn) phase() time.Time { return pc.b.phase() }
+func (kc *keptConn) phase() time.Time { return kc.b.phase() }
 
-func (pc *partConn) close() {
-	_ = pc.conn.Close()
-	putReader(pc.r)
+func (kc *keptConn) close() {
+	_ = kc.conn.Close()
+	putReader(kc.r)
 }
 
-// exchange sends one querypart request and reads the OK reply up to its
-// blank-line terminator, returning the part text. started reports whether
-// any reply byte arrived — what decides if a failure may be retried.
-func (pc *partConn) exchange(header string) (part []byte, started bool, err error) {
-	_ = pc.conn.SetWriteDeadline(pc.phase())
-	if _, err := io.WriteString(pc.conn, header); err != nil {
-		return nil, false, err
+// exchange sends one request and reads the OK reply up to its blank-line
+// terminator, returning the reply text. keep reports a reply that ended
+// there with nothing read past it, so the connection may carry another
+// request. An EOF before the terminator fails the reply unless eofEnds, when
+// it ends the reply instead. started reports whether any reply byte
+// arrived — what decides if a failure may be retried.
+func (kc *keptConn) exchange(header string, eofEnds bool) (reply string, keep, started bool, err error) {
+	_ = kc.conn.SetWriteDeadline(kc.phase())
+	if _, err := io.WriteString(kc.conn, header); err != nil {
+		return "", false, false, err
 	}
-	status, err := pc.r.ReadSlice('\n')
+	status, err := kc.r.ReadSlice('\n')
 	if err != nil {
-		return nil, len(status) > 0, err
+		return "", false, len(status) > 0, err
 	}
 	if msg, ok := bytes.CutPrefix(bytes.TrimSpace(status), []byte("ERR")); ok {
-		return nil, true, fmt.Errorf("adminproto: %s", bytes.TrimSpace(msg))
+		return "", false, true, fmt.Errorf("adminproto: %s", bytes.TrimSpace(msg))
 	}
-	body := pc.body[:0]
+	body := kc.body[:0]
 	for line := 0; ; {
-		chunk, err := pc.r.ReadSlice('\n')
+		chunk, err := kc.r.ReadSlice('\n')
 		body = append(body, chunk...)
 		switch {
 		case err == bufio.ErrBufferFull:
 			continue // a line longer than the reader's buffer
+		case errors.Is(err, io.EOF) && eofEnds:
+			return string(body), false, true, nil
 		case errors.Is(err, io.EOF):
-			return nil, true, errUnterminated
+			return "", false, true, errUnterminated
 		case err != nil:
-			return nil, true, err
+			return "", false, true, err
 		case len(body)-line == 1:
-			pc.body = body
-			return body[:line], true, nil
+			kc.body = body
+			return string(body[:line]), kc.r.Buffered() == 0, true, nil
 		}
 		line = len(body)
 	}

@@ -3,10 +3,13 @@ package adminproto
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dproc/internal/clock"
 	"dproc/internal/core"
@@ -63,8 +66,10 @@ func TestWriteBodyCapped(t *testing.T) {
 
 // FuzzServeRequest feeds any bytes to a standalone node's admin server as a
 // connection's request stream. The server must never panic; each reply is
-// either "OK\n…" or exactly one "ERR …\n" line; and the connection outlives
-// a request only after a querypart whose request line ended in a newline.
+// either "OK\n…" or exactly one "ERR …\n" line; the connection outlives a
+// request only after a keep verb (Verb.keep) whose request line ended in a
+// newline; and a kept OK reply holds exactly one blank line, at its end — the
+// terminator a client on the kept connection reads up to.
 func FuzzServeRequest(f *testing.F) {
 	for _, seed := range []string{
 		"", "\n", "frobnicate\n", "ls\n", "ls cluster/alan", "cat cluster/alan/loadavg\n",
@@ -114,12 +119,144 @@ func FuzzServeRequest(f *testing.F) {
 				return
 			}
 			line, _, ended := bytes.Cut(input[at:], []byte("\n"))
-			if fields := strings.Fields(string(line)); !ended || len(fields) == 0 || fields[0] != "querypart" {
+			fields := strings.Fields(string(line))
+			if !ended || len(fields) == 0 {
 				t.Fatalf("connection kept after request %q", input[at:])
+			}
+			if v, _ := LookupVerb(fields[0]); !v.keep {
+				t.Fatalf("connection kept after request %q", input[at:])
+			}
+			if strings.HasPrefix(reply, "OK\n") && strings.Index(reply, "\n\n") != len(reply)-2 {
+				t.Fatalf("kept reply %q to %q does not end at its one blank line", reply, input[at:])
 			}
 			if _, err := r.Peek(1); err != nil {
 				return // what awaitRequest sees at the end of the stream
 			}
+		}
+	})
+}
+
+// pipeTransport dials in-memory pipes, serving the far end of the n-th dial
+// (from 0) with serve; wait returns once every serve has.
+type pipeTransport struct {
+	serve func(n int, conn net.Conn)
+	mu    sync.Mutex
+	dials int
+	wg    sync.WaitGroup
+}
+
+func (p *pipeTransport) Listen(string, string) (net.Listener, error) {
+	return nil, errors.New("pipeTransport does not listen")
+}
+
+func (p *pipeTransport) DialTimeout(string, string, time.Duration) (net.Conn, error) {
+	p.mu.Lock()
+	n := p.dials
+	p.dials++
+	p.mu.Unlock()
+	client, server := net.Pipe()
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer server.Close()
+		p.serve(n, server)
+	}()
+	return client, nil
+}
+
+// keptReplyOracle reads a queryall reply as the protocol defines it: a
+// status line, then lines up to a blank one. ok is false for an error
+// reply — no status line, or an ERR one; terminated reports the blank line,
+// and trailing any byte after it. An unterminated reply runs to the end of
+// its bytes, as an older server's does to EOF.
+func keptReplyOracle(b []byte) (reply string, ok, terminated, trailing bool) {
+	status, rest, found := bytes.Cut(b, []byte("\n"))
+	if !found || bytes.HasPrefix(bytes.TrimSpace(status), []byte("ERR")) {
+		return "", false, false, false
+	}
+	for at := 0; ; {
+		i := bytes.IndexByte(rest[at:], '\n')
+		switch {
+		case i < 0:
+			return string(rest), true, false, false
+		case i == 0:
+			return string(rest[:at]), true, true, at+1 < len(rest)
+		}
+		at += i + 1
+	}
+}
+
+// FuzzKeptReply serves any bytes as the reply to a Client's queryall over
+// an in-memory pipe; the server then closes when closeAfter is set or the
+// reply has no terminator (an older server), and otherwise answers further
+// requests on the connection with "second". The client must never panic;
+// each call returns an error or exactly the one reply the oracle reads; the
+// client keeps the connection only after a terminated reply with nothing
+// past it; and a second call returns "second" on a kept open connection,
+// "fresh" on a new one — never bytes of the first reply.
+func FuzzKeptReply(f *testing.F) {
+	for _, seed := range []string{
+		"", "OK", "OK\n", "OK\n\n", "\n\n", "ERR nope\n", "ERR nope\n\n", "OK\nx\n", "OK\nx",
+		"OK\nagg p99\nvalue 1.5\nnode a ok samples=3 in=1µs\n\n",
+		"OK\na\n\nOK\nb\n\n", "OK\na\n\n\n", "OK\na\r\n\r\n", " ERR\n", "okay\nstill a reply\n\n",
+	} {
+		f.Add([]byte(seed), false)
+		f.Add([]byte(seed), true)
+	}
+	f.Fuzz(func(t *testing.T, reply []byte, closeAfter bool) {
+		// A reply that fits one read of the client's buffer: the client has
+		// then seen every byte sent before it decides to keep the connection.
+		if len(reply) > maxRequestLine {
+			return
+		}
+		want, ok, terminated, trailing := keptReplyOracle(reply)
+		tr := &pipeTransport{serve: func(n int, conn net.Conn) {
+			r := bufio.NewReader(conn)
+			answer := "OK\nfresh\n\n"
+			if n == 0 {
+				if _, err := r.ReadString('\n'); err != nil {
+					return
+				}
+				if _, err := conn.Write(reply); err != nil || closeAfter || !terminated {
+					return
+				}
+				answer = "OK\nsecond\n\n"
+			}
+			for {
+				if _, err := r.ReadString('\n'); err != nil {
+					return
+				}
+				if _, err := io.WriteString(conn, answer); err != nil {
+					return
+				}
+			}
+		}}
+		c := NewClient("pipe")
+		c.SetTransport(tr)
+		c.SetTimeout(5 * time.Second)
+		defer tr.wg.Wait()
+		defer c.Close()
+
+		got, err := c.QueryAll("p99 loadavg last 30s")
+		switch {
+		case !ok && err == nil:
+			t.Fatalf("reply %q: got %q, want an error", reply, got)
+		case ok && (err != nil || got != want):
+			t.Fatalf("reply %q: got %q, %v; want %q", reply, got, err, want)
+		}
+		c.mu.Lock()
+		kept := len(c.idle) == 1
+		c.mu.Unlock()
+		if wantKept := ok && terminated && !trailing; kept != wantKept {
+			t.Fatalf("reply %q: connection kept %v, want %v", reply, kept, wantKept)
+		}
+
+		second := "fresh\n"
+		if kept && !closeAfter {
+			second = "second\n"
+		}
+		if got, err := c.QueryAll("p99 loadavg last 30s"); err != nil || got != second {
+			t.Fatalf("after reply %q: second call got %q, %v; want %q", reply, got, err, second)
 		}
 	})
 }

@@ -78,6 +78,7 @@ func FuzzFilterParity(f *testing.F) {
 		"int zero = 0; int k = 5; k %= zero; return k;",
 		"output[0] = input[10];",
 		"int i = 9; output[i] = input[0];",
+		"output[7];",
 		"for (;;) {}",
 		"int n = 0; while (1) { n++; }",
 		"nclients = nclients + 1; cpu_load = cpu_load * 2.0; return nclients;",

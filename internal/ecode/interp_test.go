@@ -104,10 +104,11 @@ func (st *interpState) exec(s Stmt) (ctrl, error) {
 		st.locals[n.Slot] = v
 		return ctrlNone, nil
 	case *ExprStmt:
-		// A bare record reference only evaluates its index: the VM checks
-		// bounds when a record is read or written, not when it is named.
+		// A bare record reference is bounds-checked like every record
+		// index (docs/ECODE.md): the VM's indexin/indexout check it when
+		// the record is named, before the statement discards it.
 		if idx, ok := n.X.(*Index); ok {
-			_, err := st.eval(idx.Inner)
+			_, _, _, err := st.evalRef(idx)
 			return ctrlNone, err
 		}
 		_, err := st.eval(n.X)

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -103,43 +102,40 @@ func Normalize(q tsdb.Query, now time.Time) (tsdb.Query, error) {
 	return q, nil
 }
 
-// indexPool recycles ComputePart's per-sample bucket indices: a part sorts
-// them once and keeps only the runs.
-var indexPool = sync.Pool{New: func() any { return new([]int) }}
+// countsPool recycles ComputePart's dense bucket counters; a part hands
+// its counter back zeroed.
+var countsPool = sync.Pool{New: func() any { return new([obs.NumBuckets]uint64) }}
 
 // ComputePart answers one node's share of a normalized query from its local
 // store, with the given tsdb series name. Arithmetic aggregations reuse the
-// summary-folding tsdb query; percentiles scan the raw window once, folding
-// every sample into the fixed obs bucket layout. "No data" (unknown series,
-// empty window, too few samples for a rate) is an empty part, not an error.
+// summary-folding tsdb query; percentiles scan the raw window once, counting
+// every sample into the fixed obs bucket layout, then walk the touched
+// bucket range once for the sparse counts. "No data" (unknown series, empty
+// window, too few samples for a rate) is an empty part, not an error.
 func ComputePart(db *tsdb.DB, series string, q tsdb.Query) (Part, error) {
 	p := Part{From: q.From, To: q.To}
 	if _, isQuantile := q.Agg.Quantile(); isQuantile {
-		scratch := indexPool.Get().(*[]int)
-		defer indexPool.Put(scratch)
-		idx := (*scratch)[:0]
+		counts := countsPool.Get().(*[obs.NumBuckets]uint64)
+		defer countsPool.Put(counts)
+		lo, hi, distinct := obs.NumBuckets, -1, 0
 		db.Scan(series, q.From, q.To, func(pt tsdb.Point) {
-			idx = append(idx, obs.BucketOf(scaleValue(pt.V)))
+			i := obs.BucketOf(scaleValue(pt.V))
+			if counts[i] == 0 {
+				distinct++
+			}
+			counts[i]++
+			lo, hi = min(lo, i), max(hi, i)
 		})
-		*scratch = idx
-		p.Count = int64(len(idx))
-		if len(idx) == 0 {
+		if distinct == 0 {
 			return p, nil
 		}
-		// Sorted, equal indices are runs: one pair per run.
-		slices.Sort(idx)
-		runs := 1
-		for i := 1; i < len(idx); i++ {
-			if idx[i] != idx[i-1] {
-				runs++
+		p.Buckets = make([]BucketCount, 0, distinct)
+		for i := lo; i <= hi; i++ {
+			if n := counts[i]; n > 0 {
+				p.Buckets = append(p.Buckets, BucketCount{Index: i, Count: n})
+				p.Count += int64(n)
+				counts[i] = 0
 			}
-		}
-		p.Buckets = make([]BucketCount, 0, runs)
-		for i, b := range idx {
-			if i == 0 || b != idx[i-1] {
-				p.Buckets = append(p.Buckets, BucketCount{Index: b})
-			}
-			p.Buckets[len(p.Buckets)-1].Count++
 		}
 		return p, nil
 	}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"dproc/internal/obs"
 	"dproc/internal/tsdb"
@@ -217,12 +220,26 @@ func (r Result) Render() string {
 	for _, ns := range r.Nodes {
 		if ns.OK() {
 			fmt.Fprintf(&sb, "node %s ok samples=%d in=%s\n",
-				ns.Node, ns.Count, ns.Elapsed.Round(time.Microsecond))
+				renderName(ns.Node), ns.Count, ns.Elapsed.Round(time.Microsecond))
 		} else {
-			fmt.Fprintf(&sb, "node %s error %s\n", ns.Node, ns.Err)
+			fmt.Fprintf(&sb, "node %s error %s\n", renderName(ns.Node), ns.Err)
 		}
 	}
 	return sb.String()
+}
+
+// renderName is a node name as a provenance line shows it: verbatim, or
+// quoted when it holds whitespace, control bytes or invalid UTF-8. Names come
+// from registry members, which any remote client can join, and one holding a
+// newline would otherwise split the rendered result — and end a kept
+// queryall reply at its blank line.
+func renderName(name string) string {
+	if strings.IndexFunc(name, func(r rune) bool {
+		return unicode.IsSpace(r) || unicode.IsControl(r) || r == utf8.RuneError
+	}) >= 0 {
+		return strconv.Quote(name)
+	}
+	return name
 }
 
 // SortTargets orders targets by node name for deterministic fan-out and

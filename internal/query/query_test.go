@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dproc/internal/leakcheck"
+	"dproc/internal/obs"
 	"dproc/internal/tsdb"
 )
 
@@ -487,6 +488,86 @@ func BenchmarkComputePart(b *testing.B) {
 		p, err := ComputePart(db, "n/loadavg", q)
 		if err != nil || p.Count != 300 {
 			b.Fatalf("part %+v, %v", p, err)
+		}
+	}
+}
+
+// sortedPart is ComputePart's percentile branch as it was before the part
+// was counted: every sample's bucket index collected, sorted, and one pair
+// per run. It is the oracle the counted part must equal.
+func sortedPart(db *tsdb.DB, series string, q tsdb.Query) Part {
+	p := Part{From: q.From, To: q.To}
+	var idx []int
+	db.Scan(series, q.From, q.To, func(pt tsdb.Point) {
+		idx = append(idx, obs.BucketOf(scaleValue(pt.V)))
+	})
+	p.Count = int64(len(idx))
+	if len(idx) == 0 {
+		return p
+	}
+	slices.Sort(idx)
+	for i, b := range idx {
+		if i == 0 || b != idx[i-1] {
+			p.Buckets = append(p.Buckets, BucketCount{Index: b})
+		}
+		p.Buckets[len(p.Buckets)-1].Count++
+	}
+	return p
+}
+
+// The counted percentile part equals the sort-based one, bucket for bucket
+// and byte for byte on the wire, over FuzzParsePart's seed windows and
+// seeded windows at the edges: empty, one bucket, NaN and negative values
+// (bucket 0), values clamped at maxScaled (the top bucket) and a wide
+// random spread. Each window runs after the others on one pool, so a
+// counter handed back dirty shows up in the next part.
+func TestCountedPartMatchesSortedPart(t *testing.T) {
+	db := loadDB()
+	rng := rand.New(rand.NewSource(3))
+	series := map[string][]float64{
+		"one":     {2.5, 2.5, 2.5},
+		"edges":   {math.NaN(), -1, -1e300, 0, math.Inf(-1), 1e-7},
+		"clamped": {1e300, math.Inf(1), 1e13, 9.3e12, 5},
+		"mixed":   {math.NaN(), 0.25, 1e300, -3, 7.75, 0.25, 1e13},
+	}
+	spread := make([]float64, 2000)
+	for i := range spread {
+		spread[i] = math.Exp(rng.Float64()*40 - 15) // ≈ 3e-7 … 2.4e10
+	}
+	series["spread"] = spread
+	for name, vals := range series {
+		for i, v := range vals {
+			db.Append("n/"+name, int64(i+1)*int64(time.Second), v)
+		}
+	}
+	type window struct {
+		series string
+		q      tsdb.Query
+	}
+	windows := []window{
+		{"n/loadavg", loadWindow},
+		{"n/loadavg", tsdb.Query{Agg: tsdb.AggP99, Metric: "loadavg", From: 5e12, To: 6e12}},
+		{"n/loadavg", tsdb.Query{Agg: tsdb.AggP50, Metric: "loadavg", From: 1, To: 2e12}},
+		{"n/missing", loadWindow},
+	}
+	for name, vals := range series {
+		windows = append(windows, window{"n/" + name, tsdb.Query{Agg: tsdb.AggP99, Metric: name,
+			From: 1, To: int64(len(vals)+1) * int64(time.Second)}})
+	}
+	for k := 0; k < 20; k++ {
+		from := rng.Int63n(2000) * int64(time.Second)
+		windows = append(windows, window{"n/spread", tsdb.Query{Agg: tsdb.AggP50, Metric: "spread",
+			From: from, To: from + (1+rng.Int63n(500))*int64(time.Second)}})
+	}
+	for _, w := range windows {
+		want := sortedPart(db, w.series, w.q)
+		got, err := ComputePart(db, w.series, w.q)
+		if err != nil {
+			t.Fatalf("%s %v: %v", w.series, w.q, err)
+		}
+		if got.Count != want.Count || (got.Buckets == nil) != (want.Buckets == nil) ||
+			!slices.Equal(got.Buckets, want.Buckets) || got.Render() != want.Render() {
+			t.Fatalf("%s %v: counted part\n%+v\nsorted part\n%+v", w.series, w.q, got, want)
 		}
 	}
 }
