@@ -51,6 +51,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dproc/internal/clock"
@@ -138,6 +139,11 @@ type Server struct {
 	// maxParked, which Close shuts rather than waiting out their phase
 	// timeout.
 	idle map[net.Conn]struct{}
+
+	// Limit-hit counters of the request caps, in the node's registry: how
+	// often a request line, a write body or a parked connection was turned
+	// away at its cap (DESIGN §6).
+	lineOverCap, bodyOverCap, parkedOverCap *atomic.Uint64
 }
 
 // NewServer starts an admin server for node on addr (e.g. "127.0.0.1:0")
@@ -162,8 +168,12 @@ func NewServerWith(node *core.Node, addr string, opts ServerOptions) (*Server, e
 	if err != nil {
 		return nil, fmt.Errorf("adminproto: listen: %w", err)
 	}
+	reg := node.Metrics()
 	s := &Server{ln: ln, node: node, opts: opts, io: clock.IO(opts.Transport),
-		clients: map[string]*Client{}, idle: map[net.Conn]struct{}{}}
+		clients: map[string]*Client{}, idle: map[net.Conn]struct{}{},
+		lineOverCap:   reg.Counter("admin", "", "request_line_over_cap"),
+		bodyOverCap:   reg.Counter("admin", "", "write_body_over_cap"),
+		parkedOverCap: reg.Counter("admin", "", "parked_over_cap")}
 	s.advertise()
 	node.SetClusterQuerier(s.QueryAll)
 	s.wg.Add(1)
@@ -346,6 +356,7 @@ func (s *Server) serve(conn net.Conn) {
 func (s *Server) serveOne(r *bufio.Reader, reply func(string)) bool {
 	raw, err := r.ReadSlice('\n')
 	if errors.Is(err, bufio.ErrBufferFull) {
+		s.lineOverCap.Add(1)
 		reply("ERR request line over " + strconv.Itoa(maxRequestLine) + " bytes\n")
 		return false
 	}
@@ -393,6 +404,9 @@ const maxParked = 256
 func (s *Server) awaitRequest(conn net.Conn, r *bufio.Reader) bool {
 	s.mu.Lock()
 	if s.closed || len(s.idle) >= maxParked {
+		if !s.closed {
+			s.parkedOverCap.Add(1)
+		}
 		s.mu.Unlock()
 		return false
 	}
@@ -473,6 +487,7 @@ func runWrite(s *Server, args []string, body *bufio.Reader, reply func(string)) 
 		return
 	}
 	if len(data) > maxWriteBody {
+		s.bodyOverCap.Add(1)
 		reply("ERR write body over " + strconv.Itoa(maxWriteBody) + " bytes\n")
 		return
 	}

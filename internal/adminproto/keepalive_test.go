@@ -595,6 +595,18 @@ func TestServerCapsParkedConnections(t *testing.T) {
 	if _, n := dials.count(); n != len(clients) {
 		t.Fatalf("first round: %d dials, want one per client (%d)", n, len(clients))
 	}
+	// Each connection turned away moves parked_over_cap by one, just after
+	// its reply.
+	overParked := func(stage string, want uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); overCap(srv, "parked_over_cap") < want && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if n := overCap(srv, "parked_over_cap"); n != want {
+			t.Fatalf("%s: parked_over_cap = %d, want %d", stage, n, want)
+		}
+	}
+	overParked("first round", uint64(len(clients)-maxParked))
 	// The eight go first: had a parked client gone first, the slot it
 	// leaves while served could go to one of the eight still closing.
 	for i := maxParked; i < len(clients); i++ {
@@ -606,4 +618,5 @@ func TestServerCapsParkedConnections(t *testing.T) {
 	if _, n := dials.count(); n-len(clients) != len(clients)-maxParked {
 		t.Fatalf("second round: %d dials, want one per connection past the cap (%d)", n-len(clients), len(clients)-maxParked)
 	}
+	overParked("second round", 2*uint64(len(clients)-maxParked))
 }

@@ -48,12 +48,25 @@ func TestOversizeRequestLineGetsShortErr(t *testing.T) {
 	if !strings.HasPrefix(string(reply), "ERR ") || strings.Count(string(reply), "\n") != 1 {
 		t.Fatalf("reply = %q, want one ERR line", reply)
 	}
+	if n := overCap(srv, "request_line_over_cap"); n != 1 {
+		t.Fatalf("request_line_over_cap = %d, want 1", n)
+	}
+	if stats := srv.node.StatsText(); !strings.Contains(stats, "\nadmin request_line_over_cap 1\n") {
+		t.Fatalf("the stats file does not show the cap's hit:\n%s", stats)
+	}
+}
+
+// overCap reads one of the server's limit-hit counters from its node's
+// registry.
+func overCap(srv *Server, name string) uint64 {
+	n, _ := srv.node.Metrics().Value("admin", "", name)
+	return n
 }
 
 // A write body over maxWriteBody is refused before it reaches the control
 // file, and one at the cap is not refused for its size.
 func TestWriteBodyCapped(t *testing.T) {
-	_, c, _ := newServer(t)
+	srv, c, _ := newServer(t)
 	err := c.Write("cluster/alan/control", strings.Repeat("x", maxWriteBody+1))
 	if err == nil || !strings.Contains(err.Error(), "write body over") {
 		t.Fatalf("oversize write body: err = %v, want the body cap", err)
@@ -61,6 +74,9 @@ func TestWriteBodyCapped(t *testing.T) {
 	err = c.Write("cluster/alan/control", strings.Repeat("x", maxWriteBody))
 	if err == nil || strings.Contains(err.Error(), "write body over") {
 		t.Fatalf("write body at the cap: err = %v, want the control file's own error", err)
+	}
+	if n := overCap(srv, "write_body_over_cap"); n != 1 {
+		t.Fatalf("write_body_over_cap = %d, want 1", n)
 	}
 }
 

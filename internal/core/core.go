@@ -164,6 +164,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.metrics = metrics.NewRegistry()
 	n.obs = obs.New(cfg.Name, n.metrics, cfg.TraceSample)
 	n.d.SetObserver(n.obs)
+	n.d.SetMetrics(n.metrics)
 	n.d.SetPadding(cfg.Padding)
 	n.registerHistoryGauges()
 	if cfg.RegistryAddr != "" {

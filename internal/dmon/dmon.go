@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dproc/internal/clock"
@@ -65,6 +66,10 @@ type DMon struct {
 	// FilterErrors counts filter executions that failed at run time; the
 	// affected poll falls back to unfiltered submission.
 	filterErrors uint64
+
+	// sourceOverCap counts filter deployments refused for source over
+	// ecode's 64 KiB cap; SetMetrics moves it into the node's registry.
+	sourceOverCap *atomic.Uint64
 }
 
 // New creates a d-mon for the named node, registering the standard modules
@@ -95,9 +100,10 @@ func OpenWith(node string, clk clock.Clock, src Source, opts StoreOptions) (*DMo
 		return nil, err
 	}
 	d := &DMon{
-		node:  node,
-		clk:   clk,
-		store: store,
+		node:          node,
+		clk:           clk,
+		store:         store,
+		sourceOverCap: new(atomic.Uint64),
 	}
 	for r := range d.config {
 		d.config[r] = ResourceConfig{Period: DefaultPeriod}
@@ -133,6 +139,14 @@ func FilterSpec() *ecode.EnvSpec {
 func (d *DMon) SetObserver(o *obs.Observer) {
 	d.mu.Lock()
 	d.obs = o
+	d.mu.Unlock()
+}
+
+// SetMetrics registers the d-mon's limit-hit counter in reg, the node's
+// registry, as dmon filter_source_over_cap.
+func (d *DMon) SetMetrics(reg *metrics.Registry) {
+	d.mu.Lock()
+	d.sourceOverCap = reg.Counter("dmon", "", "filter_source_over_cap")
 	d.mu.Unlock()
 }
 
@@ -270,6 +284,11 @@ func (d *DMon) DeployFilter(r metrics.Resource, all bool, source string) error {
 		// whole front-end and reuses the compiled program.
 		f, err = ecode.CompileCached(source, FilterSpec())
 		if err != nil {
+			if errors.Is(err, ecode.ErrSourceTooLarge) {
+				d.mu.Lock()
+				d.sourceOverCap.Add(1)
+				d.mu.Unlock()
+			}
 			return fmt.Errorf("dmon: compiling filter: %w", err)
 		}
 	}

@@ -337,6 +337,35 @@ func TestDeployFilterCompileErrorKeepsOld(t *testing.T) {
 	}
 }
 
+// A filter bomb — source over ecode's 64 KiB cap — is refused, keeps the
+// working filter, and moves the node's filter_source_over_cap counter by
+// exactly one per deployment; a filter that fails to compile for any other
+// reason does not move it.
+func TestDeployOversizeFilterCounted(t *testing.T) {
+	n := newSimNode(t, "alan")
+	reg := metrics.NewRegistry()
+	n.d.SetMetrics(reg)
+	overCap := func() uint64 {
+		v, _ := reg.Value("dmon", "", "filter_source_over_cap")
+		return v
+	}
+	if err := n.d.DeployFilter(0, true, "output[0] = input[LOADAVG];"); err != nil {
+		t.Fatal(err)
+	}
+	bomb := "return " + strings.Repeat("(", 1<<16) + "1" + strings.Repeat(")", 1<<16) + ";"
+	for i := uint64(1); i <= 2; i++ {
+		if err := n.d.DeployFilter(0, true, bomb); err == nil || !n.d.HasFilter() {
+			t.Fatalf("deployment %d of %d bytes: err %v, filter kept %t", i, len(bomb), err, n.d.HasFilter())
+		}
+		if got := overCap(); got != i {
+			t.Fatalf("after %d oversize deployments filter_source_over_cap = %d", i, got)
+		}
+	}
+	if err := n.d.DeployFilter(0, true, "$$$ garbage"); err == nil || overCap() != 2 {
+		t.Fatalf("garbage source: err %v, filter_source_over_cap %d, want 2", err, overCap())
+	}
+}
+
 func TestPerResourceFilterScoping(t *testing.T) {
 	n := newSimNode(t, "alan")
 	// CPU filter passes loadavg only when above 10 — idle host blocks it;

@@ -1,6 +1,7 @@
 package ecode
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -12,6 +13,20 @@ import (
 // catches. The cap also bounds compile time and what the filter cache can
 // hold. The paper's Figure 3 filter is about 400 bytes.
 const maxSourceBytes = 64 << 10
+
+// ErrSourceTooLarge classifies the error of source over the 64 KiB cap
+// (errors.Is), so that a deployer can count the cap's hits.
+var ErrSourceTooLarge = errors.New("ecode: filter source over the size limit")
+
+// sourceSizeError is the cap's error: its own message, matching
+// ErrSourceTooLarge.
+type sourceSizeError int
+
+func (e sourceSizeError) Error() string {
+	return fmt.Sprintf("ecode: filter source is %d bytes, limit %d", int(e), maxSourceBytes)
+}
+
+func (sourceSizeError) Is(target error) bool { return target == ErrSourceTooLarge }
 
 // Filter is a compiled E-code filter: the bytecode program for the VM and
 // the environment spec it was compiled against.
@@ -26,7 +41,7 @@ type Filter struct {
 // Source longer than 64 KiB is rejected before lexing.
 func Compile(source string, spec *EnvSpec) (*Filter, error) {
 	if len(source) > maxSourceBytes {
-		return nil, fmt.Errorf("ecode: filter source is %d bytes, limit %d", len(source), maxSourceBytes)
+		return nil, sourceSizeError(len(source))
 	}
 	stmts, err := parse(source)
 	if err != nil {

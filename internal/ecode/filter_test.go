@@ -309,7 +309,7 @@ func TestCompileRejectsOversizeSource(t *testing.T) {
 		"nesting": "return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";",
 		"chain":   "int a = 1; return a" + strings.Repeat("+a", n) + ";",
 	} {
-		if _, err := Compile(src, nil); err == nil || !strings.Contains(err.Error(), "limit") {
+		if _, err := Compile(src, nil); err == nil || !strings.Contains(err.Error(), "limit") || !errors.Is(err, ErrSourceTooLarge) {
 			t.Errorf("%s: %d bytes of source gave err %v, want the size limit", name, len(src), err)
 		}
 	}

@@ -102,12 +102,12 @@ func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 // concurrent writers: counts only grow, so the walk terminates at or before
 // the bucket a frozen snapshot would have chosen.
 func (h *Histogram) Quantile(q float64) int64 {
-	return quantileWalk(q, h.count.Load(), func(i int) uint64 { return h.buckets[i].Load() })
+	return quantileWalk(q, h.count.Load(), 0, nBuckets-1, func(i int) uint64 { return h.buckets[i].Load() })
 }
 
-// quantileWalk finds the bucket holding the rank-th value and reports its
-// upper bound.
-func quantileWalk(q float64, total uint64, bucket func(int) uint64) int64 {
+// quantileWalk finds the bucket holding the rank-th value, walking buckets
+// lo through hi, and reports its upper bound.
+func quantileWalk(q float64, total uint64, lo, hi int, bucket func(int) uint64) int64 {
 	if total == 0 {
 		return 0
 	}
@@ -119,7 +119,7 @@ func quantileWalk(q float64, total uint64, bucket func(int) uint64) int64 {
 		rank = total
 	}
 	var seen uint64
-	for i := 0; i < nBuckets; i++ {
+	for i := lo; i <= hi; i++ {
 		if seen += bucket(i); seen >= rank {
 			return bucketHigh(i)
 		}
@@ -161,5 +161,13 @@ func (s *Snapshot) Merge(other Snapshot) {
 
 // Quantile is Histogram.Quantile over the frozen snapshot.
 func (s *Snapshot) Quantile(q float64) int64 {
-	return quantileWalk(q, s.Count, func(i int) uint64 { return s.Buckets[i] })
+	return quantileWalk(q, s.Count, 0, nBuckets-1, func(i int) uint64 { return s.Buckets[i] })
+}
+
+// QuantileWithin is Quantile for a snapshot whose non-empty buckets all lie
+// in [lo, hi] (0 <= lo, hi < NumBuckets): the same answer from a walk of
+// that range only. A merge that knows which buckets it added to reads its
+// quantiles this way.
+func (s *Snapshot) QuantileWithin(q float64, lo, hi int) int64 {
+	return quantileWalk(q, s.Count, lo, hi, func(i int) uint64 { return s.Buckets[i] })
 }

@@ -102,32 +102,51 @@ func Normalize(q tsdb.Query, now time.Time) (tsdb.Query, error) {
 	return q, nil
 }
 
-// countsPool recycles ComputePart's dense bucket counters; a part hands
-// its counter back zeroed.
-var countsPool = sync.Pool{New: func() any { return new([obs.NumBuckets]uint64) }}
+// partScratch is ComputePart's reusable state: the window's decoded values
+// and the dense bucket counters, which a part hands back zeroed.
+type partScratch struct {
+	vals   []float64
+	counts [obs.NumBuckets]uint64
+}
+
+// maxPooledValues bounds the value buffer a scratch keeps, so one query
+// over a long window does not pin its buffer in the pool.
+const maxPooledValues = 1 << 16
+
+var scratchPool = sync.Pool{New: func() any { return new(partScratch) }}
 
 // ComputePart answers one node's share of a normalized query from its local
 // store, with the given tsdb series name. Arithmetic aggregations reuse the
-// summary-folding tsdb query; percentiles scan the raw window once, counting
-// every sample into the fixed obs bucket layout, then walk the touched
-// bucket range once for the sparse counts. "No data" (unknown series, empty
-// window, too few samples for a rate) is an empty part, not an error.
+// summary-folding tsdb query; percentiles decode the raw window's values
+// into a pooled buffer, count them into the fixed obs bucket layout, then
+// walk the touched bucket range once for the sparse counts. "No data"
+// (unknown series, empty window, too few samples for a rate) is an empty
+// part, not an error; a chunk that fails to decode is an error, so the
+// coordinator fails this node instead of merging a short window.
 func ComputePart(db *tsdb.DB, series string, q tsdb.Query) (Part, error) {
 	p := Part{From: q.From, To: q.To}
 	if _, isQuantile := q.Agg.Quantile(); isQuantile {
-		counts := countsPool.Get().(*[obs.NumBuckets]uint64)
-		defer countsPool.Put(counts)
-		lo, hi, distinct := obs.NumBuckets, -1, 0
-		db.Scan(series, q.From, q.To, func(pt tsdb.Point) {
-			i := obs.BucketOf(scaleValue(pt.V))
-			if counts[i] == 0 {
-				distinct++
-			}
+		sc := scratchPool.Get().(*partScratch)
+		defer scratchPool.Put(sc)
+		vals, err := db.AppendValues(sc.vals[:0], series, q.From, q.To)
+		if cap(vals) <= maxPooledValues {
+			sc.vals = vals
+		}
+		if err != nil || len(vals) == 0 {
+			return p, err
+		}
+		counts := &sc.counts
+		lo, hi := obs.NumBuckets, -1
+		for _, v := range vals {
+			i := obs.BucketOf(scaleValue(v))
 			counts[i]++
 			lo, hi = min(lo, i), max(hi, i)
-		})
-		if distinct == 0 {
-			return p, nil
+		}
+		distinct := 0
+		for _, n := range counts[lo : hi+1] {
+			if n > 0 {
+				distinct++
+			}
 		}
 		p.Buckets = make([]BucketCount, 0, distinct)
 		for i := lo; i <= hi; i++ {
@@ -148,20 +167,6 @@ func ComputePart(db *tsdb.DB, series string, q tsdb.Query) (Part, error) {
 	}
 	p.Count, p.Value = r.Count, r.Value
 	return p, nil
-}
-
-// Snapshot expands the sparse bucket counts into a mergeable obs snapshot.
-// Out-of-range indices (a hostile or version-skewed peer) are dropped
-// rather than panicking the coordinator.
-func (p Part) Snapshot() obs.Snapshot {
-	var s obs.Snapshot
-	for _, b := range p.Buckets {
-		if b.Index >= 0 && b.Index < obs.NumBuckets {
-			s.Buckets[b.Index] += b.Count
-			s.Count += b.Count
-		}
-	}
-	return s
 }
 
 // check reports whether p can answer the normalized query q: the same

@@ -77,6 +77,8 @@ type Result struct {
 	// Hist is the merged histogram for percentile queries (nil otherwise);
 	// callers can read additional quantiles from it without re-querying.
 	Hist *obs.Snapshot
+	// lo and hi bound the buckets of Hist that any part touched.
+	lo, hi int
 	// Elapsed is the wall time of the whole fan-out.
 	Elapsed time.Duration
 }
@@ -107,20 +109,31 @@ func Run(ctx context.Context, targets []Target, q tsdb.Query, now time.Time, fet
 	errs := make([]error, len(targets))
 	elapsed := make([]time.Duration, len(targets))
 	sem := make(chan struct{}, conc)
+	// The fetches that start with the fan-out share one deadline, and so
+	// one timer; a fetch that had to wait for a slot starts later and
+	// arms its own, so every fetch gets the whole per-node timeout.
+	shared, cancelShared := context.WithTimeout(ctx, timeout)
+	defer cancelShared()
 	var wg sync.WaitGroup
 	for i, t := range targets {
 		wg.Add(1)
 		go func(i int, t Target) {
 			defer wg.Done()
+			fctx := shared
 			select {
 			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
+			default:
+				select {
+				case sem <- struct{}{}:
+				case <-ctx.Done():
+					errs[i] = ctx.Err()
+					return
+				}
+				var cancel context.CancelFunc
+				fctx, cancel = context.WithTimeout(ctx, timeout)
+				defer cancel()
 			}
-			fctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
+			defer func() { <-sem }()
 			fstart := time.Now()
 			parts[i], errs[i] = fetch(fctx, t, nq)
 			elapsed[i] = time.Since(fstart)
@@ -154,16 +167,24 @@ func Run(ctx context.Context, targets []Target, q tsdb.Query, now time.Time, fet
 // aggregation's own arithmetic. Parts with Count == 0 contribute nothing.
 func (r *Result) merge(parts []Part) {
 	if quant, isQuantile := r.Query.Agg.Quantile(); isQuantile {
+		// Each part's counts add straight into the one histogram; Part.check
+		// has held every OK part's indices to the layout.
 		hist := &obs.Snapshot{}
+		r.lo, r.hi = obs.NumBuckets-1, 0
 		for i, p := range parts {
-			if r.Nodes[i].OK() && p.Count > 0 {
-				hist.Merge(p.Snapshot())
-				r.Count += p.Count
+			if !r.Nodes[i].OK() {
+				continue
 			}
+			for _, b := range p.Buckets {
+				hist.Buckets[b.Index] += b.Count
+				r.lo, r.hi = min(r.lo, b.Index), max(r.hi, b.Index)
+			}
+			hist.Count += uint64(p.Count)
+			r.Count += p.Count
 		}
 		r.Hist = hist
 		if hist.Count > 0 {
-			r.Value = UnscaleValue(hist.Quantile(quant))
+			r.Value = UnscaleValue(r.quantile(quant))
 			r.HasValue = true
 		}
 		return
@@ -196,6 +217,12 @@ func (r *Result) merge(parts []Part) {
 	if r.Query.Agg == tsdb.AggAvg && r.Count > 0 {
 		r.Value = weighted / float64(r.Count)
 	}
+}
+
+// quantile reads the q-quantile of the merged histogram, walking only the
+// buckets the parts touched.
+func (r *Result) quantile(q float64) int64 {
+	return r.Hist.QuantileWithin(q, r.lo, r.hi)
 }
 
 // Render formats the merged result as line-oriented control-file text: the

@@ -571,3 +571,65 @@ func TestCountedPartMatchesSortedPart(t *testing.T) {
 		}
 	}
 }
+
+// percentileParts is four nodes' p99 parts over 300-sample windows of
+// load-average-like series, about 100 buckets each.
+func percentileParts(tb testing.TB) (tsdb.Query, []Part) {
+	q := loadWindow
+	parts := make([]Part, 4)
+	for n := range parts {
+		db := tsdb.NewDB(tsdb.Options{})
+		rng := rand.New(rand.NewSource(int64(n + 1)))
+		for i := 1; i <= 1000; i++ {
+			u := rng.Float64()
+			db.Append("n/loadavg", int64(i)*int64(time.Second), 0.25+float64(n+1)*7.75*u*u)
+		}
+		p, err := ComputePart(db, "n/loadavg", q)
+		if err != nil || p.Count != 300 {
+			tb.Fatalf("part %d: %+v, %v", n, p, err)
+		}
+		parts[n] = p
+	}
+	return q, parts
+}
+
+// The sparse merge answers every quantile exactly as adding the parts' full
+// snapshots and walking all the buckets did.
+func TestSparseMergeMatchesSnapshotMerge(t *testing.T) {
+	q, parts := percentileParts(t)
+	parts = append(parts, Part{From: q.From, To: q.To}) // an empty node
+	res := Result{Query: q, Nodes: make([]NodeStatus, len(parts))}
+	res.merge(parts)
+	var want obs.Snapshot
+	for _, p := range parts {
+		for _, b := range p.Buckets {
+			want.Buckets[b.Index] += b.Count
+			want.Count += b.Count
+		}
+	}
+	if *res.Hist != want || res.Count != int64(want.Count) {
+		t.Fatalf("merged histogram of %d samples differs from the snapshot sum of %d", res.Count, want.Count)
+	}
+	for _, quant := range []float64{0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+		if got, w := res.quantile(quant), want.Quantile(quant); got != w {
+			t.Fatalf("q%g: sparse walk %d, full walk %d", quant, got, w)
+		}
+	}
+}
+
+// BenchmarkMergeParts merges four percentile parts of about 100 buckets
+// each into the result histogram and reads its p99: one allocation, the
+// histogram the Result hands out.
+func BenchmarkMergeParts(b *testing.B) {
+	q, parts := percentileParts(b)
+	nodes := make([]NodeStatus, len(parts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := Result{Query: q, Nodes: nodes}
+		res.merge(parts)
+		if !res.HasValue {
+			b.Fatal("no value")
+		}
+	}
+}

@@ -69,60 +69,74 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 func (w *bitWriter) bytes() []byte { return w.buf }
 
 // bitReader consumes bits from a buffer written by bitWriter.
+//
+// It reads through a 128-bit window, hi then lo: the next n bits of the
+// stream, most-significant first, and zeros after them. A field is taken
+// from the top of hi and the window shifted left across both words, so a
+// field of up to 64 bits — a first sample's raw words, a '1111' timestamp,
+// the widest XOR block — never splits: a window holding fewer bits than the
+// field is first refilled with the next 8 bytes of the buffer, one
+// big-endian word load placed behind the n < 64 bits it holds, which leaves
+// at least 64. The last bytes of a buffer are loaded through a zero-padded
+// word, so the window never holds a bit past the end and a look at the top
+// of the window near the end sees zeros there.
+//
+// Errors are sticky: the first read past the end (or a decoder finding a
+// corrupt field) sets err, which ends the stream; a caller checks err once
+// per sample.
 type bitReader struct {
-	buf  []byte
-	idx  int
-	used uint // bits already consumed from buf[idx]
+	buf    []byte
+	idx    int    // next byte of buf to load
+	hi, lo uint64 // the window
+	n      uint   // bits in the window
+	err    error
 }
 
 func newBitReader(buf []byte) bitReader { return bitReader{buf: buf} }
 
-// readBit returns the next bit. It inlines: a bit is a shift of the
-// current byte.
-func (r *bitReader) readBit() (uint64, error) {
-	if r.idx >= len(r.buf) {
-		return 0, errExhausted
-	}
-	bit := uint64(r.buf[r.idx]>>(7-r.used)) & 1
-	r.used++
-	r.idx += int(r.used >> 3)
-	r.used &= 7
-	return bit, nil
-}
-
 var errExhausted = errors.New("tsdb: bitstream exhausted")
 
-// readBits returns the next n bits (n <= 64) as the low-order bits of a
-// uint64. While 8 bytes remain and the bits lie within them, that is one
-// word load; the last 8 bytes of a stream, and the rare read that spans 9,
-// take the bit-at-a-time loop, which is also what reports a stream cut
-// short.
-func (r *bitReader) readBits(n uint) (uint64, error) {
-	if n <= 64-r.used && len(r.buf)-r.idx >= 8 {
-		v := binary.BigEndian.Uint64(r.buf[r.idx:]) << r.used >> (64 - n)
-		r.used += n
-		r.idx += int(r.used / 8)
-		r.used %= 8
-		return v, nil
+// fill returns a window of n < 64 bits, hi (lo is empty), with the next
+// word of the buffer loaded behind them: at least 64 bits, or all that is
+// left. It takes and returns the window by value so that a decoder can keep
+// it in registers.
+func (r *bitReader) fill(hi uint64, n uint) (uint64, uint64, uint) {
+	var w uint64
+	k := 8
+	if r.idx+8 <= len(r.buf) {
+		w = binary.BigEndian.Uint64(r.buf[r.idx : r.idx+8])
+	} else {
+		var tail [8]byte
+		k = copy(tail[:], r.buf[r.idx:])
+		w = binary.BigEndian.Uint64(tail[:])
 	}
-	var v uint64
-	for n > 0 {
-		if r.idx >= len(r.buf) {
-			return 0, errExhausted
+	r.idx += k
+	return hi | w>>n, w << (64 - n), n + uint(k)*8 // n == 0: a shift by 64 is 0
+}
+
+// shift drops the first k <= 64 bits of the window hi:lo.
+func shift(hi, lo uint64, k uint) (uint64, uint64) {
+	return hi<<k | lo>>(64-k), lo << k
+}
+
+// read consumes the next k bits (k <= 64) and returns them as the low-order
+// bits of a uint64; 0, with errExhausted, when they are not all there.
+func (r *bitReader) read(k uint) uint64 {
+	if r.n < k {
+		if r.hi, r.lo, r.n = r.fill(r.hi, r.n); r.n < k {
+			r.fail(errExhausted)
+			return 0
 		}
-		avail := 8 - r.used
-		take := avail
-		if take > n {
-			take = n
-		}
-		chunk := uint64(r.buf[r.idx]) >> (avail - take) & (1<<take - 1)
-		v = v<<take | chunk
-		r.used += take
-		if r.used == 8 {
-			r.idx++
-			r.used = 0
-		}
-		n -= take
 	}
-	return v, nil
+	v := r.hi >> (64 - k) // k == 0: 0
+	r.hi, r.lo = shift(r.hi, r.lo, k)
+	r.n -= k
+	return v
+}
+
+// fail records the first error.
+func (r *bitReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
 }

@@ -1,7 +1,7 @@
 package tsdb
 
 import (
-	"fmt"
+	"errors"
 	"math"
 	"math/bits"
 )
@@ -132,34 +132,8 @@ func (s *dodCodec) write(w *bitWriter, t int64) {
 	}
 }
 
-func (s *dodCodec) read(r *bitReader) (int64, error) {
-	n := uint(0) // the class: leading 1 bits, at most 4
-	for n < 4 {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		if bit == 0 {
-			break
-		}
-		n++
-	}
-	var dod int64
-	widths := [5]uint{0, 14, 24, 36, 64}
-	if w := widths[n]; w > 0 {
-		raw, err := r.readBits(w)
-		if err != nil {
-			return 0, err
-		}
-		if w < 64 && raw&(1<<(w-1)) != 0 { // sign-extend
-			raw |= ^uint64(0) << w
-		}
-		dod = int64(raw)
-	}
-	s.delta += dod
-	s.prev += s.delta
-	return s.prev, nil
-}
+// dodWidths is the payload width of each class below '1111'.
+var dodWidths = [4]uint{0, 14, 24, 36}
 
 // xorCodec is the value half of the Gorilla codec: each 64-bit word is
 // XORed with its predecessor and stored as
@@ -213,34 +187,100 @@ func (s *xorCodec) write(w *bitWriter, vb uint64) {
 	s.leading, s.trailing, s.haveWin = uint8(lead), uint8(trail), true
 }
 
-func (s *xorCodec) read(r *bitReader) (uint64, error) {
-	bit, err := r.readBit()
-	if err != nil || bit == 0 {
-		return s.prev, err
+var (
+	errCorruptWindow = errors.New("tsdb: corrupt xor window")
+	errReuseNoWindow = errors.New("tsdb: xor reuse before window")
+)
+
+// read decodes one timestamp. The window is copied into locals and stored
+// back once, so it stays in registers; the class is the count of leading 1
+// bits at the top of the window, at most 4, and the payload of every class
+// but the last comes out of the same look, sign-extended by one arithmetic
+// shift. A decode error is left in r.err, and ends the stream.
+func (s *dodCodec) read(r *bitReader) int64 {
+	hi, lo, n := r.hi, r.lo, r.n
+	if n < 64 {
+		hi, lo, n = r.fill(hi, n)
 	}
-	ctrl, err := r.readBit()
-	if err != nil {
-		return 0, err
-	}
-	if ctrl == 1 {
-		head, err := r.readBits(6 + 6)
-		if err != nil {
-			return 0, err
+	var dod int64
+	var k uint
+	switch class := uint(bits.LeadingZeros64(^hi)); {
+	case class == 0:
+		k = 1
+	case class < 4:
+		width := dodWidths[class]
+		dod, k = int64(hi<<(class+1))>>(64-width), class+1+width
+	default:
+		hi, lo = shift(hi, lo, 4) // class 4 shows four real bits
+		if n -= 4; n < 64 {
+			hi, lo, n = r.fill(hi, n)
 		}
-		lead, sigm1 := head>>6, head&(1<<6-1)
+		dod, k = int64(hi), 64
+	}
+	if k > n {
+		r.fail(errExhausted)
+		return 0
+	}
+	r.hi, r.lo = shift(hi, lo, k)
+	r.n = n - k
+	s.delta += dod
+	s.prev += s.delta
+	return s.prev
+}
+
+// read decodes one value, the same way: the control bits and a new
+// window's header are read at once from the top of the window, and the
+// meaningful bits, up to 64, in one piece.
+func (s *xorCodec) read(r *bitReader) uint64 {
+	hi, lo, n := r.hi, r.lo, r.n
+	if n < 64 {
+		hi, lo, n = r.fill(hi, n)
+	}
+	switch hi >> 62 {
+	case 0, 1: // '0': unchanged
+		if n < 1 {
+			r.fail(errExhausted)
+			return 0
+		}
+		r.hi, r.lo = shift(hi, lo, 1)
+		r.n = n - 1
+		return s.prev
+	case 2: // '10': the previous window
+		if n < 2 {
+			r.fail(errExhausted)
+			return 0
+		}
+		if !s.haveWin {
+			r.fail(errReuseNoWindow)
+			return 0
+		}
+		hi, lo = shift(hi, lo, 2)
+		n -= 2
+	default: // '11': a new window
+		if n < 2+6+6 {
+			r.fail(errExhausted)
+			return 0
+		}
+		lead, sigm1 := uint(hi>>56)&(1<<6-1), uint(hi>>50)&(1<<6-1)
 		if lead+sigm1+1 > 64 {
-			return 0, fmt.Errorf("tsdb: corrupt xor window")
+			r.fail(errCorruptWindow)
+			return 0
 		}
 		s.leading, s.trailing, s.haveWin = uint8(lead), uint8(64-lead-sigm1-1), true
-	} else if !s.haveWin {
-		return 0, fmt.Errorf("tsdb: xor reuse before window")
+		hi, lo = shift(hi, lo, 2+6+6)
+		n -= 2 + 6 + 6
 	}
-	mbits, err := r.readBits(64 - uint(s.leading) - uint(s.trailing))
-	if err != nil {
-		return 0, err
+	k := 64 - uint(s.leading) - uint(s.trailing)
+	if n < k {
+		if hi, lo, n = r.fill(hi, n); n < k {
+			r.fail(errExhausted)
+			return 0
+		}
 	}
-	s.prev ^= mbits << s.trailing
-	return s.prev, nil
+	s.prev ^= hi >> (64 - k) << s.trailing
+	r.hi, r.lo = shift(hi, lo, k)
+	r.n = n - k
+	return s.prev
 }
 
 // Summary returns the chunk's running digest.
@@ -264,7 +304,14 @@ func (c *Chunk) Bytes() int { return len(c.w.buf) }
 // must not be appended to while the iterator is in use (Series queries run
 // under the lock that also guards appends).
 func (c *Chunk) Iter() *ChunkIter {
-	return &ChunkIter{r: newBitReader(c.w.bytes()), total: c.summary.Count}
+	it := c.iter()
+	return &it
+}
+
+// iter is Iter by value, for the loops in this package that must not
+// allocate.
+func (c *Chunk) iter() ChunkIter {
+	return ChunkIter{r: newBitReader(c.w.bytes()), total: c.summary.Count}
 }
 
 // ChunkIter decodes a chunk's points in append order.
@@ -274,30 +321,26 @@ type ChunkIter struct {
 	count int
 	t     dodCodec
 	v     xorCodec
-	err   error
 }
 
 // Next returns the next point; ok is false once the chunk is exhausted or
-// the stream is corrupt (see Err).
+// the stream is corrupt (see Err). The reader's error is sticky, so it is
+// checked once, after the sample's two fields.
 func (it *ChunkIter) Next() (Point, bool) {
-	if it.err != nil || it.count >= it.total {
+	if it.count >= it.total || it.r.err != nil {
 		return Point{}, false
 	}
 	var t int64
 	var vb uint64
-	var err error
 	if it.count == 0 {
-		var tb uint64
-		if tb, err = it.r.readBits(64); err == nil {
-			vb, err = it.r.readBits(64)
-		}
-		t = int64(tb)
+		t = int64(it.r.read(64))
+		vb = it.r.read(64)
 		it.t, it.v = dodCodec{prev: t}, xorCodec{prev: vb}
-	} else if t, err = it.t.read(&it.r); err == nil {
-		vb, err = it.v.read(&it.r)
+	} else {
+		t = it.t.read(&it.r)
+		vb = it.v.read(&it.r)
 	}
-	if err != nil {
-		it.err = err
+	if it.r.err != nil {
 		return Point{}, false
 	}
 	it.count++
@@ -305,4 +348,4 @@ func (it *ChunkIter) Next() (Point, bool) {
 }
 
 // Err returns the first decode error, if any.
-func (it *ChunkIter) Err() error { return it.err }
+func (it *ChunkIter) Err() error { return it.r.err }

@@ -241,15 +241,30 @@ func (e errNoSeries) Error() string { return "tsdb: no series " + string(e) }
 func (errNoSeries) Is(target error) bool { return target == ErrNoData }
 
 // Scan streams the named series' raw samples with t in [from, to), in
-// order, under the read lock. A missing series scans nothing. This is what
-// the distributed-query leaf uses to fold raw samples into a mergeable
-// histogram without materializing the window.
-func (db *DB) Scan(name string, from, to int64, fn func(Point)) {
+// order, under the read lock. A missing series scans nothing; a chunk that
+// fails to decode ends the scan with its error.
+func (db *DB) Scan(name string, from, to int64, fn func(Point)) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if s, ok := db.series[name]; ok {
-		s.Scan(from, to, fn)
+		return s.Scan(from, to, fn)
 	}
+	return nil
+}
+
+// AppendValues appends the values of the named series' raw samples with t
+// in [from, to) to dst, in time order, and returns the extended slice. Only
+// the decode runs under the read lock, with no call per sample; what the
+// caller does with the values (the distributed-query leaf buckets them)
+// runs after the lock is released. A missing series appends nothing; a
+// chunk that fails to decode is an error.
+func (db *DB) AppendValues(dst []float64, name string, from, to int64) ([]float64, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if s, ok := db.series[name]; ok {
+		return s.appendValues(dst, from, to)
+	}
+	return dst, nil
 }
 
 // Drop removes the named series.

@@ -282,17 +282,17 @@ func (s *Series) Query(q Query) (Result, error) {
 	// chunks straddling a window edge. This is what keeps a windowed
 	// aggregate over millions of samples in the microsecond range.
 	var agg Summary
-	for _, c := range s.chunks() {
-		sum := c.summary
-		if sum.TMax < from || sum.TMin >= to {
+	for i := range s.nchunks() {
+		c := s.chunk(i)
+		if !c.overlaps(from, to) {
 			continue
 		}
-		if sum.TMin >= from && sum.TMax < to {
-			agg.fold(sum)
+		if c.summary.TMin >= from && c.summary.TMax < to {
+			agg.fold(c.summary)
 			continue
 		}
 		var part Summary
-		it := c.Iter()
+		it := c.iter()
 		for p, ok := it.Next(); ok; p, ok = it.Next() {
 			if p.T >= to {
 				break
@@ -300,6 +300,9 @@ func (s *Series) Query(q Query) (Result, error) {
 			if p.T >= from {
 				part.observe(p.T, p.V)
 			}
+		}
+		if it.Err() != nil {
+			return r, s.decodeError(c, it.Err())
 		}
 		agg.fold(part)
 	}
@@ -335,7 +338,7 @@ func (s *Series) queryQuantile(quant float64, r Result) (Result, error) {
 	var count int64
 	var lo, hi float64
 	first := true
-	s.Scan(r.From, r.To, func(p Point) {
+	err := s.Scan(r.From, r.To, func(p Point) {
 		count++
 		if first || p.V < lo {
 			lo = p.V
@@ -346,12 +349,17 @@ func (s *Series) queryQuantile(quant float64, r Result) (Result, error) {
 		first = false
 	})
 	r.Count = count
+	if err != nil {
+		return r, err
+	}
 	if count == 0 {
 		return r, noDataError("tsdb: no samples in window")
 	}
 	if count <= histApproxThreshold {
-		vals := make([]float64, 0, count)
-		s.Scan(r.From, r.To, func(p Point) { vals = append(vals, p.V) })
+		vals, err := s.appendValues(make([]float64, 0, count), r.From, r.To)
+		if err != nil {
+			return r, err
+		}
 		sort.Float64s(vals)
 		idx := int(math.Ceil(quant*float64(len(vals)))) - 1
 		if idx < 0 {
@@ -366,13 +374,15 @@ func (s *Series) queryQuantile(quant float64, r Result) (Result, error) {
 	}
 	var bins [histBins]int64
 	width := (hi - lo) / histBins
-	s.Scan(r.From, r.To, func(p Point) {
+	if err := s.Scan(r.From, r.To, func(p Point) {
 		i := int((p.V - lo) / width)
 		if i >= histBins {
 			i = histBins - 1
 		}
 		bins[i]++
-	})
+	}); err != nil {
+		return r, err
+	}
 	rank := int64(math.Ceil(quant * float64(count)))
 	var seen int64
 	for i, n := range bins {

@@ -1,6 +1,9 @@
 package tsdb
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Defaults for Options fields left zero.
 const (
@@ -256,15 +259,20 @@ func (s *Series) Bytes() int {
 	return n
 }
 
-// chunks returns the retained chunks in time order, head last (skipping an
-// empty head).
-func (s *Series) chunks() []*Chunk {
-	out := make([]*Chunk, 0, len(s.sealed)+1)
-	out = append(out, s.sealed...)
+// nchunks counts the retained chunks, the head only when it holds samples;
+// chunk returns them by index in time order, the head last.
+func (s *Series) nchunks() int {
 	if s.head.summary.Count > 0 {
-		out = append(out, s.head)
+		return len(s.sealed) + 1
 	}
-	return out
+	return len(s.sealed)
+}
+
+func (s *Series) chunk(i int) *Chunk {
+	if i < len(s.sealed) {
+		return s.sealed[i]
+	}
+	return s.head
 }
 
 // Tail returns the newest n retained samples, oldest first (all retained
@@ -276,17 +284,16 @@ func (s *Series) Tail(n int) []Point {
 	if n == 0 {
 		return nil
 	}
-	chunks := s.chunks()
 	// Find the first chunk we need, counting samples from the end.
 	need := n
-	start := len(chunks)
+	start := s.nchunks()
 	for start > 0 && need > 0 {
 		start--
-		need -= chunks[start].summary.Count
+		need -= s.chunk(start).summary.Count
 	}
 	out := make([]Point, 0, n-need) // need <= 0: -need extra decoded samples
-	for _, c := range chunks[start:] {
-		it := c.Iter()
+	for i := start; i < s.nchunks(); i++ {
+		it := s.chunk(i).iter()
 		for p, ok := it.Next(); ok; p, ok = it.Next() {
 			out = append(out, p)
 		}
@@ -297,24 +304,64 @@ func (s *Series) Tail(n int) []Point {
 	return out
 }
 
+// overlaps reports whether c holds samples that may lie in [from, to).
+func (c *Chunk) overlaps(from, to int64) bool {
+	return c.summary.TMax >= from && c.summary.TMin < to
+}
+
 // Scan calls fn for every retained sample with from <= t < to, in time
-// order. Chunks wholly outside the window are skipped without decoding.
-func (s *Series) Scan(from, to int64, fn func(p Point)) {
-	for _, c := range s.chunks() {
-		sum := c.summary
-		if sum.TMax < from || sum.TMin >= to {
+// order. Chunks wholly outside the window are skipped without decoding. A
+// chunk that fails to decode ends the scan with its error, after fn has
+// seen the samples before the fault.
+func (s *Series) Scan(from, to int64, fn func(p Point)) error {
+	for i := range s.nchunks() {
+		c := s.chunk(i)
+		if !c.overlaps(from, to) {
 			continue
 		}
-		it := c.Iter()
+		it := c.iter()
 		for p, ok := it.Next(); ok; p, ok = it.Next() {
 			if p.T >= to {
-				break
+				return nil
 			}
 			if p.T >= from {
 				fn(p)
 			}
 		}
+		if it.Err() != nil {
+			return s.decodeError(c, it.Err())
+		}
 	}
+	return nil
+}
+
+// appendValues is Scan appending each sample's value to dst: the same loop
+// with no call per sample.
+func (s *Series) appendValues(dst []float64, from, to int64) ([]float64, error) {
+	for i := range s.nchunks() {
+		c := s.chunk(i)
+		if !c.overlaps(from, to) {
+			continue
+		}
+		it := c.iter()
+		for p, ok := it.Next(); ok; p, ok = it.Next() {
+			if p.T >= to {
+				return dst, nil
+			}
+			if p.T >= from {
+				dst = append(dst, p.V)
+			}
+		}
+		if it.Err() != nil {
+			return dst, s.decodeError(c, it.Err())
+		}
+	}
+	return dst, nil
+}
+
+// decodeError names the series and the chunk a decode error came from.
+func (s *Series) decodeError(c *Chunk, err error) error {
+	return fmt.Errorf("series %s, chunk at %dns: %w", s.name, c.summary.TMin, err)
 }
 
 // Buckets returns the downsample buckets of the tier with the given

@@ -96,18 +96,14 @@ func (c *bucketCodec) write(w *bitWriter, b *Bucket) {
 	}
 }
 
-func (c *bucketCodec) read(r *bitReader) (Bucket, error) {
-	start, err := c.start.read(r)
-	if err != nil {
-		return Bucket{}, err
-	}
+// read decodes one bucket; a decode error is left in r.err.
+func (c *bucketCodec) read(r *bitReader) Bucket {
+	start := c.start.read(r)
 	var col [bucketCols]uint64
 	for i := range c.cols {
-		if col[i], err = c.cols[i].read(r); err != nil {
-			return Bucket{}, err
-		}
+		col[i] = c.cols[i].read(r)
 	}
-	return bucketOf(start, &col), nil
+	return bucketOf(start, &col)
 }
 
 // tier maintains one downsampling resolution. Buckets close when an
@@ -265,8 +261,8 @@ func (tr *tier) decode(c *bucketChunk, from, to int64, fn func(Bucket)) {
 	r := newBitReader(c.buf)
 	dec := newBucketCodec(c.first, tr.interval)
 	for i := 0; i < c.n; i++ {
-		b, err := dec.read(&r)
-		if err != nil || b.Start >= to {
+		b := dec.read(&r)
+		if r.err != nil || b.Start >= to {
 			return // an error cannot happen: the tier wrote these bytes
 		}
 		if b.Start >= from && !tr.expired(b.Start, tr.now) {
