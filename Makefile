@@ -126,7 +126,11 @@ allocgate:
 # word-at-a-time bit reader checks by hand; FuzzChunkDecodeParity: any bytes
 # with any sample count decode to the points, and fail at the sample with
 # the error, of the bit-at-a-time decoder kept as its oracle — as a sealed
-# chunk, a head chunk and a tier bucket chunk), of the monitoring report
+# chunk, a head chunk and a tier bucket chunk), of the chunk encoder
+# (FuzzBitWriterParity: any writes give the stream, pending word included,
+# of the writer kept as its oracle, and a head read leaves the writer as it
+# found it; a chunk of fuzzed samples reads back the same through ChunkIter,
+# Tail, AppendValues and Query before and after its seal), of the monitoring report
 # decoder (FuzzDecodeReport: never panic, what decodes re-encodes through
 # AppendEncode to the input, a reused Report decodes as a fresh one), of
 # the kecho batch-frame decoder (FuzzDecodeBatch: never panic, what decodes
@@ -158,6 +162,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanChunkFile$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkIter$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
+	$(GO) test -run '^$$' -fuzz '^FuzzBitWriterParity$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/metrics/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleFrame$$' -fuzztime $(FUZZTIME) ./internal/kecho/

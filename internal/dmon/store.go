@@ -169,9 +169,11 @@ func (s *Store) TSDB() *tsdb.DB { return s.db }
 
 // Update folds one received report into the store: the latest-value view
 // under the store's lock, then the history as one tsdb batch — one hold of
-// the tsdb lock and, on a durable store, one WAL write per report. Samples
-// whose timestamps do not advance a series (replayed or reordered reports)
-// keep the latest-value view current but are not duplicated into history.
+// the tsdb lock and, on a durable store, one WAL write per report. The
+// latest-value view keeps, per metric, the newest sample by its timestamp:
+// a sample older than the one it holds (a replayed or reordered report)
+// leaves it as it is, one as new replaces it. Samples whose timestamps do
+// not advance a series are not duplicated into history either.
 func (s *Store) Update(r *metrics.Report) {
 	var stack [metrics.NumIDs]tsdb.Entry // a report rarely carries an ID twice
 	batch := stack[:0]
@@ -191,8 +193,10 @@ func (s *Store) Update(r *metrics.Report) {
 		if n.present&(1<<id) == 0 {
 			n.present |= 1 << id
 			n.series[id] = s.db.Ref(seriesKey(r.Node, id))
+			n.latest[id] = *sample
+		} else if !sample.Time.Before(n.latest[id].Time) {
+			n.latest[id] = *sample
 		}
-		n.latest[id] = *sample
 		batch = append(batch, tsdb.Entry{Ref: n.series[id], T: sample.Time.UnixNano(), V: sample.Value})
 	}
 	if r.Time.After(n.lastRpt) {

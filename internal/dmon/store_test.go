@@ -114,6 +114,9 @@ func TestHistoryForgottenWithNode(t *testing.T) {
 	}
 }
 
+// TestHistoryIgnoresReplayedReports: a replayed report neither duplicates
+// history nor rolls the latest-value view back to its older sample; a
+// report as new as the held one (a re-sent value) does replace it.
 func TestHistoryIgnoresReplayedReports(t *testing.T) {
 	s := NewStore()
 	s.Update(reportAt("alan", 1, 1))
@@ -121,6 +124,16 @@ func TestHistoryIgnoresReplayedReports(t *testing.T) {
 	s.Update(reportAt("alan", 1, 1)) // replayed
 	if h := s.History("alan", metrics.LOADAVG, 0); len(h) != 2 {
 		t.Fatalf("replayed report duplicated history: %v", h)
+	}
+	if got, ok := s.Get("alan", metrics.LOADAVG); !ok || got.Value != 2 || !got.Time.Equal(reportAt("alan", 2, 0).Time) {
+		t.Fatalf("after a replay of t=1, Get = %+v, %v; want the t=2 sample", got, ok)
+	}
+	if v, ok := s.Value("alan", metrics.LOADAVG); !ok || v != 2 {
+		t.Fatalf("after a replay of t=1, Value = %v, %v; want 2", v, ok)
+	}
+	s.Update(reportAt("alan", 2, 5)) // the same instant, a corrected value
+	if v, _ := s.Value("alan", metrics.LOADAVG); v != 5 {
+		t.Fatalf("a sample as new as the held one: Value = %v, want 5", v)
 	}
 }
 
@@ -437,4 +450,70 @@ func BenchmarkStoreUpdateDurable(b *testing.B) {
 	if st := s.PersistStats(); st.WALErrors != 0 || st.WALAppends/st.WALWrites < uint64(metrics.NumIDs)-1 {
 		b.Fatalf("not one write per report: %+v", st)
 	}
+}
+
+// BenchmarkIngestRound is the ingest side of the history-rw benchmark
+// without its cluster: four durable stores at FsyncEvery -1 with its 15
+// minute retention, each handed one report of every metric from each of 16
+// origins per round — 1280 series, each touched once per round. One op is
+// one round, 1280 samples. Unlike BenchmarkStoreUpdateDurable, whose 320
+// series stay in cache, this measures an append that lands on series state
+// the other 1279 series have pushed out of it. The values are a seeded
+// spread per (store, origin, metric), so the chunks compress as history-rw's
+// do; the warm-up runs past the retention, so sealing and eviction run
+// inside the timed rounds.
+func BenchmarkIngestRound(b *testing.B) {
+	const stores, origins = 4, 16
+	type node struct {
+		s       *Store
+		reports []*metrics.Report
+	}
+	nodes := make([]node, stores)
+	for i := range nodes {
+		s, err := OpenStore(StoreOptions{DataDir: b.TempDir(), FsyncEvery: -1, Retention: 15 * time.Minute})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		nodes[i].s = s
+		for o := 0; o < origins; o++ {
+			nodes[i].reports = append(nodes[i].reports, fullReport(fmt.Sprintf("origin%02d", o), 0, 0))
+		}
+	}
+	// value is a splitmix64 draw per (store, origin, metric, round), spread
+	// over a range per metric as a monitored host's would be.
+	value := func(i, o int, id metrics.ID, round uint64) float64 {
+		x := uint64(i)<<56 ^ uint64(o)<<48 ^ uint64(id)<<40 ^ round
+		x ^= x >> 30
+		x *= 0xBF58476D1CE4E5B9
+		x ^= x >> 27
+		x *= 0x94D049BB133111EB
+		x ^= x >> 31
+		return float64(uint64(1)+x%(uint64(id)*1000+10)) / 4
+	}
+	round := uint64(0)
+	ingest := func() {
+		round++
+		t := clock.Epoch.Add(time.Duration(round) * time.Second)
+		for i, n := range nodes {
+			for o, r := range n.reports {
+				r.Seq, r.Time = round, t
+				for k := range r.Samples {
+					sm := &r.Samples[k]
+					sm.Value, sm.Time = value(i, o, sm.ID, round), t
+				}
+				n.s.Update(r)
+			}
+		}
+	}
+	for range 1200 { // 20 minutes: past the retention, so chunks are evicted
+		ingest()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingest()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stores*origins*int(metrics.NumIDs)), "ns/sample")
 }

@@ -418,3 +418,131 @@ func TestSlowSeriesKeepsItsHead(t *testing.T) {
 		t.Fatalf("ChunksPersisted = %d, want %d: a live series had its head sealed early", got, want)
 	}
 }
+
+// countingFS counts what reaches the files of a data dir: the writes to WAL
+// segments (with their sizes, into a buffer sized up front so that counting
+// allocates nothing), the fsyncs of any file, and the WAL segments created.
+type countingFS struct {
+	tsdb.FS
+	walWrites []int // bytes of each WAL write
+	syncs     int
+	segments  int
+}
+
+func newCountingFS() *countingFS {
+	return &countingFS{FS: tsdb.OSFS{}, walWrites: make([]int, 0, 1<<12)}
+}
+
+func (c *countingFS) Create(name string) (tsdb.FileWriter, error) {
+	fw, err := c.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	wal := strings.HasPrefix(filepath.Base(name), "wal-")
+	if wal {
+		c.segments++
+	}
+	return &countingFile{FileWriter: fw, fs: c, wal: wal}, nil
+}
+
+type countingFile struct {
+	tsdb.FileWriter
+	fs  *countingFS
+	wal bool
+	hdr bool // the segment header has been written
+}
+
+func (f *countingFile) Write(p []byte) (int, error) {
+	if f.wal && f.hdr {
+		f.fs.walWrites = append(f.fs.walWrites, len(p))
+	}
+	f.hdr = true
+	return f.FileWriter.Write(p)
+}
+
+func (f *countingFile) Sync() error {
+	f.fs.syncs++
+	return f.FileWriter.Sync()
+}
+
+// TestIngestCountsPerBatch pins DESIGN §10's per-batch costs of a durable
+// append: a 20-sample AppendBatch is one WAL write of its 20 records; it
+// fsyncs nothing at cadence -1 and once at cadence 1; where the segment
+// fills, the records up to and including the one that fills it are written
+// early, the segment rotates on that record, and the rest go to the next
+// segment in the batch's closing write; and between head seals (and WAL
+// rotations) a batch allocates nothing.
+func TestIngestCountsPerBatch(t *testing.T) {
+	const width = 20
+	rl := recLen(reportSeries(0))
+	for _, every := range []int{-1, 1} {
+		fs := newCountingFS()
+		// The segment fills with the 6th record of the third batch.
+		segment := walHeader + (2*width+6)*rl
+		db := mustOpen(t, tsdb.Options{DataDir: t.TempDir(), FsyncEvery: every, FS: fs, WALSegmentBytes: segment})
+		batch := reportBatch(db, width, 0, 0)
+		round := int64(0)
+		next := func() {
+			round++
+			for i := range batch {
+				batch[i].T, batch[i].V = round*int64(time.Second), float64(round%7)
+			}
+			if got := db.AppendBatch(batch); got != width {
+				t.Fatalf("cadence %d round %d: %d of %d samples retained", every, round, got, width)
+			}
+		}
+		syncsPerBatch := 0
+		if every == 1 {
+			syncsPerBatch = 1
+		}
+		for round < 2 {
+			writes, syncs := len(fs.walWrites), fs.syncs
+			next()
+			if got := fs.walWrites[writes:]; len(got) != 1 || got[0] != width*rl {
+				t.Fatalf("cadence %d round %d: WAL writes of %v bytes, want one of %d", every, round, got, width*rl)
+			}
+			if got := fs.syncs - syncs; got != syncsPerBatch {
+				t.Fatalf("cadence %d round %d: %d fsyncs, want %d", every, round, got, syncsPerBatch)
+			}
+		}
+
+		writes, syncs := len(fs.walWrites), fs.syncs
+		next()
+		if got := fs.walWrites[writes:]; len(got) != 2 || got[0] != 6*rl || got[1] != (width-6)*rl {
+			t.Fatalf("cadence %d, the batch that fills the segment: WAL writes of %v bytes, want %d then %d", every, got, 6*rl, (width-6)*rl)
+		}
+		if fs.segments != 2 {
+			t.Fatalf("cadence %d: %d WAL segments created, want 2", every, fs.segments)
+		}
+		// At a cadence the rotation syncs the full segment, and the batch's
+		// own decision the next one; without, neither.
+		if got := fs.syncs - syncs; got != 2*syncsPerBatch {
+			t.Fatalf("cadence %d, the batch that fills the segment: %d fsyncs, want %d", every, got, 2*syncsPerBatch)
+		}
+
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A head sized from the chunk sealed before it takes the rest of its
+	// chunk without growing; a segment of the default size, 100 batches
+	// without rotating.
+	db := mustOpen(t, tsdb.Options{DataDir: t.TempDir(), FsyncEvery: -1})
+	defer db.Close()
+	batch := reportBatch(db, width, 0, 0)
+	round := int64(0)
+	next := func() {
+		round++
+		for i := range batch {
+			batch[i].T, batch[i].V = round*int64(time.Second), float64(round%7)
+		}
+		db.AppendBatch(batch)
+	}
+	for round < tsdb.DefaultChunkSize+1 {
+		next()
+	}
+	if allocs := testing.AllocsPerRun(100, next); allocs != 0 {
+		t.Fatalf("%.1f allocations per batch between seals, want 0", allocs)
+	}
+}

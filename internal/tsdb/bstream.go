@@ -18,26 +18,31 @@ import (
 	"errors"
 )
 
-// bitWriter appends bits to a byte buffer, most-significant bit first.
+// bitWriter appends bits to a byte stream, most-significant bit first.
 //
-// It works a word at a time: a write stores the bits as one big-endian
-// 64-bit word past the end of buf and keeps only the bytes it used. Two
-// invariants make that produce the same bytes as a bit-at-a-time loop:
-// the unused low bits of the final byte are always zero, because the next
-// write ORs into them; and buf's capacity past its length is scratch
-// (callers sizing a buffer leave 8 spare bytes so the word store does not
-// grow it).
+// It works a word at a time: the stream is buf, which holds whole 64-bit
+// words only, followed by the n bits pending in cur, left-aligned with zeros
+// after them. A write ORs its bits into cur and, when cur fills, appends it
+// to buf as one big-endian word, so buf is touched once per 64 bits written,
+// not once per write. The stream's bytes are buf and the first (n+7)/8 bytes
+// of cur, a bit-at-a-time loop's bytes: the unused low bits of the final
+// byte are zero.
+//
+// A reader takes the pending word by value (reader), so it never writes
+// into the writer; flush ends the stream, appending cur's bytes to buf, and
+// synced stores them past buf's length without ending it.
 type bitWriter struct {
-	buf  []byte
-	free uint // unused low-order bits in the final byte
+	buf []byte
+	cur uint64 // pending bits, left-aligned
+	n   uint   // bits pending in cur, < 64
 }
 
 // writeZero appends one 0 bit — the one-bit code of an unchanged field, the
-// commonest write there is. It inlines, and within the last byte it only
-// counts the bit: the unused bits there are already zero.
+// commonest write there is. It inlines, and short of a full word it only
+// counts the bit: the bits after the pending ones are already zero.
 func (w *bitWriter) writeZero() {
-	if w.free > 0 {
-		w.free--
+	if w.n < 63 {
+		w.n++
 		return
 	}
 	w.writeBits(0, 1)
@@ -50,23 +55,46 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 		return
 	}
 	v <<= 64 - n // left-aligned: the n bits lead, zeros follow
-	if w.free > 0 {
-		w.buf[len(w.buf)-1] |= byte(v >> (64 - w.free))
-		if n <= w.free {
-			w.free -= n
-			return
-		}
-		v <<= w.free
-		n -= w.free
+	w.cur |= v >> w.n
+	if w.n += n; w.n < 64 {
+		return
 	}
-	used := (n + 7) / 8
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
-	w.buf = w.buf[:len(w.buf)-8+int(used)]
-	w.free = used*8 - n
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.cur)
+	w.n -= 64
+	w.cur = v << (n - w.n) // the bits that did not fit; n == w.n: a shift by 64 is 0
 }
 
-// bytes returns the packed buffer (the final byte may be partially used).
-func (w *bitWriter) bytes() []byte { return w.buf }
+// tailBytes is how many bytes of cur belong to the stream.
+func (w *bitWriter) tailBytes() int { return int(w.n+7) / 8 }
+
+// size returns the length of the stream in bytes.
+func (w *bitWriter) size() int { return len(w.buf) + w.tailBytes() }
+
+// flush ends the stream: cur's bytes are appended to buf, which then holds
+// the exact stream. Nothing may be written after it.
+func (w *bitWriter) flush() {
+	w.buf = w.synced()
+	w.cur, w.n = 0, 0
+}
+
+// synced returns the whole stream as one slice: buf, with cur's bytes
+// stored into its spare capacity (grown when it has fewer than 8 bytes to
+// spare). The writer's state is unchanged — writing on stores the same
+// bytes there — so the slice stays valid until the next write.
+func (w *bitWriter) synced() []byte {
+	if w.n == 0 {
+		return w.buf
+	}
+	k := len(w.buf)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.cur)[:k]
+	return w.buf[:k+w.tailBytes()]
+}
+
+// reader returns a bitReader over the stream, taking the pending word by
+// value: reading never writes into the writer.
+func (w *bitWriter) reader() bitReader {
+	return bitReader{buf: w.buf, tail: w.cur, tailLen: w.tailBytes()}
+}
 
 // bitReader consumes bits from a buffer written by bitWriter.
 //
@@ -79,7 +107,9 @@ func (w *bitWriter) bytes() []byte { return w.buf }
 // big-endian word load placed behind the n < 64 bits it holds, which leaves
 // at least 64. The last bytes of a buffer are loaded through a zero-padded
 // word, so the window never holds a bit past the end and a look at the top
-// of the window near the end sees zeros there.
+// of the window near the end sees zeros there. A head chunk's stream ends in
+// its writer's pending word: buf is then whole words, and the pending word,
+// taken by value, is the short word loaded after them.
 //
 // Errors are sticky: the first read past the end (or a decoder finding a
 // corrupt field) sets err, which ends the stream; a caller checks err once
@@ -90,6 +120,10 @@ type bitReader struct {
 	hi, lo uint64 // the window
 	n      uint   // bits in the window
 	err    error
+	// The stream's last tailLen bytes, after buf, left-aligned: a head
+	// chunk's pending word.
+	tail    uint64
+	tailLen int
 }
 
 func newBitReader(buf []byte) bitReader { return bitReader{buf: buf} }
@@ -103,14 +137,19 @@ var errExhausted = errors.New("tsdb: bitstream exhausted")
 func (r *bitReader) fill(hi uint64, n uint) (uint64, uint64, uint) {
 	var w uint64
 	k := 8
-	if r.idx+8 <= len(r.buf) {
+	switch {
+	case r.idx+8 <= len(r.buf):
 		w = binary.BigEndian.Uint64(r.buf[r.idx : r.idx+8])
-	} else {
+		r.idx += 8
+	case r.idx < len(r.buf):
 		var tail [8]byte
 		k = copy(tail[:], r.buf[r.idx:])
 		w = binary.BigEndian.Uint64(tail[:])
+		r.idx += k
+	default: // past buf: the tail word once, then nothing
+		w, k = r.tail, r.tailLen
+		r.tail, r.tailLen = 0, 0
 	}
-	r.idx += k
 	return hi | w>>n, w << (64 - n), n + uint(k)*8 // n == 0: a shift by 64 is 0
 }
 

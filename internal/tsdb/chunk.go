@@ -288,7 +288,10 @@ func (c *Chunk) Summary() Summary { return c.summary }
 
 // Data returns the chunk's compressed bytes. The slice aliases the chunk's
 // internal buffer; callers must copy it if they outlive the next Append.
-func (c *Chunk) Data() []byte { return c.w.bytes() }
+// Of a chunk still being appended to, it stores the writer's pending bytes
+// into the buffer's spare capacity, so it is for the chunk's writer, not its
+// readers: those decode through Iter, which never writes.
+func (c *Chunk) Data() []byte { return c.w.synced() }
 
 // newSealedChunk reconstructs a chunk from a persisted summary and its
 // compressed bytes. The result is read-only by convention: it is only ever
@@ -298,11 +301,12 @@ func newSealedChunk(sum Summary, data []byte) *Chunk {
 }
 
 // Bytes returns the compressed size of the chunk in bytes.
-func (c *Chunk) Bytes() int { return len(c.w.buf) }
+func (c *Chunk) Bytes() int { return c.w.size() }
 
 // Iter returns a decoder positioned before the first sample. The chunk
 // must not be appended to while the iterator is in use (Series queries run
-// under the lock that also guards appends).
+// under the lock that also guards appends); it takes the writer's pending
+// word by value, so decoding never writes into the chunk.
 func (c *Chunk) Iter() *ChunkIter {
 	it := c.iter()
 	return &it
@@ -311,7 +315,7 @@ func (c *Chunk) Iter() *ChunkIter {
 // iter is Iter by value, for the loops in this package that must not
 // allocate.
 func (c *Chunk) iter() ChunkIter {
-	return ChunkIter{r: newBitReader(c.w.bytes()), total: c.summary.Count}
+	return ChunkIter{r: c.w.reader(), total: c.summary.Count}
 }
 
 // ChunkIter decodes a chunk's points in append order.

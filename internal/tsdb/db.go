@@ -50,7 +50,7 @@ func Open(opts Options) (*DB, error) {
 	// evict exactly as a fresh append at each series' newest time would.
 	for _, s := range db.series {
 		if s.count > 0 {
-			s.evict(s.lastT())
+			s.evict(s.last)
 		}
 	}
 	return db, nil
@@ -152,10 +152,10 @@ func (db *DB) live(r Ref) *Series {
 func (db *DB) getOrCreate(name string) *Series {
 	s, ok := db.series[name]
 	if !ok {
-		s = NewSeries(db.opts)
+		s = newSeries(&db.opts)
 		s.name, s.persist = name, db.persist
 		if db.persist != nil {
-			s.durable.crcPrefix = samplePrefixCRC(name)
+			s.durable.crcLead = sampleLead(name)
 		}
 		db.series[name] = s
 	}

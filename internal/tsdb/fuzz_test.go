@@ -115,7 +115,7 @@ func FuzzScanWALSegment(f *testing.F) {
 			enc := bytes.Clone(data[:headerLen])
 			for _, r := range recs {
 				name := string(r.name)
-				enc = appendSampleRecord(enc, name, samplePrefixCRC(name), r.t, r.v)
+				enc = appendSampleRecord(enc, name, sampleLead(name), crcWord(uint64(r.t), &sampleCRCTable[1]), r.t, r.v)
 			}
 			switch intact := len(data) - int(st.BytesTruncated); {
 			case len(enc) > intact:

@@ -15,6 +15,66 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 	return v, r.err
 }
 
+// stream returns a copy of the writer's stream, buf and the used bytes of
+// the pending word, leaving the writer untouched.
+func (w *bitWriter) stream() []byte {
+	out := binary.BigEndian.AppendUint64(append([]byte(nil), w.buf...), w.cur)
+	return out[:w.size()]
+}
+
+// The writer before the pending word, kept verbatim (renamed: refBitWriter)
+// as the oracle FuzzBitWriterParity holds bitWriter to.
+
+// refBitWriter appends bits to a byte buffer, most-significant bit first.
+//
+// It works a word at a time: a write stores the bits as one big-endian
+// 64-bit word past the end of buf and keeps only the bytes it used. Two
+// invariants make that produce the same bytes as a bit-at-a-time loop:
+// the unused low bits of the final byte are always zero, because the next
+// write ORs into them; and buf's capacity past its length is scratch
+// (callers sizing a buffer leave 8 spare bytes so the word store does not
+// grow it).
+type refBitWriter struct {
+	buf  []byte
+	free uint // unused low-order bits in the final byte
+}
+
+// writeZero appends one 0 bit — the one-bit code of an unchanged field, the
+// commonest write there is. It inlines, and within the last byte it only
+// counts the bit: the unused bits there are already zero.
+func (w *refBitWriter) writeZero() {
+	if w.free > 0 {
+		w.free--
+		return
+	}
+	w.writeBits(0, 1)
+}
+
+// writeBits appends the n low-order bits of v (n <= 64), most-significant
+// first.
+func (w *refBitWriter) writeBits(v uint64, n uint) {
+	if n == 0 {
+		return
+	}
+	v <<= 64 - n // left-aligned: the n bits lead, zeros follow
+	if w.free > 0 {
+		w.buf[len(w.buf)-1] |= byte(v >> (64 - w.free))
+		if n <= w.free {
+			w.free -= n
+			return
+		}
+		v <<= w.free
+		n -= w.free
+	}
+	used := (n + 7) / 8
+	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
+	w.buf = w.buf[:len(w.buf)-8+int(used)]
+	w.free = used*8 - n
+}
+
+// bytes returns the packed buffer (the final byte may be partially used).
+func (w *refBitWriter) bytes() []byte { return w.buf }
+
 // The decoder before the word-speed reader, kept verbatim (renamed: refBitReader,
 // refDod, refXor) as the oracle FuzzChunkDecodeParity holds the decoder to.
 
@@ -238,7 +298,7 @@ func FuzzChunkDecodeParity(f *testing.F) {
 		for i := len(data); i < cap(spare); i++ {
 			spare[:cap(spare)][i] = 0xa5
 		}
-		checkChunkParity(t, "head", &Chunk{w: bitWriter{buf: spare}, summary: Summary{Count: n}})
+		checkChunkParity(t, "head", headChunkOf(spare, n))
 
 		const first, interval = int64(1056326400e9), int64(10e9)
 		want, wantErr := refBuckets(data, n, first, interval)
@@ -260,6 +320,17 @@ func FuzzChunkDecodeParity(f *testing.F) {
 			t.Fatalf("bucket chunk: %d buckets; oracle %d, err %v", n, len(want), wantErr)
 		}
 	})
+}
+
+// headChunkOf returns a head chunk of count samples whose stream is data:
+// the whole words of data in its buffer, with the buffer's spare capacity
+// as the caller left it, and the rest as the writer's pending word.
+func headChunkOf(data []byte, count int) *Chunk {
+	words := len(data) / 8 * 8
+	var tail [8]byte
+	copy(tail[:], data[words:])
+	w := bitWriter{buf: data[:words], cur: binary.BigEndian.Uint64(tail[:]), n: uint(len(data)-words) * 8}
+	return &Chunk{w: w, summary: Summary{Count: count}}
 }
 
 func sameBucketBits(a, b Bucket) bool {

@@ -80,12 +80,12 @@ type PersistStats struct {
 // handle the append already holds, so the write path looks nothing up by
 // name.
 type durableState struct {
-	seen      bool   // seenT is set
 	seenT     int64  // newest timestamp accepted: logged, or recovered
 	persisted int64  // newest chunk-persisted timestamp
 	walSeq    uint64 // newest WAL segment that lists the series in its pins
 	cwSeq     uint64 // newest chunk file that does
-	crcPrefix uint32 // samplePrefixCRC(name): where its sample records' CRCs start
+	crcLead   uint32 // sampleLead(name): its sample records' CRCs' own part
+	seen      bool   // seenT is set
 }
 
 // sawT advances the newest accepted timestamp.
@@ -487,7 +487,7 @@ func (p *persister) close(series map[string]*Series) error {
 		}
 		// The watermark stays: should a later step fail, the WAL is kept
 		// and still covers the heads.
-		if err := p.writeChunkRecord(s, s.head); err != nil && firstErr == nil {
+		if err := p.writeChunkRecord(s, &s.head); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

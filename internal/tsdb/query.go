@@ -262,13 +262,13 @@ func (s *Series) Query(q Query) (Result, error) {
 		if s.count == 0 {
 			return Result{}, noDataError("tsdb: series is empty")
 		}
-		to = s.lastT() + 1
+		to = s.last + 1
 		from = to - q.Last.Nanoseconds()
 	case from == 0 && to == 0:
 		if s.count == 0 {
 			return Result{}, noDataError("tsdb: series is empty")
 		}
-		from, to = s.firstT(), s.lastT()+1
+		from, to = s.firstT(), s.last+1
 	}
 	r := Result{Agg: q.Agg, From: from, To: to, Res: q.Res}
 	if q.Res > 0 {

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -102,37 +103,67 @@ func (o Options) withDefaults() Options {
 // order behind a mutable head chunk, plus the downsampling tiers. A Series
 // is not safe for concurrent use on its own; DB (and dmon.Store) serialize
 // access.
+//
+// Its fields up to sealed are the append block: everything one accepted
+// sample reads and writes sits together in the Series allocation — the
+// handle's check and the WAL record's inputs, the count and the newest
+// timestamp, the head chunk held by value (its codec state, summary and
+// pending word), each tier's interval and in-progress bucket, and the
+// eviction horizon — so an append touches a few adjacent cache lines of one
+// object, not a chain of pointers into cold ones. What lies past it is read
+// when a chunk seals, a bucket closes or a chunk is evicted.
 type Series struct {
-	opts   Options
-	sealed []*Chunk
-	head   *Chunk
-	tiers  []*tier
-
-	count   int    // retained raw samples across all chunks
-	dropped uint64 // appends rejected for non-increasing timestamps
-
 	// Set by the owning DB and guarded by its lock; unused on a bare Series.
 	name string
 	gone bool // dropped from the DB: handles re-resolve, pins are void
+	// durable is a durable DB's per-series bookkeeping.
+	durable durableState
+
+	count int   // retained raw samples across all chunks
+	last  int64 // newest retained timestamp, when count > 0
+	head  Chunk
+	opts  *Options // the owning DB's; shared, never written
+	// oldest is the newest timestamp of the oldest sealed chunk
+	// (math.MaxInt64 with none sealed): nothing is evicted while it is
+	// inside the retention window, so an append checks it and nothing else.
+	oldest int64
+	// hot is each tier's hot half, in inline for up to inlineTiers tiers.
+	hot    []tierHead
+	inline [inlineTiers]tierHead
+
+	sealed  []*Chunk
+	tiers   []*tier // tiers[i] reaches its hot half at hot[i]
+	dropped uint64  // appends rejected for non-increasing timestamps
 	// persist, set by a durable DB, receives each chunk the moment the head
 	// seals behind a fresh one, so the compressed bytes hit the chunk file
-	// while they are still hot; durable is its per-series bookkeeping.
+	// while they are still hot.
 	persist *persister
-	durable durableState
 }
+
+// inlineTiers is how many tiers keep their hot half inside the Series:
+// DefaultTiers' two. More tiers move all of them to a slice of their own.
+const inlineTiers = 2
 
 // NewSeries returns an empty series with the given options.
 func NewSeries(opts Options) *Series {
 	opts = opts.withDefaults()
-	s := &Series{opts: opts, head: &Chunk{}}
+	return newSeries(&opts)
+}
+
+// newSeries returns an empty series bound to opts, which must have its
+// defaults and outlive it.
+func newSeries(opts *Options) *Series {
+	s := &Series{opts: opts, oldest: math.MaxInt64}
+	s.hot = s.inline[:0]
 	for _, spec := range opts.Tiers {
 		if spec.Interval <= 0 {
 			continue
 		}
-		s.tiers = append(s.tiers, &tier{
-			interval:  spec.Interval.Nanoseconds(),
-			retention: spec.Retention.Nanoseconds(),
-		})
+		s.hot = append(s.hot, tierHead{interval: spec.Interval.Nanoseconds()})
+		s.tiers = append(s.tiers, &tier{retention: spec.Retention.Nanoseconds()})
+	}
+	for i, tr := range s.tiers {
+		tr.tierHead = &s.hot[i]
 	}
 	return s
 }
@@ -141,7 +172,7 @@ func NewSeries(opts Options) *Series {
 // at or before the newest retained timestamp is dropped (counted in
 // Dropped) so replayed or reordered reports cannot duplicate history.
 func (s *Series) Append(t int64, v float64) bool {
-	if s.count > 0 && t <= s.lastT() {
+	if s.count > 0 && t <= s.last {
 		s.dropped++
 		return false
 	}
@@ -150,27 +181,42 @@ func (s *Series) Append(t int64, v float64) bool {
 	}
 	s.head.Append(t, v)
 	s.count++
-	for _, tr := range s.tiers {
-		tr.observe(t, v)
+	s.last = t
+	for i := range s.hot {
+		if !s.hot[i].add(t, v) {
+			s.tiers[i].roll(t, v)
+		}
 	}
 	s.evict(t)
 	return true
 }
 
-// sealHead moves the head chunk behind a fresh one and, on a durable DB,
-// persists it.
+// sealHead moves the head chunk, its stream flushed to the exact bytes,
+// into a chunk of its own behind the sealed ones, starts a fresh head and,
+// on a durable DB, persists the sealed chunk.
 func (s *Series) sealHead() {
-	sealed := s.head
+	sealed := new(Chunk)
+	*sealed = s.head
+	sealed.w.flush()
 	s.sealed = append(s.sealed, sealed)
+	s.setOldest()
 	// Successive chunks of one series compress to about the same size:
 	// sizing the new head from the one just sealed (plus 1/16) spares
 	// the append-doubling that otherwise leaves twice the chunk's final
 	// size in garbage and up to half its capacity unused. The 8 spare
-	// bytes are the bitWriter's word store at the very end.
+	// bytes are the bitWriter's last word store, at the flush.
 	n := sealed.Bytes()
-	s.head = &Chunk{w: bitWriter{buf: make([]byte, 0, n+n/16+8)}}
+	s.head = Chunk{w: bitWriter{buf: make([]byte, 0, n+n/16+8)}}
 	if s.persist != nil {
 		s.persist.persistChunk(s, sealed)
+	}
+}
+
+// setOldest keeps oldest in step with the sealed list.
+func (s *Series) setOldest() {
+	s.oldest = math.MaxInt64
+	if len(s.sealed) > 0 {
+		s.oldest = s.sealed[0].summary.TMax
 	}
 }
 
@@ -178,7 +224,7 @@ func (s *Series) sealHead() {
 // records are skipped without inflating the Dropped counter, since
 // chunk/WAL overlap is expected, not an anomaly.
 func (s *Series) appendReplay(t int64, v float64) bool {
-	if s.count > 0 && t <= s.lastT() {
+	if s.count > 0 && t <= s.last {
 		return false
 	}
 	return s.Append(t, v)
@@ -188,12 +234,14 @@ func (s *Series) appendReplay(t int64, v float64) bool {
 // chunk files in write order). The samples are decoded once to rebuild the
 // downsampling tiers, which live only in memory.
 func (s *Series) loadSealed(sum Summary, data []byte) bool {
-	if s.count > 0 && sum.TMin <= s.lastT() {
+	if s.count > 0 && sum.TMin <= s.last {
 		return false // out of order relative to already-loaded history
 	}
 	c := newSealedChunk(sum, data)
 	s.sealed = append(s.sealed, c)
+	s.setOldest()
 	s.count += sum.Count
+	s.last = sum.TMax
 	if len(s.tiers) > 0 {
 		it := c.Iter()
 		for p, ok := it.Next(); ok; p, ok = it.Next() {
@@ -205,15 +253,7 @@ func (s *Series) loadSealed(sum Summary, data []byte) bool {
 	return true
 }
 
-func (s *Series) lastT() int64 {
-	if s.head.summary.Count > 0 {
-		return s.head.summary.TMax
-	}
-	if n := len(s.sealed); n > 0 {
-		return s.sealed[n-1].summary.TMax
-	}
-	return 0
-}
+func (s *Series) lastT() int64 { return s.last }
 
 func (s *Series) firstT() int64 {
 	if len(s.sealed) > 0 {
@@ -226,7 +266,7 @@ func (s *Series) firstT() int64 {
 // at now (the newest appended timestamp).
 func (s *Series) evict(now int64) {
 	ret := s.opts.Retention.Nanoseconds()
-	if ret <= 0 {
+	if ret <= 0 || now-ret <= s.oldest {
 		return
 	}
 	cutoff := now - ret
@@ -235,13 +275,12 @@ func (s *Series) evict(now int64) {
 		s.count -= s.sealed[i].summary.Count
 		i++
 	}
-	if i > 0 {
-		// Shift down in place: in steady state every seal evicts, and a
-		// fresh slice per eviction would be a fresh slice per chunk.
-		n := copy(s.sealed, s.sealed[i:])
-		clear(s.sealed[n:])
-		s.sealed = s.sealed[:n]
-	}
+	// Shift down in place: in steady state every seal evicts, and a fresh
+	// slice per eviction would be a fresh slice per chunk.
+	n := copy(s.sealed, s.sealed[i:])
+	clear(s.sealed[n:])
+	s.sealed = s.sealed[:n]
+	s.setOldest()
 }
 
 // Count returns the number of retained raw samples.
@@ -272,7 +311,7 @@ func (s *Series) chunk(i int) *Chunk {
 	if i < len(s.sealed) {
 		return s.sealed[i]
 	}
-	return s.head
+	return &s.head
 }
 
 // Tail returns the newest n retained samples, oldest first (all retained

@@ -268,7 +268,7 @@ func TestTierRingMatchesNaiveReference(t *testing.T) {
 // closing more neither allocates — a seal recycles the chunk eviction freed
 // and the encode buffer — nor grows the tier.
 func TestFullTierStaysBounded(t *testing.T) {
-	tr := &tier{interval: 10 * sec, retention: 900 * 6 * sec} // the default 10s tier at 15 min raw retention
+	tr := &tier{tierHead: &tierHead{interval: 10 * sec}, retention: 900 * 6 * sec} // the default 10s tier at 15 min raw retention
 	ts := int64(0)
 	closeBucket := func() {
 		ts += tr.interval

@@ -106,18 +106,41 @@ func (c *bucketCodec) read(r *bitReader) Bucket {
 	return bucketOf(start, &col)
 }
 
+// tierHead is a tier's hot half: its interval and the in-progress bucket,
+// all an append reads and, inside a bucket, all it writes. It lives in the
+// Series, beside the head chunk (Series.hot), and the tier reaches it
+// through a pointer.
+type tierHead struct {
+	interval int64  // ns
+	cur      Bucket // the in-progress bucket; Count 0 before the first sample
+}
+
+// add folds a sample into the in-progress bucket when it lies there, and
+// reports whether it did. Appends strictly increase, so t > cur.Start and t
+// lies in cur exactly when t−cur.Start < interval: no modulo on the common
+// path. Taken unsigned, the difference cannot overflow.
+func (h *tierHead) add(t int64, v float64) bool {
+	if h.cur.Count == 0 || uint64(t-h.cur.Start) >= uint64(h.interval) {
+		return false
+	}
+	h.cur.observe(t, v)
+	return true
+}
+
 // tier maintains one downsampling resolution. Buckets close when an
 // append crosses the bucket boundary — purely timestamp-driven, so tier
 // contents are a deterministic function of the appended samples.
 //
 // Closed buckets are kept in bucket chunks, oldest first: the sealed ones,
 // each bucketsPerChunk buckets, and the open one the next closed bucket is
-// appended to, encoded in the tier's own buffer w with the tier's encoder
-// state enc. Sealing copies the open chunk's bytes out at their exact size,
-// into the buffer of the last evicted chunk when that one fits, and starts
-// the next chunk in the same buffer; so a sealed chunk keeps no codec state
-// and no room to grow, and a tier in steady state closes buckets without
-// allocating.
+// appended to, encoded by the tier's own writer w with the tier's encoder
+// state enc. Each push syncs the writer's pending word into the open
+// chunk's bytes, under the lock that guards appends, so a reader decodes the
+// open chunk like any other. Sealing copies the open chunk's bytes out at
+// their exact size, into the buffer of the last evicted chunk when that one
+// fits, and starts the next chunk in the same buffer; so a sealed chunk
+// keeps no codec state and no room to grow, and a tier in steady state
+// closes buckets without allocating.
 //
 // Eviction is whole-chunk and runs when a bucket opens: a chunk goes once
 // its newest bucket has expired, so the oldest retained chunk may begin
@@ -125,17 +148,18 @@ func (c *bucketCodec) read(r *bitReader) Bucket {
 // last eviction. What a read sees is therefore exactly the closed buckets
 // that were inside the retention window when the in-progress one opened.
 type tier struct {
-	interval  int64 // ns
+	*tierHead
 	retention int64 // ns; 0 = unbounded
 
 	sealed []*bucketChunk
-	open   bucketChunk // its buf is w's
+	open   bucketChunk // its buf is w's stream
 	w      bitWriter
 	enc    bucketCodec
 	spare  *bucketChunk // the last chunk evicted, recycled by the next seal
 	now    int64        // time of the last evict
-
-	cur Bucket // the in-progress bucket; Count 0 before the first sample
+	// oldest is the newest Start of the oldest sealed chunk, when there is
+	// one: an evict that drops nothing reads it, not the chunk.
+	oldest int64
 }
 
 func bucketStart(t, interval int64) int64 {
@@ -147,20 +171,25 @@ func bucketStart(t, interval int64) int64 {
 }
 
 func (tr *tier) observe(t int64, v float64) {
-	// Appends strictly increase, so t > cur.Start and t lies in cur exactly
-	// when t−cur.Start < interval: no modulo on the common path. Taken
-	// unsigned, the difference cannot overflow.
-	if tr.cur.Count > 0 && uint64(t-tr.cur.Start) < uint64(tr.interval) {
-		tr.cur.observe(t, v)
-		return
+	if !tr.add(t, v) {
+		tr.roll(t, v)
 	}
+}
+
+// roll closes the in-progress bucket, which t lies past, and opens t's.
+func (tr *tier) roll(t int64, v float64) {
 	// Evict before the closing bucket goes in: a chunk whose newest bucket
 	// expires with this one's arrival holds nothing a read would show.
 	tr.evict(t)
 	if tr.cur.Count > 0 && !tr.expired(tr.cur.Start, t) {
 		tr.push(&tr.cur)
 	}
-	tr.cur = newBucket(bucketStart(t, tr.interval), t, v)
+	// At a steady period t opens the bucket after cur's: no modulo then.
+	start := tr.cur.Start + tr.interval
+	if tr.cur.Count == 0 || uint64(t-start) >= uint64(tr.interval) {
+		start = bucketStart(t, tr.interval)
+	}
+	tr.cur = newBucket(start, t, v)
 }
 
 // expired reports whether a closed bucket starting at start lies wholly
@@ -173,15 +202,18 @@ func (tr *tier) expired(start, now int64) bool {
 // by it — O(chunks dropped), and the survivors are a handful of pointers.
 func (tr *tier) evict(now int64) {
 	tr.now = now
-	i := 0
-	for i < len(tr.sealed) && tr.expired(tr.sealed[i].last, now) {
-		i++
-	}
-	if i > 0 {
+	if len(tr.sealed) > 0 && tr.expired(tr.oldest, now) {
+		i := 1
+		for i < len(tr.sealed) && tr.expired(tr.sealed[i].last, now) {
+			i++
+		}
 		tr.spare = tr.sealed[i-1]
 		n := copy(tr.sealed, tr.sealed[i:])
 		clear(tr.sealed[n:])
 		tr.sealed = tr.sealed[:n]
+		if n > 0 {
+			tr.oldest = tr.sealed[0].last
+		}
 	}
 	if tr.open.n > 0 && tr.expired(tr.open.last, now) {
 		tr.open = bucketChunk{}
@@ -200,7 +232,7 @@ func (tr *tier) push(b *Bucket) {
 		tr.enc = newBucketCodec(b.Start, tr.interval)
 	}
 	tr.enc.write(&tr.w, b)
-	tr.open.buf = tr.w.buf
+	tr.open.buf = tr.w.synced()
 	tr.open.n++
 	tr.open.last = b.Start
 }
@@ -215,19 +247,21 @@ func (tr *tier) seal() {
 	if c == nil {
 		c = new(bucketChunk)
 	}
-	data := tr.w.buf
+	data := tr.open.buf
 	buf := c.buf[:0]
 	if n := len(data); cap(buf) < n || cap(buf)-n > cap(buf)/8 {
 		buf = nil
 	}
 	*c = tr.open
 	c.buf = append(buf, data...)
-	tr.sealed = append(tr.sealed, c)
+	if tr.sealed = append(tr.sealed, c); len(tr.sealed) == 1 {
+		tr.oldest = c.last
+	}
 	tr.open = bucketChunk{}
 	// The next chunk compresses to about the same size. An encode buffer
 	// more than 1/4 larger than that (append doubling grew it, or the data
 	// shrank) is replaced by one 1/8 larger; the 8 spare bytes are the
-	// bitWriter's word store at the very end.
+	// bitWriter's last word store, at a sync.
 	if n := len(data); cap(data) > n+n/4+8 {
 		data = make([]byte, 0, n+n/8+8)
 	}
@@ -277,7 +311,7 @@ func (tr *tier) decode(c *bucketChunk, from, to int64, fn func(Bucket)) {
 func (tr *tier) footprint() (buckets, bytes int) {
 	const chunkSize = int(unsafe.Sizeof(bucketChunk{}))
 	buckets = tr.open.n
-	bytes = int(unsafe.Sizeof(*tr)) + cap(tr.w.buf) + cap(tr.sealed)*int(unsafe.Sizeof(tr.spare))
+	bytes = int(unsafe.Sizeof(*tr)+unsafe.Sizeof(*tr.tierHead)) + cap(tr.w.buf) + cap(tr.sealed)*int(unsafe.Sizeof(tr.spare))
 	for _, c := range tr.sealed {
 		buckets += c.n
 		bytes += chunkSize + cap(c.buf)

@@ -59,6 +59,10 @@ type wal struct {
 	buf  []byte
 	recs int
 	err  error
+	// The last timestamp staged and its CRC part (crcWord with half 1): a
+	// report's samples share one. Zero is right for t = 0.
+	t     int64
+	tpart uint32
 
 	fsyncEvery int // records per fsync; <0 never
 	sinceSync  int
@@ -67,11 +71,10 @@ type wal struct {
 var errWALUnavailable = errors.New("tsdb: wal segment unavailable")
 
 // appendSampleRecord frames one sample record onto buf — the only encoder
-// of the payload above. prefix is samplePrefixCRC(name): the CRC-32 of the
-// payload up to the timestamp, which every record of the series shares, so
-// the record's CRC is that one continued over t and v (CRC-32 chains: the
-// sum of a‖b is the sum of a carried on over b).
-func appendSampleRecord(buf []byte, name string, prefix uint32, t int64, v uint64) []byte {
+// of the payload above — with its CRC given in parts: lead is
+// sampleLead(name), the series' own, and tpart is t's,
+// crcWord(uint64(t), &sampleCRCTable[1]).
+func appendSampleRecord(buf []byte, name string, lead, tpart uint32, t int64, v uint64) []byte {
 	start := len(buf)
 	buf = append(buf, recordPrefix[:]...)
 	buf = append(buf, recSample)
@@ -79,16 +82,51 @@ func appendSampleRecord(buf []byte, name string, prefix uint32, t int64, v uint6
 	buf = append(buf, name...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
 	buf = binary.LittleEndian.AppendUint64(buf, v)
-	return frameRecord(buf, start, crc32.Update(prefix, crc32.IEEETable, buf[len(buf)-16:]))
+	return frameRecord(buf, start, ^(lead ^ tpart ^ crcWord(v, &sampleCRCTable[0])))
 }
 
-// samplePrefixCRC is the CRC-32 of name's sample-record payload up to the
-// timestamp, read off a record the encoder frames: a durable DB takes it
-// once per series, when the series is created.
-func samplePrefixCRC(name string) uint32 {
-	rec := appendSampleRecord(nil, name, 0, 0, 0)
-	return crc32.ChecksumIEEE(rec[recOverhead : len(rec)-16])
+// A sample record's CRC is that of the payload up to the timestamp, which
+// every record of the series shares, continued over t and v (CRC-32 chains:
+// the sum of a‖b is the sum of a carried on over b). Sliced 16 bytes at a
+// time, the CRC register after t‖v is the XOR of one table row per byte,
+// indexed by the byte XORed with the register's byte at its place; and a
+// row of a XOR is the XOR of the rows. So the register is the XOR of three
+// parts: the prefix CRC's, taken once per series (sampleLead); t's, taken
+// once for the records of a batch that share a timestamp; and v's. Each
+// part reads one word, with no loop and no load of the record's bytes.
+
+// sampleLead is the part of name's sample-record CRCs that the prefix — the
+// payload up to the timestamp, read off a record the encoder frames —
+// carries over t‖v: a durable DB takes it once per series, when the series
+// is created.
+func sampleLead(name string) uint32 {
+	rec := appendSampleRecord(nil, name, 0, 0, 0, 0)
+	prefix := crc32.ChecksumIEEE(rec[recOverhead : len(rec)-16])
+	return crcWord(uint64(^prefix), &sampleCRCTable[1])
 }
+
+// crcWord is the part of the CRC-32 register that 8 bytes, w little-endian,
+// carry with 8·k more bytes after them, through rows = &sampleCRCTable[k]:
+// k = 1 for t, 0 for v.
+func crcWord(w uint64, rows *[8][256]uint32) uint32 {
+	return rows[7][byte(w)] ^ rows[6][byte(w>>8)] ^ rows[5][byte(w>>16)] ^ rows[4][byte(w>>24)] ^
+		rows[3][byte(w>>32)] ^ rows[2][byte(w>>40)] ^ rows[1][byte(w>>48)] ^ rows[0][byte(w>>56)]
+}
+
+// sampleCRCTable is the slicing table of CRC-32 IEEE for 16 bytes, in two
+// halves of eight rows: row j of half k is what a byte contributes with
+// 8·k+j more bytes after it, so row 0 of half 0 is the byte-at-a-time table.
+var sampleCRCTable = func() (tab [2][8][256]uint32) {
+	tab[0][0] = *crc32.IEEETable
+	for i := range 256 {
+		c := tab[0][0][i]
+		for k := 1; k < 16; k++ {
+			c = tab[0][0][byte(c)] ^ c>>8
+			tab[k/8][k%8][i] = c
+		}
+	}
+	return tab
+}()
 
 // walRecord is one decoded sample record. name is a view into the payload
 // it was decoded from: replay looks the series up without a copy and makes
@@ -131,7 +169,10 @@ func (w *wal) stage(s *Series, t int64, v uint64) {
 	if w.err != nil {
 		return // the batch has failed: bookkeeping only, the sample stays in memory
 	}
-	w.buf = appendSampleRecord(w.buf, s.name, d.crcPrefix, t, v)
+	if t != w.t {
+		w.t, w.tpart = t, crcWord(uint64(t), &sampleCRCTable[1])
+	}
+	w.buf = appendSampleRecord(w.buf, s.name, d.crcLead, w.tpart, t, v)
 	w.recs++
 	if w.full(len(w.buf)) {
 		if w.writeStaged(); w.err == nil {
