@@ -26,8 +26,8 @@ fmt:
 # degradation — and the append/query/flush concurrency hammer.
 check: fmt vet race
 
-# loc prints non-test Go lines per package and in total — the size figure
-# every simplicity PR reports. With BASE=<git ref> it prints the same counts
+# loc prints non-test Go lines per package and in total, then the test Go
+# total — the size figures every simplicity PR reports. With BASE=<git ref> it prints the same counts
 # at that ref beside them (read with git ls-tree / git show, no checkout) and
 # the delta. Informational, never a gate.
 loc:

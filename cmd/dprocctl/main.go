@@ -14,8 +14,9 @@
 //	dprocctl -node 127.0.0.1:7501 query maui 'avg loadavg last 60s'
 //	dprocctl -node 127.0.0.1:7501 queryall p99 loadavg last 60s
 //
-// The verb list and usage text derive from the adminproto verb table: a verb
-// added to the protocol appears here without touching this file's dispatch.
+// The usage text derives from the adminproto verb table, filtered to the
+// verbs this command dispatches: a verb added to the protocol appears here
+// once it has a run entry.
 package main
 
 import (
@@ -29,7 +30,7 @@ import (
 )
 
 // run executes one verb against the client. Keyed by the verb names in
-// adminproto's table; the usage text comes from the table itself.
+// adminproto's table; usageText lists exactly these keys.
 var run = map[string]func(c *adminproto.Client, args []string) error{
 	"ls": func(c *adminproto.Client, args []string) error {
 		path := ""
@@ -170,17 +171,27 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// usage renders the verb list from the adminproto table, so the CLI can
-// never advertise a verb set different from what the server dispatches.
+// usage prints usageText to stderr and exits 2.
 func usage() {
+	fmt.Fprint(os.Stderr, usageText())
+	os.Exit(2)
+}
+
+// usageText renders the verb list from the adminproto table, keeping only
+// the verbs run dispatches (querypart is the coordinator's, not an
+// operator's), so the CLI can never advertise a verb it cannot run.
+func usageText() string {
 	var sb strings.Builder
 	sb.WriteString("usage:\n")
 	for _, v := range adminproto.Verbs() {
+		if run[v.Name] == nil {
+			continue
+		}
 		argSyn := v.CLIArgs
 		if argSyn == "" {
 			argSyn = v.Args
 		}
-		line := "  dprocctl [-node addr] [-timeout d] " + v.Name
+		line := usagePrefix + v.Name
 		if argSyn != "" {
 			line += " " + argSyn
 		}
@@ -189,6 +200,8 @@ func usage() {
 		}
 		sb.WriteString(line + "\n")
 	}
-	fmt.Fprint(os.Stderr, sb.String())
-	os.Exit(2)
+	return sb.String()
 }
+
+// usagePrefix starts every verb line of usageText.
+const usagePrefix = "  dprocctl [-node addr] [-timeout d] "

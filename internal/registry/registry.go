@@ -431,15 +431,11 @@ type Client struct {
 	transport Transport
 	// io is the transport's I/O clock (clock.IO): the retry backoff sleeps
 	// on it.
-	io          clock.Clock
-	attempts    int
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	dialTimeout time.Duration
-	rng         *rand.Rand
+	io  clock.Clock
+	rng *rand.Rand
 }
 
-// Client retry defaults: three attempts with 10ms base backoff keeps a dead
+// Client retry policy: three attempts with 10ms base backoff keeps a dead
 // registry from stalling callers while riding out a quick restart.
 const (
 	defaultAttempts    = 3
@@ -451,12 +447,8 @@ const (
 // NewClient returns a client for the registry at addr.
 func NewClient(addr string) *Client {
 	return &Client{
-		addr:        addr,
-		attempts:    defaultAttempts,
-		backoffBase: defaultBackoffBase,
-		backoffMax:  defaultBackoffMax,
-		dialTimeout: defaultDialTimeout,
-		io:          clock.NewReal(),
+		addr: addr,
+		io:   clock.NewReal(),
 		// Backoff jitter is deterministic: it only desynchronizes herds.
 		rng: rand.New(rand.NewSource(1)),
 	}
@@ -469,22 +461,6 @@ func (c *Client) SetTransport(t Transport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.transport, c.io = t, clock.IO(t)
-}
-
-// SetRetry tunes the request retry policy: total attempts per request and
-// the exponential backoff base/cap between them. Zero values keep defaults.
-func (c *Client) SetRetry(attempts int, base, max time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if attempts > 0 {
-		c.attempts = attempts
-	}
-	if base > 0 {
-		c.backoffBase = base
-	}
-	if max > 0 {
-		c.backoffMax = max
-	}
 }
 
 // Stats returns a snapshot of the client's recovery counters.
@@ -529,9 +505,9 @@ func (c *Client) dialLocked() error {
 	var conn net.Conn
 	var err error
 	if c.transport != nil {
-		conn, err = c.transport.DialTimeout("tcp", c.addr, c.dialTimeout)
+		conn, err = c.transport.DialTimeout("tcp", c.addr, defaultDialTimeout)
 	} else {
-		conn, err = net.DialTimeout("tcp", c.addr, c.dialTimeout)
+		conn, err = net.DialTimeout("tcp", c.addr, defaultDialTimeout)
 	}
 	if err != nil {
 		return fmt.Errorf("registry: dial %s: %w", c.addr, err)
@@ -550,14 +526,14 @@ func (c *Client) roundTrip(typ uint8, payload []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var lastErr error
-	backoff := c.backoffBase
-	for attempt := 0; attempt < c.attempts; attempt++ {
+	backoff := defaultBackoffBase
+	for attempt := 0; attempt < defaultAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 			d := backoff + time.Duration(c.rng.Int63n(int64(backoff)/2+1))
 			c.io.Sleep(d)
-			if backoff *= 2; backoff > c.backoffMax {
-				backoff = c.backoffMax
+			if backoff *= 2; backoff > defaultBackoffMax {
+				backoff = defaultBackoffMax
 			}
 		}
 		if c.conn == nil {

@@ -1,11 +1,12 @@
-// Package workload implements the two load generators the paper's
-// evaluation leans on: linpack (a dense LU solve measuring floating-point
-// throughput in Mflops, used to load CPUs and to observe CPU perturbation)
-// and an Iperf-style UDP traffic generator (used to perturb the network).
-// Both are real implementations — the linpack solver factors an actual
-// matrix and verifies its residual — so live-mode experiments exercise real
-// CPU and network paths; the simulated experiments inject equivalent load
-// into internal/simres hosts instead.
+// Package workload implements the load the paper's evaluation and the
+// scenario harness drive: linpack (a dense LU solve measuring
+// floating-point throughput in Mflops, used to load CPUs and to observe CPU
+// perturbation) and EventGen (a deterministic synthetic event load). The
+// linpack solver is real — it factors an actual matrix and verifies its
+// residual — so live-mode experiments exercise the real CPU path; the
+// simulated experiments inject equivalent load into internal/simres hosts
+// instead. Network perturbation (the paper's Iperf) is internal/netsim's
+// link model, not a generator here.
 package workload
 
 import (
@@ -174,42 +175,4 @@ func residual(a, b, x []float64, n int) float64 {
 		return 0
 	}
 	return normR / denom
-}
-
-// Spinner is a continuous CPU load generator: it runs repeated linpack
-// factorizations until stopped, mirroring the paper's "running different
-// instances of linpack processes" to vary client load.
-type Spinner struct {
-	stop chan struct{}
-	done chan struct{}
-	// Iterations counts completed solves (read after Stop).
-	Iterations int
-}
-
-// StartSpinner launches a goroutine solving size-n systems back to back.
-func StartSpinner(n int) *Spinner {
-	s := &Spinner{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		seed := int64(1)
-		for {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			if _, err := Linpack(n, seed); err != nil {
-				return
-			}
-			s.Iterations++
-			seed++
-		}
-	}()
-	return s
-}
-
-// Stop terminates the spinner and waits for it to exit.
-func (s *Spinner) Stop() {
-	close(s.stop)
-	<-s.done
 }
