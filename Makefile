@@ -143,7 +143,11 @@ allocgate:
 # querypart peer sends, what parses comes back equal through Render), of the
 # registry roster decoder (FuzzDecodeMembers: never panic on what a registry
 # sends, what decodes re-encodes through encodeMembers and decodes equal,
-# role extension included), of the admin request reader (FuzzServeRequest:
+# role extension included), of the registry server (FuzzServeRegistry: any
+# bytes as what a member sent on one connection — never panic, exactly one
+# msgOK or msgError reply per whole frame, every member a join or heartbeat
+# registered and no leave removed listed by Lookup as it registered), of
+# the admin request reader (FuzzServeRequest:
 # any bytes as a connection's requests to a standalone node — never panic,
 # every reply "OK\n…" or exactly one "ERR …\n" line, the connection kept
 # only after a newline-terminated keep verb, a kept OK reply ending at its
@@ -168,6 +172,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleFrame$$' -fuzztime $(FUZZTIME) ./internal/kecho/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePart$$' -fuzztime $(FUZZTIME) ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMembers$$' -fuzztime $(FUZZTIME) ./internal/registry/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeRegistry$$' -fuzztime $(FUZZTIME) ./internal/registry/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/adminproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeptReply$$' -fuzztime $(FUZZTIME) ./internal/adminproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/ecode/

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -24,11 +25,12 @@ func main() {
 	ttl := flag.Duration("ttl", 0, "member TTL: entries with no join/heartbeat for this long expire (0 disables)")
 	flag.Parse()
 
-	srv, err := registry.NewServerWith(*listen, registry.ServerOptions{TTL: *ttl})
+	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "kregistry: listen:", err)
 		os.Exit(1)
 	}
+	srv := registry.NewServerWith(ln, registry.ServerOptions{TTL: *ttl})
 	if *ttl > 0 {
 		fmt.Printf("kregistry listening on %s (member TTL %v)\n", srv.Addr(), *ttl)
 	} else {

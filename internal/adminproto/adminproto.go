@@ -56,6 +56,7 @@ import (
 
 	"dproc/internal/clock"
 	"dproc/internal/core"
+	"dproc/internal/wire"
 )
 
 // DefaultTimeout bounds each server-side request/response phase. It used
@@ -77,24 +78,6 @@ const (
 	maxWriteBody   = 128 << 10
 )
 
-// Transport supplies the listen/dial primitives, so fault harnesses can
-// route admin traffic through an injected fabric (faultnet.Host satisfies
-// it). Nil selects plain TCP.
-type Transport interface {
-	Listen(network, address string) (net.Listener, error)
-	DialTimeout(network, address string, timeout time.Duration) (net.Conn, error)
-}
-
-type tcpTransport struct{}
-
-func (tcpTransport) Listen(network, address string) (net.Listener, error) {
-	return net.Listen(network, address)
-}
-
-func (tcpTransport) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
-	return net.DialTimeout(network, address, timeout)
-}
-
 // ServerOptions tunes one admin server; the zero value is a production
 // default (threaded from core.Config by dprocd).
 type ServerOptions struct {
@@ -106,8 +89,6 @@ type ServerOptions struct {
 	// QueryConcurrency bounds in-flight queryall fetches
 	// (query.DefaultConcurrency when 0).
 	QueryConcurrency int
-	// Transport supplies listen/dial (nil = plain TCP).
-	Transport Transport
 	// NoAdvertise skips joining the admin registry channel; the node then
 	// answers queryall for itself only.
 	NoAdvertise bool
@@ -155,21 +136,17 @@ func NewServer(node *core.Node, addr string) (*Server, error) {
 // NewServerWith starts an admin server with explicit options. If the node
 // has a registry, the server joins the admin channel (so peers can
 // enumerate it for scatter-gather queries) and installs the cluster/query
-// control file on the node.
+// control file on the node. It listens and dials on node.Transport().
 func NewServerWith(node *core.Node, addr string, opts ServerOptions) (*Server, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}
-	tr := opts.Transport
-	if tr == nil {
-		tr = tcpTransport{}
-	}
-	ln, err := tr.Listen("tcp", addr)
+	ln, err := node.Transport().Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("adminproto: listen: %w", err)
 	}
 	reg := node.Metrics()
-	s := &Server{ln: ln, node: node, opts: opts, io: clock.IO(opts.Transport),
+	s := &Server{ln: ln, node: node, opts: opts, io: clock.IO(node.Transport()),
 		clients: map[string]*Client{}, idle: map[net.Conn]struct{}{},
 		lineOverCap:   reg.Counter("admin", "", "request_line_over_cap"),
 		bodyOverCap:   reg.Counter("admin", "", "write_body_over_cap"),
@@ -536,10 +513,10 @@ const DefaultClientTimeout = 10 * time.Second
 // configured: queryall and querypart calls share its kept connections.
 type Client struct {
 	addr      string
-	timeout   time.Duration // per-phase; DefaultClientTimeout when 0
-	deadline  time.Time     // optional absolute cap across all phases
-	transport Transport     // nil = plain TCP
-	io        clock.Clock   // the transport's I/O clock (clock.IO)
+	timeout   time.Duration  // per-phase; DefaultClientTimeout when 0
+	deadline  time.Time      // optional absolute cap across all phases
+	transport wire.Transport // plain TCP unless SetTransport
+	io        clock.Clock    // the transport's I/O clock (clock.IO)
 
 	mu     sync.Mutex
 	idle   []*keptConn // kept connections, most recent last
@@ -547,7 +524,9 @@ type Client struct {
 }
 
 // NewClient returns a client for the admin server at addr.
-func NewClient(addr string) *Client { return &Client{addr: addr, io: clock.NewReal()} }
+func NewClient(addr string) *Client {
+	return &Client{addr: addr, transport: wire.TCP{}, io: clock.NewReal()}
+}
 
 // SetTimeout sets the per-phase timeout (dprocctl -timeout).
 func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
@@ -559,7 +538,7 @@ func (c *Client) SetDeadline(t time.Time) { c.deadline = t }
 
 // SetTransport routes dials through tr (fault-injection fabrics), and the
 // client's phase deadlines onto tr's I/O clock.
-func (c *Client) SetTransport(tr Transport) { c.transport, c.io = tr, clock.IO(tr) }
+func (c *Client) SetTransport(tr wire.Transport) { c.transport, c.io = tr, clock.IO(tr) }
 
 // Close closes the client's kept connections; a call in flight finishes and
 // then closes its own. A client keeps connections only from queryall and
@@ -612,11 +591,7 @@ func (c *Client) dial(b budget) (net.Conn, error) {
 	if dialBudget <= 0 {
 		return nil, fmt.Errorf("adminproto: dial %s: deadline exceeded", c.addr)
 	}
-	tr := c.transport
-	if tr == nil {
-		tr = tcpTransport{}
-	}
-	conn, err := tr.DialTimeout("tcp", c.addr, dialBudget)
+	conn, err := c.transport.DialTimeout("tcp", c.addr, dialBudget)
 	if err != nil {
 		return nil, fmt.Errorf("adminproto: dial %s: %w", c.addr, err)
 	}

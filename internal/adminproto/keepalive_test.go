@@ -17,6 +17,7 @@ import (
 	"dproc/internal/query"
 	"dproc/internal/registry"
 	"dproc/internal/tsdb"
+	"dproc/internal/wire"
 )
 
 // normalized parses text and anchors it at now, as a coordinator would.
@@ -149,13 +150,16 @@ func TestQueryPartKeepAliveContract(t *testing.T) {
 // Self is answered in process and peers over kept connections: a second
 // query dials nothing. A leaf closes a kept connection once it has idled
 // past its phase timeout; the next query finds it dead before any reply
-// byte, dials once more per peer, and is whole.
+// byte, dials once more per peer, and is whole. The fabric carries every
+// connection of the cluster, so dials are counted from the moment the admin
+// servers are up.
 func TestQueryPartRetriesConnectionTheLeafClosed(t *testing.T) {
 	const idle = 300 * time.Millisecond
 	fabric := faultnet.NewFabric(1)
-	_, _, servers := queryCluster(t, 3, 10, func(name string) ServerOptions {
-		return ServerOptions{Timeout: idle, Transport: fabric.Host(name)}
+	_, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(string) ServerOptions {
+		return ServerOptions{Timeout: idle}
 	})
+	base := fabric.Stats().DialsAttempted
 	whole := func(stage string, wantDials uint64) {
 		t.Helper()
 		res, err := servers[0].QueryAllResult("p99 loadavg last 30s")
@@ -165,8 +169,8 @@ func TestQueryPartRetriesConnectionTheLeafClosed(t *testing.T) {
 		if res.Partial || res.OK != 3 {
 			t.Fatalf("%s: not whole:\n%s", stage, res.Render())
 		}
-		if got := fabric.Stats().DialsAttempted; got != wantDials {
-			t.Fatalf("%s: %d dials in all, want %d", stage, got, wantDials)
+		if got := fabric.Stats().DialsAttempted - base; got != wantDials {
+			t.Fatalf("%s: %d dials since the admin servers started, want %d", stage, got, wantDials)
 		}
 	}
 	whole("first query", 2) // two peers; no loopback dial for self
@@ -208,12 +212,14 @@ func (d *dialCounter) count() (per map[string]int, total int) {
 // itself, dials each peer at most once on its first queryall, and nothing on
 // the ten after — its querypart connections are kept (putConn), not redialed
 // per query — and the operator dials the coordinator once for all eleven.
+// Each node's transport counts its dials; the node's channels and registry
+// client dial through it too, so only dials to admin addresses are counted.
 func TestQueryAllDialCounts(t *testing.T) {
 	counters := map[string]*dialCounter{}
-	_, _, servers := queryCluster(t, 4, 10, func(name string) ServerOptions {
-		counters[name] = &dialCounter{dials: map[string]int{}}
-		return ServerOptions{Transport: counters[name]}
-	})
+	_, _, servers := queryClusterOver(t, 4, 10, func(host string) wire.Transport {
+		counters[host] = &dialCounter{dials: map[string]int{}}
+		return counters[host]
+	}, nil)
 	coord, counter := servers[0], counters[servers[0].node.Name()]
 	opCounter := &dialCounter{dials: map[string]int{}}
 	op := NewClient(coord.Addr())
@@ -229,8 +235,15 @@ func TestQueryAllDialCounts(t *testing.T) {
 			t.Fatalf("%s: not whole:\n%s", stage, out)
 		}
 	}
+	adminDials := func() (per map[string]int, total int) {
+		per, _ = counter.count()
+		for _, srv := range servers {
+			total += per[srv.Addr()]
+		}
+		return per, total
+	}
 	query("first queryall")
-	per, first := counter.count()
+	per, first := adminDials()
 	if n := per[coord.Addr()]; n != 0 {
 		t.Fatalf("first queryall: %d dials to self, want 0", n)
 	}
@@ -245,7 +258,7 @@ func TestQueryAllDialCounts(t *testing.T) {
 	if _, n := opCounter.count(); n != 1 {
 		t.Fatalf("the operator's eleven queryalls dialed the coordinator %d times, want 1 (%d extra)", n, n-1)
 	}
-	if _, total := counter.count(); total != first {
+	if _, total := adminDials(); total != first {
 		t.Fatalf("the ten queryalls after the first dialed %d times, want 0", total-first)
 	}
 }
@@ -290,8 +303,8 @@ func TestConcurrentQueriesShareKeptConnections(t *testing.T) {
 func TestStalledKeptConnectionCostsOneTimeout(t *testing.T) {
 	const budget = 400 * time.Millisecond
 	fabric := faultnet.NewFabric(1)
-	_, _, servers := queryCluster(t, 3, 10, func(name string) ServerOptions {
-		return ServerOptions{QueryTimeout: budget, Transport: fabric.Host(name)}
+	_, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(string) ServerOptions {
+		return ServerOptions{QueryTimeout: budget}
 	})
 	if res, err := servers[0].QueryAllResult("p99 loadavg last 30s"); err != nil || res.Partial {
 		t.Fatalf("warm-up query: %v, %+v", err, res)

@@ -122,7 +122,7 @@ func (s *Server) clientFor(addr string) *Client {
 	c := s.clients[addr]
 	if c == nil {
 		c = NewClient(addr)
-		c.SetTransport(s.opts.Transport)
+		c.SetTransport(s.node.Transport())
 		if s.closed {
 			c.Close()
 		} else {

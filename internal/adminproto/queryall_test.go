@@ -17,16 +17,24 @@ import (
 	"dproc/internal/faultnet"
 	"dproc/internal/leakcheck"
 	"dproc/internal/tsdb"
+	"dproc/internal/wire"
 )
 
 // queryCluster builds an n-node SimCluster on a virtual clock, polls it
 // through `steps` one-second ticks so every node accumulates history, and
-// starts one admin server per node with the given options (all servers share
-// opts; the transport may be a faultnet host per node via mkOpts).
+// starts one admin server per node with the options mkOpts gives for it.
 func queryCluster(t testing.TB, n, steps int, mkOpts func(name string) ServerOptions) (*core.SimCluster, *clock.Virtual, []*Server) {
 	t.Helper()
+	return queryClusterOver(t, n, steps, nil, mkOpts)
+}
+
+// queryClusterOver is queryCluster with every host's transport taken from
+// transport (core.NewSimClusterWith): each admin server listens and dials
+// through its node's.
+func queryClusterOver(t testing.TB, n, steps int, transport func(host string) wire.Transport, mkOpts func(name string) ServerOptions) (*core.SimCluster, *clock.Virtual, []*Server) {
+	t.Helper()
 	vclk := clock.NewVirtual(clock.Epoch)
-	cluster, err := core.NewSimCluster(n, vclk, 7, 0)
+	cluster, err := core.NewSimClusterWith(n, vclk, 7, 0, transport, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +177,20 @@ func TestQueryAllAverageMatchesPooledMean(t *testing.T) {
 	}
 }
 
-// The partial-failure acceptance guard: with every admin conversation routed
-// through a faultnet fabric, killing a node mid-query yields an annotated
+// fabricHosts gives every host its faultnet host on f.
+func fabricHosts(f *faultnet.Fabric) func(host string) wire.Transport {
+	return func(host string) wire.Transport { return f.Host(host) }
+}
+
+// The partial-failure acceptance guard: with every connection of the
+// cluster, admin conversations included, routed through a faultnet fabric, killing a node mid-query yields an annotated
 // partial result within the per-node timeout — never a hang, never an
 // all-or-nothing error — and reviving it heals the next query. Stalls and
 // partitions take the same path.
 func TestQueryAllPartialUnderFaults(t *testing.T) {
 	fabric := faultnet.NewFabric(1)
-	cluster, _, servers := queryCluster(t, 3, 10, func(name string) ServerOptions {
-		return ServerOptions{
-			QueryTimeout: 300 * time.Millisecond,
-			Transport:    fabric.Host(name),
-		}
+	cluster, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(string) ServerOptions {
+		return ServerOptions{QueryTimeout: 300 * time.Millisecond}
 	})
 	_ = cluster
 	c := NewClient(servers[0].Addr())
@@ -353,5 +363,33 @@ func TestClientToleratesSlowDribbleResponse(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline-capped request took %v", elapsed)
+	}
+}
+
+// A node has one transport, and every socket of a SimCluster comes from
+// one: with each host a fabric host, the fabric sees the registry's
+// listener, both channels' listeners per node and each admin server's
+// (1 + 2n + n), and after formation and one queryall every connection
+// dialed through it was accepted through it.
+func TestSimClusterSocketsRideOneTransport(t *testing.T) {
+	const n = 3
+	fabric := faultnet.NewFabric(5)
+	_, _, servers := queryClusterOver(t, n, 5, fabricHosts(fabric), nil)
+	res, err := servers[0].QueryAllResult("p99 loadavg last 30s")
+	if err != nil || res.Partial || res.OK != n {
+		t.Fatalf("queryall: %v\n%s", err, res.Render())
+	}
+	if s := fabric.Stats(); s.Listens != 1+2*n+n {
+		t.Fatalf("%d listeners opened through the fabric, want %d (registry, 2 channels and an admin server per node)", s.Listens, 1+2*n+n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s := fabric.Stats()
+		dialed := s.DialsAttempted - s.DialsRefused
+		if s.Accepts == dialed && dialed > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections accepted through the fabric, %d dialed through it", s.Accepts, dialed)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"dproc/internal/kecho"
 	"dproc/internal/registry"
 	"dproc/internal/simres"
+	"dproc/internal/wire"
 )
 
 // SimCluster is an in-process dproc cluster over loopback TCP, with every
@@ -29,26 +30,33 @@ type SimCluster struct {
 // formTimeout bounds each of formation's waits, on the transport's I/O clock.
 const formTimeout = 5 * time.Second
 
+// RegistryHost names the registry server's host to NewSimClusterWith.
+const RegistryHost = "registry"
+
 // NewSimCluster builds a registry and n interconnected nodes named
 // node0..node{n-1}. Padding sets the monitoring event padding on every node.
 func NewSimCluster(n int, clk clock.Clock, seed int64, padding int) (*SimCluster, error) {
-	return NewSimClusterWith(n, clk, seed, padding, nil)
+	return NewSimClusterWith(n, clk, seed, padding, nil, nil)
 }
 
-// NewSimClusterWith is NewSimCluster with a per-node configuration hook:
-// customize (when non-nil) runs on each node's Config after the standard
-// fields are filled in and before the node starts, so harnesses can inject
-// fault-injection transports (faultnet), durable data directories or
-// tracing rates per node. The registry connection itself is not
-// customizable — control-plane traffic stays on plain TCP.
-func NewSimClusterWith(n int, clk clock.Clock, seed int64, padding int, customize func(i int, cfg *Config)) (*SimCluster, error) {
+// NewSimClusterWith is NewSimCluster with every host's transport from
+// transport (nil: plain TCP), the registry's under RegistryHost and each
+// node's under its name, and a per-node configuration hook: customize (when
+// non-nil) runs on each node's Config after the standard fields are filled
+// in and before the node starts, so harnesses can set durable data
+// directories or tracing rates per node.
+func NewSimClusterWith(n int, clk clock.Clock, seed int64, padding int, transport func(host string) wire.Transport, customize func(i int, cfg *Config)) (*SimCluster, error) {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	regSrv, err := registry.NewServer("127.0.0.1:0")
-	if err != nil {
-		return nil, err
+	if transport == nil {
+		transport = func(string) wire.Transport { return wire.TCP{} }
 	}
+	ln, err := transport(RegistryHost).Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("core: registry listen: %w", err)
+	}
+	regSrv := registry.NewServerWith(ln, registry.ServerOptions{})
 	c := &SimCluster{Registry: regSrv, io: clock.NewReal()}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("node%d", i)
@@ -57,6 +65,7 @@ func NewSimClusterWith(n int, clk clock.Clock, seed int64, padding int, customiz
 			Name:         name,
 			RegistryAddr: regSrv.Addr(),
 			Clock:        clk,
+			Transport:    transport(name),
 			Source:       host,
 			Padding:      padding,
 		}
@@ -64,7 +73,7 @@ func NewSimClusterWith(n int, clk clock.Clock, seed int64, padding int, customiz
 			customize(i, &cfg)
 		}
 		if i == 0 {
-			c.io = clock.IO(cfg.Channel.Transport)
+			c.io = clock.IO(cfg.Transport)
 		}
 		node, err := NewNode(cfg)
 		if err != nil {

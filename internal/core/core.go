@@ -22,6 +22,7 @@ import (
 	"dproc/internal/sysinfo"
 	"dproc/internal/tsdb"
 	"dproc/internal/vfs"
+	"dproc/internal/wire"
 )
 
 // Config configures a dproc node. The zero value of every field except Name
@@ -36,6 +37,10 @@ type Config struct {
 	RegistryAddr string
 	// Clock defaults to the real clock.
 	Clock clock.Clock
+	// Transport is where the node's sockets come from: both channels, the
+	// registry client and the admin server (Node.Transport). Nil selects
+	// plain TCP. Socket deadlines run on its I/O clock (clock.IO).
+	Transport wire.Transport
 	// Source supplies local metric values; nil selects the live sysinfo
 	// source reading the real /proc.
 	Source dmon.Source
@@ -44,7 +49,7 @@ type Config struct {
 	// Channel tunes the KECho channels, including the async fan-out knobs:
 	// OutboxSize (per-peer outbound queue) and MaxBatch (events coalesced
 	// per frame by the peer writers). Zero fields take kecho's defaults;
-	// the node's clock, metric registry and observer are filled in here.
+	// the node's clock, transport, metrics and observer are filled in here.
 	Channel kecho.Options
 	// RelayBranching, when positive, replaces the monitoring channel's flat
 	// full mesh with a relay-tree overlay of that branching factor
@@ -107,6 +112,7 @@ type Config struct {
 type Node struct {
 	name string
 	clk  clock.Clock
+	tr   wire.Transport
 	d    *dmon.DMon
 	fs   *vfs.FS
 
@@ -151,9 +157,14 @@ func NewNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: opening history store: %w", err)
 	}
+	tr := cfg.Transport
+	if tr == nil {
+		tr = wire.TCP{}
+	}
 	n := &Node{
 		name:    cfg.Name,
 		clk:     clk,
+		tr:      tr,
 		d:       d,
 		fs:      vfs.New(),
 		tracked: map[string]bool{},
@@ -170,13 +181,15 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.RegistryAddr != "" {
 		// The channels run on the node clock so the reconnect supervisor
 		// paces itself on virtual time in simulations, and share the node's
-		// registry and observer so their counters and per-stage spans land in
-		// the unified stats surface.
+		// transport, registry and observer so their counters and per-stage
+		// spans land in the unified stats surface.
 		chOpts := cfg.Channel
 		chOpts.Clock = clk
+		chOpts.Transport = tr
 		chOpts.Metrics = n.metrics
 		chOpts.Observer = n.obs
 		n.regCli = registry.NewClient(cfg.RegistryAddr)
+		n.regCli.SetTransport(tr)
 		// The relay-tree overlay applies to the monitoring channel only:
 		// its traffic is broadcast reports, exactly what the tree fans out.
 		// The control channel stays full mesh regardless — remote control
@@ -214,6 +227,10 @@ func (n *Node) Name() string { return n.name }
 // queries anchor "last <dur>" windows on it so every node answers the same
 // absolute window.
 func (n *Node) Clock() clock.Clock { return n.clk }
+
+// Transport returns the node's transport, which the admin server listens
+// and dials on like the channels and the registry client.
+func (n *Node) Transport() wire.Transport { return n.tr }
 
 // Registry exposes the node's registry client (nil when standalone). The
 // admin server uses it to advertise its endpoint on the admin channel and

@@ -603,7 +603,7 @@ func TestQueryControlFile(t *testing.T) {
 // channel holding its tree neighbours and nothing else.
 func TestRelayTreeClusterFormsExactlyTheTree(t *testing.T) {
 	const n = 16
-	c, err := NewSimClusterWith(n, clock.NewVirtual(clock.Epoch), 1, 0, func(_ int, cfg *Config) {
+	c, err := NewSimClusterWith(n, clock.NewVirtual(clock.Epoch), 1, 0, nil, func(_ int, cfg *Config) {
 		cfg.RelayBranching = 2
 		cfg.RelayRole = overlay.RoleRelay
 	})

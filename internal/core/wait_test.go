@@ -7,24 +7,31 @@ import (
 	"dproc/internal/clock"
 	"dproc/internal/faultnet"
 	"dproc/internal/simres"
+	"dproc/internal/wire"
 )
 
 // TestWaitsWakeOnEvents holds SimCluster formation up with faultnet and
 // counts how often its waits woke: at most once per peer-set change in the
-// cluster, plus one. node0 reads nothing for the first 60 ms, so it hears
-// nobody's hello until then; a formation that polled on 1 ms sleeps would
-// wake about 60 times. The node clock is virtual and never advanced: formation
-// must not depend on it.
+// cluster, plus one. Every host's transport is a fabric host. Once the last
+// node is configured, node0 reads nothing for 60 ms, so it hears that node's
+// hellos (and its own registry replies) only then; a formation that polled
+// on 1 ms sleeps would wake about 60 times. The node clock is virtual and
+// never advanced: formation must not depend on it.
 func TestWaitsWakeOnEvents(t *testing.T) {
 	t.Run("SimClusterFormation", func(t *testing.T) {
 		const holdUp = 60 * time.Millisecond
 		f := faultnet.NewFabric(79)
-		f.StallReads("node0", true)
-		unstall := time.AfterFunc(holdUp, func() { f.StallReads("node0", false) })
+		var start time.Time
+		unstall := time.AfterFunc(time.Hour, func() { f.StallReads("node0", false) })
 		defer unstall.Stop()
-		start := time.Now()
-		c, err := NewSimClusterWith(3, clock.NewVirtual(clock.Epoch), 5, 0, func(_ int, cfg *Config) {
-			cfg.Channel.Transport = f.Host(cfg.Name)
+		c, err := NewSimClusterWith(3, clock.NewVirtual(clock.Epoch), 5, 0, func(host string) wire.Transport {
+			return f.Host(host)
+		}, func(i int, cfg *Config) {
+			if i == 2 {
+				f.StallReads("node0", true)
+				start = time.Now()
+				unstall.Reset(holdUp)
+			}
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -70,6 +70,9 @@ type DMon struct {
 	// sourceOverCap counts filter deployments refused for source over
 	// ecode's 64 KiB cap; SetMetrics moves it into the node's registry.
 	sourceOverCap *atomic.Uint64
+	// wrongOrigin counts received reports refused for naming a node
+	// other than their publisher; SetMetrics moves it too.
+	wrongOrigin *atomic.Uint64
 }
 
 // New creates a d-mon for the named node, registering the standard modules
@@ -104,6 +107,7 @@ func OpenWith(node string, clk clock.Clock, src Source, opts StoreOptions) (*DMo
 		clk:           clk,
 		store:         store,
 		sourceOverCap: new(atomic.Uint64),
+		wrongOrigin:   new(atomic.Uint64),
 	}
 	for r := range d.config {
 		d.config[r] = ResourceConfig{Period: DefaultPeriod}
@@ -142,11 +146,13 @@ func (d *DMon) SetObserver(o *obs.Observer) {
 	d.mu.Unlock()
 }
 
-// SetMetrics registers the d-mon's limit-hit counter in reg, the node's
-// registry, as dmon filter_source_over_cap.
+// SetMetrics registers the d-mon's refusal counters in reg, the node's
+// registry, as dmon filter_source_over_cap and dmon report_origin_mismatch.
+// Call before Attach.
 func (d *DMon) SetMetrics(reg *metrics.Registry) {
 	d.mu.Lock()
 	d.sourceOverCap = reg.Counter("dmon", "", "filter_source_over_cap")
+	d.wrongOrigin = reg.Counter("dmon", "", "report_origin_mismatch")
 	d.mu.Unlock()
 }
 
@@ -705,7 +711,8 @@ func (d *DMon) PollOnce() (*metrics.Report, int, error) {
 
 // Attach connects d-mon to its monitoring and control channels: incoming
 // monitoring events update the store, incoming control events are parsed
-// and applied when addressed to this node (or broadcast).
+// and applied when addressed to this node (or broadcast). A report whose
+// Node is not its publisher's is refused (DESIGN §6).
 func (d *DMon) Attach(mon, ctl *kecho.Channel) {
 	d.mu.Lock()
 	d.monCh = mon
@@ -715,7 +722,11 @@ func (d *DMon) Attach(mon, ctl *kecho.Channel) {
 		mon.Subscribe(func(ev kecho.Event) {
 			r := received.Get().(*metrics.Report)
 			if metrics.DecodeReportInto(r, ev.Payload) == nil {
-				d.store.Update(r)
+				if r.Node == ev.From {
+					d.store.Update(r)
+				} else {
+					d.wrongOrigin.Add(1)
+				}
 			}
 			r.Padding = nil // a view of the loaned payload
 			received.Put(r)

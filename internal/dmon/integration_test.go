@@ -182,3 +182,26 @@ func TestMalformedEventsIgnored(t *testing.T) {
 		t.Fatal("garbage produced store entries")
 	}
 }
+
+// A report speaks only for its publisher: maui publishing a report that
+// names "eve" has it refused by alan's d-mon and counted, while maui's own
+// report after it lands in alan's store.
+func TestReportSpeaksOnlyForItsPublisher(t *testing.T) {
+	nodes := newLiveCluster(t, "alan", "maui")
+	alan, maui := nodes[0], nodes[1]
+	forged := metrics.Report{Node: "eve", Seq: 1, Time: time.Now(),
+		Samples: []metrics.Sample{{ID: metrics.LOADAVG, Value: 99, Time: time.Now()}}}
+	if _, err := maui.mon.Publish(forged.Encode(), kecho.PublishOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := maui.d.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, nodes, func() bool { _, n := alan.d.Store().LastReport("maui"); return n == 1 })
+	if _, n := alan.d.Store().LastReport("eve"); n != 0 {
+		t.Fatalf("alan's store holds %d reports for eve, published by maui", n)
+	}
+	if n := alan.d.wrongOrigin.Load(); n != 1 {
+		t.Fatalf("report_origin_mismatch = %d, want 1", n)
+	}
+}

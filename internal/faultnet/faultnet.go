@@ -1,9 +1,10 @@
 // Package faultnet is a deterministic fault-injection layer over real
-// loopback TCP. A Fabric owns a set of named hosts; each host gets a
-// net.Listener / dialer pair whose connections are wrapped so that a
-// programmable fault plan can be applied to them: dial refusal, connection
-// kill after N frames, read/write stalls, added latency with seeded jitter,
-// and named partition groups.
+// loopback TCP. A Fabric owns a set of named hosts; each host is a
+// wire.Transport whose connections are wrapped so that a programmable fault
+// plan can be applied to them: dial refusal, connection kill after N
+// frames, read/write stalls, added latency with seeded jitter, and named
+// partition groups. As a node's transport (core.Config.Transport) a host
+// carries all of its traffic: channels, registry client, admin server.
 //
 // The fabric never injects faults spontaneously — every fault is scripted by
 // an explicit call (Refuse, Partition, StallWrites, ...), and the only
@@ -18,6 +19,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,6 +47,8 @@ type Fabric struct {
 	killAfter map[[2]string]int
 	conns     map[*Conn]struct{}
 
+	listens        uint64
+	accepts        atomic.Uint64
 	dialsAttempted uint64
 	dialsRefused   uint64
 	connsKilled    uint64
@@ -71,8 +75,11 @@ func NewFabric(seed int64) *Fabric {
 	}
 }
 
-// Stats is a snapshot of fabric-level fault counters.
+// Stats is a snapshot of fabric-level counters.
 type Stats struct {
+	// Listens and Accepts count listeners opened and connections accepted.
+	Listens        uint64
+	Accepts        uint64
 	DialsAttempted uint64
 	DialsRefused   uint64
 	ConnsKilled    uint64
@@ -84,6 +91,8 @@ func (f *Fabric) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return Stats{
+		Listens:        f.listens,
+		Accepts:        f.accepts.Load(),
 		DialsAttempted: f.dialsAttempted,
 		DialsRefused:   f.dialsRefused,
 		ConnsKilled:    f.connsKilled,
@@ -259,8 +268,8 @@ func (f *Fabric) cutLocked(hostA, hostB string) bool {
 
 // --- host endpoints ---
 
-// Host is one named endpoint on the fabric; it stands in for the plain
-// net.Listen / net.DialTimeout pair in the transport stack.
+// Host is one named endpoint on the fabric: a wire.Transport standing in
+// for wire.TCP.
 type Host struct {
 	fabric *Fabric
 	name   string
@@ -278,6 +287,7 @@ func (h *Host) Listen(network, address string) (net.Listener, error) {
 	}
 	f := h.fabric
 	f.mu.Lock()
+	f.listens++
 	f.addrHost[ln.Addr().String()] = h.name
 	f.mu.Unlock()
 	return &listener{Listener: ln, host: h}, nil
@@ -327,5 +337,6 @@ func (l *listener) Accept() (net.Conn, error) {
 	// The dialing host is unknown here (ephemeral source port); the dial
 	// side's wrapper carries the pair attribution, and killing it resets
 	// the shared TCP connection, which surfaces here as a read error.
+	l.host.fabric.accepts.Add(1)
 	return newConn(l.host.fabric, nc, l.host.name, ""), nil
 }

@@ -10,6 +10,7 @@ import (
 	"dproc/internal/faultnet"
 	"dproc/internal/leakcheck"
 	"dproc/internal/registry"
+	"dproc/internal/wire"
 )
 
 // TestGoroutineCensus pins what the single receive pipeline costs: a Join
@@ -22,10 +23,10 @@ func TestGoroutineCensus(t *testing.T) {
 	fab := faultnet.NewFabric(1)
 	for _, tc := range []struct {
 		name      string
-		transport func(id string) Transport
+		transport func(id string) wire.Transport
 	}{
-		{"tcp", func(string) Transport { return nil }},
-		{"faultnet", func(id string) Transport { return fab.Host(id) }},
+		{"tcp", func(string) wire.Transport { return nil }},
+		{"faultnet", func(id string) wire.Transport { return fab.Host(id) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := newRegistry(t)

@@ -259,17 +259,6 @@ type relayOrigin struct {
 	last uint64
 }
 
-// internFrom returns the publisher ID for a decoded from field without
-// allocating in the common case. Events arrive one hop from their publisher,
-// so the sender ID almost always equals the peer's ID; fall back to a fresh
-// string for test-injected traffic.
-func (c *Channel) internFrom(p *peer, from []byte) string {
-	if string(from) == p.id { // compiles to an alloc-free comparison
-		return p.id
-	}
-	return string(from)
-}
-
 // receiveFrame delivers one received frame's records, in order: through the
 // receive gate, then to the handlers in place (EventDriven) or to the inbox
 // as one queued frame (Polled). The frame is stamped once — every record's
@@ -344,10 +333,11 @@ func (c *Channel) countRecv(n, bytes int) {
 }
 
 // decodeRecord decodes one event record into ev and runs it through the
-// receive gate: relay suppression and forwarding, and the trace
-// observations. ok is false for a record the gate suppressed, err non-nil
-// for one that does not decode; ev is filled only when ok, and the caller
-// counts it received. ev.Payload is a view of record.
+// receive gate: relay suppression and forwarding, the origin check of a
+// record that was not relayed, and the trace observations. ok is false for
+// a record the gate suppressed or refused, err non-nil for one that does
+// not decode; ev is filled only when ok, and the caller counts it received.
+// ev.Payload is a view of record.
 func (c *Channel) decodeRecord(p *peer, record []byte, recv time.Time, ev *Event) (ok bool, err error) {
 	d := wire.NewDecoder(record)
 	from := d.StringBytes()
@@ -406,7 +396,13 @@ func (c *Channel) decodeRecord(p *peer, record []byte, recv time.Time, ev *Event
 		c.obs.ObserveDecode(c.clk.Now().Sub(recv), tid)
 	}
 	if fromID == "" {
-		fromID = c.internFrom(p, from)
+		// Not relayed: only the member at the other end of this connection
+		// may have published it (DESIGN §6).
+		if string(from) != p.id { // compiles to an alloc-free comparison
+			c.wrongOrigin.Add(1)
+			return false, nil
+		}
+		fromID = p.id
 	}
 	*ev = Event{
 		Channel: c.name,

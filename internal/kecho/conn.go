@@ -19,24 +19,6 @@ import (
 // (writer.go), a frame's worth of records per lock, and a write lock that
 // keeps frames whole on the wire.
 
-// Transport supplies the listen/dial primitives the channel uses, so tests
-// can route peer traffic through a fault-injection layer (internal/faultnet).
-type Transport interface {
-	Listen(network, address string) (net.Listener, error)
-	DialTimeout(network, address string, timeout time.Duration) (net.Conn, error)
-}
-
-// tcpTransport is the default plain-TCP transport.
-type tcpTransport struct{}
-
-func (tcpTransport) Listen(network, address string) (net.Listener, error) {
-	return net.Listen(network, address)
-}
-
-func (tcpTransport) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
-	return net.DialTimeout(network, address, timeout)
-}
-
 // Frame types on peer connections.
 const (
 	frameHello uint8 = iota + 1

@@ -148,7 +148,7 @@ func TestSubmitWriteDeadlineUnblocksHealthyPeers(t *testing.T) {
 // buffer cut to 16 KiB, so a subscriber that stops reading fills the path
 // within a few 5 KiB records. Its connections stay *net.TCPConn: batch
 // frames to them are gathered writes.
-type smallSendBuffers struct{ tcpTransport }
+type smallSendBuffers struct{ wire.TCP }
 
 func (smallSendBuffers) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
 	conn, err := net.DialTimeout(network, address, timeout)

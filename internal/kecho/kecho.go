@@ -45,6 +45,7 @@ import (
 	"dproc/internal/obs"
 	"dproc/internal/overlay"
 	"dproc/internal/registry"
+	"dproc/internal/wire"
 )
 
 // DispatchMode selects how received events reach handlers.
@@ -171,6 +172,9 @@ type Stats struct {
 	// copies arriving over redundant transient paths during re-parenting.
 	// Suppressed records are neither delivered nor forwarded.
 	RelayDups uint64
+	// WrongOrigin counts un-relayed records (no hop trailer) refused for
+	// naming a publisher other than the peer that sent them.
+	WrongOrigin uint64
 	// Malformed counts peer connections dropped because a batch frame or an
 	// event record on them failed to decode (the supervisor re-dials).
 	Malformed uint64
@@ -191,7 +195,7 @@ type Options struct {
 	// channels have no inbox.
 	InboxSize int
 	// Transport provides listen/dial; nil uses plain TCP.
-	Transport Transport
+	Transport wire.Transport
 	// WriteDeadline bounds each frame write to a peer, so one stalled peer
 	// cannot head-of-line-block the fan-out; 0 means 5s, negative disables.
 	WriteDeadline time.Duration
@@ -263,7 +267,7 @@ func (o Options) withDefaults() Options {
 		o.InboxSize = 4096
 	}
 	if o.Transport == nil {
-		o.Transport = tcpTransport{}
+		o.Transport = wire.TCP{}
 	}
 	if o.WriteDeadline == 0 {
 		o.WriteDeadline = defaultWriteDeadline
@@ -385,6 +389,7 @@ type Channel struct {
 	batchesSent   *atomic.Uint64
 	relayed       *atomic.Uint64
 	relayDups     *atomic.Uint64
+	wrongOrigin   *atomic.Uint64
 	malformed     *atomic.Uint64
 	peerChanges   *atomic.Uint64
 
@@ -487,6 +492,7 @@ func (c *Channel) registerMetrics(mreg *metrics.Registry) {
 	c.batchesSent = mreg.Counter("channel", c.name, "batches_sent")
 	c.relayed = mreg.Counter("channel", c.name, "relayed")
 	c.relayDups = mreg.Counter("channel", c.name, "relay_dups")
+	c.wrongOrigin = mreg.Counter("channel", c.name, "origin_mismatch")
 	c.malformed = mreg.Counter("channel", c.name, "malformed")
 	c.peerChanges = mreg.Counter("channel", c.name, "peer_changes")
 }
@@ -516,6 +522,7 @@ func (c *Channel) Stats() Stats {
 		BatchesSent:   c.batchesSent.Load(),
 		Relayed:       c.relayed.Load(),
 		RelayDups:     c.relayDups.Load(),
+		WrongOrigin:   c.wrongOrigin.Load(),
 		Malformed:     c.malformed.Load(),
 		PeerChanges:   c.peerChanges.Load(),
 	}

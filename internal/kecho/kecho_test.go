@@ -9,6 +9,7 @@ import (
 
 	"dproc/internal/overlay"
 	"dproc/internal/registry"
+	"dproc/internal/wire"
 )
 
 func newRegistry(t *testing.T) *registry.Server {
@@ -506,7 +507,7 @@ func TestOptionDefaults(t *testing.T) {
 		want any
 	}{
 		{"InboxSize", func(o Options) any { return o.InboxSize }, 4096},
-		{"Transport", func(o Options) any { return o.Transport }, tcpTransport{}},
+		{"Transport", func(o Options) any { return o.Transport }, wire.TCP{}},
 		{"WriteDeadline", func(o Options) any { return o.WriteDeadline }, 5 * time.Second},
 		{"OutboxSize", func(o Options) any { return o.OutboxSize }, 1024},
 		{"MaxBatch", func(o Options) any { return o.MaxBatch }, 64},
@@ -529,5 +530,53 @@ func TestOptionDefaults(t *testing.T) {
 	set := Options{WriteDeadline: -1, ReconnectInterval: time.Second, ReconnectMax: time.Millisecond, OutboxSize: 7}.withDefaults()
 	if set.WriteDeadline != -1 || set.ReconnectMax != time.Second || set.OutboxSize != 7 {
 		t.Errorf("caller's values: WriteDeadline %v, ReconnectMax %v, OutboxSize %d", set.WriteDeadline, set.ReconnectMax, set.OutboxSize)
+	}
+}
+
+// An un-relayed record speaks for its connection only: a dialer that greets
+// as "a" and then sends a record naming "b" as its publisher has it
+// refused, counted in WrongOrigin and the channel's registry, while its
+// own records on the same connection are delivered as "a"'s.
+func TestUnrelayedRecordSpeaksForItsConnection(t *testing.T) {
+	reg := newRegistry(t)
+	ch := join(t, reg, "mon", "self", nil)
+	var mu sync.Mutex
+	var from []string
+	var got atomic.Int64
+	ch.Subscribe(func(ev Event) {
+		mu.Lock()
+		from = append(from, ev.From)
+		mu.Unlock()
+		got.Add(1)
+	})
+	conn, err := wire.TCP{}.DialTimeout("tcp", ch.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := wire.NewEncoder(32)
+	hello.String("mon")
+	hello.String("a")
+	for _, f := range []struct {
+		typ     uint8
+		payload []byte
+	}{
+		{frameHello, hello.Bytes()},
+		{frameEvent, testRecord("b", 1, []byte("forged"))},
+		{frameEvent, testRecord("a", 1, []byte("own"))},
+	} {
+		if err := wire.WriteFrame(conn, f.typ, f.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitForEvents(t, ch, &got, 1)
+	ch.Poll()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(from) != 1 || from[0] != "a" {
+		t.Fatalf("delivered records from %v, want only a's own", from)
+	}
+	if n := ch.Stats().WrongOrigin; n != 1 {
+		t.Fatalf("WrongOrigin = %d, want 1", n)
 	}
 }

@@ -220,7 +220,7 @@ func trackOutRecords(t *testing.T) func() []*outRecord {
 // connections is decoded and the record sequence numbers kept, per
 // connection — the publisher's own view of what "written" means.
 type wireLog struct {
-	Transport
+	wire.Transport
 	mu    sync.Mutex
 	conns []*loggedConn
 }

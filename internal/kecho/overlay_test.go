@@ -254,10 +254,11 @@ func TestRelaySlowHandlerOnInterior(t *testing.T) {
 // throughout.
 func TestRelayInteriorKillReparent(t *testing.T) {
 	f := faultnet.NewFabric(31)
-	reg, err := registry.NewServerWith("127.0.0.1:0", registry.ServerOptions{TTL: 150 * time.Millisecond})
+	ln, err := wire.TCP{}.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := registry.NewServerWith(ln, registry.ServerOptions{TTL: 150 * time.Millisecond})
 	defer reg.Close()
 
 	// Branching-2 tree over node0..node6 (all relay-capable, so layout is ID

@@ -205,12 +205,12 @@ func TestDispatchImmediateStillParses(t *testing.T) {
 // the peer set starts for a connection it keeps, so the count is the number
 // of dialed connections actually installed.
 type readCountTransport struct {
-	tcpTransport
+	wire.TCP
 	read atomic.Int64
 }
 
 func (t *readCountTransport) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
-	conn, err := t.tcpTransport.DialTimeout(network, address, timeout)
+	conn, err := t.TCP.DialTimeout(network, address, timeout)
 	if err != nil {
 		return nil, err
 	}

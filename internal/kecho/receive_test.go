@@ -264,23 +264,25 @@ type fuzzEvent struct {
 // expectFrame is the oracle for FuzzHandleFrame: it decodes a frame payload
 // with plain wire.Decoder calls, independently of the receive path, and
 // applies the receive gate's rules by hand — a hop-stamped record from self
-// or at or below its origin's highest admitted seq is suppressed. It returns
-// the events a member named self must deliver, and whether the frame is
-// malformed; want then holds the records ahead of the bad one.
-func expectFrame(self string, typ uint8, payload []byte) (want []fuzzEvent, bad bool) {
+// or at or below its origin's highest admitted seq is suppressed, and a
+// record without the hop trailer that names a publisher other than peer is
+// refused. It returns the events a member named self must deliver from peer,
+// how many records it refuses, and whether the frame is malformed; want
+// then holds the records ahead of the bad one.
+func expectFrame(self, peer string, typ uint8, payload []byte) (want []fuzzEvent, refused uint64, bad bool) {
 	records := [][]byte{payload}
 	if typ == frameBatch {
 		d := wire.NewDecoder(payload)
 		n := d.Uint32()
 		if d.Err() != nil || int64(n)*4 > int64(d.Remaining()) {
-			return nil, true
+			return nil, 0, true
 		}
 		records = records[:0]
 		for i := uint32(0); i < n && d.Err() == nil; i++ {
 			records = append(records, d.BytesField())
 		}
 		if d.Finish() != nil {
-			return nil, true
+			return nil, 0, true
 		}
 	}
 	last := make(map[string]uint64)
@@ -295,24 +297,28 @@ func expectFrame(self string, typ uint8, payload []byte) (want []fuzzEvent, bad 
 			d.TraceExt()
 		}
 		if d.Finish() != nil {
-			return want, true
+			return want, refused, true
 		}
 		if hopped {
 			if from == self || seq <= last[from] {
 				continue
 			}
 			last[from] = seq
+		} else if from != peer {
+			refused++
+			continue
 		}
 		want = append(want, fuzzEvent{from, seq, string(body)})
 	}
-	return want, false
+	return want, refused, false
 }
 
 // FuzzHandleFrame feeds any bytes as an event or batch frame to a polled and
 // an event-driven channel. The receive path must never panic, must deliver
 // exactly the records the independent decode says it should — bodies byte
-// for byte, hop and trace trailers consumed, relay duplicates suppressed —
-// and count them in EventsRecv; on a malformed frame it must have delivered
+// for byte, hop and trace trailers consumed, relay duplicates suppressed,
+// un-relayed records from anyone but the peer refused — and count them in
+// EventsRecv and WrongOrigin; on a malformed frame it must have delivered
 // the records ahead of the bad one and none after it.
 func FuzzHandleFrame(f *testing.F) {
 	rec := func(from string, seq uint64, body string, hop bool, traceID uint64) []byte {
@@ -337,13 +343,14 @@ func FuzzHandleFrame(f *testing.F) {
 		plain, hopped, both, traced,
 		rec("origin", 7, "duplicate", true, 0),
 		rec("self", 3, "looped back", true, 0),
+		rec("origin", 9, "not relayed", false, 0),
 	}))
 	f.Add(frameBatch, wire.EncodeBatch([][]byte{plain, both[:len(both)-3], traced}))
 	f.Add(frameBatch, wire.EncodeBatch(nil))
 
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		typ = frameEvent + typ%2
-		want, bad := expectFrame("self", typ, payload)
+		want, refused, bad := expectFrame("self", "pub", typ, payload)
 		for _, mode := range []DispatchMode{Polled, EventDriven} {
 			// Every record is at least 16 bytes: this inbox cannot overflow.
 			c := newTestChannel(Options{Dispatch: mode, InboxSize: len(payload) + 1})
@@ -357,8 +364,9 @@ func FuzzHandleFrame(f *testing.F) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%v: delivered %v, want %v", mode, got, want)
 			}
-			if s := c.Stats(); s.EventsRecv != uint64(len(want)) || s.Dropped != 0 {
-				t.Fatalf("%v: EventsRecv %d, Dropped %d; want %d, 0", mode, s.EventsRecv, s.Dropped, len(want))
+			if s := c.Stats(); s.EventsRecv != uint64(len(want)) || s.Dropped != 0 || s.WrongOrigin != refused {
+				t.Fatalf("%v: EventsRecv %d, Dropped %d, WrongOrigin %d; want %d, 0, %d",
+					mode, s.EventsRecv, s.Dropped, s.WrongOrigin, len(want), refused)
 			}
 		}
 	})

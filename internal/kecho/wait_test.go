@@ -7,6 +7,7 @@ import (
 	"dproc/internal/clock"
 	"dproc/internal/faultnet"
 	"dproc/internal/registry"
+	"dproc/internal/wire"
 )
 
 // holdUp is how long each wait below is held up by the fabric: long enough
@@ -98,7 +99,7 @@ func TestWaitsWakeOnEvents(t *testing.T) {
 // clock: the shape of an in-memory transport that evaluates them on
 // simulated time.
 type virtualIO struct {
-	tcpTransport
+	wire.TCP
 	clk *clock.Virtual
 }
 

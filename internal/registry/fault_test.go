@@ -12,10 +12,11 @@ import (
 func newTTLServer(t *testing.T, ttl time.Duration) (*Server, *clock.Virtual, *Client) {
 	t.Helper()
 	vclk := clock.NewVirtual(clock.Epoch)
-	s, err := NewServerWith("127.0.0.1:0", ServerOptions{Clock: vclk, TTL: ttl})
+	ln, err := wire.TCP{}.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewServerWith(ln, ServerOptions{Clock: vclk, TTL: ttl})
 	t.Cleanup(func() { s.Close() })
 	c := NewClient(s.Addr())
 	t.Cleanup(func() { c.Close() })

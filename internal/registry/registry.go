@@ -86,17 +86,18 @@ type Server struct {
 }
 
 // NewServer starts a registry server listening on addr (e.g. "127.0.0.1:0")
-// with member expiry disabled.
+// over plain TCP, with member expiry disabled.
 func NewServer(addr string) (*Server, error) {
-	return NewServerWith(addr, ServerOptions{})
-}
-
-// NewServerWith starts a registry server with explicit liveness options.
-func NewServerWith(addr string, opts ServerOptions) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := wire.TCP{}.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("registry: listen: %w", err)
 	}
+	return NewServerWith(ln, ServerOptions{}), nil
+}
+
+// NewServerWith serves the registry on ln, opened through the caller's
+// transport, with explicit liveness options. Close closes ln.
+func NewServerWith(ln net.Listener, opts ServerOptions) *Server {
 	clk := opts.Clock
 	if clk == nil {
 		clk = clock.NewReal()
@@ -110,7 +111,7 @@ func NewServerWith(addr string, opts ServerOptions) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // ExpiredMembers reports how many members have aged out since startup.
@@ -392,12 +393,6 @@ func decodeMembers(payload []byte) ([]Member, error) {
 	return out, nil
 }
 
-// Transport supplies the client's dial primitive, so tests can route
-// registry traffic through a fault-injection layer. Nil means plain TCP.
-type Transport interface {
-	DialTimeout(network, address string, timeout time.Duration) (net.Conn, error)
-}
-
 // ClientStats counts a client's recovery work; all fields are cumulative.
 type ClientStats struct {
 	// Dials counts connections established to the server.
@@ -428,7 +423,7 @@ type Client struct {
 
 	mu        sync.Mutex
 	conn      net.Conn
-	transport Transport
+	transport wire.Transport
 	// io is the transport's I/O clock (clock.IO): the retry backoff sleeps
 	// on it.
 	io  clock.Clock
@@ -447,17 +442,17 @@ const (
 // NewClient returns a client for the registry at addr.
 func NewClient(addr string) *Client {
 	return &Client{
-		addr: addr,
-		io:   clock.NewReal(),
+		addr:      addr,
+		transport: wire.TCP{},
+		io:        clock.NewReal(),
 		// Backoff jitter is deterministic: it only desynchronizes herds.
 		rng: rand.New(rand.NewSource(1)),
 	}
 }
 
-// SetTransport routes the client's connections through t (nil restores
-// plain TCP), and its retry backoff onto t's I/O clock. Call before the
-// first request.
-func (c *Client) SetTransport(t Transport) {
+// SetTransport routes the client's connections through t, and its retry
+// backoff onto t's I/O clock. Call before the first request.
+func (c *Client) SetTransport(t wire.Transport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.transport, c.io = t, clock.IO(t)
@@ -502,13 +497,7 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) dialLocked() error {
-	var conn net.Conn
-	var err error
-	if c.transport != nil {
-		conn, err = c.transport.DialTimeout("tcp", c.addr, defaultDialTimeout)
-	} else {
-		conn, err = net.DialTimeout("tcp", c.addr, defaultDialTimeout)
-	}
+	conn, err := c.transport.DialTimeout("tcp", c.addr, defaultDialTimeout)
 	if err != nil {
 		return fmt.Errorf("registry: dial %s: %w", c.addr, err)
 	}

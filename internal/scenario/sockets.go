@@ -1,13 +1,13 @@
 // The sockets backend: a real in-process cluster (core.SimCluster) over
-// loopback TCP, with every node's channel transport wrapped in a faultnet
-// Fabric so the schedule's kill/stall/partition verbs sever, stall and
-// split the actual connections — and the reconnect supervisor, queue-drop
-// accounting and WAL recovery paths earn their counters the hard way. Where
-// the model backend computes, this one measures; it is bounded to modest
-// node counts by file descriptors and goroutines (see maxSocketNodes). The
-// clock is the loop's virtual one, so its timestamps are quantised to the
-// tick: it reports counters and no propagation latency (bench/ measures
-// latency on the wall clock).
+// loopback TCP, with every host's transport a faultnet Fabric host, so the
+// schedule's kill/stall/partition verbs sever, stall and split the actual
+// connections — and the reconnect supervisor, queue-drop accounting and WAL
+// recovery paths earn their counters the hard way. Where the model backend
+// computes, this one measures; it is bounded to modest node counts by file
+// descriptors and goroutines (see maxSocketNodes). The clock is the loop's
+// virtual one, so its timestamps are quantised to the tick: it reports
+// counters and no propagation latency (bench/ measures latency on the wall
+// clock).
 package scenario
 
 import (
@@ -25,6 +25,7 @@ import (
 	"dproc/internal/kecho"
 	"dproc/internal/metrics"
 	"dproc/internal/overlay"
+	"dproc/internal/wire"
 )
 
 // drainSettle is how long DrainAll waits for the wire to go quiet at the
@@ -61,8 +62,8 @@ func newSocketsBackend(s *Scenario, n, branching int, clk *clock.Virtual, down d
 	}
 
 	var err error
-	b.cluster, err = core.NewSimClusterWith(n, clk, s.Seed, 0, func(i int, cfg *core.Config) {
-		cfg.Channel.Transport = b.fabric.Host(cfg.Name)
+	host := func(name string) wire.Transport { return b.fabric.Host(name) }
+	b.cluster, err = core.NewSimClusterWith(n, clk, s.Seed, 0, host, func(i int, cfg *core.Config) {
 		cfg.Channel.InboxSize = s.Subscribers.Inbox
 		cfg.Channel.Writers = s.Writers
 		if s.Dispatch == "event" {
@@ -91,15 +92,14 @@ func newSocketsBackend(s *Scenario, n, branching int, clk *clock.Virtual, down d
 	}
 
 	// Schedules with queryall run real scatter-gather fan-outs, so every node
-	// gets an admin server whose transport shares the node's fault identity —
-	// a node that is down, stalled or partitioned fails its part of the query
-	// the same way it drops its channel traffic.
+	// gets an admin server, which listens and dials through the node's own
+	// fabric host — a node that is down, stalled or partitioned fails its
+	// part of the query the same way it drops its channel traffic.
 	if slices.ContainsFunc(s.Schedule, func(a Action) bool { return a.Verb == "queryall" }) {
 		for _, node := range b.cluster.Nodes {
 			srv, err := adminproto.NewServerWith(node, "127.0.0.1:0", adminproto.ServerOptions{
 				Timeout:      2 * time.Second,
 				QueryTimeout: time.Second,
-				Transport:    b.fabric.Host(node.Name()),
 			})
 			if err != nil {
 				b.close()
