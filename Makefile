@@ -119,61 +119,19 @@ allocgate:
 		END { for (name in want) print "no result: " name }'); \
 	if [ -n "$$bad" ]; then echo "allocgate: capped rows:"; echo "$$bad"; exit 1; fi
 
-# fuzz gives each native fuzz target of the tsdb recovery scanners
-# (FuzzScanWALSegment, FuzzScanChunkFile: never panic, a tear only costs the
-# tail, what replays re-encodes to the bytes it was read from), of the
-# chunk decoder (FuzzChunkIter: never panic on any bytes, whose bounds the
-# word-at-a-time bit reader checks by hand; FuzzChunkDecodeParity: any bytes
-# with any sample count decode to the points, and fail at the sample with
-# the error, of the bit-at-a-time decoder kept as its oracle — as a sealed
-# chunk, a head chunk and a tier bucket chunk), of the chunk encoder
-# (FuzzBitWriterParity: any writes give the stream, pending word included,
-# of the writer kept as its oracle, and a head read leaves the writer as it
-# found it; a chunk of fuzzed samples reads back the same through ChunkIter,
-# Tail, AppendValues and Query before and after its seal), of the monitoring report
-# decoder (FuzzDecodeReport: never panic, what decodes re-encodes through
-# AppendEncode to the input, a reused Report decodes as a fresh one), of
-# the kecho batch-frame decoder (FuzzDecodeBatch: never panic, what decodes
-# re-encodes byte for byte through AppendBatch and the BatchWriter), of the
-# kecho receive path (FuzzHandleFrame: any bytes as an event or batch frame,
-# polled and event-driven — never panic, deliver exactly the bodies an
-# independent decode finds, hop and trace trailers included, and on a bad
-# record everything ahead of it and nothing after) and of
-# the cluster-query part parser (FuzzParsePart: never panic on what a
-# querypart peer sends, what parses comes back equal through Render), of the
-# registry roster decoder (FuzzDecodeMembers: never panic on what a registry
-# sends, what decodes re-encodes through encodeMembers and decodes equal,
-# role extension included), of the registry server (FuzzServeRegistry: any
-# bytes as what a member sent on one connection — never panic, exactly one
-# msgOK or msgError reply per whole frame, every member a join or heartbeat
-# registered and no leave removed listed by Lookup as it registered), of
-# the admin request reader (FuzzServeRequest:
-# any bytes as a connection's requests to a standalone node — never panic,
-# every reply "OK\n…" or exactly one "ERR …\n" line, the connection kept
-# only after a newline-terminated keep verb, a kept OK reply ending at its
-# one blank line), of the admin client's kept-connection reply reader
-# (FuzzKeptReply: any bytes as a queryall reply over a pipe — never panic,
-# an error or exactly one reply, the connection kept only after a
-# terminated reply, a second call never sees the first reply's bytes) and of
-# the E-code compiler (FuzzCompile: any bytes as filter source never panic,
-# source over the 64 KiB cap is an error; FuzzFilterParity: a program that
-# compiles gives one result, output and error kind on the fused VM, the
-# unfused VM and the interpreter oracle) a short budget on top of its seed corpus — enough for CI to catch a reader
-# that stopped tolerating garbage. go test takes one -fuzz target per run.
+# fuzz gives every native fuzz target in the module (found with go test
+# -list '^Fuzz', package by package; each target's doc comment says what it
+# checks) a short budget on top of its seed corpus — enough for CI to catch
+# a reader that stopped tolerating garbage. go test takes one -fuzz target
+# per run.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzScanWALSegment$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
-	$(GO) test -run '^$$' -fuzz '^FuzzScanChunkFile$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
-	$(GO) test -run '^$$' -fuzz '^FuzzChunkIter$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
-	$(GO) test -run '^$$' -fuzz '^FuzzChunkDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
-	$(GO) test -run '^$$' -fuzz '^FuzzBitWriterParity$$' -fuzztime $(FUZZTIME) ./internal/tsdb/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/metrics/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -run '^$$' -fuzz '^FuzzHandleFrame$$' -fuzztime $(FUZZTIME) ./internal/kecho/
-	$(GO) test -run '^$$' -fuzz '^FuzzParsePart$$' -fuzztime $(FUZZTIME) ./internal/query/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMembers$$' -fuzztime $(FUZZTIME) ./internal/registry/
-	$(GO) test -run '^$$' -fuzz '^FuzzServeRegistry$$' -fuzztime $(FUZZTIME) ./internal/registry/
-	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/adminproto/
-	$(GO) test -run '^$$' -fuzz '^FuzzKeptReply$$' -fuzztime $(FUZZTIME) ./internal/adminproto/
-	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/ecode/
-	$(GO) test -run '^$$' -fuzz '^FuzzFilterParity$$' -fuzztime $(FUZZTIME) ./internal/ecode/
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	targets=$$(echo "$$list" | awk '/^Fuzz/ { t[++n] = $$1; next } /^ok/ { for (i = 1; i <= n; i++) print $$2 "," t[i]; n = 0 }'); \
+	if [ -z "$$targets" ]; then echo "fuzz: no targets found"; exit 1; fi; \
+	echo "fuzz: $$(echo "$$targets" | wc -l) targets"; \
+	for pt in $$targets; do \
+		pkg=$${pt%,*}; target=$${pt#*,}; \
+		echo "fuzz $$target ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done

@@ -83,20 +83,12 @@ func main() {
 	}
 	var srv *adminproto.Server
 	if *admin != "" {
-		// The admin advertisement heartbeats at the same cadence as the mesh
-		// channels: the operator picks the registry TTL against -reconnect,
-		// and a slower admin heartbeat would let queryall targets expire
-		// between beats. -no-heal silences it like every other heartbeat.
-		hb := cfg.Channel.ReconnectInterval
-		if cfg.Channel.DisableReconnect {
-			hb = -1
-		}
-		srv, err = adminproto.NewServerWith(node, *admin, adminproto.ServerOptions{
-			Timeout:          cfg.AdminTimeout,
-			QueryTimeout:     cfg.QueryTimeout,
-			QueryConcurrency: cfg.QueryFanout,
-			HeartbeatEvery:   hb,
-		})
+		// The admin server reads the node's Config: -admin-timeout,
+		// -query-timeout and -query-fanout, and it heartbeats its
+		// advertisement every -reconnect like the channels (none under
+		// -no-heal), so the registry TTL picked against -reconnect holds
+		// for queryall targets too.
+		srv, err = adminproto.NewServer(node, *admin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -118,7 +110,7 @@ func main() {
 	} else if addr != "" {
 		fmt.Printf("metrics on http://%s/metrics\n", addr)
 	}
-	node.StartPolling(cfg.PollPeriod)
+	node.StartPolling()
 	fmt.Printf("dprocd %q polling every %v", cfg.Name, cfg.PollPeriod)
 	if cfg.Channel.Dispatch != kecho.Polled {
 		fmt.Printf(", %s dispatch", cfg.Channel.Dispatch)

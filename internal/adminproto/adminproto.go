@@ -56,6 +56,7 @@ import (
 
 	"dproc/internal/clock"
 	"dproc/internal/core"
+	"dproc/internal/query"
 	"dproc/internal/wire"
 )
 
@@ -78,31 +79,16 @@ const (
 	maxWriteBody   = 128 << 10
 )
 
-// ServerOptions tunes one admin server; the zero value is a production
-// default (threaded from core.Config by dprocd).
-type ServerOptions struct {
-	// Timeout bounds each request/response phase (DefaultTimeout when 0).
-	Timeout time.Duration
-	// QueryTimeout is the per-node budget of a queryall fan-out
-	// (query.DefaultTimeout when 0).
-	QueryTimeout time.Duration
-	// QueryConcurrency bounds in-flight queryall fetches
-	// (query.DefaultConcurrency when 0).
-	QueryConcurrency int
-	// NoAdvertise skips joining the admin registry channel; the node then
-	// answers queryall for itself only.
-	NoAdvertise bool
-	// HeartbeatEvery refreshes the admin-channel registration so TTL-expiring
-	// registries keep the node enumerable (DefaultHeartbeat when 0, <0
-	// disables).
-	HeartbeatEvery time.Duration
-}
-
 // Server serves the admin protocol for one node.
 type Server struct {
 	ln   net.Listener
 	node *core.Node
-	opts ServerOptions
+	// timeout bounds each request/response phase: the node's AdminTimeout,
+	// DefaultTimeout when that is zero.
+	timeout time.Duration
+	// fanout is the node's QueryTimeout and QueryFanout, for every queryall
+	// and cluster export it coordinates (query's defaults where zero).
+	fanout query.Options
 	// io is the transport's I/O clock (clock.IO): phase deadlines and the
 	// heartbeat pace run on it.
 	io clock.Clock
@@ -127,26 +113,26 @@ type Server struct {
 	lineOverCap, bodyOverCap, parkedOverCap *atomic.Uint64
 }
 
-// NewServer starts an admin server for node on addr (e.g. "127.0.0.1:0")
-// with default options.
+// NewServer starts an admin server for node on addr (e.g. "127.0.0.1:0"),
+// configured by the node's core.Config: AdminTimeout, QueryTimeout and
+// QueryFanout. If the node has a registry, the server joins the admin
+// channel (so peers can enumerate it for scatter-gather queries) and
+// heartbeats that registration like the node's channels do. It installs the
+// cluster/query control file on the node, and listens and dials on
+// node.Transport().
 func NewServer(node *core.Node, addr string) (*Server, error) {
-	return NewServerWith(node, addr, ServerOptions{})
-}
-
-// NewServerWith starts an admin server with explicit options. If the node
-// has a registry, the server joins the admin channel (so peers can
-// enumerate it for scatter-gather queries) and installs the cluster/query
-// control file on the node. It listens and dials on node.Transport().
-func NewServerWith(node *core.Node, addr string, opts ServerOptions) (*Server, error) {
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultTimeout
+	cfg := node.Config()
+	timeout := cfg.AdminTimeout
+	if timeout <= 0 {
+		timeout = DefaultTimeout
 	}
 	ln, err := node.Transport().Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("adminproto: listen: %w", err)
 	}
 	reg := node.Metrics()
-	s := &Server{ln: ln, node: node, opts: opts, io: clock.IO(node.Transport()),
+	s := &Server{ln: ln, node: node, io: clock.IO(node.Transport()),
+		timeout: timeout, fanout: query.Options{Timeout: cfg.QueryTimeout, Concurrency: cfg.QueryFanout},
 		clients: map[string]*Client{}, idle: map[net.Conn]struct{}{},
 		lineOverCap:   reg.Counter("admin", "", "request_line_over_cap"),
 		bodyOverCap:   reg.Counter("admin", "", "write_body_over_cap"),
@@ -312,8 +298,7 @@ func putReader(r *bufio.Reader) {
 }
 
 func (s *Server) serve(conn net.Conn) {
-	timeout := s.opts.Timeout
-	phase := func() time.Time { return s.io.Now().Add(timeout) }
+	phase := func() time.Time { return s.io.Now().Add(s.timeout) }
 	r := getReader(phasedReader{conn: conn, phase: phase})
 	defer putReader(r)
 	// Each write gets a fresh deadline too: a long-running handler (flush
@@ -514,7 +499,6 @@ const DefaultClientTimeout = 10 * time.Second
 type Client struct {
 	addr      string
 	timeout   time.Duration  // per-phase; DefaultClientTimeout when 0
-	deadline  time.Time      // optional absolute cap across all phases
 	transport wire.Transport // plain TCP unless SetTransport
 	io        clock.Clock    // the transport's I/O clock (clock.IO)
 
@@ -530,11 +514,6 @@ func NewClient(addr string) *Client {
 
 // SetTimeout sets the per-phase timeout (dprocctl -timeout).
 func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
-
-// SetDeadline caps the whole request absolutely, on top of the per-phase
-// timeout — how the scatter-gather coordinator keeps one node's fetch
-// within its per-node budget no matter how many phases it spans.
-func (c *Client) SetDeadline(t time.Time) { c.deadline = t }
 
 // SetTransport routes dials through tr (fault-injection fabrics), and the
 // client's phase deadlines onto tr's I/O clock.
@@ -573,15 +552,15 @@ func (b budget) phase() time.Time {
 }
 
 // budget returns the allowance for one request: the client's per-phase
-// timeout and absolute deadline, the latter capped by ctx's deadline.
+// timeout, and ctx's deadline as the absolute cap — how the scatter-gather
+// coordinator keeps one node's fetch within its per-node budget no matter
+// how many phases it spans.
 func (c *Client) budget(ctx context.Context) budget {
-	b := budget{timeout: c.timeout, deadline: c.deadline, clk: c.io}
+	b := budget{timeout: c.timeout, clk: c.io}
 	if b.timeout <= 0 {
 		b.timeout = DefaultClientTimeout
 	}
-	if d, ok := ctx.Deadline(); ok && (b.deadline.IsZero() || d.Before(b.deadline)) {
-		b.deadline = d
-	}
+	b.deadline, _ = ctx.Deadline()
 	return b
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dproc/internal/core"
 	"dproc/internal/dmon"
 	"dproc/internal/faultnet"
 	"dproc/internal/query"
@@ -156,8 +157,8 @@ func TestQueryPartKeepAliveContract(t *testing.T) {
 func TestQueryPartRetriesConnectionTheLeafClosed(t *testing.T) {
 	const idle = 300 * time.Millisecond
 	fabric := faultnet.NewFabric(1)
-	_, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(string) ServerOptions {
-		return ServerOptions{Timeout: idle}
+	_, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(_ int, cfg *core.Config) {
+		cfg.AdminTimeout = idle
 	})
 	base := fabric.Stats().DialsAttempted
 	whole := func(stage string, wantDials uint64) {
@@ -303,8 +304,8 @@ func TestConcurrentQueriesShareKeptConnections(t *testing.T) {
 func TestStalledKeptConnectionCostsOneTimeout(t *testing.T) {
 	const budget = 400 * time.Millisecond
 	fabric := faultnet.NewFabric(1)
-	_, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(string) ServerOptions {
-		return ServerOptions{QueryTimeout: budget}
+	_, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(_ int, cfg *core.Config) {
+		cfg.QueryTimeout = budget
 	})
 	if res, err := servers[0].QueryAllResult("p99 loadavg last 30s"); err != nil || res.Partial {
 		t.Fatalf("warm-up query: %v, %+v", err, res)

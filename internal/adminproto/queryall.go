@@ -24,28 +24,25 @@ import (
 // it, membership is the payload.
 const AdminChannel = "dproc.admin"
 
-// DefaultHeartbeat refreshes the admin-channel registration, keeping the
-// node enumerable across registry TTL expiry.
-const DefaultHeartbeat = 5 * time.Second
-
-// advertise joins the admin channel (when the node has a registry and the
-// options allow it) and starts the heartbeat loop that keeps the
-// registration alive.
+// advertise joins the admin channel (when the node has a registry) and
+// starts the heartbeat loop that keeps the registration alive across
+// registry TTL expiry. It heartbeats at the pace of the node's channels,
+// Channel.ReconnectInterval, against the same TTL: a slower admin heartbeat
+// would let queryall targets expire between beats. DisableReconnect
+// silences it like every other heartbeat.
 func (s *Server) advertise() {
 	reg := s.node.Registry()
-	if reg == nil || s.opts.NoAdvertise {
+	if reg == nil {
 		return
 	}
 	// Join errors are tolerated: the node still answers queryall for itself,
 	// and the heartbeat below re-registers once the registry is reachable.
 	_, _ = reg.Join(AdminChannel, s.node.Name(), s.Addr())
-	every := s.opts.HeartbeatEvery
-	if every < 0 {
+	ch := s.node.Config().Channel
+	if ch.DisableReconnect {
 		return
 	}
-	if every == 0 {
-		every = DefaultHeartbeat
-	}
+	every := ch.ReconnectInterval
 	s.hbStop = make(chan struct{})
 	s.wg.Add(1)
 	go func() {
@@ -60,7 +57,7 @@ func (s *Server) advertise() {
 
 // unadvertise leaves the admin channel on shutdown.
 func (s *Server) unadvertise() {
-	if reg := s.node.Registry(); reg != nil && !s.opts.NoAdvertise {
+	if reg := s.node.Registry(); reg != nil {
 		_ = reg.Leave(AdminChannel, s.node.Name())
 	}
 }
@@ -160,7 +157,7 @@ func (s *Server) QueryAllResult(text string) (query.Result, error) {
 		return query.Result{}, err
 	}
 	return query.Run(context.Background(), s.targets(), q, s.node.Clock().Now(), s.fetchPart,
-		query.Options{Timeout: s.opts.QueryTimeout, Concurrency: s.opts.QueryConcurrency})
+		s.fanout)
 }
 
 // QueryAll runs QueryAllResult and renders it as control-file text; it backs
@@ -183,7 +180,7 @@ func (s *Server) ClusterExporter(metrics []string, window time.Duration) *query.
 		Targets: s.targets,
 		Fetch:   s.fetchPart,
 		Now:     func() time.Time { return s.node.Clock().Now() },
-		Options: query.Options{Timeout: s.opts.QueryTimeout, Concurrency: s.opts.QueryConcurrency},
+		Options: s.fanout,
 	}
 }
 
@@ -234,7 +231,7 @@ func (c *Client) QueryAll(q string) (string, error) {
 
 // QueryPart asks one node for its part of a normalized query — what the
 // scatter-gather coordinator calls per target — under the client's own
-// timeout and deadline.
+// timeout.
 func (c *Client) QueryPart(q tsdb.Query) (query.Part, error) {
 	return c.QueryPartContext(context.Background(), q)
 }

@@ -1,6 +1,7 @@
 package adminproto
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net"
@@ -22,19 +23,20 @@ import (
 
 // queryCluster builds an n-node SimCluster on a virtual clock, polls it
 // through `steps` one-second ticks so every node accumulates history, and
-// starts one admin server per node with the options mkOpts gives for it.
-func queryCluster(t testing.TB, n, steps int, mkOpts func(name string) ServerOptions) (*core.SimCluster, *clock.Virtual, []*Server) {
+// starts one admin server per node, configured by its node's Config after
+// customize (core.NewSimClusterWith's hook, nil for none) ran on it.
+func queryCluster(t testing.TB, n, steps int, customize func(i int, cfg *core.Config)) (*core.SimCluster, *clock.Virtual, []*Server) {
 	t.Helper()
-	return queryClusterOver(t, n, steps, nil, mkOpts)
+	return queryClusterOver(t, n, steps, nil, customize)
 }
 
 // queryClusterOver is queryCluster with every host's transport taken from
 // transport (core.NewSimClusterWith): each admin server listens and dials
 // through its node's.
-func queryClusterOver(t testing.TB, n, steps int, transport func(host string) wire.Transport, mkOpts func(name string) ServerOptions) (*core.SimCluster, *clock.Virtual, []*Server) {
+func queryClusterOver(t testing.TB, n, steps int, transport func(host string) wire.Transport, customize func(i int, cfg *core.Config)) (*core.SimCluster, *clock.Virtual, []*Server) {
 	t.Helper()
 	vclk := clock.NewVirtual(clock.Epoch)
-	cluster, err := core.NewSimClusterWith(n, vclk, 7, 0, transport, nil)
+	cluster, err := core.NewSimClusterWith(n, vclk, 7, 0, transport, customize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +49,7 @@ func queryClusterOver(t testing.TB, n, steps int, transport func(host string) wi
 	}
 	servers := make([]*Server, n)
 	for i, node := range cluster.Nodes {
-		opts := ServerOptions{}
-		if mkOpts != nil {
-			opts = mkOpts(node.Name())
-		}
-		srv, err := NewServerWith(node, "127.0.0.1:0", opts)
+		srv, err := NewServer(node, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,8 +187,8 @@ func fabricHosts(f *faultnet.Fabric) func(host string) wire.Transport {
 // partitions take the same path.
 func TestQueryAllPartialUnderFaults(t *testing.T) {
 	fabric := faultnet.NewFabric(1)
-	cluster, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(string) ServerOptions {
-		return ServerOptions{QueryTimeout: 300 * time.Millisecond}
+	cluster, _, servers := queryClusterOver(t, 3, 10, fabricHosts(fabric), func(_ int, cfg *core.Config) {
+		cfg.QueryTimeout = 300 * time.Millisecond
 	})
 	_ = cluster
 	c := NewClient(servers[0].Addr())
@@ -277,8 +275,8 @@ func TestQueryPartRejectsRelativeWindows(t *testing.T) {
 // dribbling in slower than the timeout in total — but with every gap under
 // it — must succeed.
 func TestServerToleratesSlowDribbleRequest(t *testing.T) {
-	_, _, servers := queryCluster(t, 1, 2, func(string) ServerOptions {
-		return ServerOptions{Timeout: 250 * time.Millisecond}
+	_, _, servers := queryCluster(t, 1, 2, func(_ int, cfg *core.Config) {
+		cfg.AdminTimeout = 250 * time.Millisecond
 	})
 	conn, err := net.Dial("tcp", servers[0].Addr())
 	if err != nil {
@@ -313,16 +311,15 @@ func TestServerToleratesSlowDribbleRequest(t *testing.T) {
 	}
 }
 
-// The client-side mirror: a response dribbling in slower than the client
-// timeout in total succeeds as long as no single gap exceeds it, while an
-// absolute deadline (the scatter-gather per-node budget) still cuts the
-// whole exchange off.
-func TestClientToleratesSlowDribbleResponse(t *testing.T) {
+// dribbler serves every connection the given reply in chunks 100 ms apart,
+// after reading its request.
+func dribbler(t *testing.T, chunks ...string) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -333,7 +330,7 @@ func TestClientToleratesSlowDribbleResponse(t *testing.T) {
 				defer conn.Close()
 				buf := make([]byte, 256)
 				_, _ = conn.Read(buf)
-				for _, chunk := range []string{"OK\n", "dribble ", "dribble ", "done\n"} {
+				for _, chunk := range chunks {
 					if _, err := conn.Write([]byte(chunk)); err != nil {
 						return
 					}
@@ -342,8 +339,13 @@ func TestClientToleratesSlowDribbleResponse(t *testing.T) {
 			}(conn)
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	c := NewClient(ln.Addr().String())
+// The client-side mirror: a response dribbling in slower than the client
+// timeout in total succeeds as long as no single gap exceeds it.
+func TestClientToleratesSlowDribbleResponse(t *testing.T) {
+	c := NewClient(dribbler(t, "OK\n", "dribble ", "dribble ", "done\n"))
 	c.SetTimeout(250 * time.Millisecond) // total response time 400ms
 	out, err := c.Status()
 	if err != nil {
@@ -352,17 +354,33 @@ func TestClientToleratesSlowDribbleResponse(t *testing.T) {
 	if !strings.Contains(out, "done") {
 		t.Fatalf("partial response %q", out)
 	}
+}
 
-	// An absolute deadline caps the sum of phases regardless.
-	c2 := NewClient(ln.Addr().String())
+// The coordinator's per-node budget is the context's deadline, and it caps
+// the sum of a part's phases: a leaf dribbling its part with every gap
+// under the client's phase timeout is whole without a deadline, and cut
+// off at one shorter than the dribble.
+func TestQueryPartContextCapsTheSumOfPhases(t *testing.T) {
+	addr := dribbler(t, "OK\n", "from 1ns\n", "to 2ns\n", "count 3\nvalue 4\n", "\n")
+	q := normalized(t, "avg loadavg last 30s", clock.Epoch)
+	c := NewClient(addr)
+	defer c.Close()
+	c.SetTimeout(250 * time.Millisecond) // the whole part takes 400 ms
+	if p, err := c.QueryPartContext(context.Background(), q); err != nil || p.Count != 3 {
+		t.Fatalf("dribbled part without a deadline: %+v, %v", p, err)
+	}
+
+	c2 := NewClient(addr)
+	defer c2.Close()
 	c2.SetTimeout(250 * time.Millisecond)
-	c2.SetDeadline(time.Now().Add(150 * time.Millisecond))
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if _, err := c2.Status(); err == nil {
-		t.Fatal("absolute deadline did not cut the dribble off")
+	if _, err := c2.QueryPartContext(ctx, q); err == nil {
+		t.Fatal("the context's deadline did not cut the dribble off")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline-capped request took %v", elapsed)
+		t.Fatalf("deadline-capped part took %v", elapsed)
 	}
 }
 

@@ -48,8 +48,12 @@ type Config struct {
 	Padding int
 	// Channel tunes the KECho channels, including the async fan-out knobs:
 	// OutboxSize (per-peer outbound queue) and MaxBatch (events coalesced
-	// per frame by the peer writers). Zero fields take kecho's defaults;
-	// the node's clock, transport, metrics and observer are filled in here.
+	// per frame by the peer writers). Zero fields take kecho's defaults.
+	// The node fills in per channel what it owns: clock, transport, metrics
+	// and observer on both, and the overlay (Topology, Role) from
+	// RelayBranching and RelayRole — whatever the caller put there is
+	// replaced. ReconnectInterval also paces the admin server's
+	// registration heartbeat, and DisableReconnect silences it.
 	Channel kecho.Options
 	// RelayBranching, when positive, replaces the monitoring channel's flat
 	// full mesh with a relay-tree overlay of that branching factor
@@ -63,8 +67,8 @@ type Config struct {
 	// RelayBranching set; relay-capable nodes take the interior positions
 	// of the tree.
 	RelayRole string
-	// PollPeriod is the node poll-loop interval used by callers of
-	// StartPolling (dmon.DefaultPeriod when zero).
+	// PollPeriod is the interval of the StartPolling loop
+	// (dmon.DefaultPeriod when zero).
 	PollPeriod time.Duration
 	// HistoryDepth is the default size of the history view served by
 	// cluster/<node>/history/<metric> (dmon.HistoryDepth when zero).
@@ -97,6 +101,7 @@ type Config struct {
 	// AdminTimeout bounds each admin-protocol request/response phase on the
 	// node's admin server (adminproto.DefaultTimeout when zero). Per phase,
 	// not per connection: slow multi-second responses survive, stalls do not.
+	// It and the two query fields below are read by adminproto.NewServer.
 	AdminTimeout time.Duration
 	// QueryTimeout is the per-node budget of a cluster scatter-gather
 	// (queryall) fan-out; a node that fails to answer within it is reported
@@ -110,11 +115,9 @@ type Config struct {
 
 // Node is one dproc participant.
 type Node struct {
-	name string
-	clk  clock.Clock
-	tr   wire.Transport
-	d    *dmon.DMon
-	fs   *vfs.FS
+	cfg Config // as resolved by NewNode; see Config
+	d   *dmon.DMon
+	fs  *vfs.FS
 
 	metrics *metrics.Registry
 	obs     *obs.Observer
@@ -161,10 +164,15 @@ func NewNode(cfg Config) (*Node, error) {
 	if tr == nil {
 		tr = wire.TCP{}
 	}
+	cfg.Clock, cfg.Transport, cfg.Source = clk, tr, src
+	if cfg.PollPeriod == 0 {
+		cfg.PollPeriod = dmon.DefaultPeriod
+	}
+	if cfg.Channel.ReconnectInterval <= 0 {
+		cfg.Channel.ReconnectInterval = kecho.DefaultOptions().ReconnectInterval
+	}
 	n := &Node{
-		name:    cfg.Name,
-		clk:     clk,
-		tr:      tr,
+		cfg:     cfg,
 		d:       d,
 		fs:      vfs.New(),
 		tracked: map[string]bool{},
@@ -192,8 +200,10 @@ func NewNode(cfg Config) (*Node, error) {
 		n.regCli.SetTransport(tr)
 		// The relay-tree overlay applies to the monitoring channel only:
 		// its traffic is broadcast reports, exactly what the tree fans out.
-		// The control channel stays full mesh regardless — remote control
-		// writes are targeted SubmitTo messages needing direct connections.
+		// The control channel is a full mesh with no role, whatever the
+		// caller set — remote control writes are targeted SubmitTo messages
+		// needing direct connections.
+		chOpts.Topology, chOpts.Role = nil, ""
 		monOpts := chOpts
 		if cfg.RelayBranching > 0 {
 			monOpts.Topology = overlay.RelayTree{Branching: cfg.RelayBranching}
@@ -221,16 +231,22 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // Name returns the node name.
-func (n *Node) Name() string { return n.name }
+func (n *Node) Name() string { return n.cfg.Name }
+
+// Config returns the configuration the node runs with: NewNode's, with
+// Clock, Transport, Source, PollPeriod and Channel.ReconnectInterval at
+// the values the node resolved for them. The admin server reads its
+// timeouts and heartbeat pace here.
+func (n *Node) Config() Config { return n.cfg }
 
 // Clock returns the node's clock (virtual in simulations). Cluster-wide
 // queries anchor "last <dur>" windows on it so every node answers the same
 // absolute window.
-func (n *Node) Clock() clock.Clock { return n.clk }
+func (n *Node) Clock() clock.Clock { return n.cfg.Clock }
 
 // Transport returns the node's transport, which the admin server listens
 // and dials on like the channels and the registry client.
-func (n *Node) Transport() wire.Transport { return n.tr }
+func (n *Node) Transport() wire.Transport { return n.cfg.Transport }
 
 // Registry exposes the node's registry client (nil when standalone). The
 // admin server uses it to advertise its endpoint on the admin channel and
@@ -260,7 +276,7 @@ func (n *Node) ControlChannel() *kecho.Channel { return n.ctl }
 // buildSelfTree creates cluster/<self>/ entries reading live local values,
 // plus the local control file.
 func (n *Node) buildSelfTree(src dmon.Source) {
-	base := "cluster/" + n.name
+	base := "cluster/" + n.cfg.Name
 	for _, id := range metrics.AllIDs() {
 		id := id
 		path := base + "/" + id.String()
@@ -340,14 +356,14 @@ func (n *Node) FlushHistory() error {
 // registry: per-channel reconnect and deadline counters plus the registry
 // client's retry/heartbeat counters.
 func (n *Node) Health() metrics.Health {
-	return metrics.NewHealth(n.name, n.metrics)
+	return metrics.NewHealth(n.cfg.Name, n.metrics)
 }
 
 // StatsText renders the node's complete stats report — the body of the
 // cluster/<node>/stats pseudo-file and the admin "stats" verb.
 func (n *Node) StatsText() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "node %s\n", n.name)
+	fmt.Fprintf(&sb, "node %s\n", n.cfg.Name)
 	fmt.Fprintf(&sb, "trace_sample_every %d\n", n.obs.SamplingEvery())
 	n.metrics.RenderText(&sb)
 	n.obs.RenderTraces(&sb, 16)
@@ -357,7 +373,7 @@ func (n *Node) StatsText() string {
 // trackRemote ensures VFS entries exist for a remote node.
 func (n *Node) trackRemote(nodeName string) {
 	n.mu.Lock()
-	if n.tracked[nodeName] || nodeName == n.name {
+	if n.tracked[nodeName] || nodeName == n.cfg.Name {
 		n.mu.Unlock()
 		return
 	}
@@ -484,12 +500,14 @@ func (n *Node) PollOnce() (received int, published bool, err error) {
 	return received, report != nil, err
 }
 
-// StartPolling launches a background loop calling PollOnce every interval
-// on the node clock, on a fixed grid. A tick the loop could not take in time
-// — a slow poll, or a virtual clock advanced past several intervals at once
-// — is dropped, as a ticker drops it. On a virtual clock the loop polls
-// only as the clock is advanced. Stop with StopPolling or Close.
-func (n *Node) StartPolling(interval time.Duration) {
+// StartPolling launches a background loop calling PollOnce every
+// Config.PollPeriod on the node clock, on a fixed grid. A tick the loop
+// could not take in time — a slow poll, or a virtual clock advanced past
+// several intervals at once — is dropped, as a ticker drops it. On a
+// virtual clock the loop polls only as the clock is advanced. Stop with
+// StopPolling or Close.
+func (n *Node) StartPolling() {
+	interval := n.cfg.PollPeriod
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.stopPoll != nil || n.closed {
@@ -500,10 +518,10 @@ func (n *Node) StartPolling(interval time.Duration) {
 	n.stopPoll, n.pollDone = stop, done
 	go func() {
 		defer close(done)
-		next := n.clk.Now().Add(interval)
-		for clock.Wait(n.clk, next.Sub(n.clk.Now()), stop) {
+		next := n.cfg.Clock.Now().Add(interval)
+		for clock.Wait(n.cfg.Clock, next.Sub(n.cfg.Clock.Now()), stop) {
 			_, _, _ = n.PollOnce()
-			for now := n.clk.Now(); !next.After(now); {
+			for now := n.cfg.Clock.Now(); !next.After(now); {
 				next = next.Add(interval) // skip the ticks a slow poll missed
 			}
 		}

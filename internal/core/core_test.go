@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"dproc/internal/clock"
+	"dproc/internal/kecho"
 	"dproc/internal/metrics"
 	"dproc/internal/overlay"
+	"dproc/internal/registry"
 	"dproc/internal/simres"
 )
 
@@ -306,14 +308,16 @@ func TestReadingRemoteMetricBeforeDataErrs(t *testing.T) {
 }
 
 func TestStartStopPolling(t *testing.T) {
-	c, err := NewSimCluster(2, clock.NewReal(), 9, 0)
+	c, err := NewSimClusterWith(2, clock.NewReal(), 9, 0, nil, func(_ int, cfg *Config) {
+		cfg.PollPeriod = 10 * time.Millisecond
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for _, n := range c.Nodes {
-		n.StartPolling(10 * time.Millisecond)
-		n.StartPolling(10 * time.Millisecond) // second call is a no-op
+		n.StartPolling()
+		n.StartPolling() // second call is a no-op
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for {
@@ -628,5 +632,41 @@ func TestRelayTreeClusterFormsExactlyTheTree(t *testing.T) {
 	}
 	if extra != 0 {
 		t.Errorf("%d edge-ends beyond the tree", extra)
+	}
+}
+
+// Core owns each channel's overlay: a Topology or Role left in
+// Config.Channel reaches neither channel. With a chain there (a relay tree of
+// branching 1) and RelayBranching zero, both channels are still full
+// meshes, so a targeted control write reaches a node the chain would have
+// put two hops away.
+func TestChannelTopologyIsCoresToFill(t *testing.T) {
+	const n = 3
+	reg, err := registry.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	clk := clock.NewVirtual(clock.Epoch) // no supervisor round tidies up
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		cfg := Config{Name: fmt.Sprintf("node%d", i), RegistryAddr: reg.Addr(), Clock: clk,
+			Source: simres.NewHost(fmt.Sprintf("node%d", i), clk, int64(i))}
+		cfg.Channel.Topology = overlay.RelayTree{Branching: 1}
+		cfg.Channel.Role = overlay.RoleRelay
+		if nodes[i], err = NewNode(cfg); err != nil {
+			t.Fatal(err)
+		}
+		defer nodes[i].Close()
+	}
+	for _, node := range nodes {
+		for _, ch := range []*kecho.Channel{node.ControlChannel(), node.MonitoringChannel()} {
+			if !ch.WaitForPeers(n-1, 2*time.Second) {
+				t.Errorf("%s %s: peers %v, want the full mesh of %d", node.Name(), ch.Name(), ch.Peers(), n-1)
+			}
+		}
+	}
+	if err := nodes[0].ControlChannel().SubmitTo("node2", []byte("x")); err != nil {
+		t.Fatalf("SubmitTo a node the chain would not neighbour: %v", err)
 	}
 }

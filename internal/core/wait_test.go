@@ -63,7 +63,7 @@ func TestStartPollingPacesOnNodeClock(t *testing.T) {
 	}
 	defer n.Close()
 	polls := func() uint64 { _, count := n.DMon().Store().LastReport("alan"); return count }
-	n.StartPolling(time.Second)
+	n.StartPolling() // at the default PollPeriod, one second
 	defer n.StopPolling()
 	for i := uint64(1); i <= 3; i++ {
 		for deadline := time.Now().Add(2 * time.Second); clk.PendingTimers() == 0; time.Sleep(time.Millisecond) {

@@ -75,28 +75,21 @@ type DMon struct {
 	wrongOrigin *atomic.Uint64
 }
 
-// New creates a d-mon for the named node, registering the standard modules
-// backed by src. src may be nil if all modules are registered manually.
+// New creates a d-mon for the named node with a default memory-only
+// history store, registering the standard modules backed by src. src may
+// be nil if all modules are registered manually.
 func New(node string, clk clock.Clock, src Source) *DMon {
-	return NewWith(node, clk, src, StoreOptions{})
-}
-
-// NewWith is New with explicit history options (depth/retention) for the
-// store backing /proc/cluster. The store is memory-only; use OpenWith for
-// a durable one.
-func NewWith(node string, clk clock.Clock, src Source, opts StoreOptions) *DMon {
-	opts.DataDir = ""
-	d, err := OpenWith(node, clk, src, opts)
+	d, err := OpenWith(node, clk, src, StoreOptions{})
 	if err != nil {
 		panic("dmon: memory-only store cannot fail: " + err.Error()) // unreachable
 	}
 	return d
 }
 
-// OpenWith is NewWith honoring StoreOptions.DataDir: with one set, the
-// node's history store is durable and existing history is recovered before
-// the d-mon comes up. Pair with Close so a clean shutdown never needs
-// replay.
+// OpenWith is New with explicit history options for the store backing
+// /proc/cluster. With a DataDir set, the node's history store is durable
+// and existing history is recovered before the d-mon comes up. Pair with
+// Close so a clean shutdown never needs replay.
 func OpenWith(node string, clk clock.Clock, src Source, opts StoreOptions) (*DMon, error) {
 	store, err := OpenStore(opts)
 	if err != nil {

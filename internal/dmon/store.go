@@ -96,14 +96,10 @@ type nodeState struct {
 // Compile-time check that the presence mask has a bit per metric.
 var _ [32 - metrics.NumIDs]struct{}
 
-// NewStore returns an empty store with default options.
-func NewStore() *Store { return NewStoreWith(StoreOptions{}) }
-
-// NewStoreWith returns an empty in-memory store with the given history
-// options; a DataDir in opts is ignored. Use OpenStore for a durable store.
-func NewStoreWith(opts StoreOptions) *Store {
-	opts.DataDir = ""
-	s, err := OpenStore(opts)
+// NewStore returns an empty in-memory store with default options. Use
+// OpenStore for other options or a durable store.
+func NewStore() *Store {
+	s, err := OpenStore(StoreOptions{})
 	if err != nil {
 		panic("dmon: memory-only store cannot fail: " + err.Error()) // unreachable
 	}

@@ -64,8 +64,18 @@ func TestHistoryDefaultViewIsDepthBounded(t *testing.T) {
 	}
 }
 
+// openStore opens a memory-only store with opts.
+func openStore(t testing.TB, opts StoreOptions) *Store {
+	t.Helper()
+	s, err := OpenStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestHistoryDepthOption(t *testing.T) {
-	s := NewStoreWith(StoreOptions{HistoryDepth: 8})
+	s := openStore(t, StoreOptions{HistoryDepth: 8})
 	for i := 1; i <= 20; i++ {
 		s.Update(reportAt("alan", uint64(i), float64(i)))
 	}
@@ -76,7 +86,7 @@ func TestHistoryDepthOption(t *testing.T) {
 }
 
 func TestHistoryRetentionOption(t *testing.T) {
-	s := NewStoreWith(StoreOptions{Retention: time.Minute, ChunkSize: 16})
+	s := openStore(t, StoreOptions{Retention: time.Minute, ChunkSize: 16})
 	for i := 1; i <= 600; i++ {
 		s.Update(reportAt("alan", uint64(i), float64(i)))
 	}
@@ -166,7 +176,7 @@ func TestStoreQuery(t *testing.T) {
 // view and the full tsdb tail.
 func TestQuickHistoryWraparound(t *testing.T) {
 	f := func(extra uint16) bool {
-		s := NewStoreWith(StoreOptions{ChunkSize: 32})
+		s := openStore(t, StoreOptions{ChunkSize: 32})
 		n := HistoryDepth + 1 + int(extra)%1000
 		for i := 1; i <= n; i++ {
 			s.Update(reportAt("alan", uint64(i), float64(i)))

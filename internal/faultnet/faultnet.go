@@ -38,6 +38,8 @@ type Fabric struct {
 	cutGroups map[[2]string]bool
 	// refused holds hosts whose inbound dials are refused.
 	refused map[string]bool
+	// crashed holds hosts whose outbound dials are refused too.
+	crashed map[string]bool
 	// wstall / rstall hold hosts whose inbound writes / local reads stall.
 	wstall map[string]bool
 	rstall map[string]bool
@@ -67,6 +69,7 @@ func NewFabric(seed int64) *Fabric {
 		group:     map[string]string{},
 		cutGroups: map[[2]string]bool{},
 		refused:   map[string]bool{},
+		crashed:   map[string]bool{},
 		wstall:    map[string]bool{},
 		rstall:    map[string]bool{},
 		latency:   map[string]latencyRange{},
@@ -122,11 +125,12 @@ func (f *Fabric) Refuse(host string) {
 	f.refused[host] = true
 }
 
-// Allow clears a Refuse on host.
+// Allow clears a Refuse or a Crash on host.
 func (f *Fabric) Allow(host string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	delete(f.refused, host)
+	delete(f.crashed, host)
 }
 
 // Sever kills every live connection between hosts a and b (in either
@@ -147,12 +151,14 @@ func (f *Fabric) Sever(a, b string) int {
 	return len(victims)
 }
 
-// Crash refuses new dials to host and kills every live connection touching
-// it — the closest loopback analogue of a node losing power. Revive with
-// Allow.
+// Crash refuses new dials to and from host and kills every live connection
+// touching it — the closest loopback analogue of a node losing power: its
+// own supervisor and registry client reach nobody while it is down. Revive
+// with Allow.
 func (f *Fabric) Crash(host string) int {
-	f.Refuse(host)
 	f.mu.Lock()
+	f.refused[host] = true
+	f.crashed[host] = true
 	var victims []*Conn
 	for c := range f.conns {
 		if c.local == host || c.remote == host {
@@ -294,13 +300,13 @@ func (h *Host) Listen(network, address string) (net.Listener, error) {
 }
 
 // DialTimeout dials address through the fabric, applying dial refusal,
-// partitions, and latency for the destination host.
+// a crash of this host, partitions, and latency for the destination host.
 func (h *Host) DialTimeout(network, address string, timeout time.Duration) (net.Conn, error) {
 	f := h.fabric
 	f.mu.Lock()
 	f.dialsAttempted++
 	remote := f.addrHost[address]
-	refused := f.refused[remote] || (remote != "" && f.cutLocked(h.name, remote))
+	refused := f.refused[remote] || f.crashed[h.name] || (remote != "" && f.cutLocked(h.name, remote))
 	if refused {
 		f.dialsRefused++
 	}

@@ -259,3 +259,38 @@ func TestCrashRefusesAndKills(t *testing.T) {
 		t.Fatal("dial to crashed host succeeded")
 	}
 }
+
+// A crashed host dials nobody either: its dial to a live host is refused
+// until Allow, and another host's dials are not touched.
+func TestCrashRefusesOutboundDials(t *testing.T) {
+	f := NewFabric(1)
+	ln, err := f.Host("b").Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	f.Crash("a")
+	if _, err := f.Host("a").DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		t.Fatal("dial from a crashed host to a live one succeeded")
+	}
+	c, err := f.Host("c").DialTimeout("tcp", ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatalf("dial from a live host while another is down: %v", err)
+	}
+	c.Close()
+	f.Allow("a")
+	c, err = f.Host("a").DialTimeout("tcp", ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatalf("dial from a revived host: %v", err)
+	}
+	c.Close()
+}

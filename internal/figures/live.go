@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"time"
 
 	"dproc/internal/clock"
 	"dproc/internal/core"
@@ -71,7 +70,7 @@ func Figure4Live(maxNodes, solvesPerPoint, matrixSize int) (*Figure, error) {
 				}
 				v.apply(cluster)
 				for _, node := range cluster.Nodes {
-					node.StartPolling(time.Second)
+					node.StartPolling()
 				}
 				mflops, err = measure()
 				cluster.Close()

@@ -395,9 +395,10 @@ func (c *Channel) decodeRecord(p *peer, record []byte, recv time.Time, ev *Event
 		}
 		c.obs.ObserveDecode(c.clk.Now().Sub(recv), tid)
 	}
-	if fromID == "" {
+	if !hopped {
 		// Not relayed: only the member at the other end of this connection
-		// may have published it (DESIGN §6).
+		// may have published it (DESIGN §6). A relayed record speaks for
+		// its origin, even an empty one.
 		if string(from) != p.id { // compiles to an alloc-free comparison
 			c.wrongOrigin.Add(1)
 			return false, nil

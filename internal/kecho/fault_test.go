@@ -16,13 +16,9 @@ import (
 )
 
 // fastHeal returns options that run the reconnect supervisor quickly enough
-// for tests while keeping jitter seeded and deterministic.
-func fastHeal(seed int64) *Options {
-	return &Options{
-		ReconnectInterval: 10 * time.Millisecond,
-		ReconnectMax:      50 * time.Millisecond,
-		Seed:              seed,
-	}
+// for tests.
+func fastHeal() *Options {
+	return &Options{ReconnectInterval: 10 * time.Millisecond}
 }
 
 // joinFault joins a channel whose mesh and registry traffic both run through
@@ -51,8 +47,8 @@ func joinFault(t *testing.T, f *faultnet.Fabric, regAddr, channel, id string, op
 func TestMeshSelfHealsAfterConnKill(t *testing.T) {
 	f := faultnet.NewFabric(7)
 	reg := newRegistry(t)
-	a, _ := joinFault(t, f, reg.Addr(), "mon", "alan", fastHeal(1))
-	b, _ := joinFault(t, f, reg.Addr(), "mon", "maui", fastHeal(2))
+	a, _ := joinFault(t, f, reg.Addr(), "mon", "alan", fastHeal())
+	b, _ := joinFault(t, f, reg.Addr(), "mon", "maui", fastHeal())
 	if !a.WaitForPeers(1, 2*time.Second) || !b.WaitForPeers(1, 2*time.Second) {
 		t.Fatal("mesh did not form")
 	}
@@ -407,8 +403,8 @@ func TestPartitionHealRoundTrip(t *testing.T) {
 	f.SetGroup("alan", "west")
 	f.SetGroup("maui", "east")
 	reg := newRegistry(t)
-	a, _ := joinFault(t, f, reg.Addr(), "mon", "alan", fastHeal(3))
-	b, _ := joinFault(t, f, reg.Addr(), "mon", "maui", fastHeal(4))
+	a, _ := joinFault(t, f, reg.Addr(), "mon", "alan", fastHeal())
+	b, _ := joinFault(t, f, reg.Addr(), "mon", "maui", fastHeal())
 	if !a.WaitForPeers(1, 2*time.Second) || !b.WaitForPeers(1, 2*time.Second) {
 		t.Fatal("mesh did not form")
 	}
@@ -495,8 +491,8 @@ func TestRegistryRestartMembersReRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	a, ra := joinFault(t, f, addr, "mon", "alan", fastHeal(5))
-	b, _ := joinFault(t, f, addr, "mon", "maui", fastHeal(6))
+	a, ra := joinFault(t, f, addr, "mon", "alan", fastHeal())
+	b, _ := joinFault(t, f, addr, "mon", "maui", fastHeal())
 	if !a.WaitForPeers(1, 2*time.Second) || !b.WaitForPeers(1, 2*time.Second) {
 		t.Fatal("mesh did not form")
 	}
@@ -746,8 +742,8 @@ func TestKillReviveMidDrainAccounting(t *testing.T) {
 	const events = 40
 	f := faultnet.NewFabric(61)
 	reg := newRegistry(t)
-	b, _ := joinFault(t, f, reg.Addr(), "mon", "maui", fastHeal(5))
-	a, _ := joinFault(t, f, reg.Addr(), "mon", "alan", fastHeal(6))
+	b, _ := joinFault(t, f, reg.Addr(), "mon", "maui", fastHeal())
+	a, _ := joinFault(t, f, reg.Addr(), "mon", "alan", fastHeal())
 	if !a.WaitForPeers(1, 2*time.Second) || !b.WaitForPeers(1, 2*time.Second) {
 		t.Fatal("mesh did not form")
 	}

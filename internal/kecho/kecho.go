@@ -213,21 +213,16 @@ type Options struct {
 	// whole fan-out, since a peer occupies at most one writer at a time.
 	Writers int
 	// ReconnectInterval is the supervisor's base pace for heartbeating the
-	// registry and re-dialing missing peers; 0 means 250ms.
+	// registry and re-dialing missing peers; 0 means 250ms. Failed rounds
+	// back off exponentially up to 5s (reconnectMax), or to
+	// ReconnectInterval when that is longer.
 	ReconnectInterval time.Duration
-	// ReconnectMax caps the supervisor's exponential backoff; 0 means 5s,
-	// and it is never below ReconnectInterval.
-	ReconnectMax time.Duration
 	// DisableReconnect turns the supervisor off (no heartbeats, no healing).
 	DisableReconnect bool
 	// Clock is the node clock: it stamps received events and paces the
 	// supervisor; nil uses the real clock. Socket deadlines and wait guards
 	// run on the transport's I/O clock instead (clock.IO).
 	Clock clock.Clock
-	// Seed feeds the supervisor's backoff jitter. It is mixed with the
-	// channel name and member ID, so members given the same seed (or none)
-	// still desynchronize, deterministically.
-	Seed int64
 	// Metrics is the unified registry the channel registers its counters
 	// and peer gauge into at Join (subsystem "channel", label = channel
 	// name); nil uses a private registry. Share one registry across a
@@ -253,6 +248,9 @@ type Options struct {
 // dialTimeout bounds each peer dial, and how long an accepted connection may
 // take to send its hello.
 const dialTimeout = 2 * time.Second
+
+// reconnectMax caps the supervisor's exponential backoff.
+const reconnectMax = 5 * time.Second
 
 // defaultWriteDeadline is Options.WriteDeadline's default. Close also drains
 // for this long when write deadlines are disabled.
@@ -288,10 +286,6 @@ func (o Options) withDefaults() Options {
 	if o.ReconnectInterval <= 0 {
 		o.ReconnectInterval = 250 * time.Millisecond
 	}
-	if o.ReconnectMax <= 0 {
-		o.ReconnectMax = 5 * time.Second
-	}
-	o.ReconnectMax = max(o.ReconnectMax, o.ReconnectInterval)
 	if o.Clock == nil {
 		o.Clock = clock.NewReal()
 	}

@@ -513,7 +513,6 @@ func TestOptionDefaults(t *testing.T) {
 		{"MaxBatch", func(o Options) any { return o.MaxBatch }, 64},
 		{"Writers", func(o Options) any { return o.Writers >= 2 && o.Writers <= 8 }, true},
 		{"ReconnectInterval", func(o Options) any { return o.ReconnectInterval }, 250 * time.Millisecond},
-		{"ReconnectMax", func(o Options) any { return o.ReconnectMax }, 5 * time.Second},
 		{"Clock", func(o Options) any { return fmt.Sprintf("%T", o.Clock) }, "*clock.Real"},
 		{"Topology", func(o Options) any { return o.Topology }, overlay.FullMesh{}},
 	} {
@@ -524,12 +523,11 @@ func TestOptionDefaults(t *testing.T) {
 	if zero.Writers != def.Writers {
 		t.Errorf("Writers: Options{} resolves to %d, DefaultOptions() to %d", zero.Writers, def.Writers)
 	}
-	// What a caller set survives, including the two values with a meaning of
-	// their own: a negative WriteDeadline (disabled) and a ReconnectMax below
-	// the interval (raised to it).
-	set := Options{WriteDeadline: -1, ReconnectInterval: time.Second, ReconnectMax: time.Millisecond, OutboxSize: 7}.withDefaults()
-	if set.WriteDeadline != -1 || set.ReconnectMax != time.Second || set.OutboxSize != 7 {
-		t.Errorf("caller's values: WriteDeadline %v, ReconnectMax %v, OutboxSize %d", set.WriteDeadline, set.ReconnectMax, set.OutboxSize)
+	// What a caller set survives, including the value with a meaning of its
+	// own: a negative WriteDeadline (disabled).
+	set := Options{WriteDeadline: -1, ReconnectInterval: time.Second, OutboxSize: 7}.withDefaults()
+	if set.WriteDeadline != -1 || set.ReconnectInterval != time.Second || set.OutboxSize != 7 {
+		t.Errorf("caller's values: WriteDeadline %v, ReconnectInterval %v, OutboxSize %d", set.WriteDeadline, set.ReconnectInterval, set.OutboxSize)
 	}
 }
 

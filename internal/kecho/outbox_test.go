@@ -335,7 +335,7 @@ func TestOutboxProtocolStress(t *testing.T) {
 		return ch
 	}
 	subOpts := func(i int) *Options {
-		o := fastHeal(int64(100 + i))
+		o := fastHeal()
 		o.Transport = f.Host(fmt.Sprintf("s%d", i))
 		o.WriteDeadline = 50 * time.Millisecond // a hello to a stalled member waits this long, not 5 s
 		return o
@@ -345,7 +345,7 @@ func TestOutboxProtocolStress(t *testing.T) {
 		subs[i] = joinAs(fmt.Sprintf("s%d", i), subOpts(i))
 	}
 	log := &wireLog{Transport: f.Host("pub")}
-	pubOpts := fastHeal(1)
+	pubOpts := fastHeal()
 	pubOpts.Transport = log
 	pubOpts.OutboxSize = publishers * perPublisher
 	pubOpts.WriteDeadline = 50 * time.Millisecond

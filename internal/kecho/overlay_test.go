@@ -74,8 +74,8 @@ func (l *deliveryLog) count(origin string, seq uint64) int {
 
 // treeOpts returns fast-converging overlay options for tests: quick
 // supervisor rounds plus immediate dispatch so deliveries need no polling.
-func treeOpts(seed int64, branching int) *Options {
-	o := fastHeal(seed)
+func treeOpts(branching int) *Options {
+	o := fastHeal()
 	o.Dispatch = EventDriven
 	o.Topology = overlay.RelayTree{Branching: branching}
 	o.Role = overlay.RoleRelay
@@ -135,7 +135,7 @@ func TestRelayTreeFloodDelivery(t *testing.T) {
 	logs := make([]*deliveryLog, n)
 	for i := 0; i < n; i++ {
 		logs[i] = newDeliveryLog()
-		chans[i] = join(t, reg, "mon", fmt.Sprintf("node%d", i), treeOpts(int64(i+1), 2))
+		chans[i] = join(t, reg, "mon", fmt.Sprintf("node%d", i), treeOpts(2))
 		chans[i].Subscribe(logs[i].handler)
 	}
 	waitTreeConverged(t, chans, 5*time.Second)
@@ -196,7 +196,7 @@ func TestRelaySlowHandlerOnInterior(t *testing.T) {
 	// under test, node3 its only child.
 	chans := make([]*Channel, 4)
 	for i := range chans {
-		chans[i] = join(t, reg, "mon", fmt.Sprintf("node%d", i), treeOpts(int64(i+1), 2))
+		chans[i] = join(t, reg, "mon", fmt.Sprintf("node%d", i), treeOpts(2))
 	}
 	root, interior, leaf := chans[0], chans[1], chans[3]
 	release := make(chan struct{})
@@ -268,7 +268,7 @@ func TestRelayInteriorKillReparent(t *testing.T) {
 	logs := make([]*deliveryLog, n)
 	for i := 0; i < n; i++ {
 		logs[i] = newDeliveryLog()
-		c, _ := joinFault(t, f, reg.Addr(), "mon", fmt.Sprintf("node%d", i), treeOpts(int64(i+1), 2))
+		c, _ := joinFault(t, f, reg.Addr(), "mon", fmt.Sprintf("node%d", i), treeOpts(2))
 		chans[i] = c
 		chans[i].Subscribe(logs[i].handler)
 	}
@@ -393,16 +393,16 @@ func TestRelayInteriorKillReparent(t *testing.T) {
 func TestRelayHopBoundStopsLoops(t *testing.T) {
 	reg := newRegistry(t)
 	// Root + two leaves, branching 2: the root relays between the leaves.
-	opts := func(seed int64) *Options {
-		o := treeOpts(seed, 2)
+	opts := func() *Options {
+		o := treeOpts(2)
 		o.DisableReconnect = true
 		return o
 	}
-	root := join(t, reg, "mon", "aa-root", opts(1))
+	root := join(t, reg, "mon", "aa-root", opts())
 	leafLog := newDeliveryLog()
-	leaf := join(t, reg, "mon", "bb-leaf", opts(2))
+	leaf := join(t, reg, "mon", "bb-leaf", opts())
 	leaf.Subscribe(leafLog.handler)
-	cc := join(t, reg, "mon", "cc-leaf", opts(3))
+	cc := join(t, reg, "mon", "cc-leaf", opts())
 	_ = cc
 	if !root.WaitForPeers(2, 2*time.Second) || !leaf.WaitForPeers(1, 2*time.Second) {
 		t.Fatal("tree did not form")
@@ -522,7 +522,7 @@ func TestRelayTreeSteadyState(t *testing.T) {
 	logs := make([]*deliveryLog, n)
 	for i := range chans {
 		logs[i] = newDeliveryLog()
-		chans[i] = join(t, reg, "mon", fmt.Sprintf("node%02d", i), treeOpts(int64(i+1), 2))
+		chans[i] = join(t, reg, "mon", fmt.Sprintf("node%02d", i), treeOpts(2))
 		chans[i].Subscribe(logs[i].handler)
 	}
 	waitTreeConverged(t, chans, 10*time.Second)
@@ -572,7 +572,7 @@ func TestMixedTopologies(t *testing.T) {
 	reg := newRegistry(t)
 	event := func() *Options { return &Options{DisableReconnect: true, Dispatch: EventDriven} }
 	tree := func() *Options {
-		o := treeOpts(1, 2)
+		o := treeOpts(2)
 		o.DisableReconnect = true
 		return o
 	}

@@ -253,12 +253,15 @@ func (c *Channel) DesiredPeers() ([]string, error) {
 // resets it to the base interval.
 func (c *Channel) supervise() {
 	defer c.wg.Done()
-	seed := c.opts.Seed
+	// The jitter's seed is the channel name and member ID, so members
+	// desynchronize, deterministically.
+	var seed int64
 	for _, b := range []byte(c.name + "/" + c.id) {
 		seed = seed*131 + int64(b)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	base, max := c.opts.ReconnectInterval, c.opts.ReconnectMax
+	base := c.opts.ReconnectInterval
+	limit := max(reconnectMax, base)
 	backoff := base
 	for {
 		// Jitter desynchronizes members so a recovering registry or peer is
@@ -269,8 +272,8 @@ func (c *Channel) supervise() {
 		}
 		if c.superviseOnce() {
 			backoff = base
-		} else if backoff *= 2; backoff > max {
-			backoff = max
+		} else if backoff *= 2; backoff > limit {
+			backoff = limit
 		}
 	}
 }

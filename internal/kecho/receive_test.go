@@ -339,6 +339,7 @@ func FuzzHandleFrame(f *testing.F) {
 	f.Add(frameEvent, hopped)
 	f.Add(frameEvent, both)
 	f.Add(frameEvent, traced)
+	f.Add(frameEvent, rec("", 1, "relayed from an empty origin", true, 0))
 	f.Add(frameBatch, wire.EncodeBatch([][]byte{
 		plain, hopped, both, traced,
 		rec("origin", 7, "duplicate", true, 0),

@@ -22,9 +22,9 @@ func TestTraceContinuityAcrossReconnect(t *testing.T) {
 
 	pubObs := obs.New("alan", nil, 1) // sample every event
 	subObs := obs.New("maui", nil, 1)
-	optsA := fastHeal(1)
+	optsA := fastHeal()
 	optsA.Observer = pubObs
-	optsB := fastHeal(2)
+	optsB := fastHeal()
 	optsB.Observer = subObs
 
 	a, _ := joinFault(t, f, reg.Addr(), "mon", "alan", optsA)

@@ -73,6 +73,10 @@ func newSocketsBackend(s *Scenario, n, branching int, clk *clock.Virtual, down d
 			cfg.RelayBranching = branching
 			cfg.RelayRole = overlay.RoleRelay
 		}
+		// Admin phases and the queryall per-node budget stay short, so a
+		// down node fails its part quickly.
+		cfg.AdminTimeout = 2 * time.Second
+		cfg.QueryTimeout = time.Second
 		if dataDir != "" {
 			d := faultnet.NewDisk(nil)
 			b.disks[cfg.Name] = d
@@ -97,10 +101,7 @@ func newSocketsBackend(s *Scenario, n, branching int, clk *clock.Virtual, down d
 	// part of the query the same way it drops its channel traffic.
 	if slices.ContainsFunc(s.Schedule, func(a Action) bool { return a.Verb == "queryall" }) {
 		for _, node := range b.cluster.Nodes {
-			srv, err := adminproto.NewServerWith(node, "127.0.0.1:0", adminproto.ServerOptions{
-				Timeout:      2 * time.Second,
-				QueryTimeout: time.Second,
-			})
+			srv, err := adminproto.NewServer(node, "127.0.0.1:0")
 			if err != nil {
 				b.close()
 				return nil, fmt.Errorf("scenario: admin server for %s: %w", node.Name(), err)

@@ -90,6 +90,8 @@ func addSeeds(f *testing.F, magic string, own, other [][]byte) {
 	}
 }
 
+// FuzzScanWALSegment holds the WAL segment scan and its sample decoder to
+// the three recovery properties at the top of this file.
 func FuzzScanWALSegment(f *testing.F) {
 	segments, chunkFiles := seedFiles(f)
 	addSeeds(f, walMagic, segments, chunkFiles)
@@ -135,6 +137,8 @@ func FuzzScanWALSegment(f *testing.F) {
 	})
 }
 
+// FuzzScanChunkFile holds the chunk-file scan and its chunk record decoder
+// to the same three properties; a loaded record also holds samples.
 func FuzzScanChunkFile(f *testing.F) {
 	segments, chunkFiles := seedFiles(f)
 	addSeeds(f, chunkMagic, chunkFiles, segments)
