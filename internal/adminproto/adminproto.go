@@ -89,10 +89,13 @@ type Server struct {
 	// fanout is the node's QueryTimeout and QueryFanout, for every queryall
 	// and cluster export it coordinates (query's defaults where zero).
 	fanout query.Options
-	// io is the transport's I/O clock (clock.IO): phase deadlines and the
-	// heartbeat pace run on it.
+	// io is the transport's I/O clock (clock.IO): phase deadlines, the
+	// heartbeat pace and the roster's age run on it.
 	io clock.Clock
-	wg sync.WaitGroup
+	// every is the node's Channel.ReconnectInterval: the admin heartbeat's
+	// pace and the age at which the roster is looked up again.
+	every time.Duration
+	wg    sync.WaitGroup
 
 	hbStop chan struct{} // admin-channel heartbeat loop, nil when off
 
@@ -102,6 +105,9 @@ type Server struct {
 	// its kept querypart connections; entries go when the peer leaves the
 	// target set, all of them at Close.
 	clients map[string]*Client
+	// roster is the fan-out target set the last admin-channel lookup
+	// returned (targets).
+	roster roster
 	// idle holds the kept connections parked between requests, at most
 	// maxParked, which Close shuts rather than waiting out their phase
 	// timeout.
@@ -131,7 +137,7 @@ func NewServer(node *core.Node, addr string) (*Server, error) {
 		return nil, fmt.Errorf("adminproto: listen: %w", err)
 	}
 	reg := node.Metrics()
-	s := &Server{ln: ln, node: node, io: clock.IO(node.Transport()),
+	s := &Server{ln: ln, node: node, io: clock.IO(node.Transport()), every: cfg.Channel.ReconnectInterval,
 		timeout: timeout, fanout: query.Options{Timeout: cfg.QueryTimeout, Concurrency: cfg.QueryFanout},
 		clients: map[string]*Client{}, idle: map[net.Conn]struct{}{},
 		lineOverCap:   reg.Counter("admin", "", "request_line_over_cap"),

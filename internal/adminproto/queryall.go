@@ -38,18 +38,16 @@ func (s *Server) advertise() {
 	// Join errors are tolerated: the node still answers queryall for itself,
 	// and the heartbeat below re-registers once the registry is reachable.
 	_, _ = reg.Join(AdminChannel, s.node.Name(), s.Addr())
-	ch := s.node.Config().Channel
-	if ch.DisableReconnect {
+	if s.node.Config().Channel.DisableReconnect {
 		return
 	}
-	every := ch.ReconnectInterval
 	s.hbStop = make(chan struct{})
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		// Paced on the I/O clock: the heartbeat refreshes a TTL the registry
 		// ages on its own clock, not on this node's.
-		for clock.Wait(s.io, every, s.hbStop) {
+		for clock.Wait(s.io, s.every, s.hbStop) {
 			_, _ = reg.Heartbeat(AdminChannel, s.node.Name(), s.Addr())
 		}
 	}()
@@ -62,19 +60,72 @@ func (s *Server) unadvertise() {
 	}
 }
 
-// targets enumerates the scatter-gather fan-out: every admin endpoint on the
-// registry channel, self included even if its own registration has lapsed.
+// roster is the coordinator's cached fan-out target set (DESIGN §12, "The
+// admin roster"): what the last lookup of the admin channel returned,
+// sorted, self included. It lives under Server.mu.
+type roster struct {
+	// targets is shared with every fan-out that read it and never written
+	// in place; nil until a lookup first succeeds.
+	targets []query.Target
+	// err is the last lookup's error while targets is still nil: why a
+	// coordinator that never saw the roster answers for itself only.
+	err error
+	// at is when the last lookup ended, failed or not, on the I/O clock;
+	// zero before the first.
+	at time.Time
+	// stale marks a fan-out part failed since that lookup began: the next
+	// query re-resolves the roster, so a departed or restarted node is
+	// seen at once.
+	stale bool
+	// fetching is closed when the lookup in flight ends; nil when none is.
+	fetching chan struct{}
+}
+
+// targets returns the scatter-gather fan-out: every admin endpoint on the
+// registry channel, self included even if its own registration has lapsed,
+// sorted by node name. The slice is shared and read-only. It is the roster
+// the last lookup returned, looked up again only when there is none yet,
+// when it is one Channel.ReconnectInterval old on the I/O clock, or when a
+// part of a fan-out since then failed. One lookup runs at a time, and
+// queries that have a roster to read do not wait for it. A failed lookup
+// keeps the roster it had and is retried an interval later; a coordinator
+// that has no roster yet answers for itself only, and err says why.
 // Standalone nodes (no registry) query themselves only.
-func (s *Server) targets() []query.Target {
-	self := query.Target{Node: s.node.Name(), Addr: s.Addr()}
+func (s *Server) targets() ([]query.Target, error) {
 	reg := s.node.Registry()
 	if reg == nil {
-		return []query.Target{self}
+		return []query.Target{s.self()}, nil
 	}
+	s.mu.Lock()
+	r := &s.roster
+	for r.fetching != nil && r.targets == nil {
+		wait := r.fetching
+		s.mu.Unlock()
+		<-wait
+		s.mu.Lock()
+	}
+	fresh := !r.at.IsZero() && !r.stale && s.io.Now().Sub(r.at) < s.every
+	if fresh || r.fetching != nil {
+		defer s.mu.Unlock()
+		return s.rosterLocked()
+	}
+	done := make(chan struct{})
+	r.fetching, r.stale = done, false
+	s.mu.Unlock()
+
 	members, err := reg.Lookup(AdminChannel)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r.fetching, r.at = nil, s.io.Now()
+	close(done)
 	if err != nil {
-		return []query.Target{self}
+		if r.targets == nil {
+			r.err = err
+		}
+		return s.rosterLocked()
 	}
+	self := s.self()
 	targets := make([]query.Target, 0, len(members)+1)
 	hasSelf := false
 	for _, m := range members {
@@ -86,19 +137,32 @@ func (s *Server) targets() []query.Target {
 	if !hasSelf {
 		targets = append(targets, self)
 	}
-	targets = query.SortTargets(targets)
-	s.forgetDeparted(targets)
-	return targets
+	r.targets, r.err = query.SortTargets(targets), nil
+	s.forgetDeparted(r.targets)
+	return r.targets, nil
+}
+
+// rosterLocked is the cached roster, or self alone and the lookup's error
+// while there is none.
+func (s *Server) rosterLocked() ([]query.Target, error) {
+	if s.roster.targets == nil {
+		return []query.Target{s.self()}, s.roster.err
+	}
+	return s.roster.targets, nil
+}
+
+// self is this node's own fan-out target.
+func (s *Server) self() query.Target {
+	return query.Target{Node: s.node.Name(), Addr: s.Addr()}
 }
 
 // forgetDeparted closes the fan-out clients of addresses no longer among
-// the targets. Self has no client, so while every client is still a target
-// there are fewer clients than targets and the scan is skipped; a departed
-// peer is forgotten by the first fan-out that no longer lists it, or, when
-// another peer joined in its place, by the one after.
+// the targets; the caller holds s.mu. Self has no client, so while every
+// client is still a target there are fewer clients than targets and the
+// scan is skipped; a departed peer is forgotten by the first roster that no
+// longer lists it, or, when another peer joined in its place, by the one
+// after.
 func (s *Server) forgetDeparted(targets []query.Target) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.clients) < len(targets) {
 		return
 	}
@@ -137,7 +201,13 @@ func (s *Server) fetchPart(ctx context.Context, t query.Target, q tsdb.Query) (q
 	if t.Node == s.node.Name() {
 		return s.localPart(q)
 	}
-	return s.clientFor(t.Addr).QueryPartContext(ctx, q)
+	p, err := s.clientFor(t.Addr).QueryPartContext(ctx, q)
+	if err != nil {
+		s.mu.Lock()
+		s.roster.stale = true
+		s.mu.Unlock()
+	}
+	return p, err
 }
 
 // localPart answers this node's share of a normalized query from its own
@@ -149,25 +219,45 @@ func (s *Server) localPart(q tsdb.Query) (query.Part, error) {
 
 // QueryAllResult parses text as a windowed aggregate query and
 // scatter-gathers it across every registered node, returning the structured
-// merged result. Node failures annotate the result (Partial); only an
+// merged result. Node failures annotate the result (Partial), and so does a
+// coordinator that could not yet look up who the other nodes are; only an
 // unusable query or empty cluster is an error.
 func (s *Server) QueryAllResult(text string) (query.Result, error) {
+	res, _, err := s.queryAll(text)
+	return res, err
+}
+
+// queryAll is QueryAllResult that also returns why the fan-out reached self
+// only, when the roster lookup failed before it ever succeeded.
+func (s *Server) queryAll(text string) (res query.Result, rosterErr, err error) {
 	q, err := tsdb.ParseQuery(text)
 	if err != nil {
-		return query.Result{}, err
+		return query.Result{}, nil, err
 	}
-	return query.Run(context.Background(), s.targets(), q, s.node.Clock().Now(), s.fetchPart,
-		s.fanout)
+	targets, rosterErr := s.targets()
+	res, err = query.Run(context.Background(), targets, q, s.node.Clock().Now(), s.fetchPart, s.fanout)
+	if rosterErr != nil {
+		res.Partial = true
+	}
+	return res, rosterErr, err
 }
 
 // QueryAll runs QueryAllResult and renders it as control-file text; it backs
-// both the queryall verb and the node's cluster/query control file.
+// both the queryall verb and the node's cluster/query control file. A
+// result that is partial for want of a roster ends with one "roster error"
+// line naming the lookup's error.
 func (s *Server) QueryAll(text string) (string, error) {
-	res, err := s.QueryAllResult(text)
+	res, rosterErr, err := s.queryAll(text)
 	if err != nil {
 		return "", err
 	}
-	return res.Render(), nil
+	out := res.Render()
+	if rosterErr != nil {
+		// One line: a newline would split the result, and a blank one end
+		// a kept reply.
+		out += "roster error " + strings.Join(strings.Fields(rosterErr.Error()), " ") + "\n"
+	}
+	return out, nil
 }
 
 // ClusterExporter returns a Prometheus appender that scatter-gathers the
@@ -177,7 +267,7 @@ func (s *Server) ClusterExporter(metrics []string, window time.Duration) *query.
 	return &query.ClusterExport{
 		Metrics: metrics,
 		Window:  window,
-		Targets: s.targets,
+		Targets: func() []query.Target { t, _ := s.targets(); return t },
 		Fetch:   s.fetchPart,
 		Now:     func() time.Time { return s.node.Clock().Now() },
 		Options: s.fanout,

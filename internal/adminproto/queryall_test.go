@@ -411,3 +411,105 @@ func TestSimClusterSocketsRideOneTransport(t *testing.T) {
 		}
 	}
 }
+
+// A cluster query reads the admin roster its coordinator cached, and asks
+// the registry again only when the roster is one ReconnectInterval old on
+// the I/O clock, or when a part of the last fan-out failed. Reconnect is
+// off, so the coordinator's admin server is the only thing that looks
+// anything up, and the I/O clock moves only when the test steps it.
+func TestQueryAllLookupCounts(t *testing.T) {
+	io := clock.NewVirtual(time.Now()) // socket deadlines stay near wall time
+	_, _, servers := queryClusterOver(t, 4, 5, func(string) wire.Transport { return ioClocked{clk: io} },
+		func(_ int, cfg *core.Config) { cfg.Channel.DisableReconnect = true })
+	coord := servers[0]
+	every := coord.node.Config().Channel.ReconnectInterval
+	base := coord.node.Registry().Stats().Lookups
+	lookups := func() uint64 { return coord.node.Registry().Stats().Lookups - base }
+	query := func(stage, want string) {
+		t.Helper()
+		res, err := coord.QueryAllResult("p99 loadavg last 30s")
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if got := fmt.Sprintf("nodes %d ok %d failed %d", len(res.Nodes), res.OK, res.Failed); got != want {
+			t.Fatalf("%s: %s, want %s\n%s", stage, got, want, res.Render())
+		}
+	}
+
+	for i := 0; i < 10; i++ {
+		query(fmt.Sprintf("queryall %d", i+1), "nodes 4 ok 4 failed 0")
+	}
+	if n := lookups(); n != 1 {
+		t.Fatalf("ten queryalls inside one interval looked the roster up %d times, want 1", n)
+	}
+	io.Advance(every - 1)
+	query("just inside the interval", "nodes 4 ok 4 failed 0")
+	if n := lookups(); n != 1 {
+		t.Fatalf("a queryall inside the interval looked up: %d lookups, want 1", n)
+	}
+	io.Advance(1)
+	query("one interval on", "nodes 4 ok 4 failed 0")
+	if n := lookups(); n != 2 {
+		t.Fatalf("a queryall one interval on: %d lookups, want 2", n)
+	}
+
+	// node3 leaves: the cached roster still names it, so its part fails,
+	// and that failure makes the next query look the roster up again.
+	if err := servers[3].Close(); err != nil {
+		t.Fatal(err)
+	}
+	query("node3 gone, roster cached", "nodes 4 ok 3 failed 1")
+	if n := lookups(); n != 2 {
+		t.Fatalf("the query with a failed part looked up: %d lookups, want 2", n)
+	}
+	query("after the failed part", "nodes 3 ok 3 failed 0")
+	if n := lookups(); n != 3 {
+		t.Fatalf("the query after a failed part: %d lookups, want 3", n)
+	}
+}
+
+// A registry outage does not shrink a cluster answer: a coordinator that
+// has a roster keeps answering for every node on it, without waiting on the
+// registry client's retries. One that never got a roster answers for itself,
+// and says so: the result is partial and names the registry's error. The
+// long interval keeps the first roster fresh however slow the machine.
+func TestQueryAllSurvivesRegistryOutage(t *testing.T) {
+	const q = "p99 loadavg last 30s"
+	cluster, _, servers := queryCluster(t, 3, 5, func(_ int, cfg *core.Config) {
+		cfg.Channel.ReconnectInterval = time.Minute
+	})
+	if res, err := servers[0].QueryAllResult(q); err != nil || res.OK != 3 || res.Partial {
+		t.Fatalf("before the outage: %v\n%s", err, res.Render())
+	}
+	cluster.Registry.Close()
+
+	reg := servers[0].node.Registry()
+	before := reg.Stats().Lookups
+	start := time.Now()
+	res, err := servers[0].QueryAllResult(q)
+	elapsed := time.Since(start)
+	if err != nil || res.OK != 3 || res.Failed != 0 || res.Partial {
+		t.Fatalf("during the outage: %v\n%s", err, res.Render())
+	}
+	if n := reg.Stats().Lookups - before; n != 0 {
+		t.Fatalf("the query during the outage looked the roster up %d times (took %v)", n, elapsed)
+	}
+
+	// node1 has never coordinated a query, so it has no roster.
+	out, err := servers[1].QueryAll(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "nodes 1 ok 1 failed 0\npartial true\n") ||
+		!strings.Contains(out, "\nroster error registry: cannot reach server at ") {
+		t.Fatalf("a coordinator without a roster:\n%s", out)
+	}
+	reg1 := servers[1].node.Registry()
+	before = reg1.Stats().Lookups
+	if res, err := servers[1].QueryAllResult(q); err != nil || res.OK != 1 || !res.Partial {
+		t.Fatalf("the second query without a roster: %v\n%s", err, res.Render())
+	}
+	if n := reg1.Stats().Lookups - before; n != 0 {
+		t.Fatalf("a failed lookup was retried within its interval: %d lookups", n)
+	}
+}

@@ -21,7 +21,8 @@ type ClusterExport struct {
 	Metrics []string
 	// Window is the trailing window per scrape (DefaultExportWindow when 0).
 	Window time.Duration
-	// Targets enumerates the nodes at scrape time (registry lookup).
+	// Targets enumerates the nodes at scrape time (the coordinator's admin
+	// roster).
 	Targets func() []Target
 	// Fetch asks one node for its part.
 	Fetch Fetch

@@ -227,32 +227,56 @@ func (r *Result) quantile(q float64) int64 {
 
 // Render formats the merged result as line-oriented control-file text: the
 // aggregate block first (same keys as a single-node tsdb result, plus the
-// node tally and partial flag), then one provenance line per node.
+// node tally and partial flag), then one provenance line per node. Numbers
+// are appended with strconv, as Part.Render does: value in the shortest
+// form that reads back exactly (fmt's %g), the window in seconds to the
+// millisecond (%.3f).
 func (r Result) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "agg %s\n", r.Query.Agg)
+	b := make([]byte, 0, 160+48*len(r.Nodes))
+	b = append(b, "agg "...)
+	b = append(b, r.Query.Agg.String()...)
 	if r.HasValue {
-		fmt.Fprintf(&sb, "value %g\n", r.Value)
+		b = append(b, "\nvalue "...)
+		b = strconv.AppendFloat(b, r.Value, 'g', -1, 64)
 	} else {
-		sb.WriteString("value none\n")
+		b = append(b, "\nvalue none"...)
 	}
-	res := "raw"
+	b = append(b, "\nsamples "...)
+	b = strconv.AppendInt(b, r.Count, 10)
+	b = append(b, "\nfrom "...)
+	b = strconv.AppendFloat(b, float64(r.Query.From)/1e9, 'f', 3, 64)
+	b = append(b, "\nto "...)
+	b = strconv.AppendFloat(b, float64(r.Query.To)/1e9, 'f', 3, 64)
+	b = append(b, "\nresolution "...)
 	if r.Query.Res > 0 {
-		res = r.Query.Res.String()
+		b = append(b, r.Query.Res.String()...)
+	} else {
+		b = append(b, "raw"...)
 	}
-	fmt.Fprintf(&sb, "samples %d\nfrom %.3f\nto %.3f\nresolution %s\n",
-		r.Count, float64(r.Query.From)/1e9, float64(r.Query.To)/1e9, res)
-	fmt.Fprintf(&sb, "nodes %d ok %d failed %d\npartial %t\n",
-		len(r.Nodes), r.OK, r.Failed, r.Partial)
+	b = append(b, "\nnodes "...)
+	b = strconv.AppendInt(b, int64(len(r.Nodes)), 10)
+	b = append(b, " ok "...)
+	b = strconv.AppendInt(b, int64(r.OK), 10)
+	b = append(b, " failed "...)
+	b = strconv.AppendInt(b, int64(r.Failed), 10)
+	b = append(b, "\npartial "...)
+	b = strconv.AppendBool(b, r.Partial)
+	b = append(b, '\n')
 	for _, ns := range r.Nodes {
+		b = append(b, "node "...)
+		b = append(b, renderName(ns.Node)...)
 		if ns.OK() {
-			fmt.Fprintf(&sb, "node %s ok samples=%d in=%s\n",
-				renderName(ns.Node), ns.Count, ns.Elapsed.Round(time.Microsecond))
+			b = append(b, " ok samples="...)
+			b = strconv.AppendInt(b, ns.Count, 10)
+			b = append(b, " in="...)
+			b = append(b, ns.Elapsed.Round(time.Microsecond).String()...)
 		} else {
-			fmt.Fprintf(&sb, "node %s error %s\n", renderName(ns.Node), ns.Err)
+			b = append(b, " error "...)
+			b = append(b, ns.Err...)
 		}
+		b = append(b, '\n')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // renderName is a node name as a provenance line shows it: verbatim, or

@@ -633,3 +633,79 @@ func BenchmarkMergeParts(b *testing.B) {
 		}
 	}
 }
+
+// fmtRender is Result.Render as it was written with fmt, kept as the
+// oracle for the strconv renderer.
+func fmtRender(r Result) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "agg %s\n", r.Query.Agg)
+	if r.HasValue {
+		fmt.Fprintf(&sb, "value %g\n", r.Value)
+	} else {
+		sb.WriteString("value none\n")
+	}
+	res := "raw"
+	if r.Query.Res > 0 {
+		res = r.Query.Res.String()
+	}
+	fmt.Fprintf(&sb, "samples %d\nfrom %.3f\nto %.3f\nresolution %s\n",
+		r.Count, float64(r.Query.From)/1e9, float64(r.Query.To)/1e9, res)
+	fmt.Fprintf(&sb, "nodes %d ok %d failed %d\npartial %t\n",
+		len(r.Nodes), r.OK, r.Failed, r.Partial)
+	for _, ns := range r.Nodes {
+		if ns.OK() {
+			fmt.Fprintf(&sb, "node %s ok samples=%d in=%s\n",
+				renderName(ns.Node), ns.Count, ns.Elapsed.Round(time.Microsecond))
+		} else {
+			fmt.Fprintf(&sb, "node %s error %s\n", renderName(ns.Node), ns.Err)
+		}
+	}
+	return sb.String()
+}
+
+// Result.Render appends with strconv; its bytes are fmt's, over seeded
+// results with every value shape (NaN, ±Inf, tiny, huge, none), windows
+// with sub-millisecond and negative ends, every aggregation and tier, and
+// node lists with quoted names, failures and elapsed times of every scale.
+func TestResultRenderMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(20030623))
+	values := []float64{0, math.Copysign(0, -1), 1, -2.5, 1e-9, 1e21, 123456.789, 1.0 / 3,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	names := []string{"node0", "alan", "two words", "line\nbreak", "tab\there", "\xff", "ünïcode", ""}
+	aggs := []tsdb.Agg{tsdb.AggAvg, tsdb.AggMin, tsdb.AggMax, tsdb.AggSum, tsdb.AggCount,
+		tsdb.AggRate, tsdb.AggP99, tsdb.Agg(99)}
+	ress := []time.Duration{0, 10 * time.Second, time.Minute, 90 * time.Minute}
+	for i := 0; i < 2000; i++ {
+		r := Result{
+			Query: tsdb.Query{
+				Agg:  aggs[rng.Intn(len(aggs))],
+				From: rng.Int63() - rng.Int63n(1<<40),
+				To:   rng.Int63(),
+				Res:  ress[rng.Intn(len(ress))],
+			},
+			HasValue: rng.Intn(4) != 0,
+			Count:    rng.Int63n(1 << uint(rng.Intn(63))),
+			Partial:  rng.Intn(2) == 0,
+		}
+		if rng.Intn(2) == 0 {
+			r.Value = values[rng.Intn(len(values))]
+		} else {
+			r.Value = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		}
+		for n := rng.Intn(6); n > 0; n-- {
+			ns := NodeStatus{Node: names[rng.Intn(len(names))],
+				Elapsed: time.Duration(rng.Int63n(1 << uint(rng.Intn(40))))}
+			if rng.Intn(3) == 0 {
+				ns.Err = fmt.Sprintf("dial tcp 127.0.0.1:%d: connection refused", rng.Intn(65536))
+				r.Failed++
+			} else {
+				ns.Count = rng.Int63n(1 << 20)
+				r.OK++
+			}
+			r.Nodes = append(r.Nodes, ns)
+		}
+		if got, want := r.Render(), fmtRender(r); got != want {
+			t.Fatalf("result %d: Render\n%q\nwant\n%q", i, got, want)
+		}
+	}
+}

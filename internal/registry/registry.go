@@ -403,15 +403,22 @@ type ClientStats struct {
 	Retries uint64
 	// Heartbeats counts heartbeat requests acknowledged by the server.
 	Heartbeats uint64
+	// Lookups counts Lookup calls, answered or not: what a node's readers
+	// of the channel directory cost the registry.
+	Lookups uint64
 	// Rejoins counts heartbeats that had to re-register the member (the
 	// server did not know it — typically after a registry restart).
 	Rejoins uint64
 }
 
 // Client talks to a registry server. It opens one connection lazily and
-// serializes requests on it; registry traffic is rare (joins, lookups and
-// heartbeats), so a single connection suffices. Failed requests are retried
-// with exponential backoff, reconnecting as needed.
+// serializes requests on it; registry traffic is rare, so a single
+// connection suffices. A node's client joins each of its channels once;
+// each channel's supervisor heartbeats and looks its roster up once per
+// Channel.ReconnectInterval, the admin server heartbeats at the same pace,
+// and it looks the admin roster up at most once per interval plus once
+// after a cluster query with a failed part, never once per query. Failed
+// requests are retried with exponential backoff, reconnecting as needed.
 type Client struct {
 	addr string
 
@@ -419,6 +426,7 @@ type Client struct {
 	redials    atomic.Uint64
 	retries    atomic.Uint64
 	heartbeats atomic.Uint64
+	lookups    atomic.Uint64
 	rejoins    atomic.Uint64
 
 	mu        sync.Mutex
@@ -465,6 +473,7 @@ func (c *Client) Stats() ClientStats {
 		Redials:    c.redials.Load(),
 		Retries:    c.retries.Load(),
 		Heartbeats: c.heartbeats.Load(),
+		Lookups:    c.lookups.Load(),
 		Rejoins:    c.rejoins.Load(),
 	}
 }
@@ -481,6 +490,7 @@ func (c *Client) RegisterMetrics(r *metrics.Registry) {
 	r.Gauge("registry", "", "redials", c.redials.Load)
 	r.Gauge("registry", "", "retries", c.retries.Load)
 	r.Gauge("registry", "", "heartbeats", c.heartbeats.Load)
+	r.Gauge("registry", "", "lookups", c.lookups.Load)
 	r.Gauge("registry", "", "rejoins", c.rejoins.Load)
 }
 
@@ -629,6 +639,7 @@ func (c *Client) Leave(channel, memberID string) error {
 
 // Lookup returns a channel's current members.
 func (c *Client) Lookup(channel string) ([]Member, error) {
+	c.lookups.Add(1)
 	e := wire.NewEncoder(32)
 	e.String(channel)
 	reply, err := c.roundTrip(msgLookup, e.Bytes())

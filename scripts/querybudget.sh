@@ -5,10 +5,14 @@
 #
 # A sample is query-side when its stack holds the benchmark's querier
 # (main.(*querier).once, but not its own check, main.(*querier).verify), an
-# admin server's connection loop or the fan-out (query.Run). It goes to the
-# first row whose pattern matches one of its frames, walking from the leaf
-# up, and to "other" when none does; a leaf row is split by query kind, p99
-# (the stack reads a value window) or avg (it runs a tsdb query).
+# admin server's connection loop, the fan-out (query.Run) or the registry
+# server's connection loop (registry.(*Server).serveConn). A registry sample
+# goes to the "registry" row: history-rw's nodes do not heartbeat, so after
+# formation the registry serves only the admin roster's lookups (their
+# client half stays in the rows below). Any other sample goes to the first
+# row whose pattern matches one of its frames, walking from the leaf up, and
+# to "other" when none does; a leaf row is split by query kind, p99 (the
+# stack reads a value window) or avg (it runs a tsdb query).
 #
 # The profile comes from a scratch copy of the tree whose bench/main.go
 # wraps realMain in pprof.StartCPUProfile/StopCPUProfile; QUERYALLS is the
@@ -35,11 +39,11 @@ function flush(   i, r, row, all) {
 	if (nf == 0) return
 	all = ""
 	for (i = 0; i < nf; i++) all = all "|" frame[i]
-	if (all !~ /main\.\(\*querier\)\.once|adminproto\.\(\*Server\)\.serve|query\.Run/ || index(all, "main.(*querier).verify") > 0) {
+	if (all !~ /main\.\(\*querier\)\.once|adminproto\.\(\*Server\)\.serve|query\.Run|registry\.\(\*Server\)\.serveConn/ || index(all, "main.(*querier).verify") > 0) {
 		nf = 0
 		return
 	}
-	row = "other"
+	row = index(all, "registry.(*Server).serveConn") > 0 ? "registry" : "other"
 	for (i = 0; i < nf && row == "other"; i++)
 		for (r = 1; r <= nrows; r++)
 			if (frame[i] ~ pat[r]) { row = name[r]; break }
