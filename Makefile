@@ -74,6 +74,8 @@ sim-smoke:
 # dedup-admit → in-place hop rewrite → downstream enqueue), the polled
 # receive path (a 64-record batch frame of 64 B and of 5 KiB records through
 # handleFrame into its inbox arena, and the Poll that dispatches it), the
+# frame reader (BenchmarkFrameReader: Next over a stream of 64 B frames, many
+# served from one read, and of 5 KiB frames, two reads each), the
 # publish side (BenchmarkPublishFanout: 1 → 8 over loopback TCP, 64 B —
 # Publish onto eight outboxes, the live writer pool taking a frame's records
 # per lock and writing them, a reader draining each socket) and the durable
@@ -105,6 +107,7 @@ allocgate:
 		$(GO) test -run '^$$' -bench '^BenchmarkRelayForward$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
 		$(GO) test -run '^$$' -bench '^BenchmarkPolledReceive$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
 		$(GO) test -run '^$$' -bench '^BenchmarkPublishFanout$$' -benchmem -benchtime 20000x ./internal/kecho/ && \
+		$(GO) test -run '^$$' -bench '^BenchmarkFrameReader$$' -benchmem -benchtime 20000x ./internal/wire/ && \
 		$(GO) test -run '^$$' -bench '^BenchmarkStoreUpdateDurable$$' -benchmem -benchtime 20000x ./internal/dmon/ ); \
 	echo "$$out"; \
 	bad=$$(echo "$$out" | grep 'allocs/op' | awk '$$(NF-1) != 0'); \

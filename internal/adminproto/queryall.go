@@ -262,12 +262,14 @@ func (s *Server) QueryAll(text string) (string, error) {
 
 // ClusterExporter returns a Prometheus appender that scatter-gathers the
 // given history metrics over a trailing window on every scrape, emitting
-// dproc_cluster_* series (mounted on /metrics via obs.ServeMetrics).
+// dproc_cluster_* series (mounted on /metrics via obs.ServeMetrics). A
+// coordinator without a roster exports dproc_cluster_query_partial 1, as its
+// queryall answers partial true.
 func (s *Server) ClusterExporter(metrics []string, window time.Duration) *query.ClusterExport {
 	return &query.ClusterExport{
 		Metrics: metrics,
 		Window:  window,
-		Targets: func() []query.Target { t, _ := s.targets(); return t },
+		Targets: s.targets,
 		Fetch:   s.fetchPart,
 		Now:     func() time.Time { return s.node.Clock().Now() },
 		Options: s.fanout,

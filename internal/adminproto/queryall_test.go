@@ -513,3 +513,25 @@ func TestQueryAllSurvivesRegistryOutage(t *testing.T) {
 		t.Fatalf("a failed lookup was retried within its interval: %d lookups", n)
 	}
 }
+
+// A scrape says what a queryall says: the exporter of a coordinator with a
+// roster counts every node and is whole, and one that never got a roster —
+// the registry closed before its first scrape — answers for itself and
+// exports partial 1, not a whole cluster of one.
+func TestClusterExportWithoutRosterIsPartial(t *testing.T) {
+	cluster, _, servers := queryCluster(t, 3, 5, nil)
+	scrape := func(srv *Server) string {
+		var out strings.Builder
+		srv.ClusterExporter([]string{"loadavg"}, 30*time.Second).Append(&out)
+		return out.String()
+	}
+	if out := scrape(servers[0]); !strings.Contains(out, "dproc_cluster_query_nodes{status=\"ok\"} 3\n") ||
+		!strings.Contains(out, "\ndproc_cluster_query_partial 0\n") {
+		t.Fatalf("a coordinator with a roster:\n%s", out)
+	}
+	cluster.Registry.Close()
+	if out := scrape(servers[1]); !strings.Contains(out, "dproc_cluster_query_nodes{status=\"ok\"} 1\n") ||
+		!strings.Contains(out, "\ndproc_cluster_query_partial 1\n") {
+		t.Fatalf("a coordinator without a roster:\n%s", out)
+	}
+}

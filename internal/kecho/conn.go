@@ -178,7 +178,9 @@ func (c *Channel) acceptLoop() {
 // readLoop is the one reader of peer connections — dialed or accepted, on
 // every transport: a goroutine parked in the runtime netpoller, draining
 // conn with a FrameReader. It owns a single receive buffer reused across
-// frames, and a batch scratch reused across batch frames, so the
+// frames — one read(2) takes in every small frame already waiting, and each
+// is handed out from the buffer before the next read — and a batch scratch
+// reused across batch frames, so the
 // steady-state receive path — read frame, unpack batch, decode records,
 // dispatch — performs no allocation. p is nil for an accepted conn, whose
 // first frame must be the dialer's hello, within dialTimeout. A frame or

@@ -22,8 +22,10 @@ type ClusterExport struct {
 	// Window is the trailing window per scrape (DefaultExportWindow when 0).
 	Window time.Duration
 	// Targets enumerates the nodes at scrape time (the coordinator's admin
-	// roster).
-	Targets func() []Target
+	// roster). An error means the list may be incomplete — the coordinator
+	// could not learn who the other nodes are — and marks the scrape
+	// partial, as it marks a queryall.
+	Targets func() ([]Target, error)
 	// Fetch asks one node for its part.
 	Fetch Fetch
 	// Now anchors the trailing window: the node clock's Now, so every node
@@ -57,7 +59,7 @@ func (e *ClusterExport) Append(w io.Writer) {
 	if window <= 0 {
 		window = DefaultExportWindow
 	}
-	targets := e.Targets()
+	targets, rosterErr := e.Targets()
 	fmt.Fprintf(w, "# HELP dproc_cluster Cluster-wide aggregates over per-node history (window %s).\n", window)
 
 	worst := Result{} // fan-out health across all queries this scrape
@@ -90,7 +92,7 @@ func (e *ClusterExport) Append(w io.Writer) {
 	fmt.Fprintf(w, "dproc_cluster_query_nodes{status=\"ok\"} %d\n", worst.OK)
 	fmt.Fprintf(w, "dproc_cluster_query_nodes{status=\"failed\"} %d\n", worst.Failed)
 	partial := 0
-	if worst.Partial {
+	if worst.Partial || rosterErr != nil {
 		partial = 1
 	}
 	fmt.Fprintf(w, "dproc_cluster_query_partial %d\n", partial)

@@ -1,11 +1,15 @@
 package registry
 
 import (
+	"errors"
+	"net"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"dproc/internal/clock"
+	"dproc/internal/faultnet"
 	"dproc/internal/wire"
 )
 
@@ -159,4 +163,54 @@ func TestDecodeMembersRejectsImplausibleCount(t *testing.T) {
 	if err != nil || len(members) != 1 || members[0].ID != "m1" {
 		t.Fatalf("decodeMembers(good) = %v, %v", members, err)
 	}
+}
+
+// A request that cannot reach the registry fails with one message that
+// names the registry once and its address once, whatever the transport,
+// and still carries the transport's own error for errors.Is and errors.As.
+func TestUnreachableErrorNamesServerOnce(t *testing.T) {
+	check := func(t *testing.T, c *Client, addr string) error {
+		t.Helper()
+		_, err := c.Lookup("mon")
+		if err == nil {
+			t.Fatal("Lookup of an unreachable registry succeeded")
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "registry: cannot reach server at "+addr+": ") ||
+			strings.Count(msg, "registry:") != 1 || strings.Count(msg, addr) != 1 {
+			t.Fatalf("error names the registry or its address more than once: %q", msg)
+		}
+		var op *net.OpError
+		if !errors.As(err, &op) || op.Op != "dial" {
+			t.Fatalf("the dial's *net.OpError is not reachable from %q", msg)
+		}
+		return err
+	}
+	t.Run("tcp", func(t *testing.T) {
+		ln, err := wire.TCP{}.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		c := NewClient(addr)
+		defer c.Close()
+		if err := check(t, c, addr); !errors.Is(err, syscall.ECONNREFUSED) {
+			t.Fatalf("errors.Is(%q, ECONNREFUSED) is false", err)
+		}
+	})
+	t.Run("faultnet", func(t *testing.T) {
+		fabric := faultnet.NewFabric(1)
+		ln, err := fabric.Host("directory").Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServerWith(ln, ServerOptions{})
+		defer s.Close()
+		fabric.Refuse("directory")
+		c := NewClient(s.Addr())
+		c.SetTransport(fabric.Host("node"))
+		defer c.Close()
+		check(t, c, s.Addr())
+	})
 }

@@ -509,7 +509,7 @@ func (c *Client) Close() error {
 func (c *Client) dialLocked() error {
 	conn, err := c.transport.DialTimeout("tcp", c.addr, defaultDialTimeout)
 	if err != nil {
-		return fmt.Errorf("registry: dial %s: %w", c.addr, err)
+		return err
 	}
 	if c.dials.Add(1) > 1 {
 		c.redials.Add(1)
@@ -560,8 +560,29 @@ func (c *Client) roundTrip(typ uint8, payload []byte) ([]byte, error) {
 		}
 		return reply, nil
 	}
-	return nil, fmt.Errorf("registry: cannot reach server at %s: %w", c.addr, lastErr)
+	return nil, &unreachableError{addr: c.addr, err: lastErr}
 }
+
+// unreachableError is a request no attempt got through: it names the
+// registry and its address once, then why the last attempt failed. The
+// transport's error stays reachable through errors.Is and errors.As.
+type unreachableError struct {
+	addr string
+	err  error
+}
+
+func (e *unreachableError) Error() string {
+	cause := e.err
+	if op, ok := cause.(*net.OpError); ok {
+		// A dial's or read's error repeats the address said first.
+		bare := *op
+		bare.Source, bare.Addr = nil, nil
+		cause = &bare
+	}
+	return "registry: cannot reach server at " + e.addr + ": " + cause.Error()
+}
+
+func (e *unreachableError) Unwrap() error { return e.err }
 
 // Create registers a channel name; reports whether this call created it.
 func (c *Client) Create(channel string) (created bool, err error) {

@@ -1,10 +1,5 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // Parser is an incremental frame decoder for event-driven readers that are
 // handed arbitrary byte chunks (nonblocking socket reads) instead of pulling
 // whole frames from a blocking stream. It accumulates header and payload
@@ -48,19 +43,10 @@ func (p *Parser) Next(data []byte) (int, uint8, []byte, bool, error) {
 		if p.nHdr < HeaderSize {
 			return consumed, 0, nil, false, nil
 		}
-		if binary.BigEndian.Uint16(p.hdr[0:2]) != Magic {
-			return consumed, 0, nil, false, ErrBadMagic
+		var err error
+		if p.typ, p.need, err = parseHeader(p.hdr[:]); err != nil {
+			return consumed, 0, nil, false, err
 		}
-		if p.hdr[2] != Version {
-			return consumed, 0, nil, false,
-				fmt.Errorf("%w: got %d, want %d", ErrBadVersion, p.hdr[2], Version)
-		}
-		n32 := binary.BigEndian.Uint32(p.hdr[4:HeaderSize])
-		if n32 > MaxFrameSize {
-			return consumed, 0, nil, false, ErrFrameSize
-		}
-		p.typ = p.hdr[3]
-		p.need = int(n32)
 		// A previous oversized payload must not pin its buffer across
 		// frames; the steady-state buffer is reused.
 		if cap(p.buf) > maxPooledBuf {

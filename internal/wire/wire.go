@@ -209,74 +209,149 @@ func (bw *BatchWriter) writeFrame(w io.Writer, msgType uint8, records [][]byte, 
 }
 
 // ReadFrame reads one frame from r, returning its type and a freshly
-// allocated payload the caller owns. Hot paths that read many frames from
-// one connection should use a FrameReader to reuse a per-connection receive
-// buffer instead.
+// allocated payload the caller owns. It reads exactly the frame's bytes —
+// the header, then the payload — so a caller may go on reading r after it.
+// Hot paths that read many frames from one connection should use a
+// FrameReader, which reads ahead into a per-connection receive buffer.
 func ReadFrame(r io.Reader) (msgType uint8, payload []byte, err error) {
 	var hdr [HeaderSize]byte
-	return readFrameInto(r, nil, hdr[:])
-}
-
-// readFrameInto reads one frame from r, filling the payload into buf when it
-// fits buf's capacity (the returned payload then aliases buf) and allocating
-// a fresh slice only when the frame is larger. The header scratch is the
-// caller's, so a FrameReader's steady state avoids the per-call header
-// allocation (the array would otherwise escape into the io.ReadFull
-// interface call).
-func readFrameInto(r io.Reader, buf, hdr []byte) (msgType uint8, payload []byte, err error) {
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
-		return 0, nil, ErrBadMagic
+	msgType, n, err := parseHeader(hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
-	if hdr[2] != Version {
-		return 0, nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[2], Version)
-	}
-	msgType = hdr[3]
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > MaxFrameSize {
-		return 0, nil, ErrFrameSize
-	}
-	if int(n) <= cap(buf) {
-		payload = buf[:n]
-	} else {
-		payload = make([]byte, n)
-	}
+	payload = make([]byte, n)
 	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: short frame payload: %w", err)
+		return 0, nil, shortPayload(err)
 	}
 	return msgType, payload, nil
 }
 
-// FrameReader reads length-prefixed frames from one connection, reusing a
-// single receive buffer across frames so the steady-state receive path does
-// not allocate. The buffer grows to the largest frame seen.
+// parseHeader validates a frame header (HeaderSize bytes) and returns the
+// frame's type and payload length; the length is checked against
+// MaxFrameSize before any caller sizes a buffer by it.
+func parseHeader(hdr []byte) (msgType uint8, n int, err error) {
+	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
+		return 0, 0, ErrBadMagic
+	}
+	if hdr[2] != Version {
+		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[2], Version)
+	}
+	n32 := binary.BigEndian.Uint32(hdr[4:HeaderSize])
+	if n32 > MaxFrameSize {
+		return 0, 0, ErrFrameSize
+	}
+	return hdr[3], int(n32), nil
+}
+
+// shortPayload is the error of a stream that failed after a frame's header:
+// the end of the stream there is unexpected, whether or not a payload byte
+// arrived.
+func shortPayload(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("wire: short frame payload: %w", err)
+}
+
+// readSlack is how far past the frame it is completing a FrameReader reads:
+// a wake-up takes in every small frame already waiting, up to this many
+// bytes more, in one read(2). A frame whose payload is larger is completed
+// by reading exactly its remainder, so large frames are never copied. A
+// constant rather than a setting: it trades a syscall against a copy, both
+// properties of the machine, not of the deployment.
+const readSlack = 4 << 10
+
+// FrameReader reads length-prefixed frames from one connection into a
+// single receive buffer reused across frames, so the steady-state receive
+// path does not allocate. One read takes in the header and body of every
+// small frame already waiting, and Next reads again only when the buffer
+// holds no whole frame. A read runs at most readSlack bytes past the frame
+// it completes, and one whose payload exceeds readSlack is completed by
+// reading exactly its remainder. The only copy the reader makes is moving a
+// partial frame's prefix — at most readSlack bytes — to the front of the
+// buffer before it reads again. The buffer grows to HeaderSize plus the
+// larger of readSlack and the largest payload seen.
 //
-// Ownership contract: the payload returned by Next aliases the reader's
-// buffer and is valid only until the next Next call. A consumer that needs
-// the bytes longer must copy them before returning to the read loop.
+// Ownership contract: the payload returned by Next is a view of the
+// reader's buffer, capped at its own length, and valid only until the next
+// Next call. A consumer that needs the bytes longer must copy them before
+// returning to the read loop.
+//
+// A FrameReader reads ahead: once it has read from r, r's remaining bytes
+// belong to it.
 type FrameReader struct {
 	r   io.Reader
 	buf []byte
-	hdr [HeaderSize]byte
+	// buf[off:end] is what has been read and not yet handed out.
+	off, end int
+	// moved counts the bytes compaction has copied to the front of buf.
+	moved int
 }
 
 // NewFrameReader returns a FrameReader over r.
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
-// Next reads one frame, returning its type and payload. The payload is valid
-// only until the next call to Next.
+// Next returns the next frame's type and payload. The payload is valid
+// only until the next call to Next. At a frame boundary the end of the
+// stream is io.EOF; inside a header it is io.ErrUnexpectedEOF, and inside a
+// payload a wrapped io.ErrUnexpectedEOF — the errors ReadFrame returns.
 func (fr *FrameReader) Next() (msgType uint8, payload []byte, err error) {
-	msgType, payload, err = readFrameInto(fr.r, fr.buf, fr.hdr[:])
-	if err != nil {
-		return msgType, nil, err
+	if fr.off == fr.end {
+		fr.off, fr.end = 0, 0
 	}
-	if cap(payload) > cap(fr.buf) {
-		// Adopt the grown buffer so the next frame of this size reuses it.
-		fr.buf = payload[:cap(payload)]
+	need, n := HeaderSize, -1 // n is the payload length once the header is in
+	for {
+		if n < 0 && fr.end-fr.off >= HeaderSize {
+			if msgType, n, err = parseHeader(fr.buf[fr.off : fr.off+HeaderSize]); err != nil {
+				return 0, nil, err
+			}
+			need = HeaderSize + n
+		}
+		if n >= 0 && fr.end-fr.off >= need {
+			start := fr.off + HeaderSize
+			fr.off += need
+			return msgType, fr.buf[start:fr.off:fr.off], nil
+		}
+		if err = fr.fill(need, n); err != nil {
+			if n >= 0 {
+				return 0, nil, shortPayload(err)
+			}
+			if err == io.EOF && fr.end > fr.off {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
 	}
-	return msgType, payload, nil
+}
+
+// fill makes one read towards the need bytes of the frame at the front of
+// the buffer, whose payload is n bytes long (negative while its header is
+// incomplete).
+func (fr *FrameReader) fill(need, n int) error {
+	if fr.off > 0 {
+		fr.moved += copy(fr.buf, fr.buf[fr.off:fr.end])
+		fr.off, fr.end = 0, fr.end-fr.off
+	}
+	if need > len(fr.buf) {
+		grown := make([]byte, max(need, HeaderSize+readSlack))
+		copy(grown, fr.buf[:fr.end])
+		fr.buf = grown
+	}
+	lim := need
+	if n <= readSlack {
+		lim = min(need+readSlack, len(fr.buf))
+	}
+	k, err := fr.r.Read(fr.buf[fr.end:lim])
+	fr.end += k
+	if k > 0 {
+		// The bytes come first; an error that lasts, such as the end of
+		// the stream, comes back from the next read.
+		return nil
+	}
+	return err
 }
 
 // ErrBadBatch reports a malformed batch payload.

@@ -20,26 +20,60 @@ func frames(t *testing.T, payloads ...[]byte) *bytes.Buffer {
 }
 
 // TestFrameReaderReusesBuffer pins the FrameReader ownership contract: the
-// payload from Next aliases the reader's buffer, so the next equal-size
-// frame overwrites it. A consumer that held the slice across Next calls
-// observes the new frame's bytes — the violation is caught.
+// payload from Next aliases the reader's buffer, so a frame read after it
+// overwrites it. When each frame arrives in its own read, the very next
+// frame does: a consumer that held the slice across Next calls observes the
+// new frame's bytes — the violation is caught. When two frames arrive in
+// one read, the second is served from the same fill beside the first, whose
+// bytes survive until the reader reads again.
 func TestFrameReaderReusesBuffer(t *testing.T) {
-	stream := frames(t, []byte("frame-one"), []byte("frame-two"))
-	fr := NewFrameReader(stream)
+	t.Run("one frame per read", func(t *testing.T) {
+		fr := NewFrameReader(&chunkReader{chunks: [][]byte{
+			frames(t, []byte("frame-one")).Bytes(),
+			frames(t, []byte("frame-two")).Bytes(),
+		}})
 
-	_, p1, err := fr.Next()
-	if err != nil || string(p1) != "frame-one" {
-		t.Fatalf("first Next = %q, %v", p1, err)
-	}
-	retained := p1 // contract violation: kept across Next
+		_, p1, err := fr.Next()
+		if err != nil || string(p1) != "frame-one" {
+			t.Fatalf("first Next = %q, %v", p1, err)
+		}
+		retained := p1 // contract violation: kept across Next
 
-	_, p2, err := fr.Next()
-	if err != nil || string(p2) != "frame-two" {
-		t.Fatalf("second Next = %q, %v", p2, err)
-	}
-	if string(retained) != "frame-two" {
-		t.Fatalf("retained slice reads %q; the receive buffer was not reused", retained)
-	}
+		_, p2, err := fr.Next()
+		if err != nil || string(p2) != "frame-two" {
+			t.Fatalf("second Next = %q, %v", p2, err)
+		}
+		if string(retained) != "frame-two" {
+			t.Fatalf("retained slice reads %q; the receive buffer was not reused", retained)
+		}
+	})
+	t.Run("two frames per read", func(t *testing.T) {
+		fr := NewFrameReader(&chunkReader{chunks: [][]byte{
+			frames(t, []byte("frame-one"), []byte("frame-two")).Bytes(),
+			frames(t, []byte("frame-3rd")).Bytes(),
+		}})
+
+		_, p1, err := fr.Next()
+		if err != nil || string(p1) != "frame-one" {
+			t.Fatalf("first Next = %q, %v", p1, err)
+		}
+		retained := p1 // contract violation: kept across Next
+
+		_, p2, err := fr.Next()
+		if err != nil || string(p2) != "frame-two" {
+			t.Fatalf("second Next = %q, %v", p2, err)
+		}
+		if string(retained) != "frame-one" {
+			t.Fatalf("retained slice reads %q before any refill; the second frame overwrote the first", retained)
+		}
+		_, p3, err := fr.Next()
+		if err != nil || string(p3) != "frame-3rd" {
+			t.Fatalf("third Next = %q, %v", p3, err)
+		}
+		if string(retained) != "frame-3rd" {
+			t.Fatalf("retained slice reads %q after the refill; the receive buffer was not reused", retained)
+		}
+	})
 }
 
 // TestFrameReaderGrowsForLargeFrames pins correctness when frames exceed the
