@@ -85,18 +85,6 @@ const (
 	OpRetI    // pop int; finish with int result
 	OpRetF    // pop double; finish with double result
 	OpRetVoid // finish with void result
-
-	// Fused compare-and-branch superinstructions, emitted only by the
-	// post-compile fusion pass (never by the code generator): a typed
-	// comparison whose sole consumer is the conditional branch right after it
-	// collapses into one dispatch, halving the interpreter loop's per-test
-	// cost on the paper's Figure-3-style threshold filters. A carries the
-	// jump target; I carries the original comparison Opcode, so the condition
-	// survives for disassembly.
-	OpJCmpIZ  // pop b, a; if !cmpI(a,b) pc = A
-	OpJCmpINZ // pop b, a; if cmpI(a,b) pc = A
-	OpJCmpFZ  // pop b, a; if !cmpF(a,b) pc = A
-	OpJCmpFNZ // pop b, a; if cmpF(a,b) pc = A
 )
 
 var opNames = map[Opcode]string{
@@ -116,7 +104,6 @@ var opNames = map[Opcode]string{
 	OpJump: "jump", OpJumpZ: "jumpz", OpJumpNZ: "jumpnz",
 	OpDup: "dup", OpPop: "pop",
 	OpRetI: "reti", OpRetF: "retf", OpRetVoid: "retvoid",
-	OpJCmpIZ: "jcmpiz", OpJCmpINZ: "jcmpinz", OpJCmpFZ: "jcmpfz", OpJCmpFNZ: "jcmpfnz",
 }
 
 // String returns the opcode mnemonic.
@@ -146,8 +133,6 @@ func (in Instr) String() string {
 	case OpLoadLoc, OpStoreLoc, OpLoadGI, OpStoreGI, OpLoadGF, OpStoreGF,
 		OpBuiltin, OpRecLoadF, OpRecStoreF, OpJump, OpJumpZ, OpJumpNZ:
 		return fmt.Sprintf("%-9s %d", in.Op, in.A)
-	case OpJCmpIZ, OpJCmpINZ, OpJCmpFZ, OpJCmpFNZ:
-		return fmt.Sprintf("%-9s %s %d", in.Op, Opcode(in.I), in.A)
 	default:
 		return in.Op.String()
 	}

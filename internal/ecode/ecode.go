@@ -35,7 +35,7 @@ type Filter struct {
 	spec *EnvSpec
 }
 
-// Compile parses, type-checks, folds and compiles E-code source against the
+// Compile parses, type-checks and compiles E-code source against the
 // symbol environment described by spec. It is the user-space analogue of
 // the paper's dynamic code generation step performed at the publishing host.
 // Source longer than 64 KiB is rejected before lexing.
@@ -51,11 +51,10 @@ func Compile(source string, spec *EnvSpec) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := compileProgram(foldStmts(stmts), frame, source)
+	prog, err := compileProgram(stmts, frame, source)
 	if err != nil {
 		return nil, err
 	}
-	prog.Code = fuseProgram(prog.Code)
 	if spec == nil {
 		spec = &EnvSpec{}
 	}

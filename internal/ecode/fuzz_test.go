@@ -53,19 +53,18 @@ func FuzzCompile(f *testing.F) {
 	})
 }
 
-// FuzzFilterParity holds three executors of one program to one answer: the
-// VM on Compile's bytecode, the VM on the same program compiled without
-// superinstruction fusion, and the interpreter walking the unfolded AST
+// FuzzFilterParity holds the two executors of one program to one answer:
+// the VM on Compile's bytecode and the interpreter walking the checked AST
 // (oracle). Every source that compiles against testSpec is a case; the seeds
 // are programs of the parity tests' generator and programs that end in each
 // runtime error. The error kind must agree and, on success, the result, the
 // output and input records and the globals.
 //
 // The VM charges a step per instruction and the interpreter one per
-// statement and expression, and fusion removes instructions, so the three
-// exhaust their budgets on different computations: a program that runs out
-// of some budgets but not all is skipped. ErrSteps parity is asserted only
-// where every executor runs out, as on any loop that never terminates.
+// statement and expression, so the two exhaust DefaultMaxSteps on different
+// computations: a program that runs out of one budget but not the other is
+// skipped. ErrSteps parity is asserted only where both run out, as on any
+// loop that never terminates.
 func FuzzFilterParity(f *testing.F) {
 	rng := rand.New(rand.NewSource(20030625))
 	g := &progGen{rng: rng}
@@ -88,46 +87,27 @@ func FuzzFilterParity(f *testing.F) {
 	}
 	spec := testSpec()
 	f.Fuzz(func(t *testing.T, src string) {
-		fused, err := Compile(src, spec)
+		filter, err := Compile(src, spec)
 		if err != nil {
 			return
 		}
-		plain, err := compileUnfused(src, spec)
-		if err != nil {
-			t.Fatalf("compiles with fusion but not without: %v\n%s", err, src)
+		envVM, envIn := parityEnv(filter), parityEnv(filter)
+		resVM, errVM := filter.Run(nil, envVM)
+		resIn, errIn := oracle(filter, envIn)
+		if errors.Is(errVM, ErrSteps) != errors.Is(errIn, ErrSteps) {
+			t.Skip("the program ends between the two executors' step budgets")
 		}
-		names := [...]string{"fused VM", "unfused VM", "interpreter"}
-		var envs [3]*Env
-		for i := range envs {
-			envs[i] = parityEnv(fused)
+		if errKind(errVM) != errKind(errIn) {
+			t.Fatalf("VM: %v; interpreter: %v\n%s", errVM, errIn, src)
 		}
-		var res [3]Result
-		var errs [3]error
-		res[0], errs[0] = fused.Run(nil, envs[0])
-		res[1], errs[1] = plain.Run(nil, envs[1])
-		res[2], errs[2] = oracle(fused, envs[2])
-		outOfSteps := 0
-		for _, err := range errs {
-			if errors.Is(err, ErrSteps) {
-				outOfSteps++
-			}
+		if errVM != nil {
+			return
 		}
-		if outOfSteps > 0 && outOfSteps < len(errs) {
-			t.Skip("the program ends between the executors' step budgets")
+		if !sameResult(resVM, resIn) {
+			t.Fatalf("VM returned %+v, interpreter %+v\n%s", resVM, resIn, src)
 		}
-		for i := 1; i < len(errs); i++ {
-			if errKind(errs[i]) != errKind(errs[0]) {
-				t.Fatalf("%s: %v; %s: %v\n%s", names[0], errs[0], names[i], errs[i], src)
-			}
-			if errs[0] != nil {
-				continue
-			}
-			if !sameResult(res[0], res[i]) {
-				t.Fatalf("%s returned %+v, %s %+v\n%s", names[0], res[0], names[i], res[i], src)
-			}
-			if !sameEnv(envs[0], envs[i]) {
-				t.Fatalf("%s and %s leave different environments\n%s", names[0], names[i], src)
-			}
+		if !sameEnv(envVM, envIn) {
+			t.Fatalf("VM and interpreter leave different environments\n%s", src)
 		}
 	})
 }

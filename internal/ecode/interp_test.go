@@ -8,10 +8,10 @@ import (
 // Tree-walking interpreter over the checked AST: the oracle the parity tests
 // and FuzzFilterParity hold the VM to. It implements the VM's semantics —
 // runtime errors, record bounds, a step limit — without sharing the
-// compiler, and oracle runs it on the unfolded AST, so neither constant
-// folding nor superinstruction fusion is on its side of a comparison. It
-// charges a step per statement and expression where the VM charges one per
-// instruction, so the two exhaust DefaultMaxSteps on different programs.
+// compiler: the VM and the interpreter execute the same checked AST, one as
+// bytecode and one by walking it. It charges a step per statement and
+// expression where the VM charges one per instruction, so the two exhaust
+// DefaultMaxSteps on different programs.
 
 type ctrl int
 
@@ -636,8 +636,8 @@ func applyCompound(op Kind, t Type, cur, r value) (value, error) {
 }
 
 // oracle runs f's source on the interpreter. It parses and checks the source
-// itself and walks the unfolded AST, so a folding or fusion bug in Compile
-// cannot give the same wrong answer on both sides of a parity test.
+// itself and walks the AST, so a code-generation or VM bug in Compile and
+// Run cannot give the same wrong answer on both sides of a parity test.
 func oracle(f *Filter, env *Env) (Result, error) {
 	stmts, err := checkedAST(f.Source(), f.Spec())
 	if err != nil {
@@ -646,7 +646,7 @@ func oracle(f *Filter, env *Env) (Result, error) {
 	return interpret(stmts, env)
 }
 
-// checkedAST parses and type-checks src against spec, without folding.
+// checkedAST parses and type-checks src against spec.
 func checkedAST(src string, spec *EnvSpec) ([]Stmt, error) {
 	stmts, err := parse(src)
 	if err != nil {
@@ -660,14 +660,13 @@ func checkedAST(src string, spec *EnvSpec) ([]Stmt, error) {
 
 // BenchmarkVMvsInterp compares the paper's Figure 3 filter run as compiled
 // bytecode against the interpreter walking its AST: what E-code's dynamic
-// code generation buys per event. Both sides run the folded program.
+// code generation buys per event. Both sides run the same checked program.
 func BenchmarkVMvsInterp(b *testing.B) {
 	f := MustCompile(paperFigure3, testSpec())
 	stmts, err := checkedAST(paperFigure3, testSpec())
 	if err != nil {
 		b.Fatal(err)
 	}
-	stmts = foldStmts(stmts)
 	env := figure3Env(f, 3.0, 20000, 40e6, 9000, 8000)
 	b.Run("compiled-vm", func(b *testing.B) {
 		vm := NewVM()

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// These tests route every operator through *variables*, which the constant
-// folder cannot evaluate, so both the VM's and the interpreter's full
-// operator implementations execute (runInt/runFloat assert they agree).
+// These tests route every operator through *variables*, so each operand is
+// a value computed at run time by both the VM's and the interpreter's full
+// operator implementations (runInt/runFloat assert they agree).
 
 func TestVariableIntOperators(t *testing.T) {
-	prelude := "int a = 13; int b = 5; int z = 0 + a - a;\n" // z = 0, unfoldable
+	prelude := "int a = 13; int b = 5; int z = 0 + a - a;\n" // z = 0, computed at run time
 	cases := []struct {
 		expr string
 		want int64

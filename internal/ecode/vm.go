@@ -311,48 +311,6 @@ func (vm *VM) Run(prog *Program, env *Env) (Result, error) {
 			if pop().i != 0 {
 				pc = int(in.A) - 1
 			}
-		case OpJCmpIZ, OpJCmpINZ:
-			b := pop()
-			a := pop()
-			var t bool
-			switch Opcode(in.I) {
-			case OpEqI:
-				t = a.i == b.i
-			case OpNeI:
-				t = a.i != b.i
-			case OpLtI:
-				t = a.i < b.i
-			case OpLeI:
-				t = a.i <= b.i
-			case OpGtI:
-				t = a.i > b.i
-			default: // OpGeI; the fusion pass emits nothing else
-				t = a.i >= b.i
-			}
-			if t == (in.Op == OpJCmpINZ) {
-				pc = int(in.A) - 1
-			}
-		case OpJCmpFZ, OpJCmpFNZ:
-			b := pop()
-			a := pop()
-			var t bool
-			switch Opcode(in.I) {
-			case OpEqF:
-				t = a.f == b.f
-			case OpNeF:
-				t = a.f != b.f
-			case OpLtF:
-				t = a.f < b.f
-			case OpLeF:
-				t = a.f <= b.f
-			case OpGtF:
-				t = a.f > b.f
-			default: // OpGeF
-				t = a.f >= b.f
-			}
-			if t == (in.Op == OpJCmpFNZ) {
-				pc = int(in.A) - 1
-			}
 		case OpDup:
 			push(stack[len(stack)-1])
 		case OpPop:

@@ -222,11 +222,31 @@ func ReadFrame(r io.Reader) (msgType uint8, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	if payload, err = readPayload(r, n); err != nil {
 		return 0, nil, shortPayload(err)
 	}
 	return msgType, payload, nil
+}
+
+// readPayload reads an n-byte payload from r into a buffer of at most
+// readSlack bytes that doubles, capped at n, each time it fills: a header
+// claiming more than the stream holds costs about what arrived, not what
+// it claimed.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readSlack))
+	got := 0
+	for {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return nil, err
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		got = len(buf)
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // parseHeader validates a frame header (HeaderSize bytes) and returns the
@@ -273,7 +293,8 @@ const readSlack = 4 << 10
 // reading exactly its remainder. The only copy the reader makes is moving a
 // partial frame's prefix — at most readSlack bytes — to the front of the
 // buffer before it reads again. The buffer grows to HeaderSize plus the
-// larger of readSlack and the largest payload seen.
+// larger of readSlack and the largest payload seen, doubling as a large
+// frame's bytes arrive rather than at its header.
 //
 // Ownership contract: the payload returned by Next is a view of the
 // reader's buffer, capped at its own length, and valid only until the next
@@ -335,16 +356,19 @@ func (fr *FrameReader) fill(need, n int) error {
 		fr.moved += copy(fr.buf, fr.buf[fr.off:fr.end])
 		fr.off, fr.end = 0, fr.end-fr.off
 	}
-	if need > len(fr.buf) {
-		grown := make([]byte, max(need, HeaderSize+readSlack))
+	if fr.end == len(fr.buf) {
+		// The frame has filled the buffer: double it, capped at the
+		// frame's need, so a header claiming a large payload costs memory
+		// only as the payload's bytes arrive.
+		grown := make([]byte, max(HeaderSize+readSlack, min(need, 2*len(fr.buf))))
 		copy(grown, fr.buf[:fr.end])
 		fr.buf = grown
 	}
 	lim := need
 	if n <= readSlack {
-		lim = min(need+readSlack, len(fr.buf))
+		lim = need + readSlack
 	}
-	k, err := fr.r.Read(fr.buf[fr.end:lim])
+	k, err := fr.r.Read(fr.buf[fr.end:min(lim, len(fr.buf))])
 	fr.end += k
 	if k > 0 {
 		// The bytes come first; an error that lasts, such as the end of

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -126,21 +127,27 @@ func TestBytesFieldIsCopy(t *testing.T) {
 	}
 }
 
+// TestFrameRoundTrip includes payloads past readSlack, which ReadFrame
+// reads into a buffer it doubles as the bytes arrive.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("monitoring event")
-	if err := WriteFrame(&buf, 3, payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	typ, got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
-	}
-	if typ != 3 {
-		t.Errorf("type = %d, want 3", typ)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("payload = %q", got)
+	rng := rand.New(rand.NewSource(40))
+	for _, n := range []int{16, readSlack + 1, 5<<10 + 3, 20<<10 + 3} {
+		var buf bytes.Buffer
+		payload := make([]byte, n)
+		rng.Read(payload)
+		if err := WriteFrame(&buf, 3, payload); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+		typ, got, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("ReadFrame: %v", err)
+		}
+		if typ != 3 {
+			t.Errorf("type = %d, want 3", typ)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Errorf("%d-byte payload read back as %d bytes, not equal", n, len(got))
+		}
 	}
 }
 
