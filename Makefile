@@ -92,14 +92,16 @@ sim-smoke:
 # the tier-1 AllocsPerRun test TestBatchWriterAllocatesNothing
 # (internal/wire), not this target.
 #
-# Beside the zero rows it holds the cluster-query path to capped counts
-# (ALLOC_CAPS, benchmark=most allocs/op): a node's percentile part
+# Beside the zero rows it holds the query path to capped counts
+# (ALLOC_CAPS, benchmark=most allocs/op): a node's own p99 over one hour of
+# 1 Hz samples (BenchmarkNodePercentile/3600: decoded into a pooled buffer
+# and counted into a pooled tsdb.Hist, 0), a node's percentile part
 # (BenchmarkComputePart: the part's bucket list, 1), the coordinator's merge
 # of four such parts (BenchmarkMergeParts: the result histogram, 1) and one
 # operator queryall over a 4-node cluster end to end (BenchmarkQueryAll:
 # 109, since the coordinator reads its cached admin roster instead of
 # looking it up per query and renders the result without fmt; 155 before).
-ALLOC_CAPS = BenchmarkComputePart=1 BenchmarkMergeParts=1 BenchmarkQueryAll=109
+ALLOC_CAPS = BenchmarkNodePercentile/3600=0 BenchmarkComputePart=1 BenchmarkMergeParts=1 BenchmarkQueryAll=109
 allocgate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkPollRound$$' -benchmem -benchtime 20000x . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . && \
@@ -112,7 +114,8 @@ allocgate:
 	echo "$$out"; \
 	bad=$$(echo "$$out" | grep 'allocs/op' | awk '$$(NF-1) != 0'); \
 	if [ -n "$$bad" ]; then echo "allocgate: nonzero allocs/op:"; echo "$$bad"; exit 1; fi
-	@out=$$($(GO) test -run '^$$' -bench '^(BenchmarkComputePart|BenchmarkMergeParts)$$' -benchmem -benchtime 20000x ./internal/query/ && \
+	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkNodePercentile$$/^3600$$' -benchmem -benchtime 5000x ./internal/tsdb/ && \
+		$(GO) test -run '^$$' -bench '^(BenchmarkComputePart|BenchmarkMergeParts)$$' -benchmem -benchtime 20000x ./internal/query/ && \
 		$(GO) test -run '^$$' -bench '^BenchmarkQueryAll$$' -benchmem -benchtime 2000x ./internal/adminproto/ ); \
 	echo "$$out"; \
 	bad=$$(echo "$$out" | awk -v caps="$(ALLOC_CAPS)" ' \

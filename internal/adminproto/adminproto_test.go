@@ -45,8 +45,8 @@ func TestListRootAndNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != int(metrics.NumIDs)+4 { // metrics + control + config + health + stats
-		t.Fatalf("files = %d, want %d", len(files), int(metrics.NumIDs)+4)
+	if len(files) != int(metrics.NumIDs)+6 { // metrics + control + config + health + stats + history/ + query
+		t.Fatalf("files = %d, want %d", len(files), int(metrics.NumIDs)+6)
 	}
 }
 

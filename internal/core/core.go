@@ -303,6 +303,42 @@ func (n *Node) buildSelfTree(src dmon.Source) {
 	_ = n.fs.Create(base+"/stats", func() (string, error) {
 		return n.StatsText(), nil
 	}, nil)
+	n.buildHistoryTree(n.cfg.Name)
+}
+
+// buildHistoryTree creates history/<metric> and the query file for a node,
+// the local one included: DMon.PollOnce folds its reports into the store.
+func (n *Node) buildHistoryTree(nodeName string) {
+	base := "cluster/" + nodeName
+	store := n.d.Store()
+	for _, id := range metrics.AllIDs() {
+		id := id
+		// history/<metric> lists the retained samples, oldest first — the
+		// tsdb-backed successor of the MAGNeT-style ring buffer as a
+		// pseudo-file. One "<unix seconds> <value>" pair per line, directly
+		// plottable (e.g. gnuplot "using 1:2").
+		_ = n.fs.Create(base+"/history/"+id.String(), func() (string, error) {
+			samples := store.History(nodeName, id, 0)
+			var sb strings.Builder
+			for _, s := range samples {
+				fmt.Fprintf(&sb, "%.3f %g\n", float64(s.Time.UnixNano())/1e9, s.Value)
+			}
+			return sb.String(), nil
+		}, nil)
+	}
+	// query executes windowed aggregates over the node's compressed
+	// history: write "<agg> <metric> [from <t> to <t> | last <dur>]
+	// [@<res>]", then read back the result — the paper's "read text
+	// files, write control strings" contract applied to the tsdb.
+	qf := &queryFile{last: queryUsage}
+	_ = n.fs.Create(base+"/query", qf.read, func(data string) error {
+		out, err := store.Query(nodeName, strings.TrimSpace(data))
+		if err != nil {
+			return err
+		}
+		qf.set(out)
+		return nil
+	})
 }
 
 // registerHistoryGauges surfaces the history store in the unified registry
@@ -391,32 +427,8 @@ func (n *Node) trackRemote(nodeName string) {
 			}
 			return formatMetric(id, sample.Value), nil
 		}, nil)
-		// history/<metric> lists the retained samples, oldest first — the
-		// tsdb-backed successor of the MAGNeT-style ring buffer as a
-		// pseudo-file. One "<unix seconds> <value>" pair per line, directly
-		// plottable (e.g. gnuplot "using 1:2").
-		_ = n.fs.Create(base+"/history/"+id.String(), func() (string, error) {
-			samples := store.History(nodeName, id, 0)
-			var sb strings.Builder
-			for _, s := range samples {
-				fmt.Fprintf(&sb, "%.3f %g\n", float64(s.Time.UnixNano())/1e9, s.Value)
-			}
-			return sb.String(), nil
-		}, nil)
 	}
-	// query executes windowed aggregates over the node's compressed
-	// history: write "<agg> <metric> [from <t> to <t> | last <dur>]
-	// [@<res>]", then read back the result — the paper's "read text
-	// files, write control strings" contract applied to the tsdb.
-	qf := &queryFile{last: queryUsage}
-	_ = n.fs.Create(base+"/query", qf.read, func(data string) error {
-		out, err := store.Query(nodeName, strings.TrimSpace(data))
-		if err != nil {
-			return err
-		}
-		qf.set(out)
-		return nil
-	})
+	n.buildHistoryTree(nodeName)
 	_ = n.fs.Create(base+"/status", func() (string, error) {
 		last, count := store.LastReport(nodeName)
 		return fmt.Sprintf("reports %d\nlast %s\n", count, last.UTC().Format(time.RFC3339Nano)), nil

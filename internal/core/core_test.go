@@ -37,8 +37,8 @@ func TestStandaloneNodeLocalTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != int(metrics.NumIDs)+4 { // +control +config +health +stats
-		t.Fatalf("entries = %d, want %d", len(entries), int(metrics.NumIDs)+4)
+	if len(entries) != int(metrics.NumIDs)+6 { // +control +config +health +stats +history/ +query
+		t.Fatalf("entries = %d, want %d", len(entries), int(metrics.NumIDs)+6)
 	}
 	got, err := n.FS().ReadFile("cluster/alan/loadavg")
 	if err != nil {
@@ -597,6 +597,36 @@ func TestQueryControlFile(t *testing.T) {
 	}
 	if again, _ := n.FS().ReadFile("cluster/maui/query"); again != out {
 		t.Fatal("failed query clobbered the last result")
+	}
+}
+
+// The local node answers for its own history as for a peer's: PollOnce
+// folds its own report into its store, and cluster/<self>/query and
+// cluster/<self>/history/<metric> read it.
+func TestQueryControlFileOfSelf(t *testing.T) {
+	clk := clock.NewVirtual(clock.Epoch)
+	n, err := NewNode(Config{Name: "alan", Clock: clk, Source: simres.NewHost("alan", clk, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for i := 0; i < 5; i++ {
+		clk.Advance(time.Second)
+		if _, _, err := n.PollOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hist, err := n.FS().ReadFile("cluster/alan/history/loadavg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := len(strings.Split(strings.TrimSpace(hist), "\n"))
+	if err := n.FS().WriteFile("cluster/alan/query", "count loadavg\n"); err != nil {
+		t.Fatal(err)
+	}
+	out, err := n.FS().ReadFile("cluster/alan/query")
+	if err != nil || !strings.Contains(out, fmt.Sprintf("samples %d\n", samples)) || samples < 1 {
+		t.Fatalf("own query = %q, %v; history holds %d samples:\n%s", out, err, samples, hist)
 	}
 }
 

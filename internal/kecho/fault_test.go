@@ -516,10 +516,13 @@ func TestRegistryRestartMembersReRegister(t *testing.T) {
 	defer srv2.Close()
 
 	// The fresh registry knows nothing; heartbeats must rebuild its view.
+	// The server records a member before it replies, and the client counts
+	// the heartbeat and its rejoin only once the reply is back, so wait for
+	// the counters too.
 	deadline = time.Now().Add(5 * time.Second)
-	for srv2.MemberCount("mon") < 2 {
+	for s := ra.Stats(); srv2.MemberCount("mon") < 2 || s.Rejoins < 1 || s.Heartbeats < 1; s = ra.Stats() {
 		if time.Now().After(deadline) {
-			t.Fatalf("members re-registered = %d, want 2", srv2.MemberCount("mon"))
+			t.Fatalf("members re-registered = %d, stats = %+v; want 2, and rejoins and heartbeats >= 1", srv2.MemberCount("mon"), s)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -16,10 +16,8 @@ package query
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dproc/internal/obs"
@@ -27,33 +25,8 @@ import (
 )
 
 // ValueScale converts float metric values to the integer domain of the obs
-// histograms: values are bucketed as round(v·ValueScale), and quantiles
-// unscale on the way out. 1e6 keeps six fractional digits — far below the
-// histogram's own ~3.1% relative bucket error for any value ≥ 1e-3 — while
-// leaving headroom to ~9.2e12 before int64 saturation clamps (byte counts
-// and bit rates stay well under that).
-const ValueScale = 1e6
-
-// maxScaled caps scaled values below int64 overflow.
-const maxScaled = int64(1) << 62
-
-// scaleValue maps a raw sample value into histogram domain. Negatives clamp
-// to zero (the histograms cannot represent them; dproc metrics are
-// non-negative by construction).
-func scaleValue(v float64) int64 {
-	s := math.Round(v * ValueScale)
-	if !(s > 0) { // also catches NaN
-		return 0
-	}
-	if s >= float64(maxScaled) {
-		return maxScaled
-	}
-	return int64(s)
-}
-
-// UnscaleValue maps a histogram-domain value (e.g. a merged quantile) back
-// to the metric's unit.
-func UnscaleValue(v int64) float64 { return float64(v) / ValueScale }
+// buckets a percentile part counts (tsdb.ValueScale).
+const ValueScale = tsdb.ValueScale
 
 // Part is one node's share of a cluster query over the normalized window
 // [From, To). Arithmetic aggregations carry (Value, Count); percentile
@@ -102,71 +75,50 @@ func Normalize(q tsdb.Query, now time.Time) (tsdb.Query, error) {
 	return q, nil
 }
 
-// partScratch is ComputePart's reusable state: the window's decoded values
-// and the dense bucket counters, which a part hands back zeroed.
-type partScratch struct {
-	vals   []float64
-	counts [obs.NumBuckets]uint64
-}
-
-// maxPooledValues bounds the value buffer a scratch keeps, so one query
-// over a long window does not pin its buffer in the pool.
-const maxPooledValues = 1 << 16
-
-var scratchPool = sync.Pool{New: func() any { return new(partScratch) }}
-
 // ComputePart answers one node's share of a normalized query from its local
 // store, with the given tsdb series name. Arithmetic aggregations reuse the
-// summary-folding tsdb query; percentiles decode the raw window's values
-// into a pooled buffer, count them into the fixed obs bucket layout, then
-// walk the touched bucket range once for the sparse counts. "No data"
-// (unknown series, empty window, too few samples for a rate) is an empty
-// part, not an error; a chunk that fails to decode is an error, so the
-// coordinator fails this node instead of merging a short window.
+// summary-folding tsdb query; a percentile counts the raw window into a
+// tsdb.Hist (tsdb.DB.CountWindow) and carries its non-empty buckets. "No
+// data" (unknown series, empty window, too few samples for a rate) is an
+// empty part, not an error; a chunk that fails to decode is an error, so
+// the coordinator fails this node instead of merging a short window.
 func ComputePart(db *tsdb.DB, series string, q tsdb.Query) (Part, error) {
 	p := Part{From: q.From, To: q.To}
+	var r tsdb.Result
+	var err error
 	if _, isQuantile := q.Agg.Quantile(); isQuantile {
-		sc := scratchPool.Get().(*partScratch)
-		defer scratchPool.Put(sc)
-		vals, err := db.AppendValues(sc.vals[:0], series, q.From, q.To)
-		if cap(vals) <= maxPooledValues {
-			sc.vals = vals
-		}
-		if err != nil || len(vals) == 0 {
-			return p, err
-		}
-		counts := &sc.counts
-		lo, hi := obs.NumBuckets, -1
-		for _, v := range vals {
-			i := obs.BucketOf(scaleValue(v))
-			counts[i]++
-			lo, hi = min(lo, i), max(hi, i)
-		}
-		distinct := 0
-		for _, n := range counts[lo : hi+1] {
-			if n > 0 {
-				distinct++
-			}
-		}
-		p.Buckets = make([]BucketCount, 0, distinct)
-		for i := lo; i <= hi; i++ {
-			if n := counts[i]; n > 0 {
-				p.Buckets = append(p.Buckets, BucketCount{Index: i, Count: n})
-				p.Count += int64(n)
-				counts[i] = 0
-			}
-		}
+		r, err = db.CountWindow(series, q, func(h *tsdb.Hist) { p.Buckets = sparse(h) })
+	} else {
+		r, err = db.Query(series, q)
+	}
+	if errors.Is(err, tsdb.ErrNoData) {
 		return p, nil
 	}
-	r, err := db.Query(series, q)
 	if err != nil {
-		if errors.Is(err, tsdb.ErrNoData) {
-			return p, nil
-		}
 		return p, err
 	}
-	p.Count, p.Value = r.Count, r.Value
+	p.Count = r.Count
+	if p.Buckets == nil { // a percentile part's buckets stand for its value
+		p.Value = r.Value
+	}
 	return p, nil
+}
+
+// sparse lists h's non-empty buckets in ascending order.
+func sparse(h *tsdb.Hist) []BucketCount {
+	distinct := 0
+	for _, n := range h.Buckets[h.Lo : h.Hi+1] {
+		if n > 0 {
+			distinct++
+		}
+	}
+	out := make([]BucketCount, 0, distinct)
+	for i := h.Lo; i <= h.Hi; i++ {
+		if n := h.Buckets[i]; n > 0 {
+			out = append(out, BucketCount{Index: i, Count: n})
+		}
+	}
+	return out
 }
 
 // check reports whether p can answer the normalized query q: the same

@@ -78,7 +78,7 @@ func (e *ClusterExport) Append(w io.Writer) {
 		if err == nil && pct.Hist != nil && pct.Hist.Count > 0 {
 			for _, eq := range exportQuantiles {
 				fmt.Fprintf(w, "dproc_cluster_%s{agg=%q} %s\n",
-					metric, eq.label, promFloat(UnscaleValue(pct.quantile(eq.q))))
+					metric, eq.label, promFloat(pct.Hist.Quantile(eq.q)))
 			}
 		}
 		if pct.Failed > worst.Failed {

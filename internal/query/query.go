@@ -11,7 +11,6 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"dproc/internal/obs"
 	"dproc/internal/tsdb"
 )
 
@@ -76,9 +75,7 @@ type Result struct {
 	Nodes []NodeStatus
 	// Hist is the merged histogram for percentile queries (nil otherwise);
 	// callers can read additional quantiles from it without re-querying.
-	Hist *obs.Snapshot
-	// lo and hi bound the buckets of Hist that any part touched.
-	lo, hi int
+	Hist *tsdb.Hist
 	// Elapsed is the wall time of the whole fan-out.
 	Elapsed time.Duration
 }
@@ -169,22 +166,19 @@ func (r *Result) merge(parts []Part) {
 	if quant, isQuantile := r.Query.Agg.Quantile(); isQuantile {
 		// Each part's counts add straight into the one histogram; Part.check
 		// has held every OK part's indices to the layout.
-		hist := &obs.Snapshot{}
-		r.lo, r.hi = obs.NumBuckets-1, 0
+		hist := new(tsdb.Hist)
 		for i, p := range parts {
 			if !r.Nodes[i].OK() {
 				continue
 			}
 			for _, b := range p.Buckets {
-				hist.Buckets[b.Index] += b.Count
-				r.lo, r.hi = min(r.lo, b.Index), max(r.hi, b.Index)
+				hist.Add(b.Index, b.Count)
 			}
-			hist.Count += uint64(p.Count)
 			r.Count += p.Count
 		}
 		r.Hist = hist
 		if hist.Count > 0 {
-			r.Value = UnscaleValue(r.quantile(quant))
+			r.Value = hist.Quantile(quant)
 			r.HasValue = true
 		}
 		return
@@ -217,12 +211,6 @@ func (r *Result) merge(parts []Part) {
 	if r.Query.Agg == tsdb.AggAvg && r.Count > 0 {
 		r.Value = weighted / float64(r.Count)
 	}
-}
-
-// quantile reads the q-quantile of the merged histogram, walking only the
-// buckets the parts touched.
-func (r *Result) quantile(q float64) int64 {
-	return r.Hist.QuantileWithin(q, r.lo, r.hi)
 }
 
 // Render formats the merged result as line-oriented control-file text: the

@@ -411,18 +411,6 @@ func TestSortTargetsDedups(t *testing.T) {
 	}
 }
 
-func TestScaleValueEdgeCases(t *testing.T) {
-	if scaleValue(-5) != 0 || scaleValue(math.NaN()) != 0 {
-		t.Fatal("negatives/NaN must clamp to zero")
-	}
-	if scaleValue(1e300) != maxScaled {
-		t.Fatal("huge values must saturate, not overflow")
-	}
-	if got := UnscaleValue(scaleValue(3.5)); math.Abs(got-3.5) > 1e-6 {
-		t.Fatalf("unscale(scale(3.5)) = %g", got)
-	}
-}
-
 // loadDB holds 1000 one-second samples of a load-average-like series, and
 // loadWindow selects 300 of them.
 func loadDB() *tsdb.DB {
@@ -499,7 +487,7 @@ func sortedPart(db *tsdb.DB, series string, q tsdb.Query) Part {
 	p := Part{From: q.From, To: q.To}
 	var idx []int
 	db.Scan(series, q.From, q.To, func(pt tsdb.Point) {
-		idx = append(idx, obs.BucketOf(scaleValue(pt.V)))
+		idx = append(idx, obs.BucketOf(tsdb.ScaleValue(pt.V)))
 	})
 	p.Count = int64(len(idx))
 	if len(idx) == 0 {
@@ -607,12 +595,12 @@ func TestSparseMergeMatchesSnapshotMerge(t *testing.T) {
 			want.Count += b.Count
 		}
 	}
-	if *res.Hist != want || res.Count != int64(want.Count) {
+	if res.Hist.Snapshot != want || res.Count != int64(want.Count) {
 		t.Fatalf("merged histogram of %d samples differs from the snapshot sum of %d", res.Count, want.Count)
 	}
 	for _, quant := range []float64{0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
-		if got, w := res.quantile(quant), want.Quantile(quant); got != w {
-			t.Fatalf("q%g: sparse walk %d, full walk %d", quant, got, w)
+		if got, w := res.Hist.Quantile(quant), tsdb.UnscaleValue(want.Quantile(quant)); got != w {
+			t.Fatalf("q%g: sparse walk %g, full walk %g", quant, got, w)
 		}
 	}
 }

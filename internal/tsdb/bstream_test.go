@@ -153,7 +153,7 @@ func TestChunkIterTruncatedData(t *testing.T) {
 //
 // As samples (fuzzPoints), appended one by one to a memory-only DB, whose
 // head is read at the first 32 samples the input marks and at the end, then sealed
-// and read again: ChunkIter, Tail, DB.AppendValues and Series.Query give the
+// and read again: ChunkIter, Tail, Series.appendValues and Series.Query give the
 // samples back, bit for bit, and the sealed chunk's bytes are the head's
 // stream.
 func FuzzBitWriterParity(f *testing.F) {
@@ -291,7 +291,7 @@ func checkSeriesReads(t *testing.T, data []byte) {
 }
 
 // checkReads reads the series back through ChunkIter (its newest chunk, the
-// only one), Tail, AppendValues and Series.Query over the whole range and
+// only one), Tail, appendValues and Series.Query over the whole range and
 // over its middle third, whose chunk is decoded, not folded from its
 // summary.
 func checkReads(t *testing.T, db *DB, name string, want []Point, kind string) {
@@ -318,16 +318,16 @@ func checkReads(t *testing.T, db *DB, name string, want []Point, kind string) {
 	}
 	samePoints("ChunkIter", got)
 	samePoints("Tail", db.Tail(name, len(want)))
-	vals, err := db.AppendValues(nil, name, want[0].T, want[len(want)-1].T+1)
+	vals, err := s.appendValues(nil, want[0].T, want[len(want)-1].T+1)
 	if err != nil {
-		t.Fatalf("%s: AppendValues: %v", kind, err)
+		t.Fatalf("%s: appendValues: %v", kind, err)
 	}
 	if len(vals) != len(want) {
-		t.Fatalf("%s, %d samples: AppendValues gives %d", kind, len(want), len(vals))
+		t.Fatalf("%s, %d samples: appendValues gives %d", kind, len(want), len(vals))
 	}
 	for i, v := range vals {
 		if math.Float64bits(v) != math.Float64bits(want[i].V) {
-			t.Fatalf("%s, %d samples: AppendValues gives value %d as %v, want %v", kind, len(want), i, v, want[i].V)
+			t.Fatalf("%s, %d samples: appendValues gives value %d as %v, want %v", kind, len(want), i, v, want[i].V)
 		}
 	}
 	for _, win := range [][2]int{{0, len(want)}, {len(want) / 3, max(2*len(want)/3, len(want)/3+1)}} {
@@ -344,7 +344,7 @@ func checkReads(t *testing.T, db *DB, name string, want []Point, kind string) {
 			want float64
 		}{
 			{AggMin, sum.Min}, {AggMax, sum.Max}, {AggSum, sum.Sum}, {AggCount, float64(sum.Count)},
-			{AggAvg, sum.Sum / float64(sum.Count)}, {AggP50, vals[int(math.Ceil(0.5*float64(len(vals))))-1]},
+			{AggAvg, sum.Sum / float64(sum.Count)}, {AggP50, BucketBound(vals[int(math.Ceil(0.5*float64(len(vals))))-1])},
 		} {
 			r, err := db.Query(name, Query{Agg: c.agg, From: in[0].T, To: in[len(in)-1].T + 1})
 			// An aggregate is the same float, or NaN on both sides: which

@@ -220,8 +220,12 @@ func (db *DB) Tail(name string, n int) []Point {
 	return s.Tail(n)
 }
 
-// Query executes a windowed aggregate against the named series.
+// Query executes a windowed aggregate against the named series. A
+// percentile counts the window through CountWindow, outside the lock.
 func (db *DB) Query(name string, q Query) (Result, error) {
+	if _, ok := q.Agg.Quantile(); ok && q.Res == 0 {
+		return db.CountWindow(name, q, nil)
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s, ok := db.series[name]
@@ -250,21 +254,6 @@ func (db *DB) Scan(name string, from, to int64, fn func(Point)) error {
 		return s.Scan(from, to, fn)
 	}
 	return nil
-}
-
-// AppendValues appends the values of the named series' raw samples with t
-// in [from, to) to dst, in time order, and returns the extended slice. Only
-// the decode runs under the read lock, with no call per sample; what the
-// caller does with the values (the distributed-query leaf buckets them)
-// runs after the lock is released. A missing series appends nothing; a
-// chunk that fails to decode is an error.
-func (db *DB) AppendValues(dst []float64, name string, from, to int64) ([]float64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if s, ok := db.series[name]; ok {
-		return s.appendValues(dst, from, to)
-	}
-	return dst, nil
 }
 
 // Drop removes the named series.

@@ -35,8 +35,9 @@ func TestCorruptChunkFailsItsNode(t *testing.T) {
 	if err := db.Scan("n1/loadavg", 1, 301*step, func(tsdb.Point) {}); err == nil {
 		t.Fatal("Scan over the corrupt chunk: no error")
 	}
-	if _, err := db.AppendValues(nil, "n1/loadavg", 1, 301*step); err == nil {
-		t.Fatal("AppendValues over the corrupt chunk: no error")
+	whole50 := tsdb.Query{Agg: tsdb.AggP50, Metric: "loadavg", From: 1, To: 301 * step}
+	if _, err := db.CountWindow("n1/loadavg", whole50, func(*tsdb.Hist) { t.Fatal("CountWindow lent a short window's counts") }); err == nil {
+		t.Fatal("CountWindow over the corrupt chunk: no error")
 	}
 	edge := tsdb.Query{Agg: tsdb.AggAvg, Metric: "loadavg", From: bad.TMin + 10*step, To: 301 * step}
 	for _, q := range []tsdb.Query{edge, {Agg: tsdb.AggP50, Metric: "loadavg", From: 1, To: 301 * step}} {

@@ -3,8 +3,6 @@ package tsdb
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -21,7 +19,7 @@ const (
 	AggSum
 	AggCount
 	AggRate // (last - first) / elapsed seconds within the window
-	AggP50  // approximate percentiles (exact below histApproxThreshold)
+	AggP50  // percentiles: the upper bound of the obs bucket holding the rank (see Hist)
 	AggP95
 	AggP99
 )
@@ -246,16 +244,59 @@ type noDataError string
 func (e noDataError) Error() string      { return string(e) }
 func (noDataError) Is(target error) bool { return target == ErrNoData }
 
-// histApproxThreshold is the window size above which percentile queries
-// switch from exact (collect and sort) to a two-pass fixed-bin histogram.
-const histApproxThreshold = 8192
-
-// histBins is the bucket count of the approximate percentile histogram.
-const histBins = 512
-
 // Query executes q against the series. The resolved absolute window is
 // [Result.From, Result.To).
 func (s *Series) Query(q Query) (Result, error) {
+	if _, ok := q.Agg.Quantile(); ok && q.Res == 0 {
+		r, sc, err := s.values(q)
+		return sc.count(r, err, nil)
+	}
+	r, err := s.window(q)
+	if err != nil {
+		return r, err
+	}
+	if q.Res > 0 {
+		return s.queryTier(q, r)
+	}
+
+	// Fold per-chunk summaries for fully-covered chunks; decode only the
+	// chunks straddling a window edge. This is what keeps a windowed
+	// aggregate over millions of samples in the microsecond range.
+	var agg Summary
+	for i := range s.nchunks() {
+		c := s.chunk(i)
+		if !c.overlaps(r.From, r.To) {
+			continue
+		}
+		if c.summary.TMin >= r.From && c.summary.TMax < r.To {
+			agg.fold(c.summary)
+			continue
+		}
+		var part Summary
+		it := c.iter()
+		for p, ok := it.Next(); ok; p, ok = it.Next() {
+			if p.T >= r.To {
+				break
+			}
+			if p.T >= r.From {
+				part.observe(p.T, p.V)
+			}
+		}
+		if it.Err() != nil {
+			return r, s.decodeError(c, it.Err())
+		}
+		agg.fold(part)
+	}
+	if agg.Count == 0 {
+		return r, noDataError("tsdb: no samples in window")
+	}
+	return r.aggregate(agg)
+}
+
+// window resolves q's window on the series: [From, To) as given, the Last
+// duration up to and including the newest sample, or with neither the full
+// retained range.
+func (s *Series) window(q Query) (Result, error) {
 	from, to := q.From, q.To
 	switch {
 	case q.Last > 0:
@@ -270,47 +311,14 @@ func (s *Series) Query(q Query) (Result, error) {
 		}
 		from, to = s.firstT(), s.last+1
 	}
-	r := Result{Agg: q.Agg, From: from, To: to, Res: q.Res}
-	if q.Res > 0 {
-		return s.queryTier(q, r)
-	}
-	if quant, ok := q.Agg.Quantile(); ok {
-		return s.queryQuantile(quant, r)
-	}
+	return Result{Agg: q.Agg, From: from, To: to, Res: q.Res}, nil
+}
 
-	// Fold per-chunk summaries for fully-covered chunks; decode only the
-	// chunks straddling a window edge. This is what keeps a windowed
-	// aggregate over millions of samples in the microsecond range.
-	var agg Summary
-	for i := range s.nchunks() {
-		c := s.chunk(i)
-		if !c.overlaps(from, to) {
-			continue
-		}
-		if c.summary.TMin >= from && c.summary.TMax < to {
-			agg.fold(c.summary)
-			continue
-		}
-		var part Summary
-		it := c.iter()
-		for p, ok := it.Next(); ok; p, ok = it.Next() {
-			if p.T >= to {
-				break
-			}
-			if p.T >= from {
-				part.observe(p.T, p.V)
-			}
-		}
-		if it.Err() != nil {
-			return r, s.decodeError(c, it.Err())
-		}
-		agg.fold(part)
-	}
+// aggregate ends every arithmetic query, raw or tier: the window's samples
+// folded into one non-empty Summary give the aggregation's value.
+func (r Result) aggregate(agg Summary) (Result, error) {
 	r.Count = int64(agg.Count)
-	if agg.Count == 0 {
-		return r, noDataError("tsdb: no samples in window")
-	}
-	switch q.Agg {
+	switch r.Agg {
 	case AggMin:
 		r.Value = agg.Min
 	case AggMax:
@@ -327,72 +335,8 @@ func (s *Series) Query(q Query) (Result, error) {
 		}
 		r.Value = (agg.Last - agg.First) / (float64(agg.TMax-agg.TMin) / 1e9)
 	default:
-		return r, fmt.Errorf("tsdb: unsupported aggregation %s", q.Agg)
+		return r, fmt.Errorf("tsdb: unsupported aggregation %s", r.Agg)
 	}
-	return r, nil
-}
-
-// queryQuantile computes approximate percentiles: exact collect-and-sort
-// for small windows, a deterministic two-pass histogram for large ones.
-func (s *Series) queryQuantile(quant float64, r Result) (Result, error) {
-	var count int64
-	var lo, hi float64
-	first := true
-	err := s.Scan(r.From, r.To, func(p Point) {
-		count++
-		if first || p.V < lo {
-			lo = p.V
-		}
-		if first || p.V > hi {
-			hi = p.V
-		}
-		first = false
-	})
-	r.Count = count
-	if err != nil {
-		return r, err
-	}
-	if count == 0 {
-		return r, noDataError("tsdb: no samples in window")
-	}
-	if count <= histApproxThreshold {
-		vals, err := s.appendValues(make([]float64, 0, count), r.From, r.To)
-		if err != nil {
-			return r, err
-		}
-		sort.Float64s(vals)
-		idx := int(math.Ceil(quant*float64(len(vals)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		r.Value = vals[idx]
-		return r, nil
-	}
-	if lo == hi {
-		r.Value = lo
-		return r, nil
-	}
-	var bins [histBins]int64
-	width := (hi - lo) / histBins
-	if err := s.Scan(r.From, r.To, func(p Point) {
-		i := int((p.V - lo) / width)
-		if i >= histBins {
-			i = histBins - 1
-		}
-		bins[i]++
-	}); err != nil {
-		return r, err
-	}
-	rank := int64(math.Ceil(quant * float64(count)))
-	var seen int64
-	for i, n := range bins {
-		seen += n
-		if seen >= rank {
-			r.Value = lo + width*(float64(i)+0.5)
-			return r, nil
-		}
-	}
-	r.Value = hi
 	return r, nil
 }
 
@@ -419,46 +363,10 @@ func (s *Series) queryTier(q Query, r Result) (Result, error) {
 		return r, fmt.Errorf("tsdb: percentiles require raw resolution")
 	}
 	r.From, r.To = WidenWindow(r.From, r.To, q.Res)
-	// agg folds the window's buckets into one: the first's First and
-	// TFirst, the last's Last and TLast.
-	var agg Bucket
-	tr.each(r.From, r.To, func(b Bucket) {
-		if agg.Count == 0 {
-			agg = b
-			return
-		}
-		agg.Count += b.Count
-		agg.Sum += b.Sum
-		agg.Last, agg.TLast = b.Last, b.TLast
-		if b.Min < agg.Min {
-			agg.Min = b.Min
-		}
-		if b.Max > agg.Max {
-			agg.Max = b.Max
-		}
-	})
-	r.Count = agg.Count
+	var agg Summary
+	tr.each(r.From, r.To, func(b Bucket) { agg.fold(b.summary()) })
 	if agg.Count == 0 {
 		return r, noDataError("tsdb: no buckets in window")
 	}
-	switch q.Agg {
-	case AggMin:
-		r.Value = agg.Min
-	case AggMax:
-		r.Value = agg.Max
-	case AggSum:
-		r.Value = agg.Sum
-	case AggCount:
-		r.Value = float64(agg.Count)
-	case AggAvg:
-		r.Value = agg.Sum / float64(agg.Count)
-	case AggRate:
-		if agg.Count < 2 || agg.TLast == agg.TFirst {
-			return r, noDataError("tsdb: rate needs at least two samples in window")
-		}
-		r.Value = (agg.Last - agg.First) / (float64(agg.TLast-agg.TFirst) / 1e9)
-	default:
-		return r, fmt.Errorf("tsdb: unsupported aggregation %s", q.Agg)
-	}
-	return r, nil
+	return r.aggregate(agg)
 }

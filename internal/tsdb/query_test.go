@@ -174,7 +174,10 @@ func TestQueryRate(t *testing.T) {
 func TestQueryPercentilesExact(t *testing.T) {
 	s := NewSeries(Options{})
 	// Values 1..1000 shuffled in time order but distinct: percentiles are
-	// order statistics regardless of time order of equal-spaced appends.
+	// order statistics regardless of time order of equal-spaced appends. The
+	// answer is the upper bound of the obs bucket holding the order
+	// statistic at rank ⌈q·n⌉: 500, 950 and 990 count in the buckets ending
+	// at these values.
 	perm := rand.New(rand.NewSource(3)).Perm(1000)
 	for i, v := range perm {
 		s.Append(int64(i)*sec, float64(v+1))
@@ -182,7 +185,7 @@ func TestQueryPercentilesExact(t *testing.T) {
 	for _, c := range []struct {
 		agg  Agg
 		want float64
-	}{{AggP50, 500}, {AggP95, 950}, {AggP99, 990}} {
+	}{{AggP50, 503.316479}, {AggP95, 956.301311}, {AggP99, 1006.632959}} {
 		res, err := s.Query(Query{Agg: c.agg})
 		if err != nil {
 			t.Fatal(err)
@@ -195,7 +198,7 @@ func TestQueryPercentilesExact(t *testing.T) {
 
 func TestQueryPercentilesApproximate(t *testing.T) {
 	s := NewSeries(Options{})
-	n := histApproxThreshold * 4
+	n := 4 * 8192
 	rng := rand.New(rand.NewSource(11))
 	vals := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -212,9 +215,8 @@ func TestQueryPercentilesApproximate(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact := vals[int(math.Ceil(c.q*float64(n)))-1]
-		// Histogram approximation: within one bin width of the exact value.
-		if math.Abs(res.Value-exact) > 100.0/histBins+1e-9 {
-			t.Fatalf("%s = %g, exact %g (diff %g beyond bin width)", c.agg, res.Value, exact, res.Value-exact)
+		if want := BucketBound(exact); res.Value != want {
+			t.Fatalf("%s = %g, want %g: the bound of the bucket holding the exact %g", c.agg, res.Value, want, exact)
 		}
 	}
 }

@@ -32,6 +32,13 @@ func (b *Bucket) observe(t int64, v float64) {
 	b.Sum += v
 }
 
+// summary is the bucket as the Summary of its samples, which a tier query
+// folds as a raw one folds chunk summaries.
+func (b Bucket) summary() Summary {
+	return Summary{Count: int(b.Count), TMin: b.TFirst, TMax: b.TLast,
+		First: b.First, Last: b.Last, Min: b.Min, Max: b.Max, Sum: b.Sum}
+}
+
 // bucketsPerChunk is how many closed buckets a bucket chunk holds before
 // the next one opens.
 const bucketsPerChunk = 64

@@ -29,8 +29,8 @@ BEGIN {
 	pat[1] = "^(syscall\\.|internal/runtime/syscall|runtime\\.(futex|epollwait))"
 	pat[2] = "^internal/poll\\.runtime_pollSetDeadline"
 	pat[3] = "^(context\\.|time\\.(AfterFunc|\\(\\*Timer\\)|newTimer|stopTimer))"
-	pat[4] = "^dproc/internal/tsdb\\.(\\(\\*ChunkIter\\)|\\(\\*bitReader\\)|\\(\\*dodCodec\\)|\\(\\*xorCodec\\)|\\(\\*Series\\)\\.(Scan|appendValues)|\\(\\*DB\\)\\.(Scan|AppendValues))"
-	pat[5] = "^dproc/internal/(query\\.ComputePart|tsdb\\.\\(\\*(DB|Series)\\)\\.Query)"
+	pat[4] = "^dproc/internal/tsdb\\.(\\(\\*ChunkIter\\)|\\(\\*bitReader\\)|\\(\\*dodCodec\\)|\\(\\*xorCodec\\)|\\(\\*Series\\)\\.(Scan|appendValues)|\\(\\*DB\\)\\.Scan)"
+	pat[5] = "^dproc/internal/(query\\.ComputePart|tsdb\\.(\\(\\*(DB|Series)\\)\\.Query|\\(\\*Hist\\)|\\(\\*histScratch\\)\\.count))"
 	pat[6] = "^dproc/internal/query\\.\\(\\*Result\\)\\.merge"
 	pat[7] = "^dproc/internal/(query\\.(Part\\.Render|ParsePart|Result\\.Render|\\(\\*Result\\)\\.Render)|tsdb\\.(ParseQuery|Query\\.String))"
 	pat[8] = "^runtime\\.(newproc|newstack|morestack|gopark|goexit|schedule|mcall)"
