@@ -99,9 +99,10 @@ sim-smoke:
 # (BenchmarkComputePart: the part's bucket list, 1), the coordinator's merge
 # of four such parts (BenchmarkMergeParts: the result histogram, 1) and one
 # operator queryall over a 4-node cluster end to end (BenchmarkQueryAll:
-# 109, since the coordinator reads its cached admin roster instead of
-# looking it up per query and renders the result without fmt; 155 before).
-ALLOC_CAPS = BenchmarkNodePercentile/3600=0 BenchmarkComputePart=1 BenchmarkMergeParts=1 BenchmarkQueryAll=109
+# 53, since a querypart request and its part travel as binary, built and
+# read in reused buffers, with no text rendered or parsed per leaf; 109
+# before, 155 before the coordinator cached its admin roster).
+ALLOC_CAPS = BenchmarkNodePercentile/3600=0 BenchmarkComputePart=1 BenchmarkMergeParts=1 BenchmarkQueryAll=53
 allocgate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkPollRound$$' -benchmem -benchtime 20000x . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . && \

@@ -114,9 +114,6 @@ var run = map[string]func(c *adminproto.Client, args []string) error{
 		return nil
 	},
 	"queryall": func(c *adminproto.Client, args []string) error {
-		if len(args) < 2 {
-			return errUsage
-		}
 		out, err := c.QueryAll(strings.Join(args, " "))
 		if err != nil {
 			return err
@@ -144,12 +141,8 @@ func main() {
 	if len(args) == 0 {
 		usage()
 	}
-	verb, ok := adminproto.LookupVerb(args[0])
-	fn := run[args[0]]
-	if !ok || fn == nil {
-		usage()
-	}
-	if len(args)-1 < verb.MinArgs {
+	fn, ok := runnable(args)
+	if !ok {
 		usage()
 	}
 	client := adminproto.NewClient(*node)
@@ -164,6 +157,23 @@ func main() {
 		}
 		fatal(err)
 	}
+}
+
+// runnable returns the run entry for args (the verb, then its arguments)
+// when the verb is one dprocctl runs and its arguments hold at least the
+// verb's MinArgs words. The words are those of the joined arguments, so a
+// query passed as one quoted argument counts as the words it holds:
+// queryall 'p99 loadavg last 30s' runs like queryall p99 loadavg last 30s.
+func runnable(args []string) (func(c *adminproto.Client, args []string) error, bool) {
+	if len(args) == 0 {
+		return nil, false
+	}
+	verb, ok := adminproto.LookupVerb(args[0])
+	fn := run[args[0]]
+	if !ok || fn == nil || len(strings.Fields(strings.Join(args[1:], " "))) < verb.MinArgs {
+		return nil, false
+	}
+	return fn, true
 }
 
 func fatal(err error) {

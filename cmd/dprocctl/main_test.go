@@ -33,3 +33,30 @@ func TestUsageListsExactlyTheRunnableVerbs(t *testing.T) {
 		t.Fatalf("usage lists %v, run dispatches %v", listed, runnable)
 	}
 }
+
+// A verb's arguments are counted in words, not shell arguments: a query
+// quoted as one argument runs like the same query unquoted, for queryall
+// and for query <node>, and a query too short in words still gets the
+// usage.
+func TestRunnableCountsWords(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"queryall", "p99", "loadavg", "last", "30s"}, true},
+		{[]string{"queryall", "p99 loadavg last 30s"}, true},
+		{[]string{"query", "alan", "p99", "loadavg", "last", "30s"}, true},
+		{[]string{"query", "alan", "p99 loadavg last 30s"}, true},
+		{[]string{"queryall", "p99"}, false},
+		{[]string{"queryall", " p99 "}, false},
+		{[]string{"queryall"}, false},
+		{[]string{"query", "alan"}, false},
+		{[]string{"cat"}, false},
+		{[]string{"querypart", "12"}, false}, // the coordinator's verb, not dprocctl's
+		{nil, false},
+	} {
+		if _, ok := runnable(tc.args); ok != tc.ok {
+			t.Errorf("runnable(%q) = %v, want %v", tc.args, ok, tc.ok)
+		}
+	}
+}

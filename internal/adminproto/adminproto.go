@@ -11,24 +11,27 @@
 //	write <path>\n<body EOF> → OK\n
 //	query <node> <query>\n   → OK\n<windowed aggregate result>
 //	queryall <query>\n       → OK\n<cluster-wide merged aggregate>\n
-//	querypart <query>\n      → OK\n<this node's part, wire form>\n
+//	querypart <n>\n<n bytes> → OK <m>\n<m bytes: this node's part>
 //
 // query is sugar over the cluster/<node>/query pseudo-file: it writes the
 // query string and reads the result back in one round trip; stats is sugar
 // over cluster/<self>/stats. queryall scatter-gathers the query across every
 // node registered on the admin channel and merges the parts (histogram
 // merge for percentiles — never averaged); querypart is the internal verb
-// the coordinator fans out, answering over an absolute pre-normalized
-// window only.
+// the coordinator fans out. Its request line gives the length of the binary
+// normalized query that follows it (tsdb.Query.AppendBinary: an absolute
+// window by construction), and its OK status line the length of the binary
+// part that follows that (query.Part.AppendBinary), both capped.
 //
 // queryall and querypart are the keep verbs, the ones a connection
-// outlives: an OK reply ends with a blank line, and the server then reads
-// the next request on the same connection, so an operator's client and a
-// coordinator's fan-out keep their connections open across queries. Every
-// other verb is answered once and the connection closed — write's body ends
-// at EOF, and cat's contents may hold blank lines. A script that wants EOF
-// half-closes after its request (dprocctl, nc -N, ncat) and gets EOF after
-// any reply.
+// outlives: the server reads the next request on the same connection after
+// an OK reply, so an operator's client and a coordinator's fan-out keep
+// their connections open across queries. A queryall reply ends with a blank
+// line; a querypart reply ends after its m bytes. Every other verb is
+// answered once and the connection closed — write's body ends at EOF, and
+// cat's contents may hold blank lines — and so is every ERR reply. A script
+// that wants EOF half-closes after its request (dprocctl, nc -N, ncat) and
+// gets EOF after any reply.
 //
 // Every verb is an entry in one table (Verbs) carrying its name, argument
 // schema and handler; the server dispatch, its usage errors and dprocctl's
@@ -217,12 +220,19 @@ type Verb struct {
 	// Body marks verbs that read a request body after the command line.
 	Body bool
 
-	run func(s *Server, args []string, body *bufio.Reader, reply func(string))
-	// keep leaves the connection open for another request once the reply
-	// is written; only queryall and querypart, whose OK replies end with a
-	// blank line.
+	// run answers the request through reply; an error it returns is the
+	// reply instead, as one ERR line.
+	run func(s *Server, args []string, body *bufio.Reader, reply replyFunc) error
+	// keep leaves the connection open for another request once an OK reply
+	// is written; only queryall and querypart, whose replies are framed.
 	keep bool
 }
+
+// replyFunc writes one piece of a reply to the connection.
+type replyFunc func([]byte)
+
+// text writes s.
+func (reply replyFunc) text(s string) { reply([]byte(s)) }
 
 // verbs is the protocol definition, in listing order.
 var verbs = []Verb{
@@ -240,8 +250,8 @@ var verbs = []Verb{
 	{Name: "queryall", Args: "<agg> <metric> [window]",
 		CLIArgs: "<agg> <metric> [from <t> to <t> | last <dur>] [@<res>]",
 		MinArgs: 2, Help: "scatter-gather a windowed aggregate across every registered node", run: runQueryAll, keep: true},
-	{Name: "querypart", Args: "<agg> <metric> from <t> to <t>",
-		MinArgs: 2, Help: "answer this node's share of a cluster query (internal)", run: runQueryPart, keep: true},
+	{Name: "querypart", Args: "<n> then n bytes of binary query", MinArgs: 1, Body: true,
+		Help: "answer this node's share of a cluster query (internal)", run: runQueryPart, keep: true},
 }
 
 // Verbs returns the protocol's verb table in listing order.
@@ -310,33 +320,34 @@ func (s *Server) serve(conn net.Conn) {
 	// Each write gets a fresh deadline too: a long-running handler (flush
 	// against a slow disk, a cluster fan-out) may exhaust an earlier
 	// deadline purely computing, which must not poison the response writes.
-	reply := func(str string) {
+	reply := func(b []byte) {
 		_ = conn.SetWriteDeadline(phase())
-		_, _ = io.WriteString(conn, str)
+		_, _ = conn.Write(b)
 	}
 	for s.serveOne(r, reply) && s.awaitRequest(conn, r) {
 	}
 }
 
 // serveOne reads and answers one request, reporting whether the connection
-// stays open for another: only after a keep verb whose request line ended
-// in a newline (one that ended at EOF had its writer half-close).
-func (s *Server) serveOne(r *bufio.Reader, reply func(string)) bool {
-	raw, err := r.ReadSlice('\n')
-	if errors.Is(err, bufio.ErrBufferFull) {
+// stays open for another: only after an OK reply to a keep verb whose
+// request line ended in a newline (one that ended at EOF had its writer
+// half-close).
+func (s *Server) serveOne(r *bufio.Reader, reply replyFunc) bool {
+	raw, lineErr := r.ReadSlice('\n')
+	if errors.Is(lineErr, bufio.ErrBufferFull) {
 		s.lineOverCap.Add(1)
-		reply("ERR request line over " + strconv.Itoa(maxRequestLine) + " bytes\n")
+		reply.text("ERR request line over " + strconv.Itoa(maxRequestLine) + " bytes\n")
 		return false
 	}
 	// A complete line (newline- or EOF-terminated) is a request; a read
 	// error with a partial line is a stalled or dead client — drop it
 	// rather than interpreting half a command.
-	if err != nil && (len(raw) == 0 || !errors.Is(err, io.EOF)) {
+	if lineErr != nil && (len(raw) == 0 || !errors.Is(lineErr, io.EOF)) {
 		return false
 	}
 	fields := strings.Fields(string(raw))
 	if len(fields) == 0 {
-		reply("ERR empty command\n")
+		reply.text("ERR empty command\n")
 		return false
 	}
 	v, ok := LookupVerb(fields[0])
@@ -345,16 +356,19 @@ func (s *Server) serveOne(r *bufio.Reader, reply func(string)) bool {
 		if len(name) > 32 {
 			name = name[:32] + "..."
 		}
-		reply("ERR unknown command " + name + " (have " + verbNames() + ")\n")
+		reply.text("ERR unknown command " + name + " (have " + verbNames() + ")\n")
 		return false
 	}
 	args := fields[1:]
 	if len(args) < v.MinArgs {
-		reply("ERR usage: " + v.Name + " " + v.Args + "\n")
+		reply.text("ERR usage: " + v.Name + " " + v.Args + "\n")
 		return false
 	}
-	v.run(s, args, r, reply)
-	return v.keep && err == nil
+	if err := v.run(s, args, r, reply); err != nil {
+		reply.text("ERR " + err.Error() + "\n")
+		return false
+	}
+	return v.keep && lineErr == nil
 }
 
 // maxParked caps the kept connections a server parks between requests, each
@@ -387,111 +401,109 @@ func (s *Server) awaitRequest(conn net.Conn, r *bufio.Reader) bool {
 	return err == nil
 }
 
-func runLs(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
+func runLs(s *Server, args []string, _ *bufio.Reader, reply replyFunc) error {
 	path := ""
 	if len(args) > 0 {
 		path = args[0]
 	}
 	entries, err := s.node.FS().ReadDir(path)
 	if err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+		return err
 	}
-	reply("OK\n")
+	reply.text("OK\n")
 	for _, e := range entries {
 		name := e.Name
 		if e.IsDir {
 			name += "/"
 		}
-		reply(name + "\n")
+		reply.text(name + "\n")
 	}
+	return nil
 }
 
-func runCat(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
+func runCat(s *Server, args []string, _ *bufio.Reader, reply replyFunc) error {
 	content, err := s.node.FS().ReadFile(args[0])
 	if err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+		return err
 	}
-	reply("OK\n" + content)
+	reply.text("OK\n" + content)
+	return nil
 }
 
-func runTree(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
+func runTree(s *Server, args []string, _ *bufio.Reader, reply replyFunc) error {
 	path := "cluster"
 	if len(args) > 0 {
 		path = args[0]
 	}
 	tree, err := s.node.FS().Tree(path)
 	if err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+		return err
 	}
-	reply("OK\n" + tree)
+	reply.text("OK\n" + tree)
+	return nil
 }
 
-func runStatus(s *Server, _ []string, _ *bufio.Reader, reply func(string)) {
-	reply("OK\n")
+func runStatus(s *Server, _ []string, _ *bufio.Reader, reply replyFunc) error {
+	reply.text("OK\n")
 	d := s.node.DMon()
-	reply(fmt.Sprintf("node %s\nmodules %s\nfilter_errors %d\n",
+	reply.text(fmt.Sprintf("node %s\nmodules %s\nfilter_errors %d\n",
 		s.node.Name(), strings.Join(d.Modules(), ","), d.FilterErrors()))
 	for _, remote := range d.Store().Nodes() {
 		if remote == s.node.Name() {
 			continue // the store holds self history too; self is not a peer
 		}
 		last, count := d.Store().LastReport(remote)
-		reply(fmt.Sprintf("peer %s reports=%d last=%s\n",
+		reply.text(fmt.Sprintf("peer %s reports=%d last=%s\n",
 			remote, count, last.Format(time.RFC3339)))
 	}
+	return nil
 }
 
-func runStats(s *Server, _ []string, _ *bufio.Reader, reply func(string)) {
-	reply("OK\n" + s.node.StatsText())
+func runStats(s *Server, _ []string, _ *bufio.Reader, reply replyFunc) error {
+	reply.text("OK\n" + s.node.StatsText())
+	return nil
 }
 
-func runWrite(s *Server, args []string, body *bufio.Reader, reply func(string)) {
+func runWrite(s *Server, args []string, body *bufio.Reader, reply replyFunc) error {
 	data, err := io.ReadAll(io.LimitReader(body, maxWriteBody+1))
 	if err != nil {
-		reply("ERR reading body: " + err.Error() + "\n")
-		return
+		return fmt.Errorf("reading body: %w", err)
 	}
 	if len(data) > maxWriteBody {
 		s.bodyOverCap.Add(1)
-		reply("ERR write body over " + strconv.Itoa(maxWriteBody) + " bytes\n")
-		return
+		return errors.New("write body over " + strconv.Itoa(maxWriteBody) + " bytes")
 	}
 	if err := s.node.FS().WriteFile(args[0], string(data)); err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+		return err
 	}
-	reply("OK\n")
+	reply.text("OK\n")
+	return nil
 }
 
-func runFlush(s *Server, _ []string, _ *bufio.Reader, reply func(string)) {
+func runFlush(s *Server, _ []string, _ *bufio.Reader, reply replyFunc) error {
 	if err := s.node.FlushHistory(); err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+		return err
 	}
 	if s.node.DMon().Store().Persistent() {
-		reply("OK\nflushed\n")
-		return
+		reply.text("OK\nflushed\n")
+		return nil
 	}
-	reply("OK\nmemory-only store, nothing to flush\n")
+	reply.text("OK\nmemory-only store, nothing to flush\n")
+	return nil
 }
 
-func runQuery(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
+func runQuery(s *Server, args []string, _ *bufio.Reader, reply replyFunc) error {
 	fs := s.node.FS()
 	path := "cluster/" + args[0] + "/query"
-	q := strings.Join(args[1:], " ")
-	if err := fs.WriteFile(path, q); err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+	if err := fs.WriteFile(path, strings.Join(args[1:], " ")); err != nil {
+		return err
 	}
 	result, err := fs.ReadFile(path)
 	if err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+		return err
 	}
-	reply("OK\n" + result)
+	reply.text("OK\n" + result)
+	return nil
 }
 
 // DefaultClientTimeout bounds each client-side phase: the dial, the request

@@ -2,6 +2,7 @@ package adminproto
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -35,27 +36,47 @@ func normalized(t testing.TB, text string, now time.Time) tsdb.Query {
 	return nq
 }
 
-// readPartReply reads one kept-connection querypart reply: the status line
-// and the part up to its blank-line terminator.
-func readPartReply(t *testing.T, r *bufio.Reader) string {
+// readPartReply reads one kept-connection querypart reply: the "OK <n>"
+// status line and the n bytes of the part.
+func readPartReply(t *testing.T, r *bufio.Reader) []byte {
 	t.Helper()
-	var sb strings.Builder
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("reply cut short after %q: %v", sb.String()+line, err)
-		}
-		if line == "\n" {
-			return sb.String()
-		}
-		sb.WriteString(line)
+	status, err := r.ReadString('\n')
+	if err != nil {
+		t.Fatalf("reply cut short after %q: %v", status, err)
 	}
+	n, ok := partLength([]byte(status))
+	if !ok {
+		t.Fatalf("querypart status %q", status)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		t.Fatalf("part cut short after %q: %v", status, err)
+	}
+	return append([]byte(status), body...)
+}
+
+// readPartRequest reads one querypart request as a leaf does: the
+// "querypart <n>" line and the n bytes of the binary query.
+func readPartRequest(r *bufio.Reader) (tsdb.Query, error) {
+	line, err := r.ReadString('\n')
+	if err != nil {
+		return tsdb.Query{}, err
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(strings.TrimSpace(line), "querypart "))
+	if err != nil || n > tsdb.MaxQueryBytes {
+		return tsdb.Query{}, fmt.Errorf("request line %q", line)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return tsdb.Query{}, err
+	}
+	return tsdb.DecodeQuery(body)
 }
 
 // The coordinator computes its own part in process with the function a
-// querypart leaf runs, so the two must render to the same bytes; and a
-// client that half-closes and reads to EOF, as before connections were
-// kept, gets exactly that part plus the terminator.
+// querypart leaf runs, so the two must encode to the same bytes; and a
+// client that half-closes and reads to EOF gets exactly that part behind
+// its "OK <n>" line, then EOF.
 func TestSelfPartMatchesWirePart(t *testing.T) {
 	_, vclk, servers := queryCluster(t, 2, 20, nil)
 	srv := servers[0]
@@ -68,31 +89,41 @@ func TestSelfPartMatchesWirePart(t *testing.T) {
 		if local.Count == 0 {
 			t.Fatalf("%s: fixture has no samples", text)
 		}
+		want := local.AppendBinary(nil)
 		self, err := srv.fetchPart(context.Background(), query.Target{Node: srv.node.Name(), Addr: srv.Addr()}, nq)
-		if err != nil || self.Render() != local.Render() {
+		if err != nil || !bytes.Equal(self.AppendBinary(nil), want) {
 			t.Fatalf("%s: in-process fetch %+v, %v; want %+v", text, self, err, local)
 		}
-		wire, err := NewClient(srv.Addr()).roundTrip("querypart "+nq.String()+"\n", nil)
+		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := local.Render() + "\n"; wire != want {
-			t.Fatalf("%s: leaf reply body\n%q\nin-process part\n%q", text, wire, want)
+		if _, err := conn.Write(frame(nq.AppendBinary(nil), "querypart")); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := query.ParsePart(wire); err != nil {
-			t.Fatalf("%s: read-to-EOF reply does not parse: %v", text, err)
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		wire, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status := fmt.Sprintf("OK %d\n", len(want)); !bytes.Equal(wire, append([]byte(status), want...)) {
+			t.Fatalf("%s: leaf reply read to EOF\n%q\nin-process part behind %q\n%q", text, wire, status, want)
 		}
 	}
 }
 
-// The keep-alive contract at the socket: querypart replies end with a blank
-// line and the connection takes another request; any other verb is
-// answered once and the connection closed, also when it follows a
-// querypart on a kept connection.
+// The keep-alive contract at the socket: a querypart reply ends after the
+// bytes its status line counts, and the connection takes another request;
+// any other verb is answered once and the connection closed, also when it
+// follows a querypart on a kept connection.
 func TestQueryPartKeepAliveContract(t *testing.T) {
 	_, vclk, servers := queryCluster(t, 1, 10, nil)
 	addr := servers[0].Addr()
-	req := "querypart " + normalized(t, "p99 loadavg last 30s", vclk.Now()).String() + "\n"
+	req := frame(normalized(t, "p99 loadavg last 30s", vclk.Now()).AppendBinary(nil), "querypart")
 
 	// readToEOF fails the test if the server leaves the connection open: its
 	// own phase timeout is 30 s, far past this deadline.
@@ -112,19 +143,16 @@ func TestQueryPartKeepAliveContract(t *testing.T) {
 	}
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	var first string
+	var first []byte
 	for i := 0; i < 2; i++ {
-		if _, err := io.WriteString(conn, req); err != nil {
+		if _, err := conn.Write(req); err != nil {
 			t.Fatal(err)
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		reply := readPartReply(t, r)
-		if !strings.HasPrefix(reply, "OK\n") {
-			t.Fatalf("querypart %d: %q", i, reply)
-		}
 		if i == 0 {
 			first = reply
-		} else if reply != first {
+		} else if !bytes.Equal(reply, first) {
 			t.Fatalf("second querypart on the connection: %q, first %q", reply, first)
 		}
 	}
@@ -342,38 +370,26 @@ func TestServerCloseWithKeptConnection(t *testing.T) {
 	}
 }
 
-// A querypart reply cut short by a clean EOF after its count line used to
-// parse: it added its count to the merged samples and nothing to the
-// histogram, and the result claimed to be whole. That node now fails.
+// A querypart reply cut short by a clean EOF, and a whole one whose count
+// its buckets do not hold, both fail their node: either would add samples
+// to the total that the merged histogram never saw, and the result would
+// claim to be whole.
 func TestQueryAllFailsTruncatedPart(t *testing.T) {
 	cluster, vclk, servers := queryCluster(t, 3, 10, nil)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
+	answer := func(reply func(q tsdb.Query) []byte) func(net.Conn) {
+		return func(conn net.Conn) {
+			if q, err := readPartRequest(bufio.NewReader(conn)); err == nil {
+				_, _ = conn.Write(reply(q))
 			}
-			go func() {
-				defer conn.Close()
-				line, _ := bufio.NewReader(conn).ReadString('\n')
-				q, err := tsdb.ParseQuery(strings.TrimPrefix(strings.TrimSpace(line), "querypart "))
-				if err != nil {
-					return
-				}
-				fmt.Fprintf(conn, "OK\nfrom %dns\nto %dns\ncount 5\n", q.From, q.To)
-			}()
 		}
-	}()
-	reg := registry.NewClient(cluster.Registry.Addr())
-	defer reg.Close()
-	if _, err := reg.Join(AdminChannel, "fake", ln.Addr().String()); err != nil {
-		t.Fatal(err)
 	}
+	fakeLeaf(t, cluster, "cut", answer(func(q tsdb.Query) []byte {
+		whole := frame(query.Part{From: q.From, To: q.To, Count: 5, Buckets: []query.BucketCount{{Index: 3, Count: 5}}}.AppendBinary(nil), "OK")
+		return whole[:len(whole)-2]
+	}))
+	fakeLeaf(t, cluster, "countonly", answer(func(q tsdb.Query) []byte {
+		return frame(query.Part{From: q.From, To: q.To, Count: 5}.AppendBinary(nil), "OK")
+	}))
 
 	nq := normalized(t, "p99 loadavg last 30s", vclk.Now())
 	samples := 0
@@ -385,9 +401,10 @@ func TestQueryAllFailsTruncatedPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"nodes 4 ok 3 failed 1\n",
+		"nodes 5 ok 3 failed 2\n",
 		"partial true\n",
-		"node fake error ",
+		"node cut error adminproto: querypart reply cut short: EOF\n",
+		"node countonly error query: part counts 5 samples but its buckets hold 0\n",
 		fmt.Sprintf("samples %d\n", samples),
 	} {
 		if !strings.Contains(out, want) {

@@ -9,7 +9,9 @@ import (
 	"io"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dproc/internal/clock"
@@ -276,40 +278,65 @@ func (s *Server) ClusterExporter(metrics []string, window time.Duration) *query.
 	}
 }
 
-// runQueryAll answers a scatter-gather. Its OK reply ends with a blank line,
-// as querypart's does: an operator's client keeps the connection too.
-func runQueryAll(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
+// runQueryAll answers a scatter-gather. Its OK reply ends with a blank
+// line: an operator's client keeps the connection.
+func runQueryAll(s *Server, args []string, _ *bufio.Reader, reply replyFunc) error {
 	out, err := s.QueryAll(strings.Join(args, " "))
 	if err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+		return err
 	}
-	reply("OK\n" + out + "\n")
+	reply.text("OK\n" + out + "\n")
+	return nil
 }
 
+// partBufs recycles the buffers querypart replies are built in.
+var partBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // runQueryPart answers one node's share of a scatter-gather: the local
-// aggregate (or raw histogram buckets, for percentiles) over the
-// already-normalized absolute window the coordinator sends. It refuses
-// relative windows — normalization is the coordinator's job, and accepting
-// "last 5m" here would silently re-anchor it on this node's clock. The OK
-// reply ends with a blank line, which is how a coordinator on a kept
-// connection knows the part is whole.
-func runQueryPart(s *Server, args []string, _ *bufio.Reader, reply func(string)) {
-	q, err := tsdb.ParseQuery(strings.Join(args, " "))
-	if err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+// aggregate (or raw histogram buckets, for percentiles) over the normalized
+// query whose binary form follows the request line, args[0] bytes of it,
+// decoded where the request reader holds it. The form has no relative
+// window, and tsdb.DecodeQuery refuses an empty one: normalization is the
+// coordinator's job, and a leaf re-anchoring "last 5m" on its own clock
+// would answer a different question. The OK reply is "OK <m>\n" and the
+// part's m bytes, written at once.
+func runQueryPart(s *Server, args []string, body *bufio.Reader, reply replyFunc) error {
+	n, err := strconv.Atoi(args[0])
+	if len(args) > 1 || err != nil || n < 0 || n > tsdb.MaxQueryBytes {
+		return errors.New("usage: querypart <n> then n bytes of binary query, n at most " + strconv.Itoa(tsdb.MaxQueryBytes))
 	}
-	if q.Last > 0 || q.From == 0 && q.To == 0 {
-		reply("ERR querypart needs an absolute window\n")
-		return
+	b, err := body.Peek(n)
+	if err != nil {
+		return fmt.Errorf("reading the query: %w", err)
+	}
+	q, err := tsdb.DecodeQuery(b)
+	_, _ = body.Discard(n)
+	if err != nil {
+		return err
 	}
 	p, err := s.localPart(q)
 	if err != nil {
-		reply("ERR " + err.Error() + "\n")
-		return
+		return err
 	}
-	reply("OK\n" + p.Render() + "\n")
+	buf := partBufs.Get().(*[]byte)
+	*buf = frame(p.AppendBinary((*buf)[:0]), "OK")
+	reply(*buf)
+	partBufs.Put(buf)
+	return nil
+}
+
+// frame puts the line "<word> <n>\n" in front of b's n bytes, in place:
+// a length-prefixed querypart request or reply, as the one slice it is
+// written from.
+func frame(b []byte, word string) []byte {
+	n := len(b)
+	var buf [24]byte
+	line := strconv.AppendInt(append(append(buf[:0], word...), ' '), int64(n), 10)
+	line = append(line, '\n')
+	b = append(b, line...)
+	copy(b[len(line):], b[:n])
+	copy(b, line)
+	return b
 }
 
 // QueryAll scatter-gathers a windowed aggregate across every node registered
@@ -318,7 +345,14 @@ func runQueryPart(s *Server, args []string, _ *bufio.Reader, reply func(string))
 // QueryPart; an older server closes after its reply instead of ending it with
 // a blank line, and that EOF ends the reply.
 func (c *Client) QueryAll(q string) (string, error) {
-	return c.keptRoundTrip(context.Background(), "queryall "+q+"\n", true)
+	var out string
+	err := c.keptRoundTrip(context.Background(),
+		func(b []byte) []byte { return append(append(append(b, "queryall "...), q...), '\n') },
+		func(kc *keptConn, _ []byte) (keep bool, err error) {
+			out, keep, err = kc.readText()
+			return keep, err
+		})
+	return out, err
 }
 
 // QueryPart asks one node for its part of a normalized query — what the
@@ -329,13 +363,16 @@ func (c *Client) QueryPart(q tsdb.Query) (query.Part, error) {
 }
 
 // QueryPartContext is QueryPart with ctx's deadline capping the whole call.
-// A part cut short by EOF is an error: its first lines parse on their own.
+// A part cut short by EOF is an error.
 func (c *Client) QueryPartContext(ctx context.Context, q tsdb.Query) (query.Part, error) {
-	text, err := c.keptRoundTrip(ctx, "querypart "+q.String()+"\n", false)
-	if err != nil {
-		return query.Part{}, err
-	}
-	return query.ParsePart(text)
+	var p query.Part
+	err := c.keptRoundTrip(ctx,
+		func(b []byte) []byte { return frame(q.AppendBinary(b), "querypart") },
+		func(kc *keptConn, status []byte) (keep bool, err error) {
+			p, keep, err = kc.readPart(status)
+			return keep, err
+		})
+	return p, err
 }
 
 // maxIdleParts caps the connections a Client keeps open: one is enough for
@@ -344,42 +381,39 @@ func (c *Client) QueryPartContext(ctx context.Context, q tsdb.Query) (query.Part
 // call's connection closes after it.
 const maxIdleParts = 4
 
-// errUnterminated marks a querypart reply cut short: without the blank
-// line that ends it, the part cannot be told from its first few lines.
-var errUnterminated = errors.New("adminproto: querypart reply ended before its terminator")
-
 // keptRoundTrip performs one request of a keep verb (Verb.keep) with ctx's
-// deadline capping the whole call, and returns the reply without its status
-// line and terminator. It reuses a kept connection when the client has one,
-// and keeps the connection afterwards if the reply ended at its terminator.
-// eofEnds accepts a reply that ends at EOF instead, as an older server
-// writes one; that connection is not kept.
+// deadline capping the whole call. request appends the request's bytes to
+// the buffer it is given; reply reads the rest of an OK reply after its
+// status line, as the verb frames it, and reports whether the reply ended
+// where its framing says with nothing read past it. keptRoundTrip reuses a
+// kept connection when the client has one, and keeps the connection
+// afterwards only on such a reply; an ERR reply is one line and closes it.
 //
 // A kept connection can have been closed by the server while idle (its phase
 // timeout, a restart): if it fails before the first reply byte for any
 // reason but a timeout, the request is sent once more on a fresh dial,
 // within the same deadline. A timeout is never retried, so a stalled node
 // costs one deadline, not two.
-func (c *Client) keptRoundTrip(ctx context.Context, header string, eofEnds bool) (string, error) {
+func (c *Client) keptRoundTrip(ctx context.Context, request func([]byte) []byte, reply func(kc *keptConn, status []byte) (keep bool, err error)) error {
 	b := c.budget(ctx)
 	kc, reused, err := c.takeConn(b)
 	if err != nil {
-		return "", err
+		return err
 	}
-	reply, keep, started, err := kc.exchange(header, eofEnds)
+	keep, started, err := kc.exchange(request, reply)
 	if err != nil && reused && !started && !isTimeout(err) {
 		kc.close()
 		if kc, err = c.dialConn(b); err != nil {
-			return "", err
+			return err
 		}
-		reply, keep, _, err = kc.exchange(header, eofEnds)
+		keep, _, err = kc.exchange(request, reply)
 	}
 	if err != nil || !keep {
 		kc.close()
-		return reply, err
+		return err
 	}
 	c.putConn(kc)
-	return reply, nil
+	return nil
 }
 
 // isTimeout reports a deadline error, from net or from a fault fabric.
@@ -389,13 +423,13 @@ func isTimeout(err error) bool {
 }
 
 // keptConn is a connection a Client keeps between calls of keep verbs. Its
-// reader reads under the budget of the call holding it; body is the reply
-// scratch that call reads into.
+// reader reads under the budget of the call holding it; buf is the scratch
+// that call writes its request from and reads a reply into.
 type keptConn struct {
 	conn net.Conn
 	r    *bufio.Reader
 	b    budget
-	body []byte
+	buf  []byte
 }
 
 // takeConn hands out the most recently kept connection, or dials one;
@@ -443,41 +477,92 @@ func (kc *keptConn) close() {
 	putReader(kc.r)
 }
 
-// exchange sends one request and reads the OK reply up to its blank-line
-// terminator, returning the reply text. keep reports a reply that ended
-// there with nothing read past it, so the connection may carry another
-// request. An EOF before the terminator fails the reply unless eofEnds, when
-// it ends the reply instead. started reports whether any reply byte
-// arrived — what decides if a failure may be retried.
-func (kc *keptConn) exchange(header string, eofEnds bool) (reply string, keep, started bool, err error) {
+// exchange writes one request in one write, reads the status line, and
+// hands an OK reply to reply; an ERR status is the call's error. started
+// reports whether any reply byte arrived — what decides if a failure may
+// be retried.
+func (kc *keptConn) exchange(request func([]byte) []byte, reply func(*keptConn, []byte) (bool, error)) (keep, started bool, err error) {
+	kc.buf = request(kc.buf[:0])
 	_ = kc.conn.SetWriteDeadline(kc.phase())
-	if _, err := io.WriteString(kc.conn, header); err != nil {
-		return "", false, false, err
+	if _, err := kc.conn.Write(kc.buf); err != nil {
+		return false, false, err
 	}
 	status, err := kc.r.ReadSlice('\n')
 	if err != nil {
-		return "", false, len(status) > 0, err
+		return false, len(status) > 0, err
 	}
 	if msg, ok := bytes.CutPrefix(bytes.TrimSpace(status), []byte("ERR")); ok {
-		return "", false, true, fmt.Errorf("adminproto: %s", bytes.TrimSpace(msg))
+		return false, true, fmt.Errorf("adminproto: %s", bytes.TrimSpace(msg))
 	}
-	body := kc.body[:0]
+	keep, err = reply(kc, status)
+	return keep, true, err
+}
+
+// readText reads a queryall reply's text up to its blank-line terminator,
+// or to EOF, where an older server ends it; keep reports a reply that ended
+// at its terminator with nothing read past it.
+func (kc *keptConn) readText() (text string, keep bool, err error) {
+	body := kc.buf[:0]
 	for line := 0; ; {
 		chunk, err := kc.r.ReadSlice('\n')
 		body = append(body, chunk...)
 		switch {
 		case err == bufio.ErrBufferFull:
 			continue // a line longer than the reader's buffer
-		case errors.Is(err, io.EOF) && eofEnds:
-			return string(body), false, true, nil
 		case errors.Is(err, io.EOF):
-			return "", false, true, errUnterminated
+			return string(body), false, nil
 		case err != nil:
-			return "", false, true, err
+			return "", false, err
 		case len(body)-line == 1:
-			kc.body = body
-			return string(body[:line]), kc.r.Buffered() == 0, true, nil
+			kc.buf = body
+			return string(body[:line]), kc.r.Buffered() == 0, nil
 		}
 		line = len(body)
 	}
+}
+
+// readPart reads a querypart reply after its "OK <n>\n" status: exactly n
+// bytes, at most query.MaxPartBytes, decoded in place from the reader's
+// buffer when they fit it, and from buf when they do not. keep reports a
+// part that decoded with nothing read past it. A status without a length
+// (a leaf of a version before binary parts) and a reply cut short are
+// errors.
+func (kc *keptConn) readPart(status []byte) (p query.Part, keep bool, err error) {
+	n, ok := partLength(status)
+	if !ok {
+		return p, false, fmt.Errorf("adminproto: querypart reply status %.32q is not OK <n> with n at most %d", status, query.MaxPartBytes)
+	}
+	var body []byte
+	inPlace := n <= kc.r.Size()
+	if inPlace {
+		body, err = kc.r.Peek(n)
+	} else {
+		kc.buf = slices.Grow(kc.buf[:0], n)[:n]
+		body = kc.buf
+		_, err = io.ReadFull(kc.r, body)
+	}
+	if err != nil {
+		return p, false, fmt.Errorf("adminproto: querypart reply cut short: %w", err)
+	}
+	p, err = query.DecodePart(body)
+	if inPlace {
+		_, _ = kc.r.Discard(n)
+	}
+	return p, err == nil && kc.r.Buffered() == 0, err
+}
+
+// partLength reads n from a querypart reply's "OK <n>\n" status line.
+func partLength(status []byte) (int, bool) {
+	digits, ok := bytes.CutPrefix(status, []byte("OK "))
+	if !ok || len(digits) < 2 || len(digits) > 7 || digits[len(digits)-1] != '\n' {
+		return 0, false
+	}
+	n := 0
+	for _, d := range digits[:len(digits)-1] {
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		n = n*10 + int(d-'0')
+	}
+	return n, n <= query.MaxPartBytes
 }

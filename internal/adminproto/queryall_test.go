@@ -17,6 +17,7 @@ import (
 	"dproc/internal/dmon"
 	"dproc/internal/faultnet"
 	"dproc/internal/leakcheck"
+	"dproc/internal/query"
 	"dproc/internal/tsdb"
 	"dproc/internal/wire"
 )
@@ -249,14 +250,21 @@ func TestQueryAllPartialUnderFaults(t *testing.T) {
 	leakcheck.Goroutines(t, "after the fault sequence", 0, before)
 }
 
-// querypart refuses relative windows: window normalization is the
+// querypart answers absolute windows only: window normalization is the
 // coordinator's job, and a leaf re-anchoring "last 5m" on its own clock
-// would answer a different question than its peers.
+// would answer a different question than its peers. The binary query has
+// no relative window to send — a query with only Last set encodes an empty
+// window, which the leaf refuses like any other — and the text request of
+// an older coordinator gets one ERR line.
 func TestQueryPartRejectsRelativeWindows(t *testing.T) {
 	_, _, servers := queryCluster(t, 1, 3, nil)
 	c := NewClient(servers[0].Addr())
 	if _, err := c.roundTrip("querypart p99 loadavg last 30s\n", nil); err == nil ||
-		!strings.Contains(err.Error(), "absolute window") {
+		!strings.Contains(err.Error(), "usage: querypart <n>") {
+		t.Fatalf("text querypart: err = %v", err)
+	}
+	relative := tsdb.Query{Agg: tsdb.AggP99, Metric: "loadavg", Last: 30 * time.Second}
+	if _, err := c.QueryPart(relative); err == nil || !strings.Contains(err.Error(), "window [0, 0) is empty") {
 		t.Fatalf("relative querypart: err = %v", err)
 	}
 	q := tsdb.Query{Agg: tsdb.AggP99, Metric: "loadavg", From: 1, To: clock.Epoch.Add(time.Hour).UnixNano()}
@@ -361,8 +369,9 @@ func TestClientToleratesSlowDribbleResponse(t *testing.T) {
 // under the client's phase timeout is whole without a deadline, and cut
 // off at one shorter than the dribble.
 func TestQueryPartContextCapsTheSumOfPhases(t *testing.T) {
-	addr := dribbler(t, "OK\n", "from 1ns\n", "to 2ns\n", "count 3\nvalue 4\n", "\n")
 	q := normalized(t, "avg loadavg last 30s", clock.Epoch)
+	reply := string(frame(query.Part{From: q.From, To: q.To, Count: 3, Value: 4}.AppendBinary(nil), "OK"))
+	addr := dribbler(t, reply[:2], reply[2:6], reply[6:9], reply[9:12], reply[12:])
 	c := NewClient(addr)
 	defer c.Close()
 	c.SetTimeout(250 * time.Millisecond) // the whole part takes 400 ms

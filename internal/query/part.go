@@ -14,10 +14,10 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 	"time"
 
 	"dproc/internal/obs"
@@ -53,10 +53,15 @@ type BucketCount struct {
 // each node's newest sample, which would make nodes answer different
 // windows), and tier windows are pre-widened to whole buckets so the
 // leaves' own widening (idempotent, DESIGN.md §7) changes nothing. Cluster
-// queries must name a window — "full retained range" differs per node.
+// queries must name a window — "full retained range" differs per node —
+// and a metric name of at most tsdb.MaxMetricBytes, the cap of the binary
+// query a leaf reads.
 func Normalize(q tsdb.Query, now time.Time) (tsdb.Query, error) {
 	if _, isQuantile := q.Agg.Quantile(); isQuantile && q.Res > 0 {
 		return q, fmt.Errorf("query: percentiles require raw resolution")
+	}
+	if len(q.Metric) > tsdb.MaxMetricBytes {
+		return q, fmt.Errorf("query: metric name over %d bytes", tsdb.MaxMetricBytes)
 	}
 	switch {
 	case q.Last > 0:
@@ -122,14 +127,17 @@ func sparse(h *tsdb.Hist) []BucketCount {
 }
 
 // check reports whether p can answer the normalized query q: the same
-// window, and for a percentile query bucket counts that sum to Count within
-// the obs layout, none for an arithmetic one. A part failing it — a reply
-// cut short after its count line, a hostile or version-skewed peer — would
-// add samples to the total that the merged histogram never saw, so Run
-// fails that node instead.
+// window, a count that is not negative, and for a percentile query bucket
+// counts that sum to Count within the obs layout, none for an arithmetic
+// one. A part failing it — a hostile or broken peer's — would add samples
+// to the total that the merged histogram never saw, so Run fails that node
+// instead.
 func (p Part) check(q tsdb.Query) error {
 	if p.From != q.From || p.To != q.To {
 		return fmt.Errorf("query: part window [%d, %d) is not the query's [%d, %d)", p.From, p.To, q.From, q.To)
+	}
+	if p.Count < 0 {
+		return fmt.Errorf("query: part counts %d samples", p.Count)
 	}
 	if _, isQuantile := q.Agg.Quantile(); !isQuantile {
 		if p.Buckets != nil {
@@ -147,103 +155,116 @@ func (p Part) check(q tsdb.Query) error {
 		}
 		sum += b.Count
 	}
-	if p.Count < 0 || uint64(p.Count) != sum {
+	if uint64(p.Count) != sum {
 		return fmt.Errorf("query: part counts %d samples but its buckets hold %d", p.Count, sum)
 	}
 	return nil
 }
 
-// Render formats the part as line-oriented "key value" wire text:
-//
-//	from <ns>
-//	to <ns>
-//	count <n>
-//	value <g>                  (arithmetic parts)
-//	buckets <i>:<c> <i>:<c> …  (percentile parts with data)
-func (p Part) Render() string {
-	b := make([]byte, 0, 64+16*len(p.Buckets))
-	b = append(b, "from "...)
-	b = strconv.AppendInt(b, p.From, 10)
-	b = append(b, "ns\nto "...)
-	b = strconv.AppendInt(b, p.To, 10)
-	b = append(b, "ns\ncount "...)
-	b = strconv.AppendInt(b, p.Count, 10)
+// Part kinds in the binary form: what follows the count.
+const (
+	kindValue   byte = 1 // the value's 8 bytes, little-endian IEEE 754
+	kindBuckets byte = 2 // the bucket count, then (index delta, count) pairs
+)
+
+// MaxPartBytes caps a part's binary form: three varints, the kind byte, the
+// bucket count and a pair for every bucket of the layout.
+const MaxPartBytes = 3*binary.MaxVarintLen64 + 1 + 2 + obs.NumBuckets*(2+binary.MaxVarintLen64)
+
+// AppendBinary appends the part's binary form — the body of a querypart
+// reply (DESIGN §12): From, To and Count as varints, then a kind byte and
+// either Value's 8 bytes (arithmetic parts, and percentile parts with no
+// data) or the bucket count and one (index delta, count) uvarint pair per
+// bucket, the first delta from index 0.
+func (p Part) AppendBinary(b []byte) []byte {
+	b = binary.AppendVarint(b, p.From)
+	b = binary.AppendVarint(b, p.To)
+	b = binary.AppendVarint(b, p.Count)
 	if p.Buckets == nil {
-		b = append(b, "\nvalue "...)
-		b = strconv.AppendFloat(b, p.Value, 'g', -1, 64)
-		return string(append(b, '\n'))
+		b = append(b, kindValue)
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Value))
 	}
-	b = append(b, "\nbuckets"...)
+	b = append(b, kindBuckets)
+	b = binary.AppendUvarint(b, uint64(len(p.Buckets)))
+	prev := 0
 	for _, bc := range p.Buckets {
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(bc.Index), 10)
-		b = append(b, ':')
-		b = strconv.AppendUint(b, bc.Count, 10)
+		delta := uint64(bc.Index - prev)
+		if delta < 0x80 && bc.Count < 0x80 {
+			b = append(b, byte(delta), byte(bc.Count)) // the common pair: two one-byte uvarints
+		} else {
+			b = binary.AppendUvarint(binary.AppendUvarint(b, delta), bc.Count)
+		}
+		prev = bc.Index
 	}
-	return string(append(b, '\n'))
+	return b
 }
 
-// ParsePart parses Render's wire form. A part carrying both a value and
-// buckets is refused: Render writes one or the other, so no peer sends it.
-func ParsePart(text string) (Part, error) {
+// DecodePart reads AppendBinary's form. It refuses trailing bytes, an
+// unknown kind, a bucket count larger than the bytes that remain can hold
+// (checked before the bucket list is sized by it), indices that do not
+// ascend or fall outside the obs layout, and overlong varints, so every part
+// it returns re-encodes to exactly b. Whether the part answers its query is
+// Part.check's to say.
+func DecodePart(b []byte) (Part, error) {
 	var p Part
-	sawFrom, sawTo, sawValue := false, false, false
-	for text != "" {
-		var line string
-		line, text, _ = strings.Cut(text, "\n")
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	var err error
+	if p.From, b, err = tsdb.ReadVarint(b); err != nil {
+		return p, err
+	}
+	if p.To, b, err = tsdb.ReadVarint(b); err != nil {
+		return p, err
+	}
+	if p.Count, b, err = tsdb.ReadVarint(b); err != nil {
+		return p, err
+	}
+	if len(b) == 0 {
+		return p, errors.New("query: part ends before its kind")
+	}
+	kind, b := b[0], b[1:]
+	switch kind {
+	case kindValue:
+		if len(b) != 8 {
+			return p, fmt.Errorf("query: value part has %d bytes after its kind, want 8", len(b))
 		}
-		key, rest, _ := strings.Cut(line, " ")
-		var err error
-		switch key {
-		case "from":
-			p.From, err = parseNanos(rest)
-			sawFrom = true
-		case "to":
-			p.To, err = parseNanos(rest)
-			sawTo = true
-		case "count":
-			p.Count, err = strconv.ParseInt(rest, 10, 64)
-		case "value":
-			p.Value, err = strconv.ParseFloat(rest, 64)
-			sawValue = true
-		case "buckets":
-			p.Buckets = make([]BucketCount, 0, strings.Count(rest, ":"))
-			for rest != "" {
-				var pair string
-				pair, rest, _ = strings.Cut(rest, " ")
-				if pair == "" {
-					continue
-				}
-				is, cs, ok := strings.Cut(pair, ":")
-				if !ok {
-					return p, fmt.Errorf("query: bad bucket pair %q", pair)
-				}
-				i, err1 := strconv.Atoi(is)
-				c, err2 := strconv.ParseUint(cs, 10, 64)
-				if err1 != nil || err2 != nil {
-					return p, fmt.Errorf("query: bad bucket pair %q", pair)
-				}
-				p.Buckets = append(p.Buckets, BucketCount{Index: i, Count: c})
+		p.Value = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		return p, nil
+	case kindBuckets:
+	default:
+		return p, fmt.Errorf("query: unknown part kind %d", kind)
+	}
+	n, b, err := tsdb.ReadUvarint(b)
+	if err != nil {
+		return p, err
+	}
+	// A pair is at least two bytes.
+	if n > obs.NumBuckets || n > uint64(len(b)/2) {
+		return p, fmt.Errorf("query: part claims %d buckets in %d bytes", n, len(b))
+	}
+	p.Buckets = make([]BucketCount, n)
+	index := uint64(0)
+	for i := range p.Buckets {
+		var delta, count uint64
+		if len(b) >= 2 && b[0] < 0x80 && b[1] < 0x80 {
+			delta, count, b = uint64(b[0]), uint64(b[1]), b[2:] // the common pair: two one-byte uvarints
+		} else {
+			if delta, b, err = tsdb.ReadUvarint(b); err != nil {
+				return p, err
 			}
-		default:
-			// Unknown keys are ignored for forward compatibility.
+			if count, b, err = tsdb.ReadUvarint(b); err != nil {
+				return p, err
+			}
 		}
-		if err != nil {
-			return p, fmt.Errorf("query: bad part line %q: %v", line, err)
+		if i > 0 && delta == 0 {
+			return p, fmt.Errorf("query: part bucket indices do not ascend at pair %d", i)
 		}
+		if delta >= obs.NumBuckets-index {
+			return p, fmt.Errorf("query: part bucket index %d+%d outside the layout", index, delta)
+		}
+		index += delta
+		p.Buckets[i] = BucketCount{Index: int(index), Count: count}
 	}
-	if !sawFrom || !sawTo {
-		return p, fmt.Errorf("query: part missing window")
-	}
-	if sawValue && p.Buckets != nil {
-		return p, fmt.Errorf("query: part has both a value and buckets")
+	if len(b) > 0 {
+		return p, fmt.Errorf("query: part has %d trailing bytes", len(b))
 	}
 	return p, nil
-}
-
-func parseNanos(s string) (int64, error) {
-	return strconv.ParseInt(strings.TrimSuffix(s, "ns"), 10, 64)
 }

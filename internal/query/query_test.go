@@ -1,7 +1,9 @@
 package query
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -31,20 +33,25 @@ func TestPartWireRoundTrip(t *testing.T) {
 		{From: 5, To: 9, Count: 4, Buckets: []BucketCount{{0, 1}, {17, 2}, {1500, 1}}},
 		{From: 5, To: 9, Count: 0, Buckets: []BucketCount{}},
 	}
-	// The wire text, byte for byte as the map-based renderer wrote it.
+	// The binary form, byte for byte: from, to and count as zig-zag
+	// varints, the kind, then the value's bits or the pairs.
 	golden := []string{
-		"from 100ns\nto 200ns\ncount 7\nvalue 3.25\n",
-		"from 1056326400123456789ns\nto 1056326400123456790ns\ncount 0\nvalue 0\n",
-		"from 5ns\nto 9ns\ncount 4\nbuckets 0:1 17:2 1500:1\n",
-		"from 5ns\nto 9ns\ncount 0\nbuckets\n",
+		"c801 9003 0e 01 00000000 00000a40",
+		"aab4cee3f4d0e9a81d acb4cee3f4d0e9a81d 00 01 00000000 00000000",
+		"0a 12 08 02 03 0001 1102 cb0b01",
+		"0a 12 00 02 00",
 	}
 	for k, p := range parts {
-		if got := p.Render(); got != golden[k] {
-			t.Fatalf("Render() = %q, want %q", got, golden[k])
-		}
-		got, err := ParsePart(p.Render())
+		want, err := hex.DecodeString(strings.ReplaceAll(golden[k], " ", ""))
 		if err != nil {
-			t.Fatalf("ParsePart(%q): %v", p.Render(), err)
+			t.Fatal(err)
+		}
+		if got := p.AppendBinary(nil); !bytes.Equal(got, want) {
+			t.Fatalf("AppendBinary(%+v) = %x, want %x", p, got, want)
+		}
+		got, err := DecodePart(want)
+		if err != nil {
+			t.Fatalf("DecodePart(%x): %v", want, err)
 		}
 		if got.From != p.From || got.To != p.To || got.Count != p.Count || got.Value != p.Value {
 			t.Fatalf("round trip %+v → %+v", p, got)
@@ -53,12 +60,47 @@ func TestPartWireRoundTrip(t *testing.T) {
 			t.Fatalf("buckets %v → %v", p.Buckets, got.Buckets)
 		}
 	}
-	// Unknown keys are tolerated; a missing window is not.
-	if _, err := ParsePart("from 1ns\nto 2ns\ncount 0\nfuture stuff\n"); err != nil {
-		t.Fatalf("unknown key rejected: %v", err)
+	for _, bad := range []struct{ name, hex string }{
+		{"trailing byte", "0a 12 08 02 03 0001 1102 cb0b01 00"},
+		{"indices that do not ascend", "0a 12 04 02 02 1101 0003"},
+		{"index outside the layout", "0a 12 02 02 01 e00e02"},
+		{"index past the layout by delta", "0a 12 04 02 02 1101 d00e03"},
+		{"overlong varint", "8a00 12 00 01 0000000000000000"},
+		{"short value", "0a 12 00 01 000000000000"},
+		{"unknown kind", "0a 12 00 03"},
+		{"no kind", "0a 12 00"},
+		{"1 888 buckets claimed in 3 bytes", "02 04 00 02 e00e 000101"},
+		{"truncated pair", "0a 12 02 02 01 01"},
+	} {
+		b, err := hex.DecodeString(strings.ReplaceAll(bad.hex, " ", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := DecodePart(b); err == nil {
+			t.Fatalf("%s: DecodePart(%x) = %+v, want an error", bad.name, b, p)
+		}
 	}
-	if _, err := ParsePart("count 3\nvalue 1\n"); err == nil {
-		t.Fatal("part without a window accepted")
+}
+
+// A part whose bucket count claims more pairs than its bytes can hold is
+// refused before the bucket list is sized by the claim: a 9-byte part that
+// claims the whole layout (1 888 buckets, a 30 KB list) allocates less
+// than 1 KiB, its error.
+func TestPartClaimAllocatesOnlyWhatArrives(t *testing.T) {
+	b, err := hex.DecodeString("020400" + "02e00e000101")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		if _, err := DecodePart(b); err == nil {
+			t.Fatal("a part claiming 1888 buckets in 3 bytes decoded")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / 1000; n >= 1024 {
+		t.Fatalf("a refused claim allocated %d bytes", n)
 	}
 }
 
@@ -312,6 +354,7 @@ func TestRunFailsContradictoryParts(t *testing.T) {
 		{"overflowing buckets", tsdb.AggP99, Part{From: w.From, To: w.To, Count: 1, Buckets: []BucketCount{{1, 1 << 63}, {2, 1<<63 + 1}}}},
 		{"other window", tsdb.AggSum, Part{From: w.From, To: w.To - 1, Count: 5, Value: 7}},
 		{"arithmetic with buckets", tsdb.AggSum, Part{From: w.From, To: w.To, Count: 1, Value: 7, Buckets: []BucketCount{{3, 1}}}},
+		{"negative count", tsdb.AggSum, Part{From: w.From, To: w.To, Count: -2, Value: 7}},
 	} {
 		bad := func(ctx context.Context, tg Target, q tsdb.Query) (Part, error) {
 			if tg.Node == "node1" {
@@ -425,11 +468,17 @@ func loadDB() *tsdb.DB {
 
 var loadWindow = tsdb.Query{Agg: tsdb.AggP99, Metric: "loadavg", From: 601 * int64(time.Second), To: 901 * int64(time.Second)}
 
-// FuzzParsePart feeds the querypart reply parser arbitrary text, which is
-// what a peer can send: it must never panic, and whatever it accepts must
-// come back equal through Render and ParsePart again. Seeded with real
-// parts: an empty one, an arithmetic one, a 300-sample percentile.
-func FuzzParsePart(f *testing.F) {
+// FuzzDecodePart feeds arbitrary bytes to the two decoders of a querypart
+// exchange, which is what a peer can send: the part (DecodePart, the reply)
+// and the query (tsdb.DecodeQuery, the request). Neither may panic;
+// whatever either accepts re-encodes to the input byte for byte; a decoded
+// percentile part has strictly ascending indices within the obs layout; a
+// decoded query has a metric within its cap and a non-empty absolute
+// window; and a claimed bucket count or metric length larger than the bytes
+// that remain is refused. Seeded with real parts (an empty one, an
+// arithmetic one, a 300-sample percentile), real queries, and a hostile
+// claim of each kind.
+func FuzzDecodePart(f *testing.F) {
 	db := loadDB()
 	pct, err := ComputePart(db, "n/loadavg", loadWindow)
 	if err != nil || pct.Count != 300 {
@@ -446,23 +495,55 @@ func FuzzParsePart(f *testing.F) {
 		f.Fatalf("seed part %+v, %v", empty, err)
 	}
 	for _, p := range []Part{empty, arith, pct} {
-		f.Add(p.Render())
+		f.Add(p.AppendBinary(nil))
 	}
-	f.Fuzz(func(t *testing.T, text string) {
-		p, err := ParsePart(text)
-		if err != nil {
-			return
+	f.Add(loadWindow.AppendBinary(nil))
+	f.Add(tsdb.Query{Agg: tsdb.AggAvg, Metric: "freemem", From: -5, To: 60e9, Res: 10 * time.Second}.AppendBinary(nil))
+	f.Add([]byte("\x02\x04\x00\x02\xe0\x0e\x00\x01\x01")) // 1 888 buckets claimed in 3 bytes
+	f.Add([]byte("\x08\xe8\x07load"))                     // a 1 000-byte metric claimed in 4
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if p, err := DecodePart(b); err == nil {
+			if again := p.AppendBinary(nil); !bytes.Equal(again, b) {
+				t.Fatalf("part %+v decoded from %x re-encodes as %x", p, b, again)
+			}
+			for i, bc := range p.Buckets {
+				if bc.Index < 0 || bc.Index >= obs.NumBuckets || i > 0 && bc.Index <= p.Buckets[i-1].Index {
+					t.Fatalf("part %x decoded bucket %d at index %d: %v", b, i, bc.Index, p.Buckets)
+				}
+			}
+		} else if n, rest, ok := claimedBuckets(b); ok && n > uint64(len(rest)/2) && !strings.Contains(err.Error(), "claims") {
+			t.Fatalf("part %x claims %d buckets in %d bytes: refused for %v", b, n, len(rest), err)
 		}
-		again, err := ParsePart(p.Render())
-		if err != nil {
-			t.Fatalf("Render of an accepted part does not parse: %v\n%q", err, p.Render())
-		}
-		if again.From != p.From || again.To != p.To || again.Count != p.Count ||
-			math.Float64bits(again.Value) != math.Float64bits(p.Value) ||
-			(again.Buckets == nil) != (p.Buckets == nil) || !slices.Equal(again.Buckets, p.Buckets) {
-			t.Fatalf("round trip %+v → %+v", p, again)
+		if q, err := tsdb.DecodeQuery(b); err == nil {
+			if again := q.AppendBinary(nil); !bytes.Equal(again, b) {
+				t.Fatalf("query %+v decoded from %x re-encodes as %x", q, b, again)
+			}
+			if q.Metric == "" || len(q.Metric) > tsdb.MaxMetricBytes || q.From >= q.To || q.Last != 0 || q.Res < 0 {
+				t.Fatalf("query %x decoded as %+v", b, q)
+			}
+		} else if len(b) > 1 {
+			_, known := tsdb.ParseAgg(tsdb.Agg(b[0]).String())
+			if n, rest, bad := tsdb.ReadUvarint(b[1:]); known && bad == nil && n > uint64(len(rest)) && !strings.Contains(err.Error(), "claims") {
+				t.Fatalf("query %x claims a %d-byte metric in %d bytes: refused for %v", b, n, len(rest), err)
+			}
 		}
 	})
+}
+
+// claimedBuckets reads the bucket count a percentile part's bytes claim,
+// and the bytes after it, with the varint readers but not DecodePart.
+func claimedBuckets(b []byte) (n uint64, rest []byte, ok bool) {
+	var err error
+	for field := 0; field < 3; field++ {
+		if _, b, err = tsdb.ReadVarint(b); err != nil {
+			return 0, nil, false
+		}
+	}
+	if len(b) == 0 || b[0] != 2 {
+		return 0, nil, false
+	}
+	n, rest, err = tsdb.ReadUvarint(b[1:])
+	return n, rest, err == nil
 }
 
 // BenchmarkComputePart answers one node's part of a p99 over 300 samples of
@@ -478,6 +559,25 @@ func BenchmarkComputePart(b *testing.B) {
 			b.Fatalf("part %+v, %v", p, err)
 		}
 	}
+}
+
+// BenchmarkPartCodec is one querypart reply's codec work on both ends: a
+// 300-sample p99 part of a load-average-like series (129 buckets) encoded
+// into a reused buffer and decoded back.
+func BenchmarkPartCodec(b *testing.B) {
+	p, err := ComputePart(loadDB(), "n/loadavg", loadWindow)
+	if err != nil || p.Count != 300 {
+		b.Fatalf("part %+v, %v", p, err)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	for b.Loop() {
+		buf = p.AppendBinary(buf[:0])
+		if _, err := DecodePart(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(buf)), "B/part")
 }
 
 // sortedPart is ComputePart's percentile branch as it was before the part
@@ -504,7 +604,7 @@ func sortedPart(db *tsdb.DB, series string, q tsdb.Query) Part {
 }
 
 // The counted percentile part equals the sort-based one, bucket for bucket
-// and byte for byte on the wire, over FuzzParsePart's seed windows and
+// and byte for byte on the wire, over FuzzDecodePart's seed windows and
 // seeded windows at the edges: empty, one bucket, NaN and negative values
 // (bucket 0), values clamped at maxScaled (the top bucket) and a wide
 // random spread. Each window runs after the others on one pool, so a
@@ -554,7 +654,7 @@ func TestCountedPartMatchesSortedPart(t *testing.T) {
 			t.Fatalf("%s %v: %v", w.series, w.q, err)
 		}
 		if got.Count != want.Count || (got.Buckets == nil) != (want.Buckets == nil) ||
-			!slices.Equal(got.Buckets, want.Buckets) || got.Render() != want.Render() {
+			!slices.Equal(got.Buckets, want.Buckets) || !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
 			t.Fatalf("%s %v: counted part\n%+v\nsorted part\n%+v", w.series, w.q, got, want)
 		}
 	}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -176,9 +177,8 @@ func parseInstant(s string) (int64, error) {
 }
 
 // String renders the query back in the grammar ParseQuery accepts, using
-// the exact-nanosecond instant form for absolute windows so a re-parse on
-// another node resolves the identical window. This is the wire form the
-// scatter-gather coordinator sends to every leaf.
+// the exact-nanosecond instant form for absolute windows so a re-parse
+// resolves the identical window.
 func (q Query) String() string {
 	var sb strings.Builder
 	sb.WriteString(q.Agg.String())
@@ -194,6 +194,92 @@ func (q Query) String() string {
 		fmt.Fprintf(&sb, " @%s", q.Res)
 	}
 	return sb.String()
+}
+
+// MaxMetricBytes caps a metric name in a query's binary form, and so
+// MaxQueryBytes caps the whole: an agg byte, the name's length and bytes,
+// and three varints.
+const (
+	MaxMetricBytes = 1024
+	MaxQueryBytes  = 1 + 2 + MaxMetricBytes + 3*binary.MaxVarintLen64
+)
+
+// AppendBinary appends the binary form of an absolute query — the body of
+// a querypart request (DESIGN §12): the agg byte, the metric's length as a
+// uvarint and its bytes, then From and To as varints and Res in
+// nanoseconds as a uvarint. There is no relative window in the form: Last
+// is not written, so a leaf cannot re-anchor a window.
+func (q Query) AppendBinary(b []byte) []byte {
+	b = append(b, byte(q.Agg))
+	b = binary.AppendUvarint(b, uint64(len(q.Metric)))
+	b = append(b, q.Metric...)
+	b = binary.AppendVarint(b, q.From)
+	b = binary.AppendVarint(b, q.To)
+	return binary.AppendUvarint(b, uint64(q.Res))
+}
+
+// DecodeQuery reads AppendBinary's form. It refuses an unknown agg, a
+// metric that is empty, over MaxMetricBytes or longer than the bytes that
+// remain, an empty window, a negative resolution, overlong varints and
+// trailing bytes, so every query it returns re-encodes to exactly b.
+func DecodeQuery(b []byte) (Query, error) {
+	var q Query
+	if len(b) == 0 {
+		return q, errors.New("tsdb: empty binary query")
+	}
+	q.Agg = Agg(b[0])
+	if _, ok := aggNames[q.Agg]; !ok {
+		return q, fmt.Errorf("tsdb: binary query has unknown aggregation %d", b[0])
+	}
+	b = b[1:]
+	n, b, err := ReadUvarint(b)
+	if err != nil {
+		return q, err
+	}
+	if n == 0 || n > MaxMetricBytes || n > uint64(len(b)) {
+		return q, fmt.Errorf("tsdb: binary query claims a %d-byte metric in %d bytes (cap %d)", n, len(b), MaxMetricBytes)
+	}
+	q.Metric, b = string(b[:n]), b[n:]
+	if q.From, b, err = ReadVarint(b); err != nil {
+		return q, err
+	}
+	if q.To, b, err = ReadVarint(b); err != nil {
+		return q, err
+	}
+	res, b, err := ReadUvarint(b)
+	if err != nil {
+		return q, err
+	}
+	q.Res = time.Duration(res)
+	switch {
+	case q.Res < 0:
+		return q, fmt.Errorf("tsdb: binary query has a negative resolution")
+	case len(b) > 0:
+		return q, fmt.Errorf("tsdb: binary query has %d trailing bytes", len(b))
+	case q.From >= q.To:
+		return q, fmt.Errorf("tsdb: binary query window [%d, %d) is empty", q.From, q.To)
+	}
+	return q, nil
+}
+
+// ReadUvarint reads one canonical uvarint off the front of b and returns the
+// rest: a truncated, overflowing or overlong one (a longer form than
+// binary.AppendUvarint writes) is an error, so a decoder built on it
+// re-encodes what it accepts byte for byte.
+func ReadUvarint(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || n > 1 && b[n-1] == 0 {
+		return 0, b, errBadVarint
+	}
+	return v, b[n:], nil
+}
+
+var errBadVarint = errors.New("tsdb: truncated, overflowing or overlong varint")
+
+// ReadVarint is ReadUvarint for a zig-zag signed varint (binary.AppendVarint).
+func ReadVarint(b []byte) (int64, []byte, error) {
+	ux, rest, err := ReadUvarint(b)
+	return int64(ux>>1) ^ -int64(ux&1), rest, err
 }
 
 // WidenWindow widens [from, to) outward to whole buckets of the given

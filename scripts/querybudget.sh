@@ -12,7 +12,12 @@
 # client half stays in the rows below). Any other sample goes to the first
 # row whose pattern matches one of its frames, walking from the leaf up, and
 # to "other" when none does; a leaf row is split by query kind, p99 (the
-# stack reads a value window) or avg (it runs a tsdb query).
+# stack reads a value window) or avg (it runs a tsdb query). The "codec" row
+# is every encode and decode on the query path: the binary querypart request
+# and part (tsdb.Query.AppendBinary/DecodeQuery, query.Part.AppendBinary/
+# DecodePart, their varints and framing), the coordinator's parse of the
+# operator's query text (tsdb.ParseQuery) and its render of the result
+# (query.Result.Render).
 #
 # The profile comes from a scratch copy of the tree whose bench/main.go
 # wraps realMain in pprof.StartCPUProfile/StopCPUProfile; QUERYALLS is the
@@ -25,14 +30,14 @@ queries="${3:?usage: querybudget.sh BINARY PROFILE QUERYALLS}"
 
 go tool pprof -traces "$bin" "$prof" 2>/dev/null | awk -v queries="$queries" '
 BEGIN {
-	nrows = split("syscalls|conn deadlines|fan-out timers|leaf decode|leaf count|merge|render/parse|goroutines, stacks", name, "|")
+	nrows = split("syscalls|conn deadlines|fan-out timers|leaf decode|leaf count|merge|codec|goroutines, stacks", name, "|")
 	pat[1] = "^(syscall\\.|internal/runtime/syscall|runtime\\.(futex|epollwait))"
 	pat[2] = "^internal/poll\\.runtime_pollSetDeadline"
 	pat[3] = "^(context\\.|time\\.(AfterFunc|\\(\\*Timer\\)|newTimer|stopTimer))"
 	pat[4] = "^dproc/internal/tsdb\\.(\\(\\*ChunkIter\\)|\\(\\*bitReader\\)|\\(\\*dodCodec\\)|\\(\\*xorCodec\\)|\\(\\*Series\\)\\.(Scan|appendValues)|\\(\\*DB\\)\\.Scan)"
 	pat[5] = "^dproc/internal/(query\\.ComputePart|tsdb\\.(\\(\\*(DB|Series)\\)\\.Query|\\(\\*Hist\\)|\\(\\*histScratch\\)\\.count))"
 	pat[6] = "^dproc/internal/query\\.\\(\\*Result\\)\\.merge"
-	pat[7] = "^dproc/internal/(query\\.(Part\\.Render|ParsePart|Result\\.Render|\\(\\*Result\\)\\.Render)|tsdb\\.(ParseQuery|Query\\.String))"
+	pat[7] = "^(dproc/internal/(query\\.(Part\\.AppendBinary|DecodePart|Result\\.Render|\\(\\*Result\\)\\.Render)|tsdb\\.(ParseQuery|Query\\.AppendBinary|DecodeQuery|ReadU?varint)|adminproto\\.(frame|partLength))|encoding/binary\\.(AppendU?varint|U?varint|littleEndian\\.(AppendUint64|Uint64)))"
 	pat[8] = "^runtime\\.(newproc|newstack|morestack|gopark|goexit|schedule|mcall)"
 }
 function flush(   i, r, row, all) {
