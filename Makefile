@@ -92,17 +92,20 @@ sim-smoke:
 # the tier-1 AllocsPerRun test TestBatchWriterAllocatesNothing
 # (internal/wire), not this target.
 #
-# Beside the zero rows it holds the query path to capped counts
-# (ALLOC_CAPS, benchmark=most allocs/op): a node's own p99 over one hour of
-# 1 Hz samples (BenchmarkNodePercentile/3600: decoded into a pooled buffer
+# Beside the zero rows it holds the query path and the registry's
+# keep-alive to capped counts (ALLOC_CAPS, benchmark=most allocs/op): a
+# node's own p99 over one hour of 1 Hz samples (BenchmarkNodePercentile/3600: decoded into a pooled buffer
 # and counted into a pooled tsdb.Hist, 0), a node's percentile part
 # (BenchmarkComputePart: the part's bucket list, 1), the coordinator's merge
 # of four such parts (BenchmarkMergeParts: the result histogram, 1) and one
 # operator queryall over a 4-node cluster end to end (BenchmarkQueryAll:
 # 53, since a querypart request and its part travel as binary, built and
 # read in reused buffers, with no text rendered or parsed per leaf; 109
-# before, 155 before the coordinator cached its admin roster).
-ALLOC_CAPS = BenchmarkNodePercentile/3600=0 BenchmarkComputePart=1 BenchmarkMergeParts=1 BenchmarkQueryAll=53
+# before, 155 before the coordinator cached its admin roster), and one
+# member's registry heartbeat round trip over loopback, client and server
+# together (BenchmarkRegistryHeartbeat: 7, since both ends read through a
+# per-connection wire.FrameReader; 10 before).
+ALLOC_CAPS = BenchmarkNodePercentile/3600=0 BenchmarkComputePart=1 BenchmarkMergeParts=1 BenchmarkQueryAll=53 BenchmarkRegistryHeartbeat=7
 allocgate:
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkPollRound$$' -benchmem -benchtime 20000x . && \
 		$(GO) test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 20000x . && \
@@ -117,7 +120,8 @@ allocgate:
 	if [ -n "$$bad" ]; then echo "allocgate: nonzero allocs/op:"; echo "$$bad"; exit 1; fi
 	@out=$$($(GO) test -run '^$$' -bench '^BenchmarkNodePercentile$$/^3600$$' -benchmem -benchtime 5000x ./internal/tsdb/ && \
 		$(GO) test -run '^$$' -bench '^(BenchmarkComputePart|BenchmarkMergeParts)$$' -benchmem -benchtime 20000x ./internal/query/ && \
-		$(GO) test -run '^$$' -bench '^BenchmarkQueryAll$$' -benchmem -benchtime 2000x ./internal/adminproto/ ); \
+		$(GO) test -run '^$$' -bench '^BenchmarkQueryAll$$' -benchmem -benchtime 2000x ./internal/adminproto/ && \
+		$(GO) test -run '^$$' -bench '^BenchmarkRegistryHeartbeat$$' -benchmem -benchtime 20000x ./internal/registry/ ); \
 	echo "$$out"; \
 	bad=$$(echo "$$out" | awk -v caps="$(ALLOC_CAPS)" ' \
 		BEGIN { n = split(caps, c, " "); for (i = 1; i <= n; i++) { split(c[i], kv, "="); cap[kv[1]] = kv[2]; want[kv[1]] = 1 } } \

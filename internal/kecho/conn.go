@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dproc/internal/clock"
 	"dproc/internal/registry"
 	"dproc/internal/wire"
 )
@@ -16,16 +15,21 @@ import (
 // for the life of the connection. Its write side is the peer's outbox — a
 // fixed ring of encoded records under a small per-peer lock that also holds
 // the ring's scheduled token — drained by the shared writer pool
-// (writer.go), a frame's worth of records per lock, and a write lock that
-// keeps frames whole on the wire.
+// (writer.go), a frame's worth of records per lock. A connection has one
+// writer at a time — its dialer until the hello is out, then whichever
+// writer holds the scheduled token — so its frames stay whole on the wire
+// with no write lock.
 
 // Frame types on peer connections.
 const (
 	frameHello uint8 = iota + 1
+	// frameEvent carries one event record. Nothing here sends it any more;
+	// receivers still accept it, so a sender of an older version loses
+	// nothing (DESIGN §13).
 	frameEvent
-	// frameBatch carries several coalesced event records in one frame
-	// (wire.BatchWriter); receivers unpack it transparently, so batching is
-	// invisible above the transport.
+	// frameBatch carries event records — one, or several coalesced — in one
+	// frame (wire.BatchWriter); it is the only event frame sent. Receivers
+	// unpack it transparently, so batching is invisible above the transport.
 	frameBatch
 )
 
@@ -35,9 +39,6 @@ type peer struct {
 	// dialed is true when this member opened conn, false when it accepted it;
 	// addPeerLocked settles a cross-dial on it.
 	dialed bool
-	// io is the channel's I/O clock, which write deadlines are set on.
-	io  clock.Clock
-	wmu sync.Mutex
 	// qmu guards the outbound queue and its scheduled token, and nothing
 	// else: no syscall, allocation or other lock is taken while it is held.
 	// Lock order is c.mu → qmu. See writer.go for the protocol.
@@ -69,7 +70,6 @@ func (c *Channel) newPeer(id string, conn net.Conn) *peer {
 	return &peer{
 		id:     id,
 		conn:   conn,
-		io:     c.io,
 		outbox: make([]*outRecord, c.opts.OutboxSize),
 		dead:   make(chan struct{}),
 	}
@@ -84,35 +84,13 @@ func (p *peer) close() {
 	})
 }
 
-// send writes one frame to the peer, bounded by deadline (<= 0 disables).
-func (p *peer) send(typ uint8, payload []byte, deadline time.Duration) error {
-	p.beginWrite(deadline)
-	defer p.endWrite(deadline)
-	return wire.WriteFrame(p.conn, typ, payload)
-}
-
-// sendBatch writes records to the peer as one batch frame through the
-// writer's bw, bounded by deadline like send.
-func (p *peer) sendBatch(bw *wire.BatchWriter, records [][]byte, deadline time.Duration) error {
-	p.beginWrite(deadline)
-	defer p.endWrite(deadline)
-	return bw.WriteFrame(p.conn, frameBatch, records)
-}
-
-// beginWrite takes the peer's write lock and arms the write deadline
-// (<= 0 disables); endWrite, with the same deadline, disarms and unlocks.
-func (p *peer) beginWrite(deadline time.Duration) {
-	p.wmu.Lock()
-	if deadline > 0 {
-		_ = p.conn.SetWriteDeadline(p.io.Now().Add(deadline))
+// armWrite sets conn's write deadline for the one write about to start
+// (Options.WriteDeadline <= 0 disables it). Every write arms it afresh, so
+// none is disarmed after.
+func (c *Channel) armWrite(conn net.Conn) {
+	if d := c.opts.WriteDeadline; d > 0 {
+		_ = conn.SetWriteDeadline(c.io.Now().Add(d))
 	}
-}
-
-func (p *peer) endWrite(deadline time.Duration) {
-	if deadline > 0 {
-		_ = p.conn.SetWriteDeadline(time.Time{})
-	}
-	p.wmu.Unlock()
 }
 
 // isTimeout reports whether err is a deadline expiry rather than a dead
@@ -136,7 +114,10 @@ func (c *Channel) dialPeer(m registry.Member) (kept bool, err error) {
 	hello := wire.NewEncoder(64)
 	hello.String(c.name)
 	hello.String(c.id)
-	if err := p.send(frameHello, hello.Bytes(), c.opts.WriteDeadline); err != nil {
+	// The hello is written before addPeerLocked makes p visible to any
+	// writer.
+	c.armWrite(conn)
+	if err := wire.WriteFrame(conn, frameHello, hello.Bytes()); err != nil {
 		conn.Close()
 		return false, err
 	}
@@ -230,14 +211,14 @@ func (c *Channel) acceptHello(conn net.Conn, typ uint8, payload []byte) *peer {
 	return c.newPeer(peerID, conn)
 }
 
-// handleFrame delivers one received frame: a single event directly, a batch
-// frame unpacked transparently — consumers see the same event stream whether
-// or not the sender's writer coalesced. The decoded records are subslices of
-// payload; they are consumed (dispatched, or copied into the frame's inbox
-// arena) before the caller reuses its receive buffer. batch is the caller's
-// decode scratch, returned (possibly grown) for reuse. An error means the
-// batch or a record in it was malformed; records ahead of the bad one have
-// been delivered.
+// handleFrame delivers one received frame: a batch frame unpacked
+// transparently — consumers see the same event stream whether or not the
+// sender's writer coalesced — and an older sender's single event directly.
+// The decoded records are subslices of payload; they are consumed
+// (dispatched, or copied into the frame's inbox arena) before the caller
+// reuses its receive buffer. batch is the caller's decode scratch, returned
+// (possibly grown) for reuse. An error means the batch or a record in it was
+// malformed; records ahead of the bad one have been delivered.
 func (c *Channel) handleFrame(p *peer, typ uint8, payload []byte, batch [][]byte) ([][]byte, error) {
 	switch typ {
 	case frameEvent:

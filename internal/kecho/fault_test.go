@@ -206,21 +206,28 @@ func TestBatchDeadlineMidFrameCountsEveryRecord(t *testing.T) {
 		}
 	}
 	// First a few records the socket buffers take whole, then a burst they
-	// cannot. Holding the write lock while the burst is queued keeps the
-	// writer from trickling it out a record at a time: at most its first
-	// frame can be short, the next takes 64 records (330 KB) and blocks
-	// part-way through.
+	// cannot. Holding the scheduled token while the burst is queued keeps
+	// the writers from trickling it out a record at a time: the first frame
+	// takes 64 records (330 KB) and blocks part-way through.
 	deadline := time.Now().Add(5 * time.Second)
 	publish(early)
-	for p.pending.Load() > 0 {
+	for {
+		p.qmu.Lock()
+		idle := p.pending.Load() == 0 && !p.scheduled
+		if idle {
+			p.scheduled = true
+		}
+		p.qmu.Unlock()
+		if idle {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of the first %d records still unwritten", p.pending.Load(), early)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	p.wmu.Lock()
 	publish(burst)
-	p.wmu.Unlock()
+	a.ring.push(p) // hand the token to the writer pool
 	for a.Stats().DeadlineDrops < 1 || len(a.Peers()) > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("DeadlineDrops = %d, peers %v; want the sink torn down by the deadline", a.Stats().DeadlineDrops, a.Peers())

@@ -74,57 +74,117 @@ func frameRecords(t *testing.T, frame []byte) (typ uint8, records [][]byte) {
 	return typ, records
 }
 
-// TestOutboxCountsPerFrame pins the publish side's per-frame costs as
-// counts: with the writers held off, 64 Publish calls to 8 peers leave each
-// peer one ready-ring entry, and servicing it writes one batch frame of all
-// 64 records, in order — one lock acquisition's worth of records per frame,
-// one service round per peer. Publish and the writer's round allocate
-// nothing, and a publish to a full outbox costs exactly one QueueDrops and
-// nothing else: no pending count, no reference, no queue slot.
-func TestOutboxCountsPerFrame(t *testing.T) {
-	const peers, events = 8, 64
-	c := newTestChannel(Options{})
-	conns := make([]*countConn, peers)
+// countedPeers gives c n peers named s0, s1, … whose connections count and
+// keep their writes.
+func countedPeers(c *Channel, n int) []*countConn {
+	conns := make([]*countConn, n)
 	for i := range conns {
 		conns[i] = &countConn{keep: true}
 		id := fmt.Sprintf("s%d", i)
 		c.peers[id] = c.newPeer(id, conns[i])
 	}
+	return conns
+}
+
+// TestOutboxCountsPerFrame pins the publish side's per-frame costs as
+// counts: with the writers held off, n Publish calls to 8 peers leave each
+// peer one ready-ring entry, and servicing it writes one batch frame of all
+// n records, in order — one lock acquisition's worth of records per frame,
+// one service round per peer, one Write per frame — whether the frame holds
+// one record or 64, of 64 B or 5 KiB. (A counting conn sees Write calls; it
+// cannot see whether a *net.TCPConn would have taken writev or write.) At
+// the frame limit a lone record of MaxFrameSize−8 bytes — a batch payload
+// of exactly MaxFrameSize — is one Write, and one a byte larger is one
+// QueueDrops, no Write, and the peer kept. Publish and the writer's round
+// allocate nothing, and a publish to a full outbox costs exactly one
+// QueueDrops and nothing else: no pending count, no reference, no queue
+// slot.
+func TestOutboxCountsPerFrame(t *testing.T) {
+	const peers = 8
 	payload := testBody(0, 64)
-	for i := 0; i < events; i++ {
-		if n, err := c.Publish(payload, PublishOpts{}); err != nil || n != peers {
-			t.Fatalf("Publish #%d = (%d, %v), want (%d, nil)", i, n, err, peers)
-		}
-	}
-	if n := len(c.ring.q) - c.ring.head; n != peers {
-		t.Fatalf("%d ready-ring entries after %d publishes to %d peers, want %d", n, events, peers, peers)
-	}
-	ws := newWriterScratch(c.opts.MaxBatch)
-	if n := serviceReady(c, ws); n != peers {
-		t.Fatalf("%d service rounds, want one per peer (%d)", n, peers)
-	}
-	for i, cc := range conns {
-		if cc.writes != 1 {
-			t.Fatalf("peer s%d: %d frame writes for %d queued records, want 1", i, cc.writes, events)
-		}
-		typ, records := frameRecords(t, cc.frames[0])
-		if typ != frameBatch || len(records) != events {
-			t.Fatalf("peer s%d: frame type %d with %d records, want a batch of %d", i, typ, len(records), events)
-		}
-		for j, rec := range records {
-			if want := testRecord("self", uint64(j+1), payload); !bytes.Equal(rec, want) {
-				t.Fatalf("peer s%d: record %d is %x, want seq %d: %x", i, j, rec, j+1, want)
+	for _, size := range []int{64, 5 << 10} {
+		for _, events := range []int{1, 64} {
+			c := newTestChannel(Options{})
+			conns := countedPeers(c, peers)
+			body := testBody(0, size)
+			for i := 0; i < events; i++ {
+				if n, err := c.Publish(body, PublishOpts{}); err != nil || n != peers {
+					t.Fatalf("%d B: Publish #%d = (%d, %v), want (%d, nil)", size, i, n, err, peers)
+				}
+			}
+			if n := len(c.ring.q) - c.ring.head; n != peers {
+				t.Fatalf("%d B: %d ready-ring entries after %d publishes to %d peers, want %d", size, n, events, peers, peers)
+			}
+			if n := serviceReady(c, newWriterScratch(c.opts.MaxBatch)); n != peers {
+				t.Fatalf("%d B: %d service rounds, want one per peer (%d)", size, n, peers)
+			}
+			for i, cc := range conns {
+				if cc.writes != 1 {
+					t.Fatalf("%d B: peer s%d: %d frame writes for %d queued records, want 1", size, i, cc.writes, events)
+				}
+				typ, records := frameRecords(t, cc.frames[0])
+				if typ != frameBatch || len(records) != events {
+					t.Fatalf("%d B: peer s%d: frame type %d with %d records, want a batch of %d", size, i, typ, len(records), events)
+				}
+				for j, rec := range records {
+					if want := testRecord("self", uint64(j+1), body); !bytes.Equal(rec, want) {
+						t.Fatalf("%d B: peer s%d: record %d is not seq %d's", size, i, j, j+1)
+					}
+				}
+			}
+			for id, p := range c.peers {
+				if p.pending.Load() != 0 || p.queued != 0 || p.scheduled {
+					t.Fatalf("%d B: peer %s after its frame: pending %d, queued %d, scheduled %v; want 0, 0, false",
+						size, id, p.pending.Load(), p.queued, p.scheduled)
+				}
 			}
 		}
 	}
-	for id, p := range c.peers {
-		if p.pending.Load() != 0 || p.queued != 0 || p.scheduled {
-			t.Fatalf("peer %s after its frame: pending %d, queued %d, scheduled %v; want 0, 0, false",
-				id, p.pending.Load(), p.queued, p.scheduled)
+
+	// The frame limit: a batch of one costs 8 bytes of count and length
+	// prefix beside its record.
+	envelope := len(testRecord("self", 1, nil))
+	for _, tc := range []struct {
+		record        int
+		writes, drops int
+	}{
+		{wire.MaxFrameSize - 8, 1, 0},
+		{wire.MaxFrameSize - 7, 0, 1},
+	} {
+		c := newTestChannel(Options{})
+		cc := countedPeers(c, 1)[0]
+		if n, err := c.Publish(make([]byte, tc.record-envelope), PublishOpts{}); err != nil || n != 1 {
+			t.Fatalf("Publish of a %d-byte record = (%d, %v), want (1, nil)", tc.record, n, err)
 		}
-		p.conn.(*countConn).keep = false
+		serviceReady(c, newWriterScratch(c.opts.MaxBatch))
+		if cc.writes != tc.writes || c.Stats().QueueDrops != uint64(tc.drops) {
+			t.Fatalf("%d-byte record: %d writes, QueueDrops %d; want %d and %d",
+				tc.record, cc.writes, c.Stats().QueueDrops, tc.writes, tc.drops)
+		}
+		if tc.writes == 1 {
+			if typ, records := frameRecords(t, cc.frames[0]); typ != frameBatch || len(records) != 1 || len(records[0]) != tc.record {
+				t.Fatalf("%d-byte record: frame type %d with %d records, want a batch of it alone", tc.record, typ, len(records))
+			}
+		}
+		cc.frames = nil
+		p := c.peers["s0"]
+		if p == nil {
+			t.Fatalf("%d-byte record: peer torn down, want it kept", tc.record)
+		}
+		if p.pending.Load() != 0 || p.queued != 0 || p.scheduled {
+			t.Fatalf("%d-byte record: pending %d, queued %d, scheduled %v; want 0, 0, false",
+				tc.record, p.pending.Load(), p.queued, p.scheduled)
+		}
+		if c.Publish(payload, PublishOpts{}); serviceReady(c, newWriterScratch(c.opts.MaxBatch)) != 1 || cc.writes != tc.writes+1 {
+			t.Fatalf("%d-byte record: the next publish took %d writes in all, want %d", tc.record, cc.writes, tc.writes+1)
+		}
 	}
 
+	c := newTestChannel(Options{})
+	for _, cc := range countedPeers(c, peers) {
+		cc.keep = false
+	}
+	ws := newWriterScratch(c.opts.MaxBatch)
 	round := func() {
 		c.Publish(payload, PublishOpts{})
 		serviceReady(c, ws)

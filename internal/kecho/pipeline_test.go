@@ -1,9 +1,11 @@
 package kecho
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,6 +102,84 @@ func TestMalformedInputDropsPeer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMixedVersionChannelLosesNothing pins DESIGN §13's version-skew
+// promise, each way. An older sender sends a lone record as a frameEvent and
+// several as a frameBatch: over a real connection every record of both is
+// delivered, in order, and the peer kept. This writer sends every frame as
+// a frameBatch, a lone record as a batch of one: the receive path an older
+// receiver runs on it — DecodeBatchInto, then receiveFrame — delivers it.
+func TestMixedVersionChannelLosesNothing(t *testing.T) {
+	t.Run("older sender to this receiver", func(t *testing.T) {
+		reg := newRegistry(t)
+		ch := join(t, reg, "mon", "self", &Options{DisableReconnect: true})
+		var mu sync.Mutex
+		var seqs []uint64
+		var got atomic.Int64
+		ch.Subscribe(func(ev Event) {
+			if ev.From != "old" || !bytes.Equal(ev.Payload, testBody(ev.Seq, 64)) {
+				t.Errorf("seq %d: from %q, payload %x", ev.Seq, ev.From, ev.Payload)
+			}
+			mu.Lock()
+			seqs = append(seqs, ev.Seq)
+			mu.Unlock()
+			got.Add(1)
+		})
+		record := func(seq uint64) []byte { return testRecord("old", seq, testBody(seq, 64)) }
+		conn := rawMember(t, ch, "old")
+		for _, f := range []struct {
+			typ     uint8
+			payload []byte
+		}{
+			{frameEvent, record(1)},
+			{frameBatch, wire.EncodeBatch([][]byte{record(2), record(3)})},
+			{frameEvent, record(4)},
+		} {
+			if err := wire.WriteFrame(conn, f.typ, f.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitForEvents(t, ch, &got, 4)
+		mu.Lock()
+		defer mu.Unlock()
+		if !slices.Equal(seqs, []uint64{1, 2, 3, 4}) {
+			t.Fatalf("delivered seqs %v, want [1 2 3 4]", seqs)
+		}
+		if peers, bad := ch.Peers(), ch.Stats().Malformed; len(peers) != 1 || bad != 0 {
+			t.Fatalf("peers %v, Malformed %d; want [old] and 0", peers, bad)
+		}
+	})
+	t.Run("this sender to older receiver", func(t *testing.T) {
+		pub := newTestChannel(Options{})
+		cc := &countConn{keep: true}
+		pub.peers["sub"] = pub.newPeer("sub", cc)
+		body := testBody(1, 64)
+		if n, err := pub.Publish(body, PublishOpts{}); err != nil || n != 1 {
+			t.Fatalf("Publish = (%d, %v), want (1, nil)", n, err)
+		}
+		serviceReady(pub, newWriterScratch(pub.opts.MaxBatch))
+		if cc.writes != 1 {
+			t.Fatalf("%d writes for one record, want 1", cc.writes)
+		}
+		typ, payload, err := wire.NewFrameReader(bytes.NewReader(cc.frames[0])).Next()
+		if err != nil || typ != frameBatch {
+			t.Fatalf("frame type %d, %v; want a batch frame (%d)", typ, err, frameBatch)
+		}
+		sub := newChannel("mon", "sub", Options{}.withDefaults())
+		var evs []Event
+		sub.Subscribe(func(ev Event) {
+			ev.Payload = bytes.Clone(ev.Payload)
+			evs = append(evs, ev)
+		})
+		if _, err := sub.handleFrame(&peer{id: "self"}, typ, payload, nil); err != nil {
+			t.Fatal(err)
+		}
+		sub.Poll()
+		if len(evs) != 1 || evs[0].From != "self" || evs[0].Seq != 1 || !bytes.Equal(evs[0].Payload, body) {
+			t.Fatalf("delivered %+v, want self's seq 1 with its body", evs)
+		}
+	})
 }
 
 // TestHandlerPublishesOnOwnChannel pins that in-place dispatch tolerates a

@@ -56,68 +56,42 @@ func (c *Channel) writerLoop() {
 	}
 }
 
-// servicePeer writes one coalesced batch from p's outbox — bounded by both
-// maxBatch and the wire frame limit — then either re-queues p at the ring
-// tail (more queued: fairness demands other ready peers go first) or
-// releases the scheduled token. On a write failure the peer is torn down and
-// everything still queued is counted in QueueDrops; the deadline is paid
-// here, off the Publish path.
+// servicePeer writes one coalesced batch from p's outbox as one batch frame
+// — whether it holds one record or MaxBatch, bounded by the wire frame limit
+// — then either re-queues p at the ring tail (more queued: fairness demands
+// other ready peers go first) or releases the scheduled token. On a write
+// failure the peer is torn down and everything still queued is counted in
+// QueueDrops; the deadline is paid here, off the Publish path.
 func (c *Channel) servicePeer(p *peer, ws *writerScratch) {
 	batch := p.take(ws.batch[:0], c.opts.MaxBatch)
 	if len(batch) == 0 {
 		return // take released the token
 	}
-	var err error
-	if len(batch) == 1 {
-		err = p.send(frameEvent, batch[0].buf, c.opts.WriteDeadline)
-	} else {
-		ws.views = ws.views[:0]
-		for _, rec := range batch {
-			ws.views = append(ws.views, rec.buf)
-		}
-		if err = p.sendBatch(&ws.bw, ws.views, c.opts.WriteDeadline); err == nil {
+	ws.views = ws.views[:0]
+	for _, rec := range batch {
+		ws.views = append(ws.views, rec.buf)
+	}
+	c.armWrite(p.conn)
+	err := ws.bw.WriteFrame(p.conn, frameBatch, ws.views)
+	clear(ws.views) // the records are released below; don't pin their buffers
+	ws.batch = batch[:0]
+	switch {
+	case err == nil:
+		if len(batch) > 1 {
 			c.batchesSent.Add(1)
 		}
-		clear(ws.views) // the records are released below; don't pin their buffers
-	}
-	// done counts events resolved this round — written or deliberately
-	// dropped, their references released — so the error path can account for
-	// the remainder.
-	done := 0
-	if err == nil {
 		c.observeWritten(batch)
 		c.resolved(p, len(batch))
 		for _, rec := range batch {
 			rec.release()
 		}
-		done = len(batch)
-	}
-	if err != nil && errors.Is(err, wire.ErrFrameSize) {
-		// ErrFrameSize means WriteFrame wrote nothing — the connection is
-		// intact, only this frame was refused. Degrade to individual frames;
-		// a single event too large for the wire format can never be
-		// delivered and is dropped rather than killing the peer.
-		err = nil
-		for _, rec := range batch {
-			if len(rec.buf) > wire.MaxFrameSize {
-				c.dropRecord(p, rec)
-				done++
-				continue
-			}
-			if err = p.send(frameEvent, rec.buf, c.opts.WriteDeadline); err != nil {
-				break
-			}
-			if c.obs != nil && !rec.enq.IsZero() {
-				c.obs.ObserveQueue(c.clk.Now().Sub(rec.enq), rec.traceID)
-				c.obs.ObserveBatch(1)
-			}
-			c.resolved(p, 1)
-			rec.release()
-			done++
-		}
-	}
-	ws.batch = batch[:0]
-	if err != nil {
+	case errors.Is(err, wire.ErrFrameSize):
+		// Nothing was written and the connection is intact. take never
+		// lets two or more records overflow a frame, so this is a lone
+		// record too large for the wire format: it can never be delivered,
+		// and is dropped rather than killing the peer.
+		c.dropRecord(p, batch[0])
+	default:
 		if isTimeout(err) {
 			c.deadlineDrops.Add(1)
 		}
@@ -126,7 +100,7 @@ func (c *Channel) servicePeer(p *peer, ws *writerScratch) {
 		// producer can enqueue again), then this writer — which still holds
 		// the scheduled token, permanently — drains the remnants into
 		// QueueDrops.
-		for _, rec := range batch[done:] {
+		for _, rec := range batch {
 			c.dropRecord(p, rec)
 		}
 		c.removePeer(p)

@@ -14,6 +14,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -210,8 +211,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	fr := wire.NewFrameReader(conn)
 	for {
-		typ, payload, err := wire.ReadFrame(conn)
+		typ, payload, err := fr.Next()
 		if err != nil {
 			return
 		}
@@ -429,8 +431,10 @@ type Client struct {
 	lookups    atomic.Uint64
 	rejoins    atomic.Uint64
 
-	mu        sync.Mutex
-	conn      net.Conn
+	mu   sync.Mutex
+	conn net.Conn
+	// fr reads conn's replies; dialLocked sets both together.
+	fr        *wire.FrameReader
 	transport wire.Transport
 	// io is the transport's I/O clock (clock.IO): the retry backoff sleeps
 	// on it.
@@ -514,7 +518,7 @@ func (c *Client) dialLocked() error {
 	if c.dials.Add(1) > 1 {
 		c.redials.Add(1)
 	}
-	c.conn = conn
+	c.conn, c.fr = conn, wire.NewFrameReader(conn)
 	return nil
 }
 
@@ -547,7 +551,7 @@ func (c *Client) roundTrip(typ uint8, payload []byte) ([]byte, error) {
 			c.conn = nil
 			continue
 		}
-		rtyp, reply, err := wire.ReadFrame(c.conn)
+		rtyp, reply, err := c.fr.Next()
 		if err != nil {
 			lastErr = err
 			c.conn.Close()
@@ -558,7 +562,9 @@ func (c *Client) roundTrip(typ uint8, payload []byte) ([]byte, error) {
 			d := wire.NewDecoder(reply)
 			return nil, fmt.Errorf("registry: %s", d.String())
 		}
-		return reply, nil
+		// The reply is a view of the reader's buffer, which the next
+		// request reuses once c.mu is released.
+		return bytes.Clone(reply), nil
 	}
 	return nil, &unreachableError{addr: c.addr, err: lastErr}
 }

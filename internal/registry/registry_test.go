@@ -228,3 +228,27 @@ func TestClientAgainstClosedServer(t *testing.T) {
 		t.Fatal("request against closed server succeeded")
 	}
 }
+
+// BenchmarkRegistryHeartbeat is one member's keep-alive: a Client's
+// heartbeat round trip over loopback to a Server, with the allocations of
+// both ends counted. It is in make allocgate at a capped count.
+func BenchmarkRegistryHeartbeat(b *testing.B) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	c := NewClient(s.Addr())
+	defer c.Close()
+	heartbeat := func() {
+		if _, err := c.Heartbeat("mon", "alan", "127.0.0.1:7501"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	heartbeat()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		heartbeat()
+	}
+}

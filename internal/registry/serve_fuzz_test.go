@@ -26,13 +26,13 @@ func (c *scriptConn) Close() error                { return nil }
 // frames reads whole frames off b until the first that does not read, the
 // way serveConn does.
 func frames(b []byte) (types []uint8, payloads [][]byte) {
-	r := bytes.NewReader(b)
+	fr := wire.NewFrameReader(bytes.NewReader(b))
 	for {
-		typ, payload, err := wire.ReadFrame(r)
+		typ, payload, err := fr.Next()
 		if err != nil {
 			return types, payloads
 		}
-		types, payloads = append(types, typ), append(payloads, payload)
+		types, payloads = append(types, typ), append(payloads, bytes.Clone(payload))
 	}
 }
 

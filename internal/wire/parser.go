@@ -3,8 +3,8 @@ package wire
 // Parser is an incremental frame decoder for event-driven readers that are
 // handed arbitrary byte chunks (nonblocking socket reads) instead of pulling
 // whole frames from a blocking stream. It accumulates header and payload
-// bytes across calls and performs the same validation as ReadFrame: magic,
-// version, and the frame-size bound.
+// bytes across calls and performs the same validation as FrameReader:
+// magic, version, and the frame-size bound.
 //
 // The zero value is ready to use. A Parser is not safe for concurrent use.
 type Parser struct {
@@ -32,7 +32,7 @@ type Parser struct {
 // The returned payload is valid only until the next call to Next (it aliases
 // either data or the parser's internal buffer). On error the parser is not
 // resynchronizable; the caller should drop the connection, matching
-// ReadFrame's contract.
+// FrameReader's contract.
 func (p *Parser) Next(data []byte) (int, uint8, []byte, bool, error) {
 	consumed := 0
 	if p.nHdr < HeaderSize {

@@ -49,20 +49,14 @@ var (
 const maxPooledBuf = 64 << 10
 
 // frameScratch is the per-write scratch WriteFrame draws from a pool: the
-// fixed header, a two-element vector for the writev path, and a contiguous
-// buffer for the copying fallback.
+// buffer a frame's header and payload are copied into.
 type frameScratch struct {
-	hdr  [HeaderSize]byte
-	vec  [2][]byte
-	bufs net.Buffers
-	buf  []byte
+	buf []byte
 }
 
 var frameScratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
 
 func (s *frameScratch) release() {
-	s.vec[0], s.vec[1] = nil, nil // drop the payload reference
-	s.bufs = nil
 	if cap(s.buf) > maxPooledBuf {
 		s.buf = nil
 	}
@@ -78,28 +72,21 @@ func putHeader(hdr []byte, msgType uint8, n int) {
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(n))
 }
 
-// WriteFrame writes one frame (header + payload) to w.
-//
-// TCP connections take the writev path: header and payload go out in a
-// single vectored write (net.Buffers) with no copy. Every other writer gets
-// header and payload copied into a pooled scratch buffer and written with
-// one Write call. Both paths issue a single write, so the frame stays atomic
-// with respect to concurrent writers that serialize on a mutex around this
-// call, and neither allocates in steady state.
+// WriteFrame writes one frame (header + payload) to w: both are copied
+// into a pooled scratch buffer and written with one Write call, so the frame
+// leaves whole and steady-state writes allocate nothing. Its callers write
+// control frames — hellos, registry requests and replies — far below
+// gatherMin, where BenchmarkBatchWrite shows a copy beating a gathered
+// write; event records go out through a BatchWriter.
 func WriteFrame(w io.Writer, msgType uint8, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameSize
 	}
 	s := frameScratchPool.Get().(*frameScratch)
 	defer s.release()
-	putHeader(s.hdr[:], msgType, len(payload))
-	if tc, ok := w.(*net.TCPConn); ok {
-		s.vec[0], s.vec[1] = s.hdr[:], payload
-		s.bufs = s.vec[:]
-		_, err := s.bufs.WriteTo(tc)
-		return err
-	}
-	s.buf = append(append(s.buf[:0], s.hdr[:]...), payload...)
+	var hdr [HeaderSize]byte
+	putHeader(hdr[:], msgType, len(payload))
+	s.buf = append(append(s.buf[:0], hdr[:]...), payload...)
 	_, err := w.Write(s.buf)
 	return err
 }
@@ -120,8 +107,8 @@ const gatherMin = 2 << 10
 // every record shorter than gatherMin are copied into the writer's buffer,
 // and each longer record is sent from its own memory. Any other writer gets
 // the whole frame copied into that buffer and written with one Write, as
-// WriteFrame does. Either way the frame is one write call, so callers that
-// serialize frames on a connection with a mutex keep them whole.
+// WriteFrame does. Either way the frame is one write call, so a connection
+// written by one writer at a time keeps its frames whole.
 //
 // The zero value is ready to use. A BatchWriter is one writer's scratch: not
 // safe for concurrent use, and it keeps no reference to records after
@@ -208,47 +195,6 @@ func (bw *BatchWriter) writeFrame(w io.Writer, msgType uint8, records [][]byte, 
 	return err
 }
 
-// ReadFrame reads one frame from r, returning its type and a freshly
-// allocated payload the caller owns. It reads exactly the frame's bytes —
-// the header, then the payload — so a caller may go on reading r after it.
-// Hot paths that read many frames from one connection should use a
-// FrameReader, which reads ahead into a per-connection receive buffer.
-func ReadFrame(r io.Reader) (msgType uint8, payload []byte, err error) {
-	var hdr [HeaderSize]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	msgType, n, err := parseHeader(hdr[:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if payload, err = readPayload(r, n); err != nil {
-		return 0, nil, shortPayload(err)
-	}
-	return msgType, payload, nil
-}
-
-// readPayload reads an n-byte payload from r into a buffer of at most
-// readSlack bytes that doubles, capped at n, each time it fills: a header
-// claiming more than the stream holds costs about what arrived, not what
-// it claimed.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, min(n, readSlack))
-	got := 0
-	for {
-		if _, err := io.ReadFull(r, buf[got:]); err != nil {
-			return nil, err
-		}
-		if len(buf) == n {
-			return buf, nil
-		}
-		got = len(buf)
-		grown := make([]byte, min(n, 2*len(buf)))
-		copy(grown, buf)
-		buf = grown
-	}
-}
-
 // parseHeader validates a frame header (HeaderSize bytes) and returns the
 // frame's type and payload length; the length is checked against
 // MaxFrameSize before any caller sizes a buffer by it.
@@ -318,7 +264,7 @@ func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 // Next returns the next frame's type and payload. The payload is valid
 // only until the next call to Next. At a frame boundary the end of the
 // stream is io.EOF; inside a header it is io.ErrUnexpectedEOF, and inside a
-// payload a wrapped io.ErrUnexpectedEOF — the errors ReadFrame returns.
+// payload a wrapped io.ErrUnexpectedEOF.
 func (fr *FrameReader) Next() (msgType uint8, payload []byte, err error) {
 	if fr.off == fr.end {
 		fr.off, fr.end = 0, 0

@@ -127,7 +127,7 @@ func TestBytesFieldIsCopy(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip includes payloads past readSlack, which ReadFrame
+// TestFrameRoundTrip includes payloads past readSlack, which a FrameReader
 // reads into a buffer it doubles as the bytes arrive.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
@@ -138,9 +138,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, 3, payload); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
-		typ, got, err := ReadFrame(&buf)
+		typ, got, err := NewFrameReader(&buf).Next()
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("Next: %v", err)
 		}
 		if typ != 3 {
 			t.Errorf("type = %d, want 3", typ)
@@ -156,9 +156,9 @@ func TestFrameEmptyPayload(t *testing.T) {
 	if err := WriteFrame(&buf, 1, nil); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
-	typ, payload, err := ReadFrame(&buf)
+	typ, payload, err := NewFrameReader(&buf).Next()
 	if err != nil || typ != 1 || len(payload) != 0 {
-		t.Fatalf("ReadFrame = (%d, %v, %v)", typ, payload, err)
+		t.Fatalf("Next = (%d, %v, %v)", typ, payload, err)
 	}
 }
 
@@ -169,23 +169,24 @@ func TestFrameSequence(t *testing.T) {
 			t.Fatalf("WriteFrame %d: %v", i, err)
 		}
 	}
+	fr := NewFrameReader(&buf)
 	for i := 0; i < 10; i++ {
-		typ, payload, err := ReadFrame(&buf)
+		typ, payload, err := fr.Next()
 		if err != nil {
-			t.Fatalf("ReadFrame %d: %v", i, err)
+			t.Fatalf("Next %d: %v", i, err)
 		}
 		if typ != uint8(i) || payload[0] != byte(i) {
 			t.Fatalf("frame %d: type=%d payload=%v", i, typ, payload)
 		}
 	}
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("after last frame, err = %v, want EOF", err)
 	}
 }
 
 func TestReadFrameBadMagic(t *testing.T) {
 	raw := []byte{0xDE, 0xAD, 1, 0, 0, 0, 0, 0}
-	if _, _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := NewFrameReader(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
@@ -197,7 +198,7 @@ func TestReadFrameBadVersion(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[2] = 99
-	if _, _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
+	if _, _, err := NewFrameReader(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
 	}
 }
@@ -209,7 +210,7 @@ func TestReadFrameOversizedLength(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[4], raw[5], raw[6], raw[7] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrFrameSize) {
+	if _, _, err := NewFrameReader(bytes.NewReader(raw)).Next(); !errors.Is(err, ErrFrameSize) {
 		t.Fatalf("err = %v, want ErrFrameSize", err)
 	}
 }
@@ -227,7 +228,7 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:buf.Len()-2]
-	_, _, err := ReadFrame(bytes.NewReader(raw))
+	_, _, err := NewFrameReader(bytes.NewReader(raw)).Next()
 	if err == nil || !strings.Contains(err.Error(), "short frame payload") {
 		t.Fatalf("err = %v, want short payload error", err)
 	}
@@ -266,7 +267,7 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, typ, payload); err != nil {
 			return false
 		}
-		gt, gp, err := ReadFrame(&buf)
+		gt, gp, err := NewFrameReader(&buf).Next()
 		return err == nil && gt == typ && bytes.Equal(gp, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {

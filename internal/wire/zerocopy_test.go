@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"io"
-	"net"
 	"testing"
 )
 
@@ -127,46 +126,6 @@ func TestDecodeBatchIntoReusesDst(t *testing.T) {
 	}
 	if len(events) != 3 || cap(events) != 8 {
 		t.Fatalf("len=%d cap=%d, want len 3 in the caller's cap-8 scratch", len(events), cap(events))
-	}
-}
-
-// TestWriteFrameVectoredMatchesFallback pins that the writev fast path on a
-// real TCP connection produces byte-identical frames to the generic path.
-func TestWriteFrameVectoredMatchesFallback(t *testing.T) {
-	payload := bytes.Repeat([]byte("payload"), 100)
-
-	var generic bytes.Buffer
-	if err := WriteFrame(&generic, 7, payload); err != nil {
-		t.Fatal(err)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	done := make(chan []byte, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- nil
-			return
-		}
-		defer conn.Close()
-		all, _ := io.ReadAll(conn)
-		done <- all
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, 7, payload); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	got := <-done
-	if !bytes.Equal(got, generic.Bytes()) {
-		t.Fatalf("vectored TCP write produced %d bytes, generic %d; frames differ", len(got), generic.Len())
 	}
 }
 
