@@ -3,8 +3,8 @@ package ecode
 // The checker resolves identifiers against an EnvSpec, assigns local slots,
 // enforces E-code's typing rules, and rewrites the AST in place: every
 // expression gets a static type and implicit int<->double conversions are
-// made explicit as Conv nodes. The compiler and the tree-walking interpreter
-// both consume the checked AST.
+// made explicit as Conv nodes. The code generator and the tree-walking
+// interpreter both consume the checked AST.
 
 type symbol struct {
 	kind VarKind
@@ -28,7 +28,7 @@ func (s *scope) lookup(name string) (symbol, bool) {
 	return symbol{}, false
 }
 
-// Builtin slots for OpLoadBuiltin.
+// Builtin slots: which array's length a varBuiltin identifier reads.
 const (
 	builtinNInput  = 0 // ninput: number of input records
 	builtinNOutput = 1 // noutput: output array capacity
@@ -63,7 +63,7 @@ func check(stmts []Stmt, spec *EnvSpec) (frameSize int, err error) {
 	g.names["input"] = symbol{kind: VarArray, typ: TypeRecord, arr: ArrInput}
 	g.names["output"] = symbol{kind: VarArray, typ: TypeRecord, arr: ArrOutput}
 	// ninput/noutput are runtime values, not true consts; the internal
-	// builtin kind makes the compiler emit a builtin load.
+	// builtin kind makes the code generator read the array's length.
 	g.names["ninput"] = symbol{kind: varBuiltin, typ: TypeInt, slot: builtinNInput}
 	g.names["noutput"] = symbol{kind: varBuiltin, typ: TypeInt, slot: builtinNOutput}
 

@@ -1,485 +1,597 @@
 package ecode
 
-// The compiler lowers the checked AST to bytecode. Invariant: evaluating any
-// expression leaves exactly one value on the stack (assignments leave the
-// assigned value, record assignments leave the destination reference), so
-// statement compilation always knows the stack depth.
+import "fmt"
 
-type compiler struct {
-	code []Instr
-	// loop context for break/continue backpatching
-	breakPatches    [][]int
-	continueTargets []int
-	continuePatches [][]int
+// The code generator turns the checked AST into Go closures, built once per
+// filter: every node becomes a function value of its static type, and a run
+// calls the body's. This is the pure-Go form of the paper's dynamic code
+// generation. Nothing dispatches on an opcode or on a value's kind at run
+// time, because the checker has typed every node and made every conversion
+// explicit.
+//
+// The closures capture only compile-time facts (slots, field ids,
+// constants, their operands' closures). Per-run state (the Env, the locals,
+// the step count) lives in the VM each closure is handed, so one Filter is
+// shared by any number of runners.
+//
+// A runtime error (ErrBounds, ErrDivZero, ErrSteps) unwinds by a panic of
+// runtimeError, which only Filter.Run recovers. The generators themselves
+// return no error: the checker has refused every program they could not
+// translate, so an unexpected node is an internal bug and panics.
+//
+// The step budget: a statement charges 1 plus the node count of the
+// expressions it evaluates, and a loop iteration 1 plus the node count of its
+// condition and post, fixed at compile time. Every node runs at most once
+// per charge that counts it, so MaxSteps bounds the work of a run whatever
+// the size of its expressions. Blocks are flattened into their enclosing
+// statement list and cost nothing of their own.
+
+// fn is the generated code of a node whose value has Go type T: int64 and
+// float64 for E-code's int and double, bool for a condition, int for a
+// record (an index into the array the node names), a pointer for a
+// variable's storage, flow for a statement.
+type fn[T any] func(*VM) T
+
+type num interface{ int64 | float64 }
+
+type stmtFn = fn[flow]
+
+// flow is how a statement ends: fall through to the next one, or leave by
+// break, continue or return.
+type flow uint8
+
+const (
+	flowNext flow = iota
+	flowBreak
+	flowContinue
+	flowReturn
+)
+
+// runtimeError carries a runtime error out of generated code to Filter.Run.
+type runtimeError struct{ err error }
+
+func fail(err error) { panic(runtimeError{err}) }
+
+func internal(n any) string { return fmt.Sprintf("ecode: internal: no code for %T", n) }
+
+// charge takes n steps from the run's budget.
+func (vm *VM) charge(n int) {
+	vm.steps += n
+	if vm.steps > vm.maxSteps {
+		fail(ErrSteps)
+	}
 }
 
-// compileProgram lowers checked statements into a Program.
-func compileProgram(stmts []Stmt, frameSize int, source string) (*Program, error) {
-	c := &compiler{}
+func (vm *VM) records(arr ArrayRef) []Record {
+	if arr == ArrInput {
+		return vm.env.Input
+	}
+	return vm.env.Output
+}
+
+// index bounds-checks i against the named record array.
+func (vm *VM) index(arr ArrayRef, i int64) int {
+	if n := len(vm.records(arr)); i < 0 || i >= int64(n) {
+		if arr == ArrInput {
+			fail(fmt.Errorf("%w: input[%d] with %d inputs", ErrBounds, i, n))
+		}
+		fail(fmt.Errorf("%w: output[%d] with capacity %d", ErrBounds, i, n))
+	}
+	return int(i)
+}
+
+// wrote marks record i of arr as assigned; only output records count.
+func (vm *VM) wrote(arr ArrayRef, i int) {
+	if arr == ArrOutput {
+		vm.env.markOut(i)
+	}
+}
+
+// nodes counts the nodes of x, the step charge of evaluating it.
+func nodes(x Expr) int {
+	switch e := x.(type) {
+	case nil:
+		return 0
+	case *Index:
+		return 1 + nodes(e.Inner)
+	case *Member:
+		return 1 + nodes(e.Rec)
+	case *Conv:
+		return 1 + nodes(e.X)
+	case *Unary:
+		return 1 + nodes(e.X)
+	case *IncDec:
+		return 1 + nodes(e.X)
+	case *Binary:
+		return 1 + nodes(e.L) + nodes(e.R)
+	case *Assign2:
+		return 1 + nodes(e.L) + nodes(e.R)
+	case *Cond:
+		return 1 + nodes(e.C) + nodes(e.Then) + nodes(e.Else)
+	}
+	return 1
+}
+
+// --- statements ---
+
+// generate translates a checked program into its body.
+func generate(stmts []Stmt) stmtFn { return seq(stmtList(stmts)) }
+
+// stmtList translates stmts, flattening nested blocks: the checker has
+// already resolved their scopes to slots.
+func stmtList(stmts []Stmt) []stmtFn {
+	var out []stmtFn
 	for _, s := range stmts {
-		if err := c.stmt(s); err != nil {
-			return nil, err
+		if b, ok := s.(*BlockStmt); ok {
+			out = append(out, stmtList(b.List)...)
+		} else {
+			out = append(out, stmt(s))
 		}
 	}
-	c.emit(Instr{Op: OpRetVoid})
-	return &Program{Code: c.code, FrameSize: frameSize, Source: source}, nil
+	return out
 }
 
-func (c *compiler) emit(in Instr) int {
-	c.code = append(c.code, in)
-	return len(c.code) - 1
+// seq runs list in order until a statement leaves by break, continue or
+// return.
+func seq(list []stmtFn) stmtFn {
+	switch len(list) {
+	case 0:
+		return constant(flowNext)
+	case 1:
+		return list[0]
+	}
+	return func(vm *VM) flow {
+		for _, s := range list {
+			if f := s(vm); f != flowNext {
+				return f
+			}
+		}
+		return flowNext
+	}
 }
 
-func (c *compiler) here() int { return len(c.code) }
+func body(s Stmt) stmtFn { return seq(stmtList([]Stmt{s})) }
 
-func (c *compiler) patch(at, target int) { c.code[at].A = int32(target) }
-
-func (c *compiler) stmt(s Stmt) error {
+func stmt(s Stmt) stmtFn {
 	switch st := s.(type) {
 	case *DeclStmt:
-		if st.Init != nil {
-			if err := c.expr(st.Init); err != nil {
-				return err
-			}
-		} else if st.Typ == TypeFloat {
-			c.emit(Instr{Op: OpConstF, F: 0})
-		} else {
-			c.emit(Instr{Op: OpConstI, I: 0})
+		local := &Ident{Kind: VarLocal, Slot: st.Slot}
+		if st.Typ == TypeFloat {
+			return declare(st, floatVar(local), floatExpr)
 		}
-		c.emit(Instr{Op: OpStoreLoc, A: int32(st.Slot)})
-		c.emit(Instr{Op: OpPop})
-		return nil
+		return declare(st, intVar(local), intExpr)
 	case *ExprStmt:
-		if err := c.expr(st.X); err != nil {
-			return err
-		}
-		c.emit(Instr{Op: OpPop})
-		return nil
+		return exprStmt(st.X, 1+nodes(st.X))
 	case *IfStmt:
-		if err := c.condExpr(st.Cond); err != nil {
-			return err
+		cost, cond, then, els := 1+nodes(st.Cond), boolExpr(st.Cond), body(st.Then), constant(flowNext)
+		if st.Else != nil {
+			els = body(st.Else)
 		}
-		jElse := c.emit(Instr{Op: OpJumpZ})
-		if err := c.stmt(st.Then); err != nil {
-			return err
+		return func(vm *VM) flow {
+			vm.charge(cost)
+			if cond(vm) {
+				return then(vm)
+			}
+			return els(vm)
 		}
-		if st.Else == nil {
-			c.patch(jElse, c.here())
-			return nil
-		}
-		jEnd := c.emit(Instr{Op: OpJump})
-		c.patch(jElse, c.here())
-		if err := c.stmt(st.Else); err != nil {
-			return err
-		}
-		c.patch(jEnd, c.here())
-		return nil
 	case *ForStmt:
-		for _, init := range st.Init {
-			if err := c.stmt(init); err != nil {
-				return err
-			}
-		}
-		condAt := c.here()
-		var jExit int = -1
-		if st.Cond != nil {
-			if err := c.condExpr(st.Cond); err != nil {
-				return err
-			}
-			jExit = c.emit(Instr{Op: OpJumpZ})
-		}
-		c.pushLoop()
-		if err := c.stmt(st.Body); err != nil {
-			return err
-		}
-		postAt := c.here()
+		// The iteration's charge counts the post's nodes: the post's own
+		// statement charges them, so the loop charges 1 plus the condition.
+		var post stmtFn
 		if st.Post != nil {
-			if err := c.expr(st.Post); err != nil {
-				return err
-			}
-			c.emit(Instr{Op: OpPop})
+			post = exprStmt(st.Post, nodes(st.Post))
 		}
-		c.emit(Instr{Op: OpJump, A: int32(condAt)})
-		end := c.here()
-		if jExit >= 0 {
-			c.patch(jExit, end)
-		}
-		c.popLoop(end, postAt)
-		return nil
+		return loop(seq(stmtList(st.Init)), st.Cond, body(st.Body), post)
 	case *WhileStmt:
-		condAt := c.here()
-		if err := c.condExpr(st.Cond); err != nil {
-			return err
-		}
-		jExit := c.emit(Instr{Op: OpJumpZ})
-		c.pushLoop()
-		if err := c.stmt(st.Body); err != nil {
-			return err
-		}
-		c.emit(Instr{Op: OpJump, A: int32(condAt)})
-		end := c.here()
-		c.patch(jExit, end)
-		c.popLoop(end, condAt)
-		return nil
+		return loop(nil, st.Cond, body(st.Body), nil)
 	case *ReturnStmt:
-		if st.X == nil {
-			c.emit(Instr{Op: OpRetVoid})
-			return nil
+		if st.X == nil { // the run's result is already void
+			return func(vm *VM) flow { vm.charge(1); return flowReturn }
 		}
-		if err := c.expr(st.X); err != nil {
-			return err
-		}
+		cost := 1 + nodes(st.X)
 		if st.X.exprType() == TypeFloat {
-			c.emit(Instr{Op: OpRetF})
-		} else {
-			c.emit(Instr{Op: OpRetI})
-		}
-		return nil
-	case *BreakStmt:
-		n := len(c.breakPatches) - 1
-		at := c.emit(Instr{Op: OpJump})
-		c.breakPatches[n] = append(c.breakPatches[n], at)
-		return nil
-	case *ContinueStmt:
-		n := len(c.continuePatches) - 1
-		at := c.emit(Instr{Op: OpJump})
-		c.continuePatches[n] = append(c.continuePatches[n], at)
-		return nil
-	case *BlockStmt:
-		for _, inner := range st.List {
-			if err := c.stmt(inner); err != nil {
-				return err
+			x := floatExpr(st.X)
+			return func(vm *VM) flow {
+				vm.charge(cost)
+				vm.ret = Result{Type: TypeFloat, F: x(vm)}
+				return flowReturn
 			}
 		}
-		return nil
+		x := intExpr(st.X)
+		return func(vm *VM) flow {
+			vm.charge(cost)
+			vm.ret = Result{Type: TypeInt, Int: x(vm)}
+			return flowReturn
+		}
+	case *BreakStmt:
+		return func(vm *VM) flow { vm.charge(1); return flowBreak }
+	case *ContinueStmt:
+		return func(vm *VM) flow { vm.charge(1); return flowContinue }
 	}
-	return errf(s.stmtPos(), "internal: compiling unknown statement %T", s)
+	panic(internal(s))
 }
 
-func (c *compiler) pushLoop() {
-	c.breakPatches = append(c.breakPatches, nil)
-	c.continuePatches = append(c.continuePatches, nil)
+// declare sets a local to its initializer, or to zero.
+func declare[T num](st *DeclStmt, local fn[*T], expr func(Expr) fn[T]) stmtFn {
+	cost, init := 1+nodes(st.Init), constant(T(0))
+	if st.Init != nil {
+		init = expr(st.Init)
+	}
+	return func(vm *VM) flow {
+		vm.charge(cost)
+		*local(vm) = init(vm)
+		return flowNext
+	}
 }
 
-func (c *compiler) popLoop(breakTarget, continueTarget int) {
-	n := len(c.breakPatches) - 1
-	for _, at := range c.breakPatches[n] {
-		c.patch(at, breakTarget)
+// exprStmt evaluates x for its effects at the given charge.
+func exprStmt(x Expr, cost int) stmtFn {
+	switch x.exprType() {
+	case TypeFloat:
+		return effect(cost, floatExpr(x))
+	case TypeRecord: // a bare record reference is still bounds-checked
+		_, r := recExpr(x)
+		return effect(cost, r)
 	}
-	for _, at := range c.continuePatches[n] {
-		c.patch(at, continueTarget)
-	}
-	c.breakPatches = c.breakPatches[:n]
-	c.continuePatches = c.continuePatches[:n]
+	return effect(cost, intExpr(x))
 }
 
-// condExpr evaluates x and leaves an int truth value on the stack.
-func (c *compiler) condExpr(x Expr) error {
-	if err := c.expr(x); err != nil {
-		return err
-	}
-	if x.exprType() == TypeFloat {
-		c.emit(Instr{Op: OpBoolF})
-	}
-	return nil
+func effect[T any](cost int, x fn[T]) stmtFn {
+	return func(vm *VM) flow { vm.charge(cost); x(vm); return flowNext }
 }
 
-func (c *compiler) expr(x Expr) error {
+// loop is for and while: init (may be nil) once, then while cond (nil is
+// true) holds, body and post (may be nil).
+func loop(init stmtFn, condX Expr, body, post stmtFn) stmtFn {
+	cost, cond := 1+nodes(condX), constant(true)
+	if condX != nil {
+		cond = boolExpr(condX)
+	}
+	return func(vm *VM) flow {
+		if init != nil {
+			init(vm)
+		}
+		for {
+			vm.charge(cost)
+			if !cond(vm) {
+				return flowNext
+			}
+			switch body(vm) {
+			case flowBreak:
+				return flowNext
+			case flowReturn:
+				return flowReturn
+			}
+			if post != nil {
+				post(vm)
+			}
+		}
+	}
+}
+
+// --- expressions ---
+
+func intExpr(x Expr) fn[int64] {
 	switch e := x.(type) {
 	case *IntLit:
-		c.emit(Instr{Op: OpConstI, I: e.Value})
-		return nil
-	case *FloatLit:
-		c.emit(Instr{Op: OpConstF, F: e.Value})
-		return nil
+		return constant(e.Value)
 	case *Ident:
 		switch e.Kind {
-		case VarLocal:
-			c.emit(Instr{Op: OpLoadLoc, A: int32(e.Slot)})
-		case VarGlobal:
-			if e.Typ == TypeFloat {
-				c.emit(Instr{Op: OpLoadGF, A: int32(e.Slot)})
-			} else {
-				c.emit(Instr{Op: OpLoadGI, A: int32(e.Slot)})
-			}
 		case VarConst:
-			c.emit(Instr{Op: OpConstI, I: e.Val})
+			return constant(e.Val)
 		case varBuiltin:
-			c.emit(Instr{Op: OpBuiltin, A: int32(e.Slot)})
-		default:
-			return errf(e.Pos, "internal: loading ident kind %d", e.Kind)
+			if e.Slot == builtinNInput {
+				return func(vm *VM) int64 { return int64(len(vm.env.Input)) }
+			}
+			return func(vm *VM) int64 { return int64(len(vm.env.Output)) }
 		}
-		return nil
-	case *Index:
-		if err := c.expr(e.Inner); err != nil {
-			return err
-		}
-		if e.Arr == ArrInput {
-			c.emit(Instr{Op: OpIndexIn})
-		} else {
-			c.emit(Instr{Op: OpIndexOut})
-		}
-		return nil
-	case *Member:
-		if err := c.expr(e.Rec); err != nil {
-			return err
-		}
-		c.emit(Instr{Op: OpRecLoadF, A: int32(e.Field)})
-		return nil
+		return load(intVar(e))
+	case *Member: // the id field, the one int field
+		return field(e, intField)
 	case *Conv:
-		if err := c.expr(e.X); err != nil {
-			return err
-		}
-		if e.Typ == TypeFloat {
-			c.emit(Instr{Op: OpI2F})
-		} else {
-			c.emit(Instr{Op: OpF2I})
-		}
-		return nil
+		f := floatExpr(e.X)
+		return func(vm *VM) int64 { return int64(f(vm)) }
 	case *Unary:
-		if err := c.expr(e.X); err != nil {
-			return err
-		}
 		switch e.Op {
 		case Minus:
-			if e.Typ == TypeFloat {
-				c.emit(Instr{Op: OpNegF})
-			} else {
-				c.emit(Instr{Op: OpNegI})
-			}
-		case Not:
-			if e.X.exprType() == TypeFloat {
-				c.emit(Instr{Op: OpBoolF})
-			}
-			c.emit(Instr{Op: OpNotI})
+			v := intExpr(e.X)
+			return func(vm *VM) int64 { return -v(vm) }
 		case Tilde:
-			c.emit(Instr{Op: OpBNotI})
+			v := intExpr(e.X)
+			return func(vm *VM) int64 { return ^v(vm) }
 		}
-		return nil
+		return truth(boolExpr(e))
 	case *IncDec:
-		return c.incDec(e)
+		return incDec(e, intVar(e.X.(*Ident)))
 	case *Binary:
-		return c.binary(e)
+		switch e.Op {
+		case AndAnd, OrOr, Eq, NotEq, Lt, LtEq, Gt, GtEq:
+			return truth(boolExpr(e))
+		}
+		return binary(intOp(e.Op), intExpr(e.L), intExpr(e.R))
 	case *Cond:
-		if err := c.condExpr(e.C); err != nil {
-			return err
-		}
-		jElse := c.emit(Instr{Op: OpJumpZ})
-		if err := c.expr(e.Then); err != nil {
-			return err
-		}
-		jEnd := c.emit(Instr{Op: OpJump})
-		c.patch(jElse, c.here())
-		if err := c.expr(e.Else); err != nil {
-			return err
-		}
-		c.patch(jEnd, c.here())
-		return nil
+		return choose(boolExpr(e.C), intExpr(e.Then), intExpr(e.Else))
 	case *Assign2:
-		return c.assign(e)
+		return assign(e, intExpr(e.R), intOp(e.Op), intVar, intField)
 	}
-	return errf(x.exprPos(), "internal: compiling unknown expression %T", x)
+	panic(internal(x))
 }
 
-func (c *compiler) incDec(e *IncDec) error {
-	id := e.X.(*Ident) // checker guarantees a scalar variable
-	load, store := c.varOps(id)
-	one := Instr{Op: OpConstI, I: 1}
-	addOp, subOp := OpAddI, OpSubI
-	if id.Typ == TypeFloat {
-		one = Instr{Op: OpConstF, F: 1}
-		addOp, subOp = OpAddF, OpSubF
+func floatExpr(x Expr) fn[float64] {
+	switch e := x.(type) {
+	case *FloatLit:
+		return constant(e.Value)
+	case *Ident:
+		return load(floatVar(e))
+	case *Member:
+		return field(e, floatField)
+	case *Conv:
+		i := intExpr(e.X)
+		return func(vm *VM) float64 { return float64(i(vm)) }
+	case *Unary: // unary minus, the one double-valued prefix operator
+		v := floatExpr(e.X)
+		return func(vm *VM) float64 { return -v(vm) }
+	case *IncDec:
+		return incDec(e, floatVar(e.X.(*Ident)))
+	case *Binary:
+		return binary(floatOp(e.Op), floatExpr(e.L), floatExpr(e.R))
+	case *Cond:
+		return choose(boolExpr(e.C), floatExpr(e.Then), floatExpr(e.Else))
+	case *Assign2:
+		return assign(e, floatExpr(e.R), floatOp(e.Op), floatVar, floatField)
 	}
-	op := addOp
-	if e.Op == Dec {
-		op = subOp
-	}
-	c.emit(load)
-	if e.Prefix {
-		c.emit(one)
-		c.emit(Instr{Op: op})
-		c.emit(store)
-		return nil
-	}
-	// Postfix: leave the old value below, store the new one, pop it.
-	c.emit(Instr{Op: OpDup})
-	c.emit(one)
-	c.emit(Instr{Op: op})
-	c.emit(store)
-	c.emit(Instr{Op: OpPop})
-	return nil
+	panic(internal(x))
 }
 
-// varOps returns the load and store instructions for a scalar variable.
-func (c *compiler) varOps(id *Ident) (load, store Instr) {
-	if id.Kind == VarLocal {
-		return Instr{Op: OpLoadLoc, A: int32(id.Slot)}, Instr{Op: OpStoreLoc, A: int32(id.Slot)}
+// boolExpr translates a condition: comparisons and logic directly, any
+// other scalar as "is not zero".
+func boolExpr(x Expr) fn[bool] {
+	switch e := x.(type) {
+	case *Binary:
+		switch e.Op {
+		case AndAnd:
+			l, r := boolExpr(e.L), boolExpr(e.R)
+			return func(vm *VM) bool { return l(vm) && r(vm) }
+		case OrOr:
+			l, r := boolExpr(e.L), boolExpr(e.R)
+			return func(vm *VM) bool { return l(vm) || r(vm) }
+		case Eq, NotEq, Lt, LtEq, Gt, GtEq:
+			// The checker converted both operands to one type.
+			if e.L.exprType() == TypeFloat {
+				return compare(e.Op, floatExpr(e.L), floatExpr(e.R))
+			}
+			return compare(e.Op, intExpr(e.L), intExpr(e.R))
+		}
+	case *Unary:
+		if e.Op == Not {
+			v := boolExpr(e.X)
+			return func(vm *VM) bool { return !v(vm) }
+		}
 	}
-	if id.Typ == TypeFloat {
-		return Instr{Op: OpLoadGF, A: int32(id.Slot)}, Instr{Op: OpStoreGF, A: int32(id.Slot)}
+	if x.exprType() == TypeFloat {
+		f := floatExpr(x)
+		return func(vm *VM) bool { return f(vm) != 0 }
 	}
-	return Instr{Op: OpLoadGI, A: int32(id.Slot)}, Instr{Op: OpStoreGI, A: int32(id.Slot)}
+	i := intExpr(x)
+	return func(vm *VM) bool { return i(vm) != 0 }
 }
 
-func (c *compiler) binary(e *Binary) error {
-	switch e.Op {
-	case AndAnd:
-		if err := c.condExpr(e.L); err != nil {
-			return err
+// recExpr translates a record-valued node (input[i], output[i], or a record
+// assignment, whose value is its destination) to the array it names and a
+// bounds-checked index into it.
+func recExpr(x Expr) (ArrayRef, fn[int]) {
+	switch e := x.(type) {
+	case *Index:
+		arr := e.Arr
+		if c, ok := e.Inner.(*Ident); ok && c.Kind == VarConst {
+			// A metric constant, input[LOADAVG]: the common index.
+			k := c.Val
+			return arr, func(vm *VM) int { return vm.index(arr, k) }
 		}
-		jF1 := c.emit(Instr{Op: OpJumpZ})
-		if err := c.condExpr(e.R); err != nil {
-			return err
+		inner := intExpr(e.Inner)
+		return arr, func(vm *VM) int { return vm.index(arr, inner(vm)) }
+	case *Assign2: // dst = src copies the whole record
+		darr, dst := recExpr(e.L)
+		sarr, src := recExpr(e.R)
+		return darr, func(vm *VM) int {
+			d := dst(vm)
+			s := src(vm)
+			vm.records(darr)[d] = vm.records(sarr)[s]
+			vm.wrote(darr, d)
+			return d
 		}
-		jF2 := c.emit(Instr{Op: OpJumpZ})
-		c.emit(Instr{Op: OpConstI, I: 1})
-		jEnd := c.emit(Instr{Op: OpJump})
-		c.patch(jF1, c.here())
-		c.patch(jF2, c.here())
-		c.emit(Instr{Op: OpConstI, I: 0})
-		c.patch(jEnd, c.here())
-		return nil
-	case OrOr:
-		if err := c.condExpr(e.L); err != nil {
-			return err
-		}
-		jT1 := c.emit(Instr{Op: OpJumpNZ})
-		if err := c.condExpr(e.R); err != nil {
-			return err
-		}
-		jT2 := c.emit(Instr{Op: OpJumpNZ})
-		c.emit(Instr{Op: OpConstI, I: 0})
-		jEnd := c.emit(Instr{Op: OpJump})
-		c.patch(jT1, c.here())
-		c.patch(jT2, c.here())
-		c.emit(Instr{Op: OpConstI, I: 1})
-		c.patch(jEnd, c.here())
-		return nil
 	}
-	if err := c.expr(e.L); err != nil {
-		return err
+	panic(internal(x))
+}
+
+func constant[T any](v T) fn[T] { return func(*VM) T { return v } }
+
+// truth is a condition as an int, 1 or 0.
+func truth(b fn[bool]) fn[int64] { return func(vm *VM) int64 { return b2i(b(vm)) } }
+
+func choose[T any](c fn[bool], a, b fn[T]) fn[T] {
+	return func(vm *VM) T {
+		if c(vm) {
+			return a(vm)
+		}
+		return b(vm)
 	}
-	if err := c.expr(e.R); err != nil {
-		return err
-	}
-	// For comparisons the operand type decides the opcode; for arithmetic
-	// the result type does (they coincide for arithmetic).
-	operandFloat := e.L.exprType() == TypeFloat
-	var op Opcode
-	switch e.Op {
-	case Plus:
-		op = pick(operandFloat, OpAddF, OpAddI)
-	case Minus:
-		op = pick(operandFloat, OpSubF, OpSubI)
-	case Star:
-		op = pick(operandFloat, OpMulF, OpMulI)
-	case Slash:
-		op = pick(operandFloat, OpDivF, OpDivI)
-	case Percent:
-		op = OpModI
-	case Amp:
-		op = OpAndI
-	case Pipe:
-		op = OpOrI
-	case Caret:
-		op = OpXorI
-	case Shl:
-		op = OpShlI
-	case Shr:
-		op = OpShrI
+}
+
+func binary[T num](op func(a, b T) T, l, r fn[T]) fn[T] {
+	return func(vm *VM) T { return op(l(vm), r(vm)) }
+}
+
+func compare[T num](op Kind, l, r fn[T]) fn[bool] {
+	switch op {
 	case Eq:
-		op = pick(operandFloat, OpEqF, OpEqI)
+		return func(vm *VM) bool { return l(vm) == r(vm) }
 	case NotEq:
-		op = pick(operandFloat, OpNeF, OpNeI)
+		return func(vm *VM) bool { return l(vm) != r(vm) }
 	case Lt:
-		op = pick(operandFloat, OpLtF, OpLtI)
+		return func(vm *VM) bool { return l(vm) < r(vm) }
 	case LtEq:
-		op = pick(operandFloat, OpLeF, OpLeI)
+		return func(vm *VM) bool { return l(vm) <= r(vm) }
 	case Gt:
-		op = pick(operandFloat, OpGtF, OpGtI)
-	case GtEq:
-		op = pick(operandFloat, OpGeF, OpGeI)
-	default:
-		return errf(e.Pos, "internal: compiling binary op %s", e.Op)
+		return func(vm *VM) bool { return l(vm) > r(vm) }
 	}
-	c.emit(Instr{Op: op})
-	return nil
+	return func(vm *VM) bool { return l(vm) >= r(vm) }
 }
 
-func pick(cond bool, a, b Opcode) Opcode {
-	if cond {
-		return a
+// intOp is the arithmetic of a binary or compound-assignment operator on
+// ints, nil for plain assignment. Shift counts are taken modulo 64.
+func intOp(op Kind) func(a, b int64) int64 {
+	switch op {
+	case Slash, SlashAssign:
+		return func(a, b int64) int64 {
+			if b == 0 {
+				fail(ErrDivZero)
+			}
+			return a / b
+		}
+	case Percent, PercentAssign:
+		return func(a, b int64) int64 {
+			if b == 0 {
+				fail(ErrDivZero)
+			}
+			return a % b
+		}
+	case Amp:
+		return func(a, b int64) int64 { return a & b }
+	case Pipe:
+		return func(a, b int64) int64 { return a | b }
+	case Caret:
+		return func(a, b int64) int64 { return a ^ b }
+	case Shl:
+		return func(a, b int64) int64 { return a << (uint64(b) & 63) }
+	case Shr:
+		return func(a, b int64) int64 { return a >> (uint64(b) & 63) }
 	}
-	return b
+	return arith[int64](op)
 }
 
-func (c *compiler) assign(e *Assign2) error {
-	// Record copy: dst and src are both record references.
-	if e.Typ == TypeRecord {
-		if err := c.expr(e.L); err != nil { // dst ref
-			return err
-		}
-		if err := c.expr(e.R); err != nil { // src ref
-			return err
-		}
-		c.emit(Instr{Op: OpRecCopy})
+// floatOp is intOp on doubles; division by zero is IEEE, not an error.
+func floatOp(op Kind) func(a, b float64) float64 {
+	if op == Slash || op == SlashAssign {
+		return func(a, b float64) float64 { return a / b }
+	}
+	return arith[float64](op)
+}
+
+// arith is the operators whose code is the same on ints and doubles.
+func arith[T num](op Kind) func(a, b T) T {
+	switch op {
+	case Plus, PlusAssign:
+		return func(a, b T) T { return a + b }
+	case Minus, MinusAssign:
+		return func(a, b T) T { return a - b }
+	case Star, StarAssign:
+		return func(a, b T) T { return a * b }
+	case Assign:
 		return nil
 	}
+	panic(internal(op))
+}
+
+// --- storage ---
+
+// intVar addresses an int variable; a global's slot is bounds-checked.
+func intVar(id *Ident) fn[*int64] {
+	s := id.Slot
+	if id.Kind == VarLocal {
+		return func(vm *VM) *int64 { return &vm.locals[s].i }
+	}
+	return func(vm *VM) *int64 {
+		if s >= len(vm.env.Ints) {
+			fail(fmt.Errorf("%w: int global %d", ErrBounds, s))
+		}
+		return &vm.env.Ints[s]
+	}
+}
+
+// floatVar addresses a double variable; a global's slot is bounds-checked.
+func floatVar(id *Ident) fn[*float64] {
+	s := id.Slot
+	if id.Kind == VarLocal {
+		return func(vm *VM) *float64 { return &vm.locals[s].f }
+	}
+	return func(vm *VM) *float64 {
+		if s >= len(vm.env.Floats) {
+			fail(fmt.Errorf("%w: double global %d", ErrBounds, s))
+		}
+		return &vm.env.Floats[s]
+	}
+}
+
+// intField addresses a record's int field, its id.
+func intField(Field) func(*Record) *int64 { return func(r *Record) *int64 { return &r.ID } }
+
+// floatField addresses one of a record's double fields.
+func floatField(f Field) func(*Record) *float64 {
+	switch f {
+	case FieldValue:
+		return func(r *Record) *float64 { return &r.Value }
+	case FieldLastSent:
+		return func(r *Record) *float64 { return &r.LastSent }
+	}
+	return func(r *Record) *float64 { return &r.Timestamp }
+}
+
+func load[T num](at fn[*T]) fn[T] { return func(vm *VM) T { return *at(vm) } }
+
+// field reads a record field.
+func field[T num](e *Member, fieldOf func(Field) func(*Record) *T) fn[T] {
+	arr, rec := recExpr(e.Rec)
+	at := fieldOf(e.Field)
+	return func(vm *VM) T { return *at(&vm.records(arr)[rec(vm)]) }
+}
+
+func incDec[T num](e *IncDec, at fn[*T]) fn[T] {
+	d := T(1)
+	if e.Op == Dec {
+		d = -d
+	}
+	if e.Prefix {
+		return func(vm *VM) T { p := at(vm); *p += d; return *p }
+	}
+	return func(vm *VM) T { p := at(vm); v := *p; *p = v + d; return v }
+}
+
+// assign stores r's value in a variable or a record field; op is nil for
+// plain =. The order is the language's: a field target's record index
+// first; then, for a compound form, the target's current value; then the
+// right side; and last the store. A plain = addresses a global only after
+// the right side, so an error there comes first.
+func assign[T num](e *Assign2, r fn[T], op func(a, b T) T,
+	varOf func(*Ident) fn[*T], fieldOf func(Field) func(*Record) *T) fn[T] {
 	switch l := e.L.(type) {
 	case *Ident:
-		_, store := c.varOps(l)
-		if e.Op == Assign {
-			if err := c.expr(e.R); err != nil {
-				return err
-			}
-			c.emit(store)
-			return nil
+		at := varOf(l)
+		if op == nil {
+			return func(vm *VM) T { v := r(vm); *at(vm) = v; return v }
 		}
-		load, _ := c.varOps(l)
-		c.emit(load)
-		if err := c.expr(e.R); err != nil {
-			return err
-		}
-		c.emit(Instr{Op: c.compoundOp(e.Op, l.Typ)})
-		c.emit(store)
-		return nil
+		return func(vm *VM) T { p := at(vm); cur := *p; v := op(cur, r(vm)); *p = v; return v }
 	case *Member:
-		// Compile the record reference once; Dup it for compound forms.
-		if err := c.expr(l.Rec); err != nil {
-			return err
-		}
-		if e.Op == Assign {
-			if err := c.expr(e.R); err != nil {
-				return err
+		arr, rec := recExpr(l.Rec)
+		at := fieldOf(l.Field)
+		if op == nil {
+			return func(vm *VM) T {
+				i := rec(vm)
+				v := r(vm)
+				*at(&vm.records(arr)[i]) = v
+				vm.wrote(arr, i)
+				return v
 			}
-			c.emit(Instr{Op: OpRecStoreF, A: int32(l.Field)})
-			return nil
 		}
-		c.emit(Instr{Op: OpDup})
-		c.emit(Instr{Op: OpRecLoadF, A: int32(l.Field)})
-		if err := c.expr(e.R); err != nil {
-			return err
+		return func(vm *VM) T {
+			i := rec(vm)
+			p := at(&vm.records(arr)[i])
+			cur := *p
+			v := op(cur, r(vm))
+			*p = v
+			vm.wrote(arr, i)
+			return v
 		}
-		c.emit(Instr{Op: c.compoundOp(e.Op, fieldType(l.Field))})
-		c.emit(Instr{Op: OpRecStoreF, A: int32(l.Field)})
-		return nil
 	}
-	return errf(e.Pos, "internal: compiling assignment to %T", e.L)
-}
-
-func (c *compiler) compoundOp(op Kind, t Type) Opcode {
-	f := t == TypeFloat
-	switch op {
-	case PlusAssign:
-		return pick(f, OpAddF, OpAddI)
-	case MinusAssign:
-		return pick(f, OpSubF, OpSubI)
-	case StarAssign:
-		return pick(f, OpMulF, OpMulI)
-	case SlashAssign:
-		return pick(f, OpDivF, OpDivI)
-	case PercentAssign:
-		return OpModI
-	}
-	return OpNop
+	panic(internal(e.L))
 }

@@ -2,8 +2,8 @@ package ecode
 
 import "testing"
 
-// Programs whose operands are literals and metric constants, which the VM
-// evaluates at run time like any other operand.
+// Programs whose operands are literals and metric constants, which compiled
+// filters evaluate at run time like any other operand.
 
 func TestFoldPreservesDivisionByZero(t *testing.T) {
 	// Literal 1/0 fails at run time, not at compile time (C semantics: UB,

@@ -28,17 +28,21 @@ func (e sourceSizeError) Error() string {
 
 func (sourceSizeError) Is(target error) bool { return target == ErrSourceTooLarge }
 
-// Filter is a compiled E-code filter: the bytecode program for the VM and
-// the environment spec it was compiled against.
+// Filter is a compiled E-code filter: its body as Go closures, the number
+// of local slots it needs, its source and the environment spec it was
+// compiled against.
 type Filter struct {
-	prog *Program
-	spec *EnvSpec
+	body      stmtFn
+	frameSize int
+	source    string
+	spec      *EnvSpec
 }
 
-// Compile parses, type-checks and compiles E-code source against the
-// symbol environment described by spec. It is the user-space analogue of
-// the paper's dynamic code generation step performed at the publishing host.
-// Source longer than 64 KiB is rejected before lexing.
+// Compile parses and type-checks E-code source against the symbol
+// environment described by spec and generates its code, a Go closure per
+// node. It is the user-space analogue of the paper's dynamic code
+// generation step performed at the host that runs the filter. Source longer
+// than 64 KiB is rejected before lexing.
 func Compile(source string, spec *EnvSpec) (*Filter, error) {
 	if len(source) > maxSourceBytes {
 		return nil, sourceSizeError(len(source))
@@ -51,14 +55,10 @@ func Compile(source string, spec *EnvSpec) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := compileProgram(stmts, frame, source)
-	if err != nil {
-		return nil, err
-	}
 	if spec == nil {
 		spec = &EnvSpec{}
 	}
-	return &Filter{prog: prog, spec: spec}, nil
+	return &Filter{body: generate(stmts), frameSize: frame, source: source, spec: spec}, nil
 }
 
 // MustCompile is Compile that panics on error; for tests and fixed builtin
@@ -71,18 +71,30 @@ func MustCompile(source string, spec *EnvSpec) *Filter {
 	return f
 }
 
-// Run executes the compiled bytecode against env using vm. If vm is nil a
-// fresh one is used.
-func (f *Filter) Run(vm *VM, env *Env) (Result, error) {
+// Run executes the filter against env using vm as its scratch. If vm is nil
+// a fresh one is used.
+func (f *Filter) Run(vm *VM, env *Env) (res Result, err error) {
 	if vm == nil {
 		vm = NewVM()
 	}
-	return vm.Run(f.prog, env)
+	vm.start(env, f.frameSize)
+	defer func() {
+		vm.env = nil
+		if r := recover(); r != nil {
+			re, ok := r.(runtimeError)
+			if !ok {
+				panic(r)
+			}
+			res, err = Result{}, re.err
+		}
+	}()
+	f.body(vm)
+	return vm.ret, nil
 }
 
 // RunTimed is Run plus a wall-clock measurement of the execution, for
 // callers feeding the observability layer's filter-time distribution. The
-// measurement wraps only the VM run, not environment binding.
+// measurement wraps only the filter's run, not environment binding.
 func (f *Filter) RunTimed(vm *VM, env *Env) (Result, time.Duration, error) {
 	start := time.Now()
 	res, err := f.Run(vm, env)
@@ -91,10 +103,7 @@ func (f *Filter) RunTimed(vm *VM, env *Env) (Result, time.Duration, error) {
 
 // Source returns the original filter source, as redistributed over the
 // control channel.
-func (f *Filter) Source() string { return f.prog.Source }
-
-// Program exposes the compiled bytecode (for disassembly and tests).
-func (f *Filter) Program() *Program { return f.prog }
+func (f *Filter) Source() string { return f.source }
 
 // Spec returns the environment spec the filter was compiled against.
 func (f *Filter) Spec() *EnvSpec { return f.spec }

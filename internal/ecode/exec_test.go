@@ -373,13 +373,70 @@ func TestInfiniteLoopHitsStepLimit(t *testing.T) {
 func TestCustomStepLimit(t *testing.T) {
 	f := MustCompile("int s = 0; for (int i = 0; i < 1000; i++) s += i; return s;", nil)
 	vm := &VM{MaxSteps: 100}
-	if _, err := vm.Run(f.Program(), f.NewEnv(0)); !errors.Is(err, ErrSteps) {
+	if _, err := f.Run(vm, f.NewEnv(0)); !errors.Is(err, ErrSteps) {
 		t.Fatalf("err = %v, want ErrSteps with tight budget", err)
 	}
 	vm2 := &VM{MaxSteps: 1 << 16}
-	res, err := vm2.Run(f.Program(), f.NewEnv(0))
+	res, err := f.Run(vm2, f.NewEnv(0))
 	if err != nil || res.Int != 499500 {
 		t.Fatalf("res=%+v err=%v", res, err)
+	}
+}
+
+// budgetEdge asserts that f needs exactly want steps on env: it runs at a
+// budget of want and ends in ErrSteps at want-1.
+func budgetEdge(t *testing.T, f *Filter, env func() *Env, want int) {
+	t.Helper()
+	if _, err := f.Run(&VM{MaxSteps: want}, env()); err != nil {
+		t.Fatalf("budget %d: %v, want a clean run\n%s", want, err, f.Source())
+	}
+	if _, err := f.Run(&VM{MaxSteps: want - 1}, env()); !errors.Is(err, ErrSteps) {
+		t.Fatalf("budget %d: err = %v, want ErrSteps\n%s", want-1, err, f.Source())
+	}
+}
+
+// TestStepCharges pins the cost model: a statement charges 1 plus the node
+// count of the expressions it evaluates, a loop iteration 1 plus the node
+// count of its condition and post, and a block nothing.
+func TestStepCharges(t *testing.T) {
+	f := MustCompile(paperFigure3, testSpec())
+	// Every condition holds: the declaration (2), three ifs (7, 13, 8) and
+	// eight assignments of 6.
+	budgetEdge(t, f, func() *Env { return figure3Env(f, 3.0, 20000, 40e6, 9000, 8000) }, 78)
+	// None holds: the declaration and the three conditions.
+	budgetEdge(t, f, func() *Env { return figure3Env(f, 0.5, 100, 200e6, 7000, 8000) }, 30)
+
+	// 10 an iteration: the loop's 1 + 3 (i < 100), the post's 2 (i++) and
+	// the body's 1 + 3 (s += i). Around it: two declarations of 2, the
+	// failing condition's 4 and the return's 2.
+	loop := MustCompile("int s = 0; for (int i = 0; i < 100; i++) s += i; return s;", nil)
+	budgetEdge(t, loop, func() *Env { return loop.NewEnv(0) }, 10*100+10)
+
+	// Blocks cost nothing, however deeply nested: 2 (return 1).
+	nested := MustCompile(strings.Repeat("{", 100)+"return 1;"+strings.Repeat("}", 100), nil)
+	budgetEdge(t, nested, func() *Env { return nested.NewEnv(0) }, 2)
+}
+
+// TestStepBudgetBoundsWork holds the budget to the work a filter does, not
+// to its statement count: a loop whose body is one expression of about
+// 20 000 nodes stops after DefaultMaxSteps / 20 000 iterations. A budget of
+// one step per statement would let it run about 10^4 times as long.
+func TestStepBudgetBoundsWork(t *testing.T) {
+	const terms = 10000
+	src := "for (;;) { nclients = nclients + 1; cpu_load = cpu_load" + strings.Repeat(" + 1.0", terms) + "; }"
+	if len(src) > maxSourceBytes {
+		t.Fatalf("source is %d bytes, over the cap", len(src))
+	}
+	f := MustCompile(src, testSpec())
+	env := f.NewEnv(0)
+	if _, err := f.Run(nil, env); !errors.Is(err, ErrSteps) {
+		t.Fatalf("err = %v, want ErrSteps", err)
+	}
+	// The body's nodes: nclients = nclients + 1 is 5; the second
+	// assignment is the target, cpu_load, and terms of (+, 1.0).
+	bodyNodes := 5 + 2 + 2*terms
+	if n, limit := env.Ints[0], int64(DefaultMaxSteps/bodyNodes+1); n > limit {
+		t.Fatalf("the loop ran %d iterations on the default budget, want at most %d", n, limit)
 	}
 }
 
@@ -387,19 +444,9 @@ func TestVMIsReusable(t *testing.T) {
 	f := MustCompile("int x = 3; return x * x;", nil)
 	vm := NewVM()
 	for i := 0; i < 5; i++ {
-		res, err := vm.Run(f.Program(), f.NewEnv(0))
+		res, err := f.Run(vm, f.NewEnv(0))
 		if err != nil || res.Int != 9 {
 			t.Fatalf("iteration %d: res=%+v err=%v", i, res, err)
-		}
-	}
-}
-
-func TestDisassembleProducesText(t *testing.T) {
-	f := MustCompile("int x = 1; return x + 2;", nil)
-	dis := f.Program().Disassemble()
-	for _, want := range []string{"consti", "addi", "reti"} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, dis)
 		}
 	}
 }

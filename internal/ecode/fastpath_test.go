@@ -13,8 +13,9 @@ import (
 // once on a fresh VM per run, once on one VM reused for every trial, the way
 // d-mon reuses the VM it owns across polls — and demands identical results,
 // errors and outputs. Every tenth trial the reused VM first runs a filter
-// that fails mid-expression with values on its stack. A VM that leaked stack
-// or locals state from one run into the next would diverge here.
+// that fails mid-expression, unwinding out of its generated code. A VM that
+// leaked locals, step count or result from one run into the next would
+// diverge here.
 func TestReusedVMMatchesFreshVM(t *testing.T) {
 	rng := rand.New(rand.NewSource(7421))
 	g := &progGen{rng: rng}
@@ -60,8 +61,8 @@ func TestReusedVMMatchesFreshVM(t *testing.T) {
 }
 
 // TestReusedVMRunIsAllocationFree pins the steady-state cost of a filter run
-// on a VM the caller owns: once its stack and locals have grown, Run
-// allocates nothing.
+// on a VM the caller owns: once its locals have grown, Run allocates
+// nothing.
 func TestReusedVMRunIsAllocationFree(t *testing.T) {
 	f := MustCompile(paperFigure3, testSpec())
 	vm := NewVM()
@@ -72,7 +73,7 @@ func TestReusedVMRunIsAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // grow the VM's stack and locals
+	run() // grow the VM's locals
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("filter run on a reused VM allocates %.1f times per run, want 0", avg)
 	}

@@ -49,22 +49,23 @@ func FuzzCompile(f *testing.F) {
 		env := filter.NewEnv(int(metrics.NumIDs))
 		env.Input = make([]Record, metrics.NumIDs)
 		// Any result or runtime error will do; only a panic fails.
-		_, _ = (&VM{MaxSteps: 1 << 14}).Run(filter.Program(), env)
+		_, _ = filter.Run(&VM{MaxSteps: 1 << 14}, env)
 	})
 }
 
 // FuzzFilterParity holds the two executors of one program to one answer:
-// the VM on Compile's bytecode and the interpreter walking the checked AST
+// Compile's generated closures and the interpreter walking the checked AST
 // (oracle). Every source that compiles against testSpec is a case; the seeds
-// are programs of the parity tests' generator and programs that end in each
-// runtime error. The error kind must agree and, on success, the result, the
-// output and input records and the globals.
+// are programs of the parity tests' generator, programs that end in each
+// runtime error, and compound assignments whose right side writes their
+// target. The error kind must agree and, on success, the result, the output
+// and input records and the globals.
 //
-// The VM charges a step per instruction and the interpreter one per
-// statement and expression, so the two exhaust DefaultMaxSteps on different
-// computations: a program that runs out of one budget but not the other is
-// skipped. ErrSteps parity is asserted only where both run out, as on any
-// loop that never terminates.
+// A compiled filter charges a statement's expression nodes up front and
+// the interpreter charges the nodes it evaluates, blocks included, so the
+// two exhaust DefaultMaxSteps on different computations: a program that
+// runs out of one budget but not the other is skipped. ErrSteps parity is
+// asserted only where both run out, as on any loop that never terminates.
 func FuzzFilterParity(f *testing.F) {
 	rng := rand.New(rand.NewSource(20030625))
 	g := &progGen{rng: rng}
@@ -85,6 +86,9 @@ func FuzzFilterParity(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, c := range compoundOrderPrograms {
+		f.Add(c.src)
+	}
 	spec := testSpec()
 	f.Fuzz(func(t *testing.T, src string) {
 		filter, err := Compile(src, spec)
@@ -98,16 +102,16 @@ func FuzzFilterParity(f *testing.F) {
 			t.Skip("the program ends between the two executors' step budgets")
 		}
 		if errKind(errVM) != errKind(errIn) {
-			t.Fatalf("VM: %v; interpreter: %v\n%s", errVM, errIn, src)
+			t.Fatalf("compiled: %v; interpreter: %v\n%s", errVM, errIn, src)
 		}
 		if errVM != nil {
 			return
 		}
 		if !sameResult(resVM, resIn) {
-			t.Fatalf("VM returned %+v, interpreter %+v\n%s", resVM, resIn, src)
+			t.Fatalf("compiled returned %+v, interpreter %+v\n%s", resVM, resIn, src)
 		}
 		if !sameEnv(envVM, envIn) {
-			t.Fatalf("VM and interpreter leave different environments\n%s", src)
+			t.Fatalf("compiled filter and interpreter leave different environments\n%s", src)
 		}
 	})
 }

@@ -9,7 +9,7 @@ import (
 
 // progGen generates random well-formed E-code programs over a fixed set of
 // pre-declared scalar variables and the record arrays, used to check that
-// the bytecode VM and the tree-walking interpreter implement identical
+// compiled filters and the tree-walking interpreter implement identical
 // semantics (the compiled-code fidelity property).
 type progGen struct {
 	rng *rand.Rand
@@ -144,12 +144,35 @@ func TestVMInterpreterParityOnRandomPrograms(t *testing.T) {
 	}
 }
 
-func TestCompileIsDeterministic(t *testing.T) {
-	f1 := MustCompile(paperFigure3, testSpec())
-	f2 := MustCompile(paperFigure3, testSpec())
-	d1, d2 := f1.Program().Disassemble(), f2.Program().Disassemble()
-	if d1 != d2 {
-		t.Fatal("compiling the same source twice produced different bytecode")
+// compoundOrderPrograms assign to their target inside the right side of a
+// compound assignment. The target's current value is read before the right
+// side runs, so each returns the old value combined with the new one.
+var compoundOrderPrograms = []struct {
+	src  string
+	want Result
+}{
+	{"input[0].value += (input[0].value = 1.0); return input[0].value;", Result{Type: TypeFloat, F: 3 + 1}},
+	{"output[0].id += (output[0].id = 5); return output[0].id;", Result{Type: TypeInt, Int: 0 + 5}},
+	{"int a = 3; a += (a = 1); return a;", Result{Type: TypeInt, Int: 3 + 1}},
+	{"nclients *= (nclients = 2); return nclients;", Result{Type: TypeInt, Int: 3 * 2}},
+	{"cpu_load -= (cpu_load = 0.25); return cpu_load;", Result{Type: TypeFloat, F: 0.5 - 0.25}},
+}
+
+func TestCompoundAssignReadsTargetFirst(t *testing.T) {
+	for _, c := range compoundOrderPrograms {
+		f := MustCompile(c.src, testSpec())
+		env, envIn := parityEnv(f), parityEnv(f)
+		res, err := f.Run(nil, env)
+		resIn, errIn := oracle(f, envIn)
+		if err != nil || errIn != nil {
+			t.Fatalf("%s: compiled err %v, interpreter err %v", c.src, err, errIn)
+		}
+		if res != c.want || resIn != c.want {
+			t.Fatalf("%s: compiled %+v, interpreter %+v, want %+v", c.src, res, resIn, c.want)
+		}
+		if !sameEnv(env, envIn) {
+			t.Fatalf("%s: compiled and interpreter leave different environments", c.src)
+		}
 	}
 }
 

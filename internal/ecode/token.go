@@ -1,10 +1,11 @@
 // Package ecode implements the E-code dynamic filter language of the dproc
 // paper: a small subset of C (the C operators, for loops, if statements and
 // return statements) whose source is shipped as a string over the control
-// channel and compiled at the executing host. This reproduction compiles to
-// a compact bytecode executed by a bounded virtual machine, standing in for
-// the paper's dynamic native code generation; a tree-walking interpreter is
-// also provided so the compiled-vs-interpreted design choice can be ablated.
+// channel and compiled at the executing host. This reproduction compiles
+// each checked AST node to a Go closure, run under a step budget: the
+// pure-Go form of the paper's dynamic native code generation. A
+// tree-walking interpreter in the tests is the compiled filters' parity
+// oracle and the compiled-vs-interpreted ablation's other side.
 //
 // A filter runs against an Env holding the input[] and output[] record
 // arrays (fields: value, last_value_sent, id, timestamp), integer constants

@@ -181,7 +181,7 @@ func TestQuickTokenSoupNeverPanics(t *testing.T) {
 			env := f.NewEnv(4)
 			env.Input = make([]Record, 4)
 			vm := &VM{MaxSteps: 10000}
-			_, _ = vm.Run(f.Program(), env)
+			_, _ = f.Run(vm, env)
 			_, _ = oracle(f, env)
 		}()
 	}

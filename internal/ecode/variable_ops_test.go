@@ -217,9 +217,6 @@ func TestTokenAndTypeStrings(t *testing.T) {
 			t.Fatalf("type %d has empty name", typ)
 		}
 	}
-	if Opcode(200).String() == "" {
-		t.Fatal("unknown opcode has empty name")
-	}
 }
 
 func TestIntDivisionTruncatesTowardZero(t *testing.T) {
