@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check loc figures benchpair allocgate fuzz sim-smoke
+.PHONY: build test race vet fmt check loc deadcode figures benchpair allocgate fuzz sim-smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ check: fmt vet race
 # the delta. Informational, never a gate.
 loc:
 	@bash scripts/loc.sh $(if $(filter-out file,$(origin BASE)),$(BASE))
+
+# deadcode fails if a function declared in non-test internal/ code is linked
+# into none of the binaries (every cmd/*, every examples/* with Go files, and
+# bench), built with inlining off and read with go tool nm — unless the
+# script's allow-list names it with a reason. A shell script, so the gate
+# adds no Go.
+deadcode:
+	@bash scripts/deadcode.sh
 
 figures:
 	$(GO) run ./cmd/figures

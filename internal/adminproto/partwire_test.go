@@ -261,7 +261,8 @@ func TestTextCoordinatorAgainstNewLeaf(t *testing.T) {
 		defer conn.Close()
 		deadline, _ := ctx.Deadline()
 		_ = conn.SetDeadline(deadline)
-		if _, err := io.WriteString(conn, "querypart "+q.String()+"\n"); err != nil {
+		// The text form that coordinators before the binary querypart sent.
+		if _, err := fmt.Fprintf(conn, "querypart %s %s from %dns to %dns\n", q.Agg, q.Metric, q.From, q.To); err != nil {
 			return query.Part{}, err
 		}
 		reply, err := io.ReadAll(conn)

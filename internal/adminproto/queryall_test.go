@@ -426,14 +426,21 @@ func TestSimClusterSocketsRideOneTransport(t *testing.T) {
 // the I/O clock, or when a part of the last fan-out failed. Reconnect is
 // off, so the coordinator's admin server is the only thing that looks
 // anything up, and the I/O clock moves only when the test steps it.
+// registryLookups reads a node's registry lookup counter the way its
+// exporters do.
+func registryLookups(s *Server) uint64 {
+	v, _ := s.node.Metrics().Value("registry", "", "lookups")
+	return v
+}
+
 func TestQueryAllLookupCounts(t *testing.T) {
 	io := clock.NewVirtual(time.Now()) // socket deadlines stay near wall time
 	_, _, servers := queryClusterOver(t, 4, 5, func(string) wire.Transport { return ioClocked{clk: io} },
 		func(_ int, cfg *core.Config) { cfg.Channel.DisableReconnect = true })
 	coord := servers[0]
 	every := coord.node.Config().Channel.ReconnectInterval
-	base := coord.node.Registry().Stats().Lookups
-	lookups := func() uint64 { return coord.node.Registry().Stats().Lookups - base }
+	base := registryLookups(coord)
+	lookups := func() uint64 { return registryLookups(coord) - base }
 	query := func(stage, want string) {
 		t.Helper()
 		res, err := coord.QueryAllResult("p99 loadavg last 30s")
@@ -492,15 +499,14 @@ func TestQueryAllSurvivesRegistryOutage(t *testing.T) {
 	}
 	cluster.Registry.Close()
 
-	reg := servers[0].node.Registry()
-	before := reg.Stats().Lookups
+	before := registryLookups(servers[0])
 	start := time.Now()
 	res, err := servers[0].QueryAllResult(q)
 	elapsed := time.Since(start)
 	if err != nil || res.OK != 3 || res.Failed != 0 || res.Partial {
 		t.Fatalf("during the outage: %v\n%s", err, res.Render())
 	}
-	if n := reg.Stats().Lookups - before; n != 0 {
+	if n := registryLookups(servers[0]) - before; n != 0 {
 		t.Fatalf("the query during the outage looked the roster up %d times (took %v)", n, elapsed)
 	}
 
@@ -513,12 +519,11 @@ func TestQueryAllSurvivesRegistryOutage(t *testing.T) {
 		!strings.Contains(out, "\nroster error registry: cannot reach server at ") {
 		t.Fatalf("a coordinator without a roster:\n%s", out)
 	}
-	reg1 := servers[1].node.Registry()
-	before = reg1.Stats().Lookups
+	before = registryLookups(servers[1])
 	if res, err := servers[1].QueryAllResult(q); err != nil || res.OK != 1 || !res.Partial {
 		t.Fatalf("the second query without a roster: %v\n%s", err, res.Render())
 	}
-	if n := reg1.Stats().Lookups - before; n != 0 {
+	if n := registryLookups(servers[1]) - before; n != 0 {
 		t.Fatalf("a failed lookup was retried within its interval: %d lookups", n)
 	}
 }

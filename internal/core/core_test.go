@@ -407,8 +407,7 @@ func TestHealthFileExposesSelfHealingCounters(t *testing.T) {
 			t.Fatalf("health file missing %q:\n%s", want, content)
 		}
 	}
-	h := c.Nodes[0].Health()
-	if got := h.Value("registry", "", "dials"); got < 1 {
+	if got, _ := c.Nodes[0].Metrics().Value("registry", "", "dials"); got < 1 {
 		t.Fatalf("registry dials = %d, want >= 1", got)
 	}
 	// Both channels register their counters under the unified registry.

@@ -10,17 +10,20 @@ import (
 
 func TestNodeName(t *testing.T) {
 	n := newSimNode(t, "etna")
-	if n.d.Node() != "etna" {
-		t.Fatalf("Node = %q", n.d.Node())
+	var r metrics.Report
+	if n.d.stamp(&r, n.clk.Now(), nil); r.Node != "etna" {
+		t.Fatalf("report Node = %q", r.Node)
 	}
 }
 
+// TestAddResourceThreshold installs a threshold on a whole resource the way
+// the control file does (`diff <resource> <percent>`).
 func TestAddResourceThreshold(t *testing.T) {
 	n := newSimNode(t, "alan")
-	if err := n.d.AddResourceThreshold(metrics.Disk, Threshold{Kind: DiffPercent, A: 25}); err != nil {
+	if err := n.d.ApplyControlText("diff disk 25"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.d.AddResourceThreshold(metrics.Resource(99), Threshold{}); err == nil {
+	if err := n.d.ApplyControlText("diff gpu 25"); err == nil {
 		t.Fatal("bad resource accepted")
 	}
 	// The threshold gates every disk metric: unchanged values suppressed

@@ -149,9 +149,6 @@ func (d *DMon) SetMetrics(reg *metrics.Registry) {
 	d.mu.Unlock()
 }
 
-// Node returns the node name.
-func (d *DMon) Node() string { return d.node }
-
 // Store returns the remote-data store backing /proc/cluster.
 func (d *DMon) Store() *Store { return d.store }
 
@@ -218,26 +215,13 @@ func (d *DMon) Period(r metrics.Resource) time.Duration {
 }
 
 // AddThreshold appends a send-gating threshold to the metric's resource.
-// Thresholds with Metric == AnyMetric must be installed via
-// AddResourceThreshold, since the target resource is ambiguous otherwise.
+// Thresholds with Metric == AnyMetric name no resource; the control file's
+// `diff <resource> <percent>` installs those (Apply).
 func (d *DMon) AddThreshold(t Threshold) error {
 	if !t.Metric.Valid() {
 		return fmt.Errorf("dmon: invalid metric %d", int(t.Metric))
 	}
 	r := t.Metric.Resource()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.config[r].Thresholds = append(d.config[r].Thresholds, t)
-	return nil
-}
-
-// AddResourceThreshold appends a threshold gating every metric of resource
-// r (the threshold's Metric is forced to AnyMetric).
-func (d *DMon) AddResourceThreshold(r metrics.Resource, t Threshold) error {
-	if r < 0 || r >= metrics.NumResources {
-		return fmt.Errorf("dmon: invalid resource %d", int(r))
-	}
-	t.Metric = AnyMetric
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.config[r].Thresholds = append(d.config[r].Thresholds, t)

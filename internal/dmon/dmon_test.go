@@ -44,7 +44,15 @@ func TestStandardModulesRegistered(t *testing.T) {
 
 // standardMetricCount is what the five standard modules collect: everything
 // except the Power metrics, whose module is deployed dynamically.
-var standardMetricCount = int(metrics.NumIDs) - len(metrics.IDsForResource(metrics.Power))
+var standardMetricCount = func() int {
+	n := 0
+	for _, id := range metrics.AllIDs() {
+		if id.Resource() != metrics.Power {
+			n++
+		}
+	}
+	return n
+}()
 
 func TestCollectDueGathersAllStandardMetricsInitially(t *testing.T) {
 	n := newSimNode(t, "alan")
@@ -522,7 +530,7 @@ func TestControlEncodingRoundTrip(t *testing.T) {
 }
 
 func TestStoreUpdateAndQuery(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	ts := clock.Epoch
 	s.Update(&metrics.Report{
 		Node: "maui", Seq: 1, Time: ts,

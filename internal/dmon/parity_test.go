@@ -2,6 +2,7 @@ package dmon_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -77,24 +78,25 @@ func TestNodePercentileMatchesCluster(t *testing.T) {
 	for _, w := range windows {
 		for _, agg := range []tsdb.Agg{tsdb.AggP50, tsdb.AggP95, tsdb.AggP99} {
 			q := tsdb.Query{Agg: agg, Metric: "loadavg", From: w.from, To: w.to}
+			qs := fmt.Sprintf("%s %s from %dns to %dns", q.Agg, q.Metric, q.From, q.To)
 			cluster, err := query.Run(context.Background(), []query.Target{{Node: w.node, Addr: w.node}}, q,
 				time.Unix(0, w.to), fetch, query.Options{})
 			if err != nil || cluster.OK != 1 {
-				t.Fatalf("%s %s: cluster query %+v, %v", w.node, q, cluster, err)
+				t.Fatalf("%s %s: cluster query %+v, %v", w.node, qs, cluster, err)
 			}
-			text, err := store.Query(w.node, q.String())
+			text, err := store.Query(w.node, qs)
 			if !cluster.HasValue {
 				if err == nil {
-					t.Fatalf("%s %s: the cluster has no value, the node answers\n%s", w.node, q, text)
+					t.Fatalf("%s %s: the cluster has no value, the node answers\n%s", w.node, qs, text)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%s %s: node query: %v", w.node, q, err)
+				t.Fatalf("%s %s: node query: %v", w.node, qs, err)
 			}
 			value, samples := renderedValue(t, text)
 			if value != cluster.Value || samples != cluster.Count {
-				t.Fatalf("%s %s: node reads %v over %d samples, cluster %v over %d", w.node, q, value, samples, cluster.Value, cluster.Count)
+				t.Fatalf("%s %s: node reads %v over %d samples, cluster %v over %d", w.node, qs, value, samples, cluster.Value, cluster.Count)
 			}
 			if samples > 8192 {
 				above++

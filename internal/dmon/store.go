@@ -2,7 +2,6 @@ package dmon
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,16 +95,6 @@ type nodeState struct {
 // Compile-time check that the presence mask has a bit per metric.
 var _ [32 - metrics.NumIDs]struct{}
 
-// NewStore returns an empty in-memory store with default options. Use
-// OpenStore for other options or a durable store.
-func NewStore() *Store {
-	s, err := OpenStore(StoreOptions{})
-	if err != nil {
-		panic("dmon: memory-only store cannot fail: " + err.Error()) // unreachable
-	}
-	return s
-}
-
 // OpenStore returns a store with the given history options. With a DataDir
 // it is durable: existing history is recovered from disk (chunk files plus
 // WAL replay, truncating at torn records) before the store accepts
@@ -155,9 +144,6 @@ func seriesKey(node string, id metrics.ID) string { return node + "/" + id.Strin
 // rather than metrics.ID — the distributed-query leaf answers for its own
 // node's series without round-tripping through ParseID.
 func SeriesKey(node, metric string) string { return node + "/" + metric }
-
-// Options returns the store's effective history options.
-func (s *Store) Options() StoreOptions { return s.opts }
 
 // TSDB exposes the history store (for stats, benchmarks and direct
 // queries).
@@ -273,23 +259,6 @@ func (s *Store) Nodes() []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Metrics lists the metric IDs known for a node, ascending.
-func (s *Store) Metrics(node string) []metrics.ID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var present uint32
-	if n := s.nodes[node]; n != nil {
-		present = n.present
-	}
-	out := make([]metrics.ID, 0, bits.OnesCount32(present))
-	for id := metrics.ID(0); id < metrics.NumIDs; id++ {
-		if present&(1<<id) != 0 {
-			out = append(out, id)
-		}
-	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package dmon
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,16 @@ import (
 	"dproc/internal/metrics"
 )
 
+// newStore is an empty in-memory store with default options.
+func newStore(t testing.TB) *Store {
+	t.Helper()
+	s, err := OpenStore(StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func reportAt(node string, seq uint64, value float64) *metrics.Report {
 	ts := clock.Epoch.Add(time.Duration(seq) * time.Second)
 	return &metrics.Report{
@@ -21,7 +32,7 @@ func reportAt(node string, seq uint64, value float64) *metrics.Report {
 }
 
 func TestHistoryAccumulatesInOrder(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	for i := 1; i <= 5; i++ {
 		s.Update(reportAt("alan", uint64(i), float64(i)))
 	}
@@ -45,7 +56,7 @@ func TestHistoryAccumulatesInOrder(t *testing.T) {
 }
 
 func TestHistoryDefaultViewIsDepthBounded(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	total := HistoryDepth + 17
 	for i := 1; i <= total; i++ {
 		s.Update(reportAt("alan", uint64(i), float64(i)))
@@ -102,7 +113,7 @@ func TestHistoryRetentionOption(t *testing.T) {
 }
 
 func TestHistoryMissingNodeOrMetric(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	if h := s.History("ghost", metrics.LOADAVG, 0); h != nil {
 		t.Fatalf("history for unknown node = %v", h)
 	}
@@ -113,14 +124,14 @@ func TestHistoryMissingNodeOrMetric(t *testing.T) {
 }
 
 func TestHistoryForgottenWithNode(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	s.Update(reportAt("alan", 1, 1))
 	s.Forget("alan")
 	if h := s.History("alan", metrics.LOADAVG, 0); h != nil {
 		t.Fatal("history survived Forget")
 	}
-	if names := s.TSDB().Names(); len(names) != 0 {
-		t.Fatalf("tsdb series survived Forget: %v", names)
+	if n := s.TSDB().Stats().Series; n != 0 {
+		t.Fatalf("%d tsdb series survived Forget", n)
 	}
 }
 
@@ -128,7 +139,7 @@ func TestHistoryForgottenWithNode(t *testing.T) {
 // history nor rolls the latest-value view back to its older sample; a
 // report as new as the held one (a re-sent value) does replace it.
 func TestHistoryIgnoresReplayedReports(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	s.Update(reportAt("alan", 1, 1))
 	s.Update(reportAt("alan", 2, 2))
 	s.Update(reportAt("alan", 1, 1)) // replayed
@@ -148,7 +159,7 @@ func TestHistoryIgnoresReplayedReports(t *testing.T) {
 }
 
 func TestStoreQuery(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	for i := 1; i <= 60; i++ {
 		s.Update(reportAt("alan", uint64(i), float64(i)))
 	}
@@ -310,8 +321,8 @@ func TestForgetThenUpdateRecreatesSeries(t *testing.T) {
 			s.Update(fullReport("alan", uint64(i), float64(i)))
 		}
 		s.Forget("alan")
-		if _, ok := s.Get("alan", metrics.LOADAVG); ok || len(s.Metrics("alan")) != 0 || len(s.TSDB().Names()) != 0 {
-			t.Fatalf("durable=%v: state survived Forget: %v %v", durable, s.Metrics("alan"), s.TSDB().Names())
+		if _, ok := s.Get("alan", metrics.LOADAVG); ok || len(s.Metrics("alan")) != 0 || s.TSDB().Stats().Series != 0 {
+			t.Fatalf("durable=%v: state survived Forget: %v, %d series", durable, s.Metrics("alan"), s.TSDB().Stats().Series)
 		}
 		if last, n := s.LastReport("alan"); !last.IsZero() || n != 0 {
 			t.Fatalf("durable=%v: LastReport after Forget = %v, %d", durable, last, n)
@@ -326,7 +337,7 @@ func TestForgetThenUpdateRecreatesSeries(t *testing.T) {
 				t.Fatalf("durable=%v: %s history after Forget+Update = %v, want the two new samples", durable, id, h)
 			}
 		}
-		if got := len(s.TSDB().Names()); got != int(metrics.NumIDs) {
+		if got := s.TSDB().Stats().Series; got != int(metrics.NumIDs) {
 			t.Fatalf("durable=%v: %d series after Forget+Update, want %d", durable, got, metrics.NumIDs)
 		}
 		if st := s.TSDB().Stats(); st.Dropped != 0 {
@@ -526,4 +537,22 @@ func BenchmarkIngestRound(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stores*origins*int(metrics.NumIDs)), "ns/sample")
+}
+
+// Metrics lists the metric IDs known for a node, ascending: the tests' view
+// of the presence mask that Get and Value read.
+func (s *Store) Metrics(node string) []metrics.ID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var present uint32
+	if n := s.nodes[node]; n != nil {
+		present = n.present
+	}
+	out := make([]metrics.ID, 0, bits.OnesCount32(present))
+	for id := metrics.ID(0); id < metrics.NumIDs; id++ {
+		if present&(1<<id) != 0 {
+			out = append(out, id)
+		}
+	}
+	return out
 }

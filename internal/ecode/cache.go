@@ -22,32 +22,11 @@ const maxCachedFilters = 256
 
 var filterCache = struct {
 	sync.Mutex
-	m      map[string]*Filter
+	m map[string]*Filter
+	// hits and misses count the cache's traffic for its tests.
 	hits   uint64
 	misses uint64
 }{m: map[string]*Filter{}}
-
-// CacheStats reports compiled-filter cache traffic since the last reset.
-type CacheStats struct {
-	Hits   uint64 // compilations answered from the cache
-	Misses uint64 // full parse/check/compile pipelines run
-	Size   int    // filters currently cached
-}
-
-// FilterCacheStats returns a snapshot of the cache counters.
-func FilterCacheStats() CacheStats {
-	filterCache.Lock()
-	defer filterCache.Unlock()
-	return CacheStats{Hits: filterCache.hits, Misses: filterCache.misses, Size: len(filterCache.m)}
-}
-
-// ResetFilterCache empties the cache and zeroes its counters (for tests).
-func ResetFilterCache() {
-	filterCache.Lock()
-	defer filterCache.Unlock()
-	filterCache.m = map[string]*Filter{}
-	filterCache.hits, filterCache.misses = 0, 0
-}
 
 // specFingerprint renders spec deterministically: consts sorted by name,
 // globals in slot order (their positions are ABI). Symbol names are E-code

@@ -61,16 +61,6 @@ func Compile(source string, spec *EnvSpec) (*Filter, error) {
 	return &Filter{body: generate(stmts), frameSize: frame, source: source, spec: spec}, nil
 }
 
-// MustCompile is Compile that panics on error; for tests and fixed builtin
-// filters.
-func MustCompile(source string, spec *EnvSpec) *Filter {
-	f, err := Compile(source, spec)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Run executes the filter against env using vm as its scratch. If vm is nil
 // a fresh one is used.
 func (f *Filter) Run(vm *VM, env *Env) (res Result, err error) {
@@ -104,9 +94,6 @@ func (f *Filter) RunTimed(vm *VM, env *Env) (Result, time.Duration, error) {
 // Source returns the original filter source, as redistributed over the
 // control channel.
 func (f *Filter) Source() string { return f.source }
-
-// Spec returns the environment spec the filter was compiled against.
-func (f *Filter) Spec() *EnvSpec { return f.spec }
 
 // NewEnv allocates a runtime environment matching the filter's spec with
 // output capacity outCap.

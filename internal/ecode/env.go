@@ -114,15 +114,3 @@ type Result struct {
 	Int  int64
 	F    float64
 }
-
-// Bool interprets the result as a C truth value; void is false.
-func (r Result) Bool() bool {
-	switch r.Type {
-	case TypeInt:
-		return r.Int != 0
-	case TypeFloat:
-		return r.F != 0
-	default:
-		return false
-	}
-}

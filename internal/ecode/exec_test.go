@@ -450,3 +450,24 @@ func TestVMIsReusable(t *testing.T) {
 		}
 	}
 }
+
+// MustCompile is Compile that panics on error.
+func MustCompile(source string, spec *EnvSpec) *Filter {
+	f, err := Compile(source, spec)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// Bool interprets the result as a C truth value; void is false.
+func (r Result) Bool() bool {
+	switch r.Type {
+	case TypeInt:
+		return r.Int != 0
+	case TypeFloat:
+		return r.F != 0
+	default:
+		return false
+	}
+}

@@ -187,3 +187,25 @@ if(input[CACHE_MISS].value > input[CACHE_MISS].last_value_sent){ output[i] = inp
 		}
 	}
 }
+
+// CacheStats reports compiled-filter cache traffic since the last reset.
+type CacheStats struct {
+	Hits   uint64 // compilations answered from the cache
+	Misses uint64 // full parse/check/compile pipelines run
+	Size   int    // filters currently cached
+}
+
+// FilterCacheStats returns a snapshot of the cache counters.
+func FilterCacheStats() CacheStats {
+	filterCache.Lock()
+	defer filterCache.Unlock()
+	return CacheStats{Hits: filterCache.hits, Misses: filterCache.misses, Size: len(filterCache.m)}
+}
+
+// ResetFilterCache empties the cache and zeroes its counters (for tests).
+func ResetFilterCache() {
+	filterCache.Lock()
+	defer filterCache.Unlock()
+	filterCache.m = map[string]*Filter{}
+	filterCache.hits, filterCache.misses = 0, 0
+}

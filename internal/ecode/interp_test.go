@@ -653,7 +653,7 @@ func applyCompound(op Kind, t Type, cur, r value) (value, error) {
 // itself and walks the AST, so a code-generation bug in Compile and Run
 // cannot give the same wrong answer on both sides of a parity test.
 func oracle(f *Filter, env *Env) (Result, error) {
-	stmts, err := checkedAST(f.Source(), f.Spec())
+	stmts, err := checkedAST(f.Source(), f.spec)
 	if err != nil {
 		return Result{}, err
 	}

@@ -34,14 +34,6 @@ func (s *Series) Y(x float64) (float64, bool) {
 	return 0, false
 }
 
-// Last returns the final point of the series.
-func (s *Series) Last() Point {
-	if len(s.Points) == 0 {
-		return Point{}
-	}
-	return s.Points[len(s.Points)-1]
-}
-
 // Figure is one regenerated evaluation figure.
 type Figure struct {
 	ID     string // e.g. "fig6"
@@ -51,16 +43,6 @@ type Figure struct {
 	Series []Series
 	// Notes record modeling caveats and calibration constants.
 	Notes []string
-}
-
-// Find returns the series with the given label.
-func (f *Figure) Find(label string) *Series {
-	for i := range f.Series {
-		if f.Series[i].Label == label {
-			return &f.Series[i]
-		}
-	}
-	return nil
 }
 
 // Table renders the figure as an aligned text table: one row per X value,

@@ -387,3 +387,21 @@ func TestFigure11Shape(t *testing.T) {
 		t.Error("neither single-resource monitor degraded under combined load")
 	}
 }
+
+// Last returns the final point of the series.
+func (s *Series) Last() Point {
+	if len(s.Points) == 0 {
+		return Point{}
+	}
+	return s.Points[len(s.Points)-1]
+}
+
+// Find returns the series with the given label.
+func (f *Figure) Find(label string) *Series {
+	for i := range f.Series {
+		if f.Series[i].Label == label {
+			return &f.Series[i]
+		}
+	}
+	return nil
+}

@@ -107,17 +107,6 @@ func sampleLatencies(sim *smartpointer.StreamSim, duration, sampleEvery time.Dur
 	return points
 }
 
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Figure9b regenerates "event rate variations with increasing CPU load":
 // the client's effective events/second against the number of concurrent
 // linpack threads, per policy.

@@ -36,7 +36,9 @@ func TestGoroutineCensus(t *testing.T) {
 			for i := range clients {
 				clients[i] = registry.NewClient(reg.Addr())
 				defer clients[i].Close()
-				if _, err := clients[i].List(); err != nil {
+				// A Leave of a member that never joined is a round trip
+				// that changes nothing.
+				if err := clients[i].Leave("census", "nobody"); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -75,7 +77,7 @@ func TestEventDrivenDispatch(t *testing.T) {
 	b.WaitForPeers(1, time.Second)
 
 	done := make(chan Event, 1)
-	b.Subscribe(func(ev Event) { done <- Event{From: ev.From, Payload: ev.CopyPayload(), Seq: ev.Seq} })
+	b.Subscribe(func(ev Event) { done <- Event{From: ev.From, Payload: append([]byte(nil), ev.Payload...), Seq: ev.Seq} })
 	if _, err := a.Publish([]byte("now"), PublishOpts{}); err != nil {
 		t.Fatal(err)
 	}

@@ -95,8 +95,9 @@ func ParseDispatchMode(s string) (DispatchMode, error) {
 // arrived in, which the channel recycles once the Poll that dispatched the
 // frame returns; in EventDriven mode it aliases the connection's receive
 // buffer, reused by the next frame. Either way, a handler that needs the
-// bytes past its own return must copy them (CopyPayload); retaining Payload
-// itself observes whatever frame reuses the memory next. See DESIGN.md §8.
+// bytes past its own return must copy them (append([]byte(nil),
+// ev.Payload...)); retaining Payload itself observes whatever frame reuses
+// the memory next. See DESIGN.md §8.
 type Event struct {
 	// Channel is the channel name the event arrived on.
 	Channel string
@@ -113,14 +114,6 @@ type Event struct {
 	// tracing (see internal/obs); it rides a trailing wire-frame extension
 	// and lets a subscriber continue the event's span chain.
 	TraceID uint64
-}
-
-// CopyPayload returns an independent copy of the event body, for handlers
-// that need it beyond their own return.
-func (ev Event) CopyPayload() []byte {
-	out := make([]byte, len(ev.Payload))
-	copy(out, ev.Payload)
-	return out
 }
 
 // Handler consumes events; see Channel.Subscribe.
@@ -496,9 +489,6 @@ func (c *Channel) Name() string { return c.name }
 
 // MemberID returns this member's ID.
 func (c *Channel) MemberID() string { return c.id }
-
-// Addr returns the listener address other members dial.
-func (c *Channel) Addr() string { return c.ln.Addr().String() }
 
 // Stats returns a snapshot of traffic counters.
 func (c *Channel) Stats() Stats {

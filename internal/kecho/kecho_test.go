@@ -414,8 +414,10 @@ func TestCloseIsIdempotentAndLeavesRegistry(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := regSrv.MemberCount("mon"); n != 0 {
-		t.Fatalf("registry still has %d members after Close", n)
+	rc := registry.NewClient(regSrv.Addr())
+	defer rc.Close()
+	if members, err := rc.Lookup("mon"); err != nil || len(members) != 0 {
+		t.Fatalf("registry still lists %v (%v) after Close", members, err)
 	}
 }
 

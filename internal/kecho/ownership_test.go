@@ -12,8 +12,8 @@ import (
 // freelist guarantees the very next frame reuses that arena and overwrites
 // it — so the violation is caught, not silently tolerated. Until the Poll
 // that dispatched the frame returns, the arena is not reused, even by a
-// frame queued meanwhile. CopyPayload is the sanctioned escape hatch and
-// must survive unscathed.
+// frame queued meanwhile. A copy taken during the handler call is the
+// sanctioned way to keep the bytes and must survive unscathed.
 func TestRetainedPayloadObservesRecycling(t *testing.T) {
 	sub := newTestChannel(Options{})
 	src := &peer{id: "pub"}
@@ -26,8 +26,8 @@ func TestRetainedPayloadObservesRecycling(t *testing.T) {
 	var retained, copied []byte
 	sub.Subscribe(func(ev Event) {
 		if ev.Seq == 1 {
-			retained = ev.Payload     // contract violation: kept past return
-			copied = ev.CopyPayload() // the documented way to keep the bytes
+			retained = ev.Payload                       // contract violation: kept past return
+			copied = append([]byte(nil), ev.Payload...) // the documented way to keep the bytes
 			// A frame arriving mid-Poll draws a fresh arena.
 			receive(2, "while-loaned!!")
 		}
@@ -48,7 +48,7 @@ func TestRetainedPayloadObservesRecycling(t *testing.T) {
 			"a leaked reference would go unnoticed", retained)
 	}
 	if string(copied) != "first-payload!" {
-		t.Fatalf("CopyPayload corrupted: %q", copied)
+		t.Fatalf("copied payload corrupted: %q", copied)
 	}
 	if n := sub.Poll(); n != 2 {
 		t.Fatalf("Poll = %d, want the 2 frames queued since", n)

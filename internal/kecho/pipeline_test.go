@@ -74,7 +74,7 @@ func TestMalformedInputDropsPeer(t *testing.T) {
 		payload []byte
 	}{
 		{"batch inner length overruns", frameBatch, overrun},
-		{"batch holds a bad record", frameBatch, wire.EncodeBatch([][]byte{record, record[:len(record)-2]})},
+		{"batch holds a bad record", frameBatch, wire.AppendBatch(nil, [][]byte{record, record[:len(record)-2]})},
 		{"record has trailing bytes", frameEvent, append(record[:len(record):len(record)], 0xff, 0xff, 0xff)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,7 +133,7 @@ func TestMixedVersionChannelLosesNothing(t *testing.T) {
 			payload []byte
 		}{
 			{frameEvent, record(1)},
-			{frameBatch, wire.EncodeBatch([][]byte{record(2), record(3)})},
+			{frameBatch, wire.AppendBatch(nil, [][]byte{record(2), record(3)})},
 			{frameEvent, record(4)},
 		} {
 			if err := wire.WriteFrame(conn, f.typ, f.payload); err != nil {
@@ -371,3 +371,6 @@ func TestCrossDialKeepsOneConnection(t *testing.T) {
 		t.Fatalf("200 cross-dials reported %d connections kept, %d were installed", kept.Load()-1, installed-1)
 	}
 }
+
+// Addr returns the listener address other members dial.
+func (c *Channel) Addr() string { return c.ln.Addr().String() }

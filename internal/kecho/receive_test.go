@@ -44,7 +44,7 @@ func testBatch(first uint64, n, size int) []byte {
 		seq := first + uint64(i)
 		records[i] = testRecord("pub", seq, testBody(seq, size))
 	}
-	return wire.EncodeBatch(records)
+	return wire.AppendBatch(nil, records)
 }
 
 // countingClock counts Now calls.
@@ -340,14 +340,14 @@ func FuzzHandleFrame(f *testing.F) {
 	f.Add(frameEvent, both)
 	f.Add(frameEvent, traced)
 	f.Add(frameEvent, rec("", 1, "relayed from an empty origin", true, 0))
-	f.Add(frameBatch, wire.EncodeBatch([][]byte{
+	f.Add(frameBatch, wire.AppendBatch(nil, [][]byte{
 		plain, hopped, both, traced,
 		rec("origin", 7, "duplicate", true, 0),
 		rec("self", 3, "looped back", true, 0),
 		rec("origin", 9, "not relayed", false, 0),
 	}))
-	f.Add(frameBatch, wire.EncodeBatch([][]byte{plain, both[:len(both)-3], traced}))
-	f.Add(frameBatch, wire.EncodeBatch(nil))
+	f.Add(frameBatch, wire.AppendBatch(nil, [][]byte{plain, both[:len(both)-3], traced}))
+	f.Add(frameBatch, wire.AppendBatch(nil, nil))
 
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		typ = frameEvent + typ%2

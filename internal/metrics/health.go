@@ -55,28 +55,3 @@ func (h Health) Render() string {
 	})
 	return sb.String()
 }
-
-// Value reads one transport counter by key (e.g. ("registry", "", "dials")
-// or ("channel", "dproc.monitoring", "reconnects")); 0 when absent.
-func (h Health) Value(subsystem, label, name string) uint64 {
-	if h.reg == nil {
-		return 0
-	}
-	v, _ := h.reg.Value(subsystem, label, name)
-	return v
-}
-
-// TotalReconnects sums reconnects across all channels — the headline
-// "how often did the mesh have to heal" number.
-func (h Health) TotalReconnects() uint64 {
-	var n uint64
-	if h.reg == nil {
-		return 0
-	}
-	h.reg.Each(func(e Entry) {
-		if e.Subsystem == "channel" && e.Name == "reconnects" && e.Value != nil {
-			n += e.Value()
-		}
-	})
-	return n
-}

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"dproc/internal/wire"
@@ -109,30 +108,29 @@ func ParseResource(name string) (Resource, bool) {
 type idInfo struct {
 	name     string // pseudo-file / filter symbol name
 	resource Resource
-	unit     string
 }
 
 var idTable = [NumIDs]idInfo{
-	LOADAVG:        {"loadavg", CPU, "tasks"},
-	RUNQUEUE:       {"runqueue", CPU, "tasks"},
-	FREEMEM:        {"freemem", Memory, "bytes"},
-	TOTALMEM:       {"totalmem", Memory, "bytes"},
-	DISKREADS:      {"diskreads", Disk, "ops/s"},
-	DISKWRITES:     {"diskwrites", Disk, "ops/s"},
-	SECTORSREAD:    {"sectorsread", Disk, "sectors/s"},
-	SECTORSWRITTEN: {"sectorswritten", Disk, "sectors/s"},
-	DISKUSAGE:      {"diskusage", Disk, "sectors/s"},
-	NETBW:          {"netbw", Network, "bits/s"},
-	NETAVAIL:       {"netavail", Network, "bits/s"},
-	NETRTT:         {"netrtt", Network, "s"},
-	NETRETRANS:     {"netretrans", Network, "ops/s"},
-	NETLOST:        {"netlost", Network, "ops/s"},
-	NETDELAY:       {"netdelay", Network, "s"},
-	CACHE_MISS:     {"cache_miss", PMC, "misses/s"},
-	INSTRUCTIONS:   {"instructions", PMC, "ops/s"},
-	CYCLES:         {"cycles", PMC, "cycles/s"},
-	BATTERY:        {"battery", Power, "%"},
-	POWERDRAW:      {"powerdraw", Power, "W"},
+	LOADAVG:        {"loadavg", CPU},
+	RUNQUEUE:       {"runqueue", CPU},
+	FREEMEM:        {"freemem", Memory},
+	TOTALMEM:       {"totalmem", Memory},
+	DISKREADS:      {"diskreads", Disk},
+	DISKWRITES:     {"diskwrites", Disk},
+	SECTORSREAD:    {"sectorsread", Disk},
+	SECTORSWRITTEN: {"sectorswritten", Disk},
+	DISKUSAGE:      {"diskusage", Disk},
+	NETBW:          {"netbw", Network},
+	NETAVAIL:       {"netavail", Network},
+	NETRTT:         {"netrtt", Network},
+	NETRETRANS:     {"netretrans", Network},
+	NETLOST:        {"netlost", Network},
+	NETDELAY:       {"netdelay", Network},
+	CACHE_MISS:     {"cache_miss", PMC},
+	INSTRUCTIONS:   {"instructions", PMC},
+	CYCLES:         {"cycles", PMC},
+	BATTERY:        {"battery", Power},
+	POWERDRAW:      {"powerdraw", Power},
 }
 
 // Valid reports whether id is a defined metric identifier.
@@ -154,15 +152,7 @@ func (id ID) Resource() Resource {
 	return idTable[id].resource
 }
 
-// Unit returns the human-readable unit for the metric.
-func (id ID) Unit() string {
-	if !id.Valid() {
-		return ""
-	}
-	return idTable[id].unit
-}
-
-// FilterSymbol returns the upper-case constant name exposed to E-code
+// filterSymbols names each metric's upper-case constant inside E-code
 // filters, e.g. LOADAVG or CACHE_MISS.
 var filterSymbols = func() map[ID]string {
 	m := make(map[ID]string, NumIDs)
@@ -189,9 +179,6 @@ var filterSymbols = func() map[ID]string {
 	return m
 }()
 
-// FilterSymbol returns the constant name visible inside E-code filters.
-func (id ID) FilterSymbol() string { return filterSymbols[id] }
-
 // FilterSymbols returns the full symbol→index map handed to the E-code
 // compiler, sorted deterministically for reproducible compilation.
 func FilterSymbols() map[string]int {
@@ -210,17 +197,6 @@ func ParseID(name string) (ID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// IDsForResource returns all metric IDs belonging to resource r, in ID order.
-func IDsForResource(r Resource) []ID {
-	var out []ID
-	for i := ID(0); i < NumIDs; i++ {
-		if idTable[i].resource == r {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // AllIDs returns every defined metric ID in order.
@@ -336,19 +312,4 @@ func DecodeReportInto(r *Report, buf []byte) error {
 		}
 	}
 	return nil
-}
-
-// ByID returns the sample for id, if present.
-func (r *Report) ByID(id ID) (Sample, bool) {
-	for _, s := range r.Samples {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return Sample{}, false
-}
-
-// SortSamples orders samples by ID for deterministic output.
-func (r *Report) SortSamples() {
-	sort.Slice(r.Samples, func(i, j int) bool { return r.Samples[i].ID < r.Samples[j].ID })
 }

@@ -41,20 +41,18 @@ func TestInvalidIDFormatting(t *testing.T) {
 	if bad.Resource() != NumResources {
 		t.Fatal("invalid ID resource should be NumResources")
 	}
-	if bad.Unit() != "" {
-		t.Fatal("invalid ID unit should be empty")
-	}
 }
 
-func TestEveryIDHasResourceUnitSymbol(t *testing.T) {
+func TestEveryIDHasResourceAndSymbol(t *testing.T) {
+	symbol := map[ID]string{}
+	for name, idx := range FilterSymbols() {
+		symbol[ID(idx)] = name
+	}
 	for _, id := range AllIDs() {
 		if r := id.Resource(); r < 0 || r >= NumResources {
 			t.Errorf("%v has invalid resource %v", id, r)
 		}
-		if id.Unit() == "" {
-			t.Errorf("%v has no unit", id)
-		}
-		if id.FilterSymbol() == "" {
+		if symbol[id] == "" {
 			t.Errorf("%v has no filter symbol", id)
 		}
 	}
@@ -75,19 +73,21 @@ func TestResourceStringAndParse(t *testing.T) {
 	}
 }
 
+// TestIDsForResourcePartitionsIDSpace: ID.Resource puts every metric in
+// exactly one resource, and every resource has a metric.
 func TestIDsForResourcePartitionsIDSpace(t *testing.T) {
-	total := 0
-	for r := Resource(0); r < NumResources; r++ {
-		ids := IDsForResource(r)
-		total += len(ids)
-		for _, id := range ids {
-			if id.Resource() != r {
-				t.Errorf("IDsForResource(%v) contains %v with resource %v", r, id, id.Resource())
-			}
+	perResource := make([]int, NumResources)
+	for _, id := range AllIDs() {
+		r := id.Resource()
+		if r < 0 || r >= NumResources {
+			t.Fatalf("%v has resource %v, outside the %d resources", id, r, NumResources)
 		}
+		perResource[r]++
 	}
-	if total != int(NumIDs) {
-		t.Fatalf("resources partition %d IDs, want %d", total, NumIDs)
+	for r, n := range perResource {
+		if n == 0 {
+			t.Errorf("resource %v has no metric", Resource(r))
+		}
 	}
 }
 
@@ -192,27 +192,6 @@ func TestDecodeReportRejectsTrailing(t *testing.T) {
 	raw := append(sampleReport().Encode(), 0x00)
 	if _, err := DecodeReport(raw); err == nil {
 		t.Fatal("DecodeReport accepted trailing bytes")
-	}
-}
-
-func TestByID(t *testing.T) {
-	r := sampleReport()
-	s, ok := r.ByID(FREEMEM)
-	if !ok || s.Value != 48e6 {
-		t.Fatalf("ByID(FREEMEM) = (%+v, %v)", s, ok)
-	}
-	if _, ok := r.ByID(NETRTT); ok {
-		t.Fatal("ByID found a sample that is not in the report")
-	}
-}
-
-func TestSortSamples(t *testing.T) {
-	r := &Report{Samples: []Sample{{ID: CACHE_MISS}, {ID: LOADAVG}, {ID: FREEMEM}}}
-	r.SortSamples()
-	for i := 1; i < len(r.Samples); i++ {
-		if r.Samples[i-1].ID > r.Samples[i].ID {
-			t.Fatalf("samples not sorted: %v", r.Samples)
-		}
 	}
 }
 

@@ -49,9 +49,6 @@ type Link struct {
 	curBits     float64
 	prevBits    float64
 	prevWindow  float64 // seconds
-
-	totalBits float64
-	totalMsgs uint64
 }
 
 // windowLen is the measurement window for UsedBps.
@@ -180,8 +177,6 @@ func (l *Link) Send(bytes int) time.Duration {
 	l.drainLocked(now)
 	l.backlogBits += bits
 	l.curBits += bits
-	l.totalBits += bits
-	l.totalMsgs++
 	queueing := time.Duration(l.backlogBits / l.availLocked() * float64(time.Second))
 	return l.baseLatency + queueing
 }
@@ -230,13 +225,6 @@ func (l *Link) LossRate() float64 {
 		return 0
 	}
 	return (u - 0.9) * 10 * 0.1 // up to 10% at full saturation
-}
-
-// Stats returns cumulative totals for reporting.
-func (l *Link) Stats() (totalMsgs uint64, totalBits float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.totalMsgs, l.totalBits
 }
 
 // String summarizes the link state.

@@ -191,16 +191,6 @@ func TestLossRateKicksInNearSaturation(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulate(t *testing.T) {
-	l, _ := newLink(t)
-	l.Send(100)
-	l.Send(200)
-	msgs, bits := l.Stats()
-	if msgs != 2 || bits != 2400 {
-		t.Fatalf("Stats = (%d, %g)", msgs, bits)
-	}
-}
-
 func TestFigure10Shape(t *testing.T) {
 	// The paper's Figure 10: 3 MB events at ~30 Mbps over a 100 Mbps link.
 	// Latency is flat until ~70 Mbps of perturbation, then blows up.

@@ -63,10 +63,6 @@ func BucketOf(v int64) int {
 	return bucketIndex(v)
 }
 
-// BucketUpper returns the largest value mapping to bucket i — the value
-// quantile estimates report.
-func BucketUpper(i int) int64 { return bucketHigh(i) }
-
 // Histogram is a lock-free log-bucketed distribution. The zero value is
 // ready to use; all methods are safe for concurrent use. Negative values
 // are clamped to zero (durations can go slightly negative under clock

@@ -173,14 +173,6 @@ func hashNode(node string) uint16 {
 	return uint16(h ^ h>>16)
 }
 
-// Node returns the observer's node name.
-func (o *Observer) Node() string {
-	if o == nil {
-		return ""
-	}
-	return o.node
-}
-
 // SamplingEvery reports the tracing period (0 when tracing is disabled).
 func (o *Observer) SamplingEvery() uint64 {
 	if o == nil {

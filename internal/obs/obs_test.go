@@ -51,7 +51,7 @@ func TestSamplingDisabledAndNilSafety(t *testing.T) {
 	}
 	// Every method is a no-op on a nil observer.
 	var n *Observer
-	if n.SampleTrace() != 0 || n.SamplingEvery() != 0 || n.Node() != "" {
+	if n.SampleTrace() != 0 || n.SamplingEvery() != 0 {
 		t.Fatal("nil observer not inert")
 	}
 	n.ObserveFilter(1, 1)

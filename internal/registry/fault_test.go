@@ -10,6 +10,7 @@ import (
 
 	"dproc/internal/clock"
 	"dproc/internal/faultnet"
+	"dproc/internal/metrics"
 	"dproc/internal/wire"
 )
 
@@ -25,6 +26,14 @@ func newTTLServer(t *testing.T, ttl time.Duration) (*Server, *clock.Virtual, *Cl
 	c := NewClient(s.Addr())
 	t.Cleanup(func() { c.Close() })
 	return s, vclk, c
+}
+
+// counter reads one of c's recovery counters the way a node's exporters do.
+func counter(c *Client, name string) uint64 {
+	reg := metrics.NewRegistry()
+	c.RegisterMetrics(reg)
+	v, _ := reg.Value("registry", "", name)
+	return v
 }
 
 func TestTTLExpiresSilentMembers(t *testing.T) {
@@ -92,7 +101,7 @@ func TestHeartbeatResurrectsExpiredMember(t *testing.T) {
 	if n := s.MemberCount("mon"); n != 1 {
 		t.Fatalf("MemberCount = %d, want 1", n)
 	}
-	if got := c.Stats().Rejoins; got != 1 {
+	if got := counter(c, "rejoins"); got != 1 {
 		t.Fatalf("client Rejoins = %d, want 1", got)
 	}
 }
@@ -138,12 +147,11 @@ func TestHeartbeatRejoinsAfterServerRestart(t *testing.T) {
 	if err != nil || len(members) != 1 || members[0].ID != "m1" {
 		t.Fatalf("Lookup = %v, %v; want m1", members, err)
 	}
-	st := c.Stats()
-	if st.Redials < 1 {
-		t.Fatalf("Redials = %d, want >= 1 (client had to re-dial)", st.Redials)
+	if n := counter(c, "redials"); n < 1 {
+		t.Fatalf("Redials = %d, want >= 1 (client had to re-dial)", n)
 	}
-	if st.Rejoins < 1 {
-		t.Fatalf("Rejoins = %d, want >= 1", st.Rejoins)
+	if n := counter(c, "rejoins"); n < 1 {
+		t.Fatalf("Rejoins = %d, want >= 1", n)
 	}
 }
 

@@ -29,16 +29,16 @@ import (
 	"dproc/internal/wire"
 )
 
-// Request and response message types.
+// Request and response message types. The numbers are the wire's: 1 and 5
+// were create and list requests, which no client ever sent and the server
+// now answers as unknown request types.
 const (
-	msgCreate uint8 = iota + 1
-	msgJoin
-	msgLeave
-	msgLookup
-	msgList
-	msgOK
-	msgError
-	msgHeartbeat
+	msgJoin      uint8 = 2
+	msgLeave     uint8 = 3
+	msgLookup    uint8 = 4
+	msgOK        uint8 = 6
+	msgError     uint8 = 7
+	msgHeartbeat uint8 = 8
 )
 
 // Member is one channel participant: a stable ID, the TCP address its event
@@ -157,29 +157,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Channels returns the names of all registered channels, sorted.
-func (s *Server) Channels() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.channels))
-	for name := range s.channels {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MemberCount returns the number of live members in a channel (0 if absent).
-func (s *Server) MemberCount(channel string) int {
-	now := s.clk.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ch, ok := s.channels[channel]; ok {
-		s.expireLocked(ch, now)
-	}
-	return len(s.channels[channel])
-}
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -236,23 +213,6 @@ func (s *Server) handle(typ uint8, payload []byte) ([]byte, error) {
 	d := wire.NewDecoder(payload)
 	now := s.clk.Now()
 	switch typ {
-	case msgCreate:
-		name := d.String()
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		if name == "" {
-			return nil, errors.New("empty channel name")
-		}
-		s.mu.Lock()
-		_, existed := s.channels[name]
-		if !existed {
-			s.channels[name] = make(map[string]*memberEntry)
-		}
-		s.mu.Unlock()
-		e := wire.NewEncoder(8)
-		e.Bool(!existed)
-		return e.Bytes(), nil
 	case msgJoin, msgHeartbeat:
 		name := d.String()
 		id := d.String()
@@ -332,17 +292,6 @@ func (s *Server) handle(typ uint8, payload []byte) ([]byte, error) {
 		}
 		sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
 		return encodeMembers(members), nil
-	case msgList:
-		if err := d.Finish(); err != nil {
-			return nil, err
-		}
-		names := s.Channels()
-		e := wire.NewEncoder(64)
-		e.Uint32(uint32(len(names)))
-		for _, n := range names {
-			e.String(n)
-		}
-		return e.Bytes(), nil
 	}
 	return nil, fmt.Errorf("unknown request type %d", typ)
 }
@@ -395,24 +344,6 @@ func decodeMembers(payload []byte) ([]Member, error) {
 	return out, nil
 }
 
-// ClientStats counts a client's recovery work; all fields are cumulative.
-type ClientStats struct {
-	// Dials counts connections established to the server.
-	Dials uint64
-	// Redials counts connections re-established after the first.
-	Redials uint64
-	// Retries counts request attempts beyond each request's first.
-	Retries uint64
-	// Heartbeats counts heartbeat requests acknowledged by the server.
-	Heartbeats uint64
-	// Lookups counts Lookup calls, answered or not: what a node's readers
-	// of the channel directory cost the registry.
-	Lookups uint64
-	// Rejoins counts heartbeats that had to re-register the member (the
-	// server did not know it — typically after a registry restart).
-	Rejoins uint64
-}
-
 // Client talks to a registry server. It opens one connection lazily and
 // serializes requests on it; registry traffic is rare, so a single
 // connection suffices. A node's client joins each of its channels once;
@@ -424,6 +355,13 @@ type ClientStats struct {
 type Client struct {
 	addr string
 
+	// The recovery counters RegisterMetrics publishes, all cumulative:
+	// connections established (dials) and re-established after the first
+	// (redials); request attempts beyond each request's first (retries);
+	// heartbeats the server acknowledged; Lookup calls, answered or not —
+	// what a node's readers of the channel directory cost the registry; and
+	// heartbeats that had to re-register the member (rejoins), typically
+	// after a registry restart.
 	dials      atomic.Uint64
 	redials    atomic.Uint64
 	retries    atomic.Uint64
@@ -468,18 +406,6 @@ func (c *Client) SetTransport(t wire.Transport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.transport, c.io = t, clock.IO(t)
-}
-
-// Stats returns a snapshot of the client's recovery counters.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		Dials:      c.dials.Load(),
-		Redials:    c.redials.Load(),
-		Retries:    c.retries.Load(),
-		Heartbeats: c.heartbeats.Load(),
-		Lookups:    c.lookups.Load(),
-		Rejoins:    c.rejoins.Load(),
-	}
 }
 
 // RegisterMetrics publishes the client's recovery counters into the node's
@@ -590,19 +516,6 @@ func (e *unreachableError) Error() string {
 
 func (e *unreachableError) Unwrap() error { return e.err }
 
-// Create registers a channel name; reports whether this call created it.
-func (c *Client) Create(channel string) (created bool, err error) {
-	e := wire.NewEncoder(32)
-	e.String(channel)
-	reply, err := c.roundTrip(msgCreate, e.Bytes())
-	if err != nil {
-		return false, err
-	}
-	d := wire.NewDecoder(reply)
-	created = d.Bool()
-	return created, d.Finish()
-}
-
 // Join adds a member to a channel (creating the channel if needed) and
 // returns the members that were present before the join — the peers the
 // caller must dial.
@@ -674,22 +587,4 @@ func (c *Client) Lookup(channel string) ([]Member, error) {
 		return nil, err
 	}
 	return decodeMembers(reply)
-}
-
-// List returns all channel names.
-func (c *Client) List() ([]string, error) {
-	reply, err := c.roundTrip(msgList, nil)
-	if err != nil {
-		return nil, err
-	}
-	d := wire.NewDecoder(reply)
-	n := d.Uint32()
-	if int64(n)*4 > int64(d.Remaining()) {
-		return nil, errors.New("registry: implausible channel count")
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.String()
-	}
-	return out, d.Finish()
 }

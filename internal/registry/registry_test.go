@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"dproc/internal/wire"
 )
 
 func newTestServer(t *testing.T) (*Server, *Client) {
@@ -17,25 +20,6 @@ func newTestServer(t *testing.T) (*Server, *Client) {
 	c := NewClient(s.Addr())
 	t.Cleanup(func() { c.Close() })
 	return s, c
-}
-
-func TestCreateChannel(t *testing.T) {
-	_, c := newTestServer(t)
-	created, err := c.Create("monitoring")
-	if err != nil || !created {
-		t.Fatalf("Create = (%v, %v), want (true, nil)", created, err)
-	}
-	created, err = c.Create("monitoring")
-	if err != nil || created {
-		t.Fatalf("second Create = (%v, %v), want (false, nil)", created, err)
-	}
-}
-
-func TestCreateEmptyNameRejected(t *testing.T) {
-	_, c := newTestServer(t)
-	if _, err := c.Create(""); err == nil {
-		t.Fatal("empty channel name accepted")
-	}
 }
 
 func TestJoinReturnsPriorMembers(t *testing.T) {
@@ -130,19 +114,50 @@ func TestLookupUnknownChannel(t *testing.T) {
 	}
 }
 
-func TestList(t *testing.T) {
-	_, c := newTestServer(t)
-	for _, name := range []string{"zeta", "alpha", "mid"} {
-		if _, err := c.Create(name); err != nil {
-			t.Fatal(err)
-		}
+// TestRetiredRequestTypesGetErrors: types 1 and 5 were the create and list
+// requests, which no client ever sent. Each now gets an error reply, as any
+// unknown type does, and the connection goes on serving.
+func TestRetiredRequestTypesGetErrors(t *testing.T) {
+	s, c := newTestServer(t)
+	if _, err := c.Join("mon", "alan", "127.0.0.1:7501"); err != nil {
+		t.Fatal(err)
 	}
-	names, err := c.List()
+	conn, err := wire.TCP{}.DialTimeout("tcp", s.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 3 || names[0] != "alpha" || names[1] != "mid" || names[2] != "zeta" {
-		t.Fatalf("List = %v, want sorted [alpha mid zeta]", names)
+	defer conn.Close()
+	fr := wire.NewFrameReader(conn)
+	roundTrip := func(typ uint8, fields ...string) (uint8, []byte) {
+		t.Helper()
+		e := wire.NewEncoder(32)
+		for _, f := range fields {
+			e.String(f)
+		}
+		if err := wire.WriteFrame(conn, typ, e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, reply, err := fr.Next()
+		if err != nil {
+			t.Fatalf("request type %d: no reply: %v", typ, err)
+		}
+		return rtyp, reply
+	}
+	for _, req := range []struct {
+		typ    uint8
+		fields []string
+	}{{1, []string{"mon"}}, {5, nil}} {
+		rtyp, reply := roundTrip(req.typ, req.fields...)
+		if msg := wire.NewDecoder(reply).String(); rtyp != msgError || msg != fmt.Sprintf("unknown request type %d", req.typ) {
+			t.Fatalf("request type %d: reply type %d %q, want msgError \"unknown request type %d\"", req.typ, rtyp, msg, req.typ)
+		}
+	}
+	rtyp, reply := roundTrip(msgLookup, "mon")
+	if rtyp != msgOK {
+		t.Fatalf("Lookup after the retired requests: reply type %d, want msgOK", rtyp)
+	}
+	if members, err := decodeMembers(reply); err != nil || len(members) != 1 || members[0].ID != "alan" {
+		t.Fatalf("Lookup after the retired requests = %v, %v; want alan", members, err)
 	}
 }
 
@@ -187,18 +202,18 @@ func TestManyClientsConcurrentJoin(t *testing.T) {
 func TestClientSurvivesServerRestartlessReconnect(t *testing.T) {
 	// A client whose cached connection dies must reconnect transparently.
 	s, c := newTestServer(t)
-	if _, err := c.Create("a"); err != nil {
+	if _, err := c.Join("a", "m1", "127.0.0.1:9001"); err != nil {
 		t.Fatal(err)
 	}
 	// Forcibly drop the client's connection.
 	c.mu.Lock()
 	c.conn.Close()
 	c.mu.Unlock()
-	if _, err := c.Create("b"); err != nil {
+	if _, err := c.Join("b", "m1", "127.0.0.1:9001"); err != nil {
 		t.Fatalf("request after dropped conn failed: %v", err)
 	}
-	if got := s.Channels(); len(got) != 2 {
-		t.Fatalf("Channels = %v", got)
+	if s.MemberCount("a") != 1 || s.MemberCount("b") != 1 {
+		t.Fatalf("members = %d in a, %d in b; want 1 each", s.MemberCount("a"), s.MemberCount("b"))
 	}
 }
 
@@ -224,7 +239,7 @@ func TestClientAgainstClosedServer(t *testing.T) {
 	s.Close()
 	c := NewClient(addr)
 	defer c.Close()
-	if _, err := c.Create("x"); err == nil {
+	if _, err := c.Join("x", "m1", "127.0.0.1:9001"); err == nil {
 		t.Fatal("request against closed server succeeded")
 	}
 }
@@ -251,4 +266,16 @@ func BenchmarkRegistryHeartbeat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		heartbeat()
 	}
+}
+
+// MemberCount returns the number of live members in a channel (0 if absent):
+// what Lookup would list, read on the server.
+func (s *Server) MemberCount(channel string) int {
+	now := s.clk.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ch, ok := s.channels[channel]; ok {
+		s.expireLocked(ch, now)
+	}
+	return len(s.channels[channel])
 }

@@ -57,11 +57,11 @@ func FuzzServeRegistry(f *testing.F) {
 	join := request(msgJoin, "mon", "alan", "127.0.0.1:7501", "relay")
 	f.Add(join)
 	f.Add(bytes.Join([][]byte{
-		request(msgCreate, "mon"),
+		request(1, "mon"), // the retired create request
 		join,
 		request(msgHeartbeat, "mon", "maui", "127.0.0.1:7502"),
 		request(msgLookup, "mon"),
-		request(msgList),
+		request(5), // the retired list request
 		request(msgLeave, "mon", "alan"),
 		request(msgJoin, "ctl", "etna", "127.0.0.1:7503", ""),
 	}, nil))
@@ -69,7 +69,7 @@ func FuzzServeRegistry(f *testing.F) {
 		request(msgJoin, "mon", "", "127.0.0.1:7501"),
 		request(msgLookup, "absent"),
 		request(42),
-		request(msgCreate, ""),
+		request(1, ""),
 		join[:len(join)-3],
 	}, nil))
 	f.Fuzz(func(t *testing.T, script []byte) {

@@ -29,9 +29,6 @@ const (
 	DefaultMemBase = 96 << 20
 	// DefaultMemPerTask is the working set each injected task consumes.
 	DefaultMemPerTask = 24 << 20
-	// baselineMflops approximates one Pentium Pro 200 MHz core running
-	// linpack (the paper's Figure 4 measures ~17.4 Mflops).
-	baselineMflops = 17.4
 )
 
 // Host is one simulated cluster node. All methods are safe for concurrent
@@ -54,7 +51,6 @@ type Host struct {
 	diskBase    float64 // idle sectors/s
 	diskExtra   float64 // workload-driven sectors/s
 	pmcBasePerS float64 // idle cache misses/s
-	monitorCost float64 // CPU fraction consumed by monitoring itself
 
 	// Battery model (mobile hosts): percentage remaining, drained over
 	// simulated time by a load-dependent power draw.
@@ -122,29 +118,11 @@ func (h *Host) RemoveTask(id int) {
 	delete(h.tasks, id)
 }
 
-// TaskCount returns the number of injected tasks.
-func (h *Host) TaskCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.tasks)
-}
-
 // SetBaseLoad sets the idle run-queue length (background daemons).
 func (h *Host) SetBaseLoad(load float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.baseLoad = load
-}
-
-// SetMonitorCost sets the CPU fraction consumed by monitoring activity on
-// this host (used by the Figure 4 perturbation model).
-func (h *Host) SetMonitorCost(frac float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if frac < 0 {
-		frac = 0
-	}
-	h.monitorCost = frac
 }
 
 func (h *Host) loadLocked() float64 {
@@ -164,26 +142,15 @@ func (h *Host) LoadAvg() float64 {
 
 // CPUShare returns the CPU fraction available to one additional
 // compute-bound process: a processor-sharing model where the new process
-// competes with the current run queue, less the monitoring overhead.
+// competes with the current run queue.
 func (h *Host) CPUShare() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	share := (1 - h.monitorCost) / (1 + h.loadLocked())
+	share := 1 / (1 + h.loadLocked())
 	if share < 0.01 {
 		share = 0.01
 	}
 	return share
-}
-
-// Mflops returns the linpack throughput a benchmark process would measure
-// on this host right now: the baseline scaled by the available CPU share
-// relative to an idle machine.
-func (h *Host) Mflops() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	idleShare := 1.0 / (1 + h.baseLoad)
-	share := (1 - h.monitorCost) / (1 + h.loadLocked())
-	return baselineMflops * share / idleShare
 }
 
 // SetMemExtra sets application-driven memory use beyond base + tasks.
@@ -351,23 +318,3 @@ func (h *Host) String() string {
 	return fmt.Sprintf("%s(load=%.2f free=%dMB disk=%.0fsec/s)",
 		h.name, h.LoadAvg(), h.FreeMem()>>20, h.DiskUsage())
 }
-
-// Cluster is a convenience container building n hosts with distinct seeds.
-type Cluster struct {
-	Hosts []*Host
-}
-
-// NewCluster creates n hosts named node0..node{n-1} sharing the clock.
-func NewCluster(n int, clk clock.Clock, seed int64) *Cluster {
-	c := &Cluster{}
-	for i := 0; i < n; i++ {
-		c.Hosts = append(c.Hosts, NewHost(fmt.Sprintf("node%d", i), clk, seed+int64(i)*7919))
-	}
-	return c
-}
-
-// Host returns the i-th host.
-func (c *Cluster) Host(i int) *Host { return c.Hosts[i] }
-
-// Size returns the number of hosts.
-func (c *Cluster) Size() int { return len(c.Hosts) }

@@ -30,7 +30,6 @@ type Client struct {
 	disk *netsim.Link
 
 	busyUntil   time.Time
-	processed   uint64
 	completions []time.Time
 	latencies   []time.Duration
 
@@ -51,9 +50,6 @@ func NewClient(name string, clk clock.Clock, host *simres.Host, fullBytes int, b
 		disk:        disk,
 	}
 }
-
-// Disk returns the client's disk queue model.
-func (c *Client) Disk() *netsim.Link { return c.disk }
 
 // ProcSeconds returns the modeled processing time for a payload of the
 // given size and transform at the host's current CPU share.
@@ -82,7 +78,6 @@ func (c *Client) Receive(sendTime time.Time, bytes int, t Transform) time.Durati
 	done := procDone.Add(diskLat)
 	c.busyUntil = procDone
 
-	c.processed++
 	c.completions = append(c.completions, done)
 	lat := done.Sub(sendTime)
 	c.latencies = append(c.latencies, lat)
@@ -100,9 +95,6 @@ func (c *Client) Receive(sendTime time.Time, bytes int, t Transform) time.Durati
 	c.Host.SetDiskActivity(c.byteRate / 512)
 	return lat
 }
-
-// Processed returns the number of events received so far.
-func (c *Client) Processed() uint64 { return c.processed }
 
 // Latencies returns the per-event end-to-end latencies.
 func (c *Client) Latencies() []time.Duration { return c.latencies }
@@ -122,17 +114,6 @@ func (c *Client) MeanLatency(n int) time.Duration {
 		sum += l
 	}
 	return sum / time.Duration(len(ls))
-}
-
-// CompletedBy counts events fully processed no later than t.
-func (c *Client) CompletedBy(t time.Time) int {
-	n := 0
-	for _, done := range c.completions {
-		if !done.After(t) {
-			n++
-		}
-	}
-	return n
 }
 
 // RateOver returns the client's effective event rate (completions per

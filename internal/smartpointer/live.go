@@ -275,21 +275,6 @@ func (s *LiveServer) SendFrame() (map[string]Transform, error) {
 	return used, nil
 }
 
-// DroppedSubscribers counts clients dropped after delivery failures.
-func (s *LiveServer) DroppedSubscribers() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// SkippedFrames counts frames withheld from slow-but-alive subscribers
-// whose outbound queue was full at send time.
-func (s *LiveServer) SkippedFrames() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.skipped
-}
-
 // SentByTransform reports how many frames were sent per transform.
 func (s *LiveServer) SentByTransform() map[Transform]uint64 {
 	s.mu.Lock()

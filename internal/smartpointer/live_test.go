@@ -43,7 +43,10 @@ func newLiveRig(t *testing.T, atoms int) *liveRig {
 	if !serverCh.WaitForPeers(1, 2*time.Second) || !clientCh.WaitForPeers(1, 2*time.Second) {
 		t.Fatal("data channel mesh did not form")
 	}
-	store := dmon.NewStore()
+	store, err := dmon.OpenStore(dmon.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &liveRig{
 		server: NewLiveServer(serverCh, NewGenerator(atoms, 1), store),
 		client: NewLiveClient(clientCh, "server"),
@@ -379,7 +382,7 @@ func TestEcodePolicySourceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewEcodePolicy(p.Source())
+	p2, err := NewEcodePolicy(p.filter.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,3 +489,41 @@ func TestSlowSubscriberSkippedNotDropped(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// DroppedSubscribers counts clients dropped after delivery failures.
+func (s *LiveServer) DroppedSubscribers() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dropped
+}
+
+// SkippedFrames counts frames withheld from slow-but-alive subscribers
+// whose outbound queue was full at send time.
+func (s *LiveServer) SkippedFrames() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.skipped
+}
+
+// DefaultPolicySource is a reference policy equivalent in spirit to the
+// hybrid monitor: prefer full data, pre-render for CPU-starved clients on
+// healthy networks, downsample for network-starved clients, and fall back to
+// rendering from a subsample when both resources are tight.
+const DefaultPolicySource = `
+if (cpu_share < 0.3 && net_avail_mbps < 40.0) {
+  return RENDERSUB;
+}
+if (cpu_share < 0.3) {
+  return PRERENDER;
+}
+if (net_avail_mbps < 20.0) {
+  return SUBSAMPLE4;
+}
+if (net_avail_mbps < 40.0) {
+  return SUBSAMPLE2;
+}
+if (cpu_share < 0.6) {
+  return DROPVEL;
+}
+return FULL;
+`

@@ -68,9 +68,6 @@ func NewEcodePolicy(source string) (*EcodePolicy, error) {
 	}, nil
 }
 
-// Source returns the policy's source text (for redistribution).
-func (p *EcodePolicy) Source() string { return p.filter.Source() }
-
 // Choose evaluates the policy against a client's monitored state. An
 // invalid or out-of-range result falls back to Full, mirroring d-mon's
 // fail-open filter handling.
@@ -92,26 +89,3 @@ func (p *EcodePolicy) Choose(info ClientInfo) (Transform, error) {
 	}
 	return t, nil
 }
-
-// DefaultPolicySource is a reference policy equivalent in spirit to the
-// hybrid monitor: prefer full data, pre-render for CPU-starved clients on
-// healthy networks, downsample for network-starved clients, and fall back to
-// rendering from a subsample when both resources are tight.
-const DefaultPolicySource = `
-if (cpu_share < 0.3 && net_avail_mbps < 40.0) {
-  return RENDERSUB;
-}
-if (cpu_share < 0.3) {
-  return PRERENDER;
-}
-if (net_avail_mbps < 20.0) {
-  return SUBSAMPLE4;
-}
-if (net_avail_mbps < 40.0) {
-  return SUBSAMPLE2;
-}
-if (cpu_share < 0.6) {
-  return DROPVEL;
-}
-return FULL;
-`

@@ -104,9 +104,6 @@ type Stages struct {
 	Net, CPU, Disk float64 // seconds
 }
 
-// Sum is the serial end-to-end latency estimate.
-func (s Stages) Sum() float64 { return s.Net + s.CPU + s.Disk }
-
 // Max is the slowest pipeline stage; the stream is sustainable only while
 // Max stays below the send interval (otherwise a queue builds somewhere).
 func (s Stages) Max() float64 {
@@ -158,11 +155,6 @@ func EstimateStages(t Transform, info ClientInfo, fullBytes int, baseProcSec flo
 		st.Disk = bytes * 8 / DefaultDiskBps
 	}
 	return st
-}
-
-// EstimateLatency is the serial (sum-of-stages) latency estimate.
-func EstimateLatency(t Transform, info ClientInfo, fullBytes int, baseProcSec float64, monitors MonitorSet) float64 {
-	return EstimateStages(t, info, fullBytes, baseProcSec, monitors).Sum()
 }
 
 // ChooseDynamic picks the transform for the next event: the richest one the

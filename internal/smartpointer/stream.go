@@ -37,7 +37,6 @@ type StreamSim struct {
 	view       ClientInfo
 	viewAt     time.Time
 	haveView   bool
-	sent       uint64
 	transforms map[Transform]uint64
 }
 
@@ -85,7 +84,6 @@ func (s *StreamSim) Step() (time.Duration, Transform) {
 	t := s.choose(now)
 	bytes := int(float64(s.Cfg.FrameBytes) * t.SizeFactor())
 	lat := s.Client.Receive(now, bytes, t)
-	s.sent++
 	s.transforms[t]++
 	s.Clk.Advance(s.Cfg.Interval)
 	return lat, t
@@ -104,9 +102,6 @@ func (s *StreamSim) Run(duration time.Duration, onStep func(elapsed time.Duratio
 		s.Step()
 	}
 }
-
-// Sent returns the number of events the server has submitted.
-func (s *StreamSim) Sent() uint64 { return s.sent }
 
 // TransformCounts returns how many events used each transform.
 func (s *StreamSim) TransformCounts() map[Transform]uint64 {

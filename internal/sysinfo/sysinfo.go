@@ -72,15 +72,6 @@ func Read() (*Snapshot, error) {
 	return s, nil
 }
 
-// ParseLoadAvg parses /proc/loadavg content.
-func ParseLoadAvg(content string) (load1, load5, load15 float64, runnable, procs int, err error) {
-	var s Snapshot
-	if err = parseLoadAvgInto(&s, content); err != nil {
-		return
-	}
-	return s.Load1, s.Load5, s.Load15, s.Runnable, s.Procs, nil
-}
-
 func parseLoadAvgInto(s *Snapshot, content string) error {
 	fields := strings.Fields(content)
 	if len(fields) < 4 {
@@ -102,15 +93,6 @@ func parseLoadAvgInto(s *Snapshot, content string) error {
 		s.Procs, _ = strconv.Atoi(rq[1])
 	}
 	return nil
-}
-
-// ParseMemInfo parses /proc/meminfo content, returning bytes.
-func ParseMemInfo(content string) (total, free, available uint64, err error) {
-	var s Snapshot
-	if err = parseMemInfoInto(&s, content); err != nil {
-		return
-	}
-	return s.MemTotal, s.MemFree, s.MemAvailable, nil
 }
 
 func parseMemInfoInto(s *Snapshot, content string) error {

@@ -38,50 +38,50 @@ intr 12345
 `
 
 func TestParseLoadAvg(t *testing.T) {
-	l1, l5, l15, runnable, procs, err := ParseLoadAvg(sampleLoadAvg)
-	if err != nil {
+	var s Snapshot
+	if err := parseLoadAvgInto(&s, sampleLoadAvg); err != nil {
 		t.Fatal(err)
 	}
-	if l1 != 0.52 || l5 != 0.48 || l15 != 0.44 {
-		t.Fatalf("loads = %v %v %v", l1, l5, l15)
+	if s.Load1 != 0.52 || s.Load5 != 0.48 || s.Load15 != 0.44 {
+		t.Fatalf("loads = %v %v %v", s.Load1, s.Load5, s.Load15)
 	}
-	if runnable != 2 || procs != 345 {
-		t.Fatalf("runqueue = %d/%d", runnable, procs)
+	if s.Runnable != 2 || s.Procs != 345 {
+		t.Fatalf("runqueue = %d/%d", s.Runnable, s.Procs)
 	}
 }
 
 func TestParseLoadAvgMalformed(t *testing.T) {
-	if _, _, _, _, _, err := ParseLoadAvg("garbage"); err == nil {
+	if err := parseLoadAvgInto(&Snapshot{}, "garbage"); err == nil {
 		t.Fatal("malformed loadavg accepted")
 	}
-	if _, _, _, _, _, err := ParseLoadAvg("a b c 1/2 3"); err == nil {
+	if err := parseLoadAvgInto(&Snapshot{}, "a b c 1/2 3"); err == nil {
 		t.Fatal("non-numeric loadavg accepted")
 	}
 }
 
 func TestParseMemInfo(t *testing.T) {
-	total, free, avail, err := ParseMemInfo(sampleMemInfo)
-	if err != nil {
+	var s Snapshot
+	if err := parseMemInfoInto(&s, sampleMemInfo); err != nil {
 		t.Fatal(err)
 	}
-	if total != 524288*1024 || free != 131072*1024 || avail != 262144*1024 {
-		t.Fatalf("mem = %d %d %d", total, free, avail)
+	if s.MemTotal != 524288*1024 || s.MemFree != 131072*1024 || s.MemAvailable != 262144*1024 {
+		t.Fatalf("mem = %d %d %d", s.MemTotal, s.MemFree, s.MemAvailable)
 	}
 }
 
 func TestParseMemInfoWithoutAvailableFallsBackToFree(t *testing.T) {
 	content := "MemTotal: 1000 kB\nMemFree: 400 kB\n"
-	_, free, avail, err := ParseMemInfo(content)
-	if err != nil {
+	var s Snapshot
+	if err := parseMemInfoInto(&s, content); err != nil {
 		t.Fatal(err)
 	}
-	if avail != free {
-		t.Fatalf("avail = %d, want fallback to free %d", avail, free)
+	if s.MemAvailable != s.MemFree {
+		t.Fatalf("avail = %d, want fallback to free %d", s.MemAvailable, s.MemFree)
 	}
 }
 
 func TestParseMemInfoMissingFields(t *testing.T) {
-	if _, _, _, err := ParseMemInfo("Cached: 90000 kB\n"); err == nil {
+	if err := parseMemInfoInto(&Snapshot{}, "Cached: 90000 kB\n"); err == nil {
 		t.Fatal("meminfo without MemTotal accepted")
 	}
 }

@@ -2,13 +2,15 @@ package tsdb
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
-// The exact-nanosecond instant form exists for the cluster-query wire: a
-// normalized window rendered by Query.String must parse back bit-identical,
-// which float seconds cannot guarantee at current epochs.
+// The exact-nanosecond instant form lets a normalized window written out as
+// text (Query.String, below) parse back bit-identical, which float seconds
+// cannot guarantee at current epochs.
 func TestParseQueryNanosecondInstants(t *testing.T) {
 	q, err := ParseQuery("avg loadavg from 1056326400123456789ns to 1056326400123456790ns")
 	if err != nil {
@@ -129,4 +131,24 @@ func TestDBScan(t *testing.T) {
 	if count != 0 {
 		t.Fatalf("scan of a missing series visited %d points", count)
 	}
+}
+
+// String renders the query back in the grammar ParseQuery accepts, using
+// the exact-nanosecond instant form for absolute windows so a re-parse
+// resolves the identical window.
+func (q Query) String() string {
+	var sb strings.Builder
+	sb.WriteString(q.Agg.String())
+	sb.WriteByte(' ')
+	sb.WriteString(q.Metric)
+	switch {
+	case q.Last > 0:
+		fmt.Fprintf(&sb, " last %s", q.Last)
+	case q.From != 0 || q.To != 0:
+		fmt.Fprintf(&sb, " from %dns to %dns", q.From, q.To)
+	}
+	if q.Res > 0 {
+		fmt.Fprintf(&sb, " @%s", q.Res)
+	}
+	return sb.String()
 }

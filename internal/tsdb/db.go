@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"sort"
 	"strings"
 	"sync"
 )
@@ -245,13 +244,35 @@ func (e errNoSeries) Error() string { return "tsdb: no series " + string(e) }
 func (errNoSeries) Is(target error) bool { return target == ErrNoData }
 
 // Scan streams the named series' raw samples with t in [from, to), in
-// order, under the read lock. A missing series scans nothing; a chunk that
-// fails to decode ends the scan with its error.
+// order, under the read lock: the exact samples that tests outside the
+// package hold a query's answer against. A missing series scans nothing.
+// Chunks wholly outside the window are skipped without decoding; a chunk
+// that fails to decode ends the scan with its error, after fn has seen the
+// samples before the fault.
 func (db *DB) Scan(name string, from, to int64, fn func(Point)) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if s, ok := db.series[name]; ok {
-		return s.Scan(from, to, fn)
+	s, ok := db.series[name]
+	if !ok {
+		return nil
+	}
+	for i := range s.nchunks() {
+		c := s.chunk(i)
+		if !c.overlaps(from, to) {
+			continue
+		}
+		it := c.iter()
+		for p, ok := it.Next(); ok; p, ok = it.Next() {
+			if p.T >= to {
+				return nil
+			}
+			if p.T >= from {
+				fn(p)
+			}
+		}
+		if it.Err() != nil {
+			return s.decodeError(c, it.Err())
+		}
 	}
 	return nil
 }
@@ -284,18 +305,6 @@ func (db *DB) DropPrefix(prefix string) {
 			db.drop(name)
 		}
 	}
-}
-
-// Names lists the series names, sorted.
-func (db *DB) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.series))
-	for name := range db.series {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Stats summarizes the store's footprint.

@@ -15,9 +15,12 @@ func CorruptChunk(db *DB, name string, i int) Summary {
 }
 
 // BucketBound is the percentile rule applied to one exact order statistic:
-// the upper bound, in the metric's unit, of the obs bucket that v counts in.
-// A percentile query answers BucketBound of the order statistic at rank
+// the upper bound, in the metric's unit, of the obs bucket that v counts in
+// (the bound a histogram holding v alone reports for any quantile). A
+// percentile query answers BucketBound of the order statistic at rank
 // ⌈q·n⌉.
 func BucketBound(v float64) float64 {
-	return UnscaleValue(obs.BucketUpper(obs.BucketOf(ScaleValue(v))))
+	var h obs.Histogram
+	h.Record(ScaleValue(v))
+	return UnscaleValue(h.Quantile(1))
 }

@@ -176,26 +176,6 @@ func parseInstant(s string) (int64, error) {
 	return 0, fmt.Errorf("tsdb: bad instant %q (want unix seconds, <int>ns or RFC3339)", s)
 }
 
-// String renders the query back in the grammar ParseQuery accepts, using
-// the exact-nanosecond instant form for absolute windows so a re-parse
-// resolves the identical window.
-func (q Query) String() string {
-	var sb strings.Builder
-	sb.WriteString(q.Agg.String())
-	sb.WriteByte(' ')
-	sb.WriteString(q.Metric)
-	switch {
-	case q.Last > 0:
-		fmt.Fprintf(&sb, " last %s", q.Last)
-	case q.From != 0 || q.To != 0:
-		fmt.Fprintf(&sb, " from %dns to %dns", q.From, q.To)
-	}
-	if q.Res > 0 {
-		fmt.Fprintf(&sb, " @%s", q.Res)
-	}
-	return sb.String()
-}
-
 // MaxMetricBytes caps a metric name in a query's binary form, and so
 // MaxQueryBytes caps the whole: an agg byte, the name's length and bytes,
 // and three varints.

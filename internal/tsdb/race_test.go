@@ -47,7 +47,6 @@ func TestConcurrentAppendQueryFlushRace(t *testing.T) {
 					db.Query(name, tsdb.Query{Agg: tsdb.AggMax, Res: 10 * time.Second})
 					db.Tail(name, 32)
 					db.Stats()
-					db.Names()
 					db.PersistStats()
 					// Unthrottled readers starve the appenders under the race
 					// detector; a short breath keeps the interleavings varied

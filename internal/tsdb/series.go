@@ -144,12 +144,6 @@ type Series struct {
 // DefaultTiers' two. More tiers move all of them to a slice of their own.
 const inlineTiers = 2
 
-// NewSeries returns an empty series with the given options.
-func NewSeries(opts Options) *Series {
-	opts = opts.withDefaults()
-	return newSeries(&opts)
-}
-
 // newSeries returns an empty series bound to opts, which must have its
 // defaults and outlive it.
 func newSeries(opts *Options) *Series {
@@ -253,8 +247,6 @@ func (s *Series) loadSealed(sum Summary, data []byte) bool {
 	return true
 }
 
-func (s *Series) lastT() int64 { return s.last }
-
 func (s *Series) firstT() int64 {
 	if len(s.sealed) > 0 {
 		return s.sealed[0].summary.TMin
@@ -348,34 +340,8 @@ func (c *Chunk) overlaps(from, to int64) bool {
 	return c.summary.TMax >= from && c.summary.TMin < to
 }
 
-// Scan calls fn for every retained sample with from <= t < to, in time
-// order. Chunks wholly outside the window are skipped without decoding. A
-// chunk that fails to decode ends the scan with its error, after fn has
-// seen the samples before the fault.
-func (s *Series) Scan(from, to int64, fn func(p Point)) error {
-	for i := range s.nchunks() {
-		c := s.chunk(i)
-		if !c.overlaps(from, to) {
-			continue
-		}
-		it := c.iter()
-		for p, ok := it.Next(); ok; p, ok = it.Next() {
-			if p.T >= to {
-				return nil
-			}
-			if p.T >= from {
-				fn(p)
-			}
-		}
-		if it.Err() != nil {
-			return s.decodeError(c, it.Err())
-		}
-	}
-	return nil
-}
-
-// appendValues is Scan appending each sample's value to dst: the same loop
-// with no call per sample.
+// appendValues is DB.Scan appending each sample's value to dst: the same
+// loop with no call per sample.
 func (s *Series) appendValues(dst []float64, from, to int64) ([]float64, error) {
 	for i := range s.nchunks() {
 		c := s.chunk(i)
@@ -401,16 +367,6 @@ func (s *Series) appendValues(dst []float64, from, to int64) ([]float64, error) 
 // decodeError names the series and the chunk a decode error came from.
 func (s *Series) decodeError(c *Chunk, err error) error {
 	return fmt.Errorf("series %s, chunk at %dns: %w", s.name, c.summary.TMin, err)
-}
-
-// Buckets returns the downsample buckets of the tier with the given
-// interval (closed buckets plus the in-progress one), or nil if no such
-// tier is configured.
-func (s *Series) Buckets(interval time.Duration) []Bucket {
-	if tr := s.tier(interval); tr != nil {
-		return tr.all()
-	}
-	return nil
 }
 
 // tier returns the tier with the given interval, or nil.

@@ -418,8 +418,8 @@ func TestDBBasics(t *testing.T) {
 	db.Append("a/loadavg", 1*sec, 1)
 	db.Append("a/loadavg", 2*sec, 2)
 	db.Append("b/loadavg", 1*sec, 9)
-	if names := db.Names(); len(names) != 2 || names[0] != "a/loadavg" {
-		t.Fatalf("names = %v", names)
+	if _, ok := db.series["a/loadavg"]; !ok || len(db.series) != 2 {
+		t.Fatalf("%d series, a/loadavg among them %v; want 2, true", len(db.series), ok)
 	}
 	if tail := db.Tail("a/loadavg", 0); len(tail) != 2 || tail[1].V != 2 {
 		t.Fatalf("tail = %v", tail)
@@ -432,8 +432,8 @@ func TestDBBasics(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	db.DropPrefix("a/")
-	if names := db.Names(); len(names) != 1 || names[0] != "b/loadavg" {
-		t.Fatalf("names after drop = %v", names)
+	if _, ok := db.series["b/loadavg"]; !ok || len(db.series) != 1 {
+		t.Fatalf("after drop: %d series, b/loadavg among them %v; want 1, true", len(db.series), ok)
 	}
 	if _, err := db.Query("a/loadavg", Query{Agg: AggAvg}); err == nil {
 		t.Fatal("query on dropped series succeeded")
@@ -499,4 +499,27 @@ func BenchmarkTierQuery(b *testing.B) {
 			}
 		})
 	}
+}
+
+// NewSeries returns an empty series with the given options.
+func NewSeries(opts Options) *Series {
+	opts = opts.withDefaults()
+	return newSeries(&opts)
+}
+
+// Buckets returns the downsample buckets of the tier with the given
+// interval (closed buckets plus the in-progress one), or nil if no such
+// tier is configured.
+func (s *Series) Buckets(interval time.Duration) []Bucket {
+	if tr := s.tier(interval); tr != nil {
+		return tr.all()
+	}
+	return nil
+}
+
+// all returns every bucket a read sees, oldest first.
+func (tr *tier) all() []Bucket {
+	out := []Bucket{}
+	tr.each(math.MinInt64, math.MaxInt64, func(b Bucket) { out = append(out, b) })
+	return out
 }

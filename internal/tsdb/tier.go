@@ -288,13 +288,6 @@ func (tr *tier) each(from, to int64, fn func(Bucket)) {
 	}
 }
 
-// all returns every bucket a read sees, oldest first.
-func (tr *tier) all() []Bucket {
-	out := []Bucket{}
-	tr.each(math.MinInt64, math.MaxInt64, func(b Bucket) { out = append(out, b) })
-	return out
-}
-
 func (tr *tier) decode(c *bucketChunk, from, to int64, fn func(Bucket)) {
 	if c.n == 0 || c.last < from || c.first >= to {
 		return

@@ -17,7 +17,6 @@ import (
 // Errors returned by filesystem operations.
 var (
 	ErrNotExist = errors.New("vfs: path does not exist")
-	ErrExist    = errors.New("vfs: path already exists")
 	ErrIsDir    = errors.New("vfs: path is a directory")
 	ErrNotDir   = errors.New("vfs: path component is not a directory")
 	ErrReadOnly = errors.New("vfs: file is not writable")
@@ -243,53 +242,6 @@ func (fs *FS) ReadDir(path string) ([]DirEntry, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// Stat reports whether path exists and whether it is a directory.
-func (fs *FS) Stat(path string) (exists, isDir bool) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	n, err := fs.lookup(path)
-	if err != nil {
-		return false, false
-	}
-	return true, n.dir
-}
-
-// Walk visits every path in the filesystem in depth-first sorted order,
-// calling fn with the full path and whether it is a directory. Returning a
-// non-nil error from fn aborts the walk.
-func (fs *FS) Walk(fn func(path string, isDir bool) error) error {
-	fs.mu.RLock()
-	type frame struct {
-		n    *node
-		path string
-	}
-	var snapshot func(n *node, path string, out *[]frame)
-	snapshot = func(n *node, path string, out *[]frame) {
-		names := make([]string, 0, len(n.children))
-		for name := range n.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			child := n.children[name]
-			childPath := path + "/" + name
-			*out = append(*out, frame{child, childPath})
-			if child.dir {
-				snapshot(child, childPath, out)
-			}
-		}
-	}
-	var frames []frame
-	snapshot(fs.root, "", &frames)
-	fs.mu.RUnlock()
-	for _, f := range frames {
-		if err := fn(strings.TrimPrefix(f.path, "/"), f.n.dir); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Tree renders the hierarchy as an indented listing rooted at path, the

@@ -207,39 +207,6 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestWalkOrderAndAbort(t *testing.T) {
-	fs := New()
-	_ = fs.Create("cluster/alan/loadavg", StaticRead(""), nil)
-	_ = fs.Create("cluster/etna/net", StaticRead(""), nil)
-	var paths []string
-	err := fs.Walk(func(path string, isDir bool) error {
-		paths = append(paths, path)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"cluster", "cluster/alan", "cluster/alan/loadavg", "cluster/etna", "cluster/etna/net"}
-	if len(paths) != len(want) {
-		t.Fatalf("paths = %v", paths)
-	}
-	for i := range want {
-		if paths[i] != want[i] {
-			t.Fatalf("paths = %v, want %v", paths, want)
-		}
-	}
-	// Abort.
-	sentinel := errors.New("stop")
-	count := 0
-	err = fs.Walk(func(string, bool) error {
-		count++
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) || count != 1 {
-		t.Fatalf("abort: err=%v count=%d", err, count)
-	}
-}
-
 func TestTreeRendering(t *testing.T) {
 	fs := New()
 	// Figure 1: alan monitors mem/net/cpu/disk; maui net/cpu; etna net/cpu/disk.
@@ -260,6 +227,14 @@ func TestTreeRendering(t *testing.T) {
 		if !strings.Contains(tree, want) {
 			t.Errorf("tree missing %q:\n%s", want, tree)
 		}
+	}
+	// Depth-first, each directory's entries in sorted order.
+	want := "cluster/\n" +
+		"  alan/\n    cpu\n    disk\n    mem\n    net\n" +
+		"  etna/\n    cpu\n    disk\n    net\n" +
+		"  maui/\n    cpu\n    net\n"
+	if tree != want {
+		t.Fatalf("tree:\n%s\nwant:\n%s", tree, want)
 	}
 }
 
@@ -316,4 +291,15 @@ func TestReadFuncMayTraverseFS(t *testing.T) {
 	if err != nil || got != "wrapped:base" {
 		t.Fatalf("got (%q, %v)", got, err)
 	}
+}
+
+// Stat reports whether path exists and whether it is a directory.
+func (fs *FS) Stat(path string) (exists, isDir bool) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	n, err := fs.lookup(path)
+	if err != nil {
+		return false, false
+	}
+	return true, n.dir
 }

@@ -92,7 +92,7 @@ func TestTracedReceivePathIsAllocationFree(t *testing.T) {
 		records = append(records, rec)
 	}
 	var stream bytes.Buffer
-	if err := WriteFrame(&stream, 3, EncodeBatch(records)); err != nil {
+	if err := WriteFrame(&stream, 3, AppendBatch(nil, records)); err != nil {
 		t.Fatal(err)
 	}
 

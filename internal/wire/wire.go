@@ -327,22 +327,12 @@ func (fr *FrameReader) fill(need, n int) error {
 // ErrBadBatch reports a malformed batch payload.
 var ErrBadBatch = errors.New("wire: malformed batch payload")
 
-// EncodeBatch packs event payloads into one batch frame payload: a uint32
-// count followed by count length-prefixed payloads. A writer that wakes up
-// with several events queued for the same peer coalesces them into a single
-// frame — one length prefix, one syscall — while preserving their order.
-// Empty and single-event batches are valid.
-func EncodeBatch(events [][]byte) []byte {
-	size := 4
-	for _, ev := range events {
-		size += 4 + len(ev)
-	}
-	return AppendBatch(make([]byte, 0, size), events)
-}
-
 // AppendBatch appends the batch encoding of events to dst and returns the
-// extended buffer, so a writer with a reusable scratch buffer can encode
-// batches without allocating.
+// extended buffer: a uint32 count followed by count length-prefixed
+// payloads. A writer that wakes up with several events queued for the same
+// peer coalesces them into a single frame — one length prefix, one syscall —
+// while preserving their order, and with a reusable scratch buffer encodes
+// it without allocating. Empty and single-event batches are valid.
 func AppendBatch(dst []byte, events [][]byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(events)))
 	for _, ev := range events {
@@ -396,12 +386,6 @@ func NewEncoder(n int) *Encoder { return &Encoder{buf: make([]byte, 0, n)} }
 // valid until the next mutating call.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// Reset clears the encoder for reuse, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // Uint8 appends a single byte.
 func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -412,11 +396,6 @@ func (e *Encoder) Bool(v bool) {
 	} else {
 		e.Uint8(0)
 	}
-}
-
-// Uint16 appends a big-endian 16-bit value.
-func (e *Encoder) Uint16(v uint16) {
-	e.buf = binary.BigEndian.AppendUint16(e.buf, v)
 }
 
 // Uint32 appends a big-endian 32-bit value.
@@ -431,9 +410,6 @@ func (e *Encoder) Uint64(v uint64) {
 
 // Int64 appends a 64-bit signed value (two's complement).
 func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
-
-// Float64 appends an IEEE-754 double.
-func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
 
 // Time appends a timestamp as nanoseconds since the Unix epoch.
 func (e *Encoder) Time(t time.Time) { e.Int64(t.UnixNano()) }

@@ -98,7 +98,7 @@ func TestFrameReaderGrowsForLargeFrames(t *testing.T) {
 // TestDecodeBatchIntoViewsAliasBuffer pins the zero-copy batch contract:
 // decoded events are subslices of the batch buffer, not copies.
 func TestDecodeBatchIntoViewsAliasBuffer(t *testing.T) {
-	batch := EncodeBatch([][]byte{[]byte("aaaa"), []byte("bbbb")})
+	batch := AppendBatch(nil, [][]byte{[]byte("aaaa"), []byte("bbbb")})
 	events, err := DecodeBatchInto(nil, batch)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestDecodeBatchIntoViewsAliasBuffer(t *testing.T) {
 // TestDecodeBatchIntoReusesDst pins scratch reuse: a recycled dst slice is
 // appended into, not reallocated, when capacity suffices.
 func TestDecodeBatchIntoReusesDst(t *testing.T) {
-	batch := EncodeBatch([][]byte{[]byte("one"), []byte("two"), []byte("three")})
+	batch := AppendBatch(nil, [][]byte{[]byte("one"), []byte("two"), []byte("three")})
 	scratch := make([][]byte, 0, 8)
 	events, err := DecodeBatchInto(scratch[:0], batch)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestSteadyStateReceivePathIsAllocationFree(t *testing.T) {
 		records = append(records, e.Bytes())
 	}
 	var stream bytes.Buffer
-	if err := WriteFrame(&stream, 3, EncodeBatch(records)); err != nil {
+	if err := WriteFrame(&stream, 3, AppendBatch(nil, records)); err != nil {
 		t.Fatal(err)
 	}
 

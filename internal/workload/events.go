@@ -40,9 +40,6 @@ type EventGen struct {
 	start time.Time
 	carry float64
 	buf   []int
-
-	events uint64
-	bytes  uint64
 }
 
 // NewEventGen builds a generator for the profile whose randomness (payload
@@ -103,11 +100,6 @@ func (g *EventGen) Tick(now time.Time, dt time.Duration) []int {
 			}
 		}
 		g.buf = append(g.buf, size)
-		g.events++
-		g.bytes += uint64(size)
 	}
 	return g.buf
 }
-
-// Totals reports the cumulative events and payload bytes generated.
-func (g *EventGen) Totals() (events, bytes uint64) { return g.events, g.bytes }

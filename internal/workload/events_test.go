@@ -11,17 +11,17 @@ func TestEventGenSteadyRate(t *testing.T) {
 	start := clock.Epoch
 	g := NewEventGen(EventProfile{Rate: 3, Payload: 100}, 1, start)
 	now := start
-	total := 0
+	total, bytes := 0, 0
 	for i := 0; i < 10; i++ {
 		now = now.Add(time.Second)
-		total += len(g.Tick(now, time.Second))
+		sizes := g.Tick(now, time.Second)
+		total += len(sizes)
+		for _, n := range sizes {
+			bytes += n
+		}
 	}
-	if total != 30 {
-		t.Fatalf("10s at 3/s produced %d events, want 30", total)
-	}
-	events, bytes := g.Totals()
-	if events != 30 || bytes != 3000 {
-		t.Fatalf("Totals = %d events, %d bytes", events, bytes)
+	if total != 30 || bytes != 3000 {
+		t.Fatalf("10s at 3/s produced %d events of %d bytes, want 30 of 3000", total, bytes)
 	}
 }
 
